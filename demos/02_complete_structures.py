@@ -1,9 +1,10 @@
 """Complete hyperbolic structures of the three bundled link complements.
 
-The solver runs damped least-squares Newton on the cleared polynomial
-system (edge equations plus both peripheral dilations of every cusp set
-to 1) and certifies the residual at doubled precision.  All three land on
-recognizable algebraic points.
+The solver searches for a start in machine precision on the log form of
+the gluing equations, then polishes it by damped Newton on the cleared
+polynomial system (edge equations plus both peripheral dilations of every
+cusp set to 1) and certifies the residual at doubled precision.  All three
+land on recognizable algebraic points.
 """
 import time
 

@@ -27,8 +27,11 @@ from .manifold import IdealTriangulation
 from .solver import (
     SolveError,
     SolveResult,
+    canonical_tangent,
     completeness_system,
+    least_squares,
     numerical_kernel,
+    pin_choice,
     solve_complete,
     system_jacobian,
     trace_completeness_curve,
@@ -87,14 +90,6 @@ def completeness_jacobian(tri: IdealTriangulation, cusp: int, shapes: ShapeAssig
         return rows, kernel, rank, svals, ambiguous
 
 
-def _pin_choice(tangent) -> int:
-    best = 0
-    for i in range(1, len(tangent)):
-        if abs(tangent[i]) > abs(tangent[best]) + mp.mpf(2) ** -40:
-            best = i
-    return best
-
-
 def _hessian_contraction(eq_sum: MonomialSum, z, velocity, n):
     """velocity^T Hess(eq) velocity, via exact second derivative sums."""
     total = mp.mpc(0)
@@ -142,17 +137,17 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
                 "(expected 1); singular values "
                 + ", ".join(mp.nstr(s, 5) for s in svals)
             )
-        tangent = kernel[0]
         if pin is None:
-            pin = _pin_choice(tangent)
-        if abs(tangent[pin]) < mp.mpf(2) ** (-prec // 4):
+            pin = pin_choice(kernel[0])
+        if abs(kernel[0][pin]) < mp.mpf(2) ** (-prec // 4):
             raise SolveError(f"coordinate {pin} is not a parameter for the curve here")
+        tangent = canonical_tangent(kernel[0], pin)
         free = [i for i in range(n) if i != pin]
 
         # first derivatives: M u' = -v, columns split by the pinned variable
         M_rows = [[row[i] for i in free] for row in rows]
         v_col = [row[pin] for row in rows]
-        u1 = _lstsq(M_rows, [-v for v in v_col])
+        u1 = least_squares(M_rows, [-v for v in v_col])
         dz = [mp.mpc(0)] * n
         dz[pin] = mp.mpc(1)
         for idx, i in enumerate(free):
@@ -162,26 +157,11 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
         rhs = []
         for eq in eqs:
             rhs.append(-_hessian_contraction(eq.cleared, z, dz, n))
-        u2 = _lstsq(M_rows, rhs)
+        u2 = least_squares(M_rows, rhs)
         d2z = [mp.mpc(0)] * n
         for idx, i in enumerate(free):
             d2z[i] = u2[idx]
         return dz, d2z, pin, rank, tangent
-
-
-def _lstsq(rows, rhs):
-    A = mp.matrix(rows)
-    b = mp.matrix(rhs)
-    U, S, V = mp.svd_c(A)
-    smax = max(S[i] for i in range(S.rows))
-    cut = smax * mp.mpf(2) ** (-mp.prec // 2)
-    Utb = U.H * b
-    y = mp.matrix(V.cols, 1)
-    for i in range(S.rows):
-        if S[i] > cut:
-            y[i] = Utb[i] / S[i]
-    x = V.H * y
-    return [x[i] for i in range(V.cols)]
 
 
 def _tau_c_derivatives(tri, cusp_data, shapes, dz, d2z):

@@ -1,11 +1,27 @@
 """Arbitrary-precision solving of gluing systems.
 
-Complete structures are found by least-squares Newton on the
-cleared-denominator polynomial system {edge equations = 1} together with
-{mu = 1} for both peripheral curves of every unfilled cusp.  The edge
-system always carries redundancy (the product of all edge equations is
-identically 1), so Newton steps go through an SVD pseudo-inverse rather
-than dropping rows.
+Complete structures are found in two stages.
+
+1. Start search, in machine precision.  Damped Gauss-Newton runs on the
+   gluing system in log form, in Python complex arithmetic.  Each edge row
+   is the angle sum of its corners: an E0 corner adds Log z, an E1 corner
+   -Log(1-z), an E2 corner Log(1-z) - Log z + i pi, with target 2 pi i.
+   Each cusp row is the principal Log of a peripheral dilation, target 0.
+   Every row's gradient is exactly a/z - b/(1-z).  The starts are the
+   regular shape and seeded perturbations of it.
+2. Polish, at p+30 bits.  A float root with every Im z > 0 seeds damped
+   Newton on the cleared-denominator polynomial system {edge equations = 1}
+   with {mu = 1} for both peripheral curves of every cusp.  A point given
+   as `initial` (a lower-precision solution) is polished directly, before
+   any search.
+
+Every Newton step at working precision, here and below, is one
+`least_squares` solve: the row-equilibrated Jacobian goes to mp.lu_solve,
+which solves an overdetermined system through its normal equations.  The
+edge rows are redundant (their product is identically 1), but the whole
+system has full column rank at the geometric solution (Neumann-Zagier),
+so no rows are dropped and no rank cutoff is needed.  SVD is used only by
+`numerical_kernel`, to find the rank and tangent of the completeness curve.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition
@@ -18,15 +34,16 @@ log branches by continuity; small fillings genuinely leave the principal
 branch, so branch bookkeeping is part of the equation, with step halving
 and an explicit out-of-range failure when continuity cannot be maintained.
 
-The same Jacobian machinery drives predictor-corrector tracing of the
-curve along which one chosen cusp stays complete.
+The same Newton step drives predictor-corrector tracing of the curve along
+which one chosen cusp stays complete.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass, replace
 
 import mpmath
 from mpmath import mp
@@ -40,6 +57,11 @@ class SolveError(RuntimeError):
 
 
 REGULAR_SHAPE = mpmath.mpc(0.5, 0.8660254037844386)
+# Newton steps never move a shape within this distance of 0 or 1
+GUARD = 1e-9
+# a machine-precision root of the log system must reach this residual
+# (Euclidean norm of the log rows)
+FLOAT_TOL = 1e-10
 
 
 def _eval_sum(s: MonomialSum, z: list) -> mpmath.mpc:
@@ -153,7 +175,7 @@ class GluingSystem:
                 cleaned.append(None)
             else:
                 p, q = int(f[0]), int(f[1])
-                if (p, q) == (0, 0) or gcd(p, q) != 1:
+                if (p, q) == (0, 0) or math.gcd(p, q) != 1:
                     raise ValueError(f"filling coefficients must be coprime, got {(p, q)}")
                 cleaned.append((p, q))
         completeness = tuple(
@@ -181,6 +203,16 @@ class GluingSystem:
 
 @dataclass
 class SolveResult:
+    """A solved structure.
+
+    `iterations` counts the Newton steps taken at working precision: the
+    polish of the accepted start, plus every accepted step of a filling
+    ramp.  Machine-precision start-search steps are not counted.
+    `restarts_used` is the index of the accepted start in the schedule:
+    `initial` first when given, then the regular shape, then the seeded
+    perturbations; 0 means the first start was accepted.
+    """
+
     shapes: ShapeAssignment
     residual: mpmath.mpf
     geometric: bool
@@ -217,33 +249,23 @@ class SolveResult:
         }
 
 
-def _pinv_step(rows: list[list], vals: list, cutoff_exp: int) -> list:
-    """Least-squares Newton step -J^+ F via SVD with a singular value cutoff."""
-    m = len(rows)
-    n = len(rows[0])
-    # row equilibration for conditioning
-    scaled = []
-    rhs = []
-    for row, v in zip(rows, vals):
+def least_squares(rows: list[list], rhs: list) -> list:
+    """Least-squares solution x of rows . x = rhs at the working precision.
+
+    Rows are scaled to unit max-norm first; mp.lu_solve then solves a
+    square system directly and an overdetermined one through its normal
+    equations.  The callers' systems have full column rank, so no rank
+    cutoff is applied: a numerically singular matrix raises
+    ZeroDivisionError.
+    """
+    scaled, scaled_rhs = [], []
+    for row, v in zip(rows, rhs):
         s = max(abs(x) for x in row)
-        if s == 0:
-            continue
-        scaled.append([x / s for x in row])
-        rhs.append(v / s)
-    A = mp.matrix(scaled)
-    F = mp.matrix(rhs)
-    U, S, V = mp.svd_c(A)
-    smax = max(S[i] for i in range(S.rows)) if S.rows else mp.mpf(0)
-    if smax == 0:
-        raise SolveError("zero Jacobian")
-    cut = smax * mp.mpf(2) ** cutoff_exp
-    UtF = U.H * F
-    y = mp.matrix(V.cols, 1)
-    for i in range(S.rows):
-        if S[i] > cut:
-            y[i] = UtF[i] / S[i]
-    delta = V.H * y
-    return [-delta[i] for i in range(n)]
+        if s:
+            scaled.append([x / s for x in row])
+            scaled_rhs.append(v / s)
+    x = mp.lu_solve(mp.matrix(scaled), mp.matrix(scaled_rhs))
+    return [x[i] for i in range(x.rows)]
 
 
 def _residual(eqs, fill_eqs, z) -> mpmath.mpf:
@@ -255,36 +277,43 @@ def _residual(eqs, fill_eqs, z) -> mpmath.mpf:
     return r
 
 
-def _newton(eqs, fill_eqs, z, precision_bits, max_iter=80):
-    """Damped least-squares Newton; returns (z, iterations, residual)."""
-    tol = mp.mpf(2) ** int(-0.92 * precision_bits)
-    guard = mp.mpf("1e-9")
-    best = _residual(eqs, fill_eqs, z)
+def _damped_newton(z, residual, step, tol, max_iter):
+    """The Newton loop of every solve: take step(z), halved up to 12 times
+    until it lowers residual(z) with every shape outside the guard band
+    around 0 and 1.  Returns (z, iterations, residual)."""
+    best = residual(z)
     it = 0
     while it < max_iter and best > tol:
         it += 1
-        rows = [e.gradient(z) for e in eqs] + [e.gradient(z) for e in fill_eqs]
-        vals = [e.value(z) for e in eqs] + [e.value(z) for e in fill_eqs]
         try:
-            delta = _pinv_step(rows, vals, cutoff_exp=-precision_bits // 3)
-        except (ZeroDivisionError, SolveError):
+            delta = step(z)
+        except (ZeroDivisionError, ValueError):
             break
-        lam = mp.mpf(1)
-        improved = False
+        lam = 1.0
         for _ in range(12):
             z_try = [zi + lam * d for zi, d in zip(z, delta)]
-            if any(abs(v) < guard or abs(1 - v) < guard for v in z_try):
-                lam /= 2
+            lam /= 2
+            if any(abs(v) < GUARD or abs(1 - v) < GUARD for v in z_try):
                 continue
-            r_try = _residual(eqs, fill_eqs, z_try)
+            r_try = residual(z_try)
             if r_try < best:
                 z, best = z_try, r_try
-                improved = True
                 break
-            lam /= 2
-        if not improved:
+        else:
             break
     return z, it, best
+
+
+def _newton(eqs, fill_eqs, z, precision_bits, max_iter=80):
+    """Damped least-squares Newton at the working precision on the cleared
+    and filling equations; returns (z, iterations, residual)."""
+    def step(z):
+        rows = [e.gradient(z) for e in eqs] + [e.gradient(z) for e in fill_eqs]
+        vals = [e.value(z) for e in eqs] + [e.value(z) for e in fill_eqs]
+        return least_squares(rows, [-v for v in vals])
+
+    return _damped_newton(z, lambda z: _residual(eqs, fill_eqs, z), step,
+                          mp.mpf(2) ** int(-0.92 * precision_bits), max_iter)
 
 
 def _initial_guesses(n, seed, restarts):
@@ -298,9 +327,84 @@ def _initial_guesses(n, seed, restarts):
         ]
 
 
-def _chain(first, rest):
-    yield from first
-    yield from rest
+def _log_rows(system: GluingSystem) -> list[tuple]:
+    """The complete-structure gluing system in log form.
+
+    One (a, b, shift, principal) per row, whose value at z is
+    sum a_i Log z_i + b_i Log(1 - z_i) + shift, reduced to the principal
+    branch when `principal` is set.  Edge rows are corner angle sums less
+    the target 2 pi i; an E2 corner contributes the i pi of its sign.
+    Cusp rows are the principal Log of both peripheral dilations.
+    """
+    rows = []
+    for m, edge in zip(system.equations, system.tri.edges):
+        e2 = sum(corner.kind == "E2" for corner in edge.corners)
+        rows.append((m.a, m.b, complex(0, math.pi * (e2 - 2)), False))
+    for pair in system.completeness:
+        for m in pair:
+            rows.append((m.a, m.b, complex(0, math.pi if m.sign < 0 else 0), True))
+    return rows
+
+
+def _log_values(rows, z: list) -> list:
+    log_z = [cmath.log(v) for v in z]
+    log_1z = [cmath.log(1 - v) for v in z]
+    values = []
+    for a, b, shift, principal in rows:
+        v = shift + sum(ai * lz + bi * l1 for ai, bi, lz, l1 in zip(a, b, log_z, log_1z))
+        if principal:
+            v -= complex(0, 2 * math.pi * round(v.imag / (2 * math.pi)))
+        values.append(v)
+    return values
+
+
+def _float_lstsq(rows: list[list], rhs: list) -> list:
+    """Least-squares solution of rows . x = rhs in machine precision:
+    normal equations, Gaussian elimination with partial pivoting."""
+    n = len(rows[0])
+    aug = [[sum(r[i].conjugate() * r[j] for r in rows) for j in range(n)]
+           + [sum(r[i].conjugate() * v for r, v in zip(rows, rhs))]
+           for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda k: abs(aug[k][col]))
+        if aug[piv][col] == 0:
+            raise ZeroDivisionError("singular normal equations")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for k in range(col + 1, n):
+            f = aug[k][col] / aug[col][col]
+            for c in range(col, n + 1):
+                aug[k][c] -= f * aug[col][c]
+    x = [0j] * n
+    for i in reversed(range(n)):
+        x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
+    return x
+
+
+def _float_search(rows, z: list, max_iter=60):
+    """Gauss-Newton on the log system from one start, in machine precision.
+    Returns the root, or None when the start does not reach FLOAT_TOL."""
+    def residual(z):
+        return math.sqrt(sum(abs(v) ** 2 for v in _log_values(rows, z)))
+
+    def step(z):
+        grads = [[ai / zi - bi / (1 - zi) for ai, bi, zi in zip(a, b, z)]
+                 for a, b, _, _ in rows]
+        return _float_lstsq(grads, [-v for v in _log_values(rows, z)])
+
+    z, _, res = _damped_newton(z, residual, step, FLOAT_TOL, max_iter)
+    return z if res <= FLOAT_TOL else None
+
+
+def _start_points(system: GluingSystem, seed: int, restarts: int,
+                  initial: ShapeAssignment | None):
+    """Start points for the polish, in schedule order: `initial` as given,
+    then the float root of the log system from each _initial_guesses
+    start, or None where that search found no root."""
+    if initial is not None:
+        yield list(initial.z)
+    rows = _log_rows(system)
+    for guess in _initial_guesses(system.tri.n_tet, seed, restarts):
+        yield _float_search(rows, [complex(v) for v in guess])
 
 
 def _certify(eqs, fill_eqs, z, precision_bits):
@@ -342,20 +446,31 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
         # stage 1: complete structure (filled rows at target 0 hold there)
-        complete_eqs = [PolynomialEquation(m, label="seed") for pair in system.completeness for m in pair]
-        base_eqs = [PolynomialEquation(m) for m in system.equations]
-        best = None
-        guesses = _initial_guesses(tri.n_tet, seed, restarts)
-        if initial is not None:
-            guesses = _chain([[mp.mpc(v) for v in initial.z]], guesses)
-        for restart_index, guess in enumerate(guesses):
-            z, it, res = _newton(base_eqs + complete_eqs, [], guess, precision_bits)
+        complete_eqs = eqs
+        if fill_eqs:
+            complete_eqs, _ = replace(system, fillings=(None,) * len(tri.cusps)).equation_objects()
+
+        def polish(z0, restart_index):
+            z, it, res = _newton(complete_eqs, [], [mp.mpc(v) for v in z0], precision_bits)
             if res < success_tol:
-                geometric = all(v.imag > flat_tol for v in z)
-                if best is None or (geometric and not best[3]):
-                    best = (z, it, res, geometric, restart_index)
-                if geometric:
+                return z, it, res, all(v.imag > flat_tol for v in z), restart_index
+            return None
+
+        best = deferred = None
+        for restart_index, z0 in enumerate(_start_points(system, seed, restarts, initial)):
+            if z0 is None:
+                continue
+            if not all(v.imag > 0 for v in z0):
+                # polished only if no geometric root turns up
+                deferred = deferred or (z0, restart_index)
+                continue
+            found = polish(z0, restart_index)
+            if found is not None and (best is None or found[3]):
+                best = found
+                if found[3]:
                     break
+        if best is None and deferred is not None:
+            best = polish(*deferred)
         if best is None:
             raise SolveError(
                 f"{tri.name!r}: complete-structure Newton did not converge "
@@ -495,6 +610,27 @@ def numerical_kernel(rows: list[list], precision_bits: int, threshold_exp=None):
     return kernel, rank, svals, ambiguous
 
 
+def pin_choice(tangent) -> int:
+    """Index of the largest tangent entry, ties (within 2^-40) to the lowest."""
+    best = 0
+    for i in range(1, len(tangent)):
+        if abs(tangent[i]) > abs(tangent[best]) + mp.mpf(2) ** -40:
+            best = i
+    return best
+
+
+def canonical_tangent(vec: list, pin: int) -> list:
+    """A kernel vector scaled to unit norm with vec[pin] real and positive.
+
+    SVD returns kernel vectors with an arbitrary complex phase; fixing it
+    makes the tangent, and every curve traced along it, the same at every
+    precision.
+    """
+    norm = mp.sqrt(sum(abs(c) ** 2 for c in vec))
+    scale = mp.conj(vec[pin]) / (abs(vec[pin]) * norm)
+    return [c * scale for c in vec]
+
+
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                              n_points: int = 20, step: float = 1e-3,
                              precision_bits: int = 256, seed: int = 0,
@@ -522,9 +658,8 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                 f"completeness-curve kernel has dimension {len(kernel)}, "
                 "expected 1 (is this a two-cusped manifold?)"
             )
-        tangent = kernel[0]
-        norm = mp.sqrt(sum(abs(c) ** 2 for c in tangent))
-        tangent = [c / norm for c in tangent]
+        pin = pin_choice(kernel[0])
+        tangent = canonical_tangent(kernel[0], pin)
         samples = []
         shapes0 = ShapeAssignment(tuple(z), precision_bits)
         samples.append((shapes0, evaluate_cusp_parameter(pair, shapes0)))
@@ -534,7 +669,6 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         for _ in range(n_points):
             while True:
                 z_pred = [zi + h * ti for zi, ti in zip(z, tangent)]
-                pin = max(range(len(tangent)), key=lambda i: abs(tangent[i]))
                 z_corr, ok = _corrector(eqs, z_pred, pin, precision_bits)
                 if ok and _residual(eqs, [], z_corr) < success_tol:
                     break
@@ -546,13 +680,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                 system_jacobian(eqs, z), precision_bits)
             if len(kernel) != 1:
                 raise SolveError("kernel dimension changed along the curve")
-            new_t = kernel[0]
-            norm = mp.sqrt(sum(abs(c) ** 2 for c in new_t))
-            new_t = [c / norm for c in new_t]
-            dot = sum(a * mp.conj(b) for a, b in zip(new_t, tangent))
-            if dot.real < 0:
-                new_t = [-c for c in new_t]
-            tangent = new_t
+            tangent = canonical_tangent(kernel[0], pin)
             shapes = ShapeAssignment(tuple(z), precision_bits)
             if shapes.is_degenerate() or not shapes.is_geometric():
                 raise SolveError("continuation left the geometric region")
@@ -572,8 +700,8 @@ def _corrector(eqs, z, pin: int, precision_bits: int, max_iter=40):
         rows_full = [e.gradient(z) for e in eqs]
         rows = [[row[i] for i in free] for row in rows_full]
         try:
-            delta = _pinv_step(rows, vals, cutoff_exp=-precision_bits // 3)
-        except (ZeroDivisionError, SolveError):
+            delta = least_squares(rows, [-v for v in vals])
+        except (ZeroDivisionError, ValueError):
             return z, False
         for idx, i in enumerate(free):
             z[i] += delta[idx]

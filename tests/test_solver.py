@@ -8,6 +8,11 @@ four-regular-tetrahedra fixture sits at the fixed point of the corner
 parameter maps.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from mpmath import mp
 
@@ -82,6 +87,36 @@ def test_solve_filled_all_complete_is_bitwise_identical(whitehead):
     b = solve_filled(whitehead, ["complete", "complete"], PRECISION, seed=0)
     assert a.shapes.z == b.shapes.z
     assert a.iterations == b.iterations and a.restarts_used == b.restarts_used
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_622_cold_start_every_seed(link622, seed):
+    result = solve_complete(link622, PRECISION, seed=seed)
+    assert result.success and result.geometric
+
+
+def test_cold_start_accepts_the_regular_shape(solved):
+    # the float search converges to the geometric root from the first start
+    assert solved["whitehead"].restarts_used == 0
+    assert solved["berge"].restarts_used == 0
+
+
+def test_solve_imports_no_numpy_or_scipy():
+    # numpy plus scipy would add ~40 MB to the resident size of every run
+    src = str(pathlib.Path(cf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import cuspforge.screen\n"
+        "from cuspforge import load_fixture\n"
+        "from cuspforge.solver import solve_complete\n"
+        "assert solve_complete(load_fixture('622'), 256).success\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gluing_system_rejects_non_coprime(whitehead):
@@ -189,3 +224,20 @@ def test_trace_curve_berge_second_order_spread(berge, solved):
         spread = abs(samples[k][1] - tau0)
         model = d2_unit * (k * h) ** 2 / 2
         assert model / 2 < spread < model * 2
+
+
+@pytest.mark.parametrize("name", ["whitehead", "622", "berge"])
+def test_trace_spread_reproduces_at_doubled_precision(name, solved):
+    # isolation's certification rule: the 8-point spread at step 1e-3
+    # agrees between p and 2p bits to 2^-(p/2) relative, for every cusp
+    tri = cf.load_fixture(name)
+    low = solved[name]
+    high = solve_complete(tri, 2 * PRECISION, initial=low.shapes)
+    for cusp in range(len(tri.cusps)):
+        spreads = []
+        for start in (low, high):
+            samples = trace_completeness_curve(
+                tri, cusp, n_points=8, step=1e-3,
+                precision_bits=start.shapes.precision_bits, start=start)
+            spreads.append(max(abs(t - samples[0][1]) for _, t in samples[1:]))
+        assert abs(spreads[0] - spreads[1]) < mp.mpf(2) ** (-PRECISION // 2) * (1 + spreads[1])
