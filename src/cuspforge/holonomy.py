@@ -20,6 +20,13 @@ peripheral curves, edge equations).  `MonomialSum` is the additive closure
 (translation parts tau, cleared equations, exact derivatives).  Evaluation
 happens at a `ShapeAssignment`, a tuple of arbitrary-precision complex
 shapes with a degeneracy guard keeping every coordinate away from {0, 1}.
+
+Every numerical value in the package comes from one evaluator: `term_value`
+computes one signed term at the working precision and `sum_value` adds up
+a sum's terms.  Derivatives along a direction use the log gradient of a
+term (`log_gradient`); `second_derivative_along` gives the closed-form
+second derivative of a sum along a vector, without building second
+derivative sums.
 """
 
 from __future__ import annotations
@@ -150,13 +157,7 @@ class SignedMonomial:
     def evaluate(self, shapes: "ShapeAssignment") -> mpmath.mpc:
         shapes.require_non_degenerate()
         with mp.workprec(shapes.precision_bits):
-            value = mp.mpc(self.sign)
-            for z, az, bz in zip(shapes.z, self.a, self.b):
-                if az:
-                    value *= z ** az
-                if bz:
-                    value *= (1 - z) ** bz
-        return value
+            return term_value(self.sign, self.a, self.b, shapes.z)
 
     def derivative(self, i: int) -> "MonomialSum":
         """Exact partial derivative with respect to z_i.
@@ -251,16 +252,7 @@ class MonomialSum:
     def evaluate(self, shapes: "ShapeAssignment") -> mpmath.mpc:
         shapes.require_non_degenerate()
         with mp.workprec(shapes.precision_bits):
-            total = mp.mpc(0)
-            for (a, b), coeff in self.terms.items():
-                term = mp.mpc(coeff)
-                for z, az, bz in zip(shapes.z, a, b):
-                    if az:
-                        term *= z ** az
-                    if bz:
-                        term *= (1 - z) ** bz
-                total += term
-        return total
+            return sum_value(self.terms, shapes.z)
 
     def derivative(self, i: int) -> "MonomialSum":
         out = MonomialSum.zero()
@@ -319,6 +311,52 @@ class ShapeAssignment:
 
     def with_precision(self, precision_bits: int) -> "ShapeAssignment":
         return ShapeAssignment(self.z, precision_bits, self.guard)
+
+
+def term_value(c: int, a, b, z) -> mpmath.mpc:
+    """c * prod z_i^{a_i} (1 - z_i)^{b_i} at the working precision."""
+    value = mp.mpc(c)
+    for zi, ai, bi in zip(z, a, b):
+        if ai:
+            value *= zi ** ai
+        if bi:
+            value *= (1 - zi) ** bi
+    return value
+
+
+def sum_value(terms: dict[_Key, int], z) -> mpmath.mpc:
+    """Value of the terms {(a, b): c} of a MonomialSum at the working
+    precision."""
+    total = mp.mpc(0)
+    for (a, b), c in terms.items():
+        total += term_value(c, a, b, z)
+    return total
+
+
+def log_gradient(a, b, z) -> list:
+    """Gradient of log(z^a (1-z)^b): entries a_i/z_i - b_i/(1 - z_i).
+
+    Plain arithmetic, so it serves Python complex and mpmath points alike;
+    a zero exponent costs no division.
+    """
+    return [(ai / zi if ai else 0) - (bi / (1 - zi) if bi else 0)
+            for zi, ai, bi in zip(z, a, b)]
+
+
+def second_derivative_along(terms: dict[_Key, int], z, v) -> mpmath.mpc:
+    """v^T (Hessian of the sum) v at z, in closed form.
+
+    For one term T with log gradient g,
+        v^T (Hess T) v = T ((g . v)^2 - sum_i v_i^2 (a_i/z_i^2 + b_i/(1-z_i)^2)).
+    """
+    total = mp.mpc(0)
+    for (a, b), c in terms.items():
+        gv = sum(g * vi for g, vi in zip(log_gradient(a, b, z), v))
+        curvature = sum(vi * vi * ((ai / zi ** 2 if ai else 0)
+                                   + (bi / (1 - zi) ** 2 if bi else 0))
+                        for zi, ai, bi, vi in zip(z, a, b, v))
+        total += term_value(c, a, b, z) * (gv * gv - curvature)
+    return total
 
 
 def evaluate(fn: SignedMonomial | MonomialSum, shapes: ShapeAssignment) -> mpmath.mpc:

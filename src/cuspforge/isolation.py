@@ -11,8 +11,11 @@ Inconclusive, never "isolated".
 Derivatives come from the implicit function theorem on the pinned system:
 with one coordinate chosen as the curve parameter (largest tangent entry,
 ties to the lowest index), first derivatives solve M u' = -v and second
-derivatives solve M u'' = -(Hessian contraction), all with exact gradients
-and Hessians of the cleared equations evaluated in arbitrary precision.
+derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision.  The
+Jacobian rows are exact gradients of the cleared equations; the second
+derivative of every equation and of both tau sums along u' is the closed
+form of `holonomy.second_derivative_along`, computed term by term from
+log gradients.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import MonomialSum, ShapeAssignment, cusp_parameter
+from .holonomy import ShapeAssignment, cusp_parameter, second_derivative_along, sum_value
 from .manifold import IdealTriangulation
 from .solver import (
     SolveError,
@@ -90,32 +93,6 @@ def completeness_jacobian(tri: IdealTriangulation, cusp: int, shapes: ShapeAssig
         return rows, kernel, rank, svals, ambiguous
 
 
-def _hessian_contraction(eq_sum: MonomialSum, z, velocity, n):
-    """velocity^T Hess(eq) velocity, via exact second derivative sums."""
-    total = mp.mpc(0)
-    firsts = [eq_sum.derivative(i) for i in range(n)]
-    for i in range(n):
-        if velocity[i] == 0:
-            continue
-        for j in range(n):
-            if velocity[j] == 0:
-                continue
-            second = firsts[i].derivative(j)
-            if second.is_zero():
-                continue
-            val = mp.mpc(0)
-            for (a, b), coeff in second.terms.items():
-                term = mp.mpc(coeff)
-                for zi, az, bz in zip(z, a, b):
-                    if az:
-                        term *= zi ** az
-                    if bz:
-                        term *= (1 - zi) ** bz
-                val += term
-            total += velocity[i] * velocity[j] * val
-    return total
-
-
 def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
                       pin: int | None = None):
     """First and second derivatives of the shape coordinates along the
@@ -153,11 +130,9 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
         for idx, i in enumerate(free):
             dz[i] = u1[idx]
 
-        # second derivatives: M u'' = -(velocity^T Hess velocity)
-        rhs = []
-        for eq in eqs:
-            rhs.append(-_hessian_contraction(eq.cleared, z, dz, n))
-        u2 = least_squares(M_rows, rhs)
+        # second derivatives: M u'' = -(dz^T Hess dz)
+        u2 = least_squares(M_rows, [-second_derivative_along(eq.cleared.terms, z, dz)
+                                    for eq in eqs])
         d2z = [mp.mpc(0)] * n
         for idx, i in enumerate(free):
             d2z[i] = u2[idx]
@@ -171,27 +146,15 @@ def _tau_c_derivatives(tri, cusp_data, shapes, dz, d2z):
     n = shapes.n
     z = list(shapes.z)
     with mp.workprec(prec + 30):
-        def ev(s):
-            val = mp.mpc(0)
-            for (a, b), coeff in s.terms.items():
-                term = mp.mpc(coeff)
-                for zi, az, bz in zip(z, a, b):
-                    if az:
-                        term *= zi ** az
-                    if bz:
-                        term *= (1 - zi) ** bz
-                val += term
-            return val
-
-        N = ev(num)
-        D = ev(den)
-        dN = [ev(num.derivative(i)) for i in range(n)]
-        dD = [ev(den.derivative(i)) for i in range(n)]
+        N = sum_value(num.terms, z)
+        D = sum_value(den.terms, z)
+        dN = [sum_value(num.derivative(i).terms, z) for i in range(n)]
+        dD = [sum_value(den.derivative(i).terms, z) for i in range(n)]
         N1 = sum(a * t for a, t in zip(dN, dz))
         D1 = sum(a * t for a, t in zip(dD, dz))
         # second directional derivatives along the curve:
-        N2 = _hessian_contraction(num, z, dz, n) + sum(a * t for a, t in zip(dN, d2z))
-        D2 = _hessian_contraction(den, z, dz, n) + sum(a * t for a, t in zip(dD, d2z))
+        N2 = second_derivative_along(num.terms, z, dz) + sum(a * t for a, t in zip(dN, d2z))
+        D2 = second_derivative_along(den.terms, z, dz) + sum(a * t for a, t in zip(dD, d2z))
         tau1 = (N1 * D - N * D1) / D ** 2
         tau2 = (N2 * D - N * D2) / D ** 2 - 2 * D1 * (N1 * D - N * D1) / D ** 3
         return tau1, tau2

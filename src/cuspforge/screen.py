@@ -32,6 +32,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,7 +57,6 @@ UNDETERMINED = "Undetermined"
 class ScreenOptions:
     precision_bits: int = 256
     max_degree: int = 12
-    tolerance: float | None = None
     seed: int = 0
     parallelism: int = 1
 
@@ -103,6 +103,7 @@ class ScreenReport:
     solve: dict | None = None
     provenance: dict = field(default_factory=dict)
     error: str | None = None
+    parse_failed: bool = False      # not serialized; sets the CLI exit code
 
     def to_jsonable(self) -> dict:
         return {
@@ -201,12 +202,11 @@ def _screen_one(args):
     try:
         tri = parse_triangulation(text)
     except TriangulationError as exc:
-        report = ScreenReport(
+        return ScreenReport(
             manifold=pathlib.Path(path).stem, source=str(path), verdict=UNDETERMINED,
             provenance=options.provenance(), error=f"parse failed: {exc}",
+            parse_failed=True,
         )
-        report.parse_failed = True
-        return report
     return screen_triangulation(tri, str(path), options)
 
 
@@ -219,13 +219,11 @@ def screen(paths, options: ScreenOptions | None = None) -> list[ScreenReport]:
         try:
             text = pathlib.Path(path).read_text()
         except OSError as exc:
-            report = ScreenReport(
+            jobs.append(ScreenReport(
                 manifold=pathlib.Path(path).stem, source=str(path),
                 verdict=UNDETERMINED, provenance=options.provenance(),
-                error=f"parse failed: cannot read file: {exc}",
-            )
-            report.parse_failed = True
-            jobs.append(report)
+                error=f"parse failed: cannot read file: {exc}", parse_failed=True,
+            ))
             continue
         jobs.append((str(path), text, options))
     pending = [j for j in jobs if isinstance(j, tuple)]
@@ -349,6 +347,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+class _UsageError(ValueError):
+    """A command-line value that argparse cannot check: exit code 1."""
+
+
+def _cusp_index(tri: IdealTriangulation, cusp: int) -> int:
+    if not 0 <= cusp < len(tri.cusps):
+        raise _UsageError(f"--cusp {cusp} is out of range 0..{len(tri.cusps) - 1} "
+                         f"for {tri.name}")
+    return cusp
+
+
 def fixture_dir() -> pathlib.Path:
     env = os.environ.get("CUSPFORGE_FIXTURES")
     if env:
@@ -374,7 +383,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int, default=256)
     common.add_argument("--max-degree", type=int, default=12)
-    common.add_argument("--tolerance", type=float, default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None, help="directory for report files")
     common.add_argument("--format", choices=["json", "csv", "table"], default="table")
@@ -407,11 +415,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     options = ScreenOptions(
         precision_bits=args.precision_bits, max_degree=args.max_degree,
-        tolerance=args.tolerance, seed=args.seed, parallelism=args.parallel)
+        seed=args.seed, parallelism=args.parallel)
 
     with mp.workprec(options.precision_bits + 30):
         try:
             code = _dispatch(args, options)
+        except _UsageError as exc:
+            print(f"cuspforge: error: {exc}", file=sys.stderr)
+            return 1
         except TriangulationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -450,19 +461,22 @@ def _dispatch(args, options: ScreenOptions) -> int:
     if args.command == "field":
         for name in args.manifolds:
             tri = _load(name)
-            result = solve_complete(tri, options.precision_bits, seed=options.seed)
-            for cusp in tri.cusps:
-                value = evaluate_cusp_parameter(cusp_parameter(tri, cusp), result.shapes)
-                poly = algdep(value, options.max_degree, options.precision_bits)
-                fc = classify_field(poly)
-                print(f"{tri.name}.{cusp.name}: minpoly={poly} field={fc} "
-                      f"rigid_compatible={rigid_compatible(fc)} ({NON_VERIFIED_TAG})")
+            report = screen_triangulation(tri, name, options, run_isolation=False)
+            if report.error:
+                print(f"{tri.name}: {report.error}")
+            for rec in report.cusps:
+                if rec.error:
+                    print(f"{tri.name}.{rec.name}: {rec.error}")
+                    continue
+                print(f"{tri.name}.{rec.name}: minpoly={rec.minpoly} field={rec.field} "
+                      f"rigid_compatible={rec.rigid} ({NON_VERIFIED_TAG})")
         return 0
 
     if args.command == "isolate":
         for name in args.manifolds:
             tri = _load(name)
-            indices = range(len(tri.cusps)) if args.cusp is None else [args.cusp]
+            indices = (range(len(tri.cusps)) if args.cusp is None
+                       else [_cusp_index(tri, args.cusp)])
             for i in indices:
                 ev = isolation_verdict(tri, i, precision_bits=options.precision_bits,
                                        seed=options.seed)
@@ -473,16 +487,19 @@ def _dispatch(args, options: ScreenOptions) -> int:
         return 0
 
     if args.command == "fill":
-        lo, hi = (int(t) for t in args.n_range.split(":"))
-        n_values = [n for n in range(lo, hi + 1) if n != 0]
+        bounds = re.fullmatch(r"(-?\d+):(-?\d+)", args.n_range)
+        if bounds is None or int(bounds[1]) > int(bounds[2]):
+            raise _UsageError(f"--n-range must be a:b with integers a <= b, "
+                             f"got {args.n_range!r}")
+        n_values = [n for n in range(int(bounds[1]), int(bounds[2]) + 1) if n != 0]
         tri = _load(args.manifold)
-        reports = fill_and_screen(tri, args.cusp, n_values, options)
+        reports = fill_and_screen(tri, _cusp_index(tri, args.cusp), n_values, options)
         return _emit(reports, args)
 
     if args.command == "screen":
         paths = [resolve_input(name) for name in args.manifolds]
         reports = screen(paths, options)
-        code = 2 if any(getattr(r, "parse_failed", False) for r in reports) else 0
+        code = 2 if any(r.parse_failed for r in reports) else 0
         emit_code = _emit(reports, args)
         return code or emit_code
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass, replace
 import mpmath
 from mpmath import mp
 
-from .holonomy import MonomialSum, ShapeAssignment, SignedMonomial, mu
+from .holonomy import (ShapeAssignment, SignedMonomial, log_gradient, mu, sum_value,
+                       term_value)
 from .manifold import IdealTriangulation
 
 
@@ -64,35 +65,6 @@ GUARD = 1e-9
 FLOAT_TOL = 1e-10
 
 
-def _eval_sum(s: MonomialSum, z: list) -> mpmath.mpc:
-    total = mp.mpc(0)
-    for (a, b), coeff in s.terms.items():
-        term = mp.mpc(coeff)
-        for zi, az, bz in zip(z, a, b):
-            if az:
-                term *= zi ** az
-            if bz:
-                term *= (1 - zi) ** bz
-        total += term
-    return total
-
-
-def _eval_mono(m: SignedMonomial, z: list) -> mpmath.mpc:
-    value = mp.mpc(m.sign)
-    for zi, az, bz in zip(z, m.a, m.b):
-        if az:
-            value *= zi ** az
-        if bz:
-            value *= (1 - zi) ** bz
-    return value
-
-
-def _dlog_row(m: SignedMonomial, z: list) -> list:
-    """Gradient of log of a monomial: d log m = sum (a_i/z_i - b_i/(1-z_i))."""
-    return [mp.mpc(az) / zi - mp.mpc(bz) / (1 - zi)
-            for zi, az, bz in zip(z, m.a, m.b)]
-
-
 class PolynomialEquation:
     """A monomial equation M = 1 in cleared polynomial form."""
 
@@ -103,13 +75,14 @@ class PolynomialEquation:
         self._grads = [self.cleared.derivative(i) for i in range(monomial.n_vars)]
 
     def value(self, z: list) -> mpmath.mpc:
-        return _eval_sum(self.cleared, z)
+        return sum_value(self.cleared.terms, z)
 
     def gradient(self, z: list) -> list:
-        return [_eval_sum(g, z) for g in self._grads]
+        return [sum_value(g.terms, z) for g in self._grads]
 
     def residual(self, z: list) -> mpmath.mpf:
-        return abs(_eval_mono(self.monomial, z) - 1)
+        m = self.monomial
+        return abs(term_value(m.sign, m.a, m.b, z) - 1)
 
 
 class FillingEquation:
@@ -127,10 +100,12 @@ class FillingEquation:
         self.target = mp.mpc(0)
         self.reference = (mp.mpc(0), mp.mpc(0))
 
+    def _principal_logs(self, z: list) -> tuple:
+        return tuple(mp.log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l))
+
     def logs(self, z: list) -> tuple:
         u0, v0 = self.reference
-        u = mp.log(_eval_mono(self.mu_m, z))
-        v = mp.log(_eval_mono(self.mu_l, z))
+        u, v = self._principal_logs(z)
         u += 2j * mp.pi * mp.nint((u0 - u).imag / (2 * mp.pi))
         v += 2j * mp.pi * mp.nint((v0 - v).imag / (2 * mp.pi))
         return u, v
@@ -140,8 +115,8 @@ class FillingEquation:
         return self.p * u + self.q * v - self.target
 
     def gradient(self, z: list) -> list:
-        gu = _dlog_row(self.mu_m, z)
-        gv = _dlog_row(self.mu_l, z)
+        gu = log_gradient(self.mu_m.a, self.mu_m.b, z)
+        gv = log_gradient(self.mu_l.a, self.mu_l.b, z)
         return [self.p * a + self.q * b for a, b in zip(gu, gv)]
 
     def residual(self, z: list) -> mpmath.mpf:
@@ -149,8 +124,9 @@ class FillingEquation:
 
     def branch_offsets(self, z: list) -> tuple[int, int]:
         u, v = self.logs(z)
-        ku = int(mp.nint((u - mp.log(_eval_mono(self.mu_m, z))).imag / (2 * mp.pi)))
-        kv = int(mp.nint((v - mp.log(_eval_mono(self.mu_l, z))).imag / (2 * mp.pi)))
+        pu, pv = self._principal_logs(z)
+        ku = int(mp.nint((u - pu).imag / (2 * mp.pi)))
+        kv = int(mp.nint((v - pv).imag / (2 * mp.pi)))
         return ku, kv
 
 
@@ -387,8 +363,7 @@ def _float_search(rows, z: list, max_iter=60):
         return math.sqrt(sum(abs(v) ** 2 for v in _log_values(rows, z)))
 
     def step(z):
-        grads = [[ai / zi - bi / (1 - zi) for ai, bi, zi in zip(a, b, z)]
-                 for a, b, _, _ in rows]
+        grads = [log_gradient(a, b, z) for a, b, _, _ in rows]
         return _float_lstsq(grads, [-v for v in _log_values(rows, z)])
 
     z, _, res = _damped_newton(z, residual, step, FLOAT_TOL, max_iter)

@@ -23,10 +23,16 @@ from cuspforge.holonomy import (
     cusp_parameter,
     evaluate,
     evaluate_cusp_parameter,
+    log_gradient,
     mu,
     partial_derivative,
+    second_derivative_along,
+    sum_value,
     tau,
+    term_value,
 )
+from cuspforge.isolation import curve_derivatives
+from cuspforge.solver import completeness_system
 
 from conftest import PRECISION, rational_point_sampler, take
 
@@ -355,3 +361,61 @@ def test_cusp_parameter_denominator_guard(whitehead):
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     shapes = ShapeAssignment.from_values([1j, 1j, 1j, 1j], PRECISION)
     assert abs(evaluate_cusp_parameter(pair, shapes) - mp.mpc(-2, 2)) < mp.mpf("1e-40")
+
+
+# ---------------------------------------------------------------------------
+# the closed-form evaluator against exact derivative sums
+
+
+def _hessian_reference(s: MonomialSum, shapes, v):
+    """v^T Hess(s) v contracted from the exact second-derivative sums."""
+    total = mp.mpc(0)
+    for i, vi in enumerate(v):
+        first = s.derivative(i)
+        for j, vj in enumerate(v):
+            total += vi * vj * evaluate(first.derivative(j), shapes)
+    return total
+
+
+def _size_before_cancellation(s: MonomialSum, z, v):
+    """A bound on every summand of v^T Hess(s) v, which sets the scale of
+    its rounding error: sum |T| (sum_i |v_i| (|a_i/z_i| + |b_i/(1-z_i)|))^2."""
+    return sum(abs(term_value(c, a, b, z)) * sum(
+        abs(vi) * (abs(ai) / abs(zi) + abs(bi) / abs(1 - zi))
+        for zi, ai, bi, vi in zip(z, a, b, v)) ** 2
+        for (a, b), c in s.terms.items())
+
+
+def _evaluator_cases(tri, complete_shapes):
+    """(sums, point, direction) for one fixture: its cleared completeness
+    equations and tau sums, at the complete structure along each cusp's
+    curve tangent and at a seeded random point along a random direction."""
+    rng = random.Random(11)
+    random_point = next(rational_point_sampler(tri.n_tet, seed=11))
+    for cusp in range(len(tri.cusps)):
+        sums = [eq.cleared for eq in completeness_system(tri, cusp)]
+        sums += list(cusp_parameter(tri, tri.cusps[cusp]))
+        dz = curve_derivatives(tri, cusp, complete_shapes)[0]
+        yield sums, complete_shapes, dz
+        v = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(tri.n_tet)]
+        yield sums, random_point, v
+
+
+def test_closed_form_derivatives_match_exact_sums(solved, whitehead, link622, berge):
+    tol = mp.mpf(2) ** -(PRECISION - 10)
+    with mp.workprec(PRECISION):
+        for tri in (whitehead, link622, berge):
+            for sums, shapes, v in _evaluator_cases(tri, solved[tri.name].shapes):
+                z = list(shapes.z)
+                for s in sums:
+                    assert sum_value(s.terms, z) == evaluate(s, shapes)
+                    got = second_derivative_along(s.terms, z, v)
+                    ref = _hessian_reference(s, shapes, v)
+                    scale = _size_before_cancellation(s, z, v)
+                    assert abs(got - ref) <= tol * scale, (tri.name, str(s))
+                    for (a, b), c in s.terms.items():
+                        term = MonomialSum({(a, b): c})
+                        value = term_value(c, a, b, z)
+                        for i, g in enumerate(log_gradient(a, b, z)):
+                            ref_g = evaluate(term.derivative(i), shapes) / value
+                            assert abs(g - ref_g) <= tol * abs(ref_g)

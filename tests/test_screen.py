@@ -117,9 +117,11 @@ def test_write_reports(tmp_path, reports):
 def test_parse_failure_recorded(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    reports = screen([bad], OPTIONS)
-    assert reports[0].error and "parse failed" in reports[0].error
-    assert reports[0].verdict == UNDETERMINED
+    reports = screen([bad, tmp_path / "missing.json"], OPTIONS)
+    for rep in reports:
+        assert rep.error and "parse failed" in rep.error
+        assert rep.verdict == UNDETERMINED
+        assert rep.parse_failed and "parse_failed" not in rep.to_jsonable()
 
 
 def test_fill_and_screen_whitehead(whitehead):
@@ -186,3 +188,30 @@ def test_cli_out_directory(tmp_path):
     assert proc.returncode == 0
     assert (tmp_path / "reports" / "summary.csv").exists()
     assert (tmp_path / "reports" / "berge.report.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("fill", "whitehead", "--cusp", "1", "--n-range=abc"),
+    ("fill", "whitehead", "--cusp", "1", "--n-range=5:1"),
+    ("isolate", "whitehead", "--cusp", "5"),
+    ("fill", "whitehead", "--cusp", "7", "--n-range=1:1"),
+    ("fill", "whitehead", "--cusp", "-1", "--n-range=1:1"),
+])
+def test_cli_bad_value_is_one_line_usage_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_cli_field_records_errors_without_traceback():
+    # algdep refuses precision below 128 bits; the field view prints the
+    # recorded cusp errors instead of raising
+    proc = run_cli("field", "berge", "--precision-bits", "96")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("at least 128 bits") == 2
+
+
+def test_cli_has_no_tolerance_flag():
+    assert run_cli("solve", "berge", "--tolerance", "1e-20").returncode == 1
