@@ -11,11 +11,15 @@ Inconclusive, never "isolated".
 Derivatives come from the implicit function theorem on the pinned system:
 with one coordinate chosen as the curve parameter (largest tangent entry,
 ties to the lowest index), first derivatives solve M u' = -v and second
-derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision.  The
-Jacobian rows are exact gradients of the cleared equations; the second
-derivative of every equation and of both tau sums along u' is the closed
-form of `holonomy.second_derivative_along`, computed term by term from
-log gradients.
+derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, as
+`solver.pinned_solve`s.  The reported tangent is the normalised pinned
+velocity dz/|dz|, where dz is u' with 1 at the pinned coordinate.  The SVD
+runs once, in the pass at precision p, to check the kernel dimension,
+choose the pin and give the Jacobian rank; the doubled-precision pass
+reuses the pin and runs no SVD.  The Jacobian rows are exact gradients of
+the cleared equations; the second derivative of every equation and of both
+tau sums along u' is the closed form of `holonomy.second_derivative_along`,
+computed term by term from log gradients.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from .manifold import IdealTriangulation
 from .solver import (
     SolveError,
     SolveResult,
-    canonical_tangent,
     completeness_system,
-    least_squares,
+    curve_velocity,
     numerical_kernel,
     pin_choice,
+    pinned_solve,
     solve_complete,
     system_jacobian,
     trace_completeness_curve,
@@ -98,44 +102,32 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
     """First and second derivatives of the shape coordinates along the
     completeness curve, parametrized by the pinned coordinate.
 
-    Returns (dz, d2z, pin, rank, kernel): dz and d2z are full-length
-    vectors with dz[pin] = 1, d2z[pin] = 0.
+    Returns (dz, d2z, pin, rank, tangent): dz and d2z are full-length
+    vectors with dz[pin] = 1, d2z[pin] = 0, and the tangent is dz/|dz|.
+    Without `pin` the SVD checks that the kernel is one-dimensional,
+    chooses the pin and gives the Jacobian rank; with `pin` given no SVD
+    runs and the rank is None.
     """
     prec = shapes.precision_bits
     with mp.workprec(prec + 30):
         eqs = completeness_system(tri, cusp)
         z = list(shapes.z)
-        n = len(z)
         rows = system_jacobian(eqs, z)
-        kernel, rank, svals, ambiguous = numerical_kernel(rows, prec)
-        if len(kernel) != 1:
-            raise KernelDimensionError(
-                f"kernel dimension {len(kernel)} at the complete structure "
-                "(expected 1); singular values "
-                + ", ".join(mp.nstr(s, 5) for s in svals)
-            )
+        rank = None
         if pin is None:
+            kernel, rank, svals, _ = numerical_kernel(rows, prec)
+            if len(kernel) != 1:
+                raise KernelDimensionError(
+                    f"kernel dimension {len(kernel)} at the complete structure "
+                    "(expected 1); singular values "
+                    + ", ".join(mp.nstr(s, 5) for s in svals)
+                )
             pin = pin_choice(kernel[0])
-        if abs(kernel[0][pin]) < mp.mpf(2) ** (-prec // 4):
-            raise SolveError(f"coordinate {pin} is not a parameter for the curve here")
-        tangent = canonical_tangent(kernel[0], pin)
-        free = [i for i in range(n) if i != pin]
-
         # first derivatives: M u' = -v, columns split by the pinned variable
-        M_rows = [[row[i] for i in free] for row in rows]
-        v_col = [row[pin] for row in rows]
-        u1 = least_squares(M_rows, [-v for v in v_col])
-        dz = [mp.mpc(0)] * n
-        dz[pin] = mp.mpc(1)
-        for idx, i in enumerate(free):
-            dz[i] = u1[idx]
-
+        dz, tangent = curve_velocity(rows, pin)
         # second derivatives: M u'' = -(dz^T Hess dz)
-        u2 = least_squares(M_rows, [-second_derivative_along(eq.cleared.terms, z, dz)
-                                    for eq in eqs])
-        d2z = [mp.mpc(0)] * n
-        for idx, i in enumerate(free):
-            d2z[i] = u2[idx]
+        d2z = pinned_solve(rows, pin, [-second_derivative_along(eq.cleared.terms, z, dz)
+                                       for eq in eqs])
         return dz, d2z, pin, rank, tangent
 
 
@@ -165,7 +157,8 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
     """(d_tau, d2_tau) of the cusp parameter along the completeness curve,
     plus the underlying shape derivatives.
 
-    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank.
+    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, tangent;
+    rank is None when `pin` is given.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")

@@ -98,7 +98,8 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
 
     Requires precision_bits >= 128 and max_degree >= 1.  The returned
     polynomial is primitive with positive leading coefficient and
-    irreducible over the rationals.
+    irreducible over the rationals.  A failure inside the lattice
+    reduction raises AlgdepError, which callers record like any miss.
     """
     if precision_bits < 128:
         raise AlgdepError("algdep needs at least 128 bits of precision")
@@ -118,7 +119,10 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
             )
             power *= x
         lattice = DomainMatrix(rows, (n + 1, n + 3), _ZZ)
-        reduced = lattice.lll().to_Matrix().tolist()
+        try:
+            reduced = lattice.lll().to_Matrix().tolist()
+        except (ArithmeticError, AssertionError) as exc:
+            raise AlgdepError(f"lattice reduction failed ({type(exc).__name__})") from exc
 
         threshold = mp.mpf(2) ** int(-0.6 * precision_bits)
         X = sympy.Symbol("X")

@@ -34,7 +34,6 @@ import os
 import pathlib
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -58,7 +57,6 @@ class ScreenOptions:
     precision_bits: int = 256
     max_degree: int = 12
     seed: int = 0
-    parallelism: int = 1
 
     def provenance(self) -> dict:
         return {
@@ -197,45 +195,27 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
     return _audit(report)
 
 
-def _screen_one(args):
-    path, text, options = args
+def _screen_one(path, options: ScreenOptions) -> ScreenReport:
     try:
-        tri = parse_triangulation(text)
+        tri = parse_triangulation(pathlib.Path(path).read_text())
+    except OSError as exc:
+        error = f"cannot read file: {exc}"
     except TriangulationError as exc:
-        return ScreenReport(
-            manifold=pathlib.Path(path).stem, source=str(path), verdict=UNDETERMINED,
-            provenance=options.provenance(), error=f"parse failed: {exc}",
-            parse_failed=True,
-        )
-    return screen_triangulation(tri, str(path), options)
+        error = str(exc)
+    else:
+        return screen_triangulation(tri, str(path), options)
+    return ScreenReport(
+        manifold=pathlib.Path(path).stem, source=str(path), verdict=UNDETERMINED,
+        provenance=options.provenance(), error=f"parse failed: {error}",
+        parse_failed=True,
+    )
 
 
 def screen(paths, options: ScreenOptions | None = None) -> list[ScreenReport]:
     """Screen a batch of triangulation files.  Parse failures and solver
     failures are recorded per report; the batch always completes."""
     options = options or ScreenOptions()
-    jobs = []
-    for path in paths:
-        try:
-            text = pathlib.Path(path).read_text()
-        except OSError as exc:
-            jobs.append(ScreenReport(
-                manifold=pathlib.Path(path).stem, source=str(path),
-                verdict=UNDETERMINED, provenance=options.provenance(),
-                error=f"parse failed: cannot read file: {exc}", parse_failed=True,
-            ))
-            continue
-        jobs.append((str(path), text, options))
-    pending = [j for j in jobs if isinstance(j, tuple)]
-    if options.parallelism > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=options.parallelism) as pool:
-            results = {j[0]: r for j, r in zip(pending, pool.map(_screen_one, pending))}
-    else:
-        results = {j[0]: _screen_one(j) for j in pending}
-    out = []
-    for j in jobs:
-        out.append(j if isinstance(j, ScreenReport) else results[j[0]])
-    return out
+    return [_screen_one(path, options) for path in paths]
 
 
 def fill_and_screen(path_or_tri, cusp: int, n_values,
@@ -386,7 +366,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None, help="directory for report files")
     common.add_argument("--format", choices=["json", "csv", "table"], default="table")
-    common.add_argument("--parallel", type=int, default=1)
 
     parser = _Parser(prog="cuspforge", description=(
         "Hyperbolic structures, cusp fields, and hidden-symmetry "
@@ -413,9 +392,8 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    options = ScreenOptions(
-        precision_bits=args.precision_bits, max_degree=args.max_degree,
-        seed=args.seed, parallelism=args.parallel)
+    options = ScreenOptions(precision_bits=args.precision_bits,
+                            max_degree=args.max_degree, seed=args.seed)
 
     with mp.workprec(options.precision_bits + 30):
         try:

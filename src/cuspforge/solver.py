@@ -21,7 +21,9 @@ which solves an overdetermined system through its normal equations.  The
 edge rows are redundant (their product is identically 1), but the whole
 system has full column rank at the geometric solution (Neumann-Zagier),
 so no rows are dropped and no rank cutoff is needed.  SVD is used only by
-`numerical_kernel`, to find the rank and tangent of the completeness curve.
+`numerical_kernel`, once per completeness curve, to find the Jacobian rank
+and the pinned coordinate.  Every curve direction after that is a
+`pinned_solve` with the pinned coordinate held fixed.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition
@@ -34,8 +36,9 @@ log branches by continuity; small fillings genuinely leave the principal
 branch, so branch bookkeeping is part of the equation, with step halving
 and an explicit out-of-range failure when continuity cannot be maintained.
 
-The same Newton step drives predictor-corrector tracing of the curve along
-which one chosen cusp stays complete.
+The same Newton loop, stepping by pinned solves, is the corrector of the
+predictor-corrector tracing of the curve along which one chosen cusp stays
+complete; the predictor follows the unit tangent dz/|dz|.
 """
 
 from __future__ import annotations
@@ -244,6 +247,34 @@ def least_squares(rows: list[list], rhs: list) -> list:
     return [x[i] for i in range(x.rows)]
 
 
+def pinned_solve(rows: list[list], pin: int, rhs: list) -> list:
+    """x with x[pin] = 0 and the other entries the `least_squares`
+    solution of rows . x = rhs over the columns other than `pin`.
+
+    Curve velocities, curve second derivatives and corrector steps all
+    solve this system.  A singular pinned system raises SolveError: there
+    the pinned coordinate does not parametrize the curve.
+    """
+    free = [i for i in range(len(rows[0])) if i != pin]
+    try:
+        u = least_squares([[row[i] for i in free] for row in rows], rhs)
+    except ZeroDivisionError as exc:
+        raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
+    x = [mp.mpc(0)] * len(rows[0])
+    for i, v in zip(free, u):
+        x[i] = v
+    return x
+
+
+def curve_velocity(rows: list[list], pin: int) -> tuple[list, list]:
+    """Velocity dz with dz[pin] = 1 of the curve whose Jacobian is `rows`,
+    and its unit tangent dz/|dz|, from one `pinned_solve`."""
+    dz = pinned_solve(rows, pin, [-row[pin] for row in rows])
+    dz[pin] = mp.mpc(1)
+    norm = mp.sqrt(sum(abs(c) ** 2 for c in dz))
+    return dz, [c / norm for c in dz]
+
+
 def _residual(eqs, fill_eqs, z) -> mpmath.mpf:
     r = mp.mpf(0)
     for e in eqs:
@@ -254,16 +285,17 @@ def _residual(eqs, fill_eqs, z) -> mpmath.mpf:
 
 
 def _damped_newton(z, residual, step, tol, max_iter):
-    """The Newton loop of every solve: take step(z), halved up to 12 times
-    until it lowers residual(z) with every shape outside the guard band
-    around 0 and 1.  Returns (z, iterations, residual)."""
+    """The Newton loop of every solve and of the curve corrector: take
+    step(z), halved up to 12 times until it lowers residual(z) with every
+    shape outside the guard band around 0 and 1; a step that cannot be
+    solved ends the loop.  Returns (z, iterations, residual)."""
     best = residual(z)
     it = 0
     while it < max_iter and best > tol:
         it += 1
         try:
             delta = step(z)
-        except (ZeroDivisionError, ValueError):
+        except (ZeroDivisionError, ValueError, SolveError):
             break
         lam = 1.0
         for _ in range(12):
@@ -594,24 +626,16 @@ def pin_choice(tangent) -> int:
     return best
 
 
-def canonical_tangent(vec: list, pin: int) -> list:
-    """A kernel vector scaled to unit norm with vec[pin] real and positive.
-
-    SVD returns kernel vectors with an arbitrary complex phase; fixing it
-    makes the tangent, and every curve traced along it, the same at every
-    precision.
-    """
-    norm = mp.sqrt(sum(abs(c) ** 2 for c in vec))
-    scale = mp.conj(vec[pin]) / (abs(vec[pin]) * norm)
-    return [c * scale for c in vec]
-
-
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                              n_points: int = 20, step: float = 1e-3,
                              precision_bits: int = 256, seed: int = 0,
                              start: SolveResult | None = None):
     """Predictor-corrector continuation along the curve of structures
     keeping one cusp complete, from the complete structure.
+
+    The SVD runs once, at the start, to check that the locus is a curve
+    and to choose the pinned coordinate.  Each predictor step follows the
+    unit pinned velocity; `_damped_newton` with pinned steps corrects it.
 
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
@@ -626,60 +650,38 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         eqs = completeness_system(tri, complete_cusp)
         pair = cusp_parameter(tri, tri.cusps[complete_cusp])
         z = list(start.shapes.z)
-        kernel, rank, svals, ambiguous = numerical_kernel(
-            system_jacobian(eqs, z), precision_bits)
+        kernel = numerical_kernel(system_jacobian(eqs, z), precision_bits)[0]
         if len(kernel) != 1:
             raise SolveError(
                 f"completeness-curve kernel has dimension {len(kernel)}, "
                 "expected 1 (is this a two-cusped manifold?)"
             )
         pin = pin_choice(kernel[0])
-        tangent = canonical_tangent(kernel[0], pin)
+
+        def corrector_step(z):
+            return pinned_solve(system_jacobian(eqs, z), pin, [-e.value(z) for e in eqs])
+
         samples = []
         shapes0 = ShapeAssignment(tuple(z), precision_bits)
         samples.append((shapes0, evaluate_cusp_parameter(pair, shapes0)))
         h = mp.mpf(step)
         floor = mp.mpf(1e-8)
+        newton_tol = mp.mpf(2) ** int(-0.92 * precision_bits)
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
         for _ in range(n_points):
+            tangent = curve_velocity(system_jacobian(eqs, z), pin)[1]
             while True:
                 z_pred = [zi + h * ti for zi, ti in zip(z, tangent)]
-                z_corr, ok = _corrector(eqs, z_pred, pin, precision_bits)
-                if ok and _residual(eqs, [], z_corr) < success_tol:
+                z_corr, _, res = _damped_newton(z_pred, lambda z: _residual(eqs, [], z),
+                                                corrector_step, newton_tol, 40)
+                if res < success_tol:
                     break
                 h = h / 2
                 if h < floor:
                     raise SolveError("corrector diverged even at the minimum step")
             z = z_corr
-            kernel, rank, svals, ambiguous = numerical_kernel(
-                system_jacobian(eqs, z), precision_bits)
-            if len(kernel) != 1:
-                raise SolveError("kernel dimension changed along the curve")
-            tangent = canonical_tangent(kernel[0], pin)
             shapes = ShapeAssignment(tuple(z), precision_bits)
             if shapes.is_degenerate() or not shapes.is_geometric():
                 raise SolveError("continuation left the geometric region")
             samples.append((shapes, evaluate_cusp_parameter(pair, shapes)))
         return samples
-
-
-def _corrector(eqs, z, pin: int, precision_bits: int, max_iter=40):
-    """Newton correction with one coordinate pinned."""
-    tol = mp.mpf(2) ** int(-0.92 * precision_bits)
-    z = list(z)
-    free = [i for i in range(len(z)) if i != pin]
-    for it in range(max_iter):
-        vals = [e.value(z) for e in eqs]
-        if max(abs(v) for v in vals) < tol and _residual(eqs, [], z) < tol:
-            return z, True
-        rows_full = [e.gradient(z) for e in eqs]
-        rows = [[row[i] for i in free] for row in rows_full]
-        try:
-            delta = least_squares(rows, [-v for v in vals])
-        except (ZeroDivisionError, ValueError):
-            return z, False
-        for idx, i in enumerate(free):
-            z[i] += delta[idx]
-        if max(abs(d) for d in delta) < mp.mpf(2) ** (-precision_bits):
-            break
-    return z, _residual(eqs, [], z) < mp.mpf(2) ** (-precision_bits // 2)

@@ -20,7 +20,7 @@ from cuspforge.isolation import (
     isolation_verdict,
     tau_derivatives,
 )
-from cuspforge.solver import trace_completeness_curve
+from cuspforge.solver import solve_complete, trace_completeness_curve
 
 from conftest import PRECISION
 
@@ -143,3 +143,22 @@ def test_evidence_serialization(berge, solved):
     blob = ev.to_jsonable()
     assert blob["verdict"] == "NotIsolated" and blob["order"] == 2
     assert isinstance(blob["d2_tau"]["re"], str)
+
+
+@pytest.mark.parametrize("name", ["whitehead", "622", "berge"])
+def test_tangent_is_the_phase_fixed_kernel_vector(name, solved):
+    # the normalised pinned velocity is the SVD kernel vector scaled to unit
+    # norm with its pinned entry real and positive, at p and 2p bits
+    tri = cf.load_fixture(name)
+    low = solved[name]
+    high = solve_complete(tri, 2 * PRECISION, initial=low.shapes)
+    for start in (low, high):
+        p = start.shapes.precision_bits
+        for cusp in range(len(tri.cusps)):
+            _, _, pin, _, tangent = curve_derivatives(tri, cusp, start.shapes)
+            vec = completeness_jacobian(tri, cusp, start.shapes)[1][0]
+            with mp.workprec(p + 30):
+                norm = mp.sqrt(sum(abs(c) ** 2 for c in vec))
+                scale = mp.conj(vec[pin]) / (abs(vec[pin]) * norm)
+                error = max(abs(t - c * scale) for t, c in zip(tangent, vec))
+                assert error < mp.mpf(2) ** (10 - p)

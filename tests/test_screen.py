@@ -213,5 +213,22 @@ def test_cli_field_records_errors_without_traceback():
     assert proc.stdout.count("at least 128 bits") == 2
 
 
-def test_cli_has_no_tolerance_flag():
-    assert run_cli("solve", "berge", "--tolerance", "1e-20").returncode == 1
+@pytest.mark.parametrize("flag", [("--tolerance", "1e-20"), ("--parallel", "2")],
+                         ids=["tolerance", "parallel"])
+def test_cli_has_no_tolerance_flag(flag):
+    assert run_cli("solve", "berge", *flag).returncode == 1
+
+
+@pytest.mark.parametrize("args, n_reports", [
+    (("screen", "622"), 1),
+    (("fill", "whitehead", "--cusp", "1", "--n-range=-1:1"), 2),
+], ids=["screen-622", "fill-whitehead"])
+def test_cli_records_lattice_reduction_failures(args, n_reports):
+    # a failure inside algdep's lattice reduction is recorded on the cusp:
+    # the batch finishes with one report per manifold or filling
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    heads = [line for line in proc.stdout.splitlines() if not line.startswith(" ")]
+    assert len(heads) == n_reports
+    assert all(line.startswith(args[1]) for line in heads)

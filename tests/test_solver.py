@@ -241,3 +241,26 @@ def test_trace_spread_reproduces_at_doubled_precision(name, solved):
                 precision_bits=start.shapes.precision_bits, start=start)
             spreads.append(max(abs(t - samples[0][1]) for _, t in samples[1:]))
         assert abs(spreads[0] - spreads[1]) < mp.mpf(2) ** (-PRECISION // 2) * (1 + spreads[1])
+
+
+def test_svd_runs_once_per_curve(monkeypatch, berge, solved):
+    # the SVD finds the rank and the pinned coordinate once per curve: every
+    # later tangent, and isolation's doubled-precision pass, is a pinned solve
+    import cuspforge.isolation as isolation
+    import cuspforge.solver as solver
+
+    kernel = solver.numerical_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    for module in (solver, isolation):
+        monkeypatch.setattr(module, "numerical_kernel", counted)
+    trace_completeness_curve(berge, 0, n_points=8, step=1e-3,
+                             precision_bits=PRECISION, start=solved["berge"])
+    assert len(calls) == 1
+    calls.clear()
+    ev = isolation.isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    assert ev.order == 2 and len(calls) == 1
