@@ -22,11 +22,12 @@ happens at a `ShapeAssignment`, a tuple of arbitrary-precision complex
 shapes with a degeneracy guard keeping every coordinate away from {0, 1}.
 
 Every numerical value in the package comes from one evaluator: `term_value`
-computes one signed term at the working precision and `sum_value` adds up
-a sum's terms.  Derivatives along a direction use the log gradient of a
-term (`log_gradient`); `second_derivative_along` gives the closed-form
-second derivative of a sum along a vector, without building second
-derivative sums.
+computes one signed term and `sum_value` adds up a sum's terms, in the
+scalar type of the point: mpmath at the working precision, or Python
+complex for the solver's machine-precision stages.  Derivatives along a
+direction use the log gradient of a term (`log_gradient`);
+`second_derivative_along` gives the closed-form second derivative of a
+sum along a vector, without building second derivative sums.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ class SignedMonomial:
     def evaluate(self, shapes: "ShapeAssignment") -> mpmath.mpc:
         shapes.require_non_degenerate()
         with mp.workprec(shapes.precision_bits):
-            return term_value(self.sign, self.a, self.b, shapes.z)
+            # mpc even for the constant monomial, whose term is an int
+            return mp.mpc(term_value(self.sign, self.a, self.b, shapes.z))
 
     def derivative(self, i: int) -> "MonomialSum":
         """Exact partial derivative with respect to z_i.
@@ -313,9 +315,14 @@ class ShapeAssignment:
         return ShapeAssignment(self.z, precision_bits, self.guard)
 
 
-def term_value(c: int, a, b, z) -> mpmath.mpc:
-    """c * prod z_i^{a_i} (1 - z_i)^{b_i} at the working precision."""
-    value = mp.mpc(c)
+def term_value(c: int, a, b, z):
+    """c * prod z_i^{a_i} (1 - z_i)^{b_i} in the scalar type of z: at the
+    working precision for mpmath, in machine precision for Python complex.
+
+    It starts from the integer c, so a term without factors is c itself;
+    an mpmath product is bit-identical to one started from mp.mpc(c).
+    """
+    value = c
     for zi, ai, bi in zip(z, a, b):
         if ai:
             value *= zi ** ai
@@ -324,10 +331,10 @@ def term_value(c: int, a, b, z) -> mpmath.mpc:
     return value
 
 
-def sum_value(terms: dict[_Key, int], z) -> mpmath.mpc:
-    """Value of the terms {(a, b): c} of a MonomialSum at the working
-    precision."""
-    total = mp.mpc(0)
+def sum_value(terms: dict[_Key, int], z):
+    """Value of the terms {(a, b): c} of a MonomialSum, in the scalar type
+    of z (see `term_value`); it starts from that type's zero."""
+    total = 0 * z[0]
     for (a, b), c in terms.items():
         total += term_value(c, a, b, z)
     return total

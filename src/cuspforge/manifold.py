@@ -272,11 +272,16 @@ def parse_triangulation(document: str) -> IdealTriangulation:
     n_tet = doc["n_tet"]
     if not isinstance(name, str) or not isinstance(n_tet, int) or n_tet <= 0:
         raise TriangulationError("name must be a string and n_tet a positive integer")
+    for key in ("edges", "cusps"):
+        if not isinstance(doc[key], list):
+            raise TriangulationError(f"{key} must be a list")
 
     edges = []
     for i, e in enumerate(doc["edges"]):
         if not isinstance(e, dict) or set(e) != {"label", "corners"}:
             raise TriangulationError(f"edge {i}: must have exactly the keys label, corners")
+        if not isinstance(e["label"], str):
+            raise TriangulationError(f"edge {i}: label must be a string")
         edges.append(EdgeClass(e["label"], _parse_word(e["corners"], f"edge {i} ({e['label']!r})")))
 
     cusps = []
@@ -288,6 +293,8 @@ def parse_triangulation(document: str) -> IdealTriangulation:
             raise TriangulationError(
                 f"cusp {i}: keys must be name, meridian, longitude and optionally filling"
             )
+        if not isinstance(c["name"], str):
+            raise TriangulationError(f"cusp {i}: name must be a string")
         anchor = f"{c['name']}/f"
         meridian = _parse_curve(c["meridian"], f"{c['name']}.meridian", anchor, f"cusp {c['name']!r} meridian")
         longitude = _parse_curve(c["longitude"], f"{c['name']}.longitude", anchor, f"cusp {c['name']!r} longitude")

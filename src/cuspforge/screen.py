@@ -222,6 +222,7 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
                     options: ScreenOptions | None = None) -> list[ScreenReport]:
     """Screen the remaining cusps of each (1, n) filling of one cusp.
 
+    The complete structure is solved once and seeds every filled solve.
     Solver failures for individual fillings become error reports; there is
     no isolation leg for a filled (one-cusped) result, so a filled report's
     verdict is FailsRigidField or Undetermined.
@@ -232,19 +233,29 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
     else:
         tri = parse_triangulation(pathlib.Path(path_or_tri).read_text())
         source = str(path_or_tri)
+    complete = complete_error = None
+    try:
+        complete = solve_complete(tri, options.precision_bits, seed=options.seed)
+    except SolveError as exc:
+        complete_error = exc
     reports = []
     for n in n_values:
         filling = [None] * len(tri.cusps)
         filling[cusp] = (1, n)
         label = f"{tri.name}({tri.cusps[cusp].name}=1/{n})"
-        try:
-            solved = solve_filled(tri, filling, options.precision_bits, seed=options.seed)
-        except SolveError as exc:
+        error = complete_error
+        if error is None:
+            try:
+                solved = solve_filled(tri, filling, options.precision_bits,
+                                      seed=options.seed, initial=complete.shapes)
+            except SolveError as exc:
+                error = exc
+        if error is not None:
             reports.append(ScreenReport(
                 manifold=label, source=source, verdict=UNDETERMINED,
                 filling=[list(f) if f else None for f in filling],
                 provenance=options.provenance(),
-                error=f"filled solve failed: {exc}",
+                error=f"filled solve failed: {error}",
             ))
             continue
         report = screen_triangulation(
@@ -299,7 +310,8 @@ def reports_to_table(reports: list[ScreenReport]) -> str:
                     iso += f"(order {rec.isolation.order})"
             shape = "-"
             if rec.shape:
-                shape = f"{rec.shape['re'][:12]}{'+' if not rec.shape['im'].startswith('-') else ''}{rec.shape['im'][:12]}i"
+                re_part, im_part = (mp.nstr(mp.mpf(rec.shape[k]), 12) for k in ("re", "im"))
+                shape = f"{re_part}{'' if im_part.startswith('-') else '+'}{im_part}i"
             field_name = str(rec.field) if rec.field else "-"
             err = f"  [{rec.error}]" if rec.error else ""
             lines.append(f"  {rec.name}: shape={shape} field={field_name} "

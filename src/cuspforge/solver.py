@@ -31,10 +31,17 @@ log-holonomy condition
     p log mu(m) + q log mu(l) = 2 pi i.
 
 The target is reached by ramping the right-hand side from 0 at the
-complete structure to 2 pi i, re-solving along the way and carrying the
-log branches by continuity; small fillings genuinely leave the principal
-branch, so branch bookkeeping is part of the equation, with step halving
-and an explicit out-of-range failure when continuity cannot be maintained.
+complete structure to 2 pi i, in machine precision: each ramp step is
+Newton with `_float_lstsq` steps on the same cleared equations and
+`FillingEquation` rows, evaluated on Python complex by the one evaluator
+of `holonomy`.  The log branches are carried by continuity; small
+fillings genuinely leave the principal branch, so branch bookkeeping is
+part of the equation, with step halving and an explicit "stalled" failure
+when continuity cannot be maintained.  The float point at 2 pi i, with its
+branches as the reference, is then polished once at p+30 bits; a polish
+that misses the residual target raises SolveError.  Log-form edge rows
+are not used here: the ramp of some fillings passes through shapes near
+0 and 1, where the cleared equations stay regular and log rows stall.
 
 The same Newton loop, stepping by pinned solves, is the corrector of the
 predictor-corrector tracing of the curve along which one chosen cusp stays
@@ -77,15 +84,22 @@ class PolynomialEquation:
         self.cleared = monomial.cleared()
         self._grads = [self.cleared.derivative(i) for i in range(monomial.n_vars)]
 
-    def value(self, z: list) -> mpmath.mpc:
+    def value(self, z: list):
         return sum_value(self.cleared.terms, z)
 
     def gradient(self, z: list) -> list:
         return [sum_value(g.terms, z) for g in self._grads]
 
-    def residual(self, z: list) -> mpmath.mpf:
+    def residual(self, z: list):
         m = self.monomial
         return abs(term_value(m.sign, m.a, m.b, z) - 1)
+
+
+def _log_ops(z) -> tuple:
+    """log, pi and nearest-integer rounding in the scalar type of z."""
+    if isinstance(z[0], complex):
+        return cmath.log, math.pi, round
+    return mp.log, mp.pi, mp.nint
 
 
 class FillingEquation:
@@ -93,7 +107,8 @@ class FillingEquation:
 
     `reference` holds the analytically-continued (u, v) at the last
     accepted point; principal logs are shifted by multiples of 2 pi i to
-    stay nearest the reference.
+    stay nearest the reference.  Like the evaluator, it works in the
+    scalar type of z: mpmath, or Python complex for the filling ramp.
     """
 
     def __init__(self, p: int, q: int, mu_m: SignedMonomial, mu_l: SignedMonomial, label: str = ""):
@@ -103,17 +118,19 @@ class FillingEquation:
         self.target = mp.mpc(0)
         self.reference = (mp.mpc(0), mp.mpc(0))
 
-    def _principal_logs(self, z: list) -> tuple:
-        return tuple(mp.log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l))
+    def _branches(self, z: list) -> tuple:
+        """Principal logs of (mu_m, mu_l) at z, the whole turns that carry
+        each nearest its reference, and pi in the scalar type of z."""
+        log, pi, nint = _log_ops(z)
+        principal = [log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l)]
+        turns = [nint((ref - w).imag / (2 * pi)) for ref, w in zip(self.reference, principal)]
+        return principal, turns, pi
 
     def logs(self, z: list) -> tuple:
-        u0, v0 = self.reference
-        u, v = self._principal_logs(z)
-        u += 2j * mp.pi * mp.nint((u0 - u).imag / (2 * mp.pi))
-        v += 2j * mp.pi * mp.nint((v0 - v).imag / (2 * mp.pi))
-        return u, v
+        principal, turns, pi = self._branches(z)
+        return tuple(w + 2j * pi * k for w, k in zip(principal, turns))
 
-    def value(self, z: list) -> mpmath.mpc:
+    def value(self, z: list):
         u, v = self.logs(z)
         return self.p * u + self.q * v - self.target
 
@@ -122,15 +139,11 @@ class FillingEquation:
         gv = log_gradient(self.mu_l.a, self.mu_l.b, z)
         return [self.p * a + self.q * b for a, b in zip(gu, gv)]
 
-    def residual(self, z: list) -> mpmath.mpf:
+    def residual(self, z: list):
         return abs(self.value(z))
 
     def branch_offsets(self, z: list) -> tuple[int, int]:
-        u, v = self.logs(z)
-        pu, pv = self._principal_logs(z)
-        ku = int(mp.nint((u - pu).imag / (2 * mp.pi)))
-        kv = int(mp.nint((v - pv).imag / (2 * mp.pi)))
-        return ku, kv
+        return tuple(int(k) for k in self._branches(z)[1])
 
 
 @dataclass(frozen=True)
@@ -185,8 +198,8 @@ class SolveResult:
     """A solved structure.
 
     `iterations` counts the Newton steps taken at working precision: the
-    polish of the accepted start, plus every accepted step of a filling
-    ramp.  Machine-precision start-search steps are not counted.
+    polish of the accepted start plus the one filled polish.
+    Machine-precision steps (start search, filling ramp) are not counted.
     `restarts_used` is the index of the accepted start in the schedule:
     `initial` first when given, then the regular shape, then the seeded
     perturbations; 0 means the first start was accepted.
@@ -275,13 +288,8 @@ def curve_velocity(rows: list[list], pin: int) -> tuple[list, list]:
     return dz, [c / norm for c in dz]
 
 
-def _residual(eqs, fill_eqs, z) -> mpmath.mpf:
-    r = mp.mpf(0)
-    for e in eqs:
-        r = max(r, e.residual(z))
-    for e in fill_eqs:
-        r = max(r, e.residual(z))
-    return r
+def _residual(eqs, fill_eqs, z):
+    return max(e.residual(z) for e in (*eqs, *fill_eqs))
 
 
 def _damped_newton(z, residual, step, tol, max_iter):
@@ -312,16 +320,20 @@ def _damped_newton(z, residual, step, tol, max_iter):
     return z, it, best
 
 
-def _newton(eqs, fill_eqs, z, precision_bits, max_iter=80):
-    """Damped least-squares Newton at the working precision on the cleared
-    and filling equations; returns (z, iterations, residual)."""
-    def step(z):
-        rows = [e.gradient(z) for e in eqs] + [e.gradient(z) for e in fill_eqs]
-        vals = [e.value(z) for e in eqs] + [e.value(z) for e in fill_eqs]
-        return least_squares(rows, [-v for v in vals])
+def _newton_tol(precision_bits: int) -> mpmath.mpf:
+    return mp.mpf(2) ** int(-0.92 * precision_bits)
 
-    return _damped_newton(z, lambda z: _residual(eqs, fill_eqs, z), step,
-                          mp.mpf(2) ** int(-0.92 * precision_bits), max_iter)
+
+def _newton(eqs, fill_eqs, z, tol, lstsq=least_squares, max_iter=80):
+    """Damped least-squares Newton on the cleared and filling equations,
+    in the scalar type of z: `least_squares` steps at the working
+    precision, or `_float_lstsq` steps on Python complex.  Returns (z,
+    iterations, residual)."""
+    def step(z):
+        rows = [e.gradient(z) for e in (*eqs, *fill_eqs)]
+        return lstsq(rows, [-e.value(z) for e in (*eqs, *fill_eqs)])
+
+    return _damped_newton(z, lambda z: _residual(eqs, fill_eqs, z), step, tol, max_iter)
 
 
 def _initial_guesses(n, seed, restarts):
@@ -402,6 +414,41 @@ def _float_search(rows, z: list, max_iter=60):
     return z if res <= FLOAT_TOL else None
 
 
+def _filling_ramp(name: str, eqs, fill_eqs, z: list) -> list:
+    """Carry the filled rows' target from 0 at the complete structure z to
+    2 pi i, in machine precision; returns the float point at 2 pi i.
+
+    Each step solves for target 2 pi i t by Newton with `_float_lstsq`
+    steps to FLOAT_TOL.  dt starts at 1/8, doubles after an accepted step
+    up to 1/4 and halves after a rejected one; a step is rejected when
+    Newton misses FLOAT_TOL or a log moves by 2.5 rad or more, which
+    keeps the branch continuous.  Below dt = 2^-14 the ramp stalls.
+    """
+    for fe in fill_eqs:
+        fe.reference = fe.logs(z)
+    t, dt = 0.0, 1 / 8
+    while t < 1:
+        t_next = min(1.0, t + dt)
+        for fe in fill_eqs:
+            fe.target = 2j * math.pi * t_next
+        z_try, _, res = _newton(eqs, fill_eqs, z, FLOAT_TOL, _float_lstsq)
+        jump = max(abs((w - ref).imag) for fe in fill_eqs
+                   for w, ref in zip(fe.logs(z_try), fe.reference))
+        if res <= FLOAT_TOL and jump < 2.5:
+            z, t = z_try, t_next
+            dt = min(dt * 2, 1 / 4)
+            for fe in fill_eqs:
+                fe.reference = fe.logs(z)
+        else:
+            dt /= 2
+            if dt < 2 ** -14:
+                raise SolveError(
+                    f"{name!r}: filling continuation stalled at t={mp.nstr(mp.mpf(t), 6)} "
+                    "(out of continuation range or degenerating filling)"
+                )
+    return z
+
+
 def _start_points(system: GluingSystem, seed: int, restarts: int,
                   initial: ShapeAssignment | None):
     """Start points for the polish, in schedule order: `initial` as given,
@@ -442,8 +489,10 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
     """Solve with per-cusp fillings ('complete'/None or coprime (p, q)).
 
     With every cusp complete this is exactly the complete-structure solve.
-    Otherwise the complete structure seeds a continuation that ramps each
-    filling target from 0 to 2 pi i while carrying log branches.
+    Otherwise the complete structure (the polished `initial`, when given)
+    seeds a machine-precision continuation that ramps each filling target
+    from 0 to 2 pi i while carrying log branches, and the end point is
+    polished once at the working precision.
     """
     system = GluingSystem.from_triangulation(tri, fillings)
     with mp.workprec(precision_bits + 30):
@@ -458,7 +507,8 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
             complete_eqs, _ = replace(system, fillings=(None,) * len(tri.cusps)).equation_objects()
 
         def polish(z0, restart_index):
-            z, it, res = _newton(complete_eqs, [], [mp.mpc(v) for v in z0], precision_bits)
+            z, it, res = _newton(complete_eqs, [], [mp.mpc(v) for v in z0],
+                                 _newton_tol(precision_bits))
             if res < success_tol:
                 return z, it, res, all(v.imag > flat_tol for v in z), restart_index
             return None
@@ -497,37 +547,20 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
                 seed=seed, restarts_used=restart_index, notes=tuple(notes),
             )
 
-        # stage 2: ramp filled-cusp targets from the complete structure
+        # stage 2: the filling ramp in machine precision, then one polish
+        z_ramp = _filling_ramp(tri.name, eqs, fill_eqs, [complex(v) for v in z])
         for fe in fill_eqs:
-            fe.reference = fe.logs(z)
-        t = mp.mpf(0)
-        dt = mp.mpf(1) / 8
-        total_iter = iterations
-        while t < 1:
-            t_next = min(mp.mpf(1), t + dt)
-            for fe in fill_eqs:
-                fe.target = 2j * mp.pi * t_next
-            z_try, it, res = _newton(eqs, fill_eqs, z, precision_bits)
-            jump = max(
-                (max(abs((fe.logs(z_try)[0] - fe.reference[0]).imag),
-                     abs((fe.logs(z_try)[1] - fe.reference[1]).imag))
-                 for fe in fill_eqs),
-                default=mp.mpf(0),
+            fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
+            fe.target = 2j * mp.pi
+        z, it, res = _newton(eqs, fill_eqs, [mp.mpc(v) for v in z_ramp],
+                             _newton_tol(precision_bits))
+        if res >= success_tol:
+            raise SolveError(
+                f"{tri.name!r}: polish of the filled structure "
+                f"{', '.join(f'{fe.label}=({fe.p},{fe.q})' for fe in fill_eqs)} "
+                f"stopped at residual {mp.nstr(res, 3)}"
             )
-            if res < success_tol and jump < 2.5:
-                z = z_try
-                t = t_next
-                total_iter += it
-                dt = min(dt * 2, mp.mpf(1) / 4)
-                for fe in fill_eqs:
-                    fe.reference = fe.logs(z)
-            else:
-                dt = dt / 2
-                if dt < mp.mpf(2) ** -14:
-                    raise SolveError(
-                        f"{tri.name!r}: filling continuation stalled at t={mp.nstr(t, 6)} "
-                        "(out of continuation range or degenerating filling)"
-                    )
+        total_iter = iterations + it
 
         res2 = _certify(eqs, fill_eqs, z, precision_bits)
         geometric = all(v.imag > flat_tol for v in z)
@@ -666,7 +699,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         samples.append((shapes0, evaluate_cusp_parameter(pair, shapes0)))
         h = mp.mpf(step)
         floor = mp.mpf(1e-8)
-        newton_tol = mp.mpf(2) ** int(-0.92 * precision_bits)
+        newton_tol = _newton_tol(precision_bits)
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
         for _ in range(n_points):
             tangent = curve_velocity(system_jacobian(eqs, z), pin)[1]

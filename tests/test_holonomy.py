@@ -102,6 +102,7 @@ def test_monomial_sum_merging():
 def test_evaluate_constant_monomial():
     shapes = ShapeAssignment.from_values([2 + 1j, 0.5 + 0.5j], PRECISION)
     assert evaluate(SignedMonomial.one(2), shapes) == 1
+    assert isinstance(evaluate(-SignedMonomial.one(2), shapes), mp.mpc)
 
 
 def test_degeneracy_guard():

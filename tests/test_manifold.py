@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import cuspforge as cf
@@ -163,3 +165,58 @@ def test_exponent_matrix_importer_errors():
         import_exponent_matrix("edge 1 1 1\n")
     with pytest.raises(TriangulationError):
         import_exponent_matrix("n 2\nedge 1 1 0 0 2\n")
+
+
+@pytest.mark.parametrize("where", ["edges", "cusps"])
+@pytest.mark.parametrize("value", [5, None, ["c"], {"a": 1}])
+def test_names_must_be_strings(whitehead, where, value):
+    doc = json.loads(serialize(whitehead))
+    doc[where][0]["label" if where == "edges" else "name"] = value
+    with pytest.raises(TriangulationError, match="must be a string"):
+        parse_triangulation(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# malformed input: one mutated node of a fixture's JSON
+
+def _draw_path(data, doc) -> tuple:
+    """A random walk from the document root: the key or index path of one
+    node, stopping at each level with probability 1/2 (always at a leaf or
+    an empty container)."""
+    node, path = doc, ()
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        path += (key,)
+        node = node[key]
+        if not isinstance(node, (dict, list)) or not node or data.draw(st.booleans()):
+            return path
+
+
+_DELETE = object()
+_REPLACEMENTS = st.one_of(
+    st.just(_DELETE), st.none(), st.integers(-3, 10**6), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(-2, 5), max_size=3),
+    st.dictionaries(st.sampled_from(["tet", "kind", "word", "label"]), st.integers(0, 3),
+                    max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fixture=st.sampled_from(["whitehead", "622", "berge"]), data=st.data(),
+       replacement=_REPLACEMENTS)
+def test_mutated_fixture_parses_or_raises_triangulation_error(fixture, data, replacement):
+    doc = json.loads(serialize(cf.load_fixture(fixture)))
+    path = _draw_path(data, doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    try:
+        parse_triangulation(json.dumps(doc))
+    except TriangulationError:
+        pass

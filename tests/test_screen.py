@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -139,6 +140,37 @@ def test_fill_and_screen_whitehead(whitehead):
     assert flat.error or flat.solve["degenerate"] or not flat.solve["geometric"]
 
 
+def test_fill_sweep_solves_the_complete_structure_once(whitehead, monkeypatch):
+    import cuspforge.screen as screen_module
+
+    calls = []
+    complete = screen_module.solve_complete
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return complete(*args, **kwargs)
+
+    monkeypatch.setattr(screen_module, "solve_complete", counted)
+    reports = fill_and_screen(whitehead, 1, [2, -3], OPTIONS)
+    assert len(calls) == 1
+    assert all(rep.solve["success"] for rep in reports)
+
+
+def test_fill_sweep_reports_a_failed_complete_solve(whitehead, monkeypatch):
+    import cuspforge.screen as screen_module
+
+    def fails(tri, *args, **kwargs):
+        raise screen_module.SolveError(f"{tri.name!r}: complete-structure Newton did not converge")
+
+    monkeypatch.setattr(screen_module, "solve_complete", fails)
+    reports = fill_and_screen(whitehead, 1, [2, -3], OPTIONS)
+    assert [rep.manifold for rep in reports] == ["whitehead(c2=1/2)", "whitehead(c2=1/-3)"]
+    for rep in reports:
+        assert rep.verdict == UNDETERMINED and not rep.cusps
+        assert rep.error == ("filled solve failed: 'whitehead': "
+                             "complete-structure Newton did not converge")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -232,3 +264,29 @@ def test_cli_records_lattice_reduction_failures(args, n_reports):
     heads = [line for line in proc.stdout.splitlines() if not line.startswith(" ")]
     assert len(heads) == n_reports
     assert all(line.startswith(args[1]) for line in heads)
+
+
+def test_cli_table_prints_small_components_with_their_exponent():
+    # the flat (1, -1) filling's cusp shape is real: its imaginary part is
+    # rounding noise far below 1e-50, and the table must not cut off the
+    # exponent that says so
+    proc = run_cli("fill", "whitehead", "--cusp", "1", "--n-range=-1:1")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    flat = lines[lines.index("whitehead(c2=1/-1): Undetermined") + 1]
+    match = re.search(r"shape=(-?[\d.]+(?:e[-+]?\d+)?)([-+][\d.]+(?:e[-+]?\d+)?)i ", flat)
+    assert match, flat
+    assert float(match[1]) == 2.0
+    assert abs(float(match[2])) < 1e-50
+
+
+@pytest.mark.parametrize("key, value", [("cusps", 1), ("edges", None)])
+def test_cli_malformed_fixture_is_a_parse_failure(tmp_path, whitehead, key, value):
+    doc = json.loads(cf.serialize(whitehead))
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("screen", str(bad))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"parse failed: {key} must be a list" in proc.stdout

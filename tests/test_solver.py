@@ -17,7 +17,8 @@ import pytest
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.holonomy import ShapeAssignment, cusp_parameter, evaluate_cusp_parameter
+from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_parameter,
+                                sum_value, term_value)
 from cuspforge.solver import (
     GluingSystem,
     SolveError,
@@ -26,7 +27,7 @@ from cuspforge.solver import (
     trace_completeness_curve,
 )
 
-from conftest import PRECISION
+from conftest import PRECISION, rational_point_sampler, take
 
 TIGHT = mp.mpf("1e-40")
 
@@ -180,6 +181,86 @@ def test_whitehead_filling_matches_curve_formula(whitehead):
         x = result.shapes.z[1]
         tau = evaluate_cusp_parameter(pair, result.shapes)
         assert abs(tau - (4 * x / (1 - x ** 2) - 2)) < mp.mpf("1e-30")
+
+
+# whitehead (1, n) on the second cusp at 256 bits, as the working-precision
+# ramp solved them: n -> (branch offsets, degenerate, z_1).  The meridian
+# filling n = 0 ends two turns from the principal branch, which only a
+# continuous ramp reaches.
+WHITEHEAD_FILLINGS = {
+    0: ((1, 2), True, mp.mpc(0, -1)),
+    -5: ((0, 0), False, mp.mpc("-0.3295424964168808", "0.9630061279893712")),
+    -4: ((0, 0), False, mp.mpc("-0.4165815257870610", "0.9409344663150638")),
+    -3: ((0, 0), False, mp.mpc("-0.5656001655254563", "0.8914919570121677")),
+    -2: ((0, -1), False, mp.mpc("-0.8774388331233463", "0.7448617666197442")),
+    -1: ((0, -1), True, mp.mpc("-1.6180339887498948", "0")),
+    1: ((0, 1), False, mp.mpc("1.1924404009978555", "0.5478774459741118")),
+    2: ((0, 0), False, mp.mpc("0.6882766160119961", "0.8402637937164748")),
+    3: ((0, 0), False, mp.mpc("0.4798478166362351", "0.9217161485326908")),
+    4: ((0, 0), False, mp.mpc("0.3680037897594579", "0.9538811586813786")),
+    5: ((0, 0), False, mp.mpc("0.2983417116468288", "0.9696740889888335")),
+}
+
+
+@pytest.mark.parametrize("n", sorted(WHITEHEAD_FILLINGS))
+def test_whitehead_filling_table(whitehead, n):
+    # the machine-precision ramp plus one polish lands on the same branch
+    # and the same structure; for n != 0 the working-precision ramp took
+    # 33-41 steps
+    offsets, degenerate, z1 = WHITEHEAD_FILLINGS[n]
+    result = solve_filled(whitehead, ["complete", (1, n)], PRECISION)
+    assert result.success
+    assert result.branch_offsets == (offsets,)
+    assert result.degenerate == degenerate
+    assert result.geometric == (not degenerate)
+    assert abs(result.shapes.z[1] - z1) < mp.mpf("1e-15")
+    assert result.iterations <= 8
+
+
+def test_berge_longitude_filling_passes_through_flat_shapes(berge):
+    # the ramp of berge cusp 0 (0, 1) runs through shapes near 0 and 1
+    # around t = 0.5; the cleared equations carry it through, where edge
+    # rows in log form stall
+    result = solve_filled(berge, [(0, 1), "complete"], PRECISION)
+    assert result.success
+    assert result.degenerate and not result.geometric
+
+
+def test_filled_polish_failure_raises(whitehead, monkeypatch):
+    # a polish that misses the residual target is an error naming the
+    # filling, never a result with success=False
+    import cuspforge.solver as solver
+
+    newton = solver._newton
+
+    def no_filled_polish(eqs, fill_eqs, z, *args):
+        polish = fill_eqs and not isinstance(z[0], complex)
+        return newton(eqs, fill_eqs, z, *args, max_iter=0 if polish else 80)
+
+    monkeypatch.setattr(solver, "_newton", no_filled_polish)
+    with pytest.raises(SolveError, match=r"fill:c2=\(1,3\)"):
+        solve_filled(whitehead, ["complete", (1, 3)], PRECISION)
+
+
+def test_float_evaluator_matches_mpmath(whitehead, link622, berge, solved):
+    # the filling ramp evaluates the same cleared equations on Python complex
+    for tri in (whitehead, link622, berge):
+        eqs, _ = GluingSystem.from_triangulation(tri, ["complete"] * 2).equation_objects()
+        cleared = [e.cleared for e in eqs]
+        sums = cleared + [s.derivative(i) for s in cleared for i in range(tri.n_tet)]
+        points = [solved[tri.name].shapes] + take(rational_point_sampler(tri.n_tet, seed=5), 3)
+        for shapes in points:
+            z = list(shapes.z)
+            zf = [complex(v) for v in z]
+            for s in sums:
+                size = sum(abs(term_value(c, a, b, z)) for (a, b), c in s.terms.items())
+                value = sum_value(s.terms, zf)
+                assert isinstance(value, complex)
+                assert abs(value - sum_value(s.terms, z)) <= 1e-12 * size
+            for e in eqs:
+                m = e.monomial
+                exact = term_value(m.sign, m.a, m.b, z)
+                assert abs(term_value(m.sign, m.a, m.b, zf) - exact) <= 1e-12 * abs(exact)
 
 
 def test_trace_curve_whitehead(whitehead, solved):
