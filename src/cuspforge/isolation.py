@@ -211,52 +211,35 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int,
         lo, hi = info[key], info_hi[key]
         return abs(lo - hi) < agree_tol * (1 + abs(hi))
 
-    d_tau = info["d_tau"]
-    d2_tau = info["d2_tau"]
+    d_tau, d2_tau = info["d_tau"], info["d2_tau"]
+    verdict, order, spread = "Inconclusive", None, None
     if abs(d_tau) > tol and certified("d_tau"):
-        return IsolationEvidence(
-            cusp=cusp_name, jacobian_rank=info["rank"],
-            tangent=tuple(info["tangent"]), d_tau=d_tau, d2_tau=d2_tau,
-            continuation_spread=None, verdict="NotIsolated", order=1,
-            pin_index=info["pin"], notes=tuple(notes),
-        )
-    if abs(d2_tau) > tol and certified("d2_tau"):
-        return IsolationEvidence(
-            cusp=cusp_name, jacobian_rank=info["rank"],
-            tangent=tuple(info["tangent"]), d_tau=d_tau, d2_tau=d2_tau,
-            continuation_spread=None, verdict="NotIsolated", order=2,
-            pin_index=info["pin"], notes=tuple(notes),
-        )
-
-    # continuation fallback
-    spread = None
-    try:
-        samples = trace_completeness_curve(
-            tri, cusp, n_points=continuation_points, step=continuation_step,
-            precision_bits=precision_bits, seed=seed, start=start)
-        tau0 = samples[0][1]
-        spread = max(abs(t - tau0) for _, t in samples[1:])
-        samples_hi = trace_completeness_curve(
-            tri, cusp, n_points=continuation_points, step=continuation_step,
-            precision_bits=2 * precision_bits, seed=seed, start=start_hi)
-        spread_hi = max(abs(t - samples_hi[0][1]) for _, t in samples_hi[1:])
-        spread_certified = abs(spread - spread_hi) < agree_tol * (1 + spread_hi)
-        if spread > tol and spread_certified:
-            return IsolationEvidence(
-                cusp=cusp_name, jacobian_rank=info["rank"],
-                tangent=tuple(info["tangent"]), d_tau=d_tau, d2_tau=d2_tau,
-                continuation_spread=spread, verdict="NotIsolated", order=None,
-                pin_index=info["pin"], notes=tuple(notes),
+        verdict, order = "NotIsolated", 1
+    elif abs(d2_tau) > tol and certified("d2_tau"):
+        verdict, order = "NotIsolated", 2
+    else:
+        # continuation fallback
+        try:
+            samples = trace_completeness_curve(
+                tri, cusp, n_points=continuation_points, step=continuation_step,
+                precision_bits=precision_bits, seed=seed, start=start)
+            tau0 = samples[0][1]
+            spread = max(abs(t - tau0) for _, t in samples[1:])
+            samples_hi = trace_completeness_curve(
+                tri, cusp, n_points=continuation_points, step=continuation_step,
+                precision_bits=2 * precision_bits, seed=seed, start=start_hi)
+            spread_hi = max(abs(t - samples_hi[0][1]) for _, t in samples_hi[1:])
+            if spread > tol and abs(spread - spread_hi) < agree_tol * (1 + spread_hi):
+                verdict = "NotIsolated"
+        except SolveError as exc:
+            notes.append(f"continuation failed: {exc}")
+        if verdict == "Inconclusive":
+            notes.append(
+                "no certified variation found to order 2 or along the traced curve; "
+                "constancy is NOT certified by this outcome"
             )
-    except SolveError as exc:
-        notes.append(f"continuation failed: {exc}")
-
-    notes.append(
-        "no certified variation found to order 2 or along the traced curve; "
-        "constancy is NOT certified by this outcome"
-    )
     return IsolationEvidence(
         cusp=cusp_name, jacobian_rank=info["rank"], tangent=tuple(info["tangent"]),
         d_tau=d_tau, d2_tau=d2_tau, continuation_spread=spread,
-        verdict="Inconclusive", order=None, pin_index=info["pin"], notes=tuple(notes),
+        verdict=verdict, order=order, pin_index=info["pin"], notes=tuple(notes),
     )

@@ -119,9 +119,17 @@ class ScreenReport:
         return json.dumps(self.to_jsonable(), sort_keys=True, indent=1)
 
 
+def _hyperbolic(solve: dict | None) -> bool:
+    """A serialized solve that is geometric and not degenerate."""
+    return solve is not None and solve["geometric"] and not solve["degenerate"]
+
+
 def _audit(report: ScreenReport) -> ScreenReport:
     """Verdict consistency rules, enforced before any report is emitted."""
     records = [c for c in report.cusps if c.error is None]
+    if report.verdict in (FAILS_RIGID, RIGID_NOT_ISOLATED):
+        assert _hyperbolic(report.solve), \
+            f"{report.verdict} requires a geometric, non-degenerate solve"
     if report.verdict == FAILS_RIGID:
         assert records and all(not c.rigid for c in records), \
             "FailsRigidField requires every screened cusp to fail the rigid test"
@@ -155,7 +163,12 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
                          solved: SolveResult | None = None,
                          filling: list | None = None) -> ScreenReport:
     """Screen one (possibly filled) triangulation; never raises on solver
-    or recognition failure, recording errors in the report instead."""
+    or recognition failure, recording errors in the report instead.
+
+    A non-geometric or degenerate solve keeps each cusp's shape, minimal
+    polynomial and field, but no cusp is rigid-compatible, isolation does
+    not run and the verdict is Undetermined; `solve.notes` gives the
+    reason."""
     report = ScreenReport(
         manifold=tri.name, source=source, verdict=UNDETERMINED,
         filling=filling, provenance=options.provenance(),
@@ -172,6 +185,7 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
             report.error = f"solve failed: {exc}"
             return _audit(report)
 
+        hyperbolic = _hyperbolic(report.solve)
         unfilled = [i for i, c in enumerate(tri.cusps)
                     if filling is None or filling[i] in (None, "complete")]
         for i in unfilled:
@@ -184,14 +198,14 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
                 rec.shape = _shape_strings(value, options.precision_bits)
                 rec.minpoly = algdep(value, options.max_degree, options.precision_bits)
                 rec.field = classify_field(rec.minpoly)
-                rec.rigid = rigid_compatible(rec.field)
+                rec.rigid = hyperbolic and rigid_compatible(rec.field)
                 if rec.rigid and run_isolation and filling is None:
                     rec.isolation = isolation_verdict(
                         tri, i, precision_bits=options.precision_bits,
                         seed=options.seed, start=solved)
             except (SolveError, ZeroDivisionError, ValueError) as exc:
                 rec.error = str(exc)
-    report.verdict = _verdict(report.cusps)
+    report.verdict = _verdict(report.cusps) if hyperbolic else UNDETERMINED
     return _audit(report)
 
 
@@ -467,9 +481,10 @@ def _dispatch(args, options: ScreenOptions) -> int:
             tri = _load(name)
             indices = (range(len(tri.cusps)) if args.cusp is None
                        else [_cusp_index(tri, args.cusp)])
+            start = solve_complete(tri, options.precision_bits, seed=options.seed)
             for i in indices:
                 ev = isolation_verdict(tri, i, precision_bits=options.precision_bits,
-                                       seed=options.seed)
+                                       seed=options.seed, start=start)
                 order = f" at order {ev.order}" if ev.order else ""
                 print(f"{tri.name}.{tri.cusps[i].name}: {ev.verdict}{order} "
                       f"|d_tau|={mp.nstr(abs(ev.d_tau), 6)} "

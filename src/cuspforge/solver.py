@@ -15,12 +15,12 @@ Complete structures are found in two stages.
    as `initial` (a lower-precision solution) is polished directly, before
    any search.
 
-Every Newton step at working precision, here and below, is one
-`least_squares` solve: the row-equilibrated Jacobian goes to mp.lu_solve,
-which solves an overdetermined system through its normal equations.  The
-edge rows are redundant (their product is identically 1), but the whole
-system has full column rank at the geometric solution (Neumann-Zagier),
-so no rows are dropped and no rank cutoff is needed.  SVD is used only by
+Every Newton step, here and below, is one `least_squares` solve: Gaussian
+elimination on the normal equations, in the scalar type of the system
+(mpmath at the working precision, or Python complex).  The edge rows are
+redundant (their product is identically 1), but the whole system has full
+column rank at the geometric solution (Neumann-Zagier), so no rows are
+dropped and no rank cutoff is needed.  SVD is used only by
 `numerical_kernel`, once per completeness curve, to find the Jacobian rank
 and the pinned coordinate.  Every curve direction after that is a
 `pinned_solve` with the pinned coordinate held fixed.
@@ -31,17 +31,18 @@ log-holonomy condition
     p log mu(m) + q log mu(l) = 2 pi i.
 
 The target is reached by ramping the right-hand side from 0 at the
-complete structure to 2 pi i, in machine precision: each ramp step is
-Newton with `_float_lstsq` steps on the same cleared equations and
-`FillingEquation` rows, evaluated on Python complex by the one evaluator
-of `holonomy`.  The log branches are carried by continuity; small
-fillings genuinely leave the principal branch, so branch bookkeeping is
-part of the equation, with step halving and an explicit "stalled" failure
-when continuity cannot be maintained.  The float point at 2 pi i, with its
-branches as the reference, is then polished once at p+30 bits; a polish
-that misses the residual target raises SolveError.  Log-form edge rows
-are not used here: the ramp of some fillings passes through shapes near
-0 and 1, where the cleared equations stay regular and log rows stall.
+complete structure, as `solve_complete` returns it, to 2 pi i, in machine
+precision: each ramp step is Newton with `least_squares` steps on the
+same cleared equations and `FillingEquation` rows, evaluated on Python
+complex by the one evaluator of `holonomy`.  The log branches are carried
+by continuity; small fillings genuinely leave the principal branch, so
+branch bookkeeping is part of the equation, with step halving and an
+explicit "stalled" failure when continuity cannot be maintained.  The
+float point at 2 pi i, with its branches as the reference, is then
+polished once at p+30 bits; a polish that misses the residual target
+raises SolveError.  Log-form edge rows are not used here: the ramp of
+some fillings passes through shapes near 0 and 1, where the cleared
+equations stay regular and log rows stall.
 
 The same Newton loop, stepping by pinned solves, is the corrector of the
 predictor-corrector tracing of the curve along which one chosen cusp stays
@@ -53,7 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
@@ -70,8 +71,9 @@ class SolveError(RuntimeError):
 REGULAR_SHAPE = mpmath.mpc(0.5, 0.8660254037844386)
 # Newton steps never move a shape within this distance of 0 or 1
 GUARD = 1e-9
-# a machine-precision root of the log system must reach this residual
-# (Euclidean norm of the log rows)
+# a machine-precision Newton solve (a root of the log system, a filling ramp
+# step) must reach this residual: the Euclidean norm of the log rows, or the
+# largest residual of the cleared and filling rows
 FLOAT_TOL = 1e-10
 
 
@@ -95,11 +97,12 @@ class PolynomialEquation:
         return abs(term_value(m.sign, m.a, m.b, z) - 1)
 
 
-def _log_ops(z) -> tuple:
-    """log, pi and nearest-integer rounding in the scalar type of z."""
+def _scalar_ops(z) -> tuple:
+    """log, pi, nearest-integer rounding and the unit roundoff in the
+    scalar type of z: Python complex or mpmath at the current precision."""
     if isinstance(z[0], complex):
-        return cmath.log, math.pi, round
-    return mp.log, mp.pi, mp.nint
+        return cmath.log, math.pi, round, 2.0 ** -52
+    return mp.log, mp.pi, mp.nint, mp.eps
 
 
 class FillingEquation:
@@ -121,7 +124,7 @@ class FillingEquation:
     def _branches(self, z: list) -> tuple:
         """Principal logs of (mu_m, mu_l) at z, the whole turns that carry
         each nearest its reference, and pi in the scalar type of z."""
-        log, pi, nint = _log_ops(z)
+        log, pi, nint, _ = _scalar_ops(z)
         principal = [log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l)]
         turns = [nint((ref - w).imag / (2 * pi)) for ref, w in zip(self.reference, principal)]
         return principal, turns, pi
@@ -242,22 +245,35 @@ class SolveResult:
 
 
 def least_squares(rows: list[list], rhs: list) -> list:
-    """Least-squares solution x of rows . x = rhs at the working precision.
+    """Least-squares solution x of rows . x = rhs, in the scalar type of
+    the system: mpmath at the working precision, or Python complex.
 
-    Rows are scaled to unit max-norm first; mp.lu_solve then solves a
-    square system directly and an overdetermined one through its normal
-    equations.  The callers' systems have full column rank, so no rank
-    cutoff is applied: a numerically singular matrix raises
-    ZeroDivisionError.
+    Gaussian elimination with partial pivoting solves the normal equations
+    N x = rows^H rhs, with 20 guard bits on mpmath (none on Python complex).
+    The callers' systems have full column rank, so no rank cutoff is
+    applied: a pivot at most eps * |N|_1 raises ZeroDivisionError.
     """
-    scaled, scaled_rhs = [], []
-    for row, v in zip(rows, rhs):
-        s = max(abs(x) for x in row)
-        if s:
-            scaled.append([x / s for x in row])
-            scaled_rhs.append(v / s)
-    x = mp.lu_solve(mp.matrix(scaled), mp.matrix(scaled_rhs))
-    return [x[i] for i in range(x.rows)]
+    n = len(rows[0])
+    with mp.extraprec(20):
+        eps = _scalar_ops(rows[0])[3]
+        conj = [[v.conjugate() for v in row] for row in rows]
+        aug = [[sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(n)]
+               + [sum(c[i] * v for c, v in zip(conj, rhs))]
+               for i in range(n)]
+        tol = eps * max(sum(abs(row[j]) for row in aug) for j in range(n))
+        for col in range(n):
+            piv = max(range(col, n), key=lambda k: abs(aug[k][col]))
+            if abs(aug[piv][col]) <= tol:
+                raise ZeroDivisionError("numerically singular normal equations")
+            aug[col], aug[piv] = aug[piv], aug[col]
+            for k in range(col + 1, n):
+                f = aug[k][col] / aug[col][col]
+                for c in range(col, n + 1):
+                    aug[k][c] -= f * aug[col][c]
+        x = [None] * n
+        for i in reversed(range(n)):
+            x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
+    return x
 
 
 def pinned_solve(rows: list[list], pin: int, rhs: list) -> list:
@@ -324,14 +340,13 @@ def _newton_tol(precision_bits: int) -> mpmath.mpf:
     return mp.mpf(2) ** int(-0.92 * precision_bits)
 
 
-def _newton(eqs, fill_eqs, z, tol, lstsq=least_squares, max_iter=80):
+def _newton(eqs, fill_eqs, z, tol, max_iter=80):
     """Damped least-squares Newton on the cleared and filling equations,
-    in the scalar type of z: `least_squares` steps at the working
-    precision, or `_float_lstsq` steps on Python complex.  Returns (z,
+    in the scalar type of z (mpmath or Python complex).  Returns (z,
     iterations, residual)."""
     def step(z):
         rows = [e.gradient(z) for e in (*eqs, *fill_eqs)]
-        return lstsq(rows, [-e.value(z) for e in (*eqs, *fill_eqs)])
+        return least_squares(rows, [-e.value(z) for e in (*eqs, *fill_eqs)])
 
     return _damped_newton(z, lambda z: _residual(eqs, fill_eqs, z), step, tol, max_iter)
 
@@ -378,28 +393,6 @@ def _log_values(rows, z: list) -> list:
     return values
 
 
-def _float_lstsq(rows: list[list], rhs: list) -> list:
-    """Least-squares solution of rows . x = rhs in machine precision:
-    normal equations, Gaussian elimination with partial pivoting."""
-    n = len(rows[0])
-    aug = [[sum(r[i].conjugate() * r[j] for r in rows) for j in range(n)]
-           + [sum(r[i].conjugate() * v for r, v in zip(rows, rhs))]
-           for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda k: abs(aug[k][col]))
-        if aug[piv][col] == 0:
-            raise ZeroDivisionError("singular normal equations")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for k in range(col + 1, n):
-            f = aug[k][col] / aug[col][col]
-            for c in range(col, n + 1):
-                aug[k][c] -= f * aug[col][c]
-    x = [0j] * n
-    for i in reversed(range(n)):
-        x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
-    return x
-
-
 def _float_search(rows, z: list, max_iter=60):
     """Gauss-Newton on the log system from one start, in machine precision.
     Returns the root, or None when the start does not reach FLOAT_TOL."""
@@ -408,7 +401,7 @@ def _float_search(rows, z: list, max_iter=60):
 
     def step(z):
         grads = [log_gradient(a, b, z) for a, b, _, _ in rows]
-        return _float_lstsq(grads, [-v for v in _log_values(rows, z)])
+        return least_squares(grads, [-v for v in _log_values(rows, z)])
 
     z, _, res = _damped_newton(z, residual, step, FLOAT_TOL, max_iter)
     return z if res <= FLOAT_TOL else None
@@ -418,8 +411,8 @@ def _filling_ramp(name: str, eqs, fill_eqs, z: list) -> list:
     """Carry the filled rows' target from 0 at the complete structure z to
     2 pi i, in machine precision; returns the float point at 2 pi i.
 
-    Each step solves for target 2 pi i t by Newton with `_float_lstsq`
-    steps to FLOAT_TOL.  dt starts at 1/8, doubles after an accepted step
+    Each step solves for target 2 pi i t by `_newton` on Python complex to
+    FLOAT_TOL.  dt starts at 1/8, doubles after an accepted step
     up to 1/4 and halves after a rejected one; a step is rejected when
     Newton misses FLOAT_TOL or a log moves by 2.5 rad or more, which
     keeps the branch continuous.  Below dt = 2^-14 the ramp stalls.
@@ -431,7 +424,7 @@ def _filling_ramp(name: str, eqs, fill_eqs, z: list) -> list:
         t_next = min(1.0, t + dt)
         for fe in fill_eqs:
             fe.target = 2j * math.pi * t_next
-        z_try, _, res = _newton(eqs, fill_eqs, z, FLOAT_TOL, _float_lstsq)
+        z_try, _, res = _newton(eqs, fill_eqs, z, FLOAT_TOL)
         jump = max(abs((w - ref).imag) for fe in fill_eqs
                    for w, ref in zip(fe.logs(z_try), fe.reference))
         if res <= FLOAT_TOL and jump < 2.5:
@@ -479,38 +472,17 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
     `initial` (e.g. a lower-precision solution to polish) is tried before
     the regular-shape guess and its randomized perturbations.
     """
-    return solve_filled(tri, ["complete"] * len(tri.cusps), precision_bits,
-                        seed=seed, restarts=restarts, initial=initial)
-
-
-def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
-                 seed: int = 0, restarts: int = 32,
-                 initial: ShapeAssignment | None = None) -> SolveResult:
-    """Solve with per-cusp fillings ('complete'/None or coprime (p, q)).
-
-    With every cusp complete this is exactly the complete-structure solve.
-    Otherwise the complete structure (the polished `initial`, when given)
-    seeds a machine-precision continuation that ramps each filling target
-    from 0 to 2 pi i while carrying log branches, and the end point is
-    polished once at the working precision.
-    """
-    system = GluingSystem.from_triangulation(tri, fillings)
+    system = GluingSystem.from_triangulation(tri, [None] * len(tri.cusps))
     with mp.workprec(precision_bits + 30):
-        eqs, fill_eqs = system.equation_objects()
+        eqs, _ = system.equation_objects()
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
-
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
-        # stage 1: complete structure (filled rows at target 0 hold there)
-        complete_eqs = eqs
-        if fill_eqs:
-            complete_eqs, _ = replace(system, fillings=(None,) * len(tri.cusps)).equation_objects()
-
         def polish(z0, restart_index):
-            z, it, res = _newton(complete_eqs, [], [mp.mpc(v) for v in z0],
+            z, it, res = _newton(eqs, [], [mp.mpc(v) for v in z0],
                                  _newton_tol(precision_bits))
             if res < success_tol:
-                return z, it, res, all(v.imag > flat_tol for v in z), restart_index
+                return z, it, all(v.imag > flat_tol for v in z), restart_index
             return None
 
         best = deferred = None
@@ -522,9 +494,9 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
                 deferred = deferred or (z0, restart_index)
                 continue
             found = polish(z0, restart_index)
-            if found is not None and (best is None or found[3]):
+            if found is not None and (best is None or found[2]):
                 best = found
-                if found[3]:
+                if found[2]:
                     break
         if best is None and deferred is not None:
             best = polish(*deferred)
@@ -533,22 +505,38 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
                 f"{tri.name!r}: complete-structure Newton did not converge "
                 f"within {restarts} restarts"
             )
-        z, iterations, res, geometric, restart_index = best
-        notes = []
-        if not geometric:
-            notes.append("complete solution is non-geometric (some Im z <= 0)")
+        z, iterations, geometric, restart_index = best
+        notes = () if geometric else ("complete solution is non-geometric (some Im z <= 0)",)
+        res2 = _certify(eqs, [], z, precision_bits)
+        return SolveResult(
+            shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), precision_bits),
+            residual=res2, geometric=geometric, iterations=iterations,
+            success=res2 < success_tol, seed=seed, restarts_used=restart_index,
+            notes=notes,
+        )
 
-        if not fill_eqs:
-            res2 = _certify(eqs, [], z, precision_bits)
-            shapes = ShapeAssignment(tuple(mp.mpc(v) for v in z), precision_bits)
-            return SolveResult(
-                shapes=shapes, residual=res2, geometric=geometric,
-                iterations=iterations, success=res2 < success_tol,
-                seed=seed, restarts_used=restart_index, notes=tuple(notes),
-            )
 
-        # stage 2: the filling ramp in machine precision, then one polish
-        z_ramp = _filling_ramp(tri.name, eqs, fill_eqs, [complex(v) for v in z])
+def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
+                 seed: int = 0, restarts: int = 32,
+                 initial: ShapeAssignment | None = None) -> SolveResult:
+    """Solve with per-cusp fillings ('complete'/None or coprime (p, q)).
+
+    The complete structure comes first, from `solve_complete` (which
+    polishes `initial` when given); with every cusp complete it is the
+    result.  Otherwise it seeds a machine-precision continuation that ramps
+    each filling target from 0 to 2 pi i while carrying log branches, and
+    the end point is polished once at the working precision.
+    """
+    system = GluingSystem.from_triangulation(tri, fillings)
+    complete = solve_complete(tri, precision_bits, seed, restarts, initial)
+    if all(f is None for f in system.fillings):
+        return complete
+    with mp.workprec(precision_bits + 30):
+        eqs, fill_eqs = system.equation_objects()
+        success_tol = mp.mpf(2) ** (-precision_bits // 2)
+        flat_tol = mp.mpf(2) ** (-precision_bits // 8)
+
+        z_ramp = _filling_ramp(tri.name, eqs, fill_eqs, [complex(v) for v in complete.shapes.z])
         for fe in fill_eqs:
             fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
             fe.target = 2j * mp.pi
@@ -560,11 +548,11 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
                 f"{', '.join(f'{fe.label}=({fe.p},{fe.q})' for fe in fill_eqs)} "
                 f"stopped at residual {mp.nstr(res, 3)}"
             )
-        total_iter = iterations + it
 
         res2 = _certify(eqs, fill_eqs, z, precision_bits)
         geometric = all(v.imag > flat_tol for v in z)
         offsets = tuple(fe.branch_offsets(z) for fe in fill_eqs)
+        notes = list(complete.notes)
         cores = []
         degenerate = False
         for fe in fill_eqs:
@@ -572,7 +560,7 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
             u, v = fe.logs(z)
             core = r * u + s * v
             cores.append(core)
-            if abs(core.real) < mp.mpf(2) ** (-precision_bits // 8):
+            if abs(core.real) < flat_tol:
                 degenerate = True
                 notes.append(
                     f"{fe.label}: core translation has zero length "
@@ -589,8 +577,8 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
             notes.append("filled solution is non-geometric (some Im z <= 0)")
         return SolveResult(
             shapes=shapes, residual=res2, geometric=geometric,
-            iterations=total_iter, success=res2 < success_tol, seed=seed,
-            restarts_used=restart_index, degenerate=degenerate,
+            iterations=complete.iterations + it, success=res2 < success_tol, seed=seed,
+            restarts_used=complete.restarts_used, degenerate=degenerate,
             branch_offsets=offsets, core_translations=tuple(cores),
             notes=tuple(notes),
         )

@@ -156,6 +156,40 @@ def test_fill_sweep_solves_the_complete_structure_once(whitehead, monkeypatch):
     assert all(rep.solve["success"] for rep in reports)
 
 
+def test_cli_isolate_solves_the_complete_structure_once(monkeypatch, capsys):
+    # both cusps' isolation tests start from one complete solve at p; the
+    # only other solves are isolation's doubled-precision polishes
+    import cuspforge.isolation as isolation_module
+    import cuspforge.screen as screen_module
+
+    calls = []
+    for module in (screen_module, isolation_module):
+        def counted(tri, precision_bits, *args, _solve=module.solve_complete, **kwargs):
+            calls.append(precision_bits)
+            return _solve(tri, precision_bits, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_complete", counted)
+    assert screen_module.main(["isolate", "whitehead"]) == 0
+    assert capsys.readouterr().out.count("NotIsolated") == 2
+    assert sorted(calls) == [PRECISION, 2 * PRECISION, 2 * PRECISION]
+
+
+def test_non_hyperbolic_solve_gets_no_rigid_verdict(whitehead):
+    # the flat (1, -1) filling keeps its field but no cusp is
+    # rigid-compatible, and the audit refuses an obstruction verdict
+    from cuspforge.screen import ScreenReport, _audit
+
+    rep = fill_and_screen(whitehead, 1, [-1], OPTIONS)[0]
+    assert not rep.solve["geometric"] and rep.solve["degenerate"]
+    assert rep.verdict == UNDETERMINED and rep.error is None
+    assert [c.rigid for c in rep.cusps] == [False]
+    assert all(c.error is None and c.minpoly is not None for c in rep.cusps)
+    for verdict in (FAILS_RIGID, RIGID_NOT_ISOLATED):
+        with pytest.raises(AssertionError, match="geometric, non-degenerate"):
+            _audit(ScreenReport(manifold=rep.manifold, source="", verdict=verdict,
+                                cusps=rep.cusps, solve=rep.solve))
+
+
 def test_fill_sweep_reports_a_failed_complete_solve(whitehead, monkeypatch):
     import cuspforge.screen as screen_module
 
@@ -278,6 +312,17 @@ def test_cli_table_prints_small_components_with_their_exponent():
     assert match, flat
     assert float(match[1]) == 2.0
     assert abs(float(match[2])) < 1e-50
+
+
+def test_cli_flat_filling_is_not_rigid_compatible():
+    # the degenerate, non-geometric (1, -1) filling is not hyperbolic: its
+    # rational field is printed, but it is not rigid-compatible
+    proc = run_cli("fill", "whitehead", "--cusp", "1", "--n-range=-1:1")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    flat = lines[lines.index("whitehead(c2=1/-1): Undetermined") + 1]
+    assert " field=Rational rigid=False isolation=-" in flat
+    assert "[" not in flat
 
 
 @pytest.mark.parametrize("key, value", [("cusps", 1), ("edges", None)])

@@ -10,6 +10,7 @@ parameter maps.
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -22,6 +23,8 @@ from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_p
 from cuspforge.solver import (
     GluingSystem,
     SolveError,
+    least_squares,
+    pinned_solve,
     solve_complete,
     solve_filled,
     trace_completeness_curve,
@@ -261,6 +264,52 @@ def test_float_evaluator_matches_mpmath(whitehead, link622, berge, solved):
                 m = e.monomial
                 exact = term_value(m.sign, m.a, m.b, z)
                 assert abs(term_value(m.sign, m.a, m.b, zf) - exact) <= 1e-12 * abs(exact)
+
+
+def _polish_system(name, solved, seed=3):
+    """The complete-structure polish Jacobian and right-hand side at a
+    seeded perturbation of the complete point, at PRECISION bits."""
+    tri = cf.load_fixture(name)
+    rng = random.Random(seed)
+    eqs, _ = GluingSystem.from_triangulation(tri, [None] * len(tri.cusps)).equation_objects()
+    z = [v + mp.mpc(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+         for v in solved[name].shapes.z]
+    return [e.gradient(z) for e in eqs], [-e.value(z) for e in eqs]
+
+
+def _distance(x, y):
+    return mp.sqrt(sum(abs(a - b) ** 2 for a, b in zip(x, y)))
+
+
+@pytest.mark.parametrize("name", ["whitehead", "622", "berge"])
+def test_least_squares_matches_qr_solve(name, solved):
+    # one kernel for both scalar types: mpmath agrees with mpmath's QR
+    # solve to 2^-(p-10), Python complex with mpmath to 1e-10, relative
+    with mp.workprec(PRECISION):
+        rows, rhs = _polish_system(name, solved)
+        x = least_squares(rows, rhs)
+        qr = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))[0]
+        qr = [qr[i] for i in range(qr.rows)]
+        assert _distance(x, qr) <= mp.mpf(2) ** (10 - PRECISION) * _distance(qr, [0] * len(qr))
+        xf = least_squares([[complex(v) for v in row] for row in rows], [complex(v) for v in rhs])
+        assert all(isinstance(v, complex) for v in xf)
+        assert _distance(xf, x) <= 1e-10 * _distance(x, [0] * len(x))
+
+
+@pytest.mark.parametrize("scalar", [mp.mpc, complex], ids=["mpmath", "complex"])
+def test_least_squares_rank_deficient_raises(solved, scalar):
+    # a repeated column makes the normal equations singular: least_squares
+    # raises ZeroDivisionError and pinned_solve turns that into SolveError
+    with mp.workprec(PRECISION):
+        rows, rhs = _polish_system("whitehead", solved)
+        rows = [[scalar(v) for v in row] for row in rows]
+        rhs = [scalar(v) for v in rhs]
+        least_squares(rows, rhs)
+        repeated = [row + row[:1] for row in rows]
+        with pytest.raises(ZeroDivisionError):
+            least_squares(repeated, rhs)
+        with pytest.raises(SolveError, match="not a parameter"):
+            pinned_solve(repeated, 1, rhs)
 
 
 def test_trace_curve_whitehead(whitehead, solved):
