@@ -22,8 +22,7 @@ for name in ("whitehead", "622", "berge"):
     solved = solve_complete(tri, 256, seed=0)
     for i, cusp in enumerate(tri.cusps):
         ev = isolation_verdict(tri, i, precision_bits=256, start=solved)
-        order = f" at order {ev.order}" if ev.order else " (continuation)"
-        print(f"{tri.name}.{cusp.name}: {ev.verdict}{order}")
+        print(f"{tri.name}.{cusp.name}: {ev.label}")
         print(f"  |d_tau| = {mp.nstr(abs(ev.d_tau), 6)}, "
               f"|d2_tau| = {mp.nstr(abs(ev.d2_tau), 6)}")
     print()
@@ -31,7 +30,7 @@ for name in ("whitehead", "622", "berge"):
 # the second-derivative machinery, in detail, on the regular fixture
 tri = cf.load_fixture("berge")
 solved = solve_complete(tri, 256, seed=0)
-info = tau_derivatives(tri, 0, solved.shapes, order=2)
+info = tau_derivatives(tri, 0, solved.shapes)
 print("pinned coordinate:", info["pin"])
 print("dz/dt  =", [mp.nstr(v, 8) for v in info["dz"]])
 print("d2z/dt2 =", [mp.nstr(v, 8) for v in info["d2z"]])

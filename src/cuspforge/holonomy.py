@@ -82,19 +82,6 @@ class SignedMonomial:
         return SignedMonomial(1, (0,) * n, (0,) * n)
 
     @staticmethod
-    def from_corner(n: int, corner: "CornerRef | tuple[int, str]") -> "SignedMonomial":
-        """The corner parameter of a tetrahedron corner as a monomial."""
-        tet, kind = (corner.tet, corner.kind) if hasattr(corner, "tet") else corner
-        if not 0 <= tet < n:
-            raise ValueError(f"corner tetrahedron index {tet} out of range for n={n}")
-        da, db, ds = _CORNER_EXPONENTS[kind]
-        a = [0] * n
-        b = [0] * n
-        a[tet] = da
-        b[tet] = db
-        return SignedMonomial(ds, tuple(a), tuple(b))
-
-    @staticmethod
     def from_word(n: int, word: Iterable["CornerRef | tuple[int, str]"]) -> "SignedMonomial":
         """Product of the corner parameters along a fan word."""
         sign = 1
@@ -287,32 +274,31 @@ class ShapeAssignment:
 
     z: tuple[mpmath.mpc, ...]
     precision_bits: int = 256
-    guard: float = DEGENERACY_GUARD
 
     @staticmethod
-    def from_values(values, precision_bits: int = 256, guard: float = DEGENERACY_GUARD):
+    def from_values(values, precision_bits: int = 256):
         with mp.workprec(precision_bits):
             z = tuple(mp.mpc(v) for v in values)
-        return ShapeAssignment(z, precision_bits, guard)
+        return ShapeAssignment(z, precision_bits)
 
     @property
     def n(self) -> int:
         return len(self.z)
 
     def is_degenerate(self) -> bool:
-        return any(abs(z) < self.guard or abs(1 - z) < self.guard for z in self.z)
+        return any(abs(z) < DEGENERACY_GUARD or abs(1 - z) < DEGENERACY_GUARD for z in self.z)
 
     def require_non_degenerate(self):
         if self.is_degenerate():
             raise DegenerateShapeError(
-                "shape assignment has a coordinate within %.1e of {0, 1}" % self.guard
+                "shape assignment has a coordinate within %.1e of {0, 1}" % DEGENERACY_GUARD
             )
 
     def is_geometric(self) -> bool:
         return all(z.imag > 0 for z in self.z)
 
     def with_precision(self, precision_bits: int) -> "ShapeAssignment":
-        return ShapeAssignment(self.z, precision_bits, self.guard)
+        return ShapeAssignment(self.z, precision_bits)
 
 
 def term_value(c: int, a, b, z):

@@ -13,13 +13,19 @@ with one coordinate chosen as the curve parameter (largest tangent entry,
 ties to the lowest index), first derivatives solve M u' = -v and second
 derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, as
 `solver.pinned_solve`s.  The reported tangent is the normalised pinned
-velocity dz/|dz|, where dz is u' with 1 at the pinned coordinate.  The SVD
-runs once, in the pass at precision p, to check the kernel dimension,
-choose the pin and give the Jacobian rank; the doubled-precision pass
-reuses the pin and runs no SVD.  The Jacobian rows are exact gradients of
-the cleared equations; the second derivative of every equation and of both
-tau sums along u' is the closed form of `holonomy.second_derivative_along`,
-computed term by term from log gradients.
+velocity dz/|dz|, where dz is u' with 1 at the pinned coordinate.  One
+kernel check, `solver.curve_pin`, serves tracing and derivatives alike: its
+SVD checks that the kernel is one-dimensional (else KernelDimensionError),
+chooses the pin and gives the Jacobian rank.  It runs in the pass at
+precision p; the doubled-precision pass reuses the pin and runs no SVD.
+The Jacobian rows are exact gradients of the cleared equations; the second
+derivative of every equation and of both tau sums along u' is the closed
+form of `holonomy.second_derivative_along`, computed term by term from log
+gradients.
+
+A derivative or spread counts as nonzero above tol = 10^(-TOL_DIGITS p/256)
+(20 digits at 256 bits).  The continuation fallback traces
+CONTINUATION_POINTS points at step CONTINUATION_STEP, at p and at 2p.
 """
 
 from __future__ import annotations
@@ -32,17 +38,23 @@ from mpmath import mp
 from .holonomy import ShapeAssignment, cusp_parameter, second_derivative_along, sum_value
 from .manifold import IdealTriangulation
 from .solver import (
+    KernelDimensionError,  # noqa: F401  (re-exported: raised by curve_derivatives)
     SolveError,
     SolveResult,
     completeness_system,
+    curve_pin,
     curve_velocity,
     numerical_kernel,
-    pin_choice,
     pinned_solve,
     solve_complete,
     system_jacobian,
     trace_completeness_curve,
 )
+
+# decimal digits of the nonzero test per 256 bits of working precision
+TOL_DIGITS = 20
+CONTINUATION_POINTS = 8
+CONTINUATION_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -51,7 +63,7 @@ class IsolationEvidence:
     jacobian_rank: int
     tangent: tuple
     d_tau: mpmath.mpc
-    d2_tau: mpmath.mpc | None
+    d2_tau: mpmath.mpc
     continuation_spread: mpmath.mpf | None
     verdict: str            # "NotIsolated" or "Inconclusive"
     order: int | None       # 1, 2, or None (continuation / inconclusive)
@@ -61,6 +73,13 @@ class IsolationEvidence:
     @property
     def not_isolated(self) -> bool:
         return self.verdict == "NotIsolated"
+
+    @property
+    def label(self) -> str:
+        """The verdict with the evidence that certified it, as reports print it."""
+        if self.order is not None:
+            return f"{self.verdict}(order {self.order})"
+        return f"{self.verdict}(continuation)" if self.not_isolated else self.verdict
 
     def to_jsonable(self) -> dict:
         def c(v):
@@ -78,10 +97,6 @@ class IsolationEvidence:
             "pin_index": self.pin_index,
             "notes": list(self.notes),
         }
-
-
-class KernelDimensionError(SolveError):
-    """The completeness locus is not a curve at this point."""
 
 
 def completeness_jacobian(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment):
@@ -104,9 +119,8 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
 
     Returns (dz, d2z, pin, rank, tangent): dz and d2z are full-length
     vectors with dz[pin] = 1, d2z[pin] = 0, and the tangent is dz/|dz|.
-    Without `pin` the SVD checks that the kernel is one-dimensional,
-    chooses the pin and gives the Jacobian rank; with `pin` given no SVD
-    runs and the rank is None.
+    Without `pin`, `curve_pin` checks the kernel, chooses the pin and gives
+    the Jacobian rank; with `pin` given no SVD runs and the rank is None.
     """
     prec = shapes.precision_bits
     with mp.workprec(prec + 30):
@@ -115,14 +129,7 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
         rows = system_jacobian(eqs, z)
         rank = None
         if pin is None:
-            kernel, rank, svals, _ = numerical_kernel(rows, prec)
-            if len(kernel) != 1:
-                raise KernelDimensionError(
-                    f"kernel dimension {len(kernel)} at the complete structure "
-                    "(expected 1); singular values "
-                    + ", ".join(mp.nstr(s, 5) for s in svals)
-                )
-            pin = pin_choice(kernel[0])
+            pin, rank = curve_pin(rows, prec)
         # first derivatives: M u' = -v, columns split by the pinned variable
         dz, tangent = curve_velocity(rows, pin)
         # second derivatives: M u'' = -(dz^T Hess dz)
@@ -131,41 +138,29 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
         return dz, d2z, pin, rank, tangent
 
 
-def _tau_c_derivatives(tri, cusp_data, shapes, dz, d2z):
-    """d/dt and d^2/dt^2 of tau(l)/tau(m) along the parametrized curve."""
-    prec = shapes.precision_bits
-    num, den = cusp_parameter(tri, cusp_data)
-    n = shapes.n
+def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
+                    pin: int | None = None):
+    """d/dt and d^2/dt^2 of the cusp parameter tau(l)/tau(m) along the
+    completeness curve, plus the underlying shape derivatives.
+
+    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, tangent;
+    rank is None when `pin` is given.
+    """
+    dz, d2z, pin, rank, tangent = curve_derivatives(tri, cusp, shapes, pin=pin)
+    num, den = cusp_parameter(tri, tri.cusps[cusp])
     z = list(shapes.z)
-    with mp.workprec(prec + 30):
+    with mp.workprec(shapes.precision_bits + 30):
         N = sum_value(num.terms, z)
         D = sum_value(den.terms, z)
-        dN = [sum_value(num.derivative(i).terms, z) for i in range(n)]
-        dD = [sum_value(den.derivative(i).terms, z) for i in range(n)]
+        dN = [sum_value(num.derivative(i).terms, z) for i in range(shapes.n)]
+        dD = [sum_value(den.derivative(i).terms, z) for i in range(shapes.n)]
         N1 = sum(a * t for a, t in zip(dN, dz))
         D1 = sum(a * t for a, t in zip(dD, dz))
         # second directional derivatives along the curve:
         N2 = second_derivative_along(num.terms, z, dz) + sum(a * t for a, t in zip(dN, d2z))
         D2 = second_derivative_along(den.terms, z, dz) + sum(a * t for a, t in zip(dD, d2z))
-        tau1 = (N1 * D - N * D1) / D ** 2
-        tau2 = (N2 * D - N * D2) / D ** 2 - 2 * D1 * (N1 * D - N * D1) / D ** 3
-        return tau1, tau2
-
-
-def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
-                    order: int = 2, pin: int | None = None):
-    """(d_tau, d2_tau) of the cusp parameter along the completeness curve,
-    plus the underlying shape derivatives.
-
-    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, tangent;
-    rank is None when `pin` is given.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    dz, d2z, pin, rank, tangent = curve_derivatives(tri, cusp, shapes, pin=pin)
-    d_tau, d2_tau = _tau_c_derivatives(tri, tri.cusps[cusp], shapes, dz, d2z)
-    if order == 1:
-        d2_tau = None
+        d_tau = (N1 * D - N * D1) / D ** 2
+        d2_tau = (N2 * D - N * D2) / D ** 2 - 2 * D1 * (N1 * D - N * D1) / D ** 3
     return {
         "d_tau": d_tau,
         "d2_tau": d2_tau,
@@ -177,9 +172,7 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
     }
 
 
-def isolation_verdict(tri: IdealTriangulation, cusp: int,
-                      precision_bits: int = 256, tol: mpmath.mpf | None = None,
-                      continuation_points: int = 8, continuation_step: float = 1e-3,
+def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 256,
                       seed: int = 0, start: SolveResult | None = None) -> IsolationEvidence:
     """Test whether the cusp parameter provably varies along the curve
     where this cusp stays complete.
@@ -190,8 +183,7 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int,
     believed.  A nonzero certified derivative or spread yields NotIsolated;
     anything else is Inconclusive (constancy is never asserted).
     """
-    if tol is None:
-        tol = mp.mpf(10) ** (-20 * precision_bits // 256)
+    tol = mp.mpf(10) ** (-TOL_DIGITS * precision_bits // 256)
     if start is None:
         start = solve_complete(tri, precision_bits, seed=seed)
     if not start.success:
@@ -200,11 +192,11 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int,
     notes = []
 
     shapes = start.shapes
-    info = tau_derivatives(tri, cusp, shapes, order=2)
+    info = tau_derivatives(tri, cusp, shapes)
     # recompute at doubled precision (polishing the known solution);
     # require agreement to half the digits
     start_hi = solve_complete(tri, 2 * precision_bits, seed=seed, initial=start.shapes)
-    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, order=2, pin=info["pin"])
+    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, pin=info["pin"])
     agree_tol = mp.mpf(2) ** (-precision_bits // 2)
 
     def certified(key):
@@ -218,21 +210,21 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int,
     elif abs(d2_tau) > tol and certified("d2_tau"):
         verdict, order = "NotIsolated", 2
     else:
-        # continuation fallback
+        # continuation fallback: the spread of the traced values at p,
+        # certified by the trace at 2p
+        spreads = []
         try:
-            samples = trace_completeness_curve(
-                tri, cusp, n_points=continuation_points, step=continuation_step,
-                precision_bits=precision_bits, seed=seed, start=start)
-            tau0 = samples[0][1]
-            spread = max(abs(t - tau0) for _, t in samples[1:])
-            samples_hi = trace_completeness_curve(
-                tri, cusp, n_points=continuation_points, step=continuation_step,
-                precision_bits=2 * precision_bits, seed=seed, start=start_hi)
-            spread_hi = max(abs(t - samples_hi[0][1]) for _, t in samples_hi[1:])
-            if spread > tol and abs(spread - spread_hi) < agree_tol * (1 + spread_hi):
-                verdict = "NotIsolated"
+            for bits, leg in ((precision_bits, start), (2 * precision_bits, start_hi)):
+                samples = trace_completeness_curve(
+                    tri, cusp, n_points=CONTINUATION_POINTS, step=CONTINUATION_STEP,
+                    precision_bits=bits, start=leg)
+                spreads.append(max(abs(t - samples[0][1]) for _, t in samples[1:]))
         except SolveError as exc:
             notes.append(f"continuation failed: {exc}")
+        spread = spreads[0] if spreads else None
+        if len(spreads) == 2 and spread > tol \
+                and abs(spread - spreads[1]) < agree_tol * (1 + spreads[1]):
+            verdict = "NotIsolated"
         if verdict == "Inconclusive":
             notes.append(
                 "no certified variation found to order 2 or along the traced curve; "

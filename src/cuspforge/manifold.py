@@ -133,14 +133,6 @@ class IdealTriangulation:
     def edge_equations(self) -> list[SignedMonomial]:
         return [self.edge_equation(i) for i in range(len(self.edges))]
 
-    def cusp(self, ref: int | str) -> CuspData:
-        if isinstance(ref, int):
-            return self.cusps[ref]
-        for cusp in self.cusps:
-            if cusp.name == ref:
-                return cusp
-        raise KeyError(f"no cusp named {ref!r}")
-
     def with_fillings(self, fillings) -> "IdealTriangulation":
         """Copy with per-cusp fillings replaced ((p, q) tuples or None)."""
         if len(fillings) != len(self.cusps):

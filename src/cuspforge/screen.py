@@ -43,7 +43,7 @@ from .holonomy import cusp_parameter, evaluate_cusp_parameter
 from .isolation import IsolationEvidence, isolation_verdict
 from .manifold import IdealTriangulation, parse_triangulation, TriangulationError
 from .numberlab import FieldClass, MinPoly, classify_field, algdep, rigid_compatible
-from .solver import SolveError, SolveResult, solve_complete, solve_filled
+from .solver import SolveError, SolveResult, printed_digits, solve_complete, solve_filled
 
 NON_VERIFIED_TAG = "non-verified computation"
 
@@ -153,7 +153,7 @@ def _verdict(records: list[CuspRecord]) -> str:
 
 
 def _shape_strings(value, precision_bits) -> dict:
-    digits = max(8, int(precision_bits * 0.3010) - 2)
+    digits = printed_digits(precision_bits)
     return {"re": mp.nstr(value.real, digits), "im": mp.nstr(value.imag, digits)}
 
 
@@ -294,13 +294,7 @@ def reports_to_csv(reports: list[ScreenReport]) -> str:
         if not rep.cusps:
             writer.writerow([rep.manifold, "", "", "", "", rep.verdict, NON_VERIFIED_TAG])
         for rec in rep.cusps:
-            iso = ""
-            if rec.isolation is not None:
-                iso = rec.isolation.verdict
-                if rec.isolation.order is not None:
-                    iso += f"(order {rec.isolation.order})"
-                elif rec.isolation.not_isolated:
-                    iso += "(continuation)"
+            iso = "" if rec.isolation is None else rec.isolation.label
             writer.writerow([
                 rep.manifold, rec.name,
                 "" if rec.field is None else str(rec.field),
@@ -317,11 +311,7 @@ def reports_to_table(reports: list[ScreenReport]) -> str:
             head += f"  [{rep.error}]"
         lines.append(head)
         for rec in rep.cusps:
-            iso = "-"
-            if rec.isolation is not None:
-                iso = rec.isolation.verdict
-                if rec.isolation.order is not None:
-                    iso += f"(order {rec.isolation.order})"
+            iso = "-" if rec.isolation is None else rec.isolation.label
             shape = "-"
             if rec.shape:
                 re_part, im_part = (mp.nstr(mp.mpf(rec.shape[k]), 12) for k in ("re", "im"))
@@ -420,24 +410,22 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     options = ScreenOptions(precision_bits=args.precision_bits,
                             max_degree=args.max_degree, seed=args.seed)
-
-    with mp.workprec(options.precision_bits + 30):
-        try:
-            code = _dispatch(args, options)
-        except _UsageError as exc:
-            print(f"cuspforge: error: {exc}", file=sys.stderr)
-            return 1
-        except TriangulationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    return code
+    try:
+        if options.precision_bits < 1:
+            raise _UsageError(f"--precision-bits must be at least 1, "
+                              f"got {options.precision_bits}")
+        with mp.workprec(options.precision_bits + 30):
+            return _dispatch(args, options)
+    except _UsageError as exc:
+        print(f"cuspforge: error: {exc}", file=sys.stderr)
+        return 1
+    except (TriangulationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args, options: ScreenOptions) -> int:
-    digits = max(8, int(options.precision_bits * 0.3010) - 2)
+    digits = printed_digits(options.precision_bits)
 
     if args.command == "solve":
         for name in args.manifolds:
@@ -481,14 +469,22 @@ def _dispatch(args, options: ScreenOptions) -> int:
             tri = _load(name)
             indices = (range(len(tri.cusps)) if args.cusp is None
                        else [_cusp_index(tri, args.cusp)])
-            start = solve_complete(tri, options.precision_bits, seed=options.seed)
+            try:
+                start = solve_complete(tri, options.precision_bits, seed=options.seed)
+            except SolveError as exc:
+                print(f"{tri.name}: solve failed: {exc}")
+                continue
             for i in indices:
-                ev = isolation_verdict(tri, i, precision_bits=options.precision_bits,
-                                       seed=options.seed, start=start)
+                name = f"{tri.name}.{tri.cusps[i].name}"
+                try:
+                    ev = isolation_verdict(tri, i, precision_bits=options.precision_bits,
+                                           seed=options.seed, start=start)
+                except (SolveError, ZeroDivisionError, ValueError) as exc:
+                    print(f"{name}: isolation failed: {exc}")
+                    continue
                 order = f" at order {ev.order}" if ev.order else ""
-                print(f"{tri.name}.{tri.cusps[i].name}: {ev.verdict}{order} "
-                      f"|d_tau|={mp.nstr(abs(ev.d_tau), 6)} "
-                      f"|d2_tau|={'-' if ev.d2_tau is None else mp.nstr(abs(ev.d2_tau), 6)}")
+                print(f"{name}: {ev.verdict}{order} |d_tau|={mp.nstr(abs(ev.d_tau), 6)} "
+                      f"|d2_tau|={mp.nstr(abs(ev.d2_tau), 6)}")
         return 0
 
     if args.command == "fill":

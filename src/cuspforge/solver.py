@@ -20,10 +20,10 @@ elimination on the normal equations, in the scalar type of the system
 (mpmath at the working precision, or Python complex).  The edge rows are
 redundant (their product is identically 1), but the whole system has full
 column rank at the geometric solution (Neumann-Zagier), so no rows are
-dropped and no rank cutoff is needed.  SVD is used only by
-`numerical_kernel`, once per completeness curve, to find the Jacobian rank
-and the pinned coordinate.  Every curve direction after that is a
-`pinned_solve` with the pinned coordinate held fixed.
+dropped and no rank cutoff is needed.  SVD is used only by `curve_pin`,
+once per completeness curve, to check the kernel dimension and find the
+Jacobian rank and the pinned coordinate.  Every curve direction after that
+is a `pinned_solve` with the pinned coordinate held fixed.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition
@@ -59,13 +59,17 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import (ShapeAssignment, SignedMonomial, log_gradient, mu, sum_value,
-                       term_value)
+from .holonomy import (ShapeAssignment, SignedMonomial, cusp_parameter,
+                       evaluate_cusp_parameter, log_gradient, mu, sum_value, term_value)
 from .manifold import IdealTriangulation
 
 
 class SolveError(RuntimeError):
     """Newton or continuation failed to produce a certified solution."""
+
+
+class KernelDimensionError(SolveError):
+    """The completeness locus is not a curve at this point."""
 
 
 REGULAR_SHAPE = mpmath.mpc(0.5, 0.8660254037844386)
@@ -221,7 +225,7 @@ class SolveResult:
     notes: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        digits = max(8, int(self.shapes.precision_bits * 0.3010) - 2)
+        digits = printed_digits(self.shapes.precision_bits)
         return {
             "shapes": [
                 {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
@@ -242,6 +246,11 @@ class SolveResult:
             ],
             "notes": list(self.notes),
         }
+
+
+def printed_digits(precision_bits: int) -> int:
+    """Decimal digits printed for a value computed at precision_bits."""
+    return max(8, int(precision_bits * 0.3010) - 2)
 
 
 def least_squares(rows: list[list], rhs: list) -> list:
@@ -614,15 +623,14 @@ def system_jacobian(eqs, z: list):
     return [e.gradient(z) for e in eqs]
 
 
-def numerical_kernel(rows: list[list], precision_bits: int, threshold_exp=None):
-    """Kernel basis of a complex matrix by SVD at a relative threshold."""
-    if threshold_exp is None:
-        threshold_exp = -precision_bits // 4
+def numerical_kernel(rows: list[list], precision_bits: int):
+    """Kernel basis of a complex matrix by SVD, cut at 2^(-p/4) relative
+    to the largest singular value."""
     A = mp.matrix(rows)
     U, S, V = mp.svd_c(A)
     svals = [S[i] for i in range(S.rows)]
     smax = max(svals) if svals else mp.mpf(0)
-    cut = smax * mp.mpf(2) ** threshold_exp if smax > 0 else mp.mpf(0)
+    cut = smax * mp.mpf(2) ** (-precision_bits // 4) if smax > 0 else mp.mpf(0)
     n = A.cols
     kernel = []
     rank = 0
@@ -647,6 +655,20 @@ def pin_choice(tangent) -> int:
     return best
 
 
+def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int]:
+    """(pin, rank) of the completeness curve whose Jacobian is `rows`: the
+    one SVD of a curve checks that its kernel is one-dimensional, and
+    `pin_choice` picks the pinned coordinate from the kernel vector."""
+    kernel, rank, svals, _ = numerical_kernel(rows, precision_bits)
+    if len(kernel) != 1:
+        raise KernelDimensionError(
+            f"kernel dimension {len(kernel)} at the complete structure "
+            "(expected 1); singular values "
+            + ", ".join(mp.nstr(s, 5) for s in svals)
+        )
+    return pin_choice(kernel[0]), rank
+
+
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                              n_points: int = 20, step: float = 1e-3,
                              precision_bits: int = 256, seed: int = 0,
@@ -654,15 +676,14 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
     """Predictor-corrector continuation along the curve of structures
     keeping one cusp complete, from the complete structure.
 
-    The SVD runs once, at the start, to check that the locus is a curve
-    and to choose the pinned coordinate.  Each predictor step follows the
-    unit pinned velocity; `_damped_newton` with pinned steps corrects it.
+    `curve_pin` runs once, at the start, to check that the locus is a
+    curve and to choose the pinned coordinate.  Each predictor step follows
+    the unit pinned velocity; `_damped_newton` with pinned steps corrects
+    it.
 
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
     """
-    from .holonomy import cusp_parameter, evaluate_cusp_parameter
-
     if start is None:
         start = solve_complete(tri, precision_bits, seed=seed)
     if not start.success:
@@ -671,13 +692,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         eqs = completeness_system(tri, complete_cusp)
         pair = cusp_parameter(tri, tri.cusps[complete_cusp])
         z = list(start.shapes.z)
-        kernel = numerical_kernel(system_jacobian(eqs, z), precision_bits)[0]
-        if len(kernel) != 1:
-            raise SolveError(
-                f"completeness-curve kernel has dimension {len(kernel)}, "
-                "expected 1 (is this a two-cusped manifold?)"
-            )
-        pin = pin_choice(kernel[0])
+        pin = curve_pin(system_jacobian(eqs, z), precision_bits)[0]
 
         def corrector_step(z):
             return pinned_solve(system_jacobian(eqs, z), pin, [-e.value(z) for e in eqs])

@@ -115,7 +115,7 @@ def test_criterion_4_berge(berge, solved):
     cols = [0, 2, 3]
     M2 = mp.matrix([[r[c] for c in cols] for r in picked])
     assert abs(mp.det(M2)) > 1
-    info = tau_derivatives(berge, 0, result.shapes, order=2)
+    info = tau_derivatives(berge, 0, result.shapes)
     assert info["pin"] == 1
     assert abs(info["dz"][0]) < mp.mpf("1e-30")
     assert abs(info["d2z"][0] - mp.mpc(0, 1) / mp.sqrt(3)) < mp.mpf("1e-25")

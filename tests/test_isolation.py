@@ -27,7 +27,7 @@ from conftest import PRECISION
 
 def test_berge_pinned_matrix_and_first_derivatives(berge, solved):
     shapes = solved["berge"].shapes
-    info = tau_derivatives(berge, 0, shapes, order=2)
+    info = tau_derivatives(berge, 0, shapes)
     # tie in tangent magnitudes resolves to the lowest index: the second
     # coordinate is the curve parameter
     assert info["pin"] == 1
@@ -38,7 +38,7 @@ def test_berge_pinned_matrix_and_first_derivatives(berge, solved):
 
 
 def test_berge_second_derivative(berge, solved):
-    info = tau_derivatives(berge, 0, solved["berge"].shapes, order=2)
+    info = tau_derivatives(berge, 0, solved["berge"].shapes)
     assert abs(info["d2z"][0] - mp.mpc(0, 1) / mp.sqrt(3)) < mp.mpf("1e-25")
     # d2_tau = zeta2'(z1) * d2z1 with zeta2'(eta) = 1/eta^2
     eta = (1 + mp.sqrt(-3)) / 2
@@ -83,7 +83,7 @@ def test_622_kernel_and_tangent(link622, solved):
 
 
 def test_whitehead_derivatives_and_verdict(whitehead, solved):
-    info = tau_derivatives(whitehead, 0, solved["whitehead"].shapes, order=2)
+    info = tau_derivatives(whitehead, 0, solved["whitehead"].shapes)
     # tangent entries all have modulus 1 here; ties resolve to index 0
     assert info["pin"] == 0
     # first derivative of 4x/(1-x^2) - 2 vanishes at x = i, and the
@@ -103,7 +103,7 @@ def test_622_verdict(link622, solved):
 def test_derivative_continuation_consistency(whitehead, solved):
     # the second cusp has first-order variation; the traced spread at small
     # steps must match |grad tau . unit tangent| * h within a factor of 2
-    info = tau_derivatives(whitehead, 1, solved["whitehead"].shapes, order=1)
+    info = tau_derivatives(whitehead, 1, solved["whitehead"].shapes)
     dz_norm = mp.sqrt(sum(abs(v) ** 2 for v in info["dz"]))
     d_unit = abs(info["d_tau"]) / dz_norm
     assert d_unit > mp.mpf("1e-6")
@@ -162,3 +162,56 @@ def test_tangent_is_the_phase_fixed_kernel_vector(name, solved):
                 scale = mp.conj(vec[pin]) / (abs(vec[pin]) * norm)
                 error = max(abs(t - c * scale) for t, c in zip(tangent, vec))
                 assert error < mp.mpf(2) ** (10 - p)
+
+
+def test_continuation_fallback(monkeypatch, berge, solved):
+    # with tol = 1 neither derivative counts, so the verdict rests on the
+    # spread traced at p, certified by the trace at 2p
+    import cuspforge.isolation as isolation
+    from cuspforge.screen import (UNDETERMINED, CuspRecord, ScreenReport, reports_to_csv,
+                                  reports_to_table)
+
+    trace = isolation.trace_completeness_curve
+    traced = []
+
+    def recorded(*args, **kwargs):
+        samples = trace(*args, **kwargs)
+        spread = max(abs(t - samples[0][1]) for _, t in samples[1:])
+        traced.append((kwargs["precision_bits"], spread))
+        return samples
+
+    monkeypatch.setattr(isolation, "trace_completeness_curve", recorded)
+    monkeypatch.setattr(isolation, "TOL_DIGITS", 0)
+    monkeypatch.setattr(isolation, "CONTINUATION_STEP", 0.3)
+    monkeypatch.setattr(isolation, "CONTINUATION_POINTS", 16)
+    ev = isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    assert ev.verdict == "NotIsolated" and ev.order is None and not ev.notes
+    assert abs(ev.continuation_spread - mp.mpf("1.0834504598547")) < mp.mpf("1e-12")
+    assert [bits for bits, _ in traced] == [PRECISION, 2 * PRECISION]
+    assert abs(traced[0][1] - traced[1][1]) < mp.mpf(2) ** (-PRECISION // 2)
+    # the CSV summary and the table print one label
+    report = ScreenReport(manifold="berge", source="", verdict=UNDETERMINED,
+                          cusps=[CuspRecord(name=ev.cusp, isolation=ev)])
+    for text in (reports_to_csv([report]), reports_to_table([report])):
+        assert "NotIsolated(continuation)" in text
+
+    # small steps: the spread stays below tol and nothing is claimed
+    monkeypatch.setattr(isolation, "CONTINUATION_STEP", 1e-3)
+    monkeypatch.setattr(isolation, "CONTINUATION_POINTS", 8)
+    ev = isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    assert ev.verdict == "Inconclusive" and ev.order is None and ev.label == "Inconclusive"
+    assert ev.continuation_spread < 1
+    assert "constancy is NOT certified" in ev.notes[-1]
+
+
+@pytest.mark.parametrize("name, cusp", [("whitehead", 0), ("622", 1), ("berge", 1)])
+def test_trace_and_derivatives_share_the_kernel_check(name, cusp):
+    # at 8 bits the SVD cut leaves more than one kernel vector: tracing and
+    # the derivatives refuse the point with one error and one message
+    tri = cf.load_fixture(name)
+    start = solve_complete(tri, 8)
+    with pytest.raises(KernelDimensionError, match="kernel dimension") as derivatives:
+        curve_derivatives(tri, cusp, start.shapes)
+    with pytest.raises(KernelDimensionError) as trace:
+        trace_completeness_curve(tri, cusp, n_points=1, precision_bits=8, start=start)
+    assert str(trace.value) == str(derivatives.value)

@@ -262,12 +262,40 @@ def test_cli_out_directory(tmp_path):
     ("isolate", "whitehead", "--cusp", "5"),
     ("fill", "whitehead", "--cusp", "7", "--n-range=1:1"),
     ("fill", "whitehead", "--cusp", "-1", "--n-range=1:1"),
+    ("solve", "whitehead", "--precision-bits", "-40"),
+    ("field", "622", "--precision-bits", "-3"),
 ])
 def test_cli_bad_value_is_one_line_usage_error(args):
     proc = run_cli(*args)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_cli_isolate_records_failures_without_traceback():
+    # at 8 bits the completeness curve of some cusps has a kernel of
+    # dimension above 1; each failed cusp prints one line
+    proc = run_cli("isolate", "whitehead", "berge", "--precision-bits", "8")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("whitehead.c1: isolation failed: kernel dimension 2 ")
+    assert lines[3].startswith("berge.c-knotted: isolation failed: kernel dimension 2 ")
+
+
+def test_cli_isolate_reports_a_failed_complete_solve(monkeypatch, capsys):
+    import cuspforge.screen as screen_module
+
+    def fails(tri, *args, **kwargs):
+        raise screen_module.SolveError(f"{tri.name!r}: complete-structure Newton did not converge")
+
+    monkeypatch.setattr(screen_module, "solve_complete", fails)
+    assert screen_module.main(["isolate", "whitehead", "berge"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: solve failed: {name!r}: complete-structure Newton did not converge"
+        for name in ("whitehead", "berge")
+    ]
 
 
 def test_cli_field_records_errors_without_traceback():

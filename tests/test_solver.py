@@ -345,7 +345,7 @@ def test_trace_curve_berge_second_order_spread(berge, solved):
     samples = trace_completeness_curve(
         berge, 0, n_points=5, step=h, precision_bits=PRECISION,
         start=solved["berge"])
-    info = tau_derivatives(berge, 0, solved["berge"].shapes, order=2)
+    info = tau_derivatives(berge, 0, solved["berge"].shapes)
     # unit-speed reparametrization of the pinned-coordinate derivatives
     dz_norm = mp.sqrt(sum(abs(v) ** 2 for v in info["dz"]))
     d2_unit = abs(info["d2_tau"]) / dz_norm ** 2
