@@ -1,11 +1,19 @@
 """Recognition of algebraic numbers and cusp-field classification.
 
 `algdep` recovers an integer minimal polynomial approximately satisfied by
-a high-precision complex value, by LLL reduction of the lattice spanned by
-{1, x, ..., x^n} with the real and imaginary embeddings scaled up by
-2^(0.8 p) at working precision p.  Candidates are accepted only when the
-residual |P(x)|, re-evaluated at doubled precision, is below 2^(-0.6 p),
-and ties break by (degree, height, lexicographic coefficients).
+a high-precision complex value, by lattice reduction of the rows
+(e_i, round(2^(0.8 p) Re x^i), round(2^(0.8 p) Im x^i)), i = 0..n, at
+working precision p.  Candidates are accepted only when the residual
+|P(x)|, re-evaluated at doubled precision, is below 2^(-0.6 p), and ties
+break by (degree, height, lexicographic coefficients).
+
+The reduction is `lll`, the integral LLL of Cohen (A Course in
+Computational Algebraic Number Theory, Alg. 2.6.7) with delta = 3/4.  It
+computes on Python integers only, with no floats and no rationals: the
+Gram-Schmidt data are kept exactly as the Gram determinants d_i and the
+coefficients lambda_ij = d_j mu_ij, and every division is exact.  Its
+rounding is floor(mu + 1/2), so it returns the basis that a rational LLL
+with the same rounding (sympy's, when its rounding is exact) returns.
 
 Success is evidence, not proof: a recovered polynomial certifies nothing
 about the input, and a failure may only mean insufficient precision.
@@ -24,8 +32,6 @@ from dataclasses import dataclass
 import mpmath
 import sympy
 from mpmath import mp
-from sympy import ZZ as _ZZ
-from sympy.polys.matrices import DomainMatrix
 
 GAUSSIAN = "GaussianRational"            # Q(i)
 EISENSTEIN = "EisensteinRational"        # Q(sqrt(-3))
@@ -92,14 +98,89 @@ class FieldClass:
         return self.kind
 
 
+def lll(rows: list[list[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
+    independent integer rows, by Cohen's integral LLL.
+
+    d[j + 1] is the Gram determinant of rows 0..j (d[0] = 1) and
+    lam[k][j] = d[j + 1] * mu_kj, so every quantity is an integer.  Rows
+    past kmax have not been reached yet; their Gram-Schmidt data are
+    computed when they are.
+    """
+    b = [list(r) for r in rows]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        # size reduction when |mu_kl| > 1/2, by q = floor(mu_kl + 1/2)
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk ** 2:
+            # Lovasz condition fails: swap rows k-1 and k, update exactly
+            b[k - 1], b[k] = b[k], b[k - 1]
+            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+            B = (d[k - 1] * d[k + 1] + lk ** 2) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = B
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b
+
+
+def relation_lattice(x, max_degree: int, precision_bits: int) -> list[list[int]]:
+    """The rows (e_i, round(2^(0.8 p) Re x^i), round(2^(0.8 p) Im x^i)),
+    i = 0..max_degree, that `algdep` reduces; the identity block makes them
+    linearly independent."""
+    n = max_degree
+    with mp.workprec(2 * precision_bits):
+        scale = mp.mpf(2) ** int(0.8 * precision_bits)
+        rows = []
+        power = mp.mpc(1)
+        for i in range(n + 1):
+            rows.append([int(j == i) for j in range(n + 1)]
+                        + [int(mp.nint(scale * power.real)),
+                           int(mp.nint(scale * power.imag))])
+            power *= x
+    return rows
+
+
 def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
     """Integer minimal-polynomial candidate for x, or None if no candidate
     survives the doubled-precision residual check.
 
-    Requires precision_bits >= 128 and max_degree >= 1.  The returned
-    polynomial is primitive with positive leading coefficient and
-    irreducible over the rationals.  A failure inside the lattice
-    reduction raises AlgdepError, which callers record like any miss.
+    Requires precision_bits >= 128 and max_degree >= 1, else raises
+    AlgdepError.  The returned polynomial is primitive with positive
+    leading coefficient and irreducible over the rationals.
     """
     if precision_bits < 128:
         raise AlgdepError("algdep needs at least 128 bits of precision")
@@ -108,27 +189,13 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
     n = max_degree
     with mp.workprec(2 * precision_bits):
         x = mp.mpc(x)
-        scale = mp.mpf(2) ** int(0.8 * precision_bits)
-        rows = []
-        power = mp.mpc(1)
-        for i in range(n + 1):
-            rows.append(
-                [_ZZ(1) if j == i else _ZZ(0) for j in range(n + 1)]
-                + [_ZZ(int(mp.nint(scale * power.real))),
-                   _ZZ(int(mp.nint(scale * power.imag)))]
-            )
-            power *= x
-        lattice = DomainMatrix(rows, (n + 1, n + 3), _ZZ)
-        try:
-            reduced = lattice.lll().to_Matrix().tolist()
-        except (ArithmeticError, AssertionError) as exc:
-            raise AlgdepError(f"lattice reduction failed ({type(exc).__name__})") from exc
+        reduced = lll(relation_lattice(x, n, precision_bits))
 
         threshold = mp.mpf(2) ** int(-0.6 * precision_bits)
         X = sympy.Symbol("X")
         best = None
         for row in reduced:
-            coeffs = [int(c) for c in row[: n + 1]]     # coefficient of x^i at index i
+            coeffs = row[: n + 1]     # coefficient of x^i at index i
             if all(c == 0 for c in coeffs):
                 continue
             poly = sympy.Poly(list(reversed(coeffs)), X)

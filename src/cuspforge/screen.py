@@ -51,6 +51,8 @@ FAILS_RIGID = "FailsRigidField"
 RIGID_NOT_ISOLATED = "RigidFieldButNotIsolated"
 UNDETERMINED = "Undetermined"
 
+UNCONVERGED = "solver did not reach the residual target"
+
 
 @dataclass
 class ScreenOptions:
@@ -179,7 +181,7 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
                 solved = solve_complete(tri, options.precision_bits, seed=options.seed)
             report.solve = solved.to_jsonable()
             if not solved.success:
-                report.error = "solver did not reach the residual target"
+                report.error = UNCONVERGED
                 return _audit(report)
         except SolveError as exc:
             report.error = f"solve failed: {exc}"
@@ -424,16 +426,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def _converged_solve(tri: IdealTriangulation, options: ScreenOptions) -> SolveResult | None:
+    """The complete solve, or None after printing one line that says why
+    there is none."""
+    try:
+        result = solve_complete(tri, options.precision_bits, seed=options.seed)
+    except SolveError as exc:
+        print(f"{tri.name}: solve failed: {exc}")
+        return None
+    if not result.success:
+        print(f"{tri.name}: {UNCONVERGED}")
+        return None
+    return result
+
+
 def _dispatch(args, options: ScreenOptions) -> int:
     digits = printed_digits(options.precision_bits)
 
     if args.command == "solve":
         for name in args.manifolds:
             tri = _load(name)
-            try:
-                result = solve_complete(tri, options.precision_bits, seed=options.seed)
-            except SolveError as exc:
-                print(f"{tri.name}: solve failed: {exc}")
+            result = _converged_solve(tri, options)
+            if result is None:
                 continue
             print(f"{tri.name}: residual={mp.nstr(result.residual, 6)} "
                   f"geometric={result.geometric}")
@@ -444,7 +458,9 @@ def _dispatch(args, options: ScreenOptions) -> int:
     if args.command == "shape":
         for name in args.manifolds:
             tri = _load(name)
-            result = solve_complete(tri, options.precision_bits, seed=options.seed)
+            result = _converged_solve(tri, options)
+            if result is None:
+                continue
             for cusp in tri.cusps:
                 value = evaluate_cusp_parameter(cusp_parameter(tri, cusp), result.shapes)
                 print(f"{tri.name}.{cusp.name}: {mp.nstr(value, digits)}")
@@ -469,10 +485,8 @@ def _dispatch(args, options: ScreenOptions) -> int:
             tri = _load(name)
             indices = (range(len(tri.cusps)) if args.cusp is None
                        else [_cusp_index(tri, args.cusp)])
-            try:
-                start = solve_complete(tri, options.precision_bits, seed=options.seed)
-            except SolveError as exc:
-                print(f"{tri.name}: solve failed: {exc}")
+            start = _converged_solve(tri, options)
+            if start is None:
                 continue
             for i in indices:
                 name = f"{tri.name}.{tri.cusps[i].name}"

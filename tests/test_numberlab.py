@@ -1,17 +1,28 @@
-"""Integer-relation recovery and field classification.
+"""Integer-relation recovery, lattice reduction and field classification.
 
 Expected minimal polynomials come from direct expansion: (x + 2)^2 = -4
 gives x^2 + 4x + 8 for -2 + 2i, and (x - 1)^2 = -3 gives x^2 - 2x + 4 for
 1 + sqrt(-3).  The round-trip suite draws random quadratic irrationalities
 and reconstructs their defining quadratics by expansion as the oracle.
+
+The integral LLL is checked against the definition of a reduced basis,
+by an exact rational Gram-Schmidt, and against sympy's rational LLL on
+lattices small enough for sympy's float rounding to be exact.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from mpmath import mp
+from sympy.polys.matrices import DomainMatrix
 
+import cuspforge as cf
 from cuspforge.numberlab import (
     EISENSTEIN,
     GAUSSIAN,
@@ -24,10 +35,13 @@ from cuspforge.numberlab import (
     MinPoly,
     algdep,
     classify_field,
+    lll,
     recognize,
+    relation_lattice,
     rigid_compatible,
     squarefree_part,
 )
+from cuspforge.solver import solve_complete, solve_filled
 
 from conftest import PRECISION
 
@@ -156,3 +170,112 @@ def test_minpoly_serialization():
     poly = algdep(mp.mpc(-2, 2), 8, PRECISION)
     assert poly.to_jsonable() == [8, 4, 1]     # constant term first
     assert str(poly) == "x**2 + 4*x + 8"
+
+
+def gram_schmidt(rows):
+    """Exact Gram-Schmidt coefficients mu[i][j] (j < i) and squared norms."""
+    star, mu, norms = [], [], []
+    for row in rows:
+        v = [Fraction(c) for c in row]
+        coeffs = []
+        for s_j, n_j in zip(star, norms):
+            m = sum(a * b for a, b in zip(row, s_j)) / n_j
+            coeffs.append(m)
+            v = [a - m * b for a, b in zip(v, s_j)]
+        star.append(v)
+        mu.append(coeffs)
+        norms.append(sum(a * a for a in v))
+    return mu, norms
+
+
+def assert_lll_reduced(rows):
+    mu, norms = gram_schmidt(rows)
+    assert all(abs(m) <= Fraction(1, 2) for coeffs in mu for m in coeffs)
+    assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, len(rows)))
+
+
+@pytest.fixture(scope="module")
+def cusp_values():
+    """Every fixture cusp's parameter, and whitehead c1's in the (1, 5)
+    filling of c2, at 128, 256 and 512 bits."""
+    values = {}
+    for bits in (128, 256, 512):
+        found = []
+        with mp.workprec(bits + 30):
+            for name in ("whitehead", "622", "berge"):
+                tri = cf.load_fixture(name)
+                complete = solve_complete(tri, bits)
+                found += [cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, c), complete.shapes)
+                          for c in tri.cusps]
+            tri = cf.load_fixture("whitehead")
+            filled = solve_filled(tri, ["complete", (1, 5)], bits)
+            found.append(cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, tri.cusps[0]),
+                                                    filled.shapes))
+        values[bits] = found
+    return values
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_lll_reduces_algdep_lattices(cusp_values, bits):
+    # the relation lattice is (I | v), so a basis of the same lattice is
+    # T (I | v) with T its first block, integral and of determinant +-1
+    for value in cusp_values[bits]:
+        rows = relation_lattice(mp.mpc(value), 12, bits)
+        reduced = lll(rows)
+        assert_lll_reduced(reduced)
+        T = [row[:len(rows)] for row in reduced]
+        assert [[sum(t * r[j] for t, r in zip(t_row, rows)) for j in range(len(rows[0]))]
+                for t_row in T] == reduced
+        assert abs(sympy.Matrix(T).det()) == 1
+
+
+def test_lll_matches_sympy_on_small_lattices():
+    # entries below 2^16 keep sympy's rounding through a float exact; the
+    # tiny ones give ties mu = +-1/2, where the rounding rule shows
+    rng = random.Random(2)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        bound = rng.choice([5, 2 ** 16])
+        rows = [[int(i == j) for j in range(n)]
+                + [rng.randrange(-bound, bound) for _ in range(2)] for i in range(n)]
+        reduced = lll(rows)
+        expected = DomainMatrix([[sympy.ZZ(c) for c in row] for row in rows],
+                                (n, n + 2), sympy.ZZ).lll().to_Matrix().tolist()
+        assert reduced == [[int(c) for c in row] for row in expected]
+
+
+GROUND_TYPES_SCRIPT = """
+import json
+from mpmath import mp
+from sympy.external.gmpy import GROUND_TYPES
+import cuspforge as cf
+from cuspforge.numberlab import algdep
+from cuspforge.solver import solve_complete, solve_filled
+
+bits = 512
+with mp.workprec(bits + 30):
+    found = {"ground_types": GROUND_TYPES}
+    tri = cf.load_fixture("622")
+    complete = solve_complete(tri, bits)
+    found["622"] = [list(algdep(cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, c),
+                                                           complete.shapes), 12, bits)
+                         .coefficients) for c in tri.cusps]
+    tri = cf.load_fixture("whitehead")
+    filled = solve_filled(tri, ["complete", (1, 5)], bits)
+    found["whitehead(1,5)"] = list(algdep(cf.evaluate_cusp_parameter(
+        cf.cusp_parameter(tri, tri.cusps[0]), filled.shapes), 12, bits).coefficients)
+print(json.dumps(found))
+"""
+
+
+def test_algdep_at_512_bits_with_pure_python_ground_types():
+    proc = subprocess.run(
+        [sys.executable, "-c", GROUND_TYPES_SCRIPT], capture_output=True, text=True,
+        env={**os.environ, "SYMPY_GROUND_TYPES": "python"}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["ground_types"] == "python"
+    assert found["622"] == [[4, -2, 1], [4, -2, 1]]
+    filled = found["whitehead(1,5)"]
+    assert len(filled) == 11 and filled[0] == 8313856

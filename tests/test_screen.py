@@ -284,6 +284,24 @@ def test_cli_isolate_records_failures_without_traceback():
     assert lines[3].startswith("berge.c-knotted: isolation failed: kernel dimension 2 ")
 
 
+@pytest.mark.parametrize("command", ["shape", "solve"])
+def test_cli_prints_no_values_from_a_failed_complete_solve(command, monkeypatch, capsys):
+    # at 1 bit berge's solve misses its residual target; one line says so
+    import cuspforge.screen as screen_module
+
+    assert screen_module.main([command, "berge", "--precision-bits", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "berge: solver did not reach the residual target"]
+
+    def fails(tri, *args, **kwargs):
+        raise screen_module.SolveError(f"{tri.name!r}: complete-structure Newton did not converge")
+
+    monkeypatch.setattr(screen_module, "solve_complete", fails)
+    assert screen_module.main([command, "berge"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "berge: solve failed: 'berge': complete-structure Newton did not converge"]
+
+
 def test_cli_isolate_reports_a_failed_complete_solve(monkeypatch, capsys):
     import cuspforge.screen as screen_module
 
@@ -318,8 +336,9 @@ def test_cli_has_no_tolerance_flag(flag):
     (("fill", "whitehead", "--cusp", "1", "--n-range=-1:1"), 2),
 ], ids=["screen-622", "fill-whitehead"])
 def test_cli_records_lattice_reduction_failures(args, n_reports):
-    # a failure inside algdep's lattice reduction is recorded on the cusp:
-    # the batch finishes with one report per manifold or filling
+    # these inputs once made sympy's LLL raise inside algdep; any failure
+    # there is recorded on the cusp, and the batch finishes with one report
+    # per manifold or filling
     proc = run_cli(*args)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
