@@ -12,7 +12,6 @@ hidden symmetries for surgered knot complements.
 from .holonomy import (
     DegenerateShapeError,
     MonomialSum,
-    MuOnlyDataError,
     ShapeAssignment,
     SignedMonomial,
     cusp_parameter,
@@ -31,11 +30,10 @@ from .manifold import (
     IdealTriangulation,
     TriangulationError,
     concat_curves,
-    curve_power,
     edge_equation,
-    import_exponent_matrix,
     invert_curve,
     parse_triangulation,
+    read_triangulation,
     serialize,
     validate,
 )
@@ -48,7 +46,7 @@ def load_fixture(name: str) -> IdealTriangulation:
     or any name resolvable through the CUSPFORGE_FIXTURES directory."""
     from .screen import resolve_input
 
-    return parse_triangulation(resolve_input(name).read_text())
+    return read_triangulation(resolve_input(name))
 
 __all__ = [
     "CornerRef",
@@ -59,22 +57,20 @@ __all__ = [
     "EdgeClass",
     "IdealTriangulation",
     "MonomialSum",
-    "MuOnlyDataError",
     "ShapeAssignment",
     "SignedMonomial",
     "TriangulationError",
     "concat_curves",
-    "curve_power",
     "cusp_parameter",
     "edge_equation",
     "evaluate",
     "evaluate_cusp_parameter",
-    "import_exponent_matrix",
     "invert_curve",
     "load_fixture",
     "mu",
     "parse_triangulation",
     "partial_derivative",
+    "read_triangulation",
     "serialize",
     "tau",
     "validate",

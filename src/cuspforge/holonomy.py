@@ -46,10 +46,6 @@ class DegenerateShapeError(ValueError):
     """A shape coordinate sits inside the guard band around 0 or 1."""
 
 
-class MuOnlyDataError(ValueError):
-    """The triangulation data lacks ordered corner words, so tau is undefined."""
-
-
 DEGENERACY_GUARD = 1e-12
 
 # Exponent contribution of each corner kind to (a_t, b_t) and to the sign:
@@ -115,13 +111,6 @@ class SignedMonomial:
 
     def inverse(self) -> "SignedMonomial":
         return SignedMonomial(self.sign, tuple(-x for x in self.a), tuple(-x for x in self.b))
-
-    def __pow__(self, k: int) -> "SignedMonomial":
-        return SignedMonomial(
-            self.sign if k % 2 else 1,
-            tuple(k * x for x in self.a),
-            tuple(k * x for x in self.b),
-        )
 
     def __neg__(self) -> "SignedMonomial":
         return SignedMonomial(-self.sign, self.a, self.b)
@@ -362,14 +351,6 @@ def partial_derivative(fn: SignedMonomial | MonomialSum, i: int) -> MonomialSum:
     return fn.derivative(i)
 
 
-def _require_words(tri: "IdealTriangulation"):
-    if not getattr(tri, "tau_capable", True):
-        raise MuOnlyDataError(
-            "triangulation was imported from an exponent matrix; "
-            "ordered corner words (hence tau) are unavailable"
-        )
-
-
 def mu(tri: "IdealTriangulation", curve: "CuspCurve") -> SignedMonomial:
     """Dilation part of the peripheral holonomy of a closed cusp curve.
 
@@ -391,7 +372,6 @@ def tau(tri: "IdealTriangulation", curve: "CuspCurve") -> MonomialSum:
     w_0 comes from the curve's w0_word (empty word means w_0 = 1); the
     later w_j are the stored fan words.
     """
-    _require_words(tri)
     n = tri.n_tet
     m = len(curve.vertices)
     partial = SignedMonomial.from_word(n, curve.w0_word)

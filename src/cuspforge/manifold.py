@@ -12,8 +12,7 @@ downstream holonomy functions need, rather than by face pairings:
 
 The file format is a purpose-built JSON schema (see ``parse_triangulation``)
 because plain exponent-matrix formats cannot encode the *ordered* partial
-products that the translation functions need.  An exponent-matrix importer
-is still provided for dilation-only workflows.
+products that the translation functions need.
 
 Everything is immutable after construction and safe to share across
 workers.
@@ -22,9 +21,10 @@ workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import pathlib
+from dataclasses import dataclass, replace
 
-from .holonomy import MonomialSum, SignedMonomial
+from .holonomy import SignedMonomial
 
 CORNER_KINDS = ("E0", "E1", "E2")
 
@@ -124,7 +124,6 @@ class IdealTriangulation:
     n_tet: int
     edges: tuple[EdgeClass, ...]
     cusps: tuple[CuspData, ...]
-    tau_capable: bool = True
 
     def edge_equation(self, index: int) -> SignedMonomial:
         """The edge equation monomial: 'this = 1' is the gluing condition."""
@@ -246,7 +245,9 @@ def parse_triangulation(document: str) -> IdealTriangulation:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError (a ValueError), json raises ValueError on
+        # an integer of too many digits and RecursionError on nesting too deep
         raise TriangulationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TriangulationError("top-level document must be a JSON object")
@@ -301,6 +302,17 @@ def parse_triangulation(document: str) -> IdealTriangulation:
     tri = IdealTriangulation(name=name, n_tet=n_tet, edges=tuple(edges), cusps=tuple(cusps))
     validate(tri)
     return tri
+
+
+def read_triangulation(path) -> IdealTriangulation:
+    """Read a triangulation file and parse it.  A file that is not UTF-8
+    text is a TriangulationError, like any other malformed input; a file
+    that cannot be read raises OSError."""
+    try:
+        document = pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TriangulationError(f"not UTF-8 text: {exc}") from exc
+    return parse_triangulation(document)
 
 
 def _corner_obj(corner: CornerRef) -> dict:
@@ -367,17 +379,6 @@ def concat_curves(a: CuspCurve, b: CuspCurve) -> CuspCurve:
     )
 
 
-def curve_power(curve: CuspCurve, k: int) -> CuspCurve:
-    """k-fold concatenation of a curve (k != 0; negative k inverts first)."""
-    if k == 0:
-        raise ValueError("curve_power needs k != 0")
-    base = curve if k > 0 else invert_curve(curve)
-    out = base
-    for _ in range(abs(k) - 1):
-        out = concat_curves(out, base)
-    return out
-
-
 def invert_curve(curve: CuspCurve, n_tet: int | None = None) -> CuspCurve:
     """The orientation-reversed curve, as corner-word data.
 
@@ -411,85 +412,6 @@ def invert_curve(curve: CuspCurve, n_tet: int | None = None) -> CuspCurve:
     )
 
 
-def import_exponent_matrix(text: str, name: str = "imported") -> IdealTriangulation:
-    """Import a dilation-only triangulation from an exponent-matrix text.
-
-    Line format (``#`` comments and blank lines ignored)::
-
-        n <n_tet>
-        edge <a_1 .. a_n> <b_1 .. b_n> <sign>
-        cusp <name> m <a_1 .. a_n> <b_1 .. b_n> <sign>
-        cusp <name> l <a_1 .. a_n> <b_1 .. b_n> <sign>
-
-    Each row encodes the monomial sign * prod z_i^{a_i} (1-z_i)^{b_i}; edge
-    rows are the gluing equations, cusp rows the peripheral dilations.  The
-    result supports solving and mu-based screening; ordered corner words
-    cannot be reconstructed from exponents, so tau computations on the
-    result raise MuOnlyDataError.
-    """
-    n = None
-    edge_rows: list[SignedMonomial] = []
-    cusp_rows: dict[str, dict[str, SignedMonomial]] = {}
-
-    def parse_monomial(fields, where):
-        if len(fields) != 2 * n + 1:
-            raise TriangulationError(f"{where}: expected {2 * n + 1} integers, got {len(fields)}")
-        try:
-            values = [int(f) for f in fields]
-        except ValueError as exc:
-            raise TriangulationError(f"{where}: non-integer entry") from exc
-        sign = values[-1]
-        if sign not in (1, -1):
-            raise TriangulationError(f"{where}: sign must be +1 or -1")
-        return SignedMonomial(sign, tuple(values[:n]), tuple(values[n:2 * n]))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "n":
-            n = int(fields[1])
-        elif kind == "edge":
-            if n is None:
-                raise TriangulationError(f"line {lineno}: 'n' must come before edge rows")
-            edge_rows.append(parse_monomial(fields[1:], f"line {lineno}"))
-        elif kind == "cusp":
-            if n is None:
-                raise TriangulationError(f"line {lineno}: 'n' must come before cusp rows")
-            cusp_name, which = fields[1], fields[2]
-            if which not in ("m", "l"):
-                raise TriangulationError(f"line {lineno}: cusp row must be 'm' or 'l'")
-            cusp_rows.setdefault(cusp_name, {})[which] = parse_monomial(fields[3:], f"line {lineno}")
-        else:
-            raise TriangulationError(f"line {lineno}: unknown row kind {kind!r}")
-
-    if n is None or not edge_rows:
-        raise TriangulationError("exponent matrix needs an 'n' line and edge rows")
-
-    # Synthesize opaque single-monomial curve stand-ins.  They evaluate to
-    # the right dilation monomials but carry no ordered corner words.
-    edges = tuple(
-        _monomial_edge(f"edge{i}", m) for i, m in enumerate(edge_rows)
-    )
-    cusps = []
-    for cusp_name, rows in cusp_rows.items():
-        if set(rows) != {"m", "l"}:
-            raise TriangulationError(f"cusp {cusp_name!r}: both m and l rows required")
-        anchor = f"{cusp_name}/f"
-        cusps.append(
-            CuspData(
-                cusp_name,
-                _monomial_curve(f"{cusp_name}.meridian", rows["m"], anchor),
-                _monomial_curve(f"{cusp_name}.longitude", rows["l"], anchor),
-            )
-        )
-    return IdealTriangulation(
-        name=name, n_tet=n, edges=edges, cusps=tuple(cusps), tau_capable=False
-    )
-
-
 def _exponents_to_word(mono: SignedMonomial) -> tuple[CornerRef, ...]:
     """Rewrite a monomial as a corner word with the same sign and exponents.
 
@@ -509,16 +431,3 @@ def _exponents_to_word(mono: SignedMonomial) -> tuple[CornerRef, ...]:
         word += [CornerRef(0, "E0"), CornerRef(0, "E1"), CornerRef(0, "E2")]
     return tuple(word)
 
-
-def _monomial_edge(label: str, mono: SignedMonomial) -> EdgeClass:
-    return EdgeClass(label, _exponents_to_word(mono))
-
-
-def _monomial_curve(name: str, mono: SignedMonomial, anchor: str) -> CuspCurve:
-    # mu multiplies the single-vertex fan product by (-1)^1, so encode -mono
-    return CuspCurve(
-        name=name,
-        vertices=(CurveVertex(_exponents_to_word(-mono)),),
-        w0_word=(),
-        anchor=anchor,
-    )

@@ -38,10 +38,10 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from . import __version__
+from . import __version__, load_fixture
 from .holonomy import cusp_parameter, evaluate_cusp_parameter
 from .isolation import IsolationEvidence, isolation_verdict
-from .manifold import IdealTriangulation, parse_triangulation, TriangulationError
+from .manifold import IdealTriangulation, TriangulationError, read_triangulation
 from .numberlab import FieldClass, MinPoly, classify_field, algdep, rigid_compatible
 from .solver import SolveError, SolveResult, printed_digits, solve_complete, solve_filled
 
@@ -213,7 +213,7 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
 
 def _screen_one(path, options: ScreenOptions) -> ScreenReport:
     try:
-        tri = parse_triangulation(pathlib.Path(path).read_text())
+        tri = read_triangulation(path)
     except OSError as exc:
         error = f"cannot read file: {exc}"
     except TriangulationError as exc:
@@ -247,7 +247,7 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
     if isinstance(path_or_tri, IdealTriangulation):
         tri, source = path_or_tri, path_or_tri.name
     else:
-        tri = parse_triangulation(pathlib.Path(path_or_tri).read_text())
+        tri = read_triangulation(path_or_tri)
         source = str(path_or_tri)
     complete = complete_error = None
     try:
@@ -275,7 +275,7 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
             ))
             continue
         report = screen_triangulation(
-            tri, source, options, run_isolation=False, solved=solved,
+            tri, source, options, solved=solved,
             filling=[list(f) if f else None for f in filling])
         report.manifold = label
         reports.append(report)
@@ -373,34 +373,34 @@ def resolve_input(name: str) -> pathlib.Path:
     return p  # let downstream report the missing file
 
 
-def _load(name: str) -> IdealTriangulation:
-    return parse_triangulation(resolve_input(name).read_text())
-
-
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-bits", type=int, default=256)
-    common.add_argument("--max-degree", type=int, default=12)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=str, default=None, help="directory for report files")
-    common.add_argument("--format", choices=["json", "csv", "table"], default="table")
+    # each subcommand declares only the flags it reads: every one solves,
+    # field/screen/fill recognize fields, and screen/fill emit reports
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("--precision-bits", type=int, default=256)
+    solving.add_argument("--seed", type=int, default=0)
+    recognizing = argparse.ArgumentParser(add_help=False, parents=[solving])
+    recognizing.add_argument("--max-degree", type=int, default=12)
+    reporting = argparse.ArgumentParser(add_help=False, parents=[recognizing])
+    reporting.add_argument("--out", type=str, default=None, help="directory for report files")
+    reporting.add_argument("--format", choices=["json", "csv", "table"], default="table")
 
     parser = _Parser(prog="cuspforge", description=(
         "Hyperbolic structures, cusp fields, and hidden-symmetry "
         "obstructions for decorated ideal triangulations."))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve", "complete hyperbolic structure"),
-        ("shape", "cusp parameter values at the complete structure"),
-        ("field", "cusp fields via integer-relation detection"),
-        ("isolate", "geometric-isolation evidence per cusp"),
-        ("screen", "full screening reports"),
+    for name, flags, help_text in [
+        ("solve", solving, "complete hyperbolic structure"),
+        ("shape", solving, "cusp parameter values at the complete structure"),
+        ("field", recognizing, "cusp fields via integer-relation detection"),
+        ("isolate", solving, "geometric-isolation evidence per cusp"),
+        ("screen", reporting, "full screening reports"),
     ]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text, parents=[flags])
         p.add_argument("manifolds", nargs="+")
         if name == "isolate":
             p.add_argument("--cusp", type=int, default=None)
-    p = sub.add_parser("fill", help="screen (1, n) fillings of one cusp", parents=[common])
+    p = sub.add_parser("fill", help="screen (1, n) fillings of one cusp", parents=[reporting])
     p.add_argument("manifold")
     p.add_argument("--cusp", type=int, required=True)
     p.add_argument("--n-range", type=str, default="-3:3",
@@ -410,8 +410,8 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    options = ScreenOptions(precision_bits=args.precision_bits,
-                            max_degree=args.max_degree, seed=args.seed)
+    options = ScreenOptions(precision_bits=args.precision_bits, seed=args.seed,
+                            max_degree=getattr(args, "max_degree", ScreenOptions.max_degree))
     try:
         if options.precision_bits < 1:
             raise _UsageError(f"--precision-bits must be at least 1, "
@@ -445,7 +445,7 @@ def _dispatch(args, options: ScreenOptions) -> int:
 
     if args.command == "solve":
         for name in args.manifolds:
-            tri = _load(name)
+            tri = load_fixture(name)
             result = _converged_solve(tri, options)
             if result is None:
                 continue
@@ -457,7 +457,7 @@ def _dispatch(args, options: ScreenOptions) -> int:
 
     if args.command == "shape":
         for name in args.manifolds:
-            tri = _load(name)
+            tri = load_fixture(name)
             result = _converged_solve(tri, options)
             if result is None:
                 continue
@@ -468,7 +468,7 @@ def _dispatch(args, options: ScreenOptions) -> int:
 
     if args.command == "field":
         for name in args.manifolds:
-            tri = _load(name)
+            tri = load_fixture(name)
             report = screen_triangulation(tri, name, options, run_isolation=False)
             if report.error:
                 print(f"{tri.name}: {report.error}")
@@ -482,7 +482,7 @@ def _dispatch(args, options: ScreenOptions) -> int:
 
     if args.command == "isolate":
         for name in args.manifolds:
-            tri = _load(name)
+            tri = load_fixture(name)
             indices = (range(len(tri.cusps)) if args.cusp is None
                        else [_cusp_index(tri, args.cusp)])
             start = _converged_solve(tri, options)
@@ -507,7 +507,7 @@ def _dispatch(args, options: ScreenOptions) -> int:
             raise _UsageError(f"--n-range must be a:b with integers a <= b, "
                              f"got {args.n_range!r}")
         n_values = [n for n in range(int(bounds[1]), int(bounds[2]) + 1) if n != 0]
-        tri = _load(args.manifold)
+        tri = load_fixture(args.manifold)
         reports = fill_and_screen(tri, _cusp_index(tri, args.cusp), n_values, options)
         return _emit(reports, args)
 

@@ -84,9 +84,8 @@ FLOAT_TOL = 1e-10
 class PolynomialEquation:
     """A monomial equation M = 1 in cleared polynomial form."""
 
-    def __init__(self, monomial: SignedMonomial, label: str = ""):
+    def __init__(self, monomial: SignedMonomial):
         self.monomial = monomial
-        self.label = label
         self.cleared = monomial.cleared()
         self._grads = [self.cleared.derivative(i) for i in range(monomial.n_vars)]
 
@@ -188,13 +187,12 @@ class GluingSystem:
         )
 
     def equation_objects(self):
-        eqs = [PolynomialEquation(m, label=f"edge:{e.label}")
-               for m, e in zip(self.equations, self.tri.edges)]
+        eqs = [PolynomialEquation(m) for m in self.equations]
         fill_eqs = []
         for cusp, (mu_m, mu_l), f in zip(self.tri.cusps, self.completeness, self.fillings):
             if f is None:
-                eqs.append(PolynomialEquation(mu_m, label=f"complete:{cusp.name}.m"))
-                eqs.append(PolynomialEquation(mu_l, label=f"complete:{cusp.name}.l"))
+                eqs.append(PolynomialEquation(mu_m))
+                eqs.append(PolynomialEquation(mu_l))
             else:
                 fill_eqs.append(FillingEquation(f[0], f[1], mu_m, mu_l, label=f"fill:{cusp.name}"))
         return eqs, fill_eqs
@@ -612,10 +610,8 @@ def _core_curve(p: int, q: int) -> tuple[int, int]:
 def completeness_system(tri: IdealTriangulation, cusp_index: int):
     """Cleared equations cutting the locus where one cusp stays complete:
     every edge equation plus mu(meridian) = 1 for the chosen cusp."""
-    eqs = [PolynomialEquation(m, label=f"edge:{e.label}")
-           for m, e in zip(tri.edge_equations(), tri.edges)]
-    m_mu = mu(tri, tri.cusps[cusp_index].meridian)
-    eqs.append(PolynomialEquation(m_mu, label=f"complete:{tri.cusps[cusp_index].name}.m"))
+    eqs = [PolynomialEquation(m) for m in tri.edge_equations()]
+    eqs.append(PolynomialEquation(mu(tri, tri.cusps[cusp_index].meridian)))
     return eqs
 
 

@@ -14,7 +14,6 @@ from cuspforge.manifold import (
     CuspCurve,
     TriangulationError,
     concat_curves,
-    import_exponent_matrix,
     parse_triangulation,
     serialize,
 )
@@ -139,32 +138,6 @@ def test_invert_curve_laws(link622):
                 rhs = -cf.evaluate(cf.tau(tri, curve), shapes) / cf.evaluate(
                     cf.mu(tri, curve).as_sum(), shapes)
                 assert abs(lhs - rhs) < mp.mpf(2) ** -180
-
-
-def test_exponent_matrix_importer():
-    text = """
-    # toy data: one edge row per tetrahedron
-    n 2
-    edge 1 1 0 0 1
-    edge -1 -1 0 0 1
-    cusp c m 1 -1 0 0 -1
-    cusp c l 0 0 1 -1 1
-    """
-    tri = import_exponent_matrix(text, name="toy")
-    assert tri.n_tet == 2 and not tri.tau_capable
-    eq = tri.edge_equation(0)
-    assert eq == cf.SignedMonomial(1, (1, 1), (0, 0))
-    assert cf.mu(tri, tri.cusps[0].meridian) == cf.SignedMonomial(-1, (1, -1), (0, 0))
-    assert cf.mu(tri, tri.cusps[0].longitude) == cf.SignedMonomial(1, (0, 0), (1, -1))
-    with pytest.raises(cf.MuOnlyDataError):
-        cf.tau(tri, tri.cusps[0].meridian)
-
-
-def test_exponent_matrix_importer_errors():
-    with pytest.raises(TriangulationError):
-        import_exponent_matrix("edge 1 1 1\n")
-    with pytest.raises(TriangulationError):
-        import_exponent_matrix("n 2\nedge 1 1 0 0 2\n")
 
 
 @pytest.mark.parametrize("where", ["edges", "cusps"])

@@ -325,10 +325,18 @@ def test_cli_field_records_errors_without_traceback():
     assert proc.stdout.count("at least 128 bits") == 2
 
 
-@pytest.mark.parametrize("flag", [("--tolerance", "1e-20"), ("--parallel", "2")],
-                         ids=["tolerance", "parallel"])
-def test_cli_has_no_tolerance_flag(flag):
-    assert run_cli("solve", "berge", *flag).returncode == 1
+@pytest.mark.parametrize("args", [
+    ("solve", "berge", "--tolerance", "1e-20"),
+    ("solve", "berge", "--parallel", "2"),
+    ("solve", "berge", "--format", "csv"),
+    ("shape", "berge", "--max-degree", "8"),
+    ("isolate", "berge", "--out", "reports"),
+    ("field", "berge", "--format", "json"),
+], ids=["tolerance", "parallel", "solve-format", "shape-max-degree", "isolate-out",
+        "field-format"])
+def test_cli_has_no_tolerance_flag(args):
+    # a subcommand declares only the flags it reads
+    assert run_cli(*args).returncode == 1
 
 
 @pytest.mark.parametrize("args, n_reports", [
@@ -382,3 +390,19 @@ def test_cli_malformed_fixture_is_a_parse_failure(tmp_path, whitehead, key, valu
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"parse failed: {key} must be a list" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["screen", "solve"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00garbage", "not UTF-8 text"),
+    (b"[" * 100000 + b"]" * 100000, "invalid JSON"),
+    (b'{"n_tet": 1' + b"0" * 5000 + b"}", "invalid JSON"),
+], ids=["not-utf8", "deeply-nested", "huge-integer"])
+def test_cli_unparsable_file_is_a_parse_failure(tmp_path, command, content, message):
+    # screen records the parse failure in its report; solve prints it
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    proc = run_cli(command, str(bad))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stdout + proc.stderr
