@@ -14,10 +14,11 @@ ties to the lowest index), first derivatives solve M u' = -v and second
 derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, as
 `solver.pinned_solve`s.  The reported tangent is the normalised pinned
 velocity dz/|dz|, where dz is u' with 1 at the pinned coordinate.  One
-kernel check, `solver.curve_pin`, serves tracing and derivatives alike: its
-SVD checks that the kernel is one-dimensional (else KernelDimensionError),
-chooses the pin and gives the Jacobian rank.  It runs in the pass at
-precision p; the doubled-precision pass reuses the pin and runs no SVD.
+kernel check, `solver.curve_pin`, serves tracing and derivatives alike:
+complete-pivot elimination (refereed by an SVD near the rank cut) checks
+that the kernel is one-dimensional (else KernelDimensionError), chooses the
+pin and gives the Jacobian rank.  It runs in the pass at precision p; the
+doubled-precision pass reuses the pin and runs no kernel check.
 The Jacobian rows are exact gradients of the cleared equations; the second
 derivative of every equation and of both tau sums along u' is the closed
 form of `holonomy.second_derivative_along`, computed term by term from log
@@ -103,13 +104,15 @@ def completeness_jacobian(tri: IdealTriangulation, cusp: int, shapes: ShapeAssig
     """Jacobian of {cleared edge equations, mu(meridian) - 1} at a point,
     with its numerical kernel basis.
 
-    Returns (rows, kernel, rank, singular_values, ambiguous)."""
+    Returns (rows, kernel, rank, magnitudes, ambiguous): the magnitudes
+    are the elimination's pivots, or the singular values where the SVD
+    referee decided the rank (see `solver.numerical_kernel`)."""
     with mp.workprec(shapes.precision_bits + 30):
         eqs = completeness_system(tri, cusp)
         z = list(shapes.z)
         rows = system_jacobian(eqs, z)
-        kernel, rank, svals, ambiguous = numerical_kernel(rows, shapes.precision_bits)
-        return rows, kernel, rank, svals, ambiguous
+        kernel, rank, magnitudes, ambiguous = numerical_kernel(rows, shapes.precision_bits)
+        return rows, kernel, rank, magnitudes, ambiguous
 
 
 def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
@@ -120,7 +123,8 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
     Returns (dz, d2z, pin, rank, tangent): dz and d2z are full-length
     vectors with dz[pin] = 1, d2z[pin] = 0, and the tangent is dz/|dz|.
     Without `pin`, `curve_pin` checks the kernel, chooses the pin and gives
-    the Jacobian rank; with `pin` given no SVD runs and the rank is None.
+    the Jacobian rank; with `pin` given no kernel check runs and the rank
+    is None.
     """
     prec = shapes.precision_bits
     with mp.workprec(prec + 30):

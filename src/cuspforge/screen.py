@@ -416,6 +416,8 @@ def main(argv=None) -> int:
         if options.precision_bits < 1:
             raise _UsageError(f"--precision-bits must be at least 1, "
                               f"got {options.precision_bits}")
+        if options.max_degree < 1:
+            raise _UsageError(f"--max-degree must be at least 1, got {options.max_degree}")
         with mp.workprec(options.precision_bits + 30):
             return _dispatch(args, options)
     except _UsageError as exc:
@@ -507,6 +509,8 @@ def _dispatch(args, options: ScreenOptions) -> int:
             raise _UsageError(f"--n-range must be a:b with integers a <= b, "
                              f"got {args.n_range!r}")
         n_values = [n for n in range(int(bounds[1]), int(bounds[2]) + 1) if n != 0]
+        if not n_values:
+            raise _UsageError(f"--n-range must contain a nonzero n, got {args.n_range!r}")
         tri = load_fixture(args.manifold)
         reports = fill_and_screen(tri, _cusp_index(tri, args.cusp), n_values, options)
         return _emit(reports, args)

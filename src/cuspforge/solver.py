@@ -20,10 +20,12 @@ elimination on the normal equations, in the scalar type of the system
 (mpmath at the working precision, or Python complex).  The edge rows are
 redundant (their product is identically 1), but the whole system has full
 column rank at the geometric solution (Neumann-Zagier), so no rows are
-dropped and no rank cutoff is needed.  SVD is used only by `curve_pin`,
-once per completeness curve, to check the kernel dimension and find the
-Jacobian rank and the pinned coordinate.  Every curve direction after that
-is a `pinned_solve` with the pinned coordinate held fixed.
+dropped and no rank cutoff is needed.  `curve_pin` runs once per
+completeness curve: Gaussian elimination with complete pivoting checks the
+kernel dimension and finds the Jacobian rank and the pinned coordinate, and
+an SVD referees only a rank decision near the cut (`numerical_kernel`).
+Every curve direction after that is a `pinned_solve` with the pinned
+coordinate held fixed.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition
@@ -619,7 +621,74 @@ def system_jacobian(eqs, z: list):
     return [e.gradient(z) for e in eqs]
 
 
+def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf]:
+    """Gaussian elimination with complete pivoting on a complex matrix,
+    at the current precision, stopped once the largest remaining entry is
+    at most `cut`.
+
+    Returns (kernel, pivots, rest): one unit-norm kernel vector per free
+    column, back-substituted through the triangular factor; the pivot
+    magnitudes in elimination order; and the largest remaining entry at
+    the stop (0 when no entry remains).
+    """
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0])
+    cols = list(range(n))
+    pivots, rest = [], mp.mpf(0)
+    for k in range(min(m, n)):
+        i, j = max(((i, j) for i in range(k, m) for j in range(k, n)),
+                   key=lambda ij: abs(a[ij[0]][ij[1]]))
+        top = abs(a[i][j])
+        if top <= cut:
+            rest = top
+            break
+        pivots.append(top)
+        a[k], a[i] = a[i], a[k]
+        for row in a:
+            row[k], row[j] = row[j], row[k]
+        cols[k], cols[j] = cols[j], cols[k]
+        for r in range(k + 1, m):
+            f = a[r][k] / a[k][k]
+            for c in range(k + 1, n):
+                a[r][c] -= f * a[k][c]
+    rank = len(pivots)
+    kernel = []
+    for free in range(rank, n):
+        x = [mp.mpc(0)] * n
+        x[free] = mp.mpc(1)
+        for i in reversed(range(rank)):
+            x[i] = -sum(a[i][j] * x[j] for j in range(i + 1, n)) / a[i][i]
+        norm = mp.sqrt(sum(abs(v) ** 2 for v in x))
+        vec = [None] * n
+        for c, v in zip(cols, x):
+            vec[c] = v / norm
+        kernel.append(vec)
+    return kernel, pivots, rest
+
+
 def numerical_kernel(rows: list[list], precision_bits: int):
+    """Kernel basis of a complex matrix, its rank, the magnitudes behind
+    that rank and an `ambiguous` flag, at the current precision.
+
+    Gaussian elimination with complete pivoting (`_eliminate`) stops when
+    the largest remaining entry is at most 2^(-p/4) times the largest
+    entry of the matrix; the magnitudes are then its pivots.  Complete
+    pivoting reveals the rank in practice but not in the worst case (on
+    Kahan's matrix the last pivot stays far above the smallest singular
+    value), so its answer is taken only when it is a clean one-dimensional
+    kernel: every pivot at least 4 times the cut and the stopping entry
+    at most a quarter of it.  Every other matrix goes to `_svd_kernel`,
+    whose magnitudes are singular values.
+    """
+    big = max(abs(v) for row in rows for v in row)
+    cut = big * mp.mpf(2) ** (-precision_bits // 4)
+    kernel, pivots, rest = _eliminate(rows, cut)
+    if len(kernel) == 1 and rest <= cut / 4 and all(p >= 4 * cut for p in pivots):
+        return kernel, len(pivots), pivots, False
+    return _svd_kernel(rows, precision_bits)
+
+
+def _svd_kernel(rows: list[list], precision_bits: int):
     """Kernel basis of a complex matrix by SVD, cut at 2^(-p/4) relative
     to the largest singular value."""
     A = mp.matrix(rows)
@@ -653,8 +722,9 @@ def pin_choice(tangent) -> int:
 
 def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int]:
     """(pin, rank) of the completeness curve whose Jacobian is `rows`: the
-    one SVD of a curve checks that its kernel is one-dimensional, and
-    `pin_choice` picks the pinned coordinate from the kernel vector."""
+    one `numerical_kernel` of a curve checks that its kernel is
+    one-dimensional, and `pin_choice` picks the pinned coordinate from the
+    kernel vector."""
     kernel, rank, svals, _ = numerical_kernel(rows, precision_bits)
     if len(kernel) != 1:
         raise KernelDimensionError(

@@ -1,7 +1,10 @@
-"""The demos run, and every public name resolves.
+"""The demos run, every public name resolves, and the benchmark's
+self-check passes.
 
 Each demo is a script against the public API; running it here means a
-deleted or renamed name that a demo still uses fails the suite.
+deleted or renamed name that a demo still uses fails the suite.  The
+benchmark harness in perfbench/ calls the package the same way, so its
+own test suite runs here too.
 """
 
 import os
@@ -34,3 +37,10 @@ def test_demo_runs(demo, tmp_path):
 def test_public_names_resolve():
     for name in cf.__all__:
         assert getattr(cf, name, None) is not None, name
+
+
+def test_perfbench_self_check_passes():
+    proc = subprocess.run([sys.executable, "-m", "pytest", "perfbench", "-q",
+                           "-p", "no:cacheprovider"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -147,7 +147,7 @@ def test_evidence_serialization(berge, solved):
 
 @pytest.mark.parametrize("name", ["whitehead", "622", "berge"])
 def test_tangent_is_the_phase_fixed_kernel_vector(name, solved):
-    # the normalised pinned velocity is the SVD kernel vector scaled to unit
+    # the normalised pinned velocity is the kernel vector scaled to unit
     # norm with its pinned entry real and positive, at p and 2p bits
     tri = cf.load_fixture(name)
     low = solved[name]
@@ -206,7 +206,7 @@ def test_continuation_fallback(monkeypatch, berge, solved):
 
 @pytest.mark.parametrize("name, cusp", [("whitehead", 0), ("622", 1), ("berge", 1)])
 def test_trace_and_derivatives_share_the_kernel_check(name, cusp):
-    # at 8 bits the SVD cut leaves more than one kernel vector: tracing and
+    # at 8 bits the rank cut leaves more than one kernel vector: tracing and
     # the derivatives refuse the point with one error and one message
     tri = cf.load_fixture(name)
     start = solve_complete(tri, 8)

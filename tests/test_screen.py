@@ -264,6 +264,9 @@ def test_cli_out_directory(tmp_path):
     ("fill", "whitehead", "--cusp", "-1", "--n-range=1:1"),
     ("solve", "whitehead", "--precision-bits", "-40"),
     ("field", "622", "--precision-bits", "-3"),
+    ("field", "whitehead", "--max-degree", "0"),
+    ("screen", "whitehead", "--max-degree", "0", "--format", "csv"),
+    ("fill", "whitehead", "--cusp", "1", "--n-range=0:0"),
 ])
 def test_cli_bad_value_is_one_line_usage_error(args):
     proc = run_cli(*args)

@@ -22,11 +22,18 @@ from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_p
                                 sum_value, term_value)
 from cuspforge.solver import (
     GluingSystem,
+    KernelDimensionError,
     SolveError,
+    _eliminate,
+    completeness_system,
+    curve_pin,
     least_squares,
+    numerical_kernel,
+    pin_choice,
     pinned_solve,
     solve_complete,
     solve_filled,
+    system_jacobian,
     trace_completeness_curve,
 )
 
@@ -374,8 +381,9 @@ def test_trace_spread_reproduces_at_doubled_precision(name, solved):
 
 
 def test_svd_runs_once_per_curve(monkeypatch, berge, solved):
-    # the SVD finds the rank and the pinned coordinate once per curve: every
-    # later tangent, and isolation's doubled-precision pass, is a pinned solve
+    # the kernel check finds the rank and the pinned coordinate once per
+    # curve: every later tangent, and isolation's doubled-precision pass, is
+    # a pinned solve
     import cuspforge.isolation as isolation
     import cuspforge.solver as solver
 
@@ -394,3 +402,120 @@ def test_svd_runs_once_per_curve(monkeypatch, berge, solved):
     calls.clear()
     ev = isolation.isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
     assert ev.order == 2 and len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def completeness_rows(solved):
+    """bits -> [(label, Jacobian rows)] of all six completeness curves at
+    the complete structure, polished from the standard solve."""
+    out = {}
+    for bits in (128, 256, 512):
+        out[bits] = []
+        for name, low in solved.items():
+            tri = cf.load_fixture(name)
+            start = solve_complete(tri, bits, initial=low.shapes)
+            with mp.workprec(bits + 30):
+                for cusp in range(len(tri.cusps)):
+                    rows = system_jacobian(completeness_system(tri, cusp), list(start.shapes.z))
+                    out[bits].append((f"{name}.{cusp}", rows))
+    return out
+
+
+def _phase_distance(v, w):
+    """min over unit phases u of max |u v_i - w_i|."""
+    inner = sum(mp.conj(a) * b for a, b in zip(v, w))
+    u = inner / abs(inner)
+    return max(abs(u * a - b) for a, b in zip(v, w))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_numerical_kernel_matches_the_svd(bits, completeness_rows):
+    # oracle: mpmath's SVD of each completeness Jacobian, cut as the
+    # kernel check cuts, gives the same rank, pin and unit kernel vector
+    for label, rows in completeness_rows[bits]:
+        with mp.workprec(bits + 30):
+            kernel, rank, _, ambiguous = numerical_kernel(rows, bits)
+            _, S, V = mp.svd_c(mp.matrix(rows))
+            svals = [S[i] for i in range(S.rows)]
+            cut = max(svals) * mp.mpf(2) ** (-bits // 4)
+            svd_rank = sum(s > cut for s in svals)
+            n = len(rows[0])
+            assert rank == svd_rank == n - 1, label
+            assert len(kernel) == 1 and not ambiguous, label
+            svd_vec = [mp.conj(V[n - 1, j]) for j in range(n)]
+            assert pin_choice(kernel[0]) == pin_choice(svd_vec), label
+            assert _phase_distance(kernel[0], svd_vec) < mp.mpf(2) ** (10 - bits), label
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_kernel_of_random_rank_r_products(r):
+    # a seeded 7x6 complex product of a 7xr and an rx6 factor has rank r;
+    # numerical_kernel and the elimination itself both find it, and every
+    # kernel vector is a unit vector that A maps to 2^-(p-20) max|A_ij|
+    rng = random.Random(r)
+    with mp.workprec(PRECISION + 30):
+        def factor(m, n):
+            return [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+                    for _ in range(m)]
+        left, right = factor(7, r), factor(r, 6)
+        rows = [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(6)]
+                for row in left]
+        big = max(abs(v) for row in rows for v in row)
+        cut = big * mp.mpf(2) ** (-PRECISION // 4)
+        kernel, rank, _, ambiguous = numerical_kernel(rows, PRECISION)
+        eliminated, pivots, rest = _eliminate(rows, cut)
+        assert rank == len(pivots) == r and not ambiguous
+        assert rest <= cut
+        tol = mp.mpf(2) ** (20 - PRECISION)
+        for basis in (kernel, eliminated):
+            assert len(basis) == 6 - r
+            for v in basis:
+                assert abs(mp.sqrt(sum(abs(c) ** 2 for c in v)) - 1) < tol
+                image = mp.sqrt(sum(abs(sum(a * c for a, c in zip(row, v))) ** 2 for row in rows))
+                assert image <= tol * big
+
+
+def test_svd_referees_only_near_the_cut(monkeypatch, solved):
+    # at 128 bits and above the elimination decides every completeness
+    # curve of every fixture: screen and trace finish without mp.svd_c
+    import cuspforge.solver as solver
+    from cuspforge.screen import RIGID_NOT_ISOLATED, ScreenOptions, resolve_input, screen
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.svd_c called")
+
+    monkeypatch.setattr(mp, "svd_c", refuse)
+    names = ["whitehead", "622", "berge"]
+    for bits in (128, 256, 512):
+        reports = screen([resolve_input(name) for name in names],
+                         ScreenOptions(precision_bits=bits))
+        assert [r.verdict for r in reports] == [RIGID_NOT_ISOLATED] * 3
+        assert all(c.isolation.not_isolated for r in reports for c in r.cusps)
+    for name in names:
+        tri = cf.load_fixture(name)
+        start = solve_complete(tri, 512, initial=solved[name].shapes)
+        for cusp in range(len(tri.cusps)):
+            samples = trace_completeness_curve(tri, cusp, n_points=2, precision_bits=512,
+                                               start=start)
+            assert len(samples) == 3
+    monkeypatch.undo()
+
+    # at 8 bits the whitehead and berge c-knotted curves sit near the cut:
+    # the SVD answers, and its kernel dimension is the error
+    referee = solver._svd_kernel
+    refereed = []
+
+    def recorded(*args):
+        refereed.append(args)
+        return referee(*args)
+
+    monkeypatch.setattr(solver, "_svd_kernel", recorded)
+    for name, cusp in [("whitehead", 0), ("whitehead", 1), ("berge", 1)]:
+        tri = cf.load_fixture(name)
+        start = solve_complete(tri, 8)
+        refereed.clear()
+        with mp.workprec(38):
+            rows = system_jacobian(completeness_system(tri, cusp), list(start.shapes.z))
+            with pytest.raises(KernelDimensionError, match="kernel dimension 2"):
+                curve_pin(rows, 8)
+        assert len(refereed) == 1
