@@ -28,6 +28,16 @@ complex for the solver's machine-precision stages.  Derivatives along a
 direction use the log gradient of a term (`log_gradient`);
 `second_derivative_along` gives the closed-form second derivative of a
 sum along a vector, without building second derivative sums.
+
+The evaluator works at a `Point`: the shapes with a memo that computes
+each power z_i^k and (1 - z_i)^k, each log-gradient entry and each
+curvature entry once per point.  A memoised value is the result of the
+same operation at the same precision, and every product keeps its factor
+order, so every value is bit-identical to one computed afresh.  The
+solver makes one Point per trial point and evaluates its residual, then
+the values and Jacobian of the step taken from it, then its tangent, all
+from that one memo; a plain sequence passed to the evaluator becomes a
+Point for the length of that call.  No memo outlives its point.
 """
 
 from __future__ import annotations
@@ -290,25 +300,85 @@ class ShapeAssignment:
         return ShapeAssignment(self.z, precision_bits)
 
 
+class Point(tuple):
+    """The shapes z of one point, with the evaluator's memo there.
+
+    `Point(z)` of a Point is that Point.  A Point is made and evaluated at
+    one working precision (or holds Python complex, which has none); the
+    memo dies with it.
+    """
+
+    def __new__(cls, z):
+        if type(z) is cls:
+            return z
+        point = super().__new__(cls, z)
+        point._z_powers = {}        # (i, k) -> z_i^k
+        point._w_powers = {}        # (i, k) -> (1 - z_i)^k
+        point._log_gradient = {}    # (i, a_i, b_i) -> a_i/z_i - b_i/(1 - z_i)
+        point._curvature = {}       # (i, a_i, b_i) -> a_i/z_i^2 + b_i/(1 - z_i)^2
+        return point
+
+    def z_power(self, i: int, k: int):
+        """z_i ** k."""
+        try:
+            return self._z_powers[i, k]
+        except KeyError:
+            value = self._z_powers[i, k] = self[i] ** k
+            return value
+
+    def w_power(self, i: int, k: int):
+        """(1 - z_i) ** k."""
+        try:
+            return self._w_powers[i, k]
+        except KeyError:
+            value = self._w_powers[i, k] = (1 - self[i]) ** k
+            return value
+
+    def log_gradient_entry(self, i: int, a: int, b: int):
+        """a/z_i - b/(1 - z_i); a zero exponent costs no division, and the
+        entry is the int 0 when both are zero."""
+        try:
+            return self._log_gradient[i, a, b]
+        except KeyError:
+            zi = self[i]
+            value = self._log_gradient[i, a, b] = \
+                (a / zi if a else 0) - (b / (1 - zi) if b else 0)
+            return value
+
+    def curvature_entry(self, i: int, a: int, b: int):
+        """a/z_i^2 + b/(1 - z_i)^2, from the memoised squares."""
+        try:
+            return self._curvature[i, a, b]
+        except KeyError:
+            value = self._curvature[i, a, b] = \
+                (a / self.z_power(i, 2) if a else 0) + (b / self.w_power(i, 2) if b else 0)
+            return value
+
+
 def term_value(c: int, a, b, z):
     """c * prod z_i^{a_i} (1 - z_i)^{b_i} in the scalar type of z: at the
     working precision for mpmath, in machine precision for Python complex.
 
-    It starts from the integer c, so a term without factors is c itself;
-    an mpmath product is bit-identical to one started from mp.mpc(c).
+    The product starts from the integer c, so a term without factors is c
+    itself (an mpmath product is bit-identical to one started from
+    mp.mpc(c)), and takes the factors in the order z_0, 1 - z_0, z_1, ...;
+    each power comes from the memo of the `Point` z.
     """
+    z = Point(z)
     value = c
-    for zi, ai, bi in zip(z, a, b):
+    for i, (ai, bi) in enumerate(zip(a, b)):
         if ai:
-            value *= zi ** ai
+            value *= z.z_power(i, ai)
         if bi:
-            value *= (1 - zi) ** bi
+            value *= z.w_power(i, bi)
     return value
 
 
 def sum_value(terms: dict[_Key, int], z):
     """Value of the terms {(a, b): c} of a MonomialSum, in the scalar type
-    of z (see `term_value`); it starts from that type's zero."""
+    of z (see `term_value`); it starts from that type's zero.  All terms
+    share the powers memoised at the `Point` z."""
+    z = Point(z)
     total = 0 * z[0]
     for (a, b), c in terms.items():
         total += term_value(c, a, b, z)
@@ -319,10 +389,11 @@ def log_gradient(a, b, z) -> list:
     """Gradient of log(z^a (1-z)^b): entries a_i/z_i - b_i/(1 - z_i).
 
     Plain arithmetic, so it serves Python complex and mpmath points alike;
-    a zero exponent costs no division.
+    a zero exponent costs no division, and each entry is memoised at the
+    `Point` z.
     """
-    return [(ai / zi if ai else 0) - (bi / (1 - zi) if bi else 0)
-            for zi, ai, bi in zip(z, a, b)]
+    z = Point(z)
+    return [z.log_gradient_entry(i, ai, bi) for i, (ai, bi) in enumerate(zip(a, b))]
 
 
 def second_derivative_along(terms: dict[_Key, int], z, v) -> mpmath.mpc:
@@ -330,13 +401,16 @@ def second_derivative_along(terms: dict[_Key, int], z, v) -> mpmath.mpc:
 
     For one term T with log gradient g,
         v^T (Hess T) v = T ((g . v)^2 - sum_i v_i^2 (a_i/z_i^2 + b_i/(1-z_i)^2)).
+    T, g and the curvature entries come from the memo of the `Point` z,
+    which the Jacobian and the sums' values at z share.
     """
+    z = Point(z)
+    squares = [vi * vi for vi in v]
     total = mp.mpc(0)
     for (a, b), c in terms.items():
         gv = sum(g * vi for g, vi in zip(log_gradient(a, b, z), v))
-        curvature = sum(vi * vi * ((ai / zi ** 2 if ai else 0)
-                                   + (bi / (1 - zi) ** 2 if bi else 0))
-                        for zi, ai, bi, vi in zip(z, a, b, v))
+        curvature = sum(s * z.curvature_entry(i, ai, bi)
+                        for i, (ai, bi, s) in enumerate(zip(a, b, squares)))
         total += term_value(c, a, b, z) * (gv * gv - curvature)
     return total
 
@@ -396,9 +470,11 @@ def evaluate_cusp_parameter(
     pair: tuple[MonomialSum, MonomialSum], shapes: ShapeAssignment
 ) -> mpmath.mpc:
     """Numerical value tau(l)/tau(m); raises if the denominator vanishes."""
-    num = pair[0].evaluate(shapes)
-    den = pair[1].evaluate(shapes)
+    shapes.require_non_degenerate()
     with mp.workprec(shapes.precision_bits):
+        z = Point(shapes.z)
+        num = sum_value(pair[0].terms, z)
+        den = sum_value(pair[1].terms, z)
         if abs(den) < mp.mpf(2) ** (-shapes.precision_bits // 2):
             raise ZeroDivisionError(
                 "tau(meridian) vanishes at this point; the cusp parameter "

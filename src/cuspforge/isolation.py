@@ -22,7 +22,10 @@ doubled-precision pass reuses the pin and runs no kernel check.
 The Jacobian rows are exact gradients of the cleared equations; the second
 derivative of every equation and of both tau sums along u' is the closed
 form of `holonomy.second_derivative_along`, computed term by term from log
-gradients.
+gradients.  The Jacobian, the tangent, the second derivatives and the tau
+sums at a point all evaluate from the one memo of its `holonomy.Point`.
+`isolation_verdict` builds the exact sums (the completeness system, the
+tau pair and its gradient sums) once and evaluates them at p and at 2p.
 
 A derivative or spread counts as nonzero above tol = 10^(-TOL_DIGITS p/256)
 (20 digits at 256 bits).  The continuation fallback traces
@@ -36,7 +39,8 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import ShapeAssignment, cusp_parameter, second_derivative_along, sum_value
+from .holonomy import (MonomialSum, Point, ShapeAssignment, cusp_parameter,
+                       second_derivative_along, sum_value)
 from .manifold import IdealTriangulation
 from .solver import (
     KernelDimensionError,  # noqa: F401  (re-exported: raised by curve_derivatives)
@@ -126,43 +130,66 @@ def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignmen
     the Jacobian rank; with `pin` given no kernel check runs and the rank
     is None.
     """
-    prec = shapes.precision_bits
-    with mp.workprec(prec + 30):
-        eqs = completeness_system(tri, cusp)
-        z = list(shapes.z)
-        rows = system_jacobian(eqs, z)
-        rank = None
-        if pin is None:
-            pin, rank = curve_pin(rows, prec)
-        # first derivatives: M u' = -v, columns split by the pinned variable
-        dz, tangent = curve_velocity(rows, pin)
-        # second derivatives: M u'' = -(dz^T Hess dz)
-        d2z = pinned_solve(rows, pin, [-second_derivative_along(eq.cleared.terms, z, dz)
-                                       for eq in eqs])
-        return dz, d2z, pin, rank, tangent
+    with mp.workprec(shapes.precision_bits + 30):
+        return _curve_derivatives(completeness_system(tri, cusp), Point(shapes.z),
+                                  shapes.precision_bits, pin)
+
+
+def _curve_derivatives(eqs, z: Point, prec: int, pin: int | None):
+    """`curve_derivatives` of the cleared equations `eqs` at z, at the
+    current working precision."""
+    rows = system_jacobian(eqs, z)
+    rank = None
+    if pin is None:
+        pin, rank = curve_pin(rows, prec)
+    # first derivatives: M u' = -v, columns split by the pinned variable
+    dz, tangent = curve_velocity(rows, pin)
+    # second derivatives: M u'' = -(dz^T Hess dz)
+    d2z = pinned_solve(rows, pin, [-second_derivative_along(eq.cleared.terms, z, dz)
+                                   for eq in eqs])
+    return dz, d2z, pin, rank, tangent
+
+
+@dataclass(frozen=True)
+class _CuspSums:
+    """The exact sums the derivatives at one cusp evaluate: the cleared
+    completeness system, tau(l) and tau(m), and the gradient sums of both."""
+    eqs: list
+    num: MonomialSum
+    den: MonomialSum
+    d_num: list
+    d_den: list
+
+    @staticmethod
+    def build(tri: IdealTriangulation, cusp: int) -> "_CuspSums":
+        num, den = cusp_parameter(tri, tri.cusps[cusp])
+        return _CuspSums(completeness_system(tri, cusp), num, den,
+                         [num.derivative(i) for i in range(tri.n_tet)],
+                         [den.derivative(i) for i in range(tri.n_tet)])
 
 
 def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
-                    pin: int | None = None):
+                    pin: int | None = None, *, _sums: _CuspSums | None = None):
     """d/dt and d^2/dt^2 of the cusp parameter tau(l)/tau(m) along the
     completeness curve, plus the underlying shape derivatives.
 
     Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, tangent;
-    rank is None when `pin` is given.
+    rank is None when `pin` is given.  `isolation_verdict` passes the
+    exact sums it built once as `_sums`.
     """
-    dz, d2z, pin, rank, tangent = curve_derivatives(tri, cusp, shapes, pin=pin)
-    num, den = cusp_parameter(tri, tri.cusps[cusp])
-    z = list(shapes.z)
+    sums = _CuspSums.build(tri, cusp) if _sums is None else _sums
     with mp.workprec(shapes.precision_bits + 30):
-        N = sum_value(num.terms, z)
-        D = sum_value(den.terms, z)
-        dN = [sum_value(num.derivative(i).terms, z) for i in range(shapes.n)]
-        dD = [sum_value(den.derivative(i).terms, z) for i in range(shapes.n)]
+        z = Point(shapes.z)
+        dz, d2z, pin, rank, tangent = _curve_derivatives(sums.eqs, z, shapes.precision_bits, pin)
+        N = sum_value(sums.num.terms, z)
+        D = sum_value(sums.den.terms, z)
+        dN = [sum_value(d.terms, z) for d in sums.d_num]
+        dD = [sum_value(d.terms, z) for d in sums.d_den]
         N1 = sum(a * t for a, t in zip(dN, dz))
         D1 = sum(a * t for a, t in zip(dD, dz))
         # second directional derivatives along the curve:
-        N2 = second_derivative_along(num.terms, z, dz) + sum(a * t for a, t in zip(dN, d2z))
-        D2 = second_derivative_along(den.terms, z, dz) + sum(a * t for a, t in zip(dD, d2z))
+        N2 = second_derivative_along(sums.num.terms, z, dz) + sum(a * t for a, t in zip(dN, d2z))
+        D2 = second_derivative_along(sums.den.terms, z, dz) + sum(a * t for a, t in zip(dD, d2z))
         d_tau = (N1 * D - N * D1) / D ** 2
         d2_tau = (N2 * D - N * D2) / D ** 2 - 2 * D1 * (N1 * D - N * D1) / D ** 3
     return {
@@ -195,12 +222,12 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 
     cusp_name = tri.cusps[cusp].name
     notes = []
 
-    shapes = start.shapes
-    info = tau_derivatives(tri, cusp, shapes)
+    sums = _CuspSums.build(tri, cusp)
+    info = tau_derivatives(tri, cusp, start.shapes, _sums=sums)
     # recompute at doubled precision (polishing the known solution);
     # require agreement to half the digits
     start_hi = solve_complete(tri, 2 * precision_bits, seed=seed, initial=start.shapes)
-    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, pin=info["pin"])
+    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, pin=info["pin"], _sums=sums)
     agree_tol = mp.mpf(2) ** (-precision_bits // 2)
 
     def certified(key):

@@ -17,10 +17,15 @@ Complete structures are found in two stages.
 
 Every Newton step, here and below, is one `least_squares` solve: Gaussian
 elimination on the normal equations, in the scalar type of the system
-(mpmath at the working precision, or Python complex).  The edge rows are
-redundant (their product is identically 1), but the whole system has full
-column rank at the geometric solution (Neumann-Zagier), so no rows are
-dropped and no rank cutoff is needed.  `curve_pin` runs once per
+(mpmath at the working precision, or Python complex).  It sums the upper
+triangle of the Hermitian matrix N = A^H A, takes the lower one by
+conjugation, and chooses pivots by squared magnitude, without square
+roots.  Every trial point of a Newton loop is a `holonomy.Point`: its
+residual, and then the values and Jacobian of the step taken from it once
+it is accepted, are evaluated from the one power memo of that point.  The
+edge rows are redundant (their product is identically 1), but the whole
+system has full column rank at the geometric solution (Neumann-Zagier), so
+no rows are dropped and no rank cutoff is needed.  `curve_pin` runs once per
 completeness curve: Gaussian elimination with complete pivoting checks the
 kernel dimension and finds the Jacobian rank and the pinned coordinate, and
 an SVD referees only a rank decision near the cut (`numerical_kernel`).
@@ -54,6 +59,7 @@ complete; the predictor follows the unit tangent dz/|dz|.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import (ShapeAssignment, SignedMonomial, cusp_parameter,
+from .holonomy import (Point, ShapeAssignment, SignedMonomial, cusp_parameter,
                        evaluate_cusp_parameter, log_gradient, mu, sum_value, term_value)
 from .manifold import IdealTriangulation
 
@@ -95,6 +101,7 @@ class PolynomialEquation:
         return sum_value(self.cleared.terms, z)
 
     def gradient(self, z: list) -> list:
+        z = Point(z)
         return [sum_value(g.terms, z) for g in self._grads]
 
     def residual(self, z: list):
@@ -102,10 +109,14 @@ class PolynomialEquation:
         return abs(term_value(m.sign, m.a, m.b, z) - 1)
 
 
-def _scalar_ops(z) -> tuple:
+def _scalar_ops(values) -> tuple:
     """log, pi, nearest-integer rounding and the unit roundoff in the
-    scalar type of z: Python complex or mpmath at the current precision."""
-    if isinstance(z[0], complex):
+    scalar type of `values`: machine precision (Python complex or float)
+    or mpmath at the current precision.  The type is read off the first
+    entry that is not an int (a log gradient holds the int 0 where its row
+    skips a tetrahedron)."""
+    sample = next((v for v in values if not isinstance(v, int)), None)
+    if isinstance(sample, (complex, float)):
         return cmath.log, math.pi, round, 2.0 ** -52
     return mp.log, mp.pi, mp.nint, mp.eps
 
@@ -253,32 +264,51 @@ def printed_digits(precision_bits: int) -> int:
     return max(8, int(precision_bits * 0.3010) - 2)
 
 
+def _size(v):
+    """|re v| + |im v|, which lies between |v| and sqrt(2) |v|."""
+    return abs(v.real) + abs(v.imag)
+
+
 def least_squares(rows: list[list], rhs: list) -> list:
     """Least-squares solution x of rows . x = rhs, in the scalar type of
-    the system: mpmath at the working precision, or Python complex.
+    the system: mpmath at the working precision, or machine precision (the
+    type of the first entry of rhs or rows that is not an int).
 
     Gaussian elimination with partial pivoting solves the normal equations
     N x = rows^H rhs, with 20 guard bits on mpmath (none on Python complex).
-    The callers' systems have full column rank, so no rank cutoff is
-    applied: a pivot at most eps * |N|_1 raises ZeroDivisionError.
+    N is Hermitian: its upper triangle is summed and the lower triangle is
+    its conjugate, which is bit-identical to summing it under
+    round-to-nearest.  The pivot is the entry of largest re^2 + im^2, so
+    no square root is taken.  The callers' systems have full column rank,
+    so no rank cutoff is applied: a pivot p with |re p| + |im p| at most
+    eps * |N|_1 raises ZeroDivisionError, where |N|_1 is the largest column
+    sum of |re| + |im| over N; both measures lie within a factor sqrt(2)
+    of the modulus they stand for.
     """
     n = len(rows[0])
     with mp.extraprec(20):
-        eps = _scalar_ops(rows[0])[3]
+        eps = _scalar_ops(itertools.chain(rhs, *rows))[3]
         conj = [[v.conjugate() for v in row] for row in rows]
-        aug = [[sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(n)]
-               + [sum(c[i] * v for c, v in zip(conj, rhs))]
-               for i in range(n)]
-        tol = eps * max(sum(abs(row[j]) for row in aug) for j in range(n))
+        aug = []
+        for i in range(n):
+            aug.append([aug[j][i].conjugate() for j in range(i)]
+                       + [sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(i, n)]
+                       + [sum(c[i] * v for c, v in zip(conj, rhs))])
+        tol = eps * max(sum(_size(row[j]) for row in aug) for j in range(n))
         for col in range(n):
-            piv = max(range(col, n), key=lambda k: abs(aug[k][col]))
-            if abs(aug[piv][col]) <= tol:
+            squares = [v.real * v.real + v.imag * v.imag
+                       for v in (aug[k][col] for k in range(col, n))]
+            piv = col + squares.index(max(squares))
+            if _size(aug[piv][col]) <= tol:
                 raise ZeroDivisionError("numerically singular normal equations")
             aug[col], aug[piv] = aug[piv], aug[col]
+            top = aug[col]
+            # column col below the pivot is never read again
             for k in range(col + 1, n):
-                f = aug[k][col] / aug[col][col]
-                for c in range(col, n + 1):
-                    aug[k][c] -= f * aug[col][c]
+                row = aug[k]
+                f = row[col] / top[col]
+                for c in range(col + 1, n + 1):
+                    row[c] -= f * top[c]
         x = [None] * n
         for i in reversed(range(n)):
             x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
@@ -314,6 +344,7 @@ def curve_velocity(rows: list[list], pin: int) -> tuple[list, list]:
 
 
 def _residual(eqs, fill_eqs, z):
+    z = Point(z)
     return max(e.residual(z) for e in (*eqs, *fill_eqs))
 
 
@@ -321,7 +352,10 @@ def _damped_newton(z, residual, step, tol, max_iter):
     """The Newton loop of every solve and of the curve corrector: take
     step(z), halved up to 12 times until it lowers residual(z) with every
     shape outside the guard band around 0 and 1; a step that cannot be
-    solved ends the loop.  Returns (z, iterations, residual)."""
+    solved ends the loop.  Every trial point is a `Point`, so the step from
+    an accepted point reuses the powers its residual memoised.  Returns
+    (z, iterations, residual)."""
+    z = Point(z)
     best = residual(z)
     it = 0
     while it < max_iter and best > tol:
@@ -332,7 +366,7 @@ def _damped_newton(z, residual, step, tol, max_iter):
             break
         lam = 1.0
         for _ in range(12):
-            z_try = [zi + lam * d for zi, d in zip(z, delta)]
+            z_try = Point([zi + lam * d for zi, d in zip(z, delta)])
             lam /= 2
             if any(abs(v) < GUARD or abs(1 - v) < GUARD for v in z_try):
                 continue
@@ -618,6 +652,7 @@ def completeness_system(tri: IdealTriangulation, cusp_index: int):
 
 
 def system_jacobian(eqs, z: list):
+    z = Point(z)
     return [e.gradient(z) for e in eqs]
 
 
@@ -743,9 +778,11 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
     keeping one cusp complete, from the complete structure.
 
     `curve_pin` runs once, at the start, to check that the locus is a
-    curve and to choose the pinned coordinate.  Each predictor step follows
-    the unit pinned velocity; `_damped_newton` with pinned steps corrects
-    it.
+    curve and to choose the pinned coordinate; the first tangent comes
+    from the same Jacobian.  Each predictor step follows the unit pinned
+    velocity; `_damped_newton` with pinned steps corrects it, and the
+    tangent at the corrected point is evaluated from the memo its
+    residual filled.
 
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
@@ -757,8 +794,9 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
     with mp.workprec(precision_bits + 30):
         eqs = completeness_system(tri, complete_cusp)
         pair = cusp_parameter(tri, tri.cusps[complete_cusp])
-        z = list(start.shapes.z)
-        pin = curve_pin(system_jacobian(eqs, z), precision_bits)[0]
+        z = Point(start.shapes.z)
+        rows = system_jacobian(eqs, z)
+        pin = curve_pin(rows, precision_bits)[0]
 
         def corrector_step(z):
             return pinned_solve(system_jacobian(eqs, z), pin, [-e.value(z) for e in eqs])
@@ -770,8 +808,10 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         floor = mp.mpf(1e-8)
         newton_tol = _newton_tol(precision_bits)
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
-        for _ in range(n_points):
-            tangent = curve_velocity(system_jacobian(eqs, z), pin)[1]
+        for k in range(n_points):
+            if k:
+                rows = system_jacobian(eqs, z)
+            tangent = curve_velocity(rows, pin)[1]
             while True:
                 z_pred = [zi + h * ti for zi, ti in zip(z, tangent)]
                 z_corr, _, res = _damped_newton(z_pred, lambda z: _residual(eqs, [], z),

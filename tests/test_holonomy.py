@@ -18,6 +18,7 @@ import cuspforge as cf
 from cuspforge.holonomy import (
     DegenerateShapeError,
     MonomialSum,
+    Point,
     ShapeAssignment,
     SignedMonomial,
     cusp_parameter,
@@ -413,3 +414,117 @@ def test_closed_form_derivatives_match_exact_sums(solved, whitehead, link622, be
                         for i, g in enumerate(log_gradient(a, b, z)):
                             ref_g = evaluate(term.derivative(i), shapes) / value
                             assert abs(g - ref_g) <= tol * abs(ref_g)
+
+
+# ---------------------------------------------------------------------------
+# the memoised evaluator against a naive product of powers
+
+
+def _naive_term(c, a, b, z):
+    value = c
+    for zi, ai, bi in zip(z, a, b):
+        if ai:
+            value *= zi ** ai
+        if bi:
+            value *= (1 - zi) ** bi
+    return value
+
+
+def _naive_sum(terms, z):
+    total = 0 * z[0]
+    for (a, b), c in terms.items():
+        total += _naive_term(c, a, b, z)
+    return total
+
+
+def _naive_log_gradient(a, b, z):
+    return [(ai / zi if ai else 0) - (bi / (1 - zi) if bi else 0)
+            for zi, ai, bi in zip(z, a, b)]
+
+
+def _naive_second_derivative(terms, z, v):
+    total = mp.mpc(0)
+    for (a, b), c in terms.items():
+        gv = sum(g * vi for g, vi in zip(_naive_log_gradient(a, b, z), v))
+        curvature = sum(vi * vi * ((ai / zi ** 2 if ai else 0) + (bi / (1 - zi) ** 2 if bi else 0))
+                        for zi, ai, bi, vi in zip(z, a, b, v))
+        total += _naive_term(c, a, b, z) * (gv * gv - curvature)
+    return total
+
+
+def _bits(value):
+    """The exact bits of a value: the _mpf_ tuples of an mpmath number, the
+    repr of a Python complex (so signed zeros count), an int as itself."""
+    if isinstance(value, mp.mpc):
+        return value.real._mpf_, value.imag._mpf_
+    return type(value).__name__, repr(value)
+
+
+def _random_shapes(rng, n, bits):
+    """n shapes at least 0.05 from 0 and 1: Python complex when bits is
+    None, else mpmath numbers with `bits` random mantissa bits."""
+    def scalar():
+        if bits is None:
+            return rng.uniform(-2, 2)
+        return mp.mpf(rng.getrandbits(bits)) / 2 ** bits * 4 - 2
+
+    shapes = []
+    while len(shapes) < n:
+        z = complex(scalar(), scalar()) if bits is None else mp.mpc(scalar(), scalar())
+        if abs(z) > 0.05 and abs(1 - z) > 0.05:
+            shapes.append(z)
+    return shapes
+
+
+def _evaluator_sums(tri):
+    """Every exact sum the pipeline evaluates on one fixture: cleared
+    completeness equations with their gradient sums, both tau sums with
+    theirs, and the peripheral dilations as one-term sums."""
+    sums = []
+    for cusp in range(len(tri.cusps)):
+        for eq in completeness_system(tri, cusp):
+            sums.append(eq.cleared)
+            sums.extend(eq.cleared.derivative(i) for i in range(tri.n_tet))
+            sums.append(eq.monomial.as_sum())
+        for s in cusp_parameter(tri, tri.cusps[cusp]):
+            sums.append(s)
+            sums.extend(s.derivative(i) for i in range(tri.n_tet))
+    return sums
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512 + 30, None],
+                         ids=["128", "256", "542", "complex"])
+def test_memoised_evaluator_is_bit_identical(bits, whitehead, link622, berge):
+    # one Point per random point serves every sum, in a shuffled order, so
+    # the memo is filled by one kind of evaluation and read by another;
+    # each value must equal the naive product of powers bit for bit
+    rng = random.Random(29)
+    with mp.workprec(bits or 53):
+        for tri in (whitehead, link622, berge):
+            sums = _evaluator_sums(tri)
+            sums.append(MonomialSum({
+                (tuple(rng.randint(-3, 3) for _ in range(tri.n_tet)),
+                 tuple(rng.randint(-3, 3) for _ in range(tri.n_tet))): rng.choice([1, -2, 3])
+                for _ in range(4)}))
+            for _ in range(3):
+                z = _random_shapes(rng, tri.n_tet, bits)
+                v = _random_shapes(rng, tri.n_tet, bits)
+                point = Point(z)
+                assert Point(point) is point and list(point) == z
+                tasks = [(kind, s) for s in sums for kind in ("sum", "terms", "second")]
+                rng.shuffle(tasks)
+                for kind, s in tasks:
+                    if kind == "sum":
+                        got, ref = [sum_value(s.terms, point)], [_naive_sum(s.terms, z)]
+                    elif kind == "second":
+                        got = [second_derivative_along(s.terms, point, v)]
+                        ref = [_naive_second_derivative(s.terms, z, v)]
+                    else:
+                        got, ref = [], []
+                        for (a, b), c in s.terms.items():
+                            got += [term_value(c, a, b, point), *log_gradient(a, b, point)]
+                            ref += [_naive_term(c, a, b, z), *_naive_log_gradient(a, b, z)]
+                    assert [_bits(g) for g in got] == [_bits(r) for r in ref], (kind, str(s))
+                # a plain sequence gets a Point of its own, with the same bits
+                s = sums[0]
+                assert _bits(sum_value(s.terms, z)) == _bits(_naive_sum(s.terms, z))

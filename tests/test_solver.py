@@ -319,6 +319,84 @@ def test_least_squares_rank_deficient_raises(solved, scalar):
             pinned_solve(repeated, 1, rhs)
 
 
+def _textbook_least_squares(rows, rhs):
+    """Partial-pivoting elimination on the full normal equations: every
+    entry of N summed, pivots by modulus, every column updated."""
+    n = len(rows[0])
+    with mp.extraprec(20):
+        conj = [[v.conjugate() for v in row] for row in rows]
+        aug = [[sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(n)]
+               + [sum(c[i] * v for c, v in zip(conj, rhs))]
+               for i in range(n)]
+        for col in range(n):
+            piv = max(range(col, n), key=lambda k: abs(aug[k][col]))
+            aug[col], aug[piv] = aug[piv], aug[col]
+            for k in range(col + 1, n):
+                f = aug[k][col] / aug[col][col]
+                for c in range(col, n + 1):
+                    aug[k][c] -= f * aug[col][c]
+        x = [None] * n
+        for i in reversed(range(n)):
+            x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
+    return x
+
+
+def _random_system(rng, bits):
+    """A seeded m x n system, m >= n, with about a quarter of its matrix
+    entries the int 0 (as log gradients have them), rows[0][0] among them
+    every other time; Python complex when bits is None (a third of them
+    with every imaginary part 0.0, where signed zeros abound), else
+    mpmath.  Row j < n keeps column j + shift (mod n) nonzero, so the
+    system has full column rank for all but a null set of entries."""
+    real = bits is None and rng.random() < 1 / 3
+
+    def scalar():
+        if bits is None:
+            return complex(rng.uniform(-2, 2), 0.0 if real else rng.uniform(-2, 2))
+        return mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) / 3
+
+    n = rng.randint(2, 6)
+    m = n + rng.randint(0, 3)
+    shift = rng.randint(0, 1)
+    rows = [[0 if rng.random() < 0.25 else scalar() for _ in range(n)] for _ in range(m)]
+    for j in range(n):
+        rows[j][(j + shift) % n] = scalar()
+    if shift:
+        rows[0][0] = 0
+    return rows, [scalar() for _ in range(m)]
+
+
+@pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30, None],
+                         ids=["128", "286", "542", "complex"])
+def test_least_squares_matches_the_textbook_solve_bit_for_bit(bits):
+    # one triangle of N and its conjugate, squared-magnitude pivots and no
+    # update of the eliminated column: the same bits as the textbook form,
+    # compared by repr (signed zeros count) and by mpmath's _mpc_
+    def exact(x):
+        return [(repr(v), getattr(v, "_mpc_", None)) for v in x]
+
+    rng = random.Random(bits or 0)
+    with mp.workprec(bits or 53):
+        for _ in range(60):
+            rows, rhs = _random_system(rng, bits)
+            assert exact(least_squares(rows, rhs)) == exact(_textbook_least_squares(rows, rhs))
+
+
+@pytest.mark.parametrize("first_row", [[0, 0j], [0j, 0], [0, 0]],
+                         ids=["int-then-complex", "complex-then-int", "ints"])
+def test_least_squares_machine_roundoff_with_int_entries(first_row):
+    # two columns equal to about 3e-9: singular in machine precision
+    # wherever the int zeros sit, since the unit roundoff is read off the
+    # first entry that is not an int (complex here, the float 1 + d below
+    # for the all-int first row), never off rows[0][0]
+    d = 3e-9
+    rows = [list(first_row), [1, 1], [1, 1 + d]]
+    with pytest.raises(ZeroDivisionError):
+        least_squares(rows, [0, 1, 2])
+    with pytest.raises(ZeroDivisionError):
+        least_squares(rows[1:] + rows[:1], [1, 2, 0])
+
+
 def test_trace_curve_whitehead(whitehead, solved):
     samples = trace_completeness_curve(
         whitehead, 0, n_points=6, step=1e-3,
