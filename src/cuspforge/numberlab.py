@@ -3,9 +3,29 @@
 `algdep` recovers an integer minimal polynomial approximately satisfied by
 a high-precision complex value, by lattice reduction of the rows
 (e_i, round(2^(0.8 p) Re x^i), round(2^(0.8 p) Im x^i)), i = 0..n, at
-working precision p.  Candidates are accepted only when the residual
-|P(x)|, re-evaluated at doubled precision, is below 2^(-0.6 p), and ties
-break by (degree, height, lexicographic coefficients).
+working precision p.  The candidates are the irreducible factors of the
+reduced rows, and one is accepted when its residual |P(x)| is below
+2^(-0.6 p); ties break by (degree, height, lexicographic coefficients).
+The residual is evaluated at 2p bits, but from the same p-bit x, so it
+only re-reads what the lattice saw: it is no independent confirmation.
+
+`irreducible_factors` finds the factors of the rows in three steps, and
+factors in full only what the first two leave:
+
+1. each row, lowest degree first, is divided exactly by the factors that
+   earlier rows gave, and made primitive;
+2. a cofactor of degree at most 1 is its own factor, and so is one that
+   Musser's degree test (J. ACM 22, 1975) proves irreducible: the degree
+   of a factor over the integers is a sum of the degrees of the factors
+   modulo every prime p in DEGREE_TEST_PRIMES that keeps the cofactor
+   squarefree and its degree, and when no such sum common to all those
+   primes lies strictly between 0 and the degree, the cofactor is
+   irreducible.  The degrees modulo p come from distinct-degree
+   factorisation (Cohen, Alg. 3.4.3);
+3. the remaining cofactors are divided again once every row has passed
+   step 1, and only what is still unsettled goes to `sympy.factor_list`.
+
+Every row thus gives exactly the factors `sympy.factor_list` would give.
 
 The reduction is `lll`, the integral LLL of Cohen (A Course in
 Computational Algebraic Number Theory, Alg. 2.6.7) with delta = 3/4.  It
@@ -27,6 +47,7 @@ field, -3 for the Eisenstein one) and everything else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -174,9 +195,173 @@ def relation_lattice(x, max_degree: int, precision_bits: int) -> list[list[int]]
     return rows
 
 
+# The primes of the degree test.  They are small because the Frobenius
+# rows mod p take p (deg - 1) steps; a random irreducible degree-12 row
+# is settled after three or four of them.
+DEGREE_TEST_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, with positive leading coefficient."""
+    g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g over the integers, or None when g does not divide f."""
+    r = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[i + len(g) - 1], g[-1])
+        if m:
+            return None
+        q[i] = c
+        for j, gj in enumerate(g):
+            r[i + j] -= c * gj
+    return q if q and not any(r) else None
+
+
+def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over GF(p); b[-1] is nonzero mod p."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = q[i - db] = a[i] * inv % p
+        if c:
+            a[i - db:i] = [u - c * v for u, v in zip(a[i - db:i], b)]
+    return q, _trim([c % p for c in a[:db]])
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b over GF(p); a is nonzero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def distinct_degrees(f: list[int], p: int) -> list[int] | None:
+    """Degrees of the irreducible factors modulo the prime p of the
+    integer polynomial f (constant term first), ascending, by distinct-degree
+    factorisation (Cohen, Alg. 3.4.3).  None when p divides the leading
+    coefficient or f is not squarefree modulo p: there the degrees say
+    nothing about the factors of f over the integers.
+
+    The Frobenius rows are x^(p i) mod f, so h^p mod f is their combination
+    with the coefficients of h, and x^(p^d) mod f takes d combinations.  The
+    rows are Kronecker-packed integers, slots of B bits from the constant
+    term up, built by multiplying by x one step at a time; slots are reduced
+    mod p only when unpacked, and B leaves no room for a carry.
+    """
+    f = [c % p for c in f]
+    n = len(f) - 1
+    if f[-1] == 0 or len(_gcd_mod(f, _trim([i * c % p for i, c in enumerate(f)][1:]), p)) > 1:
+        return None
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    B = (p ** 4 * n * n).bit_length()
+    mask, top = (1 << B) - 1, n * B
+    low = sum(-c % p << B * j for j, c in enumerate(f[:-1]))     # x^n mod f
+    frobenius = [1]
+    while len(frobenius) < n:
+        power = frobenius[-1]
+        for _ in range(p):
+            power <<= B
+            power = (power & (1 << top) - 1) + (power >> top) % p * low
+        frobenius.append(power)
+    degrees, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        acc = sum(c * row for c, row in zip(h, frobenius))
+        h = [(acc >> B * j & mask) % p for j in range(n)]
+        g = _gcd_mod(f, _trim([h[0], (h[1] - 1) % p] + h[2:]), p)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _divmod_mod(f, g, p)[0]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _irreducible(f: list[int]) -> bool:
+    """True when the degree test (module docstring) proves the primitive f,
+    of degree at least 2, irreducible.  Bit d of a mask is set when d is a
+    possible factor degree."""
+    both_ends = 1 | 1 << (len(f) - 1)
+    possible = (1 << len(f)) - 1
+    for p in DEGREE_TEST_PRIMES:
+        degrees = distinct_degrees(f, p)
+        if degrees is not None:
+            sums = 1
+            for d in degrees:
+                sums |= sums << d
+            possible &= sums
+            if possible == both_ends:
+                return True
+    return False
+
+
+def _cofactor(f: list[int], known: list[list[int]]) -> list[int]:
+    """The primitive part of f after exact division by every polynomial in
+    known, as often as each divides."""
+    for g in known:
+        while (q := _exact_quotient(f, g)) is not None:
+            f = q
+    return _primitive(f)
+
+
+def irreducible_factors(polys) -> list[list[int]]:
+    """The distinct irreducible factors of nonzero integer polynomials
+    (constant term first), each primitive with positive leading coefficient:
+    the factors `sympy.factor_list` gives for each polynomial, found in
+    three steps.
+
+    1. Lowest degree first, each polynomial is divided exactly by every
+       factor found so far, as often as it divides, and made primitive.
+    2. A cofactor of degree 0 adds nothing.  One of degree 1, or one the
+       degree test proves irreducible, is a new factor.
+    3. Any other cofactor waits until every polynomial has had step 1, so
+       that factors found later can divide it; what is left is handed to
+       `sympy.factor_list`.
+    """
+    known, deferred = [], []
+    for f in sorted(polys, key=len):
+        f = _cofactor(f, known)
+        if len(f) > 2 and not _irreducible(f):
+            deferred.append(f)
+        elif len(f) > 1:
+            known.append(f)
+    for f in deferred:
+        g = _cofactor(f, known)
+        # an f that nothing divided has failed the degree test already
+        if len(g) > 2 and (g == f or not _irreducible(g)):
+            poly = sympy.Poly(g[::-1], sympy.Symbol("X"))
+            known += [_primitive([int(c) for c in reversed(h.all_coeffs())])
+                      for h, _ in sympy.factor_list(poly)[1]]
+        elif len(g) > 1:
+            known.append(g)
+    return known
+
+
 def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
     """Integer minimal-polynomial candidate for x, or None if no candidate
-    survives the doubled-precision residual check.
+    passes the residual test.
+
+    The candidates are the irreducible factors of the reduced rows, by
+    `irreducible_factors`: each row is divided by the factors found so far,
+    the mod-p degree test proves what is left irreducible where it can, and
+    `sympy.factor_list` factors only the rest.  A candidate F passes when
+    |F(x)|, evaluated at 2p bits, is below 2^(-0.6 p); x is known to about
+    p bits only, so the extra digits confirm nothing.  Ties break by
+    (degree, height, coefficients).
 
     Requires precision_bits >= 128 and max_degree >= 1, else raises
     AlgdepError.  The returned polynomial is primitive with positive
@@ -190,26 +375,20 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
     with mp.workprec(2 * precision_bits):
         x = mp.mpc(x)
         reduced = lll(relation_lattice(x, n, precision_bits))
+        # coefficient of x^i at index i
+        candidates = irreducible_factors(filter(None, (_trim(row[: n + 1]) for row in reduced)))
 
         threshold = mp.mpf(2) ** int(-0.6 * precision_bits)
-        X = sympy.Symbol("X")
+        powers = [x ** i for i in range(n + 1)]
         best = None
-        for row in reduced:
-            coeffs = row[: n + 1]     # coefficient of x^i at index i
-            if all(c == 0 for c in coeffs):
+        for fc in candidates:
+            residual = abs(sum(c * powers[i] for i, c in enumerate(fc)))
+            if residual >= threshold:
                 continue
-            poly = sympy.Poly(list(reversed(coeffs)), X)
-            for factor, _ in sympy.factor_list(poly)[1]:
-                fc = [int(c) for c in reversed(factor.all_coeffs())]
-                residual = abs(sum(c * x ** i for i, c in enumerate(fc)))
-                if residual >= threshold:
-                    continue
-                if fc[-1] < 0:
-                    fc = [-c for c in fc]
-                height = max(abs(c) for c in fc)
-                key = (len(fc) - 1, height, tuple(fc))
-                if best is None or key < best[0]:
-                    best = (key, tuple(fc), residual)
+            height = max(abs(c) for c in fc)
+            key = (len(fc) - 1, height, tuple(fc))
+            if best is None or key < best[0]:
+                best = (key, tuple(fc), residual)
         if best is None:
             return None
         _, coeffs, residual = best

@@ -83,6 +83,7 @@ class KernelDimensionError(SolveError):
 REGULAR_SHAPE = mpmath.mpc(0.5, 0.8660254037844386)
 # Newton steps never move a shape within this distance of 0 or 1
 GUARD = 1e-9
+GUARD_SQUARED = GUARD * GUARD
 # a machine-precision Newton solve (a root of the log system, a filling ramp
 # step) must reach this residual: the Euclidean norm of the log rows, or the
 # largest residual of the cleared and filling rows
@@ -348,6 +349,15 @@ def _residual(eqs, fill_eqs, z):
     return max(e.residual(z) for e in (*eqs, *fill_eqs))
 
 
+def _in_guard_band(v) -> bool:
+    """|v| < GUARD or |1 - v| < GUARD, decided on squared magnitudes in
+    floats: no hypot, no square root, and no mpmath arithmetic; only a
+    point within rounding of the band's edge can be decided otherwise."""
+    v = complex(v)
+    re, im = v.real, v.imag
+    return re * re + im * im < GUARD_SQUARED or (1 - re) ** 2 + im * im < GUARD_SQUARED
+
+
 def _damped_newton(z, residual, step, tol, max_iter):
     """The Newton loop of every solve and of the curve corrector: take
     step(z), halved up to 12 times until it lowers residual(z) with every
@@ -368,7 +378,7 @@ def _damped_newton(z, residual, step, tol, max_iter):
         for _ in range(12):
             z_try = Point([zi + lam * d for zi, d in zip(z, delta)])
             lam /= 2
-            if any(abs(v) < GUARD or abs(1 - v) < GUARD for v in z_try):
+            if any(_in_guard_band(v) for v in z_try):
                 continue
             r_try = residual(z_try)
             if r_try < best:

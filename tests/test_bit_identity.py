@@ -12,6 +12,10 @@ recorded before the evaluator memoised its powers and before
   prints it with `--format json`, with each source path cut to its file
   name.
 
+The `fill` JSON of the (1, n) fillings of whitehead's cusp 1, n = -5..5
+without 0, at 256 bits (source path cut the same way) was recorded before
+`algdep` stopped factoring every reduced row with `sympy.factor_list`.
+
 A change that moves a digest changes numbers: it has to say which and
 why, and record the new digests.  The screen digest also covers the
 report format and the version string in its provenance.
@@ -25,7 +29,7 @@ import pytest
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.screen import ScreenOptions, screen
+from cuspforge.screen import ScreenOptions, fill_and_screen, screen
 from cuspforge.solver import solve_complete, trace_completeness_curve
 
 FIXTURES = pathlib.Path(cf.__file__).parent / "fixtures"
@@ -47,6 +51,8 @@ TRACE_DIGESTS = {
 
 SCREEN_DIGEST = "db3dc30047e72b7b1e1208da222d8eb96b605f6a02f9b6b45e2a89b49da2fb23"
 
+FILL_DIGEST = "69bed0848b8e72f426049aea57655ad64850e995e6552a86de1f6079018ee460"
+
 
 def _exact(x) -> tuple:
     return tuple(int(v) for v in x.real._mpf_), tuple(int(v) for v in x.imag._mpf_)
@@ -62,15 +68,25 @@ def trace_digest(name: str, bits: int, cusp: int, start=None) -> str:
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
-def screen_digest() -> str:
-    options = ScreenOptions(precision_bits=256)
-    with mp.workprec(256 + 30):
-        reports = screen([FIXTURES / f"{name}.json" for name in ("whitehead", "622", "berge")],
-                         options)
+def reports_digest(reports) -> str:
     docs = [r.to_jsonable() for r in reports]
     for doc in docs:
         doc["source"] = pathlib.Path(doc["source"]).name
     return hashlib.sha256(json.dumps(docs, sort_keys=True, indent=1).encode()).hexdigest()
+
+
+def screen_digest() -> str:
+    with mp.workprec(256 + 30):
+        reports = screen([FIXTURES / f"{name}.json" for name in ("whitehead", "622", "berge")],
+                         ScreenOptions(precision_bits=256))
+    return reports_digest(reports)
+
+
+def fill_digest() -> str:
+    with mp.workprec(256 + 30):
+        reports = fill_and_screen(FIXTURES / "whitehead.json", 1, [n for n in range(-5, 6) if n],
+                                  ScreenOptions(precision_bits=256))
+    return reports_digest(reports)
 
 
 @pytest.mark.parametrize("bits", [256, 512])
@@ -85,3 +101,7 @@ def test_trace_samples_are_bit_identical(name, bits):
 
 def test_screen_json_is_bit_identical():
     assert screen_digest() == SCREEN_DIGEST
+
+
+def test_fill_json_is_bit_identical():
+    assert fill_digest() == FILL_DIGEST

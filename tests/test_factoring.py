@@ -1,0 +1,262 @@
+"""The factoring behind `algdep`, held against sympy.
+
+`irreducible_factors` must give exactly the factors `sympy.factor_list`
+gives, and `distinct_degrees` exactly the degrees that
+`sympy.polys.galoistools.gf_ddf_zassenhaus` gives.  `algdep` must return
+what it returned when it handed every reduced row to `sympy.factor_list`:
+`reference_algdep` below is that loop, verbatim.
+"""
+
+import random
+
+import pytest
+import sympy
+from mpmath import mp
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_from_int_poly, gf_monic, gf_sqf_p
+
+import cuspforge as cf
+from cuspforge.numberlab import (
+    DEGREE_TEST_PRIMES,
+    MinPoly,
+    _irreducible,
+    algdep,
+    distinct_degrees,
+    irreducible_factors,
+    lll,
+    relation_lattice,
+)
+from cuspforge.solver import solve_complete, solve_filled
+
+X = sympy.Symbol("X")
+FILL_NS = [n for n in range(-5, 6) if n]
+
+
+def reference_algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
+    """`algdep` as it was when it factored every reduced row."""
+    n = max_degree
+    with mp.workprec(2 * precision_bits):
+        x = mp.mpc(x)
+        reduced = lll(relation_lattice(x, n, precision_bits))
+
+        threshold = mp.mpf(2) ** int(-0.6 * precision_bits)
+        X = sympy.Symbol("X")
+        best = None
+        for row in reduced:
+            coeffs = row[: n + 1]     # coefficient of x^i at index i
+            if all(c == 0 for c in coeffs):
+                continue
+            poly = sympy.Poly(list(reversed(coeffs)), X)
+            for factor, _ in sympy.factor_list(poly)[1]:
+                fc = [int(c) for c in reversed(factor.all_coeffs())]
+                residual = abs(sum(c * x ** i for i, c in enumerate(fc)))
+                if residual >= threshold:
+                    continue
+                if fc[-1] < 0:
+                    fc = [-c for c in fc]
+                height = max(abs(c) for c in fc)
+                key = (len(fc) - 1, height, tuple(fc))
+                if best is None or key < best[0]:
+                    best = (key, tuple(fc), residual)
+        if best is None:
+            return None
+        _, coeffs, residual = best
+        return MinPoly(coefficients=coeffs, residual=residual,
+                       height=max(abs(c) for c in coeffs))
+
+
+def sympy_factors(f) -> set:
+    """Primitive factors of f by `sympy.factor_list`, positive leading
+    coefficient, constant term first."""
+    out = set()
+    for g, _ in sympy.factor_list(sympy.Poly(f[::-1], X))[1]:
+        c = [int(v) for v in reversed(g.all_coeffs())]
+        out.add(tuple(-v for v in c) if c[-1] < 0 else tuple(c))
+    return out
+
+
+def multiply(*polys):
+    out = [1]
+    for f in polys:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def random_poly(rng, degree, bits=40):
+    """Constant term first, nonzero constant and leading coefficients."""
+    return ([rng.choice([-1, 1]) * rng.randrange(1, 2 ** bits)]
+            + [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(degree - 1)]
+            + [rng.randrange(1, 2 ** bits)])
+
+
+def factor_cases(seed=14):
+    """(label, polynomial) of every kind the factoring must get right."""
+    rng = random.Random(seed)
+    cases = []
+    for degree in range(2, 13):
+        cases.append(("irreducible", random_poly(rng, degree)))
+    for _ in range(6):
+        parts = [random_poly(rng, rng.randint(1, 4), bits=8) for _ in range(rng.randint(2, 3))]
+        cases.append(("product", multiply(*parts)))
+    for _ in range(4):
+        f, g = random_poly(rng, rng.randint(1, 3), 8), random_poly(rng, rng.randint(1, 3), 8)
+        cases.append(("repeated", multiply(f, f, g)))
+        cases.append(("repeated", multiply(f, f, f)))
+        cases.append(("content", [6 * c for c in multiply(f, g)]))
+        cases.append(("negative leading", [-c for c in multiply(f, g)]))
+        cases.append(("zero constant", multiply([0, 1], f, g)))
+        cases.append(("zero constant", multiply([0, 0, 1], f)))
+    cases += [("degree 0", [5]), ("degree 0", [-3]), ("degree 1", [3, -6]),
+              ("degree 1", [-7, -2]), ("degree 1", [0, 4])]
+    return cases
+
+
+@pytest.mark.parametrize("label, f", factor_cases())
+def test_factors_equal_sympy_factor_list(label, f):
+    assert {tuple(g) for g in irreducible_factors([f])} == sympy_factors(f), label
+
+
+def test_known_factors_in_either_order_give_sympy_factors():
+    # rows that share factors, passed in both orders: each factor comes out
+    # once, whichever row gave it first, and every row's factors are there
+    rng = random.Random(5)
+    for _ in range(8):
+        f, g = random_poly(rng, 3, 8), random_poly(rng, 3, 8)
+        h = random_poly(rng, 2, 8)
+        rows = [f, g, multiply(f, g, h), multiply(g, g, [0, 1])]
+        expected = set().union(*map(sympy_factors, rows))
+        for order in (rows, rows[::-1], [g, f] + rows[2:]):
+            found = [tuple(c) for c in irreducible_factors(order)]
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+
+
+def test_deferred_rows_are_divided_by_later_factors():
+    # f*g is reducible and comes first; f*h (h irreducible of degree 3)
+    # waits, and once f*g is factored it leaves h for the degree test
+    rng = random.Random(6)
+    f, g = random_poly(rng, 2, 8), random_poly(rng, 2, 8)
+    h = [1, 1, 0, 1]                   # x^3 + x + 1, irreducible
+    rows = [multiply(f, g), multiply(f, h)]
+    expected = set().union(*map(sympy_factors, rows))
+    assert {tuple(c) for c in irreducible_factors(rows)} == expected
+
+
+def sympy_degrees(f, p):
+    """Factor degrees of f mod p by gf_ddf_zassenhaus, or None where
+    `distinct_degrees` must refuse: p divides the leading coefficient, or
+    f is not squarefree mod p."""
+    g = gf_from_int_poly(f[::-1], p)
+    if len(g) != len(f) or not gf_sqf_p(g, p, ZZ):
+        return None
+    _, g = gf_monic(g, p, ZZ)
+    return sorted(d for h, d in gf_ddf_zassenhaus(g, p, ZZ) for _ in range((len(h) - 1) // d))
+
+
+@pytest.mark.parametrize("p", DEGREE_TEST_PRIMES)
+def test_degree_pattern_equals_sympy(p):
+    rng = random.Random(p)
+    for degree in range(1, 13):
+        for _ in range(3):
+            f = random_poly(rng, degree)
+            assert distinct_degrees(f, p) == sympy_degrees(f, p), f
+        # a square modulo p: g^2 h + p k
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+        h = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
+        gg = multiply(g, g, h)
+        f = [c + p * rng.randrange(-1000, 1000) for c in gg[:-1]] + [gg[-1]]
+        assert distinct_degrees(f, p) is None is sympy_degrees(f, p), f
+        # leading coefficient divisible by p
+        f = random_poly(rng, degree)
+        f[-1] *= p
+        assert distinct_degrees(f, p) is None is sympy_degrees(f, p), f
+
+
+def test_generic_polynomial_times_linear_is_never_irreducible():
+    # a random degree-12 polynomial is irreducible with Galois group S_12
+    # almost surely, so the degree test proves it irreducible; times a
+    # linear factor, every prime's pattern has a root and the test never
+    # may claim irreducibility
+    rng = random.Random(12)
+    for _ in range(4):
+        f = random_poly(rng, 12)
+        assert len(sympy_factors(f)) == 1
+        assert _irreducible(f)
+        for linear in ([-rng.randrange(1, 50), 1], [3, 2], [0, 1], [-5, 7]):
+            product = multiply(f, linear)
+            assert not _irreducible(product)
+            factors = {tuple(c) for c in irreducible_factors([product])}
+            assert factors == sympy_factors(product) and len(factors) == 2
+
+
+@pytest.fixture(scope="module")
+def algdep_values():
+    """{bits: [(label, value)]}: whitehead c1 in each (1, n) filling of c2,
+    n = -5..5 without 0, solved as `fill` solves them; every fixture cusp
+    parameter at the complete structure; pi/3 + i e/5."""
+    out = {}
+    for bits in (128, 256, 512):
+        values = []
+        with mp.workprec(bits + 30):
+            for name in ("whitehead", "622", "berge"):
+                tri = cf.load_fixture(name)
+                complete = solve_complete(tri, bits, seed=0)
+                values += [(f"{name} {c.name}", cf.evaluate_cusp_parameter(
+                    cf.cusp_parameter(tri, c), complete.shapes)) for c in tri.cusps]
+                if name == "whitehead":
+                    for n in FILL_NS:
+                        filled = solve_filled(tri, [None, (1, n)], bits, seed=0,
+                                              initial=complete.shapes)
+                        values.append((f"whitehead(1,{n})", cf.evaluate_cusp_parameter(
+                            cf.cusp_parameter(tri, tri.cusps[0]), filled.shapes)))
+            values.append(("pi/3 + i e/5", mp.pi / 3 + mp.mpc(0, 1) * mp.e / 5))
+        out[bits] = values
+    return out
+
+
+def same(a: MinPoly | None, b: MinPoly | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return (a.coefficients, a.height, repr(a.residual)) == (b.coefficients, b.height,
+                                                             repr(b.residual))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_algdep_matches_the_factor_every_row_loop(algdep_values, bits):
+    for label, value in algdep_values[bits]:
+        degrees = (8, 12) if label.startswith("pi") else (12,)
+        for max_degree in degrees:
+            with mp.workprec(bits + 30):
+                found = algdep(value, max_degree, bits)
+                expected = reference_algdep(value, max_degree, bits)
+            assert same(found, expected), (label, max_degree)
+    if bits == 128:
+        # the spurious relations that only a 2p confirmation can reject
+        # stay as they are
+        spurious = {label: algdep(value, 12, bits) for label, value in algdep_values[bits]
+                    if label in ("whitehead(1,-5)", "whitehead(1,5)")}
+        assert {k: (v.degree, v.height) for k, v in spurious.items()} == {
+            "whitehead(1,-5)": (12, 159446), "whitehead(1,5)": (12, 168436)}
+
+
+def test_fill_pass_calls_factor_list_at_most_13_times(algdep_values, monkeypatch):
+    # the degree test settles nearly every row: over one fill pass at 256
+    # bits sympy.factor_list runs at most 13 times (it ran on all 130 rows
+    # when every row was factored)
+    calls = []
+    factor_list = sympy.factor_list
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return factor_list(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factor_list", counting)
+    values = [v for label, v in algdep_values[256] if label.startswith("whitehead(")]
+    assert len(values) == 10
+    with mp.workprec(256 + 30):
+        assert all(algdep(v, 12, 256) is not None for v in values)
+    assert len(calls) <= 13
