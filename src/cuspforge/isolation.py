@@ -15,10 +15,11 @@ derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, as
 `solver.pinned_solve`s.  The reported tangent is the normalised pinned
 velocity dz/|dz|, where dz is u' with 1 at the pinned coordinate.  One
 kernel check, `solver.curve_pin`, serves tracing and derivatives alike:
-complete-pivot elimination (refereed by an SVD near the rank cut) checks
-that the kernel is one-dimensional (else KernelDimensionError), chooses the
-pin and gives the Jacobian rank.  It runs in the pass at precision p; the
-doubled-precision pass reuses the pin and runs no kernel check.
+complete-pivot elimination checks that the kernel is one-dimensional
+(else KernelDimensionError, also when the rank decision is too near the
+cut), chooses the pin and gives the Jacobian rank.  It runs in the pass at
+precision p; the doubled-precision pass reuses the pin and runs no kernel
+check.
 The Jacobian rows are exact gradients of the cleared equations; the second
 derivative of every equation and of both tau sums along u' is the closed
 form of `holonomy.second_derivative_along`, computed term by term from log
@@ -43,13 +44,11 @@ from .holonomy import (MonomialSum, Point, ShapeAssignment, cusp_parameter,
                        second_derivative_along, sum_value)
 from .manifold import IdealTriangulation
 from .solver import (
-    KernelDimensionError,  # noqa: F401  (re-exported: raised by curve_derivatives)
     SolveError,
     SolveResult,
     completeness_system,
     curve_pin,
     curve_velocity,
-    numerical_kernel,
     pinned_solve,
     solve_complete,
     system_jacobian,
@@ -104,52 +103,6 @@ class IsolationEvidence:
         }
 
 
-def completeness_jacobian(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment):
-    """Jacobian of {cleared edge equations, mu(meridian) - 1} at a point,
-    with its numerical kernel basis.
-
-    Returns (rows, kernel, rank, magnitudes, ambiguous): the magnitudes
-    are the elimination's pivots, or the singular values where the SVD
-    referee decided the rank (see `solver.numerical_kernel`)."""
-    with mp.workprec(shapes.precision_bits + 30):
-        eqs = completeness_system(tri, cusp)
-        z = list(shapes.z)
-        rows = system_jacobian(eqs, z)
-        kernel, rank, magnitudes, ambiguous = numerical_kernel(rows, shapes.precision_bits)
-        return rows, kernel, rank, magnitudes, ambiguous
-
-
-def curve_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
-                      pin: int | None = None):
-    """First and second derivatives of the shape coordinates along the
-    completeness curve, parametrized by the pinned coordinate.
-
-    Returns (dz, d2z, pin, rank, tangent): dz and d2z are full-length
-    vectors with dz[pin] = 1, d2z[pin] = 0, and the tangent is dz/|dz|.
-    Without `pin`, `curve_pin` checks the kernel, chooses the pin and gives
-    the Jacobian rank; with `pin` given no kernel check runs and the rank
-    is None.
-    """
-    with mp.workprec(shapes.precision_bits + 30):
-        return _curve_derivatives(completeness_system(tri, cusp), Point(shapes.z),
-                                  shapes.precision_bits, pin)
-
-
-def _curve_derivatives(eqs, z: Point, prec: int, pin: int | None):
-    """`curve_derivatives` of the cleared equations `eqs` at z, at the
-    current working precision."""
-    rows = system_jacobian(eqs, z)
-    rank = None
-    if pin is None:
-        pin, rank = curve_pin(rows, prec)
-    # first derivatives: M u' = -v, columns split by the pinned variable
-    dz, tangent = curve_velocity(rows, pin)
-    # second derivatives: M u'' = -(dz^T Hess dz)
-    d2z = pinned_solve(rows, pin, [-second_derivative_along(eq.cleared.terms, z, dz)
-                                   for eq in eqs])
-    return dz, d2z, pin, rank, tangent
-
-
 @dataclass(frozen=True)
 class _CuspSums:
     """The exact sums the derivatives at one cusp evaluate: the cleared
@@ -171,16 +124,28 @@ class _CuspSums:
 def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
                     pin: int | None = None, *, _sums: _CuspSums | None = None):
     """d/dt and d^2/dt^2 of the cusp parameter tau(l)/tau(m) along the
-    completeness curve, plus the underlying shape derivatives.
+    completeness curve, plus the underlying shape derivatives, with the
+    curve parametrized by the pinned coordinate.
 
-    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, tangent;
-    rank is None when `pin` is given.  `isolation_verdict` passes the
-    exact sums it built once as `_sums`.
+    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, tangent:
+    dz and d2z are full-length vectors with dz[pin] = 1, d2z[pin] = 0, and
+    the tangent is dz/|dz|.  Without `pin`, `curve_pin` checks the kernel,
+    chooses the pin and gives the Jacobian rank; with `pin` given no kernel
+    check runs and the rank is None.  `isolation_verdict` passes the exact
+    sums it built once as `_sums`.
     """
     sums = _CuspSums.build(tri, cusp) if _sums is None else _sums
     with mp.workprec(shapes.precision_bits + 30):
         z = Point(shapes.z)
-        dz, d2z, pin, rank, tangent = _curve_derivatives(sums.eqs, z, shapes.precision_bits, pin)
+        rows = system_jacobian(sums.eqs, z)
+        rank = None
+        if pin is None:
+            pin, rank = curve_pin(rows, shapes.precision_bits)
+        # first derivatives: M u' = -v, columns split by the pinned variable
+        dz, tangent = curve_velocity(rows, pin)
+        # second derivatives: M u'' = -(dz^T Hess dz)
+        d2z = pinned_solve(rows, pin, [-second_derivative_along(eq.cleared.terms, z, dz)
+                                       for eq in sums.eqs])
         N = sum_value(sums.num.terms, z)
         D = sum_value(sums.den.terms, z)
         dN = [sum_value(d.terms, z) for d in sums.d_num]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import unicodedata
 from dataclasses import dataclass, replace
 
 from .holonomy import SignedMonomial
@@ -190,14 +191,23 @@ def validate(tri: IdealTriangulation) -> None:
                         )
         if cusp.filling is not None:
             p, q = cusp.filling
-            if not (isinstance(p, int) and isinstance(q, int)):
+            if not (_is_int(p) and _is_int(q)):
                 raise TriangulationError(f"cusp {cusp.name!r}: filling must be integer pair")
+
+
+def _is_int(value) -> bool:
+    """An integer of the schema: JSON true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_control_character(name: str) -> bool:
+    return any(unicodedata.category(ch) == "Cc" for ch in name)
 
 
 def _parse_corner(obj, where: str) -> CornerRef:
     if not isinstance(obj, dict) or set(obj) != {"tet", "kind"}:
         raise TriangulationError(f"{where}: corner must be an object with keys tet, kind")
-    if not isinstance(obj["tet"], int):
+    if not _is_int(obj["tet"]):
         raise TriangulationError(f"{where}: corner tet must be an integer")
     return CornerRef(obj["tet"], obj["kind"])
 
@@ -263,8 +273,10 @@ def parse_triangulation(document: str) -> IdealTriangulation:
         raise TriangulationError("document schema: " + ", ".join(detail))
     name = doc["name"]
     n_tet = doc["n_tet"]
-    if not isinstance(name, str) or not isinstance(n_tet, int) or n_tet <= 0:
+    if not isinstance(name, str) or not _is_int(n_tet) or n_tet <= 0:
         raise TriangulationError("name must be a string and n_tet a positive integer")
+    if _has_control_character(name):
+        raise TriangulationError("name must not contain control characters")
     for key in ("edges", "cusps"):
         if not isinstance(doc[key], list):
             raise TriangulationError(f"{key} must be a list")
@@ -288,13 +300,15 @@ def parse_triangulation(document: str) -> IdealTriangulation:
             )
         if not isinstance(c["name"], str):
             raise TriangulationError(f"cusp {i}: name must be a string")
+        if _has_control_character(c["name"]):
+            raise TriangulationError(f"cusp {i}: name must not contain control characters")
         anchor = f"{c['name']}/f"
         meridian = _parse_curve(c["meridian"], f"{c['name']}.meridian", anchor, f"cusp {c['name']!r} meridian")
         longitude = _parse_curve(c["longitude"], f"{c['name']}.longitude", anchor, f"cusp {c['name']!r} longitude")
         filling = None
         if "filling" in c:
             f = c["filling"]
-            if not (isinstance(f, list) and len(f) == 2 and all(isinstance(x, int) for x in f)):
+            if not (isinstance(f, list) and len(f) == 2 and all(_is_int(x) for x in f)):
                 raise TriangulationError(f"cusp {i}: filling must be a pair of integers")
             filling = (f[0], f[1])
         cusps.append(CuspData(c["name"], meridian, longitude, filling))

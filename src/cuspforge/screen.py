@@ -127,19 +127,16 @@ def _hyperbolic(solve: dict | None) -> bool:
 
 
 def _audit(report: ScreenReport) -> ScreenReport:
-    """Verdict consistency rules, enforced before any report is emitted."""
+    """Verdict consistency rules, enforced before any report is emitted
+    (explicit raises, so that `python -O` keeps them)."""
     records = [c for c in report.cusps if c.error is None]
-    if report.verdict in (FAILS_RIGID, RIGID_NOT_ISOLATED):
-        assert _hyperbolic(report.solve), \
-            f"{report.verdict} requires a geometric, non-degenerate solve"
-    if report.verdict == FAILS_RIGID:
-        assert records and all(not c.rigid for c in records), \
-            "FailsRigidField requires every screened cusp to fail the rigid test"
-    if report.verdict == RIGID_NOT_ISOLATED:
-        assert any(
-            c.rigid and c.isolation is not None and c.isolation.not_isolated
-            for c in records
-        ), "RigidFieldButNotIsolated requires certified non-isolation evidence"
+    if report.verdict in (FAILS_RIGID, RIGID_NOT_ISOLATED) and not _hyperbolic(report.solve):
+        raise AssertionError(f"{report.verdict} requires a geometric, non-degenerate solve")
+    if report.verdict == FAILS_RIGID and not (records and all(not c.rigid for c in records)):
+        raise AssertionError("FailsRigidField requires every screened cusp to fail the rigid test")
+    if report.verdict == RIGID_NOT_ISOLATED and not any(
+            c.rigid and c.isolation is not None and c.isolation.not_isolated for c in records):
+        raise AssertionError("RigidFieldButNotIsolated requires certified non-isolation evidence")
     return report
 
 
@@ -327,10 +324,21 @@ def reports_to_table(reports: list[ScreenReport]) -> str:
 
 
 def write_reports(reports: list[ScreenReport], out_dir) -> None:
+    """One `<name>.report.json` per report plus `summary.csv`; a name that
+    an earlier report already took gets the first free `-2`, `-3`, ...
+    suffix, and every name no other report shares is kept as it is."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for rep in reports:
-        safe = rep.manifold.replace("/", "_").replace("(", "_").replace(")", "").replace("=", "_")
+    stems = [rep.manifold.replace("/", "_").replace("(", "_").replace(")", "").replace("=", "_")
+             for rep in reports]
+    taken, seen = set(stems), set()
+    for rep, stem in zip(reports, stems):
+        safe, k = stem, 1
+        while stem in seen and safe in taken:
+            k += 1
+            safe = f"{stem}-{k}"
+        seen.add(stem)
+        taken.add(safe)
         (out / f"{safe}.report.json").write_text(rep.to_json() + "\n")
     (out / "summary.csv").write_text(reports_to_csv(reports))
 

@@ -26,9 +26,10 @@ it is accepted, are evaluated from the one power memo of that point.  The
 edge rows are redundant (their product is identically 1), but the whole
 system has full column rank at the geometric solution (Neumann-Zagier), so
 no rows are dropped and no rank cutoff is needed.  `curve_pin` runs once per
-completeness curve: Gaussian elimination with complete pivoting checks the
-kernel dimension and finds the Jacobian rank and the pinned coordinate, and
-an SVD referees only a rank decision near the cut (`numerical_kernel`).
+completeness curve: Gaussian elimination with complete pivoting
+(`numerical_kernel`) checks the kernel dimension and finds the Jacobian
+rank and the pinned coordinate; a rank decision too near the cut raises
+KernelDimensionError.
 Every curve direction after that is a `pinned_solve` with the pinned
 coordinate held fixed.
 
@@ -712,48 +713,27 @@ def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf]:
 
 
 def numerical_kernel(rows: list[list], precision_bits: int):
-    """Kernel basis of a complex matrix, its rank, the magnitudes behind
-    that rank and an `ambiguous` flag, at the current precision.
+    """(kernel, rank) of a complex matrix at the current precision: a
+    unit-norm kernel basis and the number of pivots.
 
     Gaussian elimination with complete pivoting (`_eliminate`) stops when
-    the largest remaining entry is at most 2^(-p/4) times the largest
-    entry of the matrix; the magnitudes are then its pivots.  Complete
-    pivoting reveals the rank in practice but not in the worst case (on
-    Kahan's matrix the last pivot stays far above the smallest singular
-    value), so its answer is taken only when it is a clean one-dimensional
-    kernel: every pivot at least 4 times the cut and the stopping entry
-    at most a quarter of it.  Every other matrix goes to `_svd_kernel`,
-    whose magnitudes are singular values.
+    the largest remaining entry is at most the cut, 2^(-p/4) times the
+    largest entry of the matrix.  Complete pivoting reveals the rank in
+    practice but not in the worst case (on Kahan's matrix the last pivot
+    stays far above the smallest singular value), so only a clean decision
+    is taken: every pivot at least 4 times the cut and the stopping entry
+    at most a quarter of it.  Any other matrix raises KernelDimensionError.
     """
     big = max(abs(v) for row in rows for v in row)
     cut = big * mp.mpf(2) ** (-precision_bits // 4)
     kernel, pivots, rest = _eliminate(rows, cut)
-    if len(kernel) == 1 and rest <= cut / 4 and all(p >= 4 * cut for p in pivots):
-        return kernel, len(pivots), pivots, False
-    return _svd_kernel(rows, precision_bits)
-
-
-def _svd_kernel(rows: list[list], precision_bits: int):
-    """Kernel basis of a complex matrix by SVD, cut at 2^(-p/4) relative
-    to the largest singular value."""
-    A = mp.matrix(rows)
-    U, S, V = mp.svd_c(A)
-    svals = [S[i] for i in range(S.rows)]
-    smax = max(svals) if svals else mp.mpf(0)
-    cut = smax * mp.mpf(2) ** (-precision_bits // 4) if smax > 0 else mp.mpf(0)
-    n = A.cols
-    kernel = []
-    rank = 0
-    for i in range(len(svals)):
-        if svals[i] > cut:
-            rank += 1
-    for i in range(rank, n):
-        vec = [mp.conj(V[i, j]) for j in range(n)] if i < V.rows else None
-        if vec is not None:
-            kernel.append(vec)
-    # ambiguous threshold: singular values from both sides too close to cut
-    ambiguous = any(cut / 4 < sv < cut * 4 for sv in svals if sv > 0)
-    return kernel, rank, svals, ambiguous
+    if rest <= cut / 4 and all(p >= 4 * cut for p in pivots):
+        return kernel, len(pivots)
+    raise KernelDimensionError(
+        f"kernel dimension {len(kernel)} undecided at the rank cut; pivots "
+        + ", ".join(mp.nstr(p, 5) for p in pivots)
+        + f"; remaining entry {mp.nstr(rest, 5)}; cut {mp.nstr(cut, 5)}"
+    )
 
 
 def pin_choice(tangent) -> int:
@@ -770,13 +750,10 @@ def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int]:
     one `numerical_kernel` of a curve checks that its kernel is
     one-dimensional, and `pin_choice` picks the pinned coordinate from the
     kernel vector."""
-    kernel, rank, svals, _ = numerical_kernel(rows, precision_bits)
+    kernel, rank = numerical_kernel(rows, precision_bits)
     if len(kernel) != 1:
         raise KernelDimensionError(
-            f"kernel dimension {len(kernel)} at the complete structure "
-            "(expected 1); singular values "
-            + ", ".join(mp.nstr(s, 5) for s in svals)
-        )
+            f"kernel dimension {len(kernel)} at the complete structure (expected 1)")
     return pin_choice(kernel[0]), rank
 
 

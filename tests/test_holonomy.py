@@ -32,7 +32,7 @@ from cuspforge.holonomy import (
     tau,
     term_value,
 )
-from cuspforge.isolation import curve_derivatives
+from cuspforge.isolation import tau_derivatives
 from cuspforge.solver import completeness_system
 
 from conftest import PRECISION, rational_point_sampler, take
@@ -390,7 +390,7 @@ def _evaluator_cases(tri, complete_shapes):
     for cusp in range(len(tri.cusps)):
         sums = [eq.cleared for eq in completeness_system(tri, cusp)]
         sums += list(cusp_parameter(tri, tri.cusps[cusp]))
-        dz = curve_derivatives(tri, cusp, complete_shapes)[0]
+        dz = tau_derivatives(tri, cusp, complete_shapes)["dz"]
         yield sums, complete_shapes, dz
         v = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(tri.n_tet)]
         yield sums, random_point, v

@@ -256,6 +256,49 @@ def test_cli_out_directory(tmp_path):
     assert (tmp_path / "reports" / "berge.report.json").exists()
 
 
+def test_cli_out_name_with_a_control_character_is_a_parse_failure(tmp_path, whitehead):
+    doc = json.loads(cf.serialize(whitehead))
+    doc["name"] = "white\x00head"
+    bad = tmp_path / "nul.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "reports"
+    proc = run_cli("screen", str(bad), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["nul.report.json", "summary.csv"]
+    assert "control characters" in json.loads((out / "nul.report.json").read_text())["error"]
+
+
+def test_write_reports_gives_colliding_names_suffixes(tmp_path):
+    from cuspforge.screen import ScreenReport
+
+    names = ["berge", "x-2", "berge", "a(b)", "x", "berge", "x"]
+    reports = [ScreenReport(manifold=name, source=str(i), verdict=UNDETERMINED)
+               for i, name in enumerate(names)]
+    write_reports(reports, tmp_path)
+    written = {p.name: json.loads(p.read_text())["source"] for p in tmp_path.glob("*.report.json")}
+    # names no other report shares are kept; a repeated one takes the first
+    # free suffix, never the name of another report
+    assert written == {
+        "berge.report.json": "0", "x-2.report.json": "1", "berge-2.report.json": "2",
+        "a_b.report.json": "3", "x.report.json": "4", "berge-3.report.json": "5",
+        "x-3.report.json": "6",
+    }
+
+
+def test_audit_holds_under_python_optimize():
+    # the consistency rules are explicit raises: `python -O` strips assert
+    # statements but still refuses a forged report
+    forged = ("from cuspforge.screen import FAILS_RIGID, ScreenReport, _audit\n"
+              "try:\n"
+              "    _audit(ScreenReport(manifold='forged', source='', verdict=FAILS_RIGID))\n"
+              "except AssertionError as exc:\n"
+              "    print('refused:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", forged], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: FailsRigidField requires a geometric")
+
+
 @pytest.mark.parametrize("args", [
     ("fill", "whitehead", "--cusp", "1", "--n-range=abc"),
     ("fill", "whitehead", "--cusp", "1", "--n-range=5:1"),
@@ -276,15 +319,17 @@ def test_cli_bad_value_is_one_line_usage_error(args):
 
 
 def test_cli_isolate_records_failures_without_traceback():
-    # at 8 bits the completeness curve of some cusps has a kernel of
-    # dimension above 1; each failed cusp prints one line
+    # at 8 bits the elimination cannot decide the rank of some cusps'
+    # completeness curves; each failed cusp prints one line
     proc = run_cli("isolate", "whitehead", "berge", "--precision-bits", "8")
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 4
-    assert lines[0].startswith("whitehead.c1: isolation failed: kernel dimension 2 ")
-    assert lines[3].startswith("berge.c-knotted: isolation failed: kernel dimension 2 ")
+    assert lines[0].startswith(
+        "whitehead.c1: isolation failed: kernel dimension 1 undecided at the rank cut; pivots ")
+    assert lines[3].startswith(
+        "berge.c-knotted: isolation failed: kernel dimension 1 undecided at the rank cut; pivots ")
 
 
 @pytest.mark.parametrize("command", ["shape", "solve"])
@@ -383,16 +428,33 @@ def test_cli_flat_filling_is_not_rigid_compatible():
     assert "[" not in flat
 
 
-@pytest.mark.parametrize("key, value", [("cusps", 1), ("edges", None)])
-def test_cli_malformed_fixture_is_a_parse_failure(tmp_path, whitehead, key, value):
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("cusps",), 1, "cusps must be a list", id="cusps-1"),
+    pytest.param(("edges",), None, "edges must be a list", id="edges-None"),
+    pytest.param(("n_tet",), True, "n_tet a positive integer", id="n_tet-true"),
+    pytest.param(("edges", 0, "corners", 0, "tet"), True, "corner tet must be an integer",
+                 id="tet-true"),
+    pytest.param(("cusps", 0, "filling"), [True, 2], "filling must be a pair of integers",
+                 id="filling-true"),
+    pytest.param(("name",), "white\x00head", "name must not contain control characters",
+                 id="name-nul"),
+    pytest.param(("cusps", 1, "name"), "c\n2", "name must not contain control characters",
+                 id="cusp-name-newline"),
+])
+def test_cli_malformed_fixture_is_a_parse_failure(tmp_path, whitehead, path, value, message):
     doc = json.loads(cf.serialize(whitehead))
-    doc[key] = value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(cf.TriangulationError, match=message):
+        cf.parse_triangulation(json.dumps(doc))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     proc = run_cli("screen", str(bad))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert f"parse failed: {key} must be a list" in proc.stdout
+    assert "parse failed: " in proc.stdout and message in proc.stdout
 
 
 @pytest.mark.parametrize("command", ["screen", "solve"])

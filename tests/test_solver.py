@@ -472,8 +472,7 @@ def test_svd_runs_once_per_curve(monkeypatch, berge, solved):
         calls.append(args)
         return kernel(*args, **kwargs)
 
-    for module in (solver, isolation):
-        monkeypatch.setattr(module, "numerical_kernel", counted)
+    monkeypatch.setattr(solver, "numerical_kernel", counted)
     trace_completeness_curve(berge, 0, n_points=8, step=1e-3,
                              precision_bits=PRECISION, start=solved["berge"])
     assert len(calls) == 1
@@ -512,14 +511,14 @@ def test_numerical_kernel_matches_the_svd(bits, completeness_rows):
     # kernel check cuts, gives the same rank, pin and unit kernel vector
     for label, rows in completeness_rows[bits]:
         with mp.workprec(bits + 30):
-            kernel, rank, _, ambiguous = numerical_kernel(rows, bits)
+            kernel, rank = numerical_kernel(rows, bits)
             _, S, V = mp.svd_c(mp.matrix(rows))
             svals = [S[i] for i in range(S.rows)]
             cut = max(svals) * mp.mpf(2) ** (-bits // 4)
             svd_rank = sum(s > cut for s in svals)
             n = len(rows[0])
             assert rank == svd_rank == n - 1, label
-            assert len(kernel) == 1 and not ambiguous, label
+            assert len(kernel) == 1, label
             svd_vec = [mp.conj(V[n - 1, j]) for j in range(n)]
             assert pin_choice(kernel[0]) == pin_choice(svd_vec), label
             assert _phase_distance(kernel[0], svd_vec) < mp.mpf(2) ** (10 - bits), label
@@ -529,7 +528,8 @@ def test_numerical_kernel_matches_the_svd(bits, completeness_rows):
 def test_kernel_of_random_rank_r_products(r):
     # a seeded 7x6 complex product of a 7xr and an rx6 factor has rank r;
     # numerical_kernel and the elimination itself both find it, and every
-    # kernel vector is a unit vector that A maps to 2^-(p-20) max|A_ij|
+    # kernel vector is a unit vector that A maps to 2^-(p-20) max|A_ij|;
+    # curve_pin takes only the one-dimensional kernel of r = 5
     rng = random.Random(r)
     with mp.workprec(PRECISION + 30):
         def factor(m, n):
@@ -540,10 +540,15 @@ def test_kernel_of_random_rank_r_products(r):
                 for row in left]
         big = max(abs(v) for row in rows for v in row)
         cut = big * mp.mpf(2) ** (-PRECISION // 4)
-        kernel, rank, _, ambiguous = numerical_kernel(rows, PRECISION)
+        kernel, rank = numerical_kernel(rows, PRECISION)
         eliminated, pivots, rest = _eliminate(rows, cut)
-        assert rank == len(pivots) == r and not ambiguous
+        assert rank == len(pivots) == r
         assert rest <= cut
+        if r == 5:
+            assert curve_pin(rows, PRECISION)[1] == 5
+        else:
+            with pytest.raises(KernelDimensionError, match=f"kernel dimension {6 - r} at the"):
+                curve_pin(rows, PRECISION)
         tol = mp.mpf(2) ** (20 - PRECISION)
         for basis in (kernel, eliminated):
             assert len(basis) == 6 - r
@@ -553,10 +558,31 @@ def test_kernel_of_random_rank_r_products(r):
                 assert image <= tol * big
 
 
-def test_svd_referees_only_near_the_cut(monkeypatch, solved):
-    # at 128 bits and above the elimination decides every completeness
-    # curve of every fixture: screen and trace finish without mp.svd_c
-    import cuspforge.solver as solver
+@pytest.mark.parametrize("last, dimension, rank", [
+    (8, 1, 5), (2, None, None), (1, None, None), (mp.mpf(1) / 3, None, None), (0.125, 2, 4)])
+def test_numerical_kernel_takes_only_clean_decisions(last, dimension, rank):
+    # diag(1, 1, 1, 1, last * cut, 0) with the cut 2^-(p/4) of max|A| = 1:
+    # a pivot at least 4 cut or a stopping entry at most cut/4 is a clean
+    # decision, anything between is refused with the numbers behind it
+    with mp.workprec(PRECISION + 30):
+        cut = mp.mpf(2) ** (-PRECISION // 4)
+        diagonal = [1, 1, 1, 1, last * cut, 0]
+        rows = [[mp.mpc(d if i == j else 0) for j in range(6)] for i, d in enumerate(diagonal)]
+        if dimension is None:
+            with pytest.raises(KernelDimensionError, match="undecided at the rank cut") as err:
+                numerical_kernel(rows, PRECISION)
+            assert "pivots 1.0, 1.0, 1.0, 1.0" in str(err.value)
+            assert f"cut {mp.nstr(cut, 5)}" in str(err.value)
+        else:
+            kernel, found = numerical_kernel(rows, PRECISION)
+            assert (len(kernel), found) == (dimension, rank)
+
+
+def test_elimination_alone_decides_every_curve(monkeypatch, solved):
+    # no SVD anywhere: from 20 bits up the elimination decides every
+    # completeness curve of every fixture with rank n-1, and screen and
+    # trace finish; nearer the cut (whitehead at 12 bits, 622 at 16) the
+    # rank decision is refused rather than guessed
     from cuspforge.screen import RIGID_NOT_ISOLATED, ScreenOptions, resolve_input, screen
 
     def refuse(*args, **kwargs):
@@ -576,24 +602,20 @@ def test_svd_referees_only_near_the_cut(monkeypatch, solved):
             samples = trace_completeness_curve(tri, cusp, n_points=2, precision_bits=512,
                                                start=start)
             assert len(samples) == 3
-    monkeypatch.undo()
 
-    # at 8 bits the whitehead and berge c-knotted curves sit near the cut:
-    # the SVD answers, and its kernel dimension is the error
-    referee = solver._svd_kernel
-    refereed = []
-
-    def recorded(*args):
-        refereed.append(args)
-        return referee(*args)
-
-    monkeypatch.setattr(solver, "_svd_kernel", recorded)
-    for name, cusp in [("whitehead", 0), ("whitehead", 1), ("berge", 1)]:
+    def jacobians(name, bits):
         tri = cf.load_fixture(name)
-        start = solve_complete(tri, 8)
-        refereed.clear()
-        with mp.workprec(38):
-            rows = system_jacobian(completeness_system(tri, cusp), list(start.shapes.z))
-            with pytest.raises(KernelDimensionError, match="kernel dimension 2"):
-                curve_pin(rows, 8)
-        assert len(refereed) == 1
+        start = solve_complete(tri, bits)
+        assert start.success
+        for cusp in range(len(tri.cusps)):
+            with mp.workprec(bits + 30):
+                yield tri, system_jacobian(completeness_system(tri, cusp), list(start.shapes.z))
+
+    for bits in (20, 32, 64, 128, 256, 512):
+        for name in names:
+            for tri, rows in jacobians(name, bits):
+                assert curve_pin(rows, bits)[1] == tri.n_tet - 1, (name, bits)
+    for name, bits in [("whitehead", 12), ("622", 16)]:
+        for tri, rows in jacobians(name, bits):
+            with pytest.raises(KernelDimensionError, match="undecided at the rank cut"):
+                curve_pin(rows, bits)
