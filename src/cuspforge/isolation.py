@@ -11,15 +11,15 @@ Inconclusive, never "isolated".
 Derivatives come from the implicit function theorem on the pinned system:
 with one coordinate chosen as the curve parameter (largest tangent entry,
 ties to the lowest index), first derivatives solve M u' = -v and second
-derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, as
-`solver.pinned_solve`s.  The reported tangent is the normalised pinned
+derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, where M
+is the square system of the n - 1 kept rows without the pin column
+(`solver.pinned_solve`).  The reported tangent is the normalised pinned
 velocity dz/|dz|, where dz is u' with 1 at the pinned coordinate.  One
-kernel check, `solver.curve_pin`, serves tracing and derivatives alike:
-complete-pivot elimination checks that the kernel is one-dimensional
-(else KernelDimensionError, also when the rank decision is too near the
-cut), chooses the pin and gives the Jacobian rank.  It runs in the pass at
-precision p; the doubled-precision pass reuses the pin and runs no kernel
-check.
+kernel check, `solver.curve_pin`, serves tracing and derivatives alike: it
+checks that the kernel is one-dimensional (else KernelDimensionError, also
+near the rank cut) and gives the pin, the kept rows and the rank.  It runs
+at precision p; the doubled-precision pass reuses the pin and the kept
+rows, evaluates only the kept equations and runs no kernel check.
 The Jacobian rows are exact gradients of the cleared equations; the second
 derivative of every equation and of both tau sums along u' is the closed
 form of `holonomy.second_derivative_along`, computed term by term from log
@@ -122,30 +122,33 @@ class _CuspSums:
 
 
 def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
-                    pin: int | None = None, *, _sums: _CuspSums | None = None):
+                    curve: tuple | None = None, *, _sums: _CuspSums | None = None):
     """d/dt and d^2/dt^2 of the cusp parameter tau(l)/tau(m) along the
     completeness curve, plus the underlying shape derivatives, with the
     curve parametrized by the pinned coordinate.
 
-    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, tangent:
-    dz and d2z are full-length vectors with dz[pin] = 1, d2z[pin] = 0, and
-    the tangent is dz/|dz|.  Without `pin`, `curve_pin` checks the kernel,
-    chooses the pin and gives the Jacobian rank; with `pin` given no kernel
-    check runs and the rank is None.  `isolation_verdict` passes the exact
-    sums it built once as `_sums`.
+    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, kept,
+    tangent: dz and d2z are full-length vectors with dz[pin] = 1,
+    d2z[pin] = 0, and the tangent is dz/|dz|.  Without `curve`, `curve_pin`
+    checks the kernel and gives the pin, the kept rows and the Jacobian
+    rank; `curve=(pin, kept)` from an earlier pass skips the kernel check
+    (the rank is None).  Only the kept equations are evaluated.
+    `isolation_verdict` passes the exact sums it built once as `_sums`.
     """
     sums = _CuspSums.build(tri, cusp) if _sums is None else _sums
     with mp.workprec(shapes.precision_bits + 30):
         z = Point(shapes.z)
-        rows = system_jacobian(sums.eqs, z)
-        rank = None
-        if pin is None:
-            pin, rank = curve_pin(rows, shapes.precision_bits)
+        if curve is None:
+            pin, rank, kept = curve_pin(system_jacobian(sums.eqs, z), shapes.precision_bits)
+        else:
+            (pin, kept), rank = curve, None
+        eqs = [sums.eqs[i] for i in kept]
+        rows = system_jacobian(eqs, z)
         # first derivatives: M u' = -v, columns split by the pinned variable
         dz, tangent = curve_velocity(rows, pin)
         # second derivatives: M u'' = -(dz^T Hess dz)
         d2z = pinned_solve(rows, pin, [-second_derivative_along(eq.cleared.terms, z, dz)
-                                       for eq in sums.eqs])
+                                       for eq in eqs])
         N = sum_value(sums.num.terms, z)
         D = sum_value(sums.den.terms, z)
         dN = [sum_value(d.terms, z) for d in sums.d_num]
@@ -164,6 +167,7 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
         "d2z": d2z,
         "pin": pin,
         "rank": rank,
+        "kept": kept,
         "tangent": tangent,
     }
 
@@ -192,7 +196,8 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 
     # recompute at doubled precision (polishing the known solution);
     # require agreement to half the digits
     start_hi = solve_complete(tri, 2 * precision_bits, seed=seed, initial=start.shapes)
-    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, pin=info["pin"], _sums=sums)
+    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, curve=(info["pin"], info["kept"]),
+                              _sums=sums)
     agree_tol = mp.mpf(2) ** (-precision_bits // 2)
 
     def certified(key):

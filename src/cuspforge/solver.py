@@ -15,23 +15,24 @@ Complete structures are found in two stages.
    as `initial` (a lower-precision solution) is polished directly, before
    any search.
 
-Every Newton step, here and below, is one `least_squares` solve: Gaussian
-elimination on the normal equations, in the scalar type of the system
-(mpmath at the working precision, or Python complex).  It sums the upper
-triangle of the Hermitian matrix N = A^H A, takes the lower one by
-conjugation, and chooses pivots by squared magnitude, without square
-roots.  Every trial point of a Newton loop is a `holonomy.Point`: its
-residual, and then the values and Jacobian of the step taken from it once
-it is accepted, are evaluated from the one power memo of that point.  The
-edge rows are redundant (their product is identically 1), but the whole
-system has full column rank at the geometric solution (Neumann-Zagier), so
-no rows are dropped and no rank cutoff is needed.  `curve_pin` runs once per
-completeness curve: Gaussian elimination with complete pivoting
-(`numerical_kernel`) checks the kernel dimension and finds the Jacobian
-rank and the pinned coordinate; a rank decision too near the cut raises
-KernelDimensionError.
-Every curve direction after that is a `pinned_solve` with the pinned
-coordinate held fixed.
+Every Newton step of a solve is one `least_squares` solve: elimination on
+the normal equations, in the scalar type of the system (mpmath at the
+working precision, or Python complex), with the upper triangle of the
+Hermitian matrix N = A^H A summed and the lower one its conjugate.  Every
+trial point of a Newton loop is a `holonomy.Point`: its residual, and then
+the values and Jacobian of the step taken from it once it is accepted, are
+evaluated from the one power memo of that point.  The edge rows are
+redundant (their product is identically 1), but the whole system has full
+column rank at the geometric solution (Neumann-Zagier), so no rows are
+dropped and no rank cutoff is needed.  A completeness curve (the edge
+rows and one meridian row: n + 1 rows of rank n - 1) is different.
+`curve_pin` runs once per curve: complete-pivot elimination
+(`numerical_kernel`) checks that the kernel is one-dimensional and gives
+the rank, the pinned coordinate and n - 1 pivot rows, or raises
+KernelDimensionError near the rank cut.  Every curve direction after that
+is a `pinned_solve`: the kept rows without the pin column, a square system
+solved by `_solve_square`, the partial-pivoting elimination of
+`least_squares`.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition
@@ -54,7 +55,8 @@ equations stay regular and log rows stall.
 
 The same Newton loop, stepping by pinned solves, is the corrector of the
 predictor-corrector tracing of the curve along which one chosen cusp stays
-complete; the predictor follows the unit tangent dz/|dz|.
+complete; it accepts a point by its residual over every row, dropped ones
+included.  The predictor follows the unit tangent dz/|dz|.
 """
 
 from __future__ import annotations
@@ -271,21 +273,45 @@ def _size(v):
     return abs(v.real) + abs(v.imag)
 
 
+def _solve_square(aug: list[list], eps) -> list:
+    """x with A x = b for the n x (n + 1) augmented matrix [A | b], by
+    Gaussian elimination with partial pivoting, in place.  The pivot is the
+    entry of largest re^2 + im^2, so no square root is taken.  A pivot p
+    with |re p| + |im p| at most eps * |A|_1 raises ZeroDivisionError,
+    where |A|_1 is the largest column sum of |re| + |im| over A; both
+    measures lie within a factor sqrt(2) of the modulus they stand for."""
+    n = len(aug)
+    tol = eps * max(sum(_size(row[j]) for row in aug) for j in range(n))
+    for col in range(n):
+        squares = [v.real * v.real + v.imag * v.imag
+                   for v in (aug[k][col] for k in range(col, n))]
+        piv = col + squares.index(max(squares))
+        if _size(aug[piv][col]) <= tol:
+            raise ZeroDivisionError("numerically singular square system")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col]
+        # column col below the pivot is never read again
+        for k in range(col + 1, n):
+            row = aug[k]
+            f = row[col] / top[col]
+            for c in range(col + 1, n + 1):
+                row[c] -= f * top[c]
+    x = [None] * n
+    for i in reversed(range(n)):
+        x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
+    return x
+
+
 def least_squares(rows: list[list], rhs: list) -> list:
     """Least-squares solution x of rows . x = rhs, in the scalar type of
     the system: mpmath at the working precision, or machine precision (the
     type of the first entry of rhs or rows that is not an int).
 
-    Gaussian elimination with partial pivoting solves the normal equations
-    N x = rows^H rhs, with 20 guard bits on mpmath (none on Python complex).
-    N is Hermitian: its upper triangle is summed and the lower triangle is
-    its conjugate, which is bit-identical to summing it under
-    round-to-nearest.  The pivot is the entry of largest re^2 + im^2, so
-    no square root is taken.  The callers' systems have full column rank,
-    so no rank cutoff is applied: a pivot p with |re p| + |im p| at most
-    eps * |N|_1 raises ZeroDivisionError, where |N|_1 is the largest column
-    sum of |re| + |im| over N; both measures lie within a factor sqrt(2)
-    of the modulus they stand for.
+    `_solve_square` solves the normal equations N x = rows^H rhs, with 20
+    guard bits on mpmath.  Summing the upper triangle of N and conjugating
+    it is bit-identical to summing all of N under round-to-nearest.  The
+    callers' systems have full column rank: a singular N raises
+    ZeroDivisionError.
     """
     n = len(rows[0])
     with mp.extraprec(20):
@@ -296,49 +322,32 @@ def least_squares(rows: list[list], rhs: list) -> list:
             aug.append([aug[j][i].conjugate() for j in range(i)]
                        + [sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(i, n)]
                        + [sum(c[i] * v for c, v in zip(conj, rhs))])
-        tol = eps * max(sum(_size(row[j]) for row in aug) for j in range(n))
-        for col in range(n):
-            squares = [v.real * v.real + v.imag * v.imag
-                       for v in (aug[k][col] for k in range(col, n))]
-            piv = col + squares.index(max(squares))
-            if _size(aug[piv][col]) <= tol:
-                raise ZeroDivisionError("numerically singular normal equations")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            top = aug[col]
-            # column col below the pivot is never read again
-            for k in range(col + 1, n):
-                row = aug[k]
-                f = row[col] / top[col]
-                for c in range(col + 1, n + 1):
-                    row[c] -= f * top[c]
-        x = [None] * n
-        for i in reversed(range(n)):
-            x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
-    return x
+        return _solve_square(aug, eps)
 
 
 def pinned_solve(rows: list[list], pin: int, rhs: list) -> list:
-    """x with x[pin] = 0 and the other entries the `least_squares`
-    solution of rows . x = rhs over the columns other than `pin`.
-
-    Curve velocities, curve second derivatives and corrector steps all
-    solve this system.  A singular pinned system raises SolveError: there
-    the pinned coordinate does not parametrize the curve.
-    """
+    """x with x[pin] = 0 and rows . x = rhs, for the n - 1 rows of an
+    n-column Jacobian that `curve_pin` keeps: without the pin column the
+    system is square, and `_solve_square` solves it with 20 guard bits on
+    mpmath.  Curve velocities, curve second derivatives and corrector steps
+    all solve this system.  A singular pinned system raises SolveError:
+    there the pinned coordinate does not parametrize the curve."""
     free = [i for i in range(len(rows[0])) if i != pin]
-    try:
-        u = least_squares([[row[i] for i in free] for row in rows], rhs)
-    except ZeroDivisionError as exc:
-        raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
-    x = [mp.mpc(0)] * len(rows[0])
-    for i, v in zip(free, u):
-        x[i] = v
-    return x
+    if len(rows) != len(free):
+        raise ValueError(f"{len(rows)} rows for {len(free)} unpinned columns")
+    with mp.extraprec(20):
+        eps = _scalar_ops(itertools.chain(rhs, *rows))[3]
+        try:
+            u = _solve_square([[row[i] for i in free] + [v] for row, v in zip(rows, rhs)], eps)
+        except ZeroDivisionError as exc:
+            raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
+    u.insert(pin, mp.mpc(0))
+    return u
 
 
 def curve_velocity(rows: list[list], pin: int) -> tuple[list, list]:
-    """Velocity dz with dz[pin] = 1 of the curve whose Jacobian is `rows`,
-    and its unit tangent dz/|dz|, from one `pinned_solve`."""
+    """Velocity dz with dz[pin] = 1 of the curve whose kept Jacobian rows
+    are `rows`, and its unit tangent dz/|dz|, from one `pinned_solve`."""
     dz = pinned_solve(rows, pin, [-row[pin] for row in rows])
     dz[pin] = mp.mpc(1)
     norm = mp.sqrt(sum(abs(c) ** 2 for c in dz))
@@ -667,19 +676,20 @@ def system_jacobian(eqs, z: list):
     return [e.gradient(z) for e in eqs]
 
 
-def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf]:
+def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
     """Gaussian elimination with complete pivoting on a complex matrix,
     at the current precision, stopped once the largest remaining entry is
     at most `cut`.
 
-    Returns (kernel, pivots, rest): one unit-norm kernel vector per free
-    column, back-substituted through the triangular factor; the pivot
-    magnitudes in elimination order; and the largest remaining entry at
-    the stop (0 when no entry remains).
+    Returns (kernel, pivots, rest, kept): one unit-norm kernel vector per
+    free column, back-substituted through the triangular factor; the pivot
+    magnitudes in elimination order; the largest remaining entry at the
+    stop (0 when no entry remains); and the pivot rows, in their original
+    order.
     """
     a = [list(row) for row in rows]
     m, n = len(a), len(a[0])
-    cols = list(range(n))
+    order, cols = list(range(m)), list(range(n))
     pivots, rest = [], mp.mpf(0)
     for k in range(min(m, n)):
         i, j = max(((i, j) for i in range(k, m) for j in range(k, n)),
@@ -690,6 +700,7 @@ def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf]:
             break
         pivots.append(top)
         a[k], a[i] = a[i], a[k]
+        order[k], order[i] = order[i], order[k]
         for row in a:
             row[k], row[j] = row[j], row[k]
         cols[k], cols[j] = cols[j], cols[k]
@@ -709,12 +720,12 @@ def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf]:
         for c, v in zip(cols, x):
             vec[c] = v / norm
         kernel.append(vec)
-    return kernel, pivots, rest
+    return kernel, pivots, rest, tuple(sorted(order[:rank]))
 
 
 def numerical_kernel(rows: list[list], precision_bits: int):
-    """(kernel, rank) of a complex matrix at the current precision: a
-    unit-norm kernel basis and the number of pivots.
+    """(kernel, rank, kept) of a complex matrix at the current precision: a
+    unit-norm kernel basis, the number of pivots and the pivot rows.
 
     Gaussian elimination with complete pivoting (`_eliminate`) stops when
     the largest remaining entry is at most the cut, 2^(-p/4) times the
@@ -726,9 +737,9 @@ def numerical_kernel(rows: list[list], precision_bits: int):
     """
     big = max(abs(v) for row in rows for v in row)
     cut = big * mp.mpf(2) ** (-precision_bits // 4)
-    kernel, pivots, rest = _eliminate(rows, cut)
+    kernel, pivots, rest, kept = _eliminate(rows, cut)
     if rest <= cut / 4 and all(p >= 4 * cut for p in pivots):
-        return kernel, len(pivots)
+        return kernel, len(pivots), kept
     raise KernelDimensionError(
         f"kernel dimension {len(kernel)} undecided at the rank cut; pivots "
         + ", ".join(mp.nstr(p, 5) for p in pivots)
@@ -745,16 +756,17 @@ def pin_choice(tangent) -> int:
     return best
 
 
-def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int]:
-    """(pin, rank) of the completeness curve whose Jacobian is `rows`: the
-    one `numerical_kernel` of a curve checks that its kernel is
-    one-dimensional, and `pin_choice` picks the pinned coordinate from the
-    kernel vector."""
-    kernel, rank = numerical_kernel(rows, precision_bits)
+def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
+    """(pin, rank, kept) of the completeness curve whose Jacobian is
+    `rows`: the one `numerical_kernel` of a curve checks that its kernel is
+    one-dimensional, `pin_choice` picks the pinned coordinate from the
+    kernel vector, and the n - 1 pivot rows are kept for every
+    `pinned_solve` along the curve."""
+    kernel, rank, kept = numerical_kernel(rows, precision_bits)
     if len(kernel) != 1:
         raise KernelDimensionError(
             f"kernel dimension {len(kernel)} at the complete structure (expected 1)")
-    return pin_choice(kernel[0]), rank
+    return pin_choice(kernel[0]), rank, kept
 
 
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
@@ -765,11 +777,11 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
     keeping one cusp complete, from the complete structure.
 
     `curve_pin` runs once, at the start, to check that the locus is a
-    curve and to choose the pinned coordinate; the first tangent comes
-    from the same Jacobian.  Each predictor step follows the unit pinned
-    velocity; `_damped_newton` with pinned steps corrects it, and the
-    tangent at the corrected point is evaluated from the memo its
-    residual filled.
+    curve and to choose the pinned coordinate and the kept rows.  Each
+    predictor step follows the unit pinned velocity; `_damped_newton` with
+    pinned steps on the kept rows corrects it, accepting a point by its
+    residual over every row, and the tangent at the corrected point is
+    evaluated from the memo its residual filled.
 
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
@@ -782,11 +794,11 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         eqs = completeness_system(tri, complete_cusp)
         pair = cusp_parameter(tri, tri.cusps[complete_cusp])
         z = Point(start.shapes.z)
-        rows = system_jacobian(eqs, z)
-        pin = curve_pin(rows, precision_bits)[0]
+        pin, _, kept = curve_pin(system_jacobian(eqs, z), precision_bits)
+        square = [eqs[i] for i in kept]
 
         def corrector_step(z):
-            return pinned_solve(system_jacobian(eqs, z), pin, [-e.value(z) for e in eqs])
+            return pinned_solve(system_jacobian(square, z), pin, [-e.value(z) for e in square])
 
         samples = []
         shapes0 = ShapeAssignment(tuple(z), precision_bits)
@@ -795,10 +807,8 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         floor = mp.mpf(1e-8)
         newton_tol = _newton_tol(precision_bits)
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
-        for k in range(n_points):
-            if k:
-                rows = system_jacobian(eqs, z)
-            tangent = curve_velocity(rows, pin)[1]
+        for _ in range(n_points):
+            tangent = curve_velocity(system_jacobian(square, z), pin)[1]
             while True:
                 z_pred = [zi + h * ti for zi, ti in zip(z, tangent)]
                 z_corr, _, res = _damped_newton(z_pred, lambda z: _residual(eqs, [], z),

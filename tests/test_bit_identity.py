@@ -1,24 +1,31 @@
 """The pipeline's numbers, pinned bit for bit.
 
 Speed-ups of the evaluator and of the linear solver must not change a
-single bit of what the pipeline computes.  The SHA-256 digests below were
-recorded before the evaluator memoised its powers and before
-`least_squares` formed one triangle of its normal equations:
+single bit of what the pipeline computes.  The SHA-256 digests below pin:
 
 - the trace samples of every fixture cusp at 256 and 512 bits (8 points
   at step 1e-3 from `solve_complete` with seed 0): every shape and the
   cusp parameter, as mpmath `_mpf_` tuples;
 - the `screen` JSON of whitehead, 622 and berge at 256 bits, as the CLI
   prints it with `--format json`, with each source path cut to its file
-  name.
+  name;
+- the `fill` JSON of the (1, n) fillings of whitehead's cusp 1, n = -5..5
+  without 0, at 256 bits (source path cut the same way).
 
-The `fill` JSON of the (1, n) fillings of whitehead's cusp 1, n = -5..5
-without 0, at 256 bits (source path cut the same way) was recorded before
-`algdep` stopped factoring every reduced row with `sympy.factor_list`.
+The trace digests of whitehead and 622 and the screen digest were
+re-recorded when the pinned steps became square solves on the rows
+`curve_pin` keeps, instead of least squares on every row.  The corrector
+iterates moved in their low bits: the samples agree with the least-squares
+ones to 2^-p (`test_square_pinned_steps_match_least_squares`), and berge's
+samples kept every bit.  In the screen JSON only printed values of
+magnitude at most 2e-86 moved: round-off of exactly vanishing tangent
+entries and components of `d_tau` and `d2_tau`.  The fill digest, which
+no pinned solve reaches, did not move.
 
 A change that moves a digest changes numbers: it has to say which and
-why, and record the new digests.  The screen digest also covers the
-report format and the version string in its provenance.
+why, and record the new digests; running this file prints the current
+ones.  The screen digest also covers the report format and the version
+string in its provenance.
 """
 
 import hashlib
@@ -35,21 +42,21 @@ from cuspforge.solver import solve_complete, trace_completeness_curve
 FIXTURES = pathlib.Path(cf.__file__).parent / "fixtures"
 
 TRACE_DIGESTS = {
-    ("whitehead", 256, 0): "cea58fccfc3e389b93ecaa6d881817add89458def0e0b1f7e8b4ba3a3534056f",
-    ("whitehead", 256, 1): "3f8ee11fa4d8acf2f540b122ef5888cd1e2c1a5aad1c1b773250ea62fc284eb7",
-    ("whitehead", 512, 0): "1fb9f564d8aacda707de7da182e2db63da2bd3fd4c2a238f5d6cea61df21fe13",
-    ("whitehead", 512, 1): "50ca5b5124d4e413d918a9cbd28669a1366ca5c4d00385bb1323101613d320b7",
-    ("622", 256, 0): "60ebaf23ab7f20a7baba774ad7da638dc83b4bec84d525961bbfc9ec51cd7401",
-    ("622", 256, 1): "12d798837ccdc27cccbb369c3957bc837df748865bee042a7eee8acd3499d01d",
-    ("622", 512, 0): "4ad24eed50f4fa91f5036883c819b85e25df9dd68a5206c3c1bf5f2bd03d6b29",
-    ("622", 512, 1): "d0707f3d7091c9016979d8d393b09951aca225067b47539c5e24a5f61e465d72",
+    ("whitehead", 256, 0): "24201450ebf49f736557c842f05b7503845e7111bcda63ac8cc6718ea75ac406",
+    ("whitehead", 256, 1): "eb709d6101744b897b084d6e878efd7ee87e8ce4250aca78d30db5254f4230fd",
+    ("whitehead", 512, 0): "bae0181993a8c2b294a86b2bf975be687633ff02e93c0c5a6788caa958463dcf",
+    ("whitehead", 512, 1): "15049745715fb1ee709ad7958062c4bb77f81b724c2857d17d3bd3fb7ee88384",
+    ("622", 256, 0): "0df9d887db58d5915df208c28caf94d53c0591db7570e0b61890878c3adc8473",
+    ("622", 256, 1): "8d717ac0c1ad9a0643b987185b860383fd980ae08f04d7b6fad1d4755bb3a1af",
+    ("622", 512, 0): "6cb1a1dbd3c9687bbf7f66d9d8e1b334c9239ee9e109e32ed78f89b6ece1a7aa",
+    ("622", 512, 1): "5cbcd72d29650eb99e5a8f703e3964ba75bcfe11e540b05f1696fdd74e3d93e1",
     ("berge", 256, 0): "c13d5367fe341e13ca5eac939f5e11ab52de54f8a79f976634e0472c840b589e",
     ("berge", 256, 1): "c1da46e1d31dcca6afa739b6438eca7935426f97b24be3d8394aa6bf2cd61173",
     ("berge", 512, 0): "3985e6f2eb64ae3fabd2f32b7c9ced5df4036d97983c999f5f231c6a0ba925c5",
     ("berge", 512, 1): "e486a27924c6bb6c612b58c126b73a4defbd91a9c95ce5687cdbe8a97af935d8",
 }
 
-SCREEN_DIGEST = "db3dc30047e72b7b1e1208da222d8eb96b605f6a02f9b6b45e2a89b49da2fb23"
+SCREEN_DIGEST = "c18c02d151c9c18185c57af16a6953255101fabe284c5938a802812b2b71c695"
 
 FILL_DIGEST = "69bed0848b8e72f426049aea57655ad64850e995e6552a86de1f6079018ee460"
 
@@ -105,3 +112,20 @@ def test_screen_json_is_bit_identical():
 
 def test_fill_json_is_bit_identical():
     assert fill_digest() == FILL_DIGEST
+
+
+if __name__ == "__main__":
+    # Print every current digest in the form of the constants above, for
+    # re-recording: PYTHONPATH=src python tests/test_bit_identity.py
+    mp.prec = 256 + 44  # the global precision tests/conftest.py sets
+    print("TRACE_DIGESTS = {")
+    for name in ("whitehead", "622", "berge"):
+        tri = cf.load_fixture(name)
+        for bits in (256, 512):
+            with mp.workprec(bits + 30):
+                start = solve_complete(tri, bits, seed=0)
+            for cusp in range(len(tri.cusps)):
+                print(f'    ("{name}", {bits}, {cusp}): "{trace_digest(name, bits, cusp, start)}",')
+    print("}")
+    print(f'\nSCREEN_DIGEST = "{screen_digest()}"')
+    print(f'\nFILL_DIGEST = "{fill_digest()}"')

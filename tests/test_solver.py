@@ -23,10 +23,12 @@ from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_p
 from cuspforge.solver import (
     GluingSystem,
     KernelDimensionError,
+    PolynomialEquation,
     SolveError,
     _eliminate,
     completeness_system,
     curve_pin,
+    curve_velocity,
     least_squares,
     numerical_kernel,
     pin_choice,
@@ -306,7 +308,9 @@ def test_least_squares_matches_qr_solve(name, solved):
 @pytest.mark.parametrize("scalar", [mp.mpc, complex], ids=["mpmath", "complex"])
 def test_least_squares_rank_deficient_raises(solved, scalar):
     # a repeated column makes the normal equations singular: least_squares
-    # raises ZeroDivisionError and pinned_solve turns that into SolveError
+    # raises ZeroDivisionError; a repeated row makes the square pinned
+    # system on a curve's kept rows singular, and pinned_solve turns that
+    # into SolveError
     with mp.workprec(PRECISION):
         rows, rhs = _polish_system("whitehead", solved)
         rows = [[scalar(v) for v in row] for row in rows]
@@ -315,8 +319,14 @@ def test_least_squares_rank_deficient_raises(solved, scalar):
         repeated = [row + row[:1] for row in rows]
         with pytest.raises(ZeroDivisionError):
             least_squares(repeated, rhs)
+        tri = cf.load_fixture("whitehead")
+        jacobian = system_jacobian(completeness_system(tri, 0), list(solved["whitehead"].shapes.z))
+        pin, _, kept = curve_pin(jacobian, PRECISION)
+        square = [[scalar(v) for v in jacobian[i]] for i in kept]
+        rhs = [-row[pin] for row in square]
+        pinned_solve(square, pin, rhs)
         with pytest.raises(SolveError, match="not a parameter"):
-            pinned_solve(repeated, 1, rhs)
+            pinned_solve(square[:-1] + square[:1], pin, rhs)
 
 
 def _textbook_least_squares(rows, rhs):
@@ -458,10 +468,10 @@ def test_trace_spread_reproduces_at_doubled_precision(name, solved):
         assert abs(spreads[0] - spreads[1]) < mp.mpf(2) ** (-PRECISION // 2) * (1 + spreads[1])
 
 
-def test_svd_runs_once_per_curve(monkeypatch, berge, solved):
-    # the kernel check finds the rank and the pinned coordinate once per
-    # curve: every later tangent, and isolation's doubled-precision pass, is
-    # a pinned solve
+def test_kernel_check_runs_once_per_curve(monkeypatch, berge, solved):
+    # the kernel check finds the rank, the pinned coordinate and the kept
+    # rows once per curve: every later tangent is a pinned solve, and
+    # isolation's doubled-precision pass reuses the pin and the kept rows
     import cuspforge.isolation as isolation
     import cuspforge.solver as solver
 
@@ -472,13 +482,125 @@ def test_svd_runs_once_per_curve(monkeypatch, berge, solved):
         calls.append(args)
         return kernel(*args, **kwargs)
 
+    derivatives = isolation.tau_derivatives
+    passes = []
+
+    def recorded(*args, **kwargs):
+        info = derivatives(*args, **kwargs)
+        passes.append((kwargs.get("curve"), info))
+        return info
+
     monkeypatch.setattr(solver, "numerical_kernel", counted)
+    monkeypatch.setattr(isolation, "tau_derivatives", recorded)
     trace_completeness_curve(berge, 0, n_points=8, step=1e-3,
                              precision_bits=PRECISION, start=solved["berge"])
     assert len(calls) == 1
     calls.clear()
     ev = isolation.isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
     assert ev.order == 2 and len(calls) == 1
+    (curve, low), (curve_2p, high) = passes
+    assert curve is None and len(low["kept"]) == berge.n_tet - 1
+    assert curve_2p == (low["pin"], low["kept"]) == (high["pin"], high["kept"])
+    assert high["rank"] is None
+
+
+def _least_squares_pinned_solve(rows, pin, rhs):
+    """The pinned solve as least squares over every row given, the columns
+    other than `pin`: the reference for the square solve on kept rows."""
+    free = [i for i in range(len(rows[0])) if i != pin]
+    try:
+        u = least_squares([[row[i] for i in free] for row in rows], rhs)
+    except ZeroDivisionError as exc:
+        raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
+    x = [mp.mpc(0)] * len(rows[0])
+    for i, v in zip(free, u):
+        x[i] = v
+    return x
+
+
+def _pinned_by_least_squares(monkeypatch):
+    """Make every pinned step of tracing and of the derivatives a least-squares
+    solve on the whole completeness system: curve_pin keeps every row."""
+    import cuspforge.isolation as isolation
+    import cuspforge.solver as solver
+
+    pin = solver.curve_pin
+
+    def keep_every_row(rows, bits):
+        return (*pin(rows, bits)[:2], tuple(range(len(rows))))
+
+    for module in (solver, isolation):
+        monkeypatch.setattr(module, "curve_pin", keep_every_row)
+        monkeypatch.setattr(module, "pinned_solve", _least_squares_pinned_solve)
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_square_pinned_steps_match_least_squares(monkeypatch, solved, bits):
+    # oracle: least squares on the whole pinned system; the trace samples
+    # of every cusp agree with it to 2^-p and the derivatives, d_tau,
+    # d2_tau and the tangent, to 2^-(p-10) relative
+    from cuspforge.isolation import tau_derivatives
+
+    def run():
+        out = []
+        for name, low in solved.items():
+            tri = cf.load_fixture(name)
+            start = solve_complete(tri, bits, initial=low.shapes)
+            for cusp in range(len(tri.cusps)):
+                samples = trace_completeness_curve(tri, cusp, n_points=8, step=1e-3,
+                                                   precision_bits=bits, start=start)
+                info = tau_derivatives(tri, cusp, start.shapes)
+                out.append((f"{name}.{cusp}", samples, info))
+        return out
+
+    square = run()
+    with monkeypatch.context() as patch:
+        _pinned_by_least_squares(patch)
+        reference = run()
+    with mp.workprec(bits + 30):
+        for (label, samples, info), (_, ref_samples, ref_info) in zip(square, reference):
+            assert len(samples) == len(ref_samples) == 9, label
+            for (shapes, tau), (ref_shapes, ref_tau) in zip(samples, ref_samples):
+                for v, w in zip((*shapes.z, tau), (*ref_shapes.z, ref_tau)):
+                    assert abs(v - w) <= mp.mpf(2) ** -bits * (1 + abs(w)), label
+            assert info["pin"] == ref_info["pin"], label
+            tol = mp.mpf(2) ** (10 - bits)
+            for key in ("d_tau", "d2_tau"):
+                assert abs(info[key] - ref_info[key]) <= tol * (1 + abs(ref_info[key])), label
+            assert max(abs(v - w) for v, w in zip(info["tangent"], ref_info["tangent"])) <= tol
+
+
+def test_a_root_that_misses_a_dropped_row_is_rejected(monkeypatch, whitehead, solved):
+    # one row that curve_pin drops is shifted by 1e-10: the pinned steps on
+    # the kept rows never see it, but the corrector accepts a point only by
+    # its residual over every row, so the trace fails rather than return
+    # samples off the shifted locus
+    import cuspforge.solver as solver
+
+    start = solved["whitehead"]
+    system = solver.completeness_system
+    with mp.workprec(PRECISION + 30):
+        rows = system_jacobian(system(whitehead, 0), list(start.shapes.z))
+        kept = curve_pin(rows, PRECISION)[2]
+    dropped = [i for i in range(len(rows)) if i not in kept]
+    assert len(dropped) == 2
+
+    class Shifted(PolynomialEquation):
+        def value(self, z):
+            return super().value(z) - mp.mpf("1e-10")
+
+        def residual(self, z):
+            return abs(self.value(z))
+
+    def shifted(tri, cusp):
+        eqs = system(tri, cusp)
+        eqs[dropped[0]] = Shifted(eqs[dropped[0]].monomial)
+        return eqs
+
+    monkeypatch.setattr(solver, "completeness_system", shifted)
+    with pytest.raises(SolveError, match="corrector diverged"):
+        trace_completeness_curve(whitehead, 0, n_points=2, step=1e-3,
+                                 precision_bits=PRECISION, start=start)
 
 
 @pytest.fixture(scope="module")
@@ -511,7 +633,7 @@ def test_numerical_kernel_matches_the_svd(bits, completeness_rows):
     # kernel check cuts, gives the same rank, pin and unit kernel vector
     for label, rows in completeness_rows[bits]:
         with mp.workprec(bits + 30):
-            kernel, rank = numerical_kernel(rows, bits)
+            kernel, rank, _ = numerical_kernel(rows, bits)
             _, S, V = mp.svd_c(mp.matrix(rows))
             svals = [S[i] for i in range(S.rows)]
             cut = max(svals) * mp.mpf(2) ** (-bits // 4)
@@ -522,6 +644,23 @@ def test_numerical_kernel_matches_the_svd(bits, completeness_rows):
             svd_vec = [mp.conj(V[n - 1, j]) for j in range(n)]
             assert pin_choice(kernel[0]) == pin_choice(svd_vec), label
             assert _phase_distance(kernel[0], svd_vec) < mp.mpf(2) ** (10 - bits), label
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_curve_pin_keeps_a_square_nonsingular_system(bits, completeness_rows):
+    # curve_pin keeps n_tet - 1 of the n_tet + 1 rows, in their order; the
+    # square pinned solve on them succeeds, and its velocity lies in the
+    # kernel of every row, kept or dropped
+    for label, rows in completeness_rows[bits]:
+        with mp.workprec(bits + 30):
+            n = len(rows[0])
+            pin, rank, kept = curve_pin(rows, bits)
+            assert rank == len(kept) == n - 1 and kept == tuple(sorted(kept)), label
+            dz = curve_velocity([rows[i] for i in kept], pin)[0]
+            big = max(abs(v) for row in rows for v in row)
+            size = max(abs(v) for v in dz)
+            for row in rows:
+                assert abs(sum(a * c for a, c in zip(row, dz))) <= mp.mpf(2) ** (20 - bits) * big * size, label
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -540,9 +679,10 @@ def test_kernel_of_random_rank_r_products(r):
                 for row in left]
         big = max(abs(v) for row in rows for v in row)
         cut = big * mp.mpf(2) ** (-PRECISION // 4)
-        kernel, rank = numerical_kernel(rows, PRECISION)
-        eliminated, pivots, rest = _eliminate(rows, cut)
-        assert rank == len(pivots) == r
+        kernel, rank, kept = numerical_kernel(rows, PRECISION)
+        eliminated, pivots, rest, pivot_rows = _eliminate(rows, cut)
+        assert rank == len(pivots) == len(kept) == r
+        assert kept == pivot_rows == tuple(sorted(kept))
         assert rest <= cut
         if r == 5:
             assert curve_pin(rows, PRECISION)[1] == 5
@@ -574,7 +714,7 @@ def test_numerical_kernel_takes_only_clean_decisions(last, dimension, rank):
             assert "pivots 1.0, 1.0, 1.0, 1.0" in str(err.value)
             assert f"cut {mp.nstr(cut, 5)}" in str(err.value)
         else:
-            kernel, found = numerical_kernel(rows, PRECISION)
+            kernel, found, _ = numerical_kernel(rows, PRECISION)
             assert (len(kernel), found) == (dimension, rank)
 
 
