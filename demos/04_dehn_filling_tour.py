@@ -15,17 +15,19 @@ from mpmath import mp
 
 import cuspforge as cf
 from cuspforge.numberlab import algdep, classify_field
-from cuspforge.solver import SolveError, solve_filled
+from cuspforge.solver import SolveError, solve_complete, solve_filled
 
 tri = cf.load_fixture("whitehead")
 pair = cf.cusp_parameter(tri, tri.cusps[0])
+# every filling starts from the one complete structure, at its precision
+complete = solve_complete(tri, precision_bits=256, seed=0)
 
 print(" n   geometric  cusp parameter               field")
 for n in range(-5, 6):
     if n == 0:
         continue
     try:
-        result = solve_filled(tri, ["complete", (1, n)], precision_bits=256, seed=0)
+        result = solve_filled(tri, ["complete", (1, n)], start=complete)
     except SolveError as exc:
         print(f"{n:+d}   (solver: {exc})")
         continue
@@ -38,5 +40,5 @@ for n in range(-5, 6):
           f"   (curve-formula residual {mp.nstr(residual, 2)})")
 
 print("\nmeridian filling (1, 0) re-closes the solid torus:")
-result = solve_filled(tri, ["complete", (1, 0)], 256)
+result = solve_filled(tri, ["complete", (1, 0)], start=complete)
 print("  degenerate:", result.degenerate, "| notes:", "; ".join(result.notes))

@@ -186,6 +186,9 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 
     tol = mp.mpf(10) ** (-TOL_DIGITS * precision_bits // 256)
     if start is None:
         start = solve_complete(tri, precision_bits, seed=seed)
+    elif start.shapes.precision_bits != precision_bits:
+        raise ValueError(f"start solved at {start.shapes.precision_bits} bits, "
+                         f"not at the {precision_bits} asked for")
     if not start.success:
         raise SolveError("complete solve failed; no isolation test possible")
     cusp_name = tri.cusps[cusp].name

@@ -259,8 +259,7 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
         error = complete_error
         if error is None:
             try:
-                solved = solve_filled(tri, filling, options.precision_bits,
-                                      seed=options.seed, initial=complete.shapes)
+                solved = solve_filled(tri, filling, start=complete)
             except SolveError as exc:
                 error = exc
         if error is not None:

@@ -13,7 +13,8 @@ Complete structures are found in two stages.
    Newton on the cleared-denominator polynomial system {edge equations = 1}
    with {mu = 1} for both peripheral curves of every cusp.  A point given
    as `initial` (a lower-precision solution) is polished directly, before
-   any search.
+   any search.  `_cleared_rows` builds these rows, as it builds those of
+   every other system; stage 1 reads its log rows off them.
 
 Every Newton step of a solve is one `least_squares` solve: elimination on
 the normal equations, in the scalar type of the system (mpmath at the
@@ -40,18 +41,19 @@ log-holonomy condition
     p log mu(m) + q log mu(l) = 2 pi i.
 
 The target is reached by ramping the right-hand side from 0 at the
-complete structure, as `solve_complete` returns it, to 2 pi i, in machine
-precision: each ramp step is Newton with `least_squares` steps on the
-same cleared equations and `FillingEquation` rows, evaluated on Python
-complex by the one evaluator of `holonomy`.  The log branches are carried
-by continuity; small fillings genuinely leave the principal branch, so
-branch bookkeeping is part of the equation, with step halving and an
-explicit "stalled" failure when continuity cannot be maintained.  The
-float point at 2 pi i, with its branches as the reference, is then
-polished once at p+30 bits; a polish that misses the residual target
-raises SolveError.  Log-form edge rows are not used here: the ramp of
-some fillings passes through shapes near 0 and 1, where the cleared
-equations stay regular and log rows stall.
+complete structure the caller hands `solve_filled` (a `solve_complete`
+result, filled at its precision) to 2 pi i, in machine precision: each
+ramp step is Newton with `least_squares` steps on the same cleared
+equations and `FillingEquation` rows, evaluated on Python complex by the
+one evaluator of `holonomy`.  The log branches are carried by continuity;
+small fillings genuinely leave the principal branch, so branch
+bookkeeping is part of the equation, with step halving and an explicit
+"stalled" failure when continuity cannot be maintained.  The float point
+at 2 pi i, with its branches as the reference, is then polished once at
+p+30 bits; a polish that misses the residual target raises SolveError.
+Log-form edge rows are not used here: the ramp of some fillings passes
+through shapes near 0 and 1, where the cleared equations stay regular
+and log rows stall.
 
 The same Newton loop, stepping by pinned solves, is the corrector of the
 predictor-corrector tracing of the curve along which one chosen cusp stays
@@ -72,7 +74,7 @@ from mpmath import mp
 
 from .holonomy import (Point, ShapeAssignment, SignedMonomial, cusp_parameter,
                        evaluate_cusp_parameter, log_gradient, mu, sum_value, term_value)
-from .manifold import IdealTriangulation
+from .manifold import IdealTriangulation, _is_int
 
 
 class SolveError(RuntimeError):
@@ -169,50 +171,44 @@ class FillingEquation:
         return tuple(int(k) for k in self._branches(z)[1])
 
 
-@dataclass(frozen=True)
-class GluingSystem:
-    """Edge equations plus per-cusp completeness dilations and filling data."""
+def _cleared_rows(tri: IdealTriangulation, peripheral) -> list:
+    """The cleared rows of a system: one `PolynomialEquation` per edge
+    monomial, then one per monomial of `peripheral`."""
+    return [PolynomialEquation(m) for m in (*tri.edge_equations(), *peripheral)]
 
-    tri: IdealTriangulation
-    equations: tuple[SignedMonomial, ...]
-    completeness: tuple[tuple[SignedMonomial, SignedMonomial], ...]
-    fillings: tuple[tuple[int, int] | None, ...]
 
-    @staticmethod
-    def from_triangulation(tri: IdealTriangulation, fillings=None) -> "GluingSystem":
-        if fillings is None:
-            fillings = [cusp.filling for cusp in tri.cusps]
-        if len(fillings) != len(tri.cusps):
-            raise ValueError("one filling entry per cusp required")
-        cleaned = []
-        for f in fillings:
-            if f is None or f == "complete":
-                cleaned.append(None)
-            else:
-                p, q = int(f[0]), int(f[1])
-                if (p, q) == (0, 0) or math.gcd(p, q) != 1:
-                    raise ValueError(f"filling coefficients must be coprime, got {(p, q)}")
-                cleaned.append((p, q))
-        completeness = tuple(
-            (mu(tri, cusp.meridian), mu(tri, cusp.longitude)) for cusp in tri.cusps
-        )
-        return GluingSystem(
-            tri=tri,
-            equations=tuple(tri.edge_equations()),
-            completeness=completeness,
-            fillings=tuple(cleaned),
-        )
+def _gluing_rows(tri: IdealTriangulation, fillings) -> list:
+    """The rows of the complete or filled structure: the edge rows, mu(m)
+    and mu(l) of each complete cusp, then one `FillingEquation` for each
+    filled cusp (fillings as `_check_fillings` returns them)."""
+    peripheral, fill_rows = [], []
+    for cusp, f in zip(tri.cusps, fillings):
+        mu_m, mu_l = mu(tri, cusp.meridian), mu(tri, cusp.longitude)
+        if f is None:
+            peripheral += [mu_m, mu_l]
+        else:
+            fill_rows.append(FillingEquation(*f, mu_m, mu_l, label=f"fill:{cusp.name}"))
+    return _cleared_rows(tri, peripheral) + fill_rows
 
-    def equation_objects(self):
-        eqs = [PolynomialEquation(m) for m in self.equations]
-        fill_eqs = []
-        for cusp, (mu_m, mu_l), f in zip(self.tri.cusps, self.completeness, self.fillings):
-            if f is None:
-                eqs.append(PolynomialEquation(mu_m))
-                eqs.append(PolynomialEquation(mu_l))
-            else:
-                fill_eqs.append(FillingEquation(f[0], f[1], mu_m, mu_l, label=f"fill:{cusp.name}"))
-        return eqs, fill_eqs
+
+def _check_fillings(tri: IdealTriangulation, fillings) -> list:
+    """One entry per cusp: None for a complete cusp ('complete' or None
+    given), else the coprime pair of ints (p, q).  `fillings=None` reads
+    each cusp's `filling`; anything else raises ValueError."""
+    if fillings is None:
+        fillings = [cusp.filling for cusp in tri.cusps]
+    if len(fillings) != len(tri.cusps):
+        raise ValueError("one filling entry per cusp required")
+    cleaned = []
+    for f in fillings:
+        if f is None or f == "complete":
+            cleaned.append(None)
+        elif (isinstance(f, (tuple, list)) and len(f) == 2 and all(map(_is_int, f))
+              and math.gcd(*f) == 1):
+            cleaned.append(tuple(f))
+        else:
+            raise ValueError(f"a filling is 'complete', None or a coprime pair of ints, got {f!r}")
+    return cleaned
 
 
 @dataclass
@@ -220,11 +216,13 @@ class SolveResult:
     """A solved structure.
 
     `iterations` counts the Newton steps taken at working precision: the
-    polish of the accepted start plus the one filled polish.
-    Machine-precision steps (start search, filling ramp) are not counted.
-    `restarts_used` is the index of the accepted start in the schedule:
-    `initial` first when given, then the regular shape, then the seeded
-    perturbations; 0 means the first start was accepted.
+    polish of the accepted start, or for a filled solve its one filled
+    polish.  Machine-precision steps (start search, filling ramp) are not
+    counted.  `restarts_used` is the index of the accepted start in the
+    schedule: `initial` first when given, then the regular shape, then the
+    seeded perturbations; 0 means the first start was accepted.  A filled
+    solve carries the `restarts_used` and `seed` of the complete structure
+    it was filled from.
     """
 
     shapes: ShapeAssignment
@@ -354,9 +352,9 @@ def curve_velocity(rows: list[list], pin: int) -> tuple[list, list]:
     return dz, [c / norm for c in dz]
 
 
-def _residual(eqs, fill_eqs, z):
+def _residual(rows, z):
     z = Point(z)
-    return max(e.residual(z) for e in (*eqs, *fill_eqs))
+    return max(e.residual(z) for e in rows)
 
 
 def _in_guard_band(v) -> bool:
@@ -403,15 +401,14 @@ def _newton_tol(precision_bits: int) -> mpmath.mpf:
     return mp.mpf(2) ** int(-0.92 * precision_bits)
 
 
-def _newton(eqs, fill_eqs, z, tol, max_iter=80):
-    """Damped least-squares Newton on the cleared and filling equations,
-    in the scalar type of z (mpmath or Python complex).  Returns (z,
-    iterations, residual)."""
+def _newton(rows, z, tol, max_iter=80):
+    """Damped least-squares Newton on the cleared and filling rows, in the
+    scalar type of z (mpmath or Python complex).  Returns (z, iterations,
+    residual)."""
     def step(z):
-        rows = [e.gradient(z) for e in (*eqs, *fill_eqs)]
-        return least_squares(rows, [-e.value(z) for e in (*eqs, *fill_eqs)])
+        return least_squares([e.gradient(z) for e in rows], [-e.value(z) for e in rows])
 
-    return _damped_newton(z, lambda z: _residual(eqs, fill_eqs, z), step, tol, max_iter)
+    return _damped_newton(z, lambda z: _residual(rows, z), step, tol, max_iter)
 
 
 def _initial_guesses(n, seed, restarts):
@@ -425,8 +422,9 @@ def _initial_guesses(n, seed, restarts):
         ]
 
 
-def _log_rows(system: GluingSystem) -> list[tuple]:
-    """The complete-structure gluing system in log form.
+def _log_rows(tri: IdealTriangulation, eqs) -> list[tuple]:
+    """The complete-structure gluing system in log form, read off its
+    cleared rows `eqs` (edges first, then the cusp rows).
 
     One (a, b, shift, principal) per row, whose value at z is
     sum a_i Log z_i + b_i Log(1 - z_i) + shift, reduced to the principal
@@ -435,11 +433,12 @@ def _log_rows(system: GluingSystem) -> list[tuple]:
     Cusp rows are the principal Log of both peripheral dilations.
     """
     rows = []
-    for m, edge in zip(system.equations, system.tri.edges):
-        e2 = sum(corner.kind == "E2" for corner in edge.corners)
-        rows.append((m.a, m.b, complex(0, math.pi * (e2 - 2)), False))
-    for pair in system.completeness:
-        for m in pair:
+    for i, eq in enumerate(eqs):
+        m = eq.monomial
+        if i < len(tri.edges):
+            e2 = sum(corner.kind == "E2" for corner in tri.edges[i].corners)
+            rows.append((m.a, m.b, complex(0, math.pi * (e2 - 2)), False))
+        else:
             rows.append((m.a, m.b, complex(0, math.pi if m.sign < 0 else 0), True))
     return rows
 
@@ -470,7 +469,7 @@ def _float_search(rows, z: list, max_iter=60):
     return z if res <= FLOAT_TOL else None
 
 
-def _filling_ramp(name: str, eqs, fill_eqs, z: list) -> list:
+def _filling_ramp(name: str, rows, z: list) -> list:
     """Carry the filled rows' target from 0 at the complete structure z to
     2 pi i, in machine precision; returns the float point at 2 pi i.
 
@@ -480,6 +479,7 @@ def _filling_ramp(name: str, eqs, fill_eqs, z: list) -> list:
     Newton misses FLOAT_TOL or a log moves by 2.5 rad or more, which
     keeps the branch continuous.  Below dt = 2^-14 the ramp stalls.
     """
+    fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
     for fe in fill_eqs:
         fe.reference = fe.logs(z)
     t, dt = 0.0, 1 / 8
@@ -487,7 +487,7 @@ def _filling_ramp(name: str, eqs, fill_eqs, z: list) -> list:
         t_next = min(1.0, t + dt)
         for fe in fill_eqs:
             fe.target = 2j * math.pi * t_next
-        z_try, _, res = _newton(eqs, fill_eqs, z, FLOAT_TOL)
+        z_try, _, res = _newton(rows, z, FLOAT_TOL)
         jump = max(abs((w - ref).imag) for fe in fill_eqs
                    for w, ref in zip(fe.logs(z_try), fe.reference))
         if res <= FLOAT_TOL and jump < 2.5:
@@ -505,23 +505,22 @@ def _filling_ramp(name: str, eqs, fill_eqs, z: list) -> list:
     return z
 
 
-def _start_points(system: GluingSystem, seed: int, restarts: int,
+def _start_points(tri: IdealTriangulation, eqs, seed: int, restarts: int,
                   initial: ShapeAssignment | None):
     """Start points for the polish, in schedule order: `initial` as given,
-    then the float root of the log system from each _initial_guesses
-    start, or None where that search found no root."""
+    then the float root of the log form of the complete rows `eqs` from
+    each _initial_guesses start, or None where that search found no root."""
     if initial is not None:
         yield list(initial.z)
-    rows = _log_rows(system)
-    for guess in _initial_guesses(system.tri.n_tet, seed, restarts):
+    rows = _log_rows(tri, eqs)
+    for guess in _initial_guesses(tri.n_tet, seed, restarts):
         yield _float_search(rows, [complex(v) for v in guess])
 
 
-def _certify(eqs, fill_eqs, z, precision_bits):
+def _certify(rows, z, precision_bits):
     """Re-evaluate the multiplicative residual at doubled precision."""
     with mp.workprec(2 * precision_bits):
-        z2 = [mp.mpc(v) for v in z]
-        return _residual(eqs, fill_eqs, z2)
+        return _residual(rows, [mp.mpc(v) for v in z])
 
 
 def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
@@ -535,21 +534,19 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
     `initial` (e.g. a lower-precision solution to polish) is tried before
     the regular-shape guess and its randomized perturbations.
     """
-    system = GluingSystem.from_triangulation(tri, [None] * len(tri.cusps))
     with mp.workprec(precision_bits + 30):
-        eqs, _ = system.equation_objects()
+        eqs = _gluing_rows(tri, [None] * len(tri.cusps))
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
         def polish(z0, restart_index):
-            z, it, res = _newton(eqs, [], [mp.mpc(v) for v in z0],
-                                 _newton_tol(precision_bits))
+            z, it, res = _newton(eqs, [mp.mpc(v) for v in z0], _newton_tol(precision_bits))
             if res < success_tol:
                 return z, it, all(v.imag > flat_tol for v in z), restart_index
             return None
 
         best = deferred = None
-        for restart_index, z0 in enumerate(_start_points(system, seed, restarts, initial)):
+        for restart_index, z0 in enumerate(_start_points(tri, eqs, seed, restarts, initial)):
             if z0 is None:
                 continue
             if not all(v.imag > 0 for v in z0):
@@ -570,7 +567,7 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
             )
         z, iterations, geometric, restart_index = best
         notes = () if geometric else ("complete solution is non-geometric (some Im z <= 0)",)
-        res2 = _certify(eqs, [], z, precision_bits)
+        res2 = _certify(eqs, z, precision_bits)
         return SolveResult(
             shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), precision_bits),
             residual=res2, geometric=geometric, iterations=iterations,
@@ -579,32 +576,34 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
         )
 
 
-def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
-                 seed: int = 0, restarts: int = 32,
-                 initial: ShapeAssignment | None = None) -> SolveResult:
-    """Solve with per-cusp fillings ('complete'/None or coprime (p, q)).
+def solve_filled(tri: IdealTriangulation, fillings, *, start: SolveResult) -> SolveResult:
+    """Fill the complete structure `start`, as `solve_complete` returns it,
+    at its precision.  `fillings` has one entry per cusp: 'complete' or
+    None, or a coprime pair of ints (p, q); `fillings=None` reads each
+    cusp's `filling`.
 
-    The complete structure comes first, from `solve_complete` (which
-    polishes `initial` when given); with every cusp complete it is the
-    result.  Otherwise it seeds a machine-precision continuation that ramps
-    each filling target from 0 to 2 pi i while carrying log branches, and
-    the end point is polished once at the working precision.
+    With every cusp complete, `start` is the result.  Otherwise a
+    machine-precision continuation ramps each filling target from 0 to
+    2 pi i while carrying log branches, and the end point is polished once
+    at the working precision.
     """
-    system = GluingSystem.from_triangulation(tri, fillings)
-    complete = solve_complete(tri, precision_bits, seed, restarts, initial)
-    if all(f is None for f in system.fillings):
-        return complete
+    fillings = _check_fillings(tri, fillings)
+    if not start.success:
+        raise SolveError(f"{tri.name!r}: complete solve failed; cannot fill")
+    if all(f is None for f in fillings):
+        return start
+    precision_bits = start.shapes.precision_bits
     with mp.workprec(precision_bits + 30):
-        eqs, fill_eqs = system.equation_objects()
+        rows = _gluing_rows(tri, fillings)
+        fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
-        z_ramp = _filling_ramp(tri.name, eqs, fill_eqs, [complex(v) for v in complete.shapes.z])
+        z_ramp = _filling_ramp(tri.name, rows, [complex(v) for v in start.shapes.z])
         for fe in fill_eqs:
             fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
             fe.target = 2j * mp.pi
-        z, it, res = _newton(eqs, fill_eqs, [mp.mpc(v) for v in z_ramp],
-                             _newton_tol(precision_bits))
+        z, it, res = _newton(rows, [mp.mpc(v) for v in z_ramp], _newton_tol(precision_bits))
         if res >= success_tol:
             raise SolveError(
                 f"{tri.name!r}: polish of the filled structure "
@@ -612,10 +611,10 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
                 f"stopped at residual {mp.nstr(res, 3)}"
             )
 
-        res2 = _certify(eqs, fill_eqs, z, precision_bits)
+        res2 = _certify(rows, z, precision_bits)
         geometric = all(v.imag > flat_tol for v in z)
         offsets = tuple(fe.branch_offsets(z) for fe in fill_eqs)
-        notes = list(complete.notes)
+        notes = list(start.notes)
         cores = []
         degenerate = False
         for fe in fill_eqs:
@@ -640,8 +639,8 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
             notes.append("filled solution is non-geometric (some Im z <= 0)")
         return SolveResult(
             shapes=shapes, residual=res2, geometric=geometric,
-            iterations=complete.iterations + it, success=res2 < success_tol, seed=seed,
-            restarts_used=complete.restarts_used, degenerate=degenerate,
+            iterations=it, success=res2 < success_tol, seed=start.seed,
+            restarts_used=start.restarts_used, degenerate=degenerate,
             branch_offsets=offsets, core_translations=tuple(cores),
             notes=tuple(notes),
         )
@@ -666,9 +665,7 @@ def _core_curve(p: int, q: int) -> tuple[int, int]:
 def completeness_system(tri: IdealTriangulation, cusp_index: int):
     """Cleared equations cutting the locus where one cusp stays complete:
     every edge equation plus mu(meridian) = 1 for the chosen cusp."""
-    eqs = [PolynomialEquation(m) for m in tri.edge_equations()]
-    eqs.append(PolynomialEquation(mu(tri, tri.cusps[cusp_index].meridian)))
-    return eqs
+    return _cleared_rows(tri, [mu(tri, tri.cusps[cusp_index].meridian)])
 
 
 def system_jacobian(eqs, z: list):
@@ -771,10 +768,10 @@ def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
 
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                              n_points: int = 20, step: float = 1e-3,
-                             precision_bits: int = 256, seed: int = 0,
-                             start: SolveResult | None = None):
+                             precision_bits: int = 256, *, start: SolveResult):
     """Predictor-corrector continuation along the curve of structures
-    keeping one cusp complete, from the complete structure.
+    keeping one cusp complete, from the complete structure `start`, which
+    must be a successful solve at `precision_bits`.
 
     `curve_pin` runs once, at the start, to check that the locus is a
     curve and to choose the pinned coordinate and the kept rows.  Each
@@ -786,8 +783,9 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
     """
-    if start is None:
-        start = solve_complete(tri, precision_bits, seed=seed)
+    if start.shapes.precision_bits != precision_bits:
+        raise ValueError(f"start solved at {start.shapes.precision_bits} bits, "
+                         f"not at the {precision_bits} asked for")
     if not start.success:
         raise SolveError("complete solve failed; cannot trace")
     with mp.workprec(precision_bits + 30):
@@ -800,9 +798,8 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         def corrector_step(z):
             return pinned_solve(system_jacobian(square, z), pin, [-e.value(z) for e in square])
 
-        samples = []
         shapes0 = ShapeAssignment(tuple(z), precision_bits)
-        samples.append((shapes0, evaluate_cusp_parameter(pair, shapes0)))
+        samples = [(shapes0, evaluate_cusp_parameter(pair, shapes0))]
         h = mp.mpf(step)
         floor = mp.mpf(1e-8)
         newton_tol = _newton_tol(precision_bits)
@@ -811,7 +808,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
             tangent = curve_velocity(system_jacobian(square, z), pin)[1]
             while True:
                 z_pred = [zi + h * ti for zi, ti in zip(z, tangent)]
-                z_corr, _, res = _damped_newton(z_pred, lambda z: _residual(eqs, [], z),
+                z_corr, _, res = _damped_newton(z_pred, lambda z: _residual(eqs, z),
                                                 corrector_step, newton_tol, 40)
                 if res < success_tol:
                     break

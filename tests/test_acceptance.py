@@ -179,12 +179,12 @@ def test_criterion_6_algdep_suite():
     passed(6, "200/200 random quadratic irrationalities recovered exactly")
 
 
-def test_criterion_7_filling_consistency(whitehead):
+def test_criterion_7_filling_consistency(whitehead, solved):
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     outcomes = {}
     for n in [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]:
         try:
-            result = solve_filled(whitehead, ["complete", (1, n)], PRECISION)
+            result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
         except SolveError:
             outcomes[n] = ("failed", None)
             continue

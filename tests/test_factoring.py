@@ -209,8 +209,7 @@ def algdep_values():
                     cf.cusp_parameter(tri, c), complete.shapes)) for c in tri.cusps]
                 if name == "whitehead":
                     for n in FILL_NS:
-                        filled = solve_filled(tri, [None, (1, n)], bits, seed=0,
-                                              initial=complete.shapes)
+                        filled = solve_filled(tri, [None, (1, n)], start=complete)
                         values.append((f"whitehead(1,{n})", cf.evaluate_cusp_parameter(
                             cf.cusp_parameter(tri, tri.cusps[0]), filled.shapes)))
             values.append(("pi/3 + i e/5", mp.pi / 3 + mp.mpc(0, 1) * mp.e / 5))

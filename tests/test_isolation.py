@@ -150,6 +150,11 @@ def test_evidence_serialization(berge, solved):
     assert isinstance(blob["d2_tau"]["re"], str)
 
 
+def test_isolation_refuses_a_start_at_another_precision(whitehead, solved):
+    with pytest.raises(ValueError, match="start solved at 256 bits"):
+        isolation_verdict(whitehead, 0, 2 * PRECISION, start=solved["whitehead"])
+
+
 @pytest.mark.parametrize("name", ["whitehead", "622", "berge"])
 def test_tangent_is_the_phase_fixed_kernel_vector(name, solved):
     # the normalised pinned velocity is the kernel vector scaled to unit

@@ -209,7 +209,7 @@ def cusp_values():
                 found += [cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, c), complete.shapes)
                           for c in tri.cusps]
             tri = cf.load_fixture("whitehead")
-            filled = solve_filled(tri, ["complete", (1, 5)], bits)
+            filled = solve_filled(tri, ["complete", (1, 5)], start=solve_complete(tri, bits))
             found.append(cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, tri.cusps[0]),
                                                     filled.shapes))
         values[bits] = found
@@ -262,7 +262,7 @@ with mp.workprec(bits + 30):
                                                            complete.shapes), 12, bits)
                          .coefficients) for c in tri.cusps]
     tri = cf.load_fixture("whitehead")
-    filled = solve_filled(tri, ["complete", (1, 5)], bits)
+    filled = solve_filled(tri, ["complete", (1, 5)], start=solve_complete(tri, bits))
     found["whitehead(1,5)"] = list(algdep(cf.evaluate_cusp_parameter(
         cf.cusp_parameter(tri, tri.cusps[0]), filled.shapes), 12, bits).coefficients)
 print(json.dumps(found))

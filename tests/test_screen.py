@@ -141,16 +141,18 @@ def test_fill_and_screen_whitehead(whitehead):
 
 
 def test_fill_sweep_solves_the_complete_structure_once(whitehead, monkeypatch):
+    # every filling starts from the sweep's one complete solve: the filled
+    # solver makes no solve of its own
     import cuspforge.screen as screen_module
+    import cuspforge.solver as solver_module
 
     calls = []
-    complete = screen_module.solve_complete
+    for module in (screen_module, solver_module):
+        def counted(*args, _solve=module.solve_complete, **kwargs):
+            calls.append(args)
+            return _solve(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return complete(*args, **kwargs)
-
-    monkeypatch.setattr(screen_module, "solve_complete", counted)
+        monkeypatch.setattr(module, "solve_complete", counted)
     reports = fill_and_screen(whitehead, 1, [2, -3], OPTIONS)
     assert len(calls) == 1
     assert all(rep.solve["success"] for rep in reports)

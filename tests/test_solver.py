@@ -8,6 +8,7 @@ four-regular-tetrahedra fixture sits at the fixed point of the corner
 parameter maps.
 """
 
+import dataclasses
 import os
 import pathlib
 import random
@@ -21,11 +22,11 @@ import cuspforge as cf
 from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_parameter,
                                 sum_value, term_value)
 from cuspforge.solver import (
-    GluingSystem,
     KernelDimensionError,
     PolynomialEquation,
     SolveError,
     _eliminate,
+    _gluing_rows,
     completeness_system,
     curve_pin,
     curve_velocity,
@@ -95,9 +96,9 @@ def test_residual_certificate(solved):
         assert worst < mp.mpf(2) ** (-PRECISION // 2)
 
 
-def test_solve_filled_all_complete_is_bitwise_identical(whitehead):
-    a = solve_complete(whitehead, PRECISION, seed=0)
-    b = solve_filled(whitehead, ["complete", "complete"], PRECISION, seed=0)
+def test_solve_filled_all_complete_is_bitwise_identical(whitehead, solved):
+    a = solved["whitehead"]
+    b = solve_filled(whitehead, ["complete", "complete"], start=a)
     assert a.shapes.z == b.shapes.z
     assert a.iterations == b.iterations and a.restarts_used == b.restarts_used
 
@@ -132,38 +133,48 @@ def test_solve_imports_no_numpy_or_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_gluing_system_rejects_non_coprime(whitehead):
-    with pytest.raises(ValueError, match="coprime"):
-        GluingSystem.from_triangulation(whitehead, [None, (2, 4)])
+@pytest.mark.parametrize("filling", [(1.5, 2), (True, 2), (1, 2, 7), ("1", "2"), (2, 4)],
+                         ids=["float", "bool", "three-entries", "strings", "not-coprime"])
+def test_solve_filled_rejects_malformed_filling(whitehead, solved, filling):
+    # only 'complete', None or a coprime pair of ints fills a cusp: a float
+    # or a bool is not truncated, and a third entry is not dropped
+    with pytest.raises(ValueError, match="coprime pair of ints"):
+        solve_filled(whitehead, [None, filling], start=solved["whitehead"])
 
 
-def test_fillings_from_triangulation_field(whitehead):
+def test_solve_filled_refuses_a_failed_start(whitehead, solved):
+    failed = dataclasses.replace(solved["whitehead"], success=False)
+    with pytest.raises(SolveError, match="complete solve failed"):
+        solve_filled(whitehead, [None, (1, 3)], start=failed)
+
+
+def test_fillings_from_triangulation_field(whitehead, solved):
     tri = whitehead.with_fillings([None, (1, 1)])
-    result = solve_filled(tri, None, PRECISION)
+    result = solve_filled(tri, None, start=solved["whitehead"])
     assert result.success and result.geometric
 
 
-def test_whitehead_meridian_filling_degenerates(whitehead):
+def test_whitehead_meridian_filling_degenerates(whitehead, solved):
     # (1, 0) on the second cusp trivially re-closes the solid torus; the
     # solver must not present this as a geometric hyperbolic structure
     try:
-        result = solve_filled(whitehead, ["complete", (1, 0)], PRECISION)
+        result = solve_filled(whitehead, ["complete", (1, 0)], start=solved["whitehead"])
     except SolveError:
         return
     assert result.degenerate or not result.geometric
 
 
-def test_whitehead_longitude_filling_flagged(whitehead):
+def test_whitehead_longitude_filling_flagged(whitehead, solved):
     # (0, 1) is an exceptional slope: expect an explicit failure or a
     # degenerate/non-geometric report, never a silent geometric result
     try:
-        result = solve_filled(whitehead, ["complete", (0, 1)], PRECISION)
+        result = solve_filled(whitehead, ["complete", (0, 1)], start=solved["whitehead"])
     except SolveError:
         return
     assert result.degenerate or not result.geometric
 
 
-def test_whitehead_one_one_filling_field(whitehead):
+def test_whitehead_one_one_filling_field(whitehead, solved):
     # among the (1, +-1) fillings exactly one is hyperbolic with an
     # Eisenstein-quadratic cusp parameter; the other collapses to a flat
     # real solution on the trefoil slope
@@ -172,7 +183,7 @@ def test_whitehead_one_one_filling_field(whitehead):
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     kinds = {}
     for n in (1, -1):
-        result = solve_filled(whitehead, ["complete", (1, n)], PRECISION)
+        result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
         value = evaluate_cusp_parameter(pair, result.shapes)
         fc = classify_field(algdep(value, 8, PRECISION))
         kinds[n] = (result.geometric, fc.kind)
@@ -183,12 +194,12 @@ def test_whitehead_one_one_filling_field(whitehead):
     assert not kinds[other][0]
 
 
-def test_whitehead_filling_matches_curve_formula(whitehead):
+def test_whitehead_filling_matches_curve_formula(whitehead, solved):
     # filled solutions keep the first cusp complete, so they lie on the
     # curve where tau_c1 = 4x/(1-x^2) - 2 with x the second shape
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     for n in (2, -3):
-        result = solve_filled(whitehead, ["complete", (1, n)], PRECISION)
+        result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
         assert result.success and result.geometric
         x = result.shapes.z[1]
         tau = evaluate_cusp_parameter(pair, result.shapes)
@@ -215,12 +226,12 @@ WHITEHEAD_FILLINGS = {
 
 
 @pytest.mark.parametrize("n", sorted(WHITEHEAD_FILLINGS))
-def test_whitehead_filling_table(whitehead, n):
+def test_whitehead_filling_table(whitehead, n, solved):
     # the machine-precision ramp plus one polish lands on the same branch
     # and the same structure; for n != 0 the working-precision ramp took
     # 33-41 steps
     offsets, degenerate, z1 = WHITEHEAD_FILLINGS[n]
-    result = solve_filled(whitehead, ["complete", (1, n)], PRECISION)
+    result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
     assert result.success
     assert result.branch_offsets == (offsets,)
     assert result.degenerate == degenerate
@@ -229,35 +240,35 @@ def test_whitehead_filling_table(whitehead, n):
     assert result.iterations <= 8
 
 
-def test_berge_longitude_filling_passes_through_flat_shapes(berge):
+def test_berge_longitude_filling_passes_through_flat_shapes(berge, solved):
     # the ramp of berge cusp 0 (0, 1) runs through shapes near 0 and 1
     # around t = 0.5; the cleared equations carry it through, where edge
     # rows in log form stall
-    result = solve_filled(berge, [(0, 1), "complete"], PRECISION)
+    result = solve_filled(berge, [(0, 1), "complete"], start=solved["berge"])
     assert result.success
     assert result.degenerate and not result.geometric
 
 
-def test_filled_polish_failure_raises(whitehead, monkeypatch):
+def test_filled_polish_failure_raises(whitehead, monkeypatch, solved):
     # a polish that misses the residual target is an error naming the
     # filling, never a result with success=False
     import cuspforge.solver as solver
 
     newton = solver._newton
 
-    def no_filled_polish(eqs, fill_eqs, z, *args):
-        polish = fill_eqs and not isinstance(z[0], complex)
-        return newton(eqs, fill_eqs, z, *args, max_iter=0 if polish else 80)
+    def no_filled_polish(rows, z, *args):
+        # the ramp runs on Python complex, the polish on mpmath
+        return newton(rows, z, *args, max_iter=80 if isinstance(z[0], complex) else 0)
 
     monkeypatch.setattr(solver, "_newton", no_filled_polish)
     with pytest.raises(SolveError, match=r"fill:c2=\(1,3\)"):
-        solve_filled(whitehead, ["complete", (1, 3)], PRECISION)
+        solve_filled(whitehead, ["complete", (1, 3)], start=solved["whitehead"])
 
 
 def test_float_evaluator_matches_mpmath(whitehead, link622, berge, solved):
     # the filling ramp evaluates the same cleared equations on Python complex
     for tri in (whitehead, link622, berge):
-        eqs, _ = GluingSystem.from_triangulation(tri, ["complete"] * 2).equation_objects()
+        eqs = _gluing_rows(tri, [None] * len(tri.cusps))
         cleared = [e.cleared for e in eqs]
         sums = cleared + [s.derivative(i) for s in cleared for i in range(tri.n_tet)]
         points = [solved[tri.name].shapes] + take(rational_point_sampler(tri.n_tet, seed=5), 3)
@@ -280,7 +291,7 @@ def _polish_system(name, solved, seed=3):
     seeded perturbation of the complete point, at PRECISION bits."""
     tri = cf.load_fixture(name)
     rng = random.Random(seed)
-    eqs, _ = GluingSystem.from_triangulation(tri, [None] * len(tri.cusps)).equation_objects()
+    eqs = _gluing_rows(tri, [None] * len(tri.cusps))
     z = [v + mp.mpc(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
          for v in solved[name].shapes.z]
     return [e.gradient(z) for e in eqs], [-e.value(z) for e in eqs]
@@ -417,6 +428,13 @@ def test_trace_curve_whitehead(whitehead, solved):
         assert abs(tau - (4 * x / (1 - x ** 2) - 2)) < mp.mpf("1e-30")
     # the curve actually moves
     assert abs(samples[-1][0].z[1] - samples[0][0].z[1]) > mp.mpf("1e-4")
+
+
+def test_trace_refuses_a_start_at_another_precision(whitehead, solved):
+    # a 256-bit start would be returned as sample 0 labelled 512 bits
+    with pytest.raises(ValueError, match="start solved at 256 bits"):
+        trace_completeness_curve(whitehead, 0, n_points=2, precision_bits=2 * PRECISION,
+                                 start=solved["whitehead"])
 
 
 def test_trace_curve_622_stays_on_polynomial(link622, solved):
