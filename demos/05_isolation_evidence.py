@@ -14,14 +14,16 @@ second derivative of the pinned implicit system.
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.isolation import isolation_verdict, tau_derivatives
+from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
 from cuspforge.solver import solve_complete, trace_completeness_curve
 
 for name in ("whitehead", "622", "berge"):
     tri = cf.load_fixture(name)
     solved = solve_complete(tri, 256, seed=0)
+    # the 512-bit polish that certifies the evidence of every cusp
+    doubled = doubled_structure(tri, solved)
     for i, cusp in enumerate(tri.cusps):
-        ev = isolation_verdict(tri, i, precision_bits=256, start=solved)
+        ev = isolation_verdict(tri, i, precision_bits=256, start=solved, doubled=doubled)
         print(f"{tri.name}.{cusp.name}: {ev.label}")
         print(f"  |d_tau| = {mp.nstr(abs(ev.d_tau), 6)}, "
               f"|d2_tau| = {mp.nstr(abs(ev.d2_tau), 6)}")

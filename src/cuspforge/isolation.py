@@ -13,13 +13,14 @@ with one coordinate chosen as the curve parameter (largest tangent entry,
 ties to the lowest index), first derivatives solve M u' = -v and second
 derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, where M
 is the square system of the n - 1 kept rows without the pin column
-(`solver.pinned_solve`).  The reported tangent is the normalised pinned
-velocity dz/|dz|, where dz is u' with 1 at the pinned coordinate.  One
-kernel check, `solver.curve_pin`, serves tracing and derivatives alike: it
-checks that the kernel is one-dimensional (else KernelDimensionError, also
-near the rank cut) and gives the pin, the kept rows and the rank.  It runs
-at precision p; the doubled-precision pass reuses the pin and the kept
-rows, evaluates only the kept equations and runs no kernel check.
+(`solver.pinned_factor`), factored once for both.  The reported tangent is
+the normalised pinned velocity dz/|dz|, where dz is u' with 1 at the
+pinned coordinate.  One kernel check, `solver.curve_pin`, serves tracing
+and derivatives alike: it checks that the kernel is one-dimensional (else
+KernelDimensionError, also near the rank cut) and gives the pin, the kept
+rows and the rank.  It runs at precision p, on the whole Jacobian whose
+kept rows M is made of; the doubled-precision pass reuses the pin and the
+kept rows, evaluates only the kept equations and runs no kernel check.
 The Jacobian rows are exact gradients of the cleared equations; the second
 derivative of every equation and of both tau sums along u' is the closed
 form of `holonomy.second_derivative_along`, computed term by term from log
@@ -27,6 +28,13 @@ gradients.  The Jacobian, the tangent, the second derivatives and the tau
 sums at a point all evaluate from the one memo of its `holonomy.Point`.
 `isolation_verdict` builds the exact sums (the completeness system, the
 tau pair and its gradient sums) once and evaluates them at p and at 2p.
+
+The 2p structure depends on the manifold alone: `doubled_structure`
+polishes the p-bit complete structure at 2p bits, with its seed and no
+start search, and refuses any result that is not a successful polish of
+that structure.  A caller that tests several cusps may solve it once and
+pass it to each `isolation_verdict`, as the `isolate` command does; without
+it, each verdict polishes its own.
 
 A derivative or spread counts as nonzero above tol = 10^(-TOL_DIGITS p/256)
 (20 digits at 256 bits).  The continuation fallback traces
@@ -49,7 +57,7 @@ from .solver import (
     completeness_system,
     curve_pin,
     curve_velocity,
-    pinned_solve,
+    pinned_factor,
     solve_complete,
     system_jacobian,
     trace_completeness_curve,
@@ -130,25 +138,30 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
     Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, kept,
     tangent: dz and d2z are full-length vectors with dz[pin] = 1,
     d2z[pin] = 0, and the tangent is dz/|dz|.  Without `curve`, `curve_pin`
-    checks the kernel and gives the pin, the kept rows and the Jacobian
-    rank; `curve=(pin, kept)` from an earlier pass skips the kernel check
-    (the rank is None).  Only the kept equations are evaluated.
-    `isolation_verdict` passes the exact sums it built once as `_sums`.
+    checks the kernel of the whole Jacobian and gives the pin, the kept rows
+    and the rank, and the kept rows are taken from that Jacobian;
+    `curve=(pin, kept)` from an earlier pass skips the kernel check (the
+    rank is None) and evaluates only the kept equations.  dz and d2z share
+    one factorisation of the pinned square system.  `isolation_verdict`
+    passes the exact sums it built once as `_sums`.
     """
     sums = _CuspSums.build(tri, cusp) if _sums is None else _sums
     with mp.workprec(shapes.precision_bits + 30):
         z = Point(shapes.z)
         if curve is None:
-            pin, rank, kept = curve_pin(system_jacobian(sums.eqs, z), shapes.precision_bits)
+            jacobian = system_jacobian(sums.eqs, z)
+            pin, rank, kept = curve_pin(jacobian, shapes.precision_bits)
+            rows = [jacobian[i] for i in kept]
         else:
             (pin, kept), rank = curve, None
+            rows = system_jacobian([sums.eqs[i] for i in kept], z)
         eqs = [sums.eqs[i] for i in kept]
-        rows = system_jacobian(eqs, z)
+        # M, the kept rows without the pin column, is factored once
+        solve = pinned_factor(rows, pin)
         # first derivatives: M u' = -v, columns split by the pinned variable
-        dz, tangent = curve_velocity(rows, pin)
+        dz, tangent = curve_velocity(rows, pin, solve)
         # second derivatives: M u'' = -(dz^T Hess dz)
-        d2z = pinned_solve(rows, pin, [-second_derivative_along(eq.cleared.terms, z, dz)
-                                       for eq in eqs])
+        d2z = solve([-second_derivative_along(eq.cleared.terms, z, dz) for eq in eqs])
         N = sum_value(sums.num.terms, z)
         D = sum_value(sums.den.terms, z)
         dN = [sum_value(d.terms, z) for d in sums.d_num]
@@ -172,8 +185,23 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
     }
 
 
+def doubled_structure(tri: IdealTriangulation, start: SolveResult) -> SolveResult:
+    """The complete structure at twice the precision of `start`, which
+    certifies evidence found at that of `start`: `start` polished at 2p
+    bits with its seed and no start search.  Raises SolveError unless the
+    polish succeeds from `start` itself, so that the 2p evidence is about
+    the same root.  One call serves every cusp of the manifold."""
+    bits = 2 * start.shapes.precision_bits
+    doubled = solve_complete(tri, bits, seed=start.seed, restarts=0, initial=start.shapes)
+    if not (doubled.success and doubled.restarts_used == 0):
+        raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the complete structure "
+                         "did not succeed")
+    return doubled
+
+
 def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 256,
-                      seed: int = 0, start: SolveResult | None = None) -> IsolationEvidence:
+                      seed: int = 0, start: SolveResult | None = None,
+                      doubled: SolveResult | None = None) -> IsolationEvidence:
     """Test whether the cusp parameter provably varies along the curve
     where this cusp stays complete.
 
@@ -181,14 +209,18 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 
     is the fallback.  Every piece of evidence is recomputed at doubled
     precision and must agree to half the working digits before it is
     believed.  A nonzero certified derivative or spread yields NotIsolated;
-    anything else is Inconclusive (constancy is never asserted).
+    anything else is Inconclusive (constancy is never asserted).  The
+    doubled-precision structure is `doubled`, or `doubled_structure` of
+    `start` when none is given.
     """
     tol = mp.mpf(10) ** (-TOL_DIGITS * precision_bits // 256)
     if start is None:
         start = solve_complete(tri, precision_bits, seed=seed)
-    elif start.shapes.precision_bits != precision_bits:
-        raise ValueError(f"start solved at {start.shapes.precision_bits} bits, "
-                         f"not at the {precision_bits} asked for")
+    for name, result, bits in (("start", start, precision_bits),
+                               ("doubled", doubled, 2 * precision_bits)):
+        if result is not None and result.shapes.precision_bits != bits:
+            raise ValueError(f"{name} solved at {result.shapes.precision_bits} bits, "
+                             f"not at the {bits} asked for")
     if not start.success:
         raise SolveError("complete solve failed; no isolation test possible")
     cusp_name = tri.cusps[cusp].name
@@ -196,9 +228,8 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 
 
     sums = _CuspSums.build(tri, cusp)
     info = tau_derivatives(tri, cusp, start.shapes, _sums=sums)
-    # recompute at doubled precision (polishing the known solution);
-    # require agreement to half the digits
-    start_hi = solve_complete(tri, 2 * precision_bits, seed=seed, initial=start.shapes)
+    # recompute at doubled precision; require agreement to half the digits
+    start_hi = doubled or doubled_structure(tri, start)
     info_hi = tau_derivatives(tri, cusp, start_hi.shapes, curve=(info["pin"], info["kept"]),
                               _sums=sums)
     agree_tol = mp.mpf(2) ** (-precision_bits // 2)

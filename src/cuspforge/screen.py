@@ -40,7 +40,7 @@ from mpmath import mp
 
 from . import __version__, load_fixture
 from .holonomy import cusp_parameter, evaluate_cusp_parameter
-from .isolation import IsolationEvidence, isolation_verdict
+from .isolation import IsolationEvidence, doubled_structure, isolation_verdict
 from .manifold import IdealTriangulation, TriangulationError, read_triangulation
 from .numberlab import FieldClass, MinPoly, classify_field, algdep, rigid_compatible
 from .solver import SolveError, SolveResult, printed_digits, solve_complete, solve_filled
@@ -497,11 +497,18 @@ def _dispatch(args, options: ScreenOptions) -> int:
             start = _converged_solve(tri, options)
             if start is None:
                 continue
+            # one doubled-precision structure certifies every cusp's evidence
+            try:
+                doubled = doubled_structure(tri, start)
+            except SolveError as exc:
+                for i in indices:
+                    print(f"{tri.name}.{tri.cusps[i].name}: isolation failed: {exc}")
+                continue
             for i in indices:
                 name = f"{tri.name}.{tri.cusps[i].name}"
                 try:
                     ev = isolation_verdict(tri, i, precision_bits=options.precision_bits,
-                                           seed=options.seed, start=start)
+                                           seed=options.seed, start=start, doubled=doubled)
                 except (SolveError, ZeroDivisionError, ValueError) as exc:
                     print(f"{name}: isolation failed: {exc}")
                     continue

@@ -31,9 +31,9 @@ rows and one meridian row: n + 1 rows of rank n - 1) is different.
 (`numerical_kernel`) checks that the kernel is one-dimensional and gives
 the rank, the pinned coordinate and n - 1 pivot rows, or raises
 KernelDimensionError near the rank cut.  Every curve direction after that
-is a `pinned_solve`: the kept rows without the pin column, a square system
-solved by `_solve_square`, the partial-pivoting elimination of
-`least_squares`.
+solves the kept rows without the pin column, a square system that
+`pinned_factor` factors by `_lu_factor`, the partial-pivoting elimination
+of `least_squares`; solves that share a Jacobian share its factorisation.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition
@@ -271,32 +271,51 @@ def _size(v):
     return abs(v.real) + abs(v.imag)
 
 
-def _solve_square(aug: list[list], eps) -> list:
-    """x with A x = b for the n x (n + 1) augmented matrix [A | b], by
-    Gaussian elimination with partial pivoting, in place.  The pivot is the
-    entry of largest re^2 + im^2, so no square root is taken.  A pivot p
-    with |re p| + |im p| at most eps * |A|_1 raises ZeroDivisionError,
-    where |A|_1 is the largest column sum of |re| + |im| over A; both
-    measures lie within a factor sqrt(2) of the modulus they stand for."""
-    n = len(aug)
-    tol = eps * max(sum(_size(row[j]) for row in aug) for j in range(n))
+def _lu_factor(a: list[list], eps) -> tuple[list[list], list]:
+    """(lu, perm): the square matrix A factored as P A = L U by Gaussian
+    elimination with partial pivoting, in place.  The pivot is the entry of
+    largest re^2 + im^2, so no square root is taken.  A pivot p with
+    |re p| + |im p| at most eps * |A|_1 raises ZeroDivisionError, where
+    |A|_1 is the largest column sum of |re| + |im| over A; both measures lie
+    within a factor sqrt(2) of the modulus they stand for.  Each multiplier
+    is stored in the row it eliminated and moves with that row's swaps, so
+    lu[k] holds the row that ends at position k, and perm[k] its index in A.
+    """
+    n = len(a)
+    tol = eps * max(sum(_size(row[j]) for row in a) for j in range(n))
+    perm = list(range(n))
     for col in range(n):
         squares = [v.real * v.real + v.imag * v.imag
-                   for v in (aug[k][col] for k in range(col, n))]
+                   for v in (a[k][col] for k in range(col, n))]
         piv = col + squares.index(max(squares))
-        if _size(aug[piv][col]) <= tol:
+        if _size(a[piv][col]) <= tol:
             raise ZeroDivisionError("numerically singular square system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        top = aug[col]
-        # column col below the pivot is never read again
+        a[col], a[piv] = a[piv], a[col]
+        perm[col], perm[piv] = perm[piv], perm[col]
+        top = a[col]
         for k in range(col + 1, n):
-            row = aug[k]
-            f = row[col] / top[col]
-            for c in range(col + 1, n + 1):
+            row = a[k]
+            f = row[col] = row[col] / top[col]
+            for c in range(col + 1, n):
                 row[c] -= f * top[c]
+    return a, perm
+
+
+def _lu_solve(factor: tuple[list[list], list], b: list) -> list:
+    """x with A x = b from `_lu_factor`'s (lu, perm) of A.  Every row swap
+    is applied to b first, then forward substitution replays the stored
+    multipliers column by column: the same operations, in the same order,
+    as eliminating the augmented matrix [A | b], so the bits are those of
+    that elimination."""
+    lu, perm = factor
+    n = len(lu)
+    y = [b[i] for i in perm]
+    for col in range(n):
+        for k in range(col + 1, n):
+            y[k] -= lu[k][col] * y[col]
     x = [None] * n
     for i in reversed(range(n)):
-        x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
+        x[i] = (y[i] - sum(lu[i][j] * x[j] for j in range(i + 1, n))) / lu[i][i]
     return x
 
 
@@ -305,48 +324,57 @@ def least_squares(rows: list[list], rhs: list) -> list:
     the system: mpmath at the working precision, or machine precision (the
     type of the first entry of rhs or rows that is not an int).
 
-    `_solve_square` solves the normal equations N x = rows^H rhs, with 20
-    guard bits on mpmath.  Summing the upper triangle of N and conjugating
-    it is bit-identical to summing all of N under round-to-nearest.  The
-    callers' systems have full column rank: a singular N raises
-    ZeroDivisionError.
+    `_lu_factor` and `_lu_solve` solve the normal equations
+    N x = rows^H rhs, with 20 guard bits on mpmath.  Summing the upper
+    triangle of N and conjugating it is bit-identical to summing all of N
+    under round-to-nearest.  The callers' systems have full column rank: a
+    singular N raises ZeroDivisionError.
     """
     n = len(rows[0])
     with mp.extraprec(20):
         eps = _scalar_ops(itertools.chain(rhs, *rows))[3]
         conj = [[v.conjugate() for v in row] for row in rows]
-        aug = []
+        normal = []
         for i in range(n):
-            aug.append([aug[j][i].conjugate() for j in range(i)]
-                       + [sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(i, n)]
-                       + [sum(c[i] * v for c, v in zip(conj, rhs))])
-        return _solve_square(aug, eps)
+            normal.append([normal[j][i].conjugate() for j in range(i)]
+                          + [sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(i, n)])
+        b = [sum(c[i] * v for c, v in zip(conj, rhs)) for i in range(n)]
+        return _lu_solve(_lu_factor(normal, eps), b)
 
 
-def pinned_solve(rows: list[list], pin: int, rhs: list) -> list:
-    """x with x[pin] = 0 and rows . x = rhs, for the n - 1 rows of an
+def pinned_factor(rows: list[list], pin: int):
+    """The solver of the square pinned system of the n - 1 rows of an
     n-column Jacobian that `curve_pin` keeps: without the pin column the
-    system is square, and `_solve_square` solves it with 20 guard bits on
-    mpmath.  Curve velocities, curve second derivatives and corrector steps
-    all solve this system.  A singular pinned system raises SolveError:
-    there the pinned coordinate does not parametrize the curve."""
+    system is square, and `_lu_factor` factors it once, with 20 guard bits
+    on mpmath.  Returns solve(rhs), the x with x[pin] = 0 and
+    rows . x = rhs; every solve reuses the one factorisation.  Corrector
+    steps, curve velocities and curve second derivatives all solve this
+    system.  A singular pinned system raises SolveError: there the pinned
+    coordinate does not parametrize the curve."""
     free = [i for i in range(len(rows[0])) if i != pin]
     if len(rows) != len(free):
         raise ValueError(f"{len(rows)} rows for {len(free)} unpinned columns")
     with mp.extraprec(20):
-        eps = _scalar_ops(itertools.chain(rhs, *rows))[3]
+        eps = _scalar_ops(itertools.chain(*rows))[3]
         try:
-            u = _solve_square([[row[i] for i in free] + [v] for row, v in zip(rows, rhs)], eps)
+            factor = _lu_factor([[row[i] for i in free] for row in rows], eps)
         except ZeroDivisionError as exc:
             raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
-    u.insert(pin, mp.mpc(0))
-    return u
+
+    def solve(rhs: list) -> list:
+        with mp.extraprec(20):
+            u = _lu_solve(factor, rhs)
+        u.insert(pin, mp.mpc(0))
+        return u
+    return solve
 
 
-def curve_velocity(rows: list[list], pin: int) -> tuple[list, list]:
+def curve_velocity(rows: list[list], pin: int, solve=None) -> tuple[list, list]:
     """Velocity dz with dz[pin] = 1 of the curve whose kept Jacobian rows
-    are `rows`, and its unit tangent dz/|dz|, from one `pinned_solve`."""
-    dz = pinned_solve(rows, pin, [-row[pin] for row in rows])
+    are `rows`, and its unit tangent dz/|dz|, from one pinned solve:
+    `solve` when the caller has already factored rows (`pinned_factor`)."""
+    solve = solve or pinned_factor(rows, pin)
+    dz = solve([-row[pin] for row in rows])
     dz[pin] = mp.mpc(1)
     norm = mp.sqrt(sum(abs(c) ** 2 for c in dz))
     return dz, [c / norm for c in dz]
@@ -758,7 +786,7 @@ def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
     `rows`: the one `numerical_kernel` of a curve checks that its kernel is
     one-dimensional, `pin_choice` picks the pinned coordinate from the
     kernel vector, and the n - 1 pivot rows are kept for every
-    `pinned_solve` along the curve."""
+    pinned solve along the curve."""
     kernel, rank, kept = numerical_kernel(rows, precision_bits)
     if len(kernel) != 1:
         raise KernelDimensionError(
@@ -796,7 +824,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         square = [eqs[i] for i in kept]
 
         def corrector_step(z):
-            return pinned_solve(system_jacobian(square, z), pin, [-e.value(z) for e in square])
+            return pinned_factor(system_jacobian(square, z), pin)([-e.value(z) for e in square])
 
         shapes0 = ShapeAssignment(tuple(z), precision_bits)
         samples = [(shapes0, evaluate_cusp_parameter(pair, shapes0))]

@@ -12,7 +12,8 @@ import pytest
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.isolation import IsolationEvidence, isolation_verdict, tau_derivatives
+from cuspforge.isolation import (IsolationEvidence, doubled_structure, isolation_verdict,
+                                 tau_derivatives)
 from cuspforge.solver import (
     KernelDimensionError,
     completeness_system,
@@ -153,6 +154,21 @@ def test_evidence_serialization(berge, solved):
 def test_isolation_refuses_a_start_at_another_precision(whitehead, solved):
     with pytest.raises(ValueError, match="start solved at 256 bits"):
         isolation_verdict(whitehead, 0, 2 * PRECISION, start=solved["whitehead"])
+
+
+def test_a_given_doubled_structure_certifies_as_the_helper_does(whitehead, solved):
+    # one doubled_structure serves both cusps with the evidence each
+    # verdict finds when it polishes its own; one at another precision is
+    # refused
+    start = solved["whitehead"]
+    doubled = doubled_structure(whitehead, start)
+    assert doubled.shapes.precision_bits == 2 * PRECISION and doubled.restarts_used == 0
+    for cusp in range(2):
+        given = isolation_verdict(whitehead, cusp, PRECISION, start=start, doubled=doubled)
+        own = isolation_verdict(whitehead, cusp, PRECISION, start=start)
+        assert given == own
+    with pytest.raises(ValueError, match=f"doubled solved at {PRECISION} bits"):
+        isolation_verdict(whitehead, 0, PRECISION, start=start, doubled=start)
 
 
 @pytest.mark.parametrize("name", ["whitehead", "622", "berge"])

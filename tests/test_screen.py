@@ -158,9 +158,10 @@ def test_fill_sweep_solves_the_complete_structure_once(whitehead, monkeypatch):
     assert all(rep.solve["success"] for rep in reports)
 
 
-def test_cli_isolate_solves_the_complete_structure_once(monkeypatch, capsys):
-    # both cusps' isolation tests start from one complete solve at p; the
-    # only other solves are isolation's doubled-precision polishes
+def _count_solves(monkeypatch, alter_doubled=None):
+    """Record the precision of every complete solve made by the screen and
+    the isolation modules; `alter_doubled(result)`, when given, replaces
+    each result solved at 2 * PRECISION."""
     import cuspforge.isolation as isolation_module
     import cuspforge.screen as screen_module
 
@@ -168,12 +169,63 @@ def test_cli_isolate_solves_the_complete_structure_once(monkeypatch, capsys):
     for module in (screen_module, isolation_module):
         def counted(tri, precision_bits, *args, _solve=module.solve_complete, **kwargs):
             calls.append(precision_bits)
-            return _solve(tri, precision_bits, *args, **kwargs)
+            result = _solve(tri, precision_bits, *args, **kwargs)
+            if alter_doubled and precision_bits == 2 * PRECISION:
+                return alter_doubled(result)
+            return result
 
         monkeypatch.setattr(module, "solve_complete", counted)
+    return calls
+
+
+def test_cli_isolate_solves_the_complete_structure_once(monkeypatch, capsys):
+    # both cusps' isolation tests start from one complete solve at p and
+    # share one doubled-precision polish
+    import cuspforge.screen as screen_module
+
+    calls = _count_solves(monkeypatch)
     assert screen_module.main(["isolate", "whitehead"]) == 0
     assert capsys.readouterr().out.count("NotIsolated") == 2
-    assert sorted(calls) == [PRECISION, 2 * PRECISION, 2 * PRECISION]
+    assert sorted(calls) == [PRECISION, 2 * PRECISION]
+
+
+def test_field_and_fill_make_no_doubled_solve(monkeypatch, capsys):
+    # field and fill run no isolation: one complete solve at p each
+    import cuspforge.screen as screen_module
+
+    calls = _count_solves(monkeypatch)
+    assert screen_module.main(["field", "whitehead", "berge"]) == 0
+    assert "rigid_compatible=True" in capsys.readouterr().out
+    fill_and_screen(cf.load_fixture("whitehead"), 1, [2], OPTIONS)
+    assert calls == [PRECISION] * 3
+
+
+@pytest.mark.parametrize("failure", [
+    {"success": False},
+    {"restarts_used": 1},
+], ids=["failed", "another-root"])
+def test_a_failed_doubled_polish_is_recorded_on_each_cusp(monkeypatch, capsys, failure):
+    # a 2p result that did not succeed, or that is not the polish of the
+    # start, is refused: each rigid cusp of a screen records the error, and
+    # isolate, which solves the 2p structure once for all cusps, prints it
+    # for each cusp without solving again
+    import dataclasses
+
+    import cuspforge.screen as screen_module
+
+    calls = _count_solves(monkeypatch, lambda result: dataclasses.replace(result, **failure))
+    message = (f"'whitehead': the {2 * PRECISION}-bit polish of the complete structure "
+               "did not succeed")
+    rep = screen([fixture_dir() / "whitehead.json"], OPTIONS)[0]
+    assert [c.rigid for c in rep.cusps] == [True, True]
+    assert [c.error for c in rep.cusps] == [message, message]
+    assert all(c.isolation is None and c.minpoly is not None for c in rep.cusps)
+    assert rep.verdict == UNDETERMINED
+    calls.clear()
+    assert screen_module.main(["isolate", "whitehead"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"whitehead.{cusp}: isolation failed: {message}" for cusp in ("c1", "c2")]
+    assert calls == [PRECISION, 2 * PRECISION]
 
 
 def test_non_hyperbolic_solve_gets_no_rigid_verdict(whitehead):

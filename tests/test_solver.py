@@ -27,13 +27,15 @@ from cuspforge.solver import (
     SolveError,
     _eliminate,
     _gluing_rows,
+    _lu_factor,
+    _lu_solve,
     completeness_system,
     curve_pin,
     curve_velocity,
     least_squares,
     numerical_kernel,
     pin_choice,
-    pinned_solve,
+    pinned_factor,
     solve_complete,
     solve_filled,
     system_jacobian,
@@ -320,7 +322,7 @@ def test_least_squares_matches_qr_solve(name, solved):
 def test_least_squares_rank_deficient_raises(solved, scalar):
     # a repeated column makes the normal equations singular: least_squares
     # raises ZeroDivisionError; a repeated row makes the square pinned
-    # system on a curve's kept rows singular, and pinned_solve turns that
+    # system on a curve's kept rows singular, and pinned_factor turns that
     # into SolveError
     with mp.workprec(PRECISION):
         rows, rhs = _polish_system("whitehead", solved)
@@ -335,9 +337,9 @@ def test_least_squares_rank_deficient_raises(solved, scalar):
         pin, _, kept = curve_pin(jacobian, PRECISION)
         square = [[scalar(v) for v in jacobian[i]] for i in kept]
         rhs = [-row[pin] for row in square]
-        pinned_solve(square, pin, rhs)
+        pinned_factor(square, pin)(rhs)
         with pytest.raises(SolveError, match="not a parameter"):
-            pinned_solve(square[:-1] + square[:1], pin, rhs)
+            pinned_factor(square[:-1] + square[:1], pin)
 
 
 def _textbook_least_squares(rows, rhs):
@@ -401,6 +403,66 @@ def test_least_squares_matches_the_textbook_solve_bit_for_bit(bits):
         for _ in range(60):
             rows, rhs = _random_system(rng, bits)
             assert exact(least_squares(rows, rhs)) == exact(_textbook_least_squares(rows, rhs))
+
+
+def _augmented_solve(aug, eps, swapped):
+    """The elimination of the augmented matrix [A | b] that the factored
+    solve replaces, as it was written (with `_size` spelled out), with the
+    columns whose pivot row was swapped in appended to `swapped`: the
+    reference for `_lu_factor` + `_lu_solve`."""
+    n = len(aug)
+    tol = eps * max(sum(abs(row[j].real) + abs(row[j].imag) for row in aug) for j in range(n))
+    for col in range(n):
+        squares = [v.real * v.real + v.imag * v.imag
+                   for v in (aug[k][col] for k in range(col, n))]
+        piv = col + squares.index(max(squares))
+        if abs(aug[piv][col].real) + abs(aug[piv][col].imag) <= tol:
+            raise ZeroDivisionError("numerically singular square system")
+        if piv != col:
+            swapped.append(col)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col]
+        for k in range(col + 1, n):
+            row = aug[k]
+            f = row[col] / top[col]
+            for c in range(col + 1, n + 1):
+                row[c] -= f * top[c]
+    x = [None] * n
+    for i in reversed(range(n)):
+        x[i] = (aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))) / aug[i][i]
+    return x
+
+
+@pytest.mark.parametrize("scalar", [mp.mpc, complex], ids=["mpmath", "complex"])
+def test_one_factorisation_solves_as_the_augmented_elimination(scalar):
+    # a matrix whose small diagonal forces row swaps at several columns:
+    # factored once and solved for two right-hand sides, it gives the bits
+    # of two eliminations of the augmented matrix, compared by repr and
+    # by mpmath's _mpc_; a singular matrix still raises
+    def exact(x):
+        return [(repr(v), getattr(v, "_mpc_", None)) for v in x]
+
+    with mp.workprec(PRECISION + 30):
+        eps = mp.eps if scalar is mp.mpc else 2.0 ** -52
+        a = [[scalar(v) / 3 for v in row] for row in
+             ([1e-3, 1 + 2j, 2, 0.5j], [5 - 1j, 1e-3, 1j, 2], [1, 7j, 1e-3, 1 - 1j],
+              [2j, 3, 9 + 1j, 1e-3])]
+        rhs = [[scalar(v) / 7 for v in b] for b in ([1, 2j, -3, 4 + 1j], [0.5j, -1, 2, 3j])]
+        factor = _lu_factor([list(row) for row in a], eps)
+        for b in rhs:
+            swapped = []
+            reference = _augmented_solve([list(row) + [v] for row, v in zip(a, b)], eps, swapped)
+            assert len(swapped) >= 2
+            assert exact(_lu_solve(factor, b)) == exact(reference)
+        singular = [list(row) for row in a[:3]] + [list(a[0])]
+        with pytest.raises(ZeroDivisionError):
+            _lu_factor([list(row) for row in singular], eps)
+        with pytest.raises(ZeroDivisionError):
+            _augmented_solve([row + [scalar(1)] for row in singular], eps, [])
+        # as the kept rows of a pinned system, pin column 0 prepended
+        rows = [[scalar(1)] + row for row in singular]
+        with pytest.raises(SolveError, match="not a parameter"):
+            pinned_factor(rows, 0)
 
 
 @pytest.mark.parametrize("first_row", [[0, 0j], [0j, 0], [0, 0]],
@@ -522,23 +584,27 @@ def test_kernel_check_runs_once_per_curve(monkeypatch, berge, solved):
     assert high["rank"] is None
 
 
-def _least_squares_pinned_solve(rows, pin, rhs):
-    """The pinned solve as least squares over every row given, the columns
-    other than `pin`: the reference for the square solve on kept rows."""
+def _least_squares_pinned_factor(rows, pin):
+    """The pinned solver as least squares over every row given, the columns
+    other than `pin`: the reference for the square solves on kept rows."""
     free = [i for i in range(len(rows[0])) if i != pin]
-    try:
-        u = least_squares([[row[i] for i in free] for row in rows], rhs)
-    except ZeroDivisionError as exc:
-        raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
-    x = [mp.mpc(0)] * len(rows[0])
-    for i, v in zip(free, u):
-        x[i] = v
-    return x
+
+    def solve(rhs):
+        try:
+            u = least_squares([[row[i] for i in free] for row in rows], rhs)
+        except ZeroDivisionError as exc:
+            raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
+        x = [mp.mpc(0)] * len(rows[0])
+        for i, v in zip(free, u):
+            x[i] = v
+        return x
+    return solve
 
 
 def _pinned_by_least_squares(monkeypatch):
     """Make every pinned step of tracing and of the derivatives a least-squares
-    solve on the whole completeness system: curve_pin keeps every row."""
+    solve on the whole completeness system: curve_pin keeps every row.
+    Returns the list that gets one entry per solve of the derivatives."""
     import cuspforge.isolation as isolation
     import cuspforge.solver as solver
 
@@ -547,9 +613,20 @@ def _pinned_by_least_squares(monkeypatch):
     def keep_every_row(rows, bits):
         return (*pin(rows, bits)[:2], tuple(range(len(rows))))
 
-    for module in (solver, isolation):
+    derivative_solves = []
+
+    def counted_factor(rows, pin):
+        solve = _least_squares_pinned_factor(rows, pin)
+
+        def counted(rhs):
+            derivative_solves.append(pin)
+            return solve(rhs)
+        return counted
+
+    for module, factor in ((solver, _least_squares_pinned_factor), (isolation, counted_factor)):
         monkeypatch.setattr(module, "curve_pin", keep_every_row)
-        monkeypatch.setattr(module, "pinned_solve", _least_squares_pinned_solve)
+        monkeypatch.setattr(module, "pinned_factor", factor)
+    return derivative_solves
 
 
 @pytest.mark.parametrize("bits", [256, 512])
@@ -573,8 +650,10 @@ def test_square_pinned_steps_match_least_squares(monkeypatch, solved, bits):
 
     square = run()
     with monkeypatch.context() as patch:
-        _pinned_by_least_squares(patch)
+        derivative_solves = _pinned_by_least_squares(patch)
         reference = run()
+    # both solves of every derivative pass, dz and d2z, went through least squares
+    assert len(derivative_solves) == 2 * len(reference)
     with mp.workprec(bits + 30):
         for (label, samples, info), (_, ref_samples, ref_info) in zip(square, reference):
             assert len(samples) == len(ref_samples) == 9, label
