@@ -4,8 +4,8 @@ Every corner of an ideal tetrahedron with shape z carries one of the
 parameters z, 1/(1-z), (z-1)/z.  Products of corner parameters are signed
 monomials in the atoms z_i and (1-z_i), so the dilation of a peripheral
 curve is a single monomial and the translation is a short alternating sum
-of partial products.  Nothing here is floating point until `evaluate` is
-called.
+of partial products.  Nothing here is floating point until a function's
+`evaluate` is called.
 """
 from mpmath import mp
 
@@ -40,13 +40,12 @@ assert cf.mu(tri, ml) == cf.mu(tri, c1.meridian) * cf.mu(tri, c1.longitude)
 print("\nmu(concat(m, l)) == mu(m) * mu(l) as canonical monomials")
 
 shapes = cf.ShapeAssignment.from_values([0.3 + 1.1j, -0.2 + 0.8j, 0.5 + 0.4j, 1.2 + 0.9j], 256)
-lhs = cf.evaluate(cf.tau(tri, ml), shapes)
-rhs = cf.evaluate(cf.tau(tri, c1.meridian), shapes) + \
-    cf.evaluate(cf.mu(tri, c1.meridian).as_sum(), shapes) * \
-    cf.evaluate(cf.tau(tri, c1.longitude), shapes)
+lhs = cf.tau(tri, ml).evaluate(shapes)
+rhs = cf.tau(tri, c1.meridian).evaluate(shapes) + \
+    cf.mu(tri, c1.meridian).as_sum().evaluate(shapes) * cf.tau(tri, c1.longitude).evaluate(shapes)
 print("cocycle tau(ml) = tau(m) + mu(m) tau(l): |difference| =",
       mp.nstr(abs(lhs - rhs), 3))
 
 # exact derivatives stay in the same ring
-d = cf.partial_derivative(cf.mu(tri, c1.meridian).as_sum(), 1)
+d = cf.mu(tri, c1.meridian).as_sum().derivative(1)
 print("\nd mu(m)/dz1 =", d)

@@ -23,7 +23,7 @@ for name in ("whitehead", "622", "berge"):
     # the 512-bit polish that certifies the evidence of every cusp
     doubled = doubled_structure(tri, solved)
     for i, cusp in enumerate(tri.cusps):
-        ev = isolation_verdict(tri, i, precision_bits=256, start=solved, doubled=doubled)
+        ev = isolation_verdict(tri, i, start=solved, doubled=doubled)
         print(f"{tri.name}.{cusp.name}: {ev.label}")
         print(f"  |d_tau| = {mp.nstr(abs(ev.d_tau), 6)}, "
               f"|d2_tau| = {mp.nstr(abs(ev.d2_tau), 6)}")

@@ -15,10 +15,8 @@ from .holonomy import (
     ShapeAssignment,
     SignedMonomial,
     cusp_parameter,
-    evaluate,
     evaluate_cusp_parameter,
     mu,
-    partial_derivative,
     tau,
 )
 from .manifold import (
@@ -30,7 +28,6 @@ from .manifold import (
     IdealTriangulation,
     TriangulationError,
     concat_curves,
-    edge_equation,
     invert_curve,
     parse_triangulation,
     read_triangulation,
@@ -62,14 +59,11 @@ __all__ = [
     "TriangulationError",
     "concat_curves",
     "cusp_parameter",
-    "edge_equation",
-    "evaluate",
     "evaluate_cusp_parameter",
     "invert_curve",
     "load_fixture",
     "mu",
     "parse_triangulation",
-    "partial_derivative",
     "read_triangulation",
     "serialize",
     "tau",

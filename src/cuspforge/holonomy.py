@@ -296,9 +296,6 @@ class ShapeAssignment:
     def is_geometric(self) -> bool:
         return all(z.imag > 0 for z in self.z)
 
-    def with_precision(self, precision_bits: int) -> "ShapeAssignment":
-        return ShapeAssignment(self.z, precision_bits)
-
 
 class Point(tuple):
     """The shapes z of one point, with the evaluator's memo there.
@@ -413,16 +410,6 @@ def second_derivative_along(terms: dict[_Key, int], z, v) -> mpmath.mpc:
                         for i, (ai, bi, s) in enumerate(zip(a, b, squares)))
         total += term_value(c, a, b, z) * (gv * gv - curvature)
     return total
-
-
-def evaluate(fn: SignedMonomial | MonomialSum, shapes: ShapeAssignment) -> mpmath.mpc:
-    """Value of a monomial or monomial sum at a shape assignment."""
-    return fn.evaluate(shapes)
-
-
-def partial_derivative(fn: SignedMonomial | MonomialSum, i: int) -> MonomialSum:
-    """Exact partial derivative; a MonomialSum in the same Laurent ring."""
-    return fn.derivative(i)
 
 
 def mu(tri: "IdealTriangulation", curve: "CuspCurve") -> SignedMonomial:

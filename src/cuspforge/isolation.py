@@ -29,9 +29,10 @@ sums at a point all evaluate from the one memo of its `holonomy.Point`.
 `isolation_verdict` builds the exact sums (the completeness system, the
 tau pair and its gradient sums) once and evaluates them at p and at 2p.
 
-The 2p structure depends on the manifold alone: `doubled_structure`
-polishes the p-bit complete structure at 2p bits, with its seed and no
-start search, and refuses any result that is not a successful polish of
+`isolation_verdict` tests the complete structure it is handed, `start`,
+and works at its precision p.  The 2p structure depends on the manifold
+alone: `doubled_structure` polishes `start` at 2p bits, with its seed and
+no start search, and refuses any result that is not a successful polish of
 that structure.  A caller that tests several cusps may solve it once and
 pass it to each `isolation_verdict`, as the `isolate` command does; without
 it, each verdict polishes its own.
@@ -58,6 +59,7 @@ from .solver import (
     curve_pin,
     curve_velocity,
     pinned_factor,
+    printed_complex,
     solve_complete,
     system_jacobian,
     trace_completeness_curve,
@@ -95,7 +97,7 @@ class IsolationEvidence:
 
     def to_jsonable(self) -> dict:
         def c(v):
-            return None if v is None else {"re": mp.nstr(v.real, 12), "im": mp.nstr(v.imag, 12)}
+            return None if v is None else printed_complex(v, 12)
         return {
             "cusp": self.cusp,
             "jacobian_rank": self.jacobian_rank,
@@ -199,11 +201,11 @@ def doubled_structure(tri: IdealTriangulation, start: SolveResult) -> SolveResul
     return doubled
 
 
-def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 256,
-                      seed: int = 0, start: SolveResult | None = None,
+def isolation_verdict(tri: IdealTriangulation, cusp: int, *, start: SolveResult,
                       doubled: SolveResult | None = None) -> IsolationEvidence:
     """Test whether the cusp parameter provably varies along the curve
-    where this cusp stays complete.
+    where this cusp stays complete, at the complete structure `start`, as
+    `solve_complete` returns it, and at its precision.
 
     Order-1 and order-2 derivative tests run first; continuation sampling
     is the fallback.  Every piece of evidence is recomputed at doubled
@@ -211,16 +213,15 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, precision_bits: int = 
     believed.  A nonzero certified derivative or spread yields NotIsolated;
     anything else is Inconclusive (constancy is never asserted).  The
     doubled-precision structure is `doubled`, or `doubled_structure` of
-    `start` when none is given.
+    `start` when none is given; a `doubled` at a precision other than
+    twice that of `start` raises ValueError, and a failed `start` raises
+    SolveError.
     """
+    precision_bits = start.shapes.precision_bits
     tol = mp.mpf(10) ** (-TOL_DIGITS * precision_bits // 256)
-    if start is None:
-        start = solve_complete(tri, precision_bits, seed=seed)
-    for name, result, bits in (("start", start, precision_bits),
-                               ("doubled", doubled, 2 * precision_bits)):
-        if result is not None and result.shapes.precision_bits != bits:
-            raise ValueError(f"{name} solved at {result.shapes.precision_bits} bits, "
-                             f"not at the {bits} asked for")
+    if doubled is not None and doubled.shapes.precision_bits != 2 * precision_bits:
+        raise ValueError(f"doubled solved at {doubled.shapes.precision_bits} bits, "
+                         f"not at {2 * precision_bits}, twice the precision of start")
     if not start.success:
         raise SolveError("complete solve failed; no isolation test possible")
     cusp_name = tri.cusps[cusp].name

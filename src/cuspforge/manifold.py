@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import pathlib
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .holonomy import SignedMonomial
 
@@ -109,7 +109,6 @@ class CuspData:
     name: str
     meridian: CuspCurve
     longitude: CuspCurve
-    filling: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.meridian.anchor != self.longitude.anchor:
@@ -132,20 +131,6 @@ class IdealTriangulation:
 
     def edge_equations(self) -> list[SignedMonomial]:
         return [self.edge_equation(i) for i in range(len(self.edges))]
-
-    def with_fillings(self, fillings) -> "IdealTriangulation":
-        """Copy with per-cusp fillings replaced ((p, q) tuples or None)."""
-        if len(fillings) != len(self.cusps):
-            raise TriangulationError("one filling entry per cusp required")
-        cusps = tuple(
-            replace(c, filling=tuple(f) if f is not None else None)
-            for c, f in zip(self.cusps, fillings)
-        )
-        return replace(self, cusps=cusps)
-
-
-def edge_equation(tri: IdealTriangulation, index: int) -> SignedMonomial:
-    return tri.edge_equation(index)
 
 
 def validate(tri: IdealTriangulation) -> None:
@@ -189,10 +174,6 @@ def validate(tri: IdealTriangulation) -> None:
                             f"{tri.name!r} curve {curve.name!r}: tetrahedron "
                             f"index {corner.tet} out of range"
                         )
-        if cusp.filling is not None:
-            p, q = cusp.filling
-            if not (_is_int(p) and _is_int(q)):
-                raise TriangulationError(f"cusp {cusp.name!r}: filling must be integer pair")
 
 
 def _is_int(value) -> bool:
@@ -244,14 +225,14 @@ def parse_triangulation(document: str) -> IdealTriangulation:
         { "name": str, "n_tet": int,
           "edges": [ { "label": str,
                        "corners": [ {"tet": int, "kind": "E0"|"E1"|"E2"}, ... ] } ],
-          "cusps": [ { "name": str, "meridian": CURVE, "longitude": CURVE,
-                       "filling": [p, q]            # optional
-                     } ] }
+          "cusps": [ { "name": str, "meridian": CURVE, "longitude": CURVE } ] }
         CURVE = { "w0_word": [CORNER, ...],
                   "vertices": [ { "word": [CORNER, ...] }, ... ] }
 
     Field order is irrelevant; indexing of tetrahedra, edges, and cusps is
-    the stable order of appearance in the document.
+    the stable order of appearance in the document.  A triangulation is
+    the unfilled link: Dehn fillings are not part of the file but the
+    argument of `cuspforge fill` and `solver.solve_filled`.
     """
     try:
         doc = json.loads(document)
@@ -293,11 +274,13 @@ def parse_triangulation(document: str) -> IdealTriangulation:
     for i, c in enumerate(doc["cusps"]):
         if not isinstance(c, dict):
             raise TriangulationError(f"cusp {i}: must be an object")
-        keys = set(c)
-        if not {"name", "meridian", "longitude"} <= keys or keys - {"name", "meridian", "longitude", "filling"}:
+        if "filling" in c:
             raise TriangulationError(
-                f"cusp {i}: keys must be name, meridian, longitude and optionally filling"
+                f"cusp {i}: key 'filling' is not part of a triangulation; give Dehn "
+                "fillings to `cuspforge fill` or `solver.solve_filled` instead"
             )
+        if set(c) != {"name", "meridian", "longitude"}:
+            raise TriangulationError(f"cusp {i}: keys must be exactly name, meridian, longitude")
         if not isinstance(c["name"], str):
             raise TriangulationError(f"cusp {i}: name must be a string")
         if _has_control_character(c["name"]):
@@ -305,13 +288,7 @@ def parse_triangulation(document: str) -> IdealTriangulation:
         anchor = f"{c['name']}/f"
         meridian = _parse_curve(c["meridian"], f"{c['name']}.meridian", anchor, f"cusp {c['name']!r} meridian")
         longitude = _parse_curve(c["longitude"], f"{c['name']}.longitude", anchor, f"cusp {c['name']!r} longitude")
-        filling = None
-        if "filling" in c:
-            f = c["filling"]
-            if not (isinstance(f, list) and len(f) == 2 and all(_is_int(x) for x in f)):
-                raise TriangulationError(f"cusp {i}: filling must be a pair of integers")
-            filling = (f[0], f[1])
-        cusps.append(CuspData(c["name"], meridian, longitude, filling))
+        cusps.append(CuspData(c["name"], meridian, longitude))
 
     tri = IdealTriangulation(name=name, n_tet=n_tet, edges=tuple(edges), cusps=tuple(cusps))
     validate(tri)
@@ -349,17 +326,11 @@ def serialize(tri: IdealTriangulation) -> str:
             {"label": e.label, "corners": [_corner_obj(c) for c in e.corners]}
             for e in tri.edges
         ],
-        "cusps": [],
+        "cusps": [
+            {"name": c.name, "meridian": _curve_obj(c.meridian), "longitude": _curve_obj(c.longitude)}
+            for c in tri.cusps
+        ],
     }
-    for cusp in tri.cusps:
-        entry = {
-            "name": cusp.name,
-            "meridian": _curve_obj(cusp.meridian),
-            "longitude": _curve_obj(cusp.longitude),
-        }
-        if cusp.filling is not None:
-            entry["filling"] = list(cusp.filling)
-        doc["cusps"].append(entry)
     return json.dumps(doc, indent=1)
 
 

@@ -437,9 +437,3 @@ def rigid_compatible(fc: FieldClass) -> bool:
     rigid Euclidean orbifold: Q(i), Q(sqrt(-3)), or (conservatively, with
     a warning) a rational value."""
     return fc.kind in (GAUSSIAN, EISENSTEIN, RATIONAL)
-
-
-def recognize(x, max_degree: int = 12, precision_bits: int = 256):
-    """algdep + classify in one step; returns (MinPoly | None, FieldClass)."""
-    mp_ = algdep(x, max_degree, precision_bits)
-    return mp_, classify_field(mp_)

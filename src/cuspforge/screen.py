@@ -43,7 +43,8 @@ from .holonomy import cusp_parameter, evaluate_cusp_parameter
 from .isolation import IsolationEvidence, doubled_structure, isolation_verdict
 from .manifold import IdealTriangulation, TriangulationError, read_triangulation
 from .numberlab import FieldClass, MinPoly, classify_field, algdep, rigid_compatible
-from .solver import SolveError, SolveResult, printed_digits, solve_complete, solve_filled
+from .solver import (SolveError, SolveResult, printed_complex, printed_digits, solve_complete,
+                     solve_filled)
 
 NON_VERIFIED_TAG = "non-verified computation"
 
@@ -151,11 +152,6 @@ def _verdict(records: list[CuspRecord]) -> str:
     return UNDETERMINED
 
 
-def _shape_strings(value, precision_bits) -> dict:
-    digits = printed_digits(precision_bits)
-    return {"re": mp.nstr(value.real, digits), "im": mp.nstr(value.imag, digits)}
-
-
 def screen_triangulation(tri: IdealTriangulation, source: str,
                          options: ScreenOptions,
                          run_isolation: bool = True,
@@ -194,14 +190,12 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
             try:
                 pair = cusp_parameter(tri, cusp)
                 value = evaluate_cusp_parameter(pair, solved.shapes)
-                rec.shape = _shape_strings(value, options.precision_bits)
+                rec.shape = printed_complex(value, printed_digits(options.precision_bits))
                 rec.minpoly = algdep(value, options.max_degree, options.precision_bits)
                 rec.field = classify_field(rec.minpoly)
                 rec.rigid = hyperbolic and rigid_compatible(rec.field)
                 if rec.rigid and run_isolation and filling is None:
-                    rec.isolation = isolation_verdict(
-                        tri, i, precision_bits=options.precision_bits,
-                        seed=options.seed, start=solved)
+                    rec.isolation = isolation_verdict(tri, i, start=solved)
             except (SolveError, ZeroDivisionError, ValueError) as exc:
                 rec.error = str(exc)
     report.verdict = _verdict(report.cusps) if hyperbolic else UNDETERMINED
@@ -507,8 +501,7 @@ def _dispatch(args, options: ScreenOptions) -> int:
             for i in indices:
                 name = f"{tri.name}.{tri.cusps[i].name}"
                 try:
-                    ev = isolation_verdict(tri, i, precision_bits=options.precision_bits,
-                                           seed=options.seed, start=start, doubled=doubled)
+                    ev = isolation_verdict(tri, i, start=start, doubled=doubled)
                 except (SolveError, ZeroDivisionError, ValueError) as exc:
                     print(f"{name}: isolation failed: {exc}")
                     continue

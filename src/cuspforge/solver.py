@@ -36,7 +36,8 @@ solves the kept rows without the pin column, a square system that
 of `least_squares`; solves that share a Jacobian share its factorisation.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
-log-holonomy condition
+log-holonomy condition of the slope (p, q) given to `solve_filled` (a
+triangulation carries no filling)
 
     p log mu(m) + q log mu(l) = 2 pi i.
 
@@ -193,10 +194,9 @@ def _gluing_rows(tri: IdealTriangulation, fillings) -> list:
 
 def _check_fillings(tri: IdealTriangulation, fillings) -> list:
     """One entry per cusp: None for a complete cusp ('complete' or None
-    given), else the coprime pair of ints (p, q).  `fillings=None` reads
-    each cusp's `filling`; anything else raises ValueError."""
-    if fillings is None:
-        fillings = [cusp.filling for cusp in tri.cusps]
+    given), else the coprime pair of ints (p, q); anything else raises
+    ValueError.  Fillings come from this argument alone: a triangulation
+    file carries none."""
     if len(fillings) != len(tri.cusps):
         raise ValueError("one filling entry per cusp required")
     cleaned = []
@@ -240,10 +240,7 @@ class SolveResult:
     def to_jsonable(self) -> dict:
         digits = printed_digits(self.shapes.precision_bits)
         return {
-            "shapes": [
-                {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
-                for z in self.shapes.z
-            ],
+            "shapes": [printed_complex(z, digits) for z in self.shapes.z],
             "precision_bits": self.shapes.precision_bits,
             "residual": mp.nstr(self.residual, 8),
             "geometric": self.geometric,
@@ -253,10 +250,7 @@ class SolveResult:
             "restarts_used": self.restarts_used,
             "degenerate": self.degenerate,
             "branch_offsets": [list(b) for b in self.branch_offsets],
-            "core_translations": [
-                {"re": mp.nstr(c.real, 8), "im": mp.nstr(c.imag, 8)}
-                for c in self.core_translations
-            ],
+            "core_translations": [printed_complex(c, 8) for c in self.core_translations],
             "notes": list(self.notes),
         }
 
@@ -264,6 +258,12 @@ class SolveResult:
 def printed_digits(precision_bits: int) -> int:
     """Decimal digits printed for a value computed at precision_bits."""
     return max(8, int(precision_bits * 0.3010) - 2)
+
+
+def printed_complex(value, digits: int) -> dict:
+    """A complex value as reports print it: real and imaginary parts to
+    `digits` significant digits."""
+    return {"re": mp.nstr(value.real, digits), "im": mp.nstr(value.imag, digits)}
 
 
 def _size(v):
@@ -607,8 +607,7 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
 def solve_filled(tri: IdealTriangulation, fillings, *, start: SolveResult) -> SolveResult:
     """Fill the complete structure `start`, as `solve_complete` returns it,
     at its precision.  `fillings` has one entry per cusp: 'complete' or
-    None, or a coprime pair of ints (p, q); `fillings=None` reads each
-    cusp's `filling`.
+    None, or a coprime pair of ints (p, q).
 
     With every cusp complete, `start` is the result.  Otherwise a
     machine-precision continuation ramps each filling target from 0 to

@@ -96,7 +96,7 @@ def test_criterion_3_622(link622, solved):
     assert poly.coefficients == (4, -2, 1)
     fc = classify_field(poly)
     assert fc.kind == EISENSTEIN
-    ev = isolation_verdict(link622, 0, PRECISION, start=result)
+    ev = isolation_verdict(link622, 0, start=result)
     assert ev.not_isolated
     passed(3, "raw mu matches display; z0 and tau_c1 correct; field Q(sqrt(-3)); NotIsolated")
 
@@ -119,7 +119,7 @@ def test_criterion_4_berge(berge, solved):
     assert info["pin"] == 1
     assert abs(info["dz"][0]) < mp.mpf("1e-30")
     assert abs(info["d2z"][0] - mp.mpc(0, 1) / mp.sqrt(3)) < mp.mpf("1e-25")
-    ev = isolation_verdict(berge, 0, PRECISION, start=result)
+    ev = isolation_verdict(berge, 0, start=result)
     assert ev.not_isolated and ev.order == 2
     passed(4, "eta-point; M2 nonsingular; dz1/dz2 = 0; d2z1/dz2^2 = i/sqrt(3); order 2")
 
@@ -233,9 +233,9 @@ def test_criterion_8_property_suites(whitehead, link622, berge, solved):
     a, b = tri.cusps[0].meridian, tri.cusps[0].longitude
     ab = cf.concat_curves(a, b)
     for shapes in take(rational_point_sampler(tri.n_tet, seed=88), 20):
-        lhs = cf.evaluate(tau(tri, ab), shapes)
-        rhs = cf.evaluate(tau(tri, a), shapes) + cf.evaluate(
-            mu(tri, a).as_sum(), shapes) * cf.evaluate(tau(tri, b), shapes)
+        lhs = tau(tri, ab).evaluate(shapes)
+        rhs = tau(tri, a).evaluate(shapes) + mu(tri, a).as_sum().evaluate(
+            shapes) * tau(tri, b).evaluate(shapes)
         assert abs(lhs - rhs) < mp.mpf(2) ** -180
 
     # basis covariance of the verdict (l -> l + m)
@@ -244,8 +244,8 @@ def test_criterion_8_property_suites(whitehead, link622, berge, solved):
     new_l = cf.concat_curves(cusp.longitude, cusp.meridian)
     cusps = (dataclasses.replace(cusp, longitude=new_l),) + berge.cusps[1:]
     tri_k = dataclasses.replace(berge, cusps=cusps)
-    base = isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
-    moved = isolation_verdict(tri_k, 0, PRECISION, start=solved["berge"])
+    base = isolation_verdict(berge, 0, start=solved["berge"])
+    moved = isolation_verdict(tri_k, 0, start=solved["berge"])
     assert moved.verdict == base.verdict and moved.order == base.order
 
     # precision-doubling stability of rigid flags

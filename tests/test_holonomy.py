@@ -22,11 +22,9 @@ from cuspforge.holonomy import (
     ShapeAssignment,
     SignedMonomial,
     cusp_parameter,
-    evaluate,
     evaluate_cusp_parameter,
     log_gradient,
     mu,
-    partial_derivative,
     second_derivative_along,
     sum_value,
     tau,
@@ -102,18 +100,18 @@ def test_monomial_sum_merging():
 
 def test_evaluate_constant_monomial():
     shapes = ShapeAssignment.from_values([2 + 1j, 0.5 + 0.5j], PRECISION)
-    assert evaluate(SignedMonomial.one(2), shapes) == 1
-    assert isinstance(evaluate(-SignedMonomial.one(2), shapes), mp.mpc)
+    assert SignedMonomial.one(2).evaluate(shapes) == 1
+    assert isinstance((-SignedMonomial.one(2)).evaluate(shapes), mp.mpc)
 
 
 def test_degeneracy_guard():
     shapes = ShapeAssignment.from_values([1e-14 + 0j, 0.5 + 0.5j], PRECISION)
     with pytest.raises(DegenerateShapeError):
-        evaluate(SignedMonomial.one(2), shapes)
+        SignedMonomial.one(2).evaluate(shapes)
 
 
 def test_derivative_of_constant_is_zero():
-    assert partial_derivative(SignedMonomial.one(3).as_sum(), 1).is_zero()
+    assert SignedMonomial.one(3).as_sum().derivative(1).is_zero()
 
 
 def test_derivative_matches_finite_differences():
@@ -135,8 +133,8 @@ def test_derivative_matches_finite_differences():
             zm[i] -= h
             sp_ = ShapeAssignment(tuple(zp), PRECISION)
             sm_ = ShapeAssignment(tuple(zm), PRECISION)
-            fd = (evaluate(m, sp_) - evaluate(m, sm_)) / (2 * h)
-            exact = evaluate(partial_derivative(m, i), ShapeAssignment(tuple(z), PRECISION))
+            fd = (m.evaluate(sp_) - m.evaluate(sm_)) / (2 * h)
+            exact = m.derivative(i).evaluate(ShapeAssignment(tuple(z), PRECISION))
             assert abs(fd - exact) <= mp.mpf("1e-10") * max(1, abs(exact))
 
 
@@ -147,7 +145,7 @@ def test_berge_edge_partial_derivative_value(berge):
     m_mu = mu(berge, berge.cusps[0].meridian)
     cleared = m_mu.cleared()
     shapes = ShapeAssignment.from_values([eta] * 4, PRECISION)
-    d = evaluate(partial_derivative(cleared, 0), shapes)
+    d = cleared.derivative(0).evaluate(shapes)
     expected = -(1 - eta)
     # cleared() fixes the overall normalization only up to sign
     assert min(abs(d - expected), abs(d + expected)) < mp.mpf(2) ** -240
@@ -273,7 +271,7 @@ def test_whitehead_cusp_parameter_at_complete_point(whitehead):
 def test_berge_mu_at_eta_is_one(berge):
     eta = mp.mpc(0.5, mp.sqrt(3) / 2)
     shapes = ShapeAssignment.from_values([eta] * 4, PRECISION)
-    v = evaluate(mu(berge, berge.cusps[0].meridian), shapes)
+    v = mu(berge, berge.cusps[0].meridian).evaluate(shapes)
     assert abs(v - 1) < mp.mpf(2) ** -240
 
 
@@ -332,10 +330,9 @@ def test_tau_cocycle(whitehead, link622, berge):
             a, b = cusp.meridian, cusp.longitude
             ab = cf.concat_curves(a, b)
             for shapes in points:
-                lhs = evaluate(tau(tri, ab), shapes)
-                rhs = evaluate(tau(tri, a), shapes) + evaluate(
-                    mu(tri, a).as_sum(), shapes
-                ) * evaluate(tau(tri, b), shapes)
+                lhs = tau(tri, ab).evaluate(shapes)
+                rhs = tau(tri, a).evaluate(shapes) + mu(tri, a).as_sum().evaluate(
+                    shapes) * tau(tri, b).evaluate(shapes)
                 assert abs(lhs - rhs) < mp.mpf(2) ** -180
 
 
@@ -344,8 +341,8 @@ def test_completeness_and_nonvanishing_at_solution(solved, whitehead, link622, b
         shapes = solved[tri.name].shapes
         for cusp in tri.cusps:
             for curve in (cusp.meridian, cusp.longitude):
-                assert abs(evaluate(mu(tri, curve), shapes) - 1) < mp.mpf("1e-40")
-                assert abs(evaluate(tau(tri, curve), shapes)) > mp.mpf("1e-10")
+                assert abs(mu(tri, curve).evaluate(shapes) - 1) < mp.mpf("1e-40")
+                assert abs(tau(tri, curve).evaluate(shapes)) > mp.mpf("1e-10")
             value = evaluate_cusp_parameter(cusp_parameter(tri, cusp), shapes)
             assert abs(value.imag) > mp.mpf("0.5")
 
@@ -368,7 +365,7 @@ def _hessian_reference(s: MonomialSum, shapes, v):
     for i, vi in enumerate(v):
         first = s.derivative(i)
         for j, vj in enumerate(v):
-            total += vi * vj * evaluate(first.derivative(j), shapes)
+            total += vi * vj * first.derivative(j).evaluate(shapes)
     return total
 
 
@@ -403,7 +400,7 @@ def test_closed_form_derivatives_match_exact_sums(solved, whitehead, link622, be
             for sums, shapes, v in _evaluator_cases(tri, solved[tri.name].shapes):
                 z = list(shapes.z)
                 for s in sums:
-                    assert sum_value(s.terms, z) == evaluate(s, shapes)
+                    assert sum_value(s.terms, z) == s.evaluate(shapes)
                     got = second_derivative_along(s.terms, z, v)
                     ref = _hessian_reference(s, shapes, v)
                     scale = _size_before_cancellation(s, z, v)
@@ -412,7 +409,7 @@ def test_closed_form_derivatives_match_exact_sums(solved, whitehead, link622, be
                         term = MonomialSum({(a, b): c})
                         value = term_value(c, a, b, z)
                         for i, g in enumerate(log_gradient(a, b, z)):
-                            ref_g = evaluate(term.derivative(i), shapes) / value
+                            ref_g = term.derivative(i).evaluate(shapes) / value
                             assert abs(g - ref_g) <= tol * abs(ref_g)
 
 

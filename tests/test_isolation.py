@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp
 
 import cuspforge as cf
+from cuspforge import isolation
 from cuspforge.isolation import (IsolationEvidence, doubled_structure, isolation_verdict,
                                  tau_derivatives)
 from cuspforge.solver import (
@@ -56,12 +57,12 @@ def test_berge_second_derivative(berge, solved):
 
 
 def test_berge_verdict_order_two(berge, solved):
-    ev = isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    ev = isolation_verdict(berge, 0, start=solved["berge"])
     assert ev.not_isolated and ev.order == 2
 
 
 def test_berge_second_cusp_order_one(berge, solved):
-    ev = isolation_verdict(berge, 1, PRECISION, start=solved["berge"])
+    ev = isolation_verdict(berge, 1, start=solved["berge"])
     assert ev.not_isolated and ev.order == 1
 
 
@@ -96,12 +97,12 @@ def test_whitehead_derivatives_and_verdict(whitehead, solved):
     # second derivative (24x + 8x^3)/(1-x^2)^3 * (dx/dw)^2 equals 2i
     assert abs(info["d_tau"]) < mp.mpf("1e-30")
     assert abs(info["d2_tau"] - mp.mpc(0, 2)) < mp.mpf("1e-30")
-    ev = isolation_verdict(whitehead, 0, PRECISION, start=solved["whitehead"])
+    ev = isolation_verdict(whitehead, 0, start=solved["whitehead"])
     assert ev.not_isolated and ev.order == 2
 
 
 def test_622_verdict(link622, solved):
-    ev = isolation_verdict(link622, 0, PRECISION, start=solved["622"])
+    ev = isolation_verdict(link622, 0, start=solved["622"])
     assert ev.not_isolated and ev.order == 2
     assert abs(ev.d_tau) < mp.mpf("1e-25")
 
@@ -128,7 +129,7 @@ def test_basis_covariance_of_verdict(whitehead, link622, solved):
     import dataclasses
 
     for tri_name, tri in (("whitehead", whitehead), ("622", link622)):
-        base = isolation_verdict(tri, 0, PRECISION, start=solved[tri_name])
+        base = isolation_verdict(tri, 0, start=solved[tri_name])
         cusp = tri.cusps[0]
         for k in (1, -1):
             m_k = cusp.meridian if k == 1 else cf.invert_curve(cusp.meridian, tri.n_tet)
@@ -137,7 +138,7 @@ def test_basis_covariance_of_verdict(whitehead, link622, solved):
             cusps = list(tri.cusps)
             cusps[0] = new_cusp
             tri_k = dataclasses.replace(tri, cusps=tuple(cusps))
-            ev = isolation_verdict(tri_k, 0, PRECISION, start=solved[tri_name])
+            ev = isolation_verdict(tri_k, 0, start=solved[tri_name])
             assert ev.verdict == base.verdict and ev.order == base.order
             # the shift is additive, so the derivative evidence agrees
             assert abs(ev.d_tau - base.d_tau) < mp.mpf("1e-25")
@@ -145,15 +146,29 @@ def test_basis_covariance_of_verdict(whitehead, link622, solved):
 
 
 def test_evidence_serialization(berge, solved):
-    ev = isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    ev = isolation_verdict(berge, 0, start=solved["berge"])
     blob = ev.to_jsonable()
     assert blob["verdict"] == "NotIsolated" and blob["order"] == 2
     assert isinstance(blob["d2_tau"]["re"], str)
 
 
-def test_isolation_refuses_a_start_at_another_precision(whitehead, solved):
-    with pytest.raises(ValueError, match="start solved at 256 bits"):
-        isolation_verdict(whitehead, 0, 2 * PRECISION, start=solved["whitehead"])
+def test_isolation_takes_its_precision_from_start(berge, monkeypatch):
+    # a 128-bit start is tested at 128 bits and certified by a 256-bit
+    # polish, with no precision given anywhere else
+    with mp.workprec(128 + 30):
+        start = solve_complete(berge, 128, seed=0)
+    polished = []
+
+    def counted(tri, precision_bits, *args, **kwargs):
+        polished.append(precision_bits)
+        return solve_complete(tri, precision_bits, *args, **kwargs)
+
+    monkeypatch.setattr(isolation, "solve_complete", counted)
+    with mp.workprec(128 + 30):
+        orders = [isolation_verdict(berge, cusp, start=start).order for cusp in range(2)]
+    assert [c.name for c in berge.cusps] == ["c", "c-knotted"]
+    assert orders == [2, 1]
+    assert polished == [256, 256]
 
 
 def test_a_given_doubled_structure_certifies_as_the_helper_does(whitehead, solved):
@@ -164,11 +179,11 @@ def test_a_given_doubled_structure_certifies_as_the_helper_does(whitehead, solve
     doubled = doubled_structure(whitehead, start)
     assert doubled.shapes.precision_bits == 2 * PRECISION and doubled.restarts_used == 0
     for cusp in range(2):
-        given = isolation_verdict(whitehead, cusp, PRECISION, start=start, doubled=doubled)
-        own = isolation_verdict(whitehead, cusp, PRECISION, start=start)
+        given = isolation_verdict(whitehead, cusp, start=start, doubled=doubled)
+        own = isolation_verdict(whitehead, cusp, start=start)
         assert given == own
     with pytest.raises(ValueError, match=f"doubled solved at {PRECISION} bits"):
-        isolation_verdict(whitehead, 0, PRECISION, start=start, doubled=start)
+        isolation_verdict(whitehead, 0, start=start, doubled=start)
 
 
 @pytest.mark.parametrize("name", ["whitehead", "622", "berge"])
@@ -211,7 +226,7 @@ def test_continuation_fallback(monkeypatch, berge, solved):
     monkeypatch.setattr(isolation, "TOL_DIGITS", 0)
     monkeypatch.setattr(isolation, "CONTINUATION_STEP", 0.3)
     monkeypatch.setattr(isolation, "CONTINUATION_POINTS", 16)
-    ev = isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    ev = isolation_verdict(berge, 0, start=solved["berge"])
     assert ev.verdict == "NotIsolated" and ev.order is None and not ev.notes
     assert abs(ev.continuation_spread - mp.mpf("1.0834504598547")) < mp.mpf("1e-12")
     assert [bits for bits, _ in traced] == [PRECISION, 2 * PRECISION]
@@ -225,7 +240,7 @@ def test_continuation_fallback(monkeypatch, berge, solved):
     # small steps: the spread stays below tol and nothing is claimed
     monkeypatch.setattr(isolation, "CONTINUATION_STEP", 1e-3)
     monkeypatch.setattr(isolation, "CONTINUATION_POINTS", 8)
-    ev = isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    ev = isolation_verdict(berge, 0, start=solved["berge"])
     assert ev.verdict == "Inconclusive" and ev.order is None and ev.label == "Inconclusive"
     assert ev.continuation_spread < 1
     assert "constancy is NOT certified" in ev.notes[-1]

@@ -85,12 +85,14 @@ def test_bad_corner_kind(whitehead):
         parse_triangulation(json.dumps(doc))
 
 
-def test_filling_field_round_trip(whitehead):
+def test_filling_key_is_refused(whitehead):
+    # a triangulation is the unfilled link: the filling is the argument of
+    # a sweep, and the error names the key and where fillings go instead
     doc = json.loads(serialize(whitehead))
     doc["cusps"][1]["filling"] = [1, 2]
-    tri = parse_triangulation(json.dumps(doc))
-    assert tri.cusps[1].filling == (1, 2)
-    assert json.loads(serialize(tri))["cusps"][1]["filling"] == [1, 2]
+    with pytest.raises(TriangulationError,
+                       match=r"key 'filling' .*`cuspforge fill` or `solver\.solve_filled`"):
+        parse_triangulation(json.dumps(doc))
 
 
 def test_w0_word_must_be_suffix():
@@ -122,8 +124,8 @@ def test_concat_mu_multiplicative_at_points(whitehead):
     ml = concat_curves(m, l)
     assert cf.mu(tri, ml) == cf.mu(tri, m) * cf.mu(tri, l)
     for shapes in take(rational_point_sampler(tri.n_tet, seed=3), 20):
-        lhs = cf.evaluate(cf.mu(tri, ml), shapes)
-        rhs = cf.evaluate(cf.mu(tri, m), shapes) * cf.evaluate(cf.mu(tri, l), shapes)
+        lhs = cf.mu(tri, ml).evaluate(shapes)
+        rhs = cf.mu(tri, m).evaluate(shapes) * cf.mu(tri, l).evaluate(shapes)
         assert abs(lhs - rhs) < mp.mpf(2) ** -200
 
 
@@ -134,9 +136,9 @@ def test_invert_curve_laws(link622):
             inv = cf.invert_curve(curve, tri.n_tet)
             assert (cf.mu(tri, curve) * cf.mu(tri, inv)).is_one()
             for shapes in take(rational_point_sampler(tri.n_tet, seed=8), 5):
-                lhs = cf.evaluate(cf.tau(tri, inv), shapes)
-                rhs = -cf.evaluate(cf.tau(tri, curve), shapes) / cf.evaluate(
-                    cf.mu(tri, curve).as_sum(), shapes)
+                lhs = cf.tau(tri, inv).evaluate(shapes)
+                rhs = -cf.tau(tri, curve).evaluate(shapes) / cf.mu(
+                    tri, curve).as_sum().evaluate(shapes)
                 assert abs(lhs - rhs) < mp.mpf(2) ** -180
 
 

@@ -36,7 +36,6 @@ from cuspforge.numberlab import (
     algdep,
     classify_field,
     lll,
-    recognize,
     relation_lattice,
     rigid_compatible,
     squarefree_part,
@@ -161,8 +160,7 @@ def test_modular_action_invariance():
         if a * d - b * c != 1:
             continue
         moved = (a * tau + b) / (c * tau + d)
-        _, fc = recognize(moved, max_degree=8, precision_bits=PRECISION)
-        assert fc.kind == GAUSSIAN
+        assert classify_field(algdep(moved, 8, PRECISION)).kind == GAUSSIAN
         count += 1
 
 

@@ -488,8 +488,8 @@ def test_cli_flat_filling_is_not_rigid_compatible():
     pytest.param(("n_tet",), True, "n_tet a positive integer", id="n_tet-true"),
     pytest.param(("edges", 0, "corners", 0, "tet"), True, "corner tet must be an integer",
                  id="tet-true"),
-    pytest.param(("cusps", 0, "filling"), [True, 2], "filling must be a pair of integers",
-                 id="filling-true"),
+    pytest.param(("cusps", 0, "filling"), [True, 2],
+                 "key 'filling' is not part of a triangulation", id="filling-true"),
     pytest.param(("name",), "white\x00head", "name must not contain control characters",
                  id="name-nul"),
     pytest.param(("cusps", 1, "name"), "c\n2", "name must not contain control characters",
@@ -509,6 +509,22 @@ def test_cli_malformed_fixture_is_a_parse_failure(tmp_path, whitehead, path, val
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "parse failed: " in proc.stdout and message in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["screen", "solve"])
+def test_cli_file_with_a_filling_is_a_parse_failure(tmp_path, whitehead, command):
+    # a well-formed filling in the file is refused, not silently ignored:
+    # whitehead with c2 filled (1, 2) gets no verdict of the complete link
+    doc = json.loads(cf.serialize(whitehead))
+    doc["cusps"][1]["filling"] = [1, 2]
+    filled = tmp_path / "filled.json"
+    filled.write_text(json.dumps(doc))
+    proc = run_cli(command, str(filled))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    out = proc.stdout + proc.stderr
+    assert "key 'filling'" in out and "`cuspforge fill`" in out
+    assert "Isolated" not in out and "residual=" not in out
 
 
 @pytest.mark.parametrize("command", ["screen", "solve"])

@@ -88,13 +88,13 @@ def test_residual_certificate(solved):
     # verify independently here at 2x precision
     for name, result in solved.items():
         tri = cf.load_fixture(name)
-        shapes = result.shapes.with_precision(2 * PRECISION)
+        shapes = ShapeAssignment(result.shapes.z, 2 * PRECISION)
         worst = mp.mpf(0)
         for i in range(len(tri.edges)):
-            worst = max(worst, abs(cf.evaluate(tri.edge_equation(i), shapes) - 1))
+            worst = max(worst, abs(tri.edge_equation(i).evaluate(shapes) - 1))
         for cusp in tri.cusps:
             for curve in (cusp.meridian, cusp.longitude):
-                worst = max(worst, abs(cf.evaluate(cf.mu(tri, curve), shapes) - 1))
+                worst = max(worst, abs(cf.mu(tri, curve).evaluate(shapes) - 1))
         assert worst < mp.mpf(2) ** (-PRECISION // 2)
 
 
@@ -148,12 +148,6 @@ def test_solve_filled_refuses_a_failed_start(whitehead, solved):
     failed = dataclasses.replace(solved["whitehead"], success=False)
     with pytest.raises(SolveError, match="complete solve failed"):
         solve_filled(whitehead, [None, (1, 3)], start=failed)
-
-
-def test_fillings_from_triangulation_field(whitehead, solved):
-    tri = whitehead.with_fillings([None, (1, 1)])
-    result = solve_filled(tri, None, start=solved["whitehead"])
-    assert result.success and result.geometric
 
 
 def test_whitehead_meridian_filling_degenerates(whitehead, solved):
@@ -576,7 +570,7 @@ def test_kernel_check_runs_once_per_curve(monkeypatch, berge, solved):
                              precision_bits=PRECISION, start=solved["berge"])
     assert len(calls) == 1
     calls.clear()
-    ev = isolation.isolation_verdict(berge, 0, PRECISION, start=solved["berge"])
+    ev = isolation.isolation_verdict(berge, 0, start=solved["berge"])
     assert ev.order == 2 and len(calls) == 1
     (curve, low), (curve_2p, high) = passes
     assert curve is None and len(low["kept"]) == berge.n_tet - 1
