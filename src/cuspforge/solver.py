@@ -59,7 +59,17 @@ and log rows stall.
 The same Newton loop, stepping by pinned solves, is the corrector of the
 predictor-corrector tracing of the curve along which one chosen cusp stays
 complete; it accepts a point by its residual over every row, dropped ones
-included.  The predictor follows the unit tangent dz/|dz|.
+included.  The predictor follows the unit tangent dz/|dz|, in mpmath, and
+lands about 2^-21 off the curve, so each corrector starts, as the solves
+do, in machine precision (`_float_stage`).  One pinned step on the kept
+rows in Python complex, taken only if it lowers the float residual over
+every row and keeps every shape out of the guard band, reaches about
+2^-43.  The first working-precision step from there factors the complex
+Jacobian of that point against mpmath values: from 2^-43 a Jacobian good
+to 2^-53 reaches the 2^-86 of an exact one.  The later steps are all
+mpmath, so a point costs 3 mpmath factorisations at 256 bits (tangent
+included) and 4 at 512, not 5 and 6.  A float factorisation that fails,
+or a float step that does not help, leaves the mpmath step in its place.
 """
 
 from __future__ import annotations
@@ -347,10 +357,11 @@ def pinned_factor(rows: list[list], pin: int):
     n-column Jacobian that `curve_pin` keeps: without the pin column the
     system is square, and `_lu_factor` factors it once, with 20 guard bits
     on mpmath.  Returns solve(rhs), the x with x[pin] = 0 and
-    rows . x = rhs; every solve reuses the one factorisation.  Corrector
-    steps, curve velocities and curve second derivatives all solve this
-    system.  A singular pinned system raises SolveError: there the pinned
-    coordinate does not parametrize the curve."""
+    rows . x = rhs, in the scalar type of rows and rhs, whose x[pin] is the
+    zero of the rows' type; every solve reuses the one factorisation.
+    Corrector steps, curve velocities and curve second derivatives all
+    solve this system.  A singular pinned system raises SolveError: there
+    the pinned coordinate does not parametrize the curve."""
     free = [i for i in range(len(rows[0])) if i != pin]
     if len(rows) != len(free):
         raise ValueError(f"{len(rows)} rows for {len(free)} unpinned columns")
@@ -360,11 +371,12 @@ def pinned_factor(rows: list[list], pin: int):
             factor = _lu_factor([[row[i] for i in free] for row in rows], eps)
         except ZeroDivisionError as exc:
             raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
+    zero = type(factor[0][0][0])(0)
 
     def solve(rhs: list) -> list:
         with mp.extraprec(20):
             u = _lu_solve(factor, rhs)
-        u.insert(pin, mp.mpc(0))
+        u.insert(pin, zero)
         return u
     return solve
 
@@ -793,6 +805,30 @@ def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
     return pin_choice(kernel[0]), rank, kept
 
 
+def _float_stage(eqs, square, pin: int, z) -> tuple:
+    """The machine-precision stage of the curve corrector from the mpmath
+    prediction z: (z, rows).
+
+    One pinned Newton step on the kept rows `square` is evaluated, factored
+    and solved in Python complex.  It is taken only if it lowers the float
+    residual over every row of `eqs` and keeps every shape out of the guard
+    band; otherwise z is kept.  The step is the exact zero at the pin, so
+    the pinned coordinate keeps its bits.  rows is the complex Jacobian of
+    the kept rows at the returned point, for the first mpmath step, or None
+    when the float factorisation failed.
+    """
+    z_float = Point([complex(v) for v in z])
+    rows = system_jacobian(square, z_float)
+    try:
+        delta = pinned_factor(rows, pin)([-e.value(z_float) for e in square])
+    except (ZeroDivisionError, SolveError):
+        return z, None
+    z_next = Point([v + d for v, d in zip(z_float, delta)])
+    if any(_in_guard_band(v) for v in z_next) or _residual(eqs, z_next) >= _residual(eqs, z_float):
+        return z, rows
+    return [v + d for v, d in zip(z, delta)], system_jacobian(square, z_next)
+
+
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                              n_points: int = 20, step: float = 1e-3,
                              precision_bits: int = 256, *, start: SolveResult):
@@ -802,10 +838,16 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
 
     `curve_pin` runs once, at the start, to check that the locus is a
     curve and to choose the pinned coordinate and the kept rows.  Each
-    predictor step follows the unit pinned velocity; `_damped_newton` with
-    pinned steps on the kept rows corrects it, accepting a point by its
-    residual over every row, and the tangent at the corrected point is
-    evaluated from the memo its residual filled.
+    predictor step follows the unit pinned velocity and lands about 2^-21
+    off the curve.  `_float_stage` takes it to about 2^-43 by one pinned
+    step in Python complex and hands over the complex Jacobian of the kept
+    rows there.  `_damped_newton` with pinned steps on the kept rows then
+    finishes at the working precision: its first step factors that complex
+    Jacobian against mpmath values (an mpmath Jacobian when the float
+    factorisation fails), every later step is all mpmath, and a point is
+    accepted by its mpmath residual over every row.  The tangent at the
+    corrected point is evaluated in mpmath from the memo its residual
+    filled.
 
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
@@ -822,8 +864,22 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         pin, _, kept = curve_pin(system_jacobian(eqs, z), precision_bits)
         square = [eqs[i] for i in kept]
 
-        def corrector_step(z):
-            return pinned_factor(system_jacobian(square, z), pin)([-e.value(z) for e in square])
+        def corrected(z_pred):
+            """(z, iterations, residual) of the corrector from z_pred."""
+            z, rows = _float_stage(eqs, square, pin, z_pred)
+
+            def step(z):
+                nonlocal rows
+                values = [-e.value(z) for e in square]
+                if rows is not None:
+                    jacobian, rows = rows, None
+                    try:
+                        return pinned_factor(jacobian, pin)(values)
+                    except (ZeroDivisionError, SolveError):
+                        pass
+                return pinned_factor(system_jacobian(square, z), pin)(values)
+
+            return _damped_newton(z, lambda z: _residual(eqs, z), step, newton_tol, 40)
 
         shapes0 = ShapeAssignment(tuple(z), precision_bits)
         samples = [(shapes0, evaluate_cusp_parameter(pair, shapes0))]
@@ -835,8 +891,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
             tangent = curve_velocity(system_jacobian(square, z), pin)[1]
             while True:
                 z_pred = [zi + h * ti for zi, ti in zip(z, tangent)]
-                z_corr, _, res = _damped_newton(z_pred, lambda z: _residual(eqs, z),
-                                                corrector_step, newton_tol, 40)
+                z_corr, _, res = corrected(z_pred)
                 if res < success_tol:
                     break
                 h = h / 2

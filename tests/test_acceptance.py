@@ -12,20 +12,18 @@ gate inside the time budget.
 import random
 from fractions import Fraction
 
-import pytest
 import sympy as sp
 from mpmath import mp
 
 import cuspforge as cf
 from cuspforge.holonomy import (
-    ShapeAssignment,
     cusp_parameter,
     evaluate_cusp_parameter,
     mu,
     tau,
 )
 from cuspforge.isolation import isolation_verdict, tau_derivatives
-from cuspforge.numberlab import EISENSTEIN, GAUSSIAN, algdep, classify_field, rigid_compatible
+from cuspforge.numberlab import EISENSTEIN, GAUSSIAN, algdep, classify_field
 from cuspforge.screen import ScreenOptions, screen_triangulation
 from cuspforge.solver import SolveError, completeness_system, solve_filled, system_jacobian
 from cuspforge.tracecalc import (

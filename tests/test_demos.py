@@ -1,5 +1,6 @@
 """The demos and the README's library sketch run, every public name
-resolves, and the benchmark's self-check passes.
+resolves, the benchmark's self-check passes, and no module imports a name
+it never uses.
 
 Each demo is a script against the public API; running it here means a
 deleted or renamed name that a demo still uses fails the suite.  The
@@ -7,6 +8,7 @@ benchmark harness in perfbench/ calls the package the same way, so its
 own test suite runs here too.
 """
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -57,3 +59,32 @@ def test_perfbench_self_check_passes():
                            "-p", "no:cacheprovider"],
                           cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """The names that `path` imports and never loads, as "line: name".
+    `from __future__` imports and `if TYPE_CHECKING:` blocks (whose names
+    serve string annotations) are not counted."""
+    tree = ast.parse(path.read_text())
+    typing_only = {id(n) for node in ast.walk(tree)
+                   if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+                   for n in ast.walk(node)}
+    imported = {}
+    for node in ast.walk(tree):
+        if id(node) in typing_only or not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{line}: {name}" for name, line in sorted(imported.items()) if name not in loaded]
+
+
+def test_no_unused_imports():
+    # the package's __init__.py imports to re-export, so it is not scanned
+    paths = [p for pattern in ("src/cuspforge/*.py", "tests/*.py", "demos/*.py")
+             for p in sorted(ROOT.glob(pattern)) if p.name != "__init__.py"]
+    assert len(paths) > 20
+    unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_imports(p))}
+    assert unused == {}

@@ -8,7 +8,6 @@ random rational points away from the degeneracy guard.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 import sympy as sp

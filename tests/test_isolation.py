@@ -13,8 +13,7 @@ from mpmath import mp
 
 import cuspforge as cf
 from cuspforge import isolation
-from cuspforge.isolation import (IsolationEvidence, doubled_structure, isolation_verdict,
-                                 tau_derivatives)
+from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
 from cuspforge.solver import (
     KernelDimensionError,
     completeness_system,

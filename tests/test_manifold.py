@@ -18,7 +18,7 @@ from cuspforge.manifold import (
     serialize,
 )
 
-from conftest import PRECISION, rational_point_sampler, take
+from conftest import rational_point_sampler, take
 
 
 def test_bundled_fixture_shapes(whitehead, link622, berge):

@@ -2,7 +2,6 @@
 
 import json
 import os
-import pathlib
 import re
 import subprocess
 import sys

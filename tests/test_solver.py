@@ -695,6 +695,144 @@ def test_a_root_that_misses_a_dropped_row_is_rejected(monkeypatch, whitehead, so
 
 
 @pytest.fixture(scope="module")
+def trace_starts(solved):
+    """bits -> [(triangulation, complete structure)] of every fixture, the
+    standard solves polished to 256 and 512 bits."""
+    return {bits: [(tri, solve_complete(tri, bits, initial=solved[tri.name].shapes))
+                   for tri in map(cf.load_fixture, solved)]
+            for bits in (256, 512)}
+
+
+def _traces(starts, bits):
+    """label -> the 8-point samples at `bits` of every cusp of `starts`."""
+    return {f"{tri.name}.{cusp}": trace_completeness_curve(
+                tri, cusp, n_points=8, step=1e-3, precision_bits=bits, start=start)
+            for tri, start in starts[bits] for cusp in range(len(tri.cusps))}
+
+
+@pytest.fixture(scope="module")
+def default_traces(trace_starts):
+    """bits -> `_traces` with the corrector as it ships."""
+    return {bits: _traces(trace_starts, bits) for bits in (256, 512)}
+
+
+def _assert_samples_agree(traces, reference, bits):
+    """Every shape and cusp parameter of every trace agrees with the
+    reference to 2^-p relative."""
+    assert traces.keys() == reference.keys()
+    with mp.workprec(bits + 30):
+        for label, samples in traces.items():
+            assert len(samples) == len(reference[label]) == 9, label
+            for (shapes, tau), (ref_shapes, ref_tau) in zip(samples, reference[label]):
+                for v, w in zip((*shapes.z, tau), (*ref_shapes.z, ref_tau)):
+                    assert abs(v - w) <= mp.mpf(2) ** -bits * (1 + abs(w)), label
+
+
+def _is_machine(rows) -> bool:
+    """Whether a Jacobian holds Python complex (else mpmath) entries."""
+    return isinstance(next(v for row in rows for v in row if not isinstance(v, int)), complex)
+
+
+def test_pinned_factor_solves_in_the_scalar_type_of_its_rows(whitehead, solved):
+    # on complex rows every entry of the solution is complex, the zero at
+    # the pin included, and it is the mpmath solve of the same rows to 1e-13
+    with mp.workprec(PRECISION + 30):
+        rows = system_jacobian(completeness_system(whitehead, 0), list(solved["whitehead"].shapes.z))
+        pin, _, kept = curve_pin(rows, PRECISION)
+        square = [rows[i] for i in kept]
+        exact = pinned_factor(square, pin)([-row[pin] for row in square])
+        machine = [[complex(v) for v in row] for row in square]
+        x = pinned_factor(machine, pin)([-row[pin] for row in machine])
+        assert [type(v) for v in x] == [complex] * len(rows[0])
+        assert x[pin] == 0 and type(exact[pin]) is type(exact[0])
+        assert max(abs(v - complex(w)) for v, w in zip(x, exact)) <= 1e-13 * max(map(abs, exact))
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_float_stage_matches_the_mpmath_corrector(monkeypatch, trace_starts, default_traces, bits):
+    # oracle: with the machine-precision stage out, every corrector step is
+    # an mpmath pinned step; the samples of every fixture cusp agree with
+    # the default corrector's to 2^-p
+    import cuspforge.solver as solver
+
+    monkeypatch.setattr(solver, "_float_stage", lambda eqs, square, pin, z: (z, None))
+    _assert_samples_agree(_traces(trace_starts, bits), default_traces[bits], bits)
+
+
+@pytest.mark.parametrize("bits, per_point", [(256, 3), (512, 4)])
+def test_mpmath_factorisations_per_traced_point(monkeypatch, trace_starts, bits, per_point):
+    # each point of an 8-point trace factors one mpmath Jacobian for its
+    # tangent and per_point - 1 for the corrector, after two in machine
+    # precision (the float step and the first corrector step); every
+    # sample keeps the pinned coordinate of its prediction bit for bit
+    import cuspforge.solver as solver
+
+    factor, stage, pin_of = solver.pinned_factor, solver._float_stage, solver.curve_pin
+    calls = {True: 0, False: 0}
+    predictions, pins = [], []
+
+    def counted(rows, pin):
+        calls[_is_machine(rows)] += 1
+        return factor(rows, pin)
+
+    def recorded_stage(eqs, square, pin, z):
+        predictions.append(z[pin])
+        return stage(eqs, square, pin, z)
+
+    def recorded_pin(rows, bits):
+        found = pin_of(rows, bits)
+        pins.append(found[0])
+        return found
+
+    monkeypatch.setattr(solver, "pinned_factor", counted)
+    monkeypatch.setattr(solver, "_float_stage", recorded_stage)
+    monkeypatch.setattr(solver, "curve_pin", recorded_pin)
+    for tri, start in trace_starts[bits]:
+        for cusp in range(len(tri.cusps)):
+            calls.update({True: 0, False: 0})
+            predictions.clear()
+            samples = trace_completeness_curve(tri, cusp, n_points=8, step=1e-3,
+                                               precision_bits=bits, start=start)
+            assert calls == {False: 8 * per_point, True: 8 * 2}, (tri.name, cusp)
+            assert [shapes.z[pins[-1]]._mpc_ for shapes, _ in samples[1:]] == \
+                [v._mpc_ for v in predictions], (tri.name, cusp)
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_float_stage_is_an_acceleration_only(monkeypatch, trace_starts, default_traces, bits):
+    # every float factorisation fails: the stage keeps the prediction and
+    # the first corrector step falls back to mpmath, so the trace returns
+    # the same 9 samples to 2^-p, with no SolveError and one corrector run
+    # per point (no step halving)
+    import cuspforge.solver as solver
+
+    factor = solver.pinned_factor
+    refused = []
+
+    def no_machine_factor(rows, pin):
+        if _is_machine(rows):
+            refused.append(pin)
+            raise ZeroDivisionError("float factorisation refused")
+        return factor(rows, pin)
+
+    newton = solver._damped_newton
+    runs = []
+
+    def counted(*args):
+        runs.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(solver, "pinned_factor", no_machine_factor)
+    monkeypatch.setattr(solver, "_damped_newton", counted)
+    traces = _traces(trace_starts, bits)
+    _assert_samples_agree(traces, default_traces[bits], bits)
+    assert len(runs) == 8 * len(traces)
+    # the float step is tried at every point, and the first corrector step
+    # finds no complex Jacobian to factor
+    assert len(refused) == 8 * len(traces)
+
+
+@pytest.fixture(scope="module")
 def completeness_rows(solved):
     """bits -> [(label, Jacobian rows)] of all six completeness curves at
     the complete structure, polished from the standard solve."""

@@ -22,8 +22,6 @@ from cuspforge.tracecalc import (
     whitehead_trace_tuple,
 )
 
-from conftest import PRECISION
-
 
 def random_x(rng):
     while True:
