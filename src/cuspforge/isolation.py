@@ -26,8 +26,8 @@ derivative of every equation and of both tau sums along u' is the closed
 form of `holonomy.second_derivative_along`, computed term by term from log
 gradients.  The Jacobian, the tangent, the second derivatives and the tau
 sums at a point all evaluate from the one memo of its `holonomy.Point`.
-`isolation_verdict` builds the exact sums (the completeness system, the
-tau pair and its gradient sums) once and evaluates them at p and at 2p.
+The passes at p and at 2p evaluate the same equations, built once per
+triangulation; each builds the tau pair and its gradient sums.
 
 `isolation_verdict` tests the complete structure it is handed, `start`,
 and works at its precision p.  The 2p structure depends on the manifold
@@ -49,8 +49,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import (MonomialSum, Point, ShapeAssignment, cusp_parameter,
-                       second_derivative_along, sum_value)
+from .holonomy import Point, ShapeAssignment, cusp_parameter, second_derivative_along, sum_value
 from .manifold import IdealTriangulation
 from .solver import (
     SolveError,
@@ -113,26 +112,8 @@ class IsolationEvidence:
         }
 
 
-@dataclass(frozen=True)
-class _CuspSums:
-    """The exact sums the derivatives at one cusp evaluate: the cleared
-    completeness system, tau(l) and tau(m), and the gradient sums of both."""
-    eqs: list
-    num: MonomialSum
-    den: MonomialSum
-    d_num: list
-    d_den: list
-
-    @staticmethod
-    def build(tri: IdealTriangulation, cusp: int) -> "_CuspSums":
-        num, den = cusp_parameter(tri, tri.cusps[cusp])
-        return _CuspSums(completeness_system(tri, cusp), num, den,
-                         [num.derivative(i) for i in range(tri.n_tet)],
-                         [den.derivative(i) for i in range(tri.n_tet)])
-
-
 def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
-                    curve: tuple | None = None, *, _sums: _CuspSums | None = None):
+                    curve: tuple | None = None):
     """d/dt and d^2/dt^2 of the cusp parameter tau(l)/tau(m) along the
     completeness curve, plus the underlying shape derivatives, with the
     curve parametrized by the pinned coordinate.
@@ -144,35 +125,35 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
     and the rank, and the kept rows are taken from that Jacobian;
     `curve=(pin, kept)` from an earlier pass skips the kernel check (the
     rank is None) and evaluates only the kept equations.  dz and d2z share
-    one factorisation of the pinned square system.  `isolation_verdict`
-    passes the exact sums it built once as `_sums`.
+    one factorisation of the pinned square system.
     """
-    sums = _CuspSums.build(tri, cusp) if _sums is None else _sums
+    system = completeness_system(tri, cusp)
+    num, den = cusp_parameter(tri, tri.cusps[cusp])
     with mp.workprec(shapes.precision_bits + 30):
         z = Point(shapes.z)
         if curve is None:
-            jacobian = system_jacobian(sums.eqs, z)
+            jacobian = system_jacobian(system, z)
             pin, rank, kept = curve_pin(jacobian, shapes.precision_bits)
             rows = [jacobian[i] for i in kept]
         else:
             (pin, kept), rank = curve, None
-            rows = system_jacobian([sums.eqs[i] for i in kept], z)
-        eqs = [sums.eqs[i] for i in kept]
+            rows = system_jacobian([system[i] for i in kept], z)
+        eqs = [system[i] for i in kept]
         # M, the kept rows without the pin column, is factored once
         solve = pinned_factor(rows, pin)
         # first derivatives: M u' = -v, columns split by the pinned variable
         dz, tangent = curve_velocity(rows, pin, solve)
         # second derivatives: M u'' = -(dz^T Hess dz)
         d2z = solve([-second_derivative_along(eq.cleared.terms, z, dz) for eq in eqs])
-        N = sum_value(sums.num.terms, z)
-        D = sum_value(sums.den.terms, z)
-        dN = [sum_value(d.terms, z) for d in sums.d_num]
-        dD = [sum_value(d.terms, z) for d in sums.d_den]
+        N = sum_value(num.terms, z)
+        D = sum_value(den.terms, z)
+        dN = [sum_value(num.derivative(i).terms, z) for i in range(tri.n_tet)]
+        dD = [sum_value(den.derivative(i).terms, z) for i in range(tri.n_tet)]
         N1 = sum(a * t for a, t in zip(dN, dz))
         D1 = sum(a * t for a, t in zip(dD, dz))
         # second directional derivatives along the curve:
-        N2 = second_derivative_along(sums.num.terms, z, dz) + sum(a * t for a, t in zip(dN, d2z))
-        D2 = second_derivative_along(sums.den.terms, z, dz) + sum(a * t for a, t in zip(dD, d2z))
+        N2 = second_derivative_along(num.terms, z, dz) + sum(a * t for a, t in zip(dN, d2z))
+        D2 = second_derivative_along(den.terms, z, dz) + sum(a * t for a, t in zip(dD, d2z))
         d_tau = (N1 * D - N * D1) / D ** 2
         d2_tau = (N2 * D - N * D2) / D ** 2 - 2 * D1 * (N1 * D - N * D1) / D ** 3
     return {
@@ -227,12 +208,10 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, *, start: SolveResult,
     cusp_name = tri.cusps[cusp].name
     notes = []
 
-    sums = _CuspSums.build(tri, cusp)
-    info = tau_derivatives(tri, cusp, start.shapes, _sums=sums)
+    info = tau_derivatives(tri, cusp, start.shapes)
     # recompute at doubled precision; require agreement to half the digits
     start_hi = doubled or doubled_structure(tri, start)
-    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, curve=(info["pin"], info["kept"]),
-                              _sums=sums)
+    info_hi = tau_derivatives(tri, cusp, start_hi.shapes, curve=(info["pin"], info["kept"]))
     agree_tol = mp.mpf(2) ** (-precision_bits // 2)
 
     def certified(key):

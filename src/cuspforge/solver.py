@@ -13,8 +13,8 @@ Complete structures are found in two stages.
    Newton on the cleared-denominator polynomial system {edge equations = 1}
    with {mu = 1} for both peripheral curves of every cusp.  A point given
    as `initial` (a lower-precision solution) is polished directly, before
-   any search.  `_cleared_rows` builds these rows, as it builds those of
-   every other system; stage 1 reads its log rows off them.
+   any search.  `_cleared_rows` builds the rows of every system once per
+   triangulation; stage 1 reads its log rows off them.
 
 Every Newton step of a solve is one `least_squares` solve: elimination on
 the normal equations, in the scalar type of the system (mpmath at the
@@ -68,8 +68,8 @@ every row and keeps every shape out of the guard band, reaches about
 Jacobian of that point against mpmath values: from 2^-43 a Jacobian good
 to 2^-53 reaches the 2^-86 of an exact one.  The later steps are all
 mpmath, so a point costs 3 mpmath factorisations at 256 bits (tangent
-included) and 4 at 512, not 5 and 6.  A float factorisation that fails,
-or a float step that does not help, leaves the mpmath step in its place.
+included) and 4 at 512.  A float factorisation that fails, or a float
+step that does not help, leaves the mpmath step in its place.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ import cmath
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 
 import mpmath
@@ -182,10 +183,21 @@ class FillingEquation:
         return tuple(int(k) for k in self._branches(z)[1])
 
 
+# triangulation -> {monomial: PolynomialEquation}, dropped with the triangulation
+_EQUATIONS = weakref.WeakKeyDictionary()
+
+
 def _cleared_rows(tri: IdealTriangulation, peripheral) -> list:
-    """The cleared rows of a system: one `PolynomialEquation` per edge
-    monomial, then one per monomial of `peripheral`."""
-    return [PolynomialEquation(m) for m in (*tri.edge_equations(), *peripheral)]
+    """The cleared rows of a system, in a new list: one `PolynomialEquation`
+    per edge monomial, then one per monomial of `peripheral`.  Each is built
+    once per triangulation and monomial, and lives as long as `tri`."""
+    memo = _EQUATIONS.setdefault(tri, {})
+    rows = []
+    for m in (*tri.edge_equations(), *peripheral):
+        if m not in memo:
+            memo[m] = PolynomialEquation(m)
+        rows.append(memo[m])
+    return rows
 
 
 def _gluing_rows(tri: IdealTriangulation, fillings) -> list:
@@ -795,13 +807,15 @@ def pin_choice(tangent) -> int:
 def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
     """(pin, rank, kept) of the completeness curve whose Jacobian is
     `rows`: the one `numerical_kernel` of a curve checks that its kernel is
-    one-dimensional, `pin_choice` picks the pinned coordinate from the
-    kernel vector, and the n - 1 pivot rows are kept for every
-    pinned solve along the curve."""
+    one-dimensional and its rank n - 1 at least 1, `pin_choice` picks the
+    pinned coordinate from the kernel vector, and the n - 1 pivot rows are
+    kept for every pinned solve along the curve."""
     kernel, rank, kept = numerical_kernel(rows, precision_bits)
     if len(kernel) != 1:
         raise KernelDimensionError(
             f"kernel dimension {len(kernel)} at the complete structure (expected 1)")
+    if not rank:
+        raise KernelDimensionError("rank 0 at the complete structure: no rows to keep")
     return pin_choice(kernel[0]), rank, kept
 
 

@@ -1,6 +1,6 @@
 """The demos and the README's library sketch run, every public name
-resolves, the benchmark's self-check passes, and no module imports a name
-it never uses.
+resolves, the benchmark's self-check passes, no module imports a name it
+never uses, and no function of the package takes a parameter it never reads.
 
 Each demo is a script against the public API; running it here means a
 deleted or renamed name that a demo still uses fails the suite.  The
@@ -87,4 +87,31 @@ def test_no_unused_imports():
              for p in sorted(ROOT.glob(pattern)) if p.name != "__init__.py"]
     assert len(paths) > 20
     unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_imports(p))}
+    assert unused == {}
+
+
+def _unused_parameters(path: pathlib.Path) -> list[str]:
+    """The parameters of the functions, methods and lambdas of `path` that
+    their bodies never read, as "line: function(parameter)"; `self` and
+    `cls` are not counted.  A read in a nested function counts."""
+    unused = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unused += [f"{node.lineno}: {name}({p})" for p in params if p not in loaded]
+    return unused
+
+
+def test_no_unused_parameters():
+    # a parameter no body reads is a knob left behind
+    paths = sorted(ROOT.glob("src/cuspforge/*.py"))
+    assert len(paths) > 5
+    unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_parameters(p))}
     assert unused == {}

@@ -8,6 +8,10 @@ i/sqrt(3)); for the Whitehead fixture the curve is rational in one
 variable and the derivatives of 4x/(1-x^2) - 2 are hand-computed.
 """
 
+import json
+import subprocess
+import sys
+
 import pytest
 from mpmath import mp
 
@@ -256,3 +260,43 @@ def test_trace_and_derivatives_share_the_kernel_check(name, cusp):
     with pytest.raises(KernelDimensionError) as trace:
         trace_completeness_curve(tri, cusp, n_points=1, precision_bits=8, start=start)
     assert str(trace.value) == str(derivatives.value)
+
+
+def _rank_zero_file(tmp_path):
+    """A one-tetrahedron, two-cusped file whose every equation is the
+    constant 1: one edge with corners E0, E0, E1, E1, E2, E2 of tet 0, and
+    curves of one vertex with word [E0, E1, E2], so every Jacobian is 0."""
+    def corners(*kinds):
+        return [{"tet": 0, "kind": k} for k in kinds]
+
+    def curve(*w0):
+        return {"w0_word": corners(*w0), "vertices": [{"word": corners("E0", "E1", "E2")}]}
+
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({
+        "name": "rank0", "n_tet": 1,
+        "edges": [{"label": "e", "corners": corners("E0", "E0", "E1", "E1", "E2", "E2")}],
+        "cusps": [{"name": "a", "meridian": curve(), "longitude": curve("E2")},
+                  {"name": "b", "meridian": curve(), "longitude": curve("E1", "E2")}]}))
+    return path
+
+
+def test_a_rank_zero_curve_is_refused_by_the_kernel_check(tmp_path):
+    # a one-dimensional kernel with no pivot leaves no rows to keep
+    path = _rank_zero_file(tmp_path)
+    tri = cf.read_triangulation(path)
+    start = solve_complete(tri, PRECISION)
+    assert start.success
+    with pytest.raises(KernelDimensionError, match="rank 0") as derivatives:
+        tau_derivatives(tri, 0, start.shapes)
+    with pytest.raises(KernelDimensionError) as trace:
+        trace_completeness_curve(tri, 0, n_points=1, start=start)
+    assert str(trace.value) == str(derivatives.value)
+
+    proc = subprocess.run([sys.executable, "-m", "cuspforge.screen", "isolate", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(": isolation failed: ")[0] for line in lines] == ["rank0.a", "rank0.b"]
+    assert all("rank 0" in line for line in lines)

@@ -9,17 +9,20 @@ parameter maps.
 """
 
 import dataclasses
+import gc
+import json
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_parameter,
+from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_parameter, mu,
                                 sum_value, term_value)
 from cuspforge.solver import (
     KernelDimensionError,
@@ -692,6 +695,90 @@ def test_a_root_that_misses_a_dropped_row_is_rejected(monkeypatch, whitehead, so
     with pytest.raises(SolveError, match="corrector diverged"):
         trace_completeness_curve(whitehead, 0, n_points=2, step=1e-3,
                                  precision_bits=PRECISION, start=start)
+
+
+def _count_equations(monkeypatch):
+    """A list whose length counts the `PolynomialEquation`s built from now on."""
+    built = []
+    init = PolynomialEquation.__init__
+
+    def counting(self, monomial):
+        built.append(monomial)
+        init(self, monomial)
+
+    monkeypatch.setattr(PolynomialEquation, "__init__", counting)
+    return built
+
+
+def _memo_names():
+    """The names of the triangulations the equation memo holds."""
+    import cuspforge.solver as solver
+
+    gc.collect()
+    return {tri.name for tri in solver._EQUATIONS}
+
+
+def test_a_screen_builds_each_equation_once(monkeypatch, tmp_path):
+    # the memo is keyed by value: renamed copies hold no entries yet, and a
+    # batch screen keeps none of the manifolds it has finished
+    from cuspforge.screen import RIGID_NOT_ISOLATED, resolve_input, screen
+
+    paths = []
+    for name in ("whitehead", "622", "berge"):
+        data = json.loads(resolve_input(name).read_text())
+        data["name"] = f"{name}-memo"
+        paths.append(tmp_path / f"{name}-memo.json")
+        paths[-1].write_text(json.dumps(data))
+
+    def monomials(tri):
+        return {*tri.edge_equations(),
+                *(mu(tri, curve) for c in tri.cusps for curve in (c.meridian, c.longitude))}
+
+    distinct = sum(len(monomials(cf.read_triangulation(path))) for path in paths)
+    built = _count_equations(monkeypatch)
+    reports = screen(paths)
+    assert [r.verdict for r in reports] == [RIGID_NOT_ISOLATED] * 3
+    assert len(built) == distinct == 25
+    assert not {f"{name}-memo" for name in ("whitehead", "622", "berge")} & _memo_names()
+
+
+def test_a_fill_sweep_builds_each_equation_once(monkeypatch, whitehead):
+    import cuspforge.solver as solver
+    from cuspforge.screen import fill_and_screen
+
+    tri = dataclasses.replace(whitehead, name="whitehead-fill")
+    built = _count_equations(monkeypatch)
+    reports = fill_and_screen(tri, 1, [n for n in range(-5, 6) if n])
+    assert len(reports) == 10 and not any(r.error for r in reports)
+    # whitehead's two E0 edges share one monomial: 3 edge equations and 4
+    # peripheral ones
+    assert len(built) == 7
+    # filling rows carry per-solve state and are never memoised
+    memo = solver._EQUATIONS[tri]
+    assert len(memo) == 7
+    assert all(type(e) is PolynomialEquation and e.monomial == m for m, e in memo.items())
+
+
+def test_a_trace_on_a_solved_triangulation_builds_nothing(monkeypatch, whitehead):
+    tri = dataclasses.replace(whitehead, name="whitehead-trace")
+    start = solve_complete(tri, PRECISION)
+    built = _count_equations(monkeypatch)
+    for cusp in (0, 1, 0):
+        trace_completeness_curve(tri, cusp, n_points=2, precision_bits=PRECISION, start=start)
+    assert built == []
+    # each call hands out a new list of the same equations
+    assert completeness_system(tri, 0) is not completeness_system(tri, 0)
+    assert all(a is b for a, b in zip(completeness_system(tri, 0), completeness_system(tri, 0)))
+
+
+def test_the_equations_go_with_their_triangulation(whitehead):
+    tri = dataclasses.replace(whitehead, name="whitehead-dropped")
+    completeness_system(tri, 0)
+    assert "whitehead-dropped" in _memo_names()
+    key = weakref.ref(tri)
+    del tri
+    assert "whitehead-dropped" not in _memo_names()
+    assert key() is None
 
 
 @pytest.fixture(scope="module")
