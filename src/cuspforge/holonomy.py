@@ -31,22 +31,55 @@ sum along a vector, without building second derivative sums.
 
 The evaluator works at a `Point`: the shapes with a memo that computes
 each power z_i^k and (1 - z_i)^k, each log-gradient entry and each
-curvature entry once per point.  A memoised value is the result of the
-same operation at the same precision, and every product keeps its factor
-order, so every value is bit-identical to one computed afresh.  The
-solver makes one Point per trial point and evaluates its residual, then
-the values and Jacobian of the step taken from it, then its tangent, all
-from that one memo; a plain sequence passed to the evaluator becomes a
-Point for the length of that call.  No memo outlives its point.
+curvature entry once per point.  A memoised value depends only on the
+shape, the exponent and the precision, never on which evaluation asked
+for it first, and every product keeps its factor order, so every value is
+bit-identical to one computed on a fresh Point.  The solver makes one
+Point per trial point and evaluates its residual, then the values and
+Jacobian of the step taken from it, then its tangent, all from that one
+memo; a plain sequence passed to the evaluator becomes a Point for the
+length of that call.  No memo outlives its point.
+
+At a Point whose shapes are all mpmath numbers, products, powers and
+sums are not taken in mpmath.  They run in *block form*: a complex value
+is (re + i im) 2^e with Python ints re and im and one exponent e (integer
+mantissas with explicit exponents, as in Brent and Zimmermann, Modern
+Computer Arithmetic, ch. 3).
+
+- The Point holds each z_i, and 1 - z_i formed from it, exactly.
+- A product is four integer multiplications, cut back to the Point's
+  width W = wp + wp // 16 bits by one floor shift, where wp is the working
+  precision when the Point is made.  A power is built from two memoised
+  powers; a negative power is the conjugate of the positive one divided
+  by its re^2 + im^2.
+- A sum aligns the exponents of its terms and adds them exactly.
+- `term_value` and `sum_value` round the result once, to nearest, at the
+  working precision; `term_distance_to_one`, the residual of a monomial
+  equation, takes one square root of |T - 1|^2 formed exactly.
+
+The rounding is normwise: a block-form value is accurate to about 2^-W
+of its modulus per product, and the rounded result to about 2^-wp of its
+modulus, even where a shape lies within 1e-12 of 0 or 1.  A component much
+smaller than the modulus is accurate only to that bound, not relative to
+itself as mpmath's componentwise rounding is: the imaginary part of a real
+value is noise at about 2^-W times its modulus.  The wp // 16 guard bits
+grow with the precision: without them a long product keeps fewer than wp
+correct bits, and a fixed guard of 20 bits would more than double the
+accuracy of a solve at a few bits.  The log gradients, the
+curvature entries and everything downstream stay mpmath.  At a Point of
+Python complex, or of mixed mpmath and Python complex shapes, every
+operation is the scalar type's operator.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, TYPE_CHECKING
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_sqrt
 
 if TYPE_CHECKING:
     from .manifold import CornerRef, CuspCurve, CuspData, IdealTriangulation
@@ -267,6 +300,17 @@ class MonomialSum:
         return self.canonical_string()
 
 
+def in_guard_band(v, guard: float) -> bool:
+    """|v| < guard or |1 - v| < guard, decided on squared magnitudes in
+    floats: no hypot, no square root, and no mpmath arithmetic; only a
+    point within float rounding of the band's edge can be decided
+    otherwise."""
+    v = complex(v)
+    re, im = v.real, v.imag
+    bound = guard * guard
+    return re * re + im * im < bound or (1 - re) ** 2 + im * im < bound
+
+
 @dataclass(frozen=True)
 class ShapeAssignment:
     """A point of the shape variety: one complex shape per tetrahedron."""
@@ -285,7 +329,7 @@ class ShapeAssignment:
         return len(self.z)
 
     def is_degenerate(self) -> bool:
-        return any(abs(z) < DEGENERACY_GUARD or abs(1 - z) < DEGENERACY_GUARD for z in self.z)
+        return any(in_guard_band(z, DEGENERACY_GUARD) for z in self.z)
 
     def require_non_degenerate(self):
         if self.is_degenerate():
@@ -297,12 +341,88 @@ class ShapeAssignment:
         return all(z.imag > 0 for z in self.z)
 
 
+def _form(x) -> tuple:
+    """The block form (re, im, e) of an mpmath complex x, exactly: x is
+    (re + i im) 2^e with Python ints re and im.  None when a part is
+    infinite or nan."""
+    (rs, rm, re_, _), (is_, im, ie, _) = x._mpc_
+    if (not rm and re_) or (not im and ie):
+        return None
+    rm, im = (-rm if rs else rm), (-im if is_ else im)
+    if not rm:
+        return 0, im, ie
+    if not im:
+        return rm, 0, re_
+    e = min(re_, ie)
+    return rm << (re_ - e), im << (ie - e), e
+
+
+def _one_minus(form) -> tuple:
+    """The block form of 1 - x, exactly."""
+    re, im, e = form
+    if e >= 0:
+        return 1 - (re << e), -im << e, 0
+    return (1 << -e) - re, -im, e
+
+
+def _mul(x, y, width) -> tuple:
+    """x y in block form, cut to `width` bits by one floor shift."""
+    a, b, e = x
+    c, d, f = y
+    re = a * c - b * d
+    im = a * d + b * c
+    s = max(re.bit_length(), im.bit_length()) - width
+    if s > 0:
+        return re >> s, im >> s, e + f + s
+    return re, im, e + f
+
+
+def _inverse(x, width) -> tuple:
+    """1/x in block form, to about `width` bits: conj(x) / (re^2 + im^2)."""
+    a, b, e = x
+    norm = a * a + b * b
+    s = width + max(a.bit_length(), b.bit_length())
+    return (a << s) // norm, (-b << s) // norm, -e - s
+
+
+def _aligned(forms) -> tuple:
+    """The exact sum of block forms, as (re, im, e)."""
+    e = min(f[2] for f in forms)
+    return (sum(re << (fe - e) for re, _, fe in forms),
+            sum(im << (fe - e) for _, im, fe in forms), e)
+
+
+def _to_mpc(form):
+    """The block form rounded once, to nearest, at the working precision."""
+    re, im, e = form
+    prec = mp.prec
+    return mp.make_mpc((from_man_exp(re, e, prec, "n"), from_man_exp(im, e, prec, "n")))
+
+
+@functools.lru_cache(maxsize=4096)
+def _factor_keys(a: tuple, b: tuple) -> tuple:
+    """The memo keys of the factors of prod z_i^{a_i} (1 - z_i)^{b_i} at a
+    `Point`, in the order z_0, 1 - z_0, z_1, ...: (i, a_i) for z_i^{a_i}
+    and (-1 - i, b_i) for (1 - z_i)^{b_i}, zero exponents left out."""
+    keys = []
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        if ai:
+            keys.append((i, ai))
+        if bi:
+            keys.append((-1 - i, bi))
+    return tuple(keys)
+
+
 class Point(tuple):
     """The shapes z of one point, with the evaluator's memo there.
 
     `Point(z)` of a Point is that Point.  A Point is made and evaluated at
     one working precision (or holds Python complex, which has none); the
-    memo dies with it.
+    memo dies with it.  When every shape is an mpmath complex, the Point
+    holds each shape and each 1 - z_i in block form, exactly, and the
+    width W = wp + wp // 16 of its products, wp being the precision at
+    which it is made; `term_form` evaluates on those.  Any other Point
+    (Python complex, or mixed) evaluates with the scalar operators.
     """
 
     def __new__(cls, z):
@@ -313,7 +433,43 @@ class Point(tuple):
         point._w_powers = {}        # (i, k) -> (1 - z_i)^k
         point._log_gradient = {}    # (i, a_i, b_i) -> a_i/z_i - b_i/(1 - z_i)
         point._curvature = {}       # (i, a_i, b_i) -> a_i/z_i^2 + b_i/(1 - z_i)^2
+        forms = [_form(v) for v in point] if all(type(v) is mpmath.mpc for v in point) else [None]
+        point.blocks = None not in forms
+        if point.blocks:
+            point._width = mp.prec + mp.prec // 16
+            # block forms by `_factor_keys` key: (i, k) -> z_i^k, (-1 - i, k) -> (1 - z_i)^k
+            point._forms = {(i, 1): f for i, f in enumerate(forms)}
+            point._forms.update(((-1 - i, 1), _one_minus(f)) for i, f in enumerate(forms))
         return point
+
+    def _power_form(self, key: tuple) -> tuple:
+        """The memoised power of `_factor_keys` key (i, k), in block form:
+        a positive power from the powers k // 2 and k - k // 2, a negative
+        one as the inverse of the positive."""
+        try:
+            return self._forms[key]
+        except KeyError:
+            i, k = key
+            if k < 0:
+                value = _inverse(self._power_form((i, -k)), self._width)
+            else:
+                value = _mul(self._power_form((i, k // 2)),
+                             self._power_form((i, k - k // 2)), self._width)
+            self._forms[key] = value
+            return value
+
+    def term_form(self, c: int, a, b) -> tuple:
+        """c * prod z_i^{a_i} (1 - z_i)^{b_i} in block form, the factors
+        taken in the order z_0, 1 - z_0, z_1, ... and c last, exactly."""
+        keys = _factor_keys(tuple(a), tuple(b))
+        if not keys:
+            return c, 0, 0
+        forms, width = self._forms, self._width
+        value = forms.get(keys[0]) or self._power_form(keys[0])
+        for key in keys[1:]:
+            value = _mul(value, forms.get(key) or self._power_form(key), width)
+        re, im, e = value
+        return c * re, c * im, e
 
     def z_power(self, i: int, k: int):
         """z_i ** k."""
@@ -356,12 +512,16 @@ def term_value(c: int, a, b, z):
     """c * prod z_i^{a_i} (1 - z_i)^{b_i} in the scalar type of z: at the
     working precision for mpmath, in machine precision for Python complex.
 
-    The product starts from the integer c, so a term without factors is c
-    itself (an mpmath product is bit-identical to one started from
-    mp.mpc(c)), and takes the factors in the order z_0, 1 - z_0, z_1, ...;
-    each power comes from the memo of the `Point` z.
+    On an mpmath `Point` the product is the Point's `term_form`, rounded
+    once at the working precision; it is accurate normwise, to about
+    2^-wp of its modulus (see the module docstring).  Otherwise it starts
+    from the integer c, so a term without factors is c itself, and takes
+    the factors in the order z_0, 1 - z_0, z_1, ...; each power comes from
+    the memo of the `Point` z.
     """
     z = Point(z)
+    if z.blocks:
+        return _to_mpc(z.term_form(c, a, b))
     value = c
     for i, (ai, bi) in enumerate(zip(a, b)):
         if ai:
@@ -373,13 +533,31 @@ def term_value(c: int, a, b, z):
 
 def sum_value(terms: dict[_Key, int], z):
     """Value of the terms {(a, b): c} of a MonomialSum, in the scalar type
-    of z (see `term_value`); it starts from that type's zero.  All terms
-    share the powers memoised at the `Point` z."""
+    of z (see `term_value`).  On an mpmath `Point` the terms' block forms
+    are added exactly and the sum is rounded once; otherwise the sum starts
+    from that type's zero.  All terms share the powers memoised at the
+    `Point` z."""
     z = Point(z)
+    if z.blocks:
+        if not terms:
+            return mp.mpc(0)
+        return _to_mpc(_aligned([z.term_form(c, a, b) for (a, b), c in terms.items()]))
     total = 0 * z[0]
     for (a, b), c in terms.items():
         total += term_value(c, a, b, z)
     return total
+
+
+def term_distance_to_one(c: int, a, b, z):
+    """|T - 1| for the term T = c * prod z_i^{a_i} (1 - z_i)^{b_i}, in the
+    scalar type of z.  On an mpmath `Point`, |T - 1|^2 is formed exactly
+    from T's block form and one square root is taken, rounded to nearest
+    at the working precision: no hypot and no mpmath operator."""
+    z = Point(z)
+    if not z.blocks:
+        return abs(term_value(c, a, b, z) - 1)
+    re, im, e = _aligned([z.term_form(c, a, b), (-1, 0, 0)])
+    return mp.make_mpf(mpf_sqrt(from_man_exp(re * re + im * im, 2 * e), mp.prec, "n"))
 
 
 def log_gradient(a, b, z) -> list:

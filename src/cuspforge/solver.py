@@ -22,14 +22,20 @@ working precision, or Python complex), with the upper triangle of the
 Hermitian matrix N = A^H A summed and the lower one its conjugate.  Every
 trial point of a Newton loop is a `holonomy.Point`: its residual, and then
 the values and Jacobian of the step taken from it once it is accepted, are
-evaluated from the one power memo of that point.  The edge rows are
+evaluated from the one power memo of that point.  A row's residual is
+|M - 1| for its monomial M (`holonomy.term_distance_to_one`: at an mpmath
+point, one square root of |M - 1|^2 formed exactly).  The edge rows are
 redundant (their product is identically 1), but the whole system has full
 column rank at the geometric solution (Neumann-Zagier), so no rows are
-dropped and no rank cutoff is needed.  A completeness curve (the edge
-rows and one meridian row: n + 1 rows of rank n - 1) is different.
-`curve_pin` runs once per curve: complete-pivot elimination
-(`numerical_kernel`) checks that the kernel is one-dimensional and gives
-the rank, the pinned coordinate and n - 1 pivot rows, or raises
+dropped and no rank cutoff is needed.  A polish that accepts its start
+without moving it factors the normal equations there once, and a
+singular factorisation refuses the start: a root of a rank-deficient
+system is no solve.
+
+A completeness curve (the edge rows and one meridian row: n + 1 rows of
+rank n - 1) is different.  `curve_pin` runs once per curve: complete-pivot
+elimination (`numerical_kernel`) checks that the kernel is one-dimensional
+and gives the rank, the pinned coordinate and n - 1 pivot rows, or raises
 KernelDimensionError near the rank cut.  Every curve direction after that
 solves the kept rows without the pin column, a square system that
 `pinned_factor` factors by `_lu_factor`, the partial-pivoting elimination
@@ -85,7 +91,8 @@ import mpmath
 from mpmath import mp
 
 from .holonomy import (Point, ShapeAssignment, SignedMonomial, cusp_parameter,
-                       evaluate_cusp_parameter, log_gradient, mu, sum_value, term_value)
+                       evaluate_cusp_parameter, in_guard_band, log_gradient, mu, sum_value,
+                       term_distance_to_one, term_value)
 from .manifold import IdealTriangulation, _is_int
 
 
@@ -100,7 +107,6 @@ class KernelDimensionError(SolveError):
 REGULAR_SHAPE = mpmath.mpc(0.5, 0.8660254037844386)
 # Newton steps never move a shape within this distance of 0 or 1
 GUARD = 1e-9
-GUARD_SQUARED = GUARD * GUARD
 # a machine-precision Newton solve (a root of the log system, a filling ramp
 # step) must reach this residual: the Euclidean norm of the log rows, or the
 # largest residual of the cleared and filling rows
@@ -124,7 +130,7 @@ class PolynomialEquation:
 
     def residual(self, z: list):
         m = self.monomial
-        return abs(term_value(m.sign, m.a, m.b, z) - 1)
+        return term_distance_to_one(m.sign, m.a, m.b, z)
 
 
 def _scalar_ops(values) -> tuple:
@@ -409,15 +415,6 @@ def _residual(rows, z):
     return max(e.residual(z) for e in rows)
 
 
-def _in_guard_band(v) -> bool:
-    """|v| < GUARD or |1 - v| < GUARD, decided on squared magnitudes in
-    floats: no hypot, no square root, and no mpmath arithmetic; only a
-    point within rounding of the band's edge can be decided otherwise."""
-    v = complex(v)
-    re, im = v.real, v.imag
-    return re * re + im * im < GUARD_SQUARED or (1 - re) ** 2 + im * im < GUARD_SQUARED
-
-
 def _damped_newton(z, residual, step, tol, max_iter):
     """The Newton loop of every solve and of the curve corrector: take
     step(z), halved up to 12 times until it lowers residual(z) with every
@@ -438,7 +435,7 @@ def _damped_newton(z, residual, step, tol, max_iter):
         for _ in range(12):
             z_try = Point([zi + lam * d for zi, d in zip(z, delta)])
             lam /= 2
-            if any(_in_guard_band(v) for v in z_try):
+            if any(in_guard_band(v, GUARD) for v in z_try):
                 continue
             r_try = residual(z_try)
             if r_try < best:
@@ -461,6 +458,17 @@ def _newton(rows, z, tol, max_iter=80):
         return least_squares([e.gradient(z) for e in rows], [-e.value(z) for e in rows])
 
     return _damped_newton(z, lambda z: _residual(rows, z), step, tol, max_iter)
+
+
+def _regular(rows, z) -> bool:
+    """Whether the normal equations of the rows at z factor: one
+    least-squares step, which raises ZeroDivisionError when they are
+    singular."""
+    try:
+        least_squares(system_jacobian(rows, z), [-e.value(z) for e in rows])
+    except ZeroDivisionError:
+        return False
+    return True
 
 
 def _initial_guesses(n, seed, restarts):
@@ -591,11 +599,20 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
+        singular = 0
+
         def polish(z0, restart_index):
-            z, it, res = _newton(eqs, [mp.mpc(v) for v in z0], _newton_tol(precision_bits))
-            if res < success_tol:
-                return z, it, all(v.imag > flat_tol for v in z), restart_index
-            return None
+            nonlocal singular
+            z0 = Point([mp.mpc(v) for v in z0])
+            z, it, res = _newton(eqs, z0, _newton_tol(precision_bits))
+            if res >= success_tol:
+                return None
+            if z is z0 and not _regular(eqs, z):
+                # a start that no step moved is a root only if the system
+                # has full column rank there
+                singular += 1
+                return None
+            return z, it, all(v.imag > flat_tol for v in z), restart_index
 
         best = deferred = None
         for restart_index, z0 in enumerate(_start_points(tri, eqs, seed, restarts, initial)):
@@ -616,6 +633,7 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
             raise SolveError(
                 f"{tri.name!r}: complete-structure Newton did not converge "
                 f"within {restarts} restarts"
+                + (f"; {singular} starts were refused as rank-deficient roots" if singular else "")
             )
         z, iterations, geometric, restart_index = best
         notes = () if geometric else ("complete solution is non-geometric (some Im z <= 0)",)
@@ -838,7 +856,8 @@ def _float_stage(eqs, square, pin: int, z) -> tuple:
     except (ZeroDivisionError, SolveError):
         return z, None
     z_next = Point([v + d for v, d in zip(z_float, delta)])
-    if any(_in_guard_band(v) for v in z_next) or _residual(eqs, z_next) >= _residual(eqs, z_float):
+    if (any(in_guard_band(v, GUARD) for v in z_next)
+            or _residual(eqs, z_next) >= _residual(eqs, z_float)):
         return z, rows
     return [v + d for v, d in zip(z, delta)], system_jacobian(square, z_next)
 

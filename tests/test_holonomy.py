@@ -15,6 +15,7 @@ from mpmath import mp
 
 import cuspforge as cf
 from cuspforge.holonomy import (
+    DEGENERACY_GUARD,
     DegenerateShapeError,
     MonomialSum,
     Point,
@@ -488,12 +489,29 @@ def _evaluator_sums(tri):
     return sums
 
 
+def _evaluate(kind, s, z, v, naive=False) -> list:
+    """The values of one evaluation task at z: a sum, its terms with their
+    log gradients, its second derivative along v, or an equation's value,
+    gradient and residual; by the naive products when `naive` is set."""
+    if kind == "equation":
+        return [s.value(z), *s.gradient(z), s.residual(z)]
+    if kind == "sum":
+        return [(_naive_sum if naive else sum_value)(s.terms, z)]
+    if kind == "second":
+        return [(_naive_second_derivative if naive else second_derivative_along)(s.terms, z, v)]
+    term, gradient = (_naive_term, _naive_log_gradient) if naive else (term_value, log_gradient)
+    return [value for (a, b), c in s.terms.items()
+            for value in (term(c, a, b, z), *gradient(a, b, z))]
+
+
 @pytest.mark.parametrize("bits", [128, 256, 512 + 30, None],
                          ids=["128", "256", "542", "complex"])
 def test_memoised_evaluator_is_bit_identical(bits, whitehead, link622, berge):
-    # one Point per random point serves every sum, in a shuffled order, so
-    # the memo is filled by one kind of evaluation and read by another;
-    # each value must equal the naive product of powers bit for bit
+    # one Point per random point serves every sum and equation, in a
+    # shuffled order, so the memo is filled by one kind of evaluation and
+    # read by another; each value must equal, bit for bit, the same
+    # evaluation on a fresh Point, and on Python complex also the naive
+    # product of powers
     rng = random.Random(29)
     with mp.workprec(bits or 53):
         for tri in (whitehead, link622, berge):
@@ -502,25 +520,117 @@ def test_memoised_evaluator_is_bit_identical(bits, whitehead, link622, berge):
                 (tuple(rng.randint(-3, 3) for _ in range(tri.n_tet)),
                  tuple(rng.randint(-3, 3) for _ in range(tri.n_tet))): rng.choice([1, -2, 3])
                 for _ in range(4)}))
+            eqs = [eq for cusp in range(len(tri.cusps)) for eq in completeness_system(tri, cusp)]
             for _ in range(3):
                 z = _random_shapes(rng, tri.n_tet, bits)
                 v = _random_shapes(rng, tri.n_tet, bits)
                 point = Point(z)
                 assert Point(point) is point and list(point) == z
+                assert point.blocks is (bits is not None)
+
                 tasks = [(kind, s) for s in sums for kind in ("sum", "terms", "second")]
+                tasks += [("equation", eq) for eq in eqs]
                 rng.shuffle(tasks)
                 for kind, s in tasks:
-                    if kind == "sum":
-                        got, ref = [sum_value(s.terms, point)], [_naive_sum(s.terms, z)]
-                    elif kind == "second":
-                        got = [second_derivative_along(s.terms, point, v)]
-                        ref = [_naive_second_derivative(s.terms, z, v)]
-                    else:
-                        got, ref = [], []
-                        for (a, b), c in s.terms.items():
-                            got += [term_value(c, a, b, point), *log_gradient(a, b, point)]
-                            ref += [_naive_term(c, a, b, z), *_naive_log_gradient(a, b, z)]
-                    assert [_bits(g) for g in got] == [_bits(r) for r in ref], (kind, str(s))
+                    got = [_bits(g) for g in _evaluate(kind, s, point, v)]
+                    fresh = _evaluate(kind, s, Point(z), v)
+                    assert got == [_bits(r) for r in fresh], (kind, str(s))
+                    if bits is None and kind != "equation":
+                        naive = _evaluate(kind, s, z, v, naive=True)
+                        assert got == [_bits(r) for r in naive], (kind, str(s))
                 # a plain sequence gets a Point of its own, with the same bits
                 s = sums[0]
-                assert _bits(sum_value(s.terms, z)) == _bits(_naive_sum(s.terms, z))
+                assert _bits(sum_value(s.terms, z)) == _bits(sum_value(s.terms, point))
+
+
+def _near_degenerate_shapes(rng, offset):
+    """Four shapes, each at random either `offset` (times 1 to 2) from 0,
+    as far from 1, or a random shape of modulus at most 2 sqrt(2)."""
+    shapes = []
+    for _ in range(4):
+        t = mp.expjpi(2 * mp.mpf(rng.random())) * offset * (1 + mp.mpf(rng.random()))
+        shapes.append(rng.choice([t, 1 + t, mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))]))
+    return shapes
+
+
+@pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30], ids=["128", "286", "542"])
+def test_block_products_are_as_accurate_as_mpmath_products(bits):
+    # against a product at three times the precision, over terms whose
+    # shapes lie 1e-6, 1e-9 and 1e-12 from 0 or 1 (where 1 - z cancels),
+    # the block-form kernel is accurate to 2^-wp of the modulus, and no
+    # worse than the naive mpmath product of powers
+    rng = random.Random(31)
+    worst_kernel = worst_naive = 0
+    with mp.workprec(bits):
+        for offset in (1e-6, 1e-9, 1e-12):
+            for _ in range(40):
+                z = _near_degenerate_shapes(rng, offset)
+                a, b = (tuple(rng.randint(-4, 4) for _ in z) for _ in range(2))
+                c = rng.choice([1, -1, 3])
+                got, naive = term_value(c, a, b, Point(z)), _naive_term(c, a, b, z)
+                with mp.workprec(3 * bits):
+                    ref = _naive_term(c, a, b, z)
+                    worst_kernel = max(worst_kernel, abs(got - ref) / abs(ref))
+                    worst_naive = max(worst_naive, abs(naive - ref) / abs(ref))
+    assert worst_kernel <= mp.mpf(2) ** -bits
+    assert worst_kernel <= worst_naive
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__pow__", "__abs__")
+
+
+def test_an_mpmath_point_takes_no_mpmath_arithmetic(monkeypatch, link622):
+    # term_value, sum_value and the equations' value, gradient and
+    # residual work in block form: no mpc or mpf operator runs
+    rng = random.Random(37)
+    with mp.workprec(PRECISION):
+        z = _random_shapes(rng, link622.n_tet, PRECISION)
+        eqs = completeness_system(link622, 0)
+        sums = _evaluator_sums(link622)
+        counts = {}
+        for cls in (mp.mpc, mp.mpf):
+            for name in _ARITHMETIC:
+                def counted(*args, _op=getattr(cls, name), _key=(cls.__name__, name)):
+                    counts[_key] = counts.get(_key, 0) + 1
+                    return _op(*args)
+                monkeypatch.setattr(cls, name, counted)
+
+        point = Point(z)
+        for s in sums:
+            sum_value(s.terms, point)
+            for (a, b), c in s.terms.items():
+                term_value(c, a, b, point)
+        for eq in eqs:
+            eq.value(point), eq.gradient(point), eq.residual(point)
+        assert counts == {}
+        # the counting sees the naive product's operators
+        _naive_sum(sums[0].terms, z)
+        assert counts.get(("mpc", "__mul__"), 0) > 0
+
+
+def test_a_mixed_point_takes_the_scalar_path():
+    # mpmath and Python complex shapes in one point: the operators of the
+    # scalar types, the bits of the naive product
+    with mp.workprec(PRECISION):
+        z = [mp.mpc("0.3", "0.4"), complex(0.6, -0.2), mp.mpc("-1.5", "0.25")]
+        point = Point(z)
+        assert not point.blocks and Point(z[::2]).blocks
+        terms = {((2, -1, 0), (1, 0, -2)): 3, ((0, 1, 1), (-2, 1, 0)): -1}
+        assert _bits(sum_value(terms, point)) == _bits(_naive_sum(terms, z))
+        for (a, b), c in terms.items():
+            assert _bits(term_value(c, a, b, point)) == _bits(_naive_term(c, a, b, z))
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_degeneracy_guard_is_decided_on_squared_magnitudes(bits):
+    # half and twice the guard from 0 and from 1, in eight directions: the
+    # float decision is the one the mpmath moduli give
+    with mp.workprec(bits):
+        for factor, inside in ((0.5, True), (2, False)):
+            for centre in (0, 1):
+                for k in range(8):
+                    v = centre + factor * DEGENERACY_GUARD * mp.expjpi(mp.mpf(k) / 4)
+                    assert (abs(v) < DEGENERACY_GUARD or abs(1 - v) < DEGENERACY_GUARD) is inside
+                    shapes = ShapeAssignment((mp.mpc("0.5", "0.8"), v), bits)
+                    assert shapes.is_degenerate() is inside

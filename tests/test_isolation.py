@@ -17,9 +17,13 @@ from mpmath import mp
 
 import cuspforge as cf
 from cuspforge import isolation
+from cuspforge.holonomy import ShapeAssignment
 from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
 from cuspforge.solver import (
+    REGULAR_SHAPE,
     KernelDimensionError,
+    SolveError,
+    SolveResult,
     completeness_system,
     numerical_kernel,
     solve_complete,
@@ -281,22 +285,35 @@ def _rank_zero_file(tmp_path):
     return path
 
 
+def _regular_start() -> SolveResult:
+    """A successful one-shape solve at the regular shape, built by hand:
+    `solve_complete` refuses the rank-0 file's roots."""
+    shapes = ShapeAssignment.from_values([REGULAR_SHAPE], PRECISION)
+    return SolveResult(shapes=shapes, residual=mp.mpf(0), geometric=True, iterations=0,
+                       success=True, seed=0)
+
+
 def test_a_rank_zero_curve_is_refused_by_the_kernel_check(tmp_path):
     # a one-dimensional kernel with no pivot leaves no rows to keep
-    path = _rank_zero_file(tmp_path)
-    tri = cf.read_triangulation(path)
-    start = solve_complete(tri, PRECISION)
-    assert start.success
+    tri = cf.read_triangulation(_rank_zero_file(tmp_path))
+    start = _regular_start()
     with pytest.raises(KernelDimensionError, match="rank 0") as derivatives:
         tau_derivatives(tri, 0, start.shapes)
     with pytest.raises(KernelDimensionError) as trace:
         trace_completeness_curve(tri, 0, n_points=1, start=start)
     assert str(trace.value) == str(derivatives.value)
 
-    proc = subprocess.run([sys.executable, "-m", "cuspforge.screen", "isolate", str(path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line.split(": isolation failed: ")[0] for line in lines] == ["rank0.a", "rank0.b"]
-    assert all("rank 0" in line for line in lines)
+
+def test_a_rank_deficient_root_is_not_a_complete_solve(tmp_path):
+    # every start of the rank-0 file is a root that no Newton step moves;
+    # its Jacobian is 0, so the solve refuses each one
+    path = _rank_zero_file(tmp_path)
+    with pytest.raises(SolveError, match="33 starts were refused as rank-deficient roots"):
+        solve_complete(cf.read_triangulation(path), PRECISION)
+    for command in ("isolate", "screen"):
+        proc = subprocess.run([sys.executable, "-m", "cuspforge.screen", command, str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "rank-deficient roots" in proc.stdout
+        assert "FailsRigidField" not in proc.stdout
