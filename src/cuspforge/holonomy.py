@@ -65,8 +65,9 @@ itself as mpmath's componentwise rounding is: the imaginary part of a real
 value is noise at about 2^-W times its modulus.  The wp // 16 guard bits
 grow with the precision: without them a long product keeps fewer than wp
 correct bits, and a fixed guard of 20 bits would more than double the
-accuracy of a solve at a few bits.  The log gradients, the
-curvature entries and everything downstream stay mpmath.  At a Point of
+accuracy of a solve at a few bits.  The log gradients and the
+curvature entries stay mpmath; the solver's linear algebra takes its
+entries into block form again (`solver.least_squares`).  At a Point of
 Python complex, or of mixed mpmath and Python complex shapes, every
 operation is the scalar type's operator.
 """
@@ -365,16 +366,25 @@ def _one_minus(form) -> tuple:
     return (1 << -e) - re, -im, e
 
 
-def _mul(x, y, width) -> tuple:
-    """x y in block form, cut to `width` bits by one floor shift."""
-    a, b, e = x
-    c, d, f = y
-    re = a * c - b * d
-    im = a * d + b * c
+def _block_width() -> int:
+    """The width W = wp + wp // 16 of block-form values at the working
+    precision wp."""
+    return mp.prec + mp.prec // 16
+
+
+def _cut(re: int, im: int, e: int, width: int) -> tuple:
+    """(re + i im) 2^e in block form, cut to `width` bits by one floor shift."""
     s = max(re.bit_length(), im.bit_length()) - width
     if s > 0:
-        return re >> s, im >> s, e + f + s
-    return re, im, e + f
+        return re >> s, im >> s, e + s
+    return re, im, e
+
+
+def _mul(x, y, width) -> tuple:
+    """x y in block form, cut to `width` bits (`_cut`)."""
+    a, b, e = x
+    c, d, f = y
+    return _cut(a * c - b * d, a * d + b * c, e + f, width)
 
 
 def _inverse(x, width) -> tuple:
@@ -436,7 +446,7 @@ class Point(tuple):
         forms = [_form(v) for v in point] if all(type(v) is mpmath.mpc for v in point) else [None]
         point.blocks = None not in forms
         if point.blocks:
-            point._width = mp.prec + mp.prec // 16
+            point._width = _block_width()
             # block forms by `_factor_keys` key: (i, k) -> z_i^k, (-1 - i, k) -> (1 - z_i)^k
             point._forms = {(i, 1): f for i, f in enumerate(forms)}
             point._forms.update(((-1 - i, 1), _one_minus(f)) for i, f in enumerate(forms))
@@ -556,8 +566,19 @@ def term_distance_to_one(c: int, a, b, z):
     z = Point(z)
     if not z.blocks:
         return abs(term_value(c, a, b, z) - 1)
+    return _root(*squared_distance_to_one(c, a, b, z))
+
+
+def squared_distance_to_one(c: int, a, b, z: Point) -> tuple:
+    """|T - 1|^2 for the term T of `term_distance_to_one` at an mpmath
+    `Point` z, exactly, as (m, e) for m 2^e."""
     re, im, e = _aligned([z.term_form(c, a, b), (-1, 0, 0)])
-    return mp.make_mpf(mpf_sqrt(from_man_exp(re * re + im * im, 2 * e), mp.prec, "n"))
+    return re * re + im * im, 2 * e
+
+
+def _root(m: int, e: int) -> mpmath.mpf:
+    """sqrt(m 2^e), rounded to nearest at the working precision."""
+    return mp.make_mpf(mpf_sqrt(from_man_exp(m, e), mp.prec, "n"))
 
 
 def log_gradient(a, b, z) -> list:

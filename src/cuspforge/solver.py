@@ -16,15 +16,24 @@ Complete structures are found in two stages.
    any search.  `_cleared_rows` builds the rows of every system once per
    triangulation; stage 1 reads its log rows off them.
 
-Every Newton step of a solve is one `least_squares` solve: elimination on
-the normal equations, in the scalar type of the system (mpmath at the
-working precision, or Python complex), with the upper triangle of the
-Hermitian matrix N = A^H A summed and the lower one its conjugate.  Every
-trial point of a Newton loop is a `holonomy.Point`: its residual, and then
-the values and Jacobian of the step taken from it once it is accepted, are
-evaluated from the one power memo of that point.  A row's residual is
-|M - 1| for its monomial M (`holonomy.term_distance_to_one`: at an mpmath
-point, one square root of |M - 1|^2 formed exactly).  The edge rows are
+Every Newton step of a solve is one `least_squares` solve: elimination
+with partial pivoting on the normal equations, with the upper triangle of
+the Hermitian matrix N = A^H A formed and the lower one its conjugate.  A
+Python complex system is eliminated with the complex operators.  An mpmath
+system runs no mpmath operator: its entries are taken exactly into the
+integer block form of `holonomy`, (re + i im) 2^e with Python-int
+mantissas, and every entry of N is the exact sum of exact products cut
+once to W = wp + wp // 16 bits, wp being the working precision plus 20
+guard bits.  The elimination cuts each product and each updated entry to
+W bits and rounds each entry of the solution to mpmath once.  Its error
+is that of Gaussian elimination with a unit roundoff of about 2^-W
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9),
+normwise, as the block form rounds.  Every trial point of a Newton loop
+is a `holonomy.Point`: its residual, and then the values and Jacobian of
+the step taken from it once it is accepted, are evaluated from the one
+power memo of that point.  A row's residual is |M - 1| for its monomial M;
+at an mpmath point `_residual` compares the exact |M - 1|^2 of the rows
+and takes one square root, of the largest.  The edge rows are
 redundant (their product is identically 1), but the whole system has full
 column rank at the geometric solution (Neumann-Zagier), so no rows are
 dropped and no rank cutoff is needed.  A polish that accepts its start
@@ -39,7 +48,8 @@ and gives the rank, the pinned coordinate and n - 1 pivot rows, or raises
 KernelDimensionError near the rank cut.  Every curve direction after that
 solves the kept rows without the pin column, a square system that
 `pinned_factor` factors by `_lu_factor`, the partial-pivoting elimination
-of `least_squares`; solves that share a Jacobian share its factorisation.
+of `least_squares` (on block forms at mpmath); solves that share a
+Jacobian share its factorisation.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition of the slope (p, q) given to `solve_filled` (a
@@ -70,12 +80,14 @@ lands about 2^-21 off the curve, so each corrector starts, as the solves
 do, in machine precision (`_float_stage`).  One pinned step on the kept
 rows in Python complex, taken only if it lowers the float residual over
 every row and keeps every shape out of the guard band, reaches about
-2^-43.  The first working-precision step from there factors the complex
-Jacobian of that point against mpmath values: from 2^-43 a Jacobian good
-to 2^-53 reaches the 2^-86 of an exact one.  The later steps are all
-mpmath, so a point costs 3 mpmath factorisations at 256 bits (tangent
-included) and 4 at 512.  A float factorisation that fails, or a float
-step that does not help, leaves the mpmath step in its place.
+2^-43.  The first working-precision step from there solves against
+mpmath values with the complex factorisation of that point's Jacobian,
+taken exactly into block form: from 2^-43 a Jacobian good to 2^-53 reaches
+the 2^-86 of an exact one.  The later steps factor the mpmath Jacobian, so
+a point costs 3 working-precision factorisations at 256 bits (tangent
+included) and 4 at 512, all in block form.  A float factorisation that
+fails, or a float step that does not help, leaves the mpmath step in its
+place.
 """
 
 from __future__ import annotations
@@ -90,9 +102,10 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import (Point, ShapeAssignment, SignedMonomial, cusp_parameter,
-                       evaluate_cusp_parameter, in_guard_band, log_gradient, mu, sum_value,
-                       term_distance_to_one, term_value)
+from .holonomy import (Point, ShapeAssignment, SignedMonomial, _aligned, _block_width, _cut,
+                       _form, _inverse, _mul, _root, _to_mpc, cusp_parameter,
+                       evaluate_cusp_parameter, in_guard_band, log_gradient, mu,
+                       squared_distance_to_one, sum_value, term_distance_to_one, term_value)
 from .manifold import IdealTriangulation, _is_int
 
 
@@ -133,16 +146,20 @@ class PolynomialEquation:
         return term_distance_to_one(m.sign, m.a, m.b, z)
 
 
+def _machine(values) -> bool:
+    """Whether `values` are in machine precision (Python complex or float)
+    rather than mpmath at the current precision.  The type is read off the
+    first entry that is not an int (a log gradient holds the int 0 where
+    its row skips a tetrahedron)."""
+    return isinstance(next((v for v in values if not isinstance(v, int)), None), (complex, float))
+
+
 def _scalar_ops(values) -> tuple:
-    """log, pi, nearest-integer rounding and the unit roundoff in the
-    scalar type of `values`: machine precision (Python complex or float)
-    or mpmath at the current precision.  The type is read off the first
-    entry that is not an int (a log gradient holds the int 0 where its row
-    skips a tetrahedron)."""
-    sample = next((v for v in values if not isinstance(v, int)), None)
-    if isinstance(sample, (complex, float)):
-        return cmath.log, math.pi, round, 2.0 ** -52
-    return mp.log, mp.pi, mp.nint, mp.eps
+    """log, pi and nearest-integer rounding in the scalar type of `values`
+    (`_machine`)."""
+    if _machine(values):
+        return cmath.log, math.pi, round
+    return mp.log, mp.pi, mp.nint
 
 
 class FillingEquation:
@@ -164,7 +181,7 @@ class FillingEquation:
     def _branches(self, z: list) -> tuple:
         """Principal logs of (mu_m, mu_l) at z, the whole turns that carry
         each nearest its reference, and pi in the scalar type of z."""
-        log, pi, nint, _ = _scalar_ops(z)
+        log, pi, nint = _scalar_ops(z)
         principal = [log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l)]
         turns = [nint((ref - w).imag / (2 * pi)) for ref, w in zip(self.reference, principal)]
         return principal, turns, pi
@@ -299,18 +316,20 @@ def _size(v):
     return abs(v.real) + abs(v.imag)
 
 
-def _lu_factor(a: list[list], eps) -> tuple[list[list], list]:
-    """(lu, perm): the square matrix A factored as P A = L U by Gaussian
-    elimination with partial pivoting, in place.  The pivot is the entry of
-    largest re^2 + im^2, so no square root is taken.  A pivot p with
-    |re p| + |im p| at most eps * |A|_1 raises ZeroDivisionError, where
-    |A|_1 is the largest column sum of |re| + |im| over A; both measures lie
-    within a factor sqrt(2) of the modulus they stand for.  Each multiplier
-    is stored in the row it eliminated and moves with that row's swaps, so
-    lu[k] holds the row that ends at position k, and perm[k] its index in A.
+def _lu_factor(a: list[list]) -> tuple[list[list], list]:
+    """(lu, perm): the square matrix A of Python complex entries factored as
+    P A = L U by Gaussian elimination with partial pivoting, in place.  The
+    pivot is the entry of largest re^2 + im^2, so no square root is taken.
+    A pivot p with |re p| + |im p| at most eps * |A|_1 raises
+    ZeroDivisionError, where eps = 2^-52 is the unit roundoff of a float
+    and |A|_1 the largest column sum of |re| + |im| over A; both measures
+    lie within a factor sqrt(2) of the modulus they stand for.  Each multiplier is stored in the row it eliminated and
+    moves with that row's swaps, so lu[k] holds the row that ends at
+    position k, and perm[k] its index in A.  `_block_factor` is the same
+    elimination on block forms.
     """
     n = len(a)
-    tol = eps * max(sum(_size(row[j]) for row in a) for j in range(n))
+    tol = 2.0 ** -52 * max(sum(_size(row[j]) for row in a) for j in range(n))
     perm = list(range(n))
     for col in range(n):
         squares = [v.real * v.real + v.imag * v.imag
@@ -330,11 +349,11 @@ def _lu_factor(a: list[list], eps) -> tuple[list[list], list]:
 
 
 def _lu_solve(factor: tuple[list[list], list], b: list) -> list:
-    """x with A x = b from `_lu_factor`'s (lu, perm) of A.  Every row swap
-    is applied to b first, then forward substitution replays the stored
-    multipliers column by column: the same operations, in the same order,
-    as eliminating the augmented matrix [A | b], so the bits are those of
-    that elimination."""
+    """x with A x = b from `_lu_factor`'s (lu, perm) of A, in Python
+    complex.  Every row swap is applied to b first, then forward
+    substitution replays the stored multipliers column by column: the same
+    operations, in the same order, as eliminating the augmented matrix
+    [A | b], so the bits are those of that elimination."""
     lu, perm = factor
     n = len(lu)
     y = [b[i] for i in perm]
@@ -347,54 +366,232 @@ def _lu_solve(factor: tuple[list[list], list], b: list) -> list:
     return x
 
 
+def _part(x: float) -> tuple:
+    """A finite float as (m, e) with x = m 2^e exactly."""
+    m, d = x.as_integer_ratio()
+    return m, 1 - d.bit_length()
+
+
+def _block(v) -> tuple:
+    """The block form (re, im, e) of a matrix or right-hand-side entry,
+    exactly: an int, a Python complex or float, or an mpmath complex.  An
+    infinite or nan entry raises ZeroDivisionError, as a system that cannot
+    be solved."""
+    if isinstance(v, int):
+        return v, 0, 0
+    if isinstance(v, (complex, float)):
+        v = complex(v)
+        if not cmath.isfinite(v):
+            raise ZeroDivisionError("non-finite entry")
+        (re, er), (im, ei) = _part(v.real), _part(v.imag)
+        if not im:
+            return re, 0, er
+        if not re:
+            return 0, im, ei
+        e = min(er, ei)
+        return re << (er - e), im << (ei - e), e
+    form = _form(v)
+    if form is None:
+        raise ZeroDivisionError("non-finite entry")
+    return form
+
+
+def _exceeds(x: tuple, y: tuple) -> bool:
+    """Whether m 2^e > n 2^f, exactly, for x = (m, e) and y = (n, f) with
+    ints m, n >= 0."""
+    (m, e), (n, f) = x, y
+    if not (m and n):
+        return m > n
+    if m.bit_length() + e != n.bit_length() + f:
+        return m.bit_length() + e > n.bit_length() + f
+    return m << (e - f) > n if e >= f else m > n << (f - e)
+
+
+def _first_largest(pairs: list) -> int:
+    """The index of the first largest m 2^e among pairs (m, e) with ints
+    m >= 0, compared exactly (`_exceeds`)."""
+    best = 0
+    for i in range(1, len(pairs)):
+        if _exceeds(pairs[i], pairs[best]):
+            best = i
+    return best
+
+
+def _minus(x: tuple, y: tuple, width: int) -> tuple:
+    """x - y in block form: the exact sum, cut once to `width` bits."""
+    a, b, e = x
+    c, d, f = y
+    if e > f:
+        a, b, e = a << (e - f), b << (e - f), f
+    elif f > e:
+        c, d = c << (f - e), d << (f - e)
+    return _cut(a - c, b - d, e, width)
+
+
+def _block_factor(a: list[list]) -> tuple:
+    """(lu, perm, inverses, width): `_lu_factor`'s elimination of the
+    square matrix A of block forms, in place, on Python ints, at the width
+    W = wp + wp // 16 of the working precision wp.
+
+    The pivot is the entry of largest re^2 + im^2, and a pivot p with
+    |re p| + |im p| at most eps * |A|_1 raises ZeroDivisionError, both
+    compared exactly; eps is mpmath's unit roundoff 2^(1 - wp) at the
+    working precision wp.  Each multiplier is the entry times the inverse
+    of its pivot (`_inverse`), and each update subtracts the product of a
+    multiplier and a pivot-row entry: products cut to W bits, and the
+    updated entry the exact difference cut once to W bits (`_minus`).  A
+    zero multiplier leaves its row as it is.  lu and perm are laid out as
+    `_lu_factor`'s; inverses[k] is the inverse of the pivot lu[k][k], for
+    back substitution.
+    """
+    n, width = len(a), _block_width()
+    sums = [_aligned([(abs(re) + abs(im), 0, e) for re, im, e in column])[::2]
+            for column in zip(*a)]
+    norm, e = sums[_first_largest(sums)]
+    tol = norm, e + 1 - mp.prec
+    perm, inverses = list(range(n)), []
+    for col in range(n):
+        piv = col + _first_largest([(re * re + im * im, 2 * e)
+                                    for re, im, e in (a[k][col] for k in range(col, n))])
+        re, im, e = a[piv][col]
+        if not _exceeds((abs(re) + abs(im), e), tol):
+            raise ZeroDivisionError("numerically singular square system")
+        a[col], a[piv] = a[piv], a[col]
+        perm[col], perm[piv] = perm[piv], perm[col]
+        top = a[col]
+        inverse = _inverse(top[col], width)
+        inverses.append(inverse)
+        for k in range(col + 1, n):
+            row = a[k]
+            if not (row[col][0] or row[col][1]):
+                continue
+            f = row[col] = _mul(row[col], inverse, width)
+            for c in range(col + 1, n):
+                row[c] = _minus(row[c], _mul(f, top[c], width), width)
+    return a, perm, inverses, width
+
+
+def _block_solve(factor: tuple, b: list) -> list:
+    """x with A x = b, in block forms, from `_block_factor`'s
+    (lu, perm, inverses, width) of A.  As in `_lu_solve`, forward substitution
+    replays the stored multipliers column by column, so the bits are those
+    of eliminating the augmented matrix [A | b] in block form.  Back
+    substitution forms each y_i - sum_j lu[i][j] x_j as the exact sum of
+    products cut to W = width bits, cuts it once, and multiplies it by the
+    inverse of the pivot."""
+    lu, perm, inverses, width = factor
+    n = len(lu)
+    y = [b[i] for i in perm]
+    for col in range(n):
+        for k in range(col + 1, n):
+            f = lu[k][col]
+            if f[0] or f[1]:
+                y[k] = _minus(y[k], _mul(f, y[col], width), width)
+    x = [None] * n
+    for i in reversed(range(n)):
+        re, im, e = y[i]
+        terms = [(re, im, e)]
+        for j in range(i + 1, n):
+            re, im, e = _mul(lu[i][j], x[j], width)
+            terms.append((-re, -im, e))
+        x[i] = _mul(_cut(*_aligned(terms), width), inverses[i], width)
+    return x
+
+
+def _block_lu(factor: tuple) -> tuple:
+    """The (lu, perm, inverses, width) of `_block_solve` from `_lu_factor`'s
+    Python complex factorisation (lu, perm), its entries taken exactly, at
+    the width of the working precision."""
+    lu, perm = factor
+    forms, width = [[_block(v) for v in row] for row in lu], _block_width()
+    return forms, perm, [_inverse(row[i], width) for i, row in enumerate(forms)], width
+
+
+def _conjugate_dot(x: list, y: list, width: int) -> tuple:
+    """sum_k conj(x_k) y_k over block forms: the exact sum of the exact
+    products, cut once to `width` bits."""
+    terms = [(a * c + b * d, a * d - b * c, e + f)
+             for (a, b, e), (c, d, f) in zip(x, y) if (a or b) and (c or d)]
+    return _cut(*_aligned(terms), width) if terms else (0, 0, 0)
+
+
 def least_squares(rows: list[list], rhs: list) -> list:
     """Least-squares solution x of rows . x = rhs, in the scalar type of
     the system: mpmath at the working precision, or machine precision (the
     type of the first entry of rhs or rows that is not an int).
 
-    `_lu_factor` and `_lu_solve` solve the normal equations
-    N x = rows^H rhs, with 20 guard bits on mpmath.  Summing the upper
-    triangle of N and conjugating it is bit-identical to summing all of N
-    under round-to-nearest.  The callers' systems have full column rank: a
-    singular N raises ZeroDivisionError.
+    Both solve the normal equations N x = rows^H rhs by partial-pivoting
+    elimination, and a singular N raises ZeroDivisionError; the callers'
+    systems have full column rank.  In machine precision `_lu_factor` and
+    `_lu_solve` run on Python complex, with the upper triangle of N summed
+    and the lower one its conjugate, which is bit-identical to summing all
+    of N under round-to-nearest.  On mpmath, with 20 guard bits, every
+    entry is taken exactly into block form, each entry of the upper
+    triangle of N and of rows^H rhs is the exact sum of exact products cut
+    once to W = wp + wp // 16 bits (wp the guarded precision), the lower
+    triangle is its conjugate, `_block_factor` and `_block_solve` solve,
+    and each entry of x is rounded to mpmath once; no mpmath operator runs.
     """
     n = len(rows[0])
-    with mp.extraprec(20):
-        eps = _scalar_ops(itertools.chain(rhs, *rows))[3]
+    if _machine(itertools.chain(rhs, *rows)):
         conj = [[v.conjugate() for v in row] for row in rows]
         normal = []
         for i in range(n):
             normal.append([normal[j][i].conjugate() for j in range(i)]
                           + [sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(i, n)])
         b = [sum(c[i] * v for c, v in zip(conj, rhs)) for i in range(n)]
-        return _lu_solve(_lu_factor(normal, eps), b)
+        return _lu_solve(_lu_factor(normal), b)
+    with mp.extraprec(20):
+        width = _block_width()
+        columns = list(zip(*([_block(v) for v in row] for row in rows)))
+        target = [_block(v) for v in rhs]
+        normal = []
+        for i in range(n):
+            normal.append([(re, -im, e) for re, im, e in (normal[j][i] for j in range(i))]
+                          + [_conjugate_dot(columns[i], columns[j], width) for j in range(i, n)])
+        b = [_conjugate_dot(columns[i], target, width) for i in range(n)]
+        return [_to_mpc(v) for v in _block_solve(_block_factor(normal), b)]
 
 
 def pinned_factor(rows: list[list], pin: int):
     """The solver of the square pinned system of the n - 1 rows of an
     n-column Jacobian that `curve_pin` keeps: without the pin column the
-    system is square, and `_lu_factor` factors it once, with 20 guard bits
-    on mpmath.  Returns solve(rhs), the x with x[pin] = 0 and
-    rows . x = rhs, in the scalar type of rows and rhs, whose x[pin] is the
-    zero of the rows' type; every solve reuses the one factorisation.
-    Corrector steps, curve velocities and curve second derivatives all
-    solve this system.  A singular pinned system raises SolveError: there
-    the pinned coordinate does not parametrize the curve."""
+    system is square, and it is factored once, by `_lu_factor` on Python
+    complex rows and by `_block_factor`, with 20 guard bits, on mpmath
+    rows.  Returns solve(rhs), the x with x[pin] = 0 and rows . x = rhs;
+    every solve reuses the one factorisation.  A machine-precision rhs on
+    complex rows is solved in Python complex (`_lu_solve`), and x and its
+    zero at the pin are complex.  Any other rhs is solved in block form
+    (`_block_solve`) and each entry of x rounded to mpmath once: a complex
+    factorisation is then taken into block form exactly, once, with the
+    inverses of its pivots, as for the first corrector step of a traced
+    point.  Corrector steps, curve velocities and curve second derivatives
+    all solve this system.  A singular pinned system raises SolveError:
+    there the pinned coordinate does not parametrize the curve."""
     free = [i for i in range(len(rows[0])) if i != pin]
     if len(rows) != len(free):
         raise ValueError(f"{len(rows)} rows for {len(free)} unpinned columns")
+    machine = _machine(itertools.chain(*rows))
+    factor = blocks = None
     with mp.extraprec(20):
-        eps = _scalar_ops(itertools.chain(*rows))[3]
         try:
-            factor = _lu_factor([[row[i] for i in free] for row in rows], eps)
+            if machine:
+                factor = _lu_factor([[row[i] for i in free] for row in rows])
+            else:
+                blocks = _block_factor([[_block(row[i]) for i in free] for row in rows])
         except ZeroDivisionError as exc:
             raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
-    zero = type(factor[0][0][0])(0)
 
     def solve(rhs: list) -> list:
-        with mp.extraprec(20):
+        nonlocal blocks
+        if factor and _machine(rhs):
             u = _lu_solve(factor, rhs)
-        u.insert(pin, zero)
+            u.insert(pin, 0j)
+            return u
+        with mp.extraprec(20):
+            blocks = blocks or _block_lu(factor)
+            u = [_to_mpc(v) for v in _block_solve(blocks, [_block(v) for v in rhs])]
+        u.insert(pin, mp.mpc(0))
         return u
     return solve
 
@@ -411,8 +608,23 @@ def curve_velocity(rows: list[list], pin: int, solve=None) -> tuple[list, list]:
 
 
 def _residual(rows, z):
+    """The largest residual of the rows at z.  At an mpmath `Point` the rows
+    whose residual is `PolynomialEquation`'s compare their exact |M - 1|^2
+    and one square root is taken, of the largest: rounded square roots are
+    monotone, so it is the largest of their residuals, bit for bit."""
     z = Point(z)
-    return max(e.residual(z) for e in rows)
+    if not z.blocks:
+        return max(e.residual(z) for e in rows)
+    squares, others = [], []
+    for e in rows:
+        if type(e).residual is PolynomialEquation.residual:
+            m = e.monomial
+            squares.append(squared_distance_to_one(m.sign, m.a, m.b, z))
+        else:
+            others.append(e.residual(z))
+    if squares:
+        others.append(_root(*squares[_first_largest(squares)]))
+    return max(others)
 
 
 def _damped_newton(z, residual, step, tol, max_iter):

@@ -71,3 +71,20 @@ def rational_point_sampler(n, seed=0, height=100, guard=1e-6):
 
 def take(gen, k):
     return [next(gen) for _ in range(k)]
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__pow__", "__abs__")
+
+
+def count_mpmath_arithmetic(monkeypatch) -> dict:
+    """From now on, count every call of an mpc or mpf arithmetic operator:
+    the returned dict maps (class name, operator) to its calls so far."""
+    counts = {}
+    for cls in (mp.mpc, mp.mpf):
+        for name in _ARITHMETIC:
+            def counted(*args, _op=getattr(cls, name), _key=(cls.__name__, name)):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _op(*args)
+            monkeypatch.setattr(cls, name, counted)
+    return counts

@@ -33,7 +33,7 @@ from cuspforge.holonomy import (
 from cuspforge.isolation import tau_derivatives
 from cuspforge.solver import completeness_system
 
-from conftest import PRECISION, rational_point_sampler, take
+from conftest import PRECISION, count_mpmath_arithmetic, rational_point_sampler, take
 
 
 def word(n, *pairs):
@@ -576,10 +576,6 @@ def test_block_products_are_as_accurate_as_mpmath_products(bits):
     assert worst_kernel <= worst_naive
 
 
-_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-               "__truediv__", "__rtruediv__", "__pow__", "__abs__")
-
-
 def test_an_mpmath_point_takes_no_mpmath_arithmetic(monkeypatch, link622):
     # term_value, sum_value and the equations' value, gradient and
     # residual work in block form: no mpc or mpf operator runs
@@ -588,13 +584,7 @@ def test_an_mpmath_point_takes_no_mpmath_arithmetic(monkeypatch, link622):
         z = _random_shapes(rng, link622.n_tet, PRECISION)
         eqs = completeness_system(link622, 0)
         sums = _evaluator_sums(link622)
-        counts = {}
-        for cls in (mp.mpc, mp.mpf):
-            for name in _ARITHMETIC:
-                def counted(*args, _op=getattr(cls, name), _key=(cls.__name__, name)):
-                    counts[_key] = counts.get(_key, 0) + 1
-                    return _op(*args)
-                monkeypatch.setattr(cls, name, counted)
+        counts = count_mpmath_arithmetic(monkeypatch)
 
         point = Point(z)
         for s in sums:

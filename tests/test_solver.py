@@ -17,17 +17,22 @@ import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.holonomy import (ShapeAssignment, cusp_parameter, evaluate_cusp_parameter, mu,
+from cuspforge.holonomy import (Point, ShapeAssignment, _aligned, _block_width, _cut, _inverse,
+                                _mul, _to_mpc, cusp_parameter, evaluate_cusp_parameter, mu,
                                 sum_value, term_value)
 from cuspforge.solver import (
     KernelDimensionError,
     PolynomialEquation,
     SolveError,
+    _block,
+    _block_factor,
+    _block_solve,
     _eliminate,
     _gluing_rows,
     _lu_factor,
@@ -45,7 +50,7 @@ from cuspforge.solver import (
     trace_completeness_curve,
 )
 
-from conftest import PRECISION, rational_point_sampler, take
+from conftest import PRECISION, count_mpmath_arithmetic, rational_point_sampler, take
 
 TIGHT = mp.mpf("1e-40")
 
@@ -386,12 +391,11 @@ def _random_system(rng, bits):
     return rows, [scalar() for _ in range(m)]
 
 
-@pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30, None],
-                         ids=["128", "286", "542", "complex"])
+@pytest.mark.parametrize("bits", [None], ids=["complex"])
 def test_least_squares_matches_the_textbook_solve_bit_for_bit(bits):
     # one triangle of N and its conjugate, squared-magnitude pivots and no
     # update of the eliminated column: the same bits as the textbook form,
-    # compared by repr (signed zeros count) and by mpmath's _mpc_
+    # compared by repr (signed zeros count)
     def exact(x):
         return [(repr(v), getattr(v, "_mpc_", None)) for v in x]
 
@@ -400,6 +404,29 @@ def test_least_squares_matches_the_textbook_solve_bit_for_bit(bits):
         for _ in range(60):
             rows, rhs = _random_system(rng, bits)
             assert exact(least_squares(rows, rhs)) == exact(_textbook_least_squares(rows, rhs))
+
+
+@pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30], ids=["128", "286", "542"])
+def test_block_least_squares_is_as_accurate_as_the_textbook_solve(bits):
+    # oracle: the textbook solve at three times the precision.  The block
+    # solve runs at the guarded precision wp = bits + 20 with W = wp + wp // 16
+    # bits; each solution is within 4 * 2^-wp of the oracle's norm, and the
+    # worst of them is no further off than the worst textbook solve at wp
+    # (with W = wp - 16 that fails)
+    rng = random.Random(bits)
+    worst_block = worst_textbook = 0
+    with mp.workprec(bits):
+        for _ in range(60):
+            rows, rhs = _random_system(rng, bits)
+            x, textbook = least_squares(rows, rhs), _textbook_least_squares(rows, rhs)
+            assert all(type(v) is mp.mpc for v in x)
+            with mp.workprec(3 * bits):
+                ref = _textbook_least_squares(rows, rhs)
+                size = _distance(ref, [0] * len(ref))
+                worst_block = max(worst_block, _distance(x, ref) / size)
+                worst_textbook = max(worst_textbook, _distance(textbook, ref) / size)
+    assert worst_block <= 4 * mp.mpf(2) ** -(bits + 20)
+    assert worst_block <= worst_textbook
 
 
 def _augmented_solve(aug, eps, swapped):
@@ -430,22 +457,26 @@ def _augmented_solve(aug, eps, swapped):
     return x
 
 
-@pytest.mark.parametrize("scalar", [mp.mpc, complex], ids=["mpmath", "complex"])
+# a matrix whose small diagonal forces row swaps at several columns, and two
+# right-hand sides (each entry divided by 3 and by 7 in the scalar type)
+_SWAPPING = ([1e-3, 1 + 2j, 2, 0.5j], [5 - 1j, 1e-3, 1j, 2], [1, 7j, 1e-3, 1 - 1j],
+             [2j, 3, 9 + 1j, 1e-3])
+_RIGHT_HAND_SIDES = ([1, 2j, -3, 4 + 1j], [0.5j, -1, 2, 3j])
+
+
+@pytest.mark.parametrize("scalar", [complex], ids=["complex"])
 def test_one_factorisation_solves_as_the_augmented_elimination(scalar):
-    # a matrix whose small diagonal forces row swaps at several columns:
-    # factored once and solved for two right-hand sides, it gives the bits
-    # of two eliminations of the augmented matrix, compared by repr and
-    # by mpmath's _mpc_; a singular matrix still raises
+    # factored once and solved for two right-hand sides, the swapping
+    # matrix gives the bits of two eliminations of the augmented matrix,
+    # compared by repr; a singular matrix still raises
     def exact(x):
         return [(repr(v), getattr(v, "_mpc_", None)) for v in x]
 
     with mp.workprec(PRECISION + 30):
         eps = mp.eps if scalar is mp.mpc else 2.0 ** -52
-        a = [[scalar(v) / 3 for v in row] for row in
-             ([1e-3, 1 + 2j, 2, 0.5j], [5 - 1j, 1e-3, 1j, 2], [1, 7j, 1e-3, 1 - 1j],
-              [2j, 3, 9 + 1j, 1e-3])]
-        rhs = [[scalar(v) / 7 for v in b] for b in ([1, 2j, -3, 4 + 1j], [0.5j, -1, 2, 3j])]
-        factor = _lu_factor([list(row) for row in a], eps)
+        a = [[scalar(v) / 3 for v in row] for row in _SWAPPING]
+        rhs = [[scalar(v) / 7 for v in b] for b in _RIGHT_HAND_SIDES]
+        factor = _lu_factor([list(row) for row in a])
         for b in rhs:
             swapped = []
             reference = _augmented_solve([list(row) + [v] for row, v in zip(a, b)], eps, swapped)
@@ -453,13 +484,159 @@ def test_one_factorisation_solves_as_the_augmented_elimination(scalar):
             assert exact(_lu_solve(factor, b)) == exact(reference)
         singular = [list(row) for row in a[:3]] + [list(a[0])]
         with pytest.raises(ZeroDivisionError):
-            _lu_factor([list(row) for row in singular], eps)
+            _lu_factor([list(row) for row in singular])
         with pytest.raises(ZeroDivisionError):
             _augmented_solve([row + [scalar(1)] for row in singular], eps, [])
         # as the kept rows of a pinned system, pin column 0 prepended
         rows = [[scalar(1)] + row for row in singular]
         with pytest.raises(SolveError, match="not a parameter"):
             pinned_factor(rows, 0)
+
+
+def _value(form) -> Fraction:
+    """The exact rational m 2^e of the pair (m, e)."""
+    m, e = form
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _augmented_block_solve(aug, swapped):
+    """The elimination of the augmented block-form matrix [A | b], written
+    out from the block primitives, with its pivots and its singular test
+    decided on exact rationals, and the columns whose pivot row was swapped
+    in appended to `swapped`: the reference for `_block_factor` +
+    `_block_solve`."""
+    n, width = len(aug), _block_width()
+
+    def minus(x, y):
+        return _cut(*_aligned([x, (-y[0], -y[1], y[2])]), width)
+
+    tol = Fraction(2) ** (1 - mp.prec) * max(
+        sum(_value((abs(row[j][0]) + abs(row[j][1]), row[j][2])) for row in aug)
+        for j in range(n))
+    for col in range(n):
+        squares = [_value((re * re + im * im, 2 * e))
+                   for re, im, e in (row[col] for row in aug[col:])]
+        piv = col + squares.index(max(squares))
+        re, im, e = aug[piv][col]
+        if _value((abs(re) + abs(im), e)) <= tol:
+            raise ZeroDivisionError("numerically singular square system")
+        if piv != col:
+            swapped.append(col)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col]
+        inverse = _inverse(top[col], width)
+        for row in aug[col + 1:]:
+            if row[col][:2] != (0, 0):
+                f = _mul(row[col], inverse, width)
+                for c in range(col + 1, n + 1):
+                    row[c] = minus(row[c], _mul(f, top[c], width))
+    x = [None] * n
+    for i in reversed(range(n)):
+        terms = [aug[i][n]] + [(-re, -im, e) for re, im, e in
+                               (_mul(aug[i][j], x[j], width) for j in range(i + 1, n))]
+        x[i] = _mul(_cut(*_aligned(terms), width), _inverse(aug[i][i], width), width)
+    return x
+
+
+@pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30], ids=["128", "286", "542"])
+def test_one_block_factorisation_solves_as_the_augmented_block_elimination(bits):
+    # the swapping matrix in mpmath, with an exact zero below the diagonal:
+    # factored once in block form and solved for two right-hand sides, it
+    # gives the ints of two block eliminations of the augmented matrix; a
+    # singular matrix still raises, and pinned_factor, which works with 20
+    # guard bits, rounds the guarded elimination's solution once to mpmath
+    def augmented(a, b):
+        return [[_block(v) for v in row] + [_block(w)] for row, w in zip(a, b)]
+
+    with mp.workprec(bits):
+        a = [[mp.mpc(v) / 3 for v in row] for row in _SWAPPING]
+        a[3][1] = 0
+        rhs = [[mp.mpc(v) / 7 for v in b] for b in _RIGHT_HAND_SIDES]
+        factor = _block_factor([[_block(v) for v in row] for row in a])
+        for b in rhs:
+            swapped = []
+            reference = _augmented_block_solve(augmented(a, b), swapped)
+            assert len(swapped) >= 2
+            assert _block_solve(factor, [_block(v) for v in b]) == reference
+            with mp.extraprec(20):
+                guarded = [_to_mpc(v)._mpc_ for v in _augmented_block_solve(augmented(a, b), [])]
+            x = pinned_factor([[mp.mpc(0)] + row for row in a], 0)(b)
+            assert [v._mpc_ for v in x[1:]] == guarded and x[0] == 0
+        singular = [list(row) for row in a[:3]] + [list(a[0])]
+        with pytest.raises(ZeroDivisionError):
+            _block_factor([[_block(v) for v in row] for row in singular])
+        with pytest.raises(ZeroDivisionError):
+            _augmented_block_solve(augmented(singular, [1] * 4), [])
+        with pytest.raises(SolveError, match="not a parameter"):
+            pinned_factor([[mp.mpc(1)] + row for row in singular], 0)
+
+
+def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead, solved):
+    # least squares and the pinned solves at mpmath work in block form, and
+    # so does the first corrector step, an mpmath right-hand side on complex
+    # rows: no mpc or mpf operator runs, singular systems included
+    with mp.workprec(PRECISION + 30):
+        rows, rhs = _polish_system("whitehead", solved)
+        repeated = [row + row[:1] for row in rows]
+        z = list(solved["whitehead"].shapes.z)
+        jacobian = system_jacobian(completeness_system(whitehead, 0), z)
+        pin, _, kept = curve_pin(jacobian, PRECISION)
+        square = [jacobian[i] for i in kept]
+        machine = [[complex(v) for v in row] for row in square]
+        values = [-row[pin] for row in square]
+        counts = count_mpmath_arithmetic(monkeypatch)
+
+        x = least_squares(rows, rhs)
+        dz = pinned_factor(square, pin)(values)
+        mixed = pinned_factor(machine, pin)(values)
+        with pytest.raises(ZeroDivisionError):
+            least_squares(repeated, rhs)
+        with pytest.raises(SolveError, match="not a parameter"):
+            pinned_factor(square[:-1] + square[:1], pin)
+        assert counts == {}
+        assert all(type(v) is mp.mpc for v in (*x, *dz, *mixed))
+        # the complex factorisation solves to machine precision
+        assert max(abs(v - w) for v, w in zip(mixed, dz)) <= 1e-13 * max(map(abs, dz))
+
+
+@pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30], ids=["128", "286", "542"])
+@pytest.mark.parametrize("filled", [False, True], ids=["complete", "filled"])
+def test_residual_roots_only_the_largest_square(monkeypatch, solved, bits, filled):
+    # at mpmath points near the complete structure (2^-10 to 2^-(bits/2)
+    # off) and far from it, the residual over the cleared rows, and the
+    # filling rows of a filled cusp, is the largest row residual bit for
+    # bit, from one square root
+    import cuspforge.holonomy as holonomy
+    from cuspforge.solver import _residual
+
+    sqrt, roots = holonomy.mpf_sqrt, []
+
+    def counted(*args):
+        roots.append(args)
+        return sqrt(*args)
+
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        for name, result in solved.items():
+            tri = cf.load_fixture(name)
+            fillings = [None] * len(tri.cusps)
+            if filled:
+                fillings[-1] = (1, 3)
+            rows = _gluing_rows(tri, fillings)
+            points = [[mp.mpc(v) for v in shapes.z]
+                      for shapes in take(rational_point_sampler(tri.n_tet, seed=bits), 3)]
+            for scale in (10, 40, bits // 2):
+                step = mp.mpf(2) ** -scale
+                points.append([v + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * step
+                               for v in result.shapes.z])
+            for z in points:
+                expected = max(e.residual(Point(z)) for e in rows)
+                with monkeypatch.context() as patch:
+                    patch.setattr(holonomy, "mpf_sqrt", counted)
+                    roots.clear()
+                    got = _residual(rows, z)
+                assert got._mpf_ == expected._mpf_, name
+                assert len(roots) == 1
 
 
 @pytest.mark.parametrize("first_row", [[0, 0j], [0j, 0], [0, 0]],
@@ -917,6 +1094,45 @@ def test_float_stage_is_an_acceleration_only(monkeypatch, trace_starts, default_
     # the float step is tried at every point, and the first corrector step
     # finds no complex Jacobian to factor
     assert len(refused) == 8 * len(traces)
+
+
+def _textbook_pinned_factor(rows, pin):
+    """The pinned solver as the mpmath elimination of the augmented matrix
+    (`_augmented_solve`, mpmath operators at 20 guard bits): the reference
+    for the block-form pinned solves."""
+    free = [i for i in range(len(rows[0])) if i != pin]
+
+    def solve(rhs):
+        with mp.extraprec(20):
+            u = _augmented_solve([[row[i] for i in free] + [v] for row, v in zip(rows, rhs)],
+                                 mp.eps, [])
+        u.insert(pin, mp.mpc(0))
+        return u
+    return solve
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_block_derivatives_match_an_mpmath_elimination(monkeypatch, trace_starts, bits):
+    # oracle: the derivative pass of every fixture cusp with its pinned
+    # solves done by mpmath elimination; dz, d2z and the tangent agree
+    # normwise, and d_tau and d2_tau to 2^-(p+20) (1 + |d|), where the
+    # working precision is p + 30 bits
+    import cuspforge.isolation as isolation
+
+    def derivatives():
+        return [isolation.tau_derivatives(tri, cusp, start.shapes)
+                for tri, start in trace_starts[bits] for cusp in range(len(tri.cusps))]
+
+    block = derivatives()
+    monkeypatch.setattr(isolation, "pinned_factor", _textbook_pinned_factor)
+    tol = mp.mpf(2) ** -(bits + 20)
+    with mp.workprec(bits + 30):
+        for info, ref in zip(block, derivatives()):
+            for key in ("dz", "d2z", "tangent"):
+                size = max(abs(w) for w in ref[key])
+                assert max(abs(v - w) for v, w in zip(info[key], ref[key])) <= tol * size, key
+            for key in ("d_tau", "d2_tau"):
+                assert abs(info[key] - ref[key]) <= tol * (1 + abs(ref[key])), key
 
 
 @pytest.fixture(scope="module")
