@@ -24,17 +24,19 @@ shapes with a degeneracy guard keeping every coordinate away from {0, 1}.
 Every numerical value in the package comes from one evaluator: `term_value`
 computes one signed term and `sum_value` adds up a sum's terms, in the
 scalar type of the point: mpmath at the working precision, or Python
-complex for the solver's machine-precision stages.  Derivatives along a
-direction use the log gradient of a term (`log_gradient`);
-`second_derivative_along` gives the closed-form second derivative of a
-sum along a vector, without building second derivative sums.
+complex for the solver's machine-precision stages.  Derivatives come from
+the log gradient of a term (`log_gradient`): `sum_gradient` gives the
+gradient of a sum as each term times its log gradient, and
+`second_derivative_along` the closed-form second derivative of a sum
+along a vector, so no derivative sum is built.
 
 The evaluator works at a `Point`: the shapes with a memo that computes
 each power z_i^k and (1 - z_i)^k, each log-gradient entry and each
-curvature entry once per point.  A memoised value depends only on the
-shape, the exponent and the precision, never on which evaluation asked
-for it first, and every product keeps its factor order, so every value is
-bit-identical to one computed on a fresh Point.  The solver makes one
+curvature entry once per point, and at an mpmath point each term's
+product.  A memoised value depends only on the shape, the exponent and
+the precision, never on which evaluation asked for it first, and every
+product keeps its factor order, so every value is bit-identical to one
+computed on a fresh Point.  The solver makes one
 Point per trial point and evaluates its residual, then the values and
 Jacobian of the step taken from it, then its tangent, all from that one
 memo; a plain sequence passed to the evaluator becomes a Point for the
@@ -52,10 +54,17 @@ Computer Arithmetic, ch. 3).
   precision when the Point is made.  A power is built from two memoised
   powers; a negative power is the conjugate of the positive one divided
   by its re^2 + im^2.
+- A term's product, with coefficient 1, is formed once per Point
+  (`Point.term_form`).
 - A sum aligns the exponents of its terms and adds them exactly.
-- `term_value` and `sum_value` round the result once, to nearest, at the
-  working precision; `term_distance_to_one`, the residual of a monomial
-  equation, takes one square root of |T - 1|^2 formed exactly.
+- The gradient of a sum (`Point.gradient_forms`) takes one product per
+  term and variable: the term times its log-gradient entry
+  a_i/z_i - b_i/(1 - z_i), formed once per Point from the memoised
+  inverses of z_i and 1 - z_i.  Each entry is the exact sum of those
+  products, cut once to W bits.
+- `term_value`, `sum_value` and `sum_gradient` round each result once,
+  to nearest, at the working precision.  `_quotient_root` takes the one
+  square root of a residual, the root of a quotient of exact squares.
 
 The rounding is normwise: a block-form value is accurate to about 2^-W
 of its modulus per product, and the rounded result to about 2^-wp of its
@@ -65,11 +74,12 @@ itself as mpmath's componentwise rounding is: the imaginary part of a real
 value is noise at about 2^-W times its modulus.  The wp // 16 guard bits
 grow with the precision: without them a long product keeps fewer than wp
 correct bits, and a fixed guard of 20 bits would more than double the
-accuracy of a solve at a few bits.  The log gradients and the
-curvature entries stay mpmath; the solver's linear algebra takes its
-entries into block form again (`solver.least_squares`).  At a Point of
-Python complex, or of mixed mpmath and Python complex shapes, every
-operation is the scalar type's operator.
+accuracy of a solve at a few bits.  The solver takes the block-form
+values and gradients of its cleared equations into its linear algebra as
+they are, unrounded (`solver.PolynomialEquation`); `log_gradient` and
+the curvature entries, for the filling rows and second derivatives, stay
+mpmath.  At a Point of Python complex, or of mixed mpmath and Python
+complex shapes, every operation is the scalar type's operator.
 """
 
 from __future__ import annotations
@@ -168,12 +178,14 @@ class SignedMonomial:
         Splitting the exponents into positive and negative parts writes the
         equation  self = 1  as the polynomial  sign*P_plus - P_minus = 0.
         """
-        n = self.n_vars
-        a_pos = tuple(max(x, 0) for x in self.a)
-        b_pos = tuple(max(x, 0) for x in self.b)
-        a_neg = tuple(max(-x, 0) for x in self.a)
-        b_neg = tuple(max(-x, 0) for x in self.b)
-        return MonomialSum({(a_pos, b_pos): self.sign}) - MonomialSum({(a_neg, b_neg): 1})
+        plus, minus = self.split()
+        return MonomialSum({plus: self.sign}) - MonomialSum({minus: 1})
+
+    def split(self) -> tuple["_Key", "_Key"]:
+        """The exponents (a, b) of P_plus and of P_minus, the positive and
+        negative parts of the monomial's: self = sign * P_plus / P_minus."""
+        return ((tuple(max(x, 0) for x in self.a), tuple(max(x, 0) for x in self.b)),
+                (tuple(max(-x, 0) for x in self.a), tuple(max(-x, 0) for x in self.b)))
 
     def evaluate(self, shapes: "ShapeAssignment") -> mpmath.mpc:
         shapes.require_non_degenerate()
@@ -398,8 +410,11 @@ def _inverse(x, width) -> tuple:
 def _aligned(forms) -> tuple:
     """The exact sum of block forms, as (re, im, e)."""
     e = min(f[2] for f in forms)
-    return (sum(re << (fe - e) for re, _, fe in forms),
-            sum(im << (fe - e) for _, im, fe in forms), e)
+    re = im = 0
+    for a, b, f in forms:
+        re += a << (f - e)
+        im += b << (f - e)
+    return re, im, e
 
 
 def _to_mpc(form):
@@ -423,6 +438,13 @@ def _factor_keys(a: tuple, b: tuple) -> tuple:
     return tuple(keys)
 
 
+@functools.lru_cache(maxsize=4096)
+def _gradient_keys(a: tuple, b: tuple) -> tuple:
+    """The keys (i, a_i, b_i) of the log-gradient entries of
+    prod z_i^{a_i} (1 - z_i)^{b_i} that are not zero, in the order of i."""
+    return tuple((i, ai, bi) for i, (ai, bi) in enumerate(zip(a, b)) if ai or bi)
+
+
 class Point(tuple):
     """The shapes z of one point, with the evaluator's memo there.
 
@@ -431,8 +453,10 @@ class Point(tuple):
     memo dies with it.  When every shape is an mpmath complex, the Point
     holds each shape and each 1 - z_i in block form, exactly, and the
     width W = wp + wp // 16 of its products, wp being the precision at
-    which it is made; `term_form` evaluates on those.  Any other Point
-    (Python complex, or mixed) evaluates with the scalar operators.
+    which it is made; `term_form` evaluates on those, forming each term's
+    product once, and `gradient_forms` takes the gradient of a sum from
+    those products.  Any other Point (Python complex, or mixed) evaluates
+    with the scalar operators.
     """
 
     def __new__(cls, z):
@@ -450,6 +474,8 @@ class Point(tuple):
             # block forms by `_factor_keys` key: (i, k) -> z_i^k, (-1 - i, k) -> (1 - z_i)^k
             point._forms = {(i, 1): f for i, f in enumerate(forms)}
             point._forms.update(((-1 - i, 1), _one_minus(f)) for i, f in enumerate(forms))
+            point._products = {}            # (a, b) -> prod z_i^{a_i} (1 - z_i)^{b_i}
+            point._log_gradient_forms = {}  # (i, a_i, b_i) -> a_i/z_i - b_i/(1 - z_i)
         return point
 
     def _power_form(self, key: tuple) -> tuple:
@@ -468,18 +494,59 @@ class Point(tuple):
             self._forms[key] = value
             return value
 
-    def term_form(self, c: int, a, b) -> tuple:
-        """c * prod z_i^{a_i} (1 - z_i)^{b_i} in block form, the factors
-        taken in the order z_0, 1 - z_0, z_1, ... and c last, exactly."""
-        keys = _factor_keys(tuple(a), tuple(b))
+    def _product(self, keys: tuple) -> tuple:
+        """The product of the powers of `_factor_keys` keys, in their order,
+        each product cut to W bits; 1 when there are no keys."""
         if not keys:
-            return c, 0, 0
+            return 1, 0, 0
         forms, width = self._forms, self._width
         value = forms.get(keys[0]) or self._power_form(keys[0])
         for key in keys[1:]:
             value = _mul(value, forms.get(key) or self._power_form(key), width)
-        re, im, e = value
+        return value
+
+    def term_form(self, c: int, a: tuple, b: tuple) -> tuple:
+        """c * prod z_i^{a_i} (1 - z_i)^{b_i} in block form, for exponent
+        tuples a and b.  The product, with coefficient 1 and the factors in
+        the order z_0, 1 - z_0, z_1, ..., is formed once per Point
+        (`_product`) and memoised; c multiplies it exactly."""
+        try:
+            re, im, e = self._products[a, b]
+        except KeyError:
+            re, im, e = self._products[a, b] = self._product(_factor_keys(a, b))
         return c * re, c * im, e
+
+    def _gradient_form(self, i: int, a: int, b: int) -> tuple:
+        """a/z_i - b/(1 - z_i) in block form, memoised: the exact sum of the
+        memoised inverses of z_i and 1 - z_i times the ints a and b, cut
+        once to W bits."""
+        try:
+            return self._log_gradient_forms[i, a, b]
+        except KeyError:
+            parts = []
+            if a:
+                re, im, e = self._power_form((i, -1))
+                parts.append((a * re, a * im, e))
+            if b:
+                re, im, e = self._power_form((-1 - i, -1))
+                parts.append((-b * re, -b * im, e))
+            value = self._log_gradient_forms[i, a, b] = _cut(*_aligned(parts), self._width)
+            return value
+
+    def gradient_forms(self, terms: dict) -> list:
+        """The gradient of the sum {(a, b): c} in block form.  Entry i is the
+        exact sum over the terms T = c prod z^a (1 - z)^b with a_i or b_i
+        nonzero of T (a_i/z_i - b_i/(1 - z_i)): one product per such term,
+        of T's memoised form (`term_form`) and the memoised log-gradient
+        entry (`_gradient_form`), the sum cut once to W bits.  An entry with
+        no such term is (0, 0, 0)."""
+        width, memo = self._width, self._log_gradient_forms
+        parts = [[] for _ in self]
+        for (a, b), c in terms.items():
+            t = self.term_form(c, a, b)
+            for key in _gradient_keys(a, b):
+                parts[key[0]].append(_mul(t, memo.get(key) or self._gradient_form(*key), width))
+        return [_cut(*_aligned(p), width) if p else (0, 0, 0) for p in parts]
 
     def z_power(self, i: int, k: int):
         """z_i ** k."""
@@ -558,27 +625,36 @@ def sum_value(terms: dict[_Key, int], z):
     return total
 
 
-def term_distance_to_one(c: int, a, b, z):
-    """|T - 1| for the term T = c * prod z_i^{a_i} (1 - z_i)^{b_i}, in the
-    scalar type of z.  On an mpmath `Point`, |T - 1|^2 is formed exactly
-    from T's block form and one square root is taken, rounded to nearest
-    at the working precision: no hypot and no mpmath operator."""
+def sum_gradient(terms: dict[_Key, int], z) -> list:
+    """The gradient of the sum {(a, b): c} at z, in the scalar type of z
+    (see `term_value`): entry i is the sum of T (a_i/z_i - b_i/(1 - z_i))
+    over the terms T = c prod z^a (1 - z)^b, each term's derivative taken
+    from its value and its log gradient.  On an mpmath `Point` each entry
+    is that of `Point.gradient_forms`, rounded once; otherwise T is
+    `term_value`'s, the log-gradient entry is memoised at the `Point` z,
+    and every entry starts from that type's zero."""
     z = Point(z)
-    if not z.blocks:
-        return abs(term_value(c, a, b, z) - 1)
-    return _root(*squared_distance_to_one(c, a, b, z))
+    if z.blocks:
+        return [_to_mpc(v) for v in z.gradient_forms(terms)]
+    gradient = [0 * z[0]] * len(z)
+    for (a, b), c in terms.items():
+        t = term_value(c, a, b, z)
+        for i, ai, bi in _gradient_keys(a, b):
+            gradient[i] += t * z.log_gradient_entry(i, ai, bi)
+    return gradient
 
 
-def squared_distance_to_one(c: int, a, b, z: Point) -> tuple:
-    """|T - 1|^2 for the term T of `term_distance_to_one` at an mpmath
-    `Point` z, exactly, as (m, e) for m 2^e."""
-    re, im, e = _aligned([z.term_form(c, a, b), (-1, 0, 0)])
-    return re * re + im * im, 2 * e
-
-
-def _root(m: int, e: int) -> mpmath.mpf:
-    """sqrt(m 2^e), rounded to nearest at the working precision."""
-    return mp.make_mpf(mpf_sqrt(from_man_exp(m, e), mp.prec, "n"))
+def _quotient_root(x: tuple, y: tuple) -> mpmath.mpf:
+    """sqrt(x / y) for x = (m, e) and y = (n, f), the numbers m 2^e and
+    n 2^f with ints m >= 0 and n > 0, rounded to nearest at the working
+    precision wp.  The quotient is cut to at least 2 wp + 5 bits and its
+    last bit set when the division is inexact; no rounding boundary of the
+    root lies within that cut, so the root is that of the exact quotient,
+    and it grows with the quotient."""
+    (m, e), (n, f) = x, y
+    s = max(0, 2 * mp.prec + 5 + n.bit_length() - m.bit_length())
+    q, r = divmod(m << s, n)
+    return mp.make_mpf(mpf_sqrt(from_man_exp(q | (r > 0), e - f - s), mp.prec, "n"))
 
 
 def log_gradient(a, b, z) -> list:

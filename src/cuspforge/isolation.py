@@ -21,13 +21,15 @@ KernelDimensionError, also near the rank cut) and gives the pin, the kept
 rows and the rank.  It runs at precision p, on the whole Jacobian whose
 kept rows M is made of; the doubled-precision pass reuses the pin and the
 kept rows, evaluates only the kept equations and runs no kernel check.
-The Jacobian rows are exact gradients of the cleared equations; the second
-derivative of every equation and of both tau sums along u' is the closed
-form of `holonomy.second_derivative_along`, computed term by term from log
-gradients.  The Jacobian, the tangent, the second derivatives and the tau
-sums at a point all evaluate from the one memo of its `holonomy.Point`.
-The passes at p and at 2p evaluate the same equations, built once per
-triangulation; each builds the tau pair and its gradient sums.
+The Jacobian rows are the gradients of the cleared equations and the
+gradients of both tau sums come from `holonomy.sum_gradient`, each term
+times its log gradient; the second derivative of every equation and of
+both tau sums along u' is the closed form of
+`holonomy.second_derivative_along`, computed term by term from log
+gradients, so no derivative sum is built.  The Jacobian, the tangent, the
+second derivatives and the tau sums at a point all evaluate from the one
+memo of its `holonomy.Point`.  The passes at p and at 2p evaluate the
+same equations, built once per triangulation; each builds the tau pair.
 
 `isolation_verdict` tests the complete structure it is handed, `start`,
 and works at its precision p.  The 2p structure depends on the manifold
@@ -49,7 +51,8 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import Point, ShapeAssignment, cusp_parameter, second_derivative_along, sum_value
+from .holonomy import (Point, ShapeAssignment, cusp_parameter, second_derivative_along,
+                       sum_gradient, sum_value)
 from .manifold import IdealTriangulation
 from .solver import (
     SolveError,
@@ -147,8 +150,8 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
         d2z = solve([-second_derivative_along(eq.cleared.terms, z, dz) for eq in eqs])
         N = sum_value(num.terms, z)
         D = sum_value(den.terms, z)
-        dN = [sum_value(num.derivative(i).terms, z) for i in range(tri.n_tet)]
-        dD = [sum_value(den.derivative(i).terms, z) for i in range(tri.n_tet)]
+        dN = sum_gradient(num.terms, z)
+        dD = sum_gradient(den.terms, z)
         N1 = sum(a * t for a, t in zip(dN, dz))
         D1 = sum(a * t for a, t in zip(dD, dz))
         # second directional derivatives along the curve:

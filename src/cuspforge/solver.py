@@ -28,15 +28,27 @@ guard bits.  The elimination cuts each product and each updated entry to
 W bits and rounds each entry of the solution to mpmath once.  Its error
 is that of Gaussian elimination with a unit roundoff of about 2^-W
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9),
-normwise, as the block form rounds.  Every trial point of a Newton loop
-is a `holonomy.Point`: its residual, and then the values and Jacobian of
-the step taken from it once it is accepted, are evaluated from the one
-power memo of that point.  A row's residual is |M - 1| for its monomial M;
-at an mpmath point `_residual` compares the exact |M - 1|^2 of the rows
-and takes one square root, of the largest.  The edge rows are
-redundant (their product is identically 1), but the whole system has full
-column rank at the geometric solution (Neumann-Zagier), so no rows are
-dropped and no rank cutoff is needed.  A polish that accepts its start
+normwise, as the block form rounds.
+
+Every trial point of a Newton loop is a `holonomy.Point`, and each step
+is evaluated from the memo of its point.  A cleared row of the monomial
+M = sign T+ / T- is sign T+ - T- = 0, and at an mpmath point the products
+of its two terms are formed once, in block form, for the point's residual;
+the step from an accepted point reuses them.  The row's value is
+sign T+ - T-, exactly, and each Jacobian entry the exact sum of the terms
+times their log-gradient entries, cut once to W bits
+(`holonomy.Point.gradient_forms`).  Both go into the elimination as block
+forms (`PolynomialEquation.row` and `rhs`), never rounded to mpmath;
+`system_jacobian` is the Jacobian rounded once, for the kernel check and
+for callers.  A row's residual is |M - 1| = |sign T+ - T-| / |T-|:
+`_residual` compares the rows' quotients of exact squares by
+cross-multiplication and takes one square root, of the largest.  On
+Python complex the Jacobian is the same formula in the complex operators,
+and the residual that of M's product.
+
+The edge rows are redundant (their product is identically 1), but the
+whole system has full column rank at the geometric solution
+(Neumann-Zagier), so no rows are dropped and no rank cutoff is needed.  A polish that accepts its start
 without moving it factors the normal equations there once, and a
 singular factorisation refuses the start: a root of a rank-deficient
 system is no solve.
@@ -80,12 +92,12 @@ lands about 2^-21 off the curve, so each corrector starts, as the solves
 do, in machine precision (`_float_stage`).  One pinned step on the kept
 rows in Python complex, taken only if it lowers the float residual over
 every row and keeps every shape out of the guard band, reaches about
-2^-43.  The first working-precision step from there solves against
-mpmath values with the complex factorisation of that point's Jacobian,
-taken exactly into block form: from 2^-43 a Jacobian good to 2^-53 reaches
+2^-43.  The first working-precision step from there solves the block-form
+values with the complex factorisation of that point's Jacobian, taken
+exactly into block form: from 2^-43 a Jacobian good to 2^-53 reaches
 the 2^-86 of an exact one.  The later steps factor the mpmath Jacobian, so
 a point costs 3 working-precision factorisations at 256 bits (tangent
-included) and 4 at 512, all in block form.  A float factorisation that
+included) and 4 at 512, all in block form and all of block-form Jacobians.  A float factorisation that
 fails, or a float step that does not help, leaves the mpmath step in its
 place.
 """
@@ -103,9 +115,9 @@ import mpmath
 from mpmath import mp
 
 from .holonomy import (Point, ShapeAssignment, SignedMonomial, _aligned, _block_width, _cut,
-                       _form, _inverse, _mul, _root, _to_mpc, cusp_parameter,
-                       evaluate_cusp_parameter, in_guard_band, log_gradient, mu,
-                       squared_distance_to_one, sum_value, term_distance_to_one, term_value)
+                       _form, _inverse, _mul, _quotient_root, _to_mpc, cusp_parameter,
+                       evaluate_cusp_parameter, in_guard_band, log_gradient, mu, sum_gradient,
+                       sum_value, term_value)
 from .manifold import IdealTriangulation, _is_int
 
 
@@ -127,23 +139,63 @@ FLOAT_TOL = 1e-10
 
 
 class PolynomialEquation:
-    """A monomial equation M = 1 in cleared polynomial form."""
+    """A monomial equation M = 1 in cleared polynomial form: with M =
+    sign T+ / T- for the products T+ and T- of its positive and negative
+    exponents, the row sign T+ - T- = 0.
+
+    `value`, `gradient` and `residual` are in the scalar type of z, mpmath
+    rounded once.  At an mpmath `Point`, `row` and `rhs` give the gradient
+    and the negated value in block form for the solvers, unrounded, and
+    the residual comes from the same two memoised products."""
 
     def __init__(self, monomial: SignedMonomial):
         self.monomial = monomial
         self.cleared = monomial.cleared()
-        self._grads = [self.cleared.derivative(i) for i in range(monomial.n_vars)]
+        self._plus, self._minus = monomial.split()
 
     def value(self, z: list):
         return sum_value(self.cleared.terms, z)
 
     def gradient(self, z: list) -> list:
+        return sum_gradient(self.cleared.terms, z)
+
+    def row(self, z: list) -> list:
+        """The gradient as the solvers take it: at an mpmath `Point` in
+        block form (`Point.gradient_forms`), never rounded; elsewhere
+        `gradient`."""
         z = Point(z)
-        return [sum_value(g.terms, z) for g in self._grads]
+        return z.gradient_forms(self.cleared.terms) if z.blocks else self.gradient(z)
+
+    def rhs(self, z: list):
+        """-value as the solvers take it: at an mpmath `Point` the exact
+        block form of T- - sign T+; elsewhere -value."""
+        z = Point(z)
+        if not z.blocks:
+            return -self.value(z)
+        (re, im, e), _ = self._forms(z)
+        return -re, -im, e
+
+    def _forms(self, z: Point) -> tuple:
+        """(sign T+ - T-, T-) at an mpmath `Point` in block form, exactly,
+        from the Point's memoised products."""
+        c, d, f = minus = z.term_form(1, *self._minus)
+        return _aligned([z.term_form(self.monomial.sign, *self._plus), (-c, -d, f)]), minus
+
+    def _squares(self, z: Point) -> tuple:
+        """(|sign T+ - T-|^2, |T-|^2) at an mpmath `Point`, exactly, as pairs
+        (m, e) for m 2^e: their quotient is |M - 1|^2."""
+        (re, im, e), (a, b, f) = self._forms(z)
+        return (re * re + im * im, 2 * e), (a * a + b * b, 2 * f)
 
     def residual(self, z: list):
+        """|M - 1|: at an mpmath `Point` the root of the quotient of the
+        exact `_squares`, rounded once (`_quotient_root`); elsewhere in the
+        scalar type of z.  For M = 1 it is 0, and for M = -1 it is 2."""
+        z = Point(z)
+        if z.blocks:
+            return _quotient_root(*self._squares(z))
         m = self.monomial
-        return term_distance_to_one(m.sign, m.a, m.b, z)
+        return abs(term_value(m.sign, m.a, m.b, z) - 1)
 
 
 def _machine(values) -> bool:
@@ -201,6 +253,11 @@ class FillingEquation:
 
     def residual(self, z: list):
         return abs(self.value(z))
+
+    row = gradient
+
+    def rhs(self, z: list):
+        return -self.value(z)
 
     def branch_offsets(self, z: list) -> tuple[int, int]:
         return tuple(int(k) for k in self._branches(z)[1])
@@ -374,9 +431,11 @@ def _part(x: float) -> tuple:
 
 def _block(v) -> tuple:
     """The block form (re, im, e) of a matrix or right-hand-side entry,
-    exactly: an int, a Python complex or float, or an mpmath complex.  An
-    infinite or nan entry raises ZeroDivisionError, as a system that cannot
-    be solved."""
+    exactly: a block form itself, an int, a Python complex or float, or an
+    mpmath complex.  An infinite or nan entry raises ZeroDivisionError, as
+    a system that cannot be solved."""
+    if type(v) is tuple:
+        return v
     if isinstance(v, int):
         return v, 0, 0
     if isinstance(v, (complex, float)):
@@ -601,7 +660,8 @@ def curve_velocity(rows: list[list], pin: int, solve=None) -> tuple[list, list]:
     are `rows`, and its unit tangent dz/|dz|, from one pinned solve:
     `solve` when the caller has already factored rows (`pinned_factor`)."""
     solve = solve or pinned_factor(rows, pin)
-    dz = solve([-row[pin] for row in rows])
+    column = [row[pin] for row in rows]
+    dz = solve([(-v[0], -v[1], v[2]) if type(v) is tuple else -v for v in column])
     dz[pin] = mp.mpc(1)
     norm = mp.sqrt(sum(abs(c) ** 2 for c in dz))
     return dz, [c / norm for c in dz]
@@ -609,21 +669,28 @@ def curve_velocity(rows: list[list], pin: int, solve=None) -> tuple[list, list]:
 
 def _residual(rows, z):
     """The largest residual of the rows at z.  At an mpmath `Point` the rows
-    whose residual is `PolynomialEquation`'s compare their exact |M - 1|^2
-    and one square root is taken, of the largest: rounded square roots are
-    monotone, so it is the largest of their residuals, bit for bit."""
+    whose residual is `PolynomialEquation`'s compare the quotients of their
+    exact `_squares` by cross-multiplication, and one square root is taken,
+    of the largest: `_quotient_root` grows with the quotient, so it is the
+    largest of their residuals, bit for bit."""
     z = Point(z)
     if not z.blocks:
         return max(e.residual(z) for e in rows)
-    squares, others = [], []
-    for e in rows:
-        if type(e).residual is PolynomialEquation.residual:
-            m = e.monomial
-            squares.append(squared_distance_to_one(m.sign, m.a, m.b, z))
-        else:
-            others.append(e.residual(z))
-    if squares:
-        others.append(_root(*squares[_first_largest(squares)]))
+    largest, others = None, []
+    for eq in rows:
+        if type(eq).residual is not PolynomialEquation.residual:
+            others.append(eq.residual(z))
+            continue
+        x = eq._squares(z)
+        if largest is None:
+            largest = x
+            continue
+        (m, e), (n, f) = x
+        (m0, e0), (n0, f0) = largest
+        if _exceeds((m * n0, e + f0), (m0 * n, e0 + f)):
+            largest = x
+    if largest is not None:
+        others.append(_quotient_root(*largest))
     return max(others)
 
 
@@ -667,7 +734,7 @@ def _newton(rows, z, tol, max_iter=80):
     scalar type of z (mpmath or Python complex).  Returns (z, iterations,
     residual)."""
     def step(z):
-        return least_squares([e.gradient(z) for e in rows], [-e.value(z) for e in rows])
+        return least_squares([e.row(z) for e in rows], [e.rhs(z) for e in rows])
 
     return _damped_newton(z, lambda z: _residual(rows, z), step, tol, max_iter)
 
@@ -677,7 +744,7 @@ def _regular(rows, z) -> bool:
     least-squares step, which raises ZeroDivisionError when they are
     singular."""
     try:
-        least_squares(system_jacobian(rows, z), [-e.value(z) for e in rows])
+        least_squares([e.row(z) for e in rows], [e.rhs(z) for e in rows])
     except ZeroDivisionError:
         return False
     return True
@@ -950,6 +1017,8 @@ def completeness_system(tri: IdealTriangulation, cusp_index: int):
 
 
 def system_jacobian(eqs, z: list):
+    """The Jacobian of the equations at z, in the scalar type of z: at an
+    mpmath point each entry rounded once (`holonomy.sum_gradient`)."""
     z = Point(z)
     return [e.gradient(z) for e in eqs]
 
@@ -957,7 +1026,11 @@ def system_jacobian(eqs, z: list):
 def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
     """Gaussian elimination with complete pivoting on a complex matrix,
     at the current precision, stopped once the largest remaining entry is
-    at most `cut`.
+    at most `cut`.  The pivot is the first entry, row by row, of largest
+    modulus rounded at the current precision.  It is searched on the exact
+    re^2 + im^2 of the entries' block forms (`_first_largest`): only the
+    entries within 2^(4 - prec) of the largest square, which alone can
+    round as high, take a square root.
 
     Returns (kernel, pivots, rest, kept): one unit-norm kernel vector per
     free column, back-substituted through the triangular factor; the pivot
@@ -970,9 +1043,15 @@ def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
     order, cols = list(range(m)), list(range(n))
     pivots, rest = [], mp.mpf(0)
     for k in range(min(m, n)):
-        i, j = max(((i, j) for i in range(k, m) for j in range(k, n)),
-                   key=lambda ij: abs(a[ij[0]][ij[1]]))
-        top = abs(a[i][j])
+        cells = [(i, j) for i in range(k, m) for j in range(k, n)]
+        squares = [(re * re + im * im, 2 * e)
+                   for re, im, e in (_block(a[i][j]) for i, j in cells)]
+        s, e = squares[_first_largest(squares)]
+        floor = (s << mp.prec) - (s << 4), e - mp.prec
+        near = [cells[c] for c, x in enumerate(squares) if not _exceeds(floor, x)]
+        moduli = [abs(a[i][j]) for i, j in near]
+        top = max(moduli)
+        i, j = near[moduli.index(top)]
         if top <= cut:
             rest = top
             break
@@ -1115,14 +1194,14 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
 
             def step(z):
                 nonlocal rows
-                values = [-e.value(z) for e in square]
+                values = [e.rhs(z) for e in square]
                 if rows is not None:
                     jacobian, rows = rows, None
                     try:
                         return pinned_factor(jacobian, pin)(values)
                     except (ZeroDivisionError, SolveError):
                         pass
-                return pinned_factor(system_jacobian(square, z), pin)(values)
+                return pinned_factor([e.row(z) for e in square], pin)(values)
 
             return _damped_newton(z, lambda z: _residual(eqs, z), step, newton_tol, 40)
 
@@ -1133,7 +1212,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         newton_tol = _newton_tol(precision_bits)
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
         for _ in range(n_points):
-            tangent = curve_velocity(system_jacobian(square, z), pin)[1]
+            tangent = curve_velocity([e.row(z) for e in square], pin)[1]
             while True:
                 z_pred = [zi + h * ti for zi, ti in zip(z, tangent)]
                 z_corr, _, res = corrected(z_pred)

@@ -1,6 +1,7 @@
 """The demos and the README's library sketch run, every public name
 resolves, the benchmark's self-check passes, no module imports a name it
-never uses, and no function of the package takes a parameter it never reads.
+never uses, no function of the package takes a parameter it never reads,
+and every private function of the package is used.
 
 Each demo is a script against the public API; running it here means a
 deleted or renamed name that a demo still uses fails the suite.  The
@@ -115,3 +116,34 @@ def test_no_unused_parameters():
     assert len(paths) > 5
     unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_parameters(p))}
     assert unused == {}
+
+
+def _unreferenced_private_functions(paths) -> list[str]:
+    """The private functions and methods (`_name`, not dunder) defined in
+    `paths` that no code in `paths` names outside their own definition, as
+    "file:line: name".  A name counts where it is loaded or read as an
+    attribute."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    references = [(n.id if isinstance(n, ast.Name) else n.attr, id(n))
+                  for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                  or isinstance(n, ast.Attribute)]
+    unreferenced = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(ref == name and key not in inside for ref, key in references):
+                unreferenced.append(f"{path.name}:{node.lineno}: {name}")
+    return unreferenced
+
+
+def test_no_unreferenced_private_functions():
+    # a private helper that nothing calls is code left behind
+    paths = sorted(ROOT.glob("src/cuspforge/*.py"))
+    assert len(paths) > 5
+    assert _unreferenced_private_functions(paths) == []

@@ -17,13 +17,16 @@ from mpmath import mp
 
 import cuspforge as cf
 from cuspforge import isolation
-from cuspforge.holonomy import ShapeAssignment
+from cuspforge.holonomy import Point, ShapeAssignment, SignedMonomial, _to_mpc
 from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
 from cuspforge.solver import (
     REGULAR_SHAPE,
     KernelDimensionError,
+    PolynomialEquation,
     SolveError,
     SolveResult,
+    _gluing_rows,
+    _residual,
     completeness_system,
     numerical_kernel,
     solve_complete,
@@ -302,6 +305,25 @@ def test_a_rank_zero_curve_is_refused_by_the_kernel_check(tmp_path):
     with pytest.raises(KernelDimensionError) as trace:
         trace_completeness_curve(tri, 0, n_points=1, start=start)
     assert str(trace.value) == str(derivatives.value)
+
+
+def test_constant_rows_keep_their_residual_and_zero_gradient(tmp_path):
+    # every row of the rank-0 file is M = 1, whose cleared sum is 0, and
+    # M = -1 clears to the constant -2: neither has two terms.  Their
+    # residuals are 0 and 2 and their gradients 0, at an mpmath point (as
+    # the solvers take them too) and on Python complex
+    tri = cf.read_triangulation(_rank_zero_file(tmp_path))
+    rows = _gluing_rows(tri, [None] * len(tri.cusps))
+    assert len(rows) == 5 and all(e.monomial.is_one() for e in rows)
+    minus_one = PolynomialEquation(-SignedMonomial.one(1))
+    with mp.workprec(PRECISION + 30):
+        for z in (Point([mp.mpc(REGULAR_SHAPE)]), Point([complex(REGULAR_SHAPE)])):
+            for e, residual in [(e, 0) for e in rows] + [(minus_one, 2)]:
+                assert e.residual(z) == residual and e.value(z) == -residual
+                assert e.gradient(z) == [0]
+                if z.blocks:
+                    assert e.row(z) == [(0, 0, 0)] and _to_mpc(e.rhs(z)) == residual
+            assert _residual(rows, z) == 0 and _residual(rows + [minus_one], z) == 2
 
 
 def test_a_rank_deficient_root_is_not_a_complete_solve(tmp_path):

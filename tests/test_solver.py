@@ -639,6 +639,85 @@ def test_residual_roots_only_the_largest_square(monkeypatch, solved, bits, fille
                 assert len(roots) == 1
 
 
+@pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30, None],
+                         ids=["128", "286", "542", "complex"])
+def test_jacobian_from_term_products_matches_the_derivative_sums(solved, bits):
+    # oracle: the exact derivative sums of each cleared row, evaluated at
+    # the working precision (128 bits for the complex points); the
+    # Jacobian formed from the rows' term products, as the solvers take it
+    # (`row`) and as `gradient` rounds it, agrees to 2^-(wp-8) of the size
+    # of the derivative's terms before cancellation, or 1e-12 of it on
+    # Python complex, at the complete point and at 3 seeded points
+    with mp.workprec(bits or 128):
+        for name, result in solved.items():
+            tri = cf.load_fixture(name)
+            rows = _gluing_rows(tri, [None] * len(tri.cusps))
+            # the completeness rows of every cusp are among the complete rows
+            assert all(e in rows for cusp in range(len(tri.cusps))
+                       for e in completeness_system(tri, cusp))
+            points = [result.shapes] + take(rational_point_sampler(tri.n_tet, seed=17), 3)
+            for shapes in points:
+                z = [mp.mpc(complex(v)) if bits is None else mp.mpc(v) for v in shapes.z]
+                point = Point([complex(v) for v in z] if bits is None else z)
+                exact_at = ShapeAssignment(tuple(z), bits or 128)
+                for e in rows:
+                    row = e.row(point)
+                    views = [e.gradient(point), row if bits is None else [_to_mpc(v) for v in row]]
+                    for i in range(tri.n_tet):
+                        d = e.cleared.derivative(i)
+                        exact = d.evaluate(exact_at)
+                        size = sum(abs(term_value(c, a, b, z)) for (a, b), c in d.terms.items())
+                        tol = 1e-12 * size if bits is None else mp.mpf(2) ** (8 - bits) * size
+                        for view in views:
+                            assert abs(view[i] - exact) <= tol, (name, str(e.monomial), i)
+
+
+def test_a_corrector_step_forms_each_term_product_once(monkeypatch, solved):
+    # at one mpmath Point, the residual and then a Newton step's values and
+    # Jacobian form each distinct cleared-term product once, and no value or
+    # Jacobian entry is rounded to mpmath: only the entries of the step are
+    import cuspforge.holonomy as holonomy
+    import cuspforge.solver as solver
+
+    product, to_mpc = holonomy.Point._product, holonomy._to_mpc
+    products, rounded = [], []
+
+    def counted_product(self, keys):
+        products.append(keys)
+        return product(self, keys)
+
+    def counted_to_mpc(form):
+        rounded.append(form)
+        return to_mpc(form)
+
+    rng = random.Random(41)
+    with mp.workprec(PRECISION + 30):
+        for name, result in solved.items():
+            tri = cf.load_fixture(name)
+            complete = _gluing_rows(tri, [None] * len(tri.cusps))
+            curve = completeness_system(tri, 0)
+            pin, _, kept = curve_pin(system_jacobian(curve, list(result.shapes.z)), PRECISION)
+            for rows in (complete, [curve[i] for i in kept]):
+                z = Point([v + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mp.mpf(2) ** -20
+                           for v in result.shapes.z])
+                with monkeypatch.context() as patch:
+                    patch.setattr(holonomy.Point, "_product", counted_product)
+                    patch.setattr(holonomy, "_to_mpc", counted_to_mpc)
+                    patch.setattr(solver, "_to_mpc", counted_to_mpc)
+                    products.clear()
+                    rounded.clear()
+                    solver._residual(rows, z)
+                    jacobian, values = [e.row(z) for e in rows], [e.rhs(z) for e in rows]
+                    assert rounded == [], name
+                    if rows is complete:
+                        step = least_squares(jacobian, values)
+                    else:
+                        step = pinned_factor(jacobian, pin)(values)
+                distinct = {key for e in rows for key in e.monomial.split()}
+                assert len(products) == len(set(products)) == len(distinct), name
+                assert len(rounded) == len(step) - (rows is not complete), name
+
+
 @pytest.mark.parametrize("first_row", [[0, 0j], [0j, 0], [0, 0]],
                          ids=["int-then-complex", "complex-then-int", "ints"])
 def test_least_squares_machine_roundoff_with_int_entries(first_row):
