@@ -34,11 +34,12 @@ The evaluator works at a `Point`: the shapes with a memo that computes
 each power z_i^k and (1 - z_i)^k, each log-gradient entry and each
 curvature entry once per point, and at an mpmath point each term's
 product.  A memoised value depends only on the shape, the exponent and
-the precision, never on which evaluation asked for it first, and every
-product keeps its factor order, so every value is bit-identical to one
-computed on a fresh Point.  The solver makes one
+the precision the Point is made at, never on which evaluation asked for
+it first, and every product keeps its factor order, so every value is
+bit-identical to one computed on a fresh Point.  The solver makes one
 Point per trial point and evaluates its residual, then the values and
-Jacobian of the step taken from it, then its tangent, all from that one
+Jacobian of the step taken from it, then its tangent and, at a traced
+sample (which keeps its Point), the cusp parameter, all from that one
 memo; a plain sequence passed to the evaluator becomes a Point for the
 length of that call.  No memo outlives its point.
 
@@ -448,9 +449,9 @@ def _gradient_keys(a: tuple, b: tuple) -> tuple:
 class Point(tuple):
     """The shapes z of one point, with the evaluator's memo there.
 
-    `Point(z)` of a Point is that Point.  A Point is made and evaluated at
-    one working precision (or holds Python complex, which has none); the
-    memo dies with it.  When every shape is an mpmath complex, the Point
+    `Point(z)` of a Point is that Point.  A Point is made at one working
+    precision (or holds Python complex, which has none); the memo dies
+    with it.  When every shape is an mpmath complex, the Point
     holds each shape and each 1 - z_i in block form, exactly, and the
     width W = wp + wp // 16 of its products, wp being the precision at
     which it is made; `term_form` evaluates on those, forming each term's

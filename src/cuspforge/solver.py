@@ -57,11 +57,15 @@ A completeness curve (the edge rows and one meridian row: n + 1 rows of
 rank n - 1) is different.  `curve_pin` runs once per curve: complete-pivot
 elimination (`numerical_kernel`) checks that the kernel is one-dimensional
 and gives the rank, the pinned coordinate and n - 1 pivot rows, or raises
-KernelDimensionError near the rank cut.  Every curve direction after that
-solves the kept rows without the pin column, a square system that
-`pinned_factor` factors by `_lu_factor`, the partial-pivoting elimination
-of `least_squares` (on block forms at mpmath); solves that share a
-Jacobian share its factorisation.
+KernelDimensionError near the rank cut.  It takes the block-form step
+of every mpmath factorisation (`_block_step`); a modulus within a relative
+2^-40 of the largest ties with it, and ties go to the first entry row by
+row, so equal moduli (berge's regular tetrahedra) keep the same rows at
+every precision.  Every curve direction after that solves the kept rows
+without the pin column, a square system that `pinned_factor` factors by
+`_lu_factor`, the partial-pivoting elimination of `least_squares` (on
+block forms at mpmath); solves that share a Jacobian share its
+factorisation.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition of the slope (p, q) given to `solve_filled` (a
@@ -380,10 +384,10 @@ def _lu_factor(a: list[list]) -> tuple[list[list], list]:
     A pivot p with |re p| + |im p| at most eps * |A|_1 raises
     ZeroDivisionError, where eps = 2^-52 is the unit roundoff of a float
     and |A|_1 the largest column sum of |re| + |im| over A; both measures
-    lie within a factor sqrt(2) of the modulus they stand for.  Each multiplier is stored in the row it eliminated and
-    moves with that row's swaps, so lu[k] holds the row that ends at
-    position k, and perm[k] its index in A.  `_block_factor` is the same
-    elimination on block forms.
+    lie within a factor sqrt(2) of the modulus they stand for.  Each
+    multiplier is stored in the row it eliminated and moves with that row's
+    swaps, so lu[k] holds the row that ends at position k, and perm[k] its
+    index in A.  `_block_factor` is the same elimination on block forms.
     """
     n = len(a)
     tol = 2.0 ** -52 * max(sum(_size(row[j]) for row in a) for j in range(n))
@@ -487,22 +491,47 @@ def _minus(x: tuple, y: tuple, width: int) -> tuple:
     return _cut(a - c, b - d, e, width)
 
 
+def _square(form: tuple) -> tuple:
+    """re^2 + im^2 of a block form (re, im, e), exactly, as (m, 2 e)."""
+    return form[0] * form[0] + form[1] * form[1], 2 * form[2]
+
+
+def _block_step(a: list[list], col: int, width: int) -> tuple:
+    """One block-form elimination step below the pivot a[col][col], in
+    place; returns the pivot's `_inverse`.  A row's multiplier, its entry
+    times the inverse, is stored in its place, and each later entry becomes
+    `_minus`(entry, multiplier * pivot-row entry), all cut to `width` bits;
+    a zero entry leaves its row as it is."""
+    top = a[col]
+    inverse = _inverse(top[col], width)
+    for row in a[col + 1:]:
+        if not (row[col][0] or row[col][1]):
+            continue
+        f = row[col] = _mul(row[col], inverse, width)
+        for c in range(col + 1, len(top)):
+            row[c] = _minus(row[c], _mul(f, top[c], width), width)
+    return inverse
+
+
+def _back_substitute(u: list[list], inverses: list, y: list, x: list, width: int) -> list:
+    """x[i] = (y[i] - sum_{j > i} u[i][j] x[j]) inverses[i] for i below
+    len(inverses), last first, in block form: the exact sum of products cut
+    to `width` bits, cut once.  The entries of x past them are given."""
+    for i in reversed(range(len(inverses))):
+        terms = [y[i]]
+        for j in range(i + 1, len(x)):
+            re, im, e = _mul(u[i][j], x[j], width)
+            terms.append((-re, -im, e))
+        x[i] = _mul(_cut(*_aligned(terms), width), inverses[i], width)
+    return x
+
+
 def _block_factor(a: list[list]) -> tuple:
     """(lu, perm, inverses, width): `_lu_factor`'s elimination of the
-    square matrix A of block forms, in place, on Python ints, at the width
-    W = wp + wp // 16 of the working precision wp.
-
-    The pivot is the entry of largest re^2 + im^2, and a pivot p with
-    |re p| + |im p| at most eps * |A|_1 raises ZeroDivisionError, both
-    compared exactly; eps is mpmath's unit roundoff 2^(1 - wp) at the
-    working precision wp.  Each multiplier is the entry times the inverse
-    of its pivot (`_inverse`), and each update subtracts the product of a
-    multiplier and a pivot-row entry: products cut to W bits, and the
-    updated entry the exact difference cut once to W bits (`_minus`).  A
-    zero multiplier leaves its row as it is.  lu and perm are laid out as
-    `_lu_factor`'s; inverses[k] is the inverse of the pivot lu[k][k], for
-    back substitution.
-    """
+    square matrix A of block forms, in place, by `_block_step` at the width
+    W = wp + wp // 16 of the working precision wp.  Pivots and the singular
+    test are `_lu_factor`'s, compared exactly, with eps = 2^(1 - wp);
+    inverses[k] is the inverse of the pivot lu[k][k]."""
     n, width = len(a), _block_width()
     sums = [_aligned([(abs(re) + abs(im), 0, e) for re, im, e in column])[::2]
             for column in zip(*a)]
@@ -510,34 +539,20 @@ def _block_factor(a: list[list]) -> tuple:
     tol = norm, e + 1 - mp.prec
     perm, inverses = list(range(n)), []
     for col in range(n):
-        piv = col + _first_largest([(re * re + im * im, 2 * e)
-                                    for re, im, e in (a[k][col] for k in range(col, n))])
+        piv = col + _first_largest([_square(a[k][col]) for k in range(col, n)])
         re, im, e = a[piv][col]
         if not _exceeds((abs(re) + abs(im), e), tol):
             raise ZeroDivisionError("numerically singular square system")
         a[col], a[piv] = a[piv], a[col]
         perm[col], perm[piv] = perm[piv], perm[col]
-        top = a[col]
-        inverse = _inverse(top[col], width)
-        inverses.append(inverse)
-        for k in range(col + 1, n):
-            row = a[k]
-            if not (row[col][0] or row[col][1]):
-                continue
-            f = row[col] = _mul(row[col], inverse, width)
-            for c in range(col + 1, n):
-                row[c] = _minus(row[c], _mul(f, top[c], width), width)
+        inverses.append(_block_step(a, col, width))
     return a, perm, inverses, width
 
 
 def _block_solve(factor: tuple, b: list) -> list:
     """x with A x = b, in block forms, from `_block_factor`'s
-    (lu, perm, inverses, width) of A.  As in `_lu_solve`, forward substitution
-    replays the stored multipliers column by column, so the bits are those
-    of eliminating the augmented matrix [A | b] in block form.  Back
-    substitution forms each y_i - sum_j lu[i][j] x_j as the exact sum of
-    products cut to W = width bits, cuts it once, and multiplies it by the
-    inverse of the pivot."""
+    (lu, perm, inverses, width) of A: as in `_lu_solve`, the bits of
+    eliminating [A | b] by `_block_step`, then `_back_substitute`."""
     lu, perm, inverses, width = factor
     n = len(lu)
     y = [b[i] for i in perm]
@@ -546,15 +561,7 @@ def _block_solve(factor: tuple, b: list) -> list:
             f = lu[k][col]
             if f[0] or f[1]:
                 y[k] = _minus(y[k], _mul(f, y[col], width), width)
-    x = [None] * n
-    for i in reversed(range(n)):
-        re, im, e = y[i]
-        terms = [(re, im, e)]
-        for j in range(i + 1, n):
-            re, im, e = _mul(lu[i][j], x[j], width)
-            terms.append((-re, -im, e))
-        x[i] = _mul(_cut(*_aligned(terms), width), inverses[i], width)
-    return x
+    return _back_substitute(lu, inverses, y, [None] * n, width)
 
 
 def _block_lu(factor: tuple) -> tuple:
@@ -1024,54 +1031,46 @@ def system_jacobian(eqs, z: list):
 
 
 def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
-    """Gaussian elimination with complete pivoting on a complex matrix,
-    at the current precision, stopped once the largest remaining entry is
-    at most `cut`.  The pivot is the first entry, row by row, of largest
-    modulus rounded at the current precision.  It is searched on the exact
-    re^2 + im^2 of the entries' block forms (`_first_largest`): only the
-    entries within 2^(4 - prec) of the largest square, which alone can
-    round as high, take a square root.
+    """Gaussian elimination with complete pivoting on a complex matrix by
+    `_block_step` at the current precision, stopped once the largest
+    remaining entry is at most `cut`.  Pivots are chosen on exact squares:
+    a square within a relative 2^-39 of the largest (a modulus within about
+    2^-40) ties with it, and ties go to the first entry, row by row.
 
     Returns (kernel, pivots, rest, kept): one unit-norm kernel vector per
     free column, back-substituted through the triangular factor; the pivot
     magnitudes in elimination order; the largest remaining entry at the
     stop (0 when no entry remains); and the pivot rows, in their original
-    order.
+    order.  Only the kernel vectors' norms take mpmath arithmetic.
     """
-    a = [list(row) for row in rows]
+    width = _block_width()
+    a = [[_block(v) for v in row] for row in rows]
     m, n = len(a), len(a[0])
+    stop = _square(_block(mp.mpc(cut)))
     order, cols = list(range(m)), list(range(n))
-    pivots, rest = [], mp.mpf(0)
+    pivots, inverses, rest = [], [], mp.mpf(0)
     for k in range(min(m, n)):
         cells = [(i, j) for i in range(k, m) for j in range(k, n)]
-        squares = [(re * re + im * im, 2 * e)
-                   for re, im, e in (_block(a[i][j]) for i, j in cells)]
-        s, e = squares[_first_largest(squares)]
-        floor = (s << mp.prec) - (s << 4), e - mp.prec
-        near = [cells[c] for c, x in enumerate(squares) if not _exceeds(floor, x)]
-        moduli = [abs(a[i][j]) for i, j in near]
-        top = max(moduli)
-        i, j = near[moduli.index(top)]
-        if top <= cut:
-            rest = top
+        squares = [_square(a[i][j]) for i, j in cells]
+        s, e = largest = squares[_first_largest(squares)]
+        if not _exceeds(largest, stop):
+            rest = _quotient_root(largest, (1, 0))
             break
-        pivots.append(top)
+        tie = (s << 39) - s, e - 39
+        c = next(c for c, x in enumerate(squares) if not _exceeds(tie, x))
+        pivots.append(_quotient_root(squares[c], (1, 0)))
+        i, j = cells[c]
         a[k], a[i] = a[i], a[k]
         order[k], order[i] = order[i], order[k]
         for row in a:
             row[k], row[j] = row[j], row[k]
         cols[k], cols[j] = cols[j], cols[k]
-        for r in range(k + 1, m):
-            f = a[r][k] / a[k][k]
-            for c in range(k + 1, n):
-                a[r][c] -= f * a[k][c]
+        inverses.append(_block_step(a, k, width))
     rank = len(pivots)
     kernel = []
     for free in range(rank, n):
-        x = [mp.mpc(0)] * n
-        x[free] = mp.mpc(1)
-        for i in reversed(range(rank)):
-            x[i] = -sum(a[i][j] * x[j] for j in range(i + 1, n)) / a[i][i]
+        x = [(int(j == free), 0, 0) for j in range(n)]
+        x = [_to_mpc(v) for v in _back_substitute(a, inverses, [(0, 0, 0)] * rank, x, width)]
         norm = mp.sqrt(sum(abs(v) ** 2 for v in x))
         vec = [None] * n
         for c, v in zip(cols, x):
@@ -1130,27 +1129,31 @@ def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
 
 def _float_stage(eqs, square, pin: int, z) -> tuple:
     """The machine-precision stage of the curve corrector from the mpmath
-    prediction z: (z, rows).
+    prediction z: (z, solve).
 
     One pinned Newton step on the kept rows `square` is evaluated, factored
     and solved in Python complex.  It is taken only if it lowers the float
     residual over every row of `eqs` and keeps every shape out of the guard
     band; otherwise z is kept.  The step is the exact zero at the pin, so
-    the pinned coordinate keeps its bits.  rows is the complex Jacobian of
-    the kept rows at the returned point, for the first mpmath step, or None
-    when the float factorisation failed.
+    the pinned coordinate keeps its bits.  solve is the `pinned_factor` of
+    the complex Jacobian of the kept rows at the returned point, for the
+    first mpmath step, or None when a float factorisation failed.
     """
     z_float = Point([complex(v) for v in z])
-    rows = system_jacobian(square, z_float)
     try:
-        delta = pinned_factor(rows, pin)([-e.value(z_float) for e in square])
+        solve = pinned_factor(system_jacobian(square, z_float), pin)
+        delta = solve([-e.value(z_float) for e in square])
     except (ZeroDivisionError, SolveError):
         return z, None
     z_next = Point([v + d for v, d in zip(z_float, delta)])
     if (any(in_guard_band(v, GUARD) for v in z_next)
             or _residual(eqs, z_next) >= _residual(eqs, z_float)):
-        return z, rows
-    return [v + d for v, d in zip(z, delta)], system_jacobian(square, z_next)
+        return z, solve
+    try:
+        solve = pinned_factor(system_jacobian(square, z_next), pin)
+    except (ZeroDivisionError, SolveError):
+        solve = None
+    return [v + d for v, d in zip(z, delta)], solve
 
 
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
@@ -1164,14 +1167,14 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
     curve and to choose the pinned coordinate and the kept rows.  Each
     predictor step follows the unit pinned velocity and lands about 2^-21
     off the curve.  `_float_stage` takes it to about 2^-43 by one pinned
-    step in Python complex and hands over the complex Jacobian of the kept
-    rows there.  `_damped_newton` with pinned steps on the kept rows then
-    finishes at the working precision: its first step factors that complex
-    Jacobian against mpmath values (an mpmath Jacobian when the float
-    factorisation fails), every later step is all mpmath, and a point is
-    accepted by its mpmath residual over every row.  The tangent at the
-    corrected point is evaluated in mpmath from the memo its residual
-    filled.
+    step in Python complex and hands over the factorisation of the complex
+    Jacobian of the kept rows there.  `_damped_newton` with pinned steps on
+    the kept rows then finishes at the working precision: its first step
+    solves mpmath values with that factorisation (factoring an mpmath
+    Jacobian when the float factorisation failed), every later step is all
+    mpmath, and a point is accepted by its mpmath residual over every row.
+    The tangent at the corrected point and its cusp parameter are evaluated
+    in mpmath from the memo its residual filled, which its sample keeps.
 
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
@@ -1190,22 +1193,17 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
 
         def corrected(z_pred):
             """(z, iterations, residual) of the corrector from z_pred."""
-            z, rows = _float_stage(eqs, square, pin, z_pred)
+            z, solve = _float_stage(eqs, square, pin, z_pred)
+            # the float stage's factorisation serves the first step alone
+            first = iter([solve])
 
             def step(z):
-                nonlocal rows
-                values = [e.rhs(z) for e in square]
-                if rows is not None:
-                    jacobian, rows = rows, None
-                    try:
-                        return pinned_factor(jacobian, pin)(values)
-                    except (ZeroDivisionError, SolveError):
-                        pass
-                return pinned_factor([e.row(z) for e in square], pin)(values)
+                solve = next(first, None) or pinned_factor([e.row(z) for e in square], pin)
+                return solve([e.rhs(z) for e in square])
 
             return _damped_newton(z, lambda z: _residual(eqs, z), step, newton_tol, 40)
 
-        shapes0 = ShapeAssignment(tuple(z), precision_bits)
+        shapes0 = ShapeAssignment(z, precision_bits)
         samples = [(shapes0, evaluate_cusp_parameter(pair, shapes0))]
         h = mp.mpf(step)
         floor = mp.mpf(1e-8)
@@ -1222,7 +1220,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                 if h < floor:
                     raise SolveError("corrector diverged even at the minimum step")
             z = z_corr
-            shapes = ShapeAssignment(tuple(z), precision_bits)
+            shapes = ShapeAssignment(z, precision_bits)
             if shapes.is_degenerate() or not shapes.is_geometric():
                 raise SolveError("continuation left the geometric region")
             samples.append((shapes, evaluate_cusp_parameter(pair, shapes)))

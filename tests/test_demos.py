@@ -1,7 +1,8 @@
 """The demos and the README's library sketch run, every public name
 resolves, the benchmark's self-check passes, no module imports a name it
 never uses, no function of the package takes a parameter it never reads,
-and every private function of the package is used.
+every private function of the package is used, and every private name
+that the package's strings or the README quote is defined.
 
 Each demo is a script against the public API; running it here means a
 deleted or renamed name that a demo still uses fails the suite.  The
@@ -12,6 +13,7 @@ own test suite runs here too.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -147,3 +149,37 @@ def test_no_unreferenced_private_functions():
     paths = sorted(ROOT.glob("src/cuspforge/*.py"))
     assert len(paths) > 5
     assert _unreferenced_private_functions(paths) == []
+
+
+def _undefined_private_names(paths, texts) -> list[str]:
+    """The backticked names in the string constants of `paths` and in
+    `texts` whose last dotted part starts with one underscore but that no
+    code in `paths` defines, as "source: name".  A function, a class and
+    an assigned name or attribute count as defined."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    defined = set()
+    for n in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            defined.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            defined.add(n.attr)
+    sources = [(path.name, n.value) for path, tree in trees.items() for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    sources += [(path.name, path.read_text()) for path in texts]
+    undefined = set()
+    for source, text in sources:
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", text):
+            last = name.split(".")[-1]
+            if re.match(r"_[^_]", last) and last not in defined:
+                undefined.add(f"{source}: {name}")
+    return sorted(undefined)
+
+
+def test_docs_name_only_defined_private_functions():
+    # a docstring or the README that names a renamed or removed helper
+    # points the reader at nothing; ROADMAP and CHANGES record history
+    paths = sorted(ROOT.glob("src/cuspforge/*.py"))
+    assert len(paths) > 5
+    assert _undefined_private_names(paths, [ROOT / "README.md"]) == []

@@ -574,7 +574,9 @@ def test_one_block_factorisation_solves_as_the_augmented_block_elimination(bits)
 def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead, solved):
     # least squares and the pinned solves at mpmath work in block form, and
     # so does the first corrector step, an mpmath right-hand side on complex
-    # rows: no mpc or mpf operator runs, singular systems included
+    # rows: no mpc or mpf operator runs, singular systems included; nor
+    # does the complete-pivot elimination of a full-rank square, which has
+    # no kernel vector to normalise
     with mp.workprec(PRECISION + 30):
         rows, rhs = _polish_system("whitehead", solved)
         repeated = [row + row[:1] for row in rows]
@@ -584,9 +586,12 @@ def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead,
         square = [jacobian[i] for i in kept]
         machine = [[complex(v) for v in row] for row in square]
         values = [-row[pin] for row in square]
+        full = [[v for i, v in enumerate(row) if i != pin] for row in square]
+        cut = max(abs(v) for row in full for v in row) * mp.mpf(2) ** (-PRECISION // 4)
         counts = count_mpmath_arithmetic(monkeypatch)
 
         x = least_squares(rows, rhs)
+        kernel, pivots, _, _ = _eliminate(full, cut)
         dz = pinned_factor(square, pin)(values)
         mixed = pinned_factor(machine, pin)(values)
         with pytest.raises(ZeroDivisionError):
@@ -594,6 +599,7 @@ def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead,
         with pytest.raises(SolveError, match="not a parameter"):
             pinned_factor(square[:-1] + square[:1], pin)
         assert counts == {}
+        assert kernel == [] and len(pivots) == len(full)
         assert all(type(v) is mp.mpc for v in (*x, *dz, *mixed))
         # the complex factorisation solves to machine precision
         assert max(abs(v - w) for v, w in zip(mixed, dz)) <= 1e-13 * max(map(abs, dz))
@@ -1272,6 +1278,22 @@ def test_curve_pin_keeps_a_square_nonsingular_system(bits, completeness_rows):
             size = max(abs(v) for v in dz)
             for row in rows:
                 assert abs(sum(a * c for a, c in zip(row, dz))) <= mp.mpf(2) ** (20 - bits) * big * size, label
+
+
+def test_curve_pin_decides_each_curve_alike_at_every_precision(trace_starts):
+    # equal moduli (berge's four regular tetrahedra) tie, and ties go to
+    # the first entry: the 512-bit complete structure, rounded to each
+    # precision from 24 bits up, takes one pin, rank and set of kept rows
+    # per curve
+    for tri, start in trace_starts[512]:
+        for cusp in range(len(tri.cusps)):
+            decisions = {}
+            for bits in (24, 32, 48, 64, 96, 128, 256, 512):
+                with mp.workprec(bits + 30):
+                    z = [mp.mpc(v) for v in start.shapes.z]
+                    rows = system_jacobian(completeness_system(tri, cusp), z)
+                    decisions[bits] = curve_pin(rows, bits)
+            assert len(set(decisions.values())) == 1, (tri.name, cusp, decisions)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
