@@ -10,10 +10,21 @@ Expected picture: exactly one of n = +-1 is the hyperbolic filling with an
 Eisenstein-quadratic cusp field (the knot with hidden symmetries); its
 mirror slope collapses to a flat real solution; |n| >= 2 give fields of
 degree 3 and up, killing the rigid-cusp criterion for those knots.
+
+Why fills sample the isolation curve: filling the second cusp leaves the
+first one complete, so every filled structure lies on the curve of
+structures keeping the first cusp complete, the curve along which the
+isolation test differentiates the first cusp's parameter.  That is the
+paper's link between the fillings and the cusp parameter as a rational
+function on that curve.  With s the pinned coordinate's offset from the
+complete structure, tau = tau_0 + d_tau s + d2_tau s^2 / 2 + O(s^3); s
+shrinks like 1/n, so doubling n divides the error of that Taylor
+polynomial by about 8.
 """
 from mpmath import mp
 
 import cuspforge as cf
+from cuspforge.isolation import tau_derivatives
 from cuspforge.numberlab import algdep, classify_field
 from cuspforge.solver import SolveError, solve_complete, solve_filled
 
@@ -42,3 +53,14 @@ for n in range(-5, 6):
 print("\nmeridian filling (1, 0) re-closes the solid torus:")
 result = solve_filled(tri, ["complete", (1, 0)], start=complete)
 print("  degenerate:", result.degenerate, "| notes:", "; ".join(result.notes))
+
+print("\nlarge fillings against the isolation derivatives of the first cusp:")
+info = tau_derivatives(tri, 0, complete.shapes)
+tau0 = cf.evaluate_cusp_parameter(pair, complete.shapes)
+pin = info["pin"]
+for n in (20, 40, -20, -40):
+    result = solve_filled(tri, ["complete", (1, n)], start=complete)
+    s = result.shapes.z[pin] - complete.shapes.z[pin]
+    taylor = tau0 + info["d_tau"] * s + info["d2_tau"] * s ** 2 / 2
+    error = abs(cf.evaluate_cusp_parameter(pair, result.shapes) - taylor)
+    print(f"{n:+d}   |s| = {mp.nstr(abs(s), 3):8s} Taylor error {mp.nstr(error, 3)}")

@@ -31,56 +31,51 @@ gradient of a sum as each term times its log gradient, and
 along a vector, so no derivative sum is built.
 
 The evaluator works at a `Point`: the shapes with a memo that computes
-each power z_i^k and (1 - z_i)^k, each log-gradient entry and each
-curvature entry once per point, and at an mpmath point each term's
-product.  A memoised value depends only on the shape, the exponent and
-the precision the Point is made at, never on which evaluation asked for
-it first, and every product keeps its factor order, so every value is
-bit-identical to one computed on a fresh Point.  The solver makes one
-Point per trial point and evaluates its residual, then the values and
-Jacobian of the step taken from it, then its tangent and, at a traced
-sample (which keeps its Point), the cusp parameter, all from that one
-memo; a plain sequence passed to the evaluator becomes a Point for the
-length of that call.  No memo outlives its point.
+each power z_i^k and (1 - z_i)^k and each log-derivative entry once per
+point, and at an mpmath point each term's product.  A memoised value
+depends only on the shape, the exponent and the precision the Point is
+made at, never on which evaluation asked for it first, and every product
+keeps its factor order, so every value is bit-identical to one computed
+on a fresh Point.  The solver makes one Point per trial point and
+evaluates its residual, then the values and Jacobian of the step taken
+from it, then its tangent and, at a traced sample (which keeps its
+Point), the cusp parameter, all from that one memo; a plain sequence
+passed to the evaluator becomes a Point for the length of that call.  No
+memo outlives its point.
 
-At a Point whose shapes are all mpmath numbers, products, powers and
-sums are not taken in mpmath.  They run in *block form*: a complex value
-is (re + i im) 2^e with Python ints re and im and one exponent e (integer
-mantissas with explicit exponents, as in Brent and Zimmermann, Modern
-Computer Arithmetic, ch. 3).
+At a Point whose shapes are all mpmath numbers, every evaluation, second
+derivatives included, runs in the integer block form of `blockform`, and
+no mpmath operator runs.
 
 - The Point holds each z_i, and 1 - z_i formed from it, exactly.
-- A product is four integer multiplications, cut back to the Point's
-  width W = wp + wp // 16 bits by one floor shift, where wp is the working
-  precision when the Point is made.  A power is built from two memoised
-  powers; a negative power is the conjugate of the positive one divided
-  by its re^2 + im^2.
+- A power is built from two memoised powers and cut to the Point's width
+  W = wp + wp // 16 bits, where wp is the working precision when the
+  Point is made; a negative power is the inverse of the positive one.
 - A term's product, with coefficient 1, is formed once per Point
-  (`Point.term_form`).
-- A sum aligns the exponents of its terms and adds them exactly.
+  (`Point.term_form`).  A sum adds its terms' forms exactly.
+- One memo of log-derivative entries a_i/z_i^k - b_i/(1 - z_i)^k, formed
+  from the memoised inverse powers, serves the log gradient (k = 1) and
+  the curvature entries a_i/z_i^2 + b_i/(1 - z_i)^2 (k = 2, with -b_i).
 - The gradient of a sum (`Point.gradient_forms`) takes one product per
-  term and variable: the term times its log-gradient entry
-  a_i/z_i - b_i/(1 - z_i), formed once per Point from the memoised
-  inverses of z_i and 1 - z_i.  Each entry is the exact sum of those
-  products, cut once to W bits.
-- `term_value`, `sum_value` and `sum_gradient` round each result once,
-  to nearest, at the working precision.  `_quotient_root` takes the one
-  square root of a residual, the root of a quotient of exact squares.
+  term and variable, the term times its log-gradient entry; each entry is
+  the exact sum of those products, cut once to W bits.
+- The second derivative of a sum along v takes, per term T,
+  T ((g . v)^2 - sum_i v_i^2 (a_i/z_i^2 + b_i/(1 - z_i)^2)), both inner
+  sums exact dot products cut once (`blockform.dot`), and adds the terms
+  exactly.
+- `term_value`, `sum_value`, `sum_gradient`, `log_gradient` and
+  `second_derivative_along` round each result once, to nearest, at the
+  working precision.
 
-The rounding is normwise: a block-form value is accurate to about 2^-W
-of its modulus per product, and the rounded result to about 2^-wp of its
-modulus, even where a shape lies within 1e-12 of 0 or 1.  A component much
-smaller than the modulus is accurate only to that bound, not relative to
-itself as mpmath's componentwise rounding is: the imaginary part of a real
-value is noise at about 2^-W times its modulus.  The wp // 16 guard bits
-grow with the precision: without them a long product keeps fewer than wp
-correct bits, and a fixed guard of 20 bits would more than double the
-accuracy of a solve at a few bits.  The solver takes the block-form
-values and gradients of its cleared equations into its linear algebra as
-they are, unrounded (`solver.PolynomialEquation`); `log_gradient` and
-the curvature entries, for the filling rows and second derivatives, stay
-mpmath.  At a Point of Python complex, or of mixed mpmath and Python
-complex shapes, every operation is the scalar type's operator.
+The rounding is normwise (see `blockform`): a value is accurate to about
+2^-wp of its modulus, even where a shape lies within 1e-12 of 0 or 1, and
+a component much smaller than the modulus only to that bound.  The solver
+takes the block-form values and gradients of its cleared equations into
+its linear algebra unrounded (`solver.PolynomialEquation`), as `isolation`
+takes the gradients of the tau sums.  At a Point of Python complex, or of
+mixed mpmath and Python complex shapes, every operation is the scalar
+type's operator, on scalar memos of the powers and log-gradient entries;
+such a Point takes no second derivative.
 """
 
 from __future__ import annotations
@@ -91,7 +86,9 @@ from typing import Iterable, TYPE_CHECKING
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_sqrt
+
+from .blockform import (aligned, block, block_width, cut, dot, form, inverse, minus, mul, one_minus,
+                        to_mpc)
 
 if TYPE_CHECKING:
     from .manifold import CornerRef, CuspCurve, CuspData, IdealTriangulation
@@ -355,76 +352,6 @@ class ShapeAssignment:
         return all(z.imag > 0 for z in self.z)
 
 
-def _form(x) -> tuple:
-    """The block form (re, im, e) of an mpmath complex x, exactly: x is
-    (re + i im) 2^e with Python ints re and im.  None when a part is
-    infinite or nan."""
-    (rs, rm, re_, _), (is_, im, ie, _) = x._mpc_
-    if (not rm and re_) or (not im and ie):
-        return None
-    rm, im = (-rm if rs else rm), (-im if is_ else im)
-    if not rm:
-        return 0, im, ie
-    if not im:
-        return rm, 0, re_
-    e = min(re_, ie)
-    return rm << (re_ - e), im << (ie - e), e
-
-
-def _one_minus(form) -> tuple:
-    """The block form of 1 - x, exactly."""
-    re, im, e = form
-    if e >= 0:
-        return 1 - (re << e), -im << e, 0
-    return (1 << -e) - re, -im, e
-
-
-def _block_width() -> int:
-    """The width W = wp + wp // 16 of block-form values at the working
-    precision wp."""
-    return mp.prec + mp.prec // 16
-
-
-def _cut(re: int, im: int, e: int, width: int) -> tuple:
-    """(re + i im) 2^e in block form, cut to `width` bits by one floor shift."""
-    s = max(re.bit_length(), im.bit_length()) - width
-    if s > 0:
-        return re >> s, im >> s, e + s
-    return re, im, e
-
-
-def _mul(x, y, width) -> tuple:
-    """x y in block form, cut to `width` bits (`_cut`)."""
-    a, b, e = x
-    c, d, f = y
-    return _cut(a * c - b * d, a * d + b * c, e + f, width)
-
-
-def _inverse(x, width) -> tuple:
-    """1/x in block form, to about `width` bits: conj(x) / (re^2 + im^2)."""
-    a, b, e = x
-    norm = a * a + b * b
-    s = width + max(a.bit_length(), b.bit_length())
-    return (a << s) // norm, (-b << s) // norm, -e - s
-
-
-def _aligned(forms) -> tuple:
-    """The exact sum of block forms, as (re, im, e)."""
-    e = min(f[2] for f in forms)
-    re = im = 0
-    for a, b, f in forms:
-        re += a << (f - e)
-        im += b << (f - e)
-    return re, im, e
-
-
-def _to_mpc(form):
-    """The block form rounded once, to nearest, at the working precision."""
-    re, im, e = form
-    prec = mp.prec
-    return mp.make_mpc((from_man_exp(re, e, prec, "n"), from_man_exp(im, e, prec, "n")))
-
-
 @functools.lru_cache(maxsize=4096)
 def _factor_keys(a: tuple, b: tuple) -> tuple:
     """The memo keys of the factors of prod z_i^{a_i} (1 - z_i)^{b_i} at a
@@ -441,9 +368,9 @@ def _factor_keys(a: tuple, b: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=4096)
 def _gradient_keys(a: tuple, b: tuple) -> tuple:
-    """The keys (i, a_i, b_i) of the log-gradient entries of
+    """The memo keys (i, a_i, b_i, 1) of the log-gradient entries of
     prod z_i^{a_i} (1 - z_i)^{b_i} that are not zero, in the order of i."""
-    return tuple((i, ai, bi) for i, (ai, bi) in enumerate(zip(a, b)) if ai or bi)
+    return tuple((i, ai, bi, 1) for i, (ai, bi) in enumerate(zip(a, b)) if ai or bi)
 
 
 class Point(tuple):
@@ -457,26 +384,26 @@ class Point(tuple):
     which it is made; `term_form` evaluates on those, forming each term's
     product once, and `gradient_forms` takes the gradient of a sum from
     those products.  Any other Point (Python complex, or mixed) evaluates
-    with the scalar operators.
+    with the scalar operators, from the memos of `power` and
+    `log_gradient_entry`.
     """
 
     def __new__(cls, z):
         if type(z) is cls:
             return z
         point = super().__new__(cls, z)
-        point._z_powers = {}        # (i, k) -> z_i^k
-        point._w_powers = {}        # (i, k) -> (1 - z_i)^k
-        point._log_gradient = {}    # (i, a_i, b_i) -> a_i/z_i - b_i/(1 - z_i)
-        point._curvature = {}       # (i, a_i, b_i) -> a_i/z_i^2 + b_i/(1 - z_i)^2
-        forms = [_form(v) for v in point] if all(type(v) is mpmath.mpc for v in point) else [None]
+        forms = [form(v) for v in point] if all(type(v) is mpmath.mpc for v in point) else [None]
         point.blocks = None not in forms
         if point.blocks:
-            point._width = _block_width()
+            point._width = block_width()
             # block forms by `_factor_keys` key: (i, k) -> z_i^k, (-1 - i, k) -> (1 - z_i)^k
             point._forms = {(i, 1): f for i, f in enumerate(forms)}
-            point._forms.update(((-1 - i, 1), _one_minus(f)) for i, f in enumerate(forms))
-            point._products = {}            # (a, b) -> prod z_i^{a_i} (1 - z_i)^{b_i}
-            point._log_gradient_forms = {}  # (i, a_i, b_i) -> a_i/z_i - b_i/(1 - z_i)
+            point._forms.update(((-1 - i, 1), one_minus(f)) for i, f in enumerate(forms))
+            point._products = {}              # (a, b) -> prod z_i^{a_i} (1 - z_i)^{b_i}
+            point._log_derivative_forms = {}  # (i, a_i, b_i, k) -> a_i/z_i^k - b_i/(1 - z_i)^k
+        else:
+            point._powers = {}        # `_factor_keys` key -> z_i^k or (1 - z_i)^k
+            point._log_gradient = {}  # (i, a_i, b_i) -> a_i/z_i - b_i/(1 - z_i)
         return point
 
     def _power_form(self, key: tuple) -> tuple:
@@ -488,10 +415,10 @@ class Point(tuple):
         except KeyError:
             i, k = key
             if k < 0:
-                value = _inverse(self._power_form((i, -k)), self._width)
+                value = inverse(self._power_form((i, -k)), self._width)
             else:
-                value = _mul(self._power_form((i, k // 2)),
-                             self._power_form((i, k - k // 2)), self._width)
+                value = mul(self._power_form((i, k // 2)),
+                            self._power_form((i, k - k // 2)), self._width)
             self._forms[key] = value
             return value
 
@@ -503,7 +430,7 @@ class Point(tuple):
         forms, width = self._forms, self._width
         value = forms.get(keys[0]) or self._power_form(keys[0])
         for key in keys[1:]:
-            value = _mul(value, forms.get(key) or self._power_form(key), width)
+            value = mul(value, forms.get(key) or self._power_form(key), width)
         return value
 
     def term_form(self, c: int, a: tuple, b: tuple) -> tuple:
@@ -517,21 +444,23 @@ class Point(tuple):
             re, im, e = self._products[a, b] = self._product(_factor_keys(a, b))
         return c * re, c * im, e
 
-    def _gradient_form(self, i: int, a: int, b: int) -> tuple:
-        """a/z_i - b/(1 - z_i) in block form, memoised: the exact sum of the
-        memoised inverses of z_i and 1 - z_i times the ints a and b, cut
-        once to W bits."""
+    def _log_derivative_form(self, i: int, a: int, b: int, k: int) -> tuple:
+        """a/z_i^k - b/(1 - z_i)^k in block form, memoised: the exact sum of
+        the memoised powers z_i^-k and (1 - z_i)^-k times the ints a and b,
+        cut once to W bits.  With k = 1 it is the log-gradient entry of
+        z^a (1 - z)^b; (i, a, -b, 2) gives its curvature entry
+        a/z_i^2 + b/(1 - z_i)^2."""
         try:
-            return self._log_gradient_forms[i, a, b]
+            return self._log_derivative_forms[i, a, b, k]
         except KeyError:
             parts = []
             if a:
-                re, im, e = self._power_form((i, -1))
+                re, im, e = self._power_form((i, -k))
                 parts.append((a * re, a * im, e))
             if b:
-                re, im, e = self._power_form((-1 - i, -1))
+                re, im, e = self._power_form((-1 - i, -k))
                 parts.append((-b * re, -b * im, e))
-            value = self._log_gradient_forms[i, a, b] = _cut(*_aligned(parts), self._width)
+            value = self._log_derivative_forms[i, a, b, k] = cut(*aligned(parts), self._width)
             return value
 
     def gradient_forms(self, terms: dict) -> list:
@@ -539,50 +468,38 @@ class Point(tuple):
         exact sum over the terms T = c prod z^a (1 - z)^b with a_i or b_i
         nonzero of T (a_i/z_i - b_i/(1 - z_i)): one product per such term,
         of T's memoised form (`term_form`) and the memoised log-gradient
-        entry (`_gradient_form`), the sum cut once to W bits.  An entry with
-        no such term is (0, 0, 0)."""
-        width, memo = self._width, self._log_gradient_forms
+        entry (`_log_derivative_form`), the sum cut once to W bits.  An
+        entry with no such term is (0, 0, 0)."""
+        width, memo = self._width, self._log_derivative_forms
         parts = [[] for _ in self]
         for (a, b), c in terms.items():
             t = self.term_form(c, a, b)
             for key in _gradient_keys(a, b):
-                parts[key[0]].append(_mul(t, memo.get(key) or self._gradient_form(*key), width))
-        return [_cut(*_aligned(p), width) if p else (0, 0, 0) for p in parts]
+                g = memo.get(key) or self._log_derivative_form(*key)
+                parts[key[0]].append(mul(t, g, width))
+        return [cut(*aligned(p), width) for p in parts]
 
-    def z_power(self, i: int, k: int):
-        """z_i ** k."""
+    def power(self, key: tuple):
+        """The power of `_factor_keys` key, memoised: z_i ** k for (i, k),
+        (1 - z_i) ** k for (-1 - i, k).  Python complex or mixed Points
+        only."""
         try:
-            return self._z_powers[i, k]
+            return self._powers[key]
         except KeyError:
-            value = self._z_powers[i, k] = self[i] ** k
-            return value
-
-    def w_power(self, i: int, k: int):
-        """(1 - z_i) ** k."""
-        try:
-            return self._w_powers[i, k]
-        except KeyError:
-            value = self._w_powers[i, k] = (1 - self[i]) ** k
+            i, k = key
+            value = self._powers[key] = (self[i] if i >= 0 else 1 - self[-1 - i]) ** k
             return value
 
     def log_gradient_entry(self, i: int, a: int, b: int):
-        """a/z_i - b/(1 - z_i); a zero exponent costs no division, and the
-        entry is the int 0 when both are zero."""
+        """a/z_i - b/(1 - z_i), memoised; a zero exponent costs no division,
+        and the entry is the int 0 when both are zero.  Python complex or
+        mixed Points only."""
         try:
             return self._log_gradient[i, a, b]
         except KeyError:
             zi = self[i]
             value = self._log_gradient[i, a, b] = \
                 (a / zi if a else 0) - (b / (1 - zi) if b else 0)
-            return value
-
-    def curvature_entry(self, i: int, a: int, b: int):
-        """a/z_i^2 + b/(1 - z_i)^2, from the memoised squares."""
-        try:
-            return self._curvature[i, a, b]
-        except KeyError:
-            value = self._curvature[i, a, b] = \
-                (a / self.z_power(i, 2) if a else 0) + (b / self.w_power(i, 2) if b else 0)
             return value
 
 
@@ -594,18 +511,15 @@ def term_value(c: int, a, b, z):
     once at the working precision; it is accurate normwise, to about
     2^-wp of its modulus (see the module docstring).  Otherwise it starts
     from the integer c, so a term without factors is c itself, and takes
-    the factors in the order z_0, 1 - z_0, z_1, ...; each power comes from
-    the memo of the `Point` z.
+    the factors in the order z_0, 1 - z_0, z_1, ..., each power from the
+    memo of the `Point` z.
     """
     z = Point(z)
     if z.blocks:
-        return _to_mpc(z.term_form(c, a, b))
+        return to_mpc(z.term_form(c, a, b))
     value = c
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        if ai:
-            value *= z.z_power(i, ai)
-        if bi:
-            value *= z.w_power(i, bi)
+    for key in _factor_keys(a, b):
+        value *= z.power(key)
     return value
 
 
@@ -617,9 +531,7 @@ def sum_value(terms: dict[_Key, int], z):
     `Point` z."""
     z = Point(z)
     if z.blocks:
-        if not terms:
-            return mp.mpc(0)
-        return _to_mpc(_aligned([z.term_form(c, a, b) for (a, b), c in terms.items()]))
+        return to_mpc(aligned([z.term_form(c, a, b) for (a, b), c in terms.items()]))
     total = 0 * z[0]
     for (a, b), c in terms.items():
         total += term_value(c, a, b, z)
@@ -636,56 +548,52 @@ def sum_gradient(terms: dict[_Key, int], z) -> list:
     and every entry starts from that type's zero."""
     z = Point(z)
     if z.blocks:
-        return [_to_mpc(v) for v in z.gradient_forms(terms)]
+        return [to_mpc(v) for v in z.gradient_forms(terms)]
     gradient = [0 * z[0]] * len(z)
     for (a, b), c in terms.items():
         t = term_value(c, a, b, z)
-        for i, ai, bi in _gradient_keys(a, b):
+        for i, ai, bi, _ in _gradient_keys(a, b):
             gradient[i] += t * z.log_gradient_entry(i, ai, bi)
     return gradient
 
 
-def _quotient_root(x: tuple, y: tuple) -> mpmath.mpf:
-    """sqrt(x / y) for x = (m, e) and y = (n, f), the numbers m 2^e and
-    n 2^f with ints m >= 0 and n > 0, rounded to nearest at the working
-    precision wp.  The quotient is cut to at least 2 wp + 5 bits and its
-    last bit set when the division is inexact; no rounding boundary of the
-    root lies within that cut, so the root is that of the exact quotient,
-    and it grows with the quotient."""
-    (m, e), (n, f) = x, y
-    s = max(0, 2 * mp.prec + 5 + n.bit_length() - m.bit_length())
-    q, r = divmod(m << s, n)
-    return mp.make_mpf(mpf_sqrt(from_man_exp(q | (r > 0), e - f - s), mp.prec, "n"))
-
-
 def log_gradient(a, b, z) -> list:
-    """Gradient of log(z^a (1-z)^b): entries a_i/z_i - b_i/(1 - z_i).
-
-    Plain arithmetic, so it serves Python complex and mpmath points alike;
-    a zero exponent costs no division, and each entry is memoised at the
-    `Point` z.
-    """
+    """Gradient of log(z^a (1-z)^b): entries a_i/z_i - b_i/(1 - z_i), each
+    memoised at the `Point` z.  On an mpmath Point an entry is the block
+    form `Point._log_derivative_form` rounded once; otherwise it is plain
+    arithmetic in the scalar type of z, a zero exponent costing no
+    division."""
     z = Point(z)
-    return [z.log_gradient_entry(i, ai, bi) for i, (ai, bi) in enumerate(zip(a, b))]
+    keys = zip(range(len(z)), a, b)
+    if z.blocks:
+        return [to_mpc(z._log_derivative_form(*key, 1)) for key in keys]
+    return [z.log_gradient_entry(*key) for key in keys]
 
 
 def second_derivative_along(terms: dict[_Key, int], z, v) -> mpmath.mpc:
-    """v^T (Hessian of the sum) v at z, in closed form.
+    """v^T (Hessian of the sum) v at an mpmath point z, in closed form.
 
     For one term T with log gradient g,
         v^T (Hess T) v = T ((g . v)^2 - sum_i v_i^2 (a_i/z_i^2 + b_i/(1-z_i)^2)).
-    T, g and the curvature entries come from the memo of the `Point` z,
-    which the Jacobian and the sums' values at z share.
+    In block form, from the memo of the `Point` z that the Jacobian and the
+    sums' values at z share: T is `Point.term_form`, and g . v and the
+    curvature sum are exact dot products (`blockform.dot`) of the memoised
+    log-derivative entries with v and with its squares, v taken exactly
+    into block form once.  The terms are summed exactly and the sum is
+    rounded once.
     """
     z = Point(z)
-    squares = [vi * vi for vi in v]
-    total = mp.mpc(0)
+    width = z._width
+    v = [block(x) for x in v]
+    squares = [mul(x, x, width) for x in v]
+    parts = []
     for (a, b), c in terms.items():
-        gv = sum(g * vi for g, vi in zip(log_gradient(a, b, z), v))
-        curvature = sum(s * z.curvature_entry(i, ai, bi)
-                        for i, (ai, bi, s) in enumerate(zip(a, b, squares)))
-        total += term_value(c, a, b, z) * (gv * gv - curvature)
-    return total
+        keys = _gradient_keys(a, b)
+        gv = dot([z._log_derivative_form(*k) for k in keys], [v[k[0]] for k in keys], width)
+        curvature = dot([z._log_derivative_form(i, ai, -bi, 2) for i, ai, bi, _ in keys],
+                        [squares[k[0]] for k in keys], width)
+        parts.append(mul(z.term_form(c, a, b), minus(mul(gv, gv, width), curvature, width), width))
+    return to_mpc(aligned(parts))
 
 
 def mu(tri: "IdealTriangulation", curve: "CuspCurve") -> SignedMonomial:

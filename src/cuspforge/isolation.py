@@ -21,15 +21,20 @@ KernelDimensionError, also near the rank cut) and gives the pin, the kept
 rows and the rank.  It runs at precision p, on the whole Jacobian whose
 kept rows M is made of; the doubled-precision pass reuses the pin and the
 kept rows, evaluates only the kept equations and runs no kernel check.
-The Jacobian rows are the gradients of the cleared equations and the
-gradients of both tau sums come from `holonomy.sum_gradient`, each term
-times its log gradient; the second derivative of every equation and of
+The Jacobian rows are the gradients of the cleared equations, each term
+times its log gradient.  The second derivative of every equation and of
 both tau sums along u' is the closed form of
-`holonomy.second_derivative_along`, computed term by term from log
-gradients, so no derivative sum is built.  The Jacobian, the tangent, the
-second derivatives and the tau sums at a point all evaluate from the one
-memo of its `holonomy.Point`.  The passes at p and at 2p evaluate the
-same equations, built once per triangulation; each builds the tau pair.
+`holonomy.second_derivative_along`, formed per term in block form from
+the term, its log-gradient and curvature entries and exact dot products
+with u' and its squares, the terms summed exactly and rounded once, so no
+derivative sum is built.  The tau sums' gradients stay in block form
+(`holonomy.Point.gradient_forms`): their dot products with u' and with
+u'' are exact (`blockform.dot`) and each is rounded once.  The Jacobian,
+the tangent, the second derivatives and the tau sums at a point all
+evaluate from the one memo of its `holonomy.Point`, and none of them
+takes an mpmath operator; only the quotient rule for tau(l)/tau(m) is
+mpmath.  The passes at p and at 2p evaluate the same equations, built
+once per triangulation; each builds the tau pair.
 
 `isolation_verdict` tests the complete structure it is handed, `start`,
 and works at its precision p.  The 2p structure depends on the manifold
@@ -51,8 +56,8 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import (Point, ShapeAssignment, cusp_parameter, second_derivative_along,
-                       sum_gradient, sum_value)
+from .blockform import block, block_width, dot, to_mpc
+from .holonomy import Point, ShapeAssignment, cusp_parameter, second_derivative_along, sum_value
 from .manifold import IdealTriangulation
 from .solver import (
     SolveError,
@@ -150,13 +155,14 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
         d2z = solve([-second_derivative_along(eq.cleared.terms, z, dz) for eq in eqs])
         N = sum_value(num.terms, z)
         D = sum_value(den.terms, z)
-        dN = sum_gradient(num.terms, z)
-        dD = sum_gradient(den.terms, z)
-        N1 = sum(a * t for a, t in zip(dN, dz))
-        D1 = sum(a * t for a, t in zip(dD, dz))
+        # the tau sums' gradients, in block form, dotted exactly with dz and
+        # with d2z, each dot product rounded once
+        width, steps = block_width(), [[block(v) for v in dz], [block(v) for v in d2z]]
+        dN, dD = z.gradient_forms(num.terms), z.gradient_forms(den.terms)
+        N1, N2, D1, D2 = (to_mpc(dot(g, w, width)) for g in (dN, dD) for w in steps)
         # second directional derivatives along the curve:
-        N2 = second_derivative_along(num.terms, z, dz) + sum(a * t for a, t in zip(dN, d2z))
-        D2 = second_derivative_along(den.terms, z, dz) + sum(a * t for a, t in zip(dD, d2z))
+        N2 += second_derivative_along(num.terms, z, dz)
+        D2 += second_derivative_along(den.terms, z, dz)
         d_tau = (N1 * D - N * D1) / D ** 2
         d2_tau = (N2 * D - N * D2) / D ** 2 - 2 * D1 * (N1 * D - N * D1) / D ** 3
     return {

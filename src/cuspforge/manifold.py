@@ -176,7 +176,7 @@ def validate(tri: IdealTriangulation) -> None:
                         )
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     """An integer of the schema: JSON true and false are not integers."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -188,7 +188,7 @@ def _has_control_character(name: str) -> bool:
 def _parse_corner(obj, where: str) -> CornerRef:
     if not isinstance(obj, dict) or set(obj) != {"tet", "kind"}:
         raise TriangulationError(f"{where}: corner must be an object with keys tet, kind")
-    if not _is_int(obj["tet"]):
+    if not is_int(obj["tet"]):
         raise TriangulationError(f"{where}: corner tet must be an integer")
     return CornerRef(obj["tet"], obj["kind"])
 
@@ -254,7 +254,7 @@ def parse_triangulation(document: str) -> IdealTriangulation:
         raise TriangulationError("document schema: " + ", ".join(detail))
     name = doc["name"]
     n_tet = doc["n_tet"]
-    if not isinstance(name, str) or not _is_int(n_tet) or n_tet <= 0:
+    if not isinstance(name, str) or not is_int(n_tet) or n_tet <= 0:
         raise TriangulationError("name must be a string and n_tet a positive integer")
     if _has_control_character(name):
         raise TriangulationError("name must not contain control characters")

@@ -21,14 +21,12 @@ with partial pivoting on the normal equations, with the upper triangle of
 the Hermitian matrix N = A^H A formed and the lower one its conjugate.  A
 Python complex system is eliminated with the complex operators.  An mpmath
 system runs no mpmath operator: its entries are taken exactly into the
-integer block form of `holonomy`, (re + i im) 2^e with Python-int
+integer block form of `blockform`, (re + i im) 2^e with Python-int
 mantissas, and every entry of N is the exact sum of exact products cut
-once to W = wp + wp // 16 bits, wp being the working precision plus 20
-guard bits.  The elimination cuts each product and each updated entry to
-W bits and rounds each entry of the solution to mpmath once.  Its error
-is that of Gaussian elimination with a unit roundoff of about 2^-W
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9),
-normwise, as the block form rounds.
+once to W = wp + wp // 16 bits (`blockform.dot`), wp being the working
+precision plus 20 guard bits.  The elimination of `blockform` solves, and
+each entry of the solution is rounded to mpmath once; its error is stated
+there.
 
 Every trial point of a Newton loop is a `holonomy.Point`, and each step
 is evaluated from the memo of its point.  A cleared row of the monomial
@@ -58,7 +56,7 @@ rank n - 1) is different.  `curve_pin` runs once per curve: complete-pivot
 elimination (`numerical_kernel`) checks that the kernel is one-dimensional
 and gives the rank, the pinned coordinate and n - 1 pivot rows, or raises
 KernelDimensionError near the rank cut.  It takes the block-form step
-of every mpmath factorisation (`_block_step`); a modulus within a relative
+of every mpmath factorisation (`block_step`); a modulus within a relative
 2^-40 of the largest ties with it, and ties go to the first entry row by
 row, so equal moduli (berge's regular tetrahedra) keep the same rows at
 every precision.  Every curve direction after that solves the kept rows
@@ -118,11 +116,13 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .holonomy import (Point, ShapeAssignment, SignedMonomial, _aligned, _block_width, _cut,
-                       _form, _inverse, _mul, _quotient_root, _to_mpc, cusp_parameter,
+from .blockform import (aligned, back_substitute, block, block_factor, block_lu, block_solve,
+                        block_step, block_width, dot, exceeds, first_largest, quotient_root,
+                        squared, to_mpc)
+from .holonomy import (Point, ShapeAssignment, SignedMonomial, cusp_parameter,
                        evaluate_cusp_parameter, in_guard_band, log_gradient, mu, sum_gradient,
                        sum_value, term_value)
-from .manifold import IdealTriangulation, _is_int
+from .manifold import IdealTriangulation, is_int
 
 
 class SolveError(RuntimeError):
@@ -183,7 +183,7 @@ class PolynomialEquation:
         """(sign T+ - T-, T-) at an mpmath `Point` in block form, exactly,
         from the Point's memoised products."""
         c, d, f = minus = z.term_form(1, *self._minus)
-        return _aligned([z.term_form(self.monomial.sign, *self._plus), (-c, -d, f)]), minus
+        return aligned([z.term_form(self.monomial.sign, *self._plus), (-c, -d, f)]), minus
 
     def _squares(self, z: Point) -> tuple:
         """(|sign T+ - T-|^2, |T-|^2) at an mpmath `Point`, exactly, as pairs
@@ -193,11 +193,11 @@ class PolynomialEquation:
 
     def residual(self, z: list):
         """|M - 1|: at an mpmath `Point` the root of the quotient of the
-        exact `_squares`, rounded once (`_quotient_root`); elsewhere in the
+        exact `_squares`, rounded once (`quotient_root`); elsewhere in the
         scalar type of z.  For M = 1 it is 0, and for M = -1 it is 2."""
         z = Point(z)
         if z.blocks:
-            return _quotient_root(*self._squares(z))
+            return quotient_root(*self._squares(z))
         m = self.monomial
         return abs(term_value(m.sign, m.a, m.b, z) - 1)
 
@@ -309,7 +309,7 @@ def _check_fillings(tri: IdealTriangulation, fillings) -> list:
     for f in fillings:
         if f is None or f == "complete":
             cleaned.append(None)
-        elif (isinstance(f, (tuple, list)) and len(f) == 2 and all(map(_is_int, f))
+        elif (isinstance(f, (tuple, list)) and len(f) == 2 and all(map(is_int, f))
               and math.gcd(*f) == 1):
             cleaned.append(tuple(f))
         else:
@@ -387,7 +387,7 @@ def _lu_factor(a: list[list]) -> tuple[list[list], list]:
     lie within a factor sqrt(2) of the modulus they stand for.  Each
     multiplier is stored in the row it eliminated and moves with that row's
     swaps, so lu[k] holds the row that ends at position k, and perm[k] its
-    index in A.  `_block_factor` is the same elimination on block forms.
+    index in A.  `block_factor` is the same elimination on block forms.
     """
     n = len(a)
     tol = 2.0 ** -52 * max(sum(_size(row[j]) for row in a) for j in range(n))
@@ -427,160 +427,6 @@ def _lu_solve(factor: tuple[list[list], list], b: list) -> list:
     return x
 
 
-def _part(x: float) -> tuple:
-    """A finite float as (m, e) with x = m 2^e exactly."""
-    m, d = x.as_integer_ratio()
-    return m, 1 - d.bit_length()
-
-
-def _block(v) -> tuple:
-    """The block form (re, im, e) of a matrix or right-hand-side entry,
-    exactly: a block form itself, an int, a Python complex or float, or an
-    mpmath complex.  An infinite or nan entry raises ZeroDivisionError, as
-    a system that cannot be solved."""
-    if type(v) is tuple:
-        return v
-    if isinstance(v, int):
-        return v, 0, 0
-    if isinstance(v, (complex, float)):
-        v = complex(v)
-        if not cmath.isfinite(v):
-            raise ZeroDivisionError("non-finite entry")
-        (re, er), (im, ei) = _part(v.real), _part(v.imag)
-        if not im:
-            return re, 0, er
-        if not re:
-            return 0, im, ei
-        e = min(er, ei)
-        return re << (er - e), im << (ei - e), e
-    form = _form(v)
-    if form is None:
-        raise ZeroDivisionError("non-finite entry")
-    return form
-
-
-def _exceeds(x: tuple, y: tuple) -> bool:
-    """Whether m 2^e > n 2^f, exactly, for x = (m, e) and y = (n, f) with
-    ints m, n >= 0."""
-    (m, e), (n, f) = x, y
-    if not (m and n):
-        return m > n
-    if m.bit_length() + e != n.bit_length() + f:
-        return m.bit_length() + e > n.bit_length() + f
-    return m << (e - f) > n if e >= f else m > n << (f - e)
-
-
-def _first_largest(pairs: list) -> int:
-    """The index of the first largest m 2^e among pairs (m, e) with ints
-    m >= 0, compared exactly (`_exceeds`)."""
-    best = 0
-    for i in range(1, len(pairs)):
-        if _exceeds(pairs[i], pairs[best]):
-            best = i
-    return best
-
-
-def _minus(x: tuple, y: tuple, width: int) -> tuple:
-    """x - y in block form: the exact sum, cut once to `width` bits."""
-    a, b, e = x
-    c, d, f = y
-    if e > f:
-        a, b, e = a << (e - f), b << (e - f), f
-    elif f > e:
-        c, d = c << (f - e), d << (f - e)
-    return _cut(a - c, b - d, e, width)
-
-
-def _square(form: tuple) -> tuple:
-    """re^2 + im^2 of a block form (re, im, e), exactly, as (m, 2 e)."""
-    return form[0] * form[0] + form[1] * form[1], 2 * form[2]
-
-
-def _block_step(a: list[list], col: int, width: int) -> tuple:
-    """One block-form elimination step below the pivot a[col][col], in
-    place; returns the pivot's `_inverse`.  A row's multiplier, its entry
-    times the inverse, is stored in its place, and each later entry becomes
-    `_minus`(entry, multiplier * pivot-row entry), all cut to `width` bits;
-    a zero entry leaves its row as it is."""
-    top = a[col]
-    inverse = _inverse(top[col], width)
-    for row in a[col + 1:]:
-        if not (row[col][0] or row[col][1]):
-            continue
-        f = row[col] = _mul(row[col], inverse, width)
-        for c in range(col + 1, len(top)):
-            row[c] = _minus(row[c], _mul(f, top[c], width), width)
-    return inverse
-
-
-def _back_substitute(u: list[list], inverses: list, y: list, x: list, width: int) -> list:
-    """x[i] = (y[i] - sum_{j > i} u[i][j] x[j]) inverses[i] for i below
-    len(inverses), last first, in block form: the exact sum of products cut
-    to `width` bits, cut once.  The entries of x past them are given."""
-    for i in reversed(range(len(inverses))):
-        terms = [y[i]]
-        for j in range(i + 1, len(x)):
-            re, im, e = _mul(u[i][j], x[j], width)
-            terms.append((-re, -im, e))
-        x[i] = _mul(_cut(*_aligned(terms), width), inverses[i], width)
-    return x
-
-
-def _block_factor(a: list[list]) -> tuple:
-    """(lu, perm, inverses, width): `_lu_factor`'s elimination of the
-    square matrix A of block forms, in place, by `_block_step` at the width
-    W = wp + wp // 16 of the working precision wp.  Pivots and the singular
-    test are `_lu_factor`'s, compared exactly, with eps = 2^(1 - wp);
-    inverses[k] is the inverse of the pivot lu[k][k]."""
-    n, width = len(a), _block_width()
-    sums = [_aligned([(abs(re) + abs(im), 0, e) for re, im, e in column])[::2]
-            for column in zip(*a)]
-    norm, e = sums[_first_largest(sums)]
-    tol = norm, e + 1 - mp.prec
-    perm, inverses = list(range(n)), []
-    for col in range(n):
-        piv = col + _first_largest([_square(a[k][col]) for k in range(col, n)])
-        re, im, e = a[piv][col]
-        if not _exceeds((abs(re) + abs(im), e), tol):
-            raise ZeroDivisionError("numerically singular square system")
-        a[col], a[piv] = a[piv], a[col]
-        perm[col], perm[piv] = perm[piv], perm[col]
-        inverses.append(_block_step(a, col, width))
-    return a, perm, inverses, width
-
-
-def _block_solve(factor: tuple, b: list) -> list:
-    """x with A x = b, in block forms, from `_block_factor`'s
-    (lu, perm, inverses, width) of A: as in `_lu_solve`, the bits of
-    eliminating [A | b] by `_block_step`, then `_back_substitute`."""
-    lu, perm, inverses, width = factor
-    n = len(lu)
-    y = [b[i] for i in perm]
-    for col in range(n):
-        for k in range(col + 1, n):
-            f = lu[k][col]
-            if f[0] or f[1]:
-                y[k] = _minus(y[k], _mul(f, y[col], width), width)
-    return _back_substitute(lu, inverses, y, [None] * n, width)
-
-
-def _block_lu(factor: tuple) -> tuple:
-    """The (lu, perm, inverses, width) of `_block_solve` from `_lu_factor`'s
-    Python complex factorisation (lu, perm), its entries taken exactly, at
-    the width of the working precision."""
-    lu, perm = factor
-    forms, width = [[_block(v) for v in row] for row in lu], _block_width()
-    return forms, perm, [_inverse(row[i], width) for i, row in enumerate(forms)], width
-
-
-def _conjugate_dot(x: list, y: list, width: int) -> tuple:
-    """sum_k conj(x_k) y_k over block forms: the exact sum of the exact
-    products, cut once to `width` bits."""
-    terms = [(a * c + b * d, a * d - b * c, e + f)
-             for (a, b, e), (c, d, f) in zip(x, y) if (a or b) and (c or d)]
-    return _cut(*_aligned(terms), width) if terms else (0, 0, 0)
-
-
 def least_squares(rows: list[list], rhs: list) -> list:
     """Least-squares solution x of rows . x = rhs, in the scalar type of
     the system: mpmath at the working precision, or machine precision (the
@@ -595,7 +441,7 @@ def least_squares(rows: list[list], rhs: list) -> list:
     entry is taken exactly into block form, each entry of the upper
     triangle of N and of rows^H rhs is the exact sum of exact products cut
     once to W = wp + wp // 16 bits (wp the guarded precision), the lower
-    triangle is its conjugate, `_block_factor` and `_block_solve` solve,
+    triangle is its conjugate, `block_factor` and `block_solve` solve,
     and each entry of x is rounded to mpmath once; no mpmath operator runs.
     """
     n = len(rows[0])
@@ -608,27 +454,28 @@ def least_squares(rows: list[list], rhs: list) -> list:
         b = [sum(c[i] * v for c, v in zip(conj, rhs)) for i in range(n)]
         return _lu_solve(_lu_factor(normal), b)
     with mp.extraprec(20):
-        width = _block_width()
-        columns = list(zip(*([_block(v) for v in row] for row in rows)))
-        target = [_block(v) for v in rhs]
+        width = block_width()
+        columns = list(zip(*([block(v) for v in row] for row in rows)))
+        conj = [[(re, -im, e) for re, im, e in column] for column in columns]
+        target = [block(v) for v in rhs]
         normal = []
         for i in range(n):
             normal.append([(re, -im, e) for re, im, e in (normal[j][i] for j in range(i))]
-                          + [_conjugate_dot(columns[i], columns[j], width) for j in range(i, n)])
-        b = [_conjugate_dot(columns[i], target, width) for i in range(n)]
-        return [_to_mpc(v) for v in _block_solve(_block_factor(normal), b)]
+                          + [dot(conj[i], columns[j], width) for j in range(i, n)])
+        b = [dot(conj[i], target, width) for i in range(n)]
+        return [to_mpc(v) for v in block_solve(block_factor(normal), b)]
 
 
 def pinned_factor(rows: list[list], pin: int):
     """The solver of the square pinned system of the n - 1 rows of an
     n-column Jacobian that `curve_pin` keeps: without the pin column the
     system is square, and it is factored once, by `_lu_factor` on Python
-    complex rows and by `_block_factor`, with 20 guard bits, on mpmath
+    complex rows and by `block_factor`, with 20 guard bits, on mpmath
     rows.  Returns solve(rhs), the x with x[pin] = 0 and rows . x = rhs;
     every solve reuses the one factorisation.  A machine-precision rhs on
     complex rows is solved in Python complex (`_lu_solve`), and x and its
     zero at the pin are complex.  Any other rhs is solved in block form
-    (`_block_solve`) and each entry of x rounded to mpmath once: a complex
+    (`block_solve`) and each entry of x rounded to mpmath once: a complex
     factorisation is then taken into block form exactly, once, with the
     inverses of its pivots, as for the first corrector step of a traced
     point.  Corrector steps, curve velocities and curve second derivatives
@@ -644,7 +491,7 @@ def pinned_factor(rows: list[list], pin: int):
             if machine:
                 factor = _lu_factor([[row[i] for i in free] for row in rows])
             else:
-                blocks = _block_factor([[_block(row[i]) for i in free] for row in rows])
+                blocks = block_factor([[block(row[i]) for i in free] for row in rows])
         except ZeroDivisionError as exc:
             raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
 
@@ -655,8 +502,8 @@ def pinned_factor(rows: list[list], pin: int):
             u.insert(pin, 0j)
             return u
         with mp.extraprec(20):
-            blocks = blocks or _block_lu(factor)
-            u = [_to_mpc(v) for v in _block_solve(blocks, [_block(v) for v in rhs])]
+            blocks = blocks or block_lu(factor)
+            u = [to_mpc(v) for v in block_solve(blocks, [block(v) for v in rhs])]
         u.insert(pin, mp.mpc(0))
         return u
     return solve
@@ -678,7 +525,7 @@ def _residual(rows, z):
     """The largest residual of the rows at z.  At an mpmath `Point` the rows
     whose residual is `PolynomialEquation`'s compare the quotients of their
     exact `_squares` by cross-multiplication, and one square root is taken,
-    of the largest: `_quotient_root` grows with the quotient, so it is the
+    of the largest: `quotient_root` grows with the quotient, so it is the
     largest of their residuals, bit for bit."""
     z = Point(z)
     if not z.blocks:
@@ -694,10 +541,10 @@ def _residual(rows, z):
             continue
         (m, e), (n, f) = x
         (m0, e0), (n0, f0) = largest
-        if _exceeds((m * n0, e + f0), (m0 * n, e0 + f)):
+        if exceeds((m * n0, e + f0), (m0 * n, e0 + f)):
             largest = x
     if largest is not None:
-        others.append(_quotient_root(*largest))
+        others.append(quotient_root(*largest))
     return max(others)
 
 
@@ -1032,7 +879,7 @@ def system_jacobian(eqs, z: list):
 
 def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
     """Gaussian elimination with complete pivoting on a complex matrix by
-    `_block_step` at the current precision, stopped once the largest
+    `block_step` at the current precision, stopped once the largest
     remaining entry is at most `cut`.  Pivots are chosen on exact squares:
     a square within a relative 2^-39 of the largest (a modulus within about
     2^-40) ties with it, and ties go to the first entry, row by row.
@@ -1043,34 +890,34 @@ def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
     stop (0 when no entry remains); and the pivot rows, in their original
     order.  Only the kernel vectors' norms take mpmath arithmetic.
     """
-    width = _block_width()
-    a = [[_block(v) for v in row] for row in rows]
+    width = block_width()
+    a = [[block(v) for v in row] for row in rows]
     m, n = len(a), len(a[0])
-    stop = _square(_block(mp.mpc(cut)))
+    stop = squared(block(mp.mpc(cut)))
     order, cols = list(range(m)), list(range(n))
     pivots, inverses, rest = [], [], mp.mpf(0)
     for k in range(min(m, n)):
         cells = [(i, j) for i in range(k, m) for j in range(k, n)]
-        squares = [_square(a[i][j]) for i, j in cells]
-        s, e = largest = squares[_first_largest(squares)]
-        if not _exceeds(largest, stop):
-            rest = _quotient_root(largest, (1, 0))
+        squares = [squared(a[i][j]) for i, j in cells]
+        s, e = largest = squares[first_largest(squares)]
+        if not exceeds(largest, stop):
+            rest = quotient_root(largest, (1, 0))
             break
         tie = (s << 39) - s, e - 39
-        c = next(c for c, x in enumerate(squares) if not _exceeds(tie, x))
-        pivots.append(_quotient_root(squares[c], (1, 0)))
+        c = next(c for c, x in enumerate(squares) if not exceeds(tie, x))
+        pivots.append(quotient_root(squares[c], (1, 0)))
         i, j = cells[c]
         a[k], a[i] = a[i], a[k]
         order[k], order[i] = order[i], order[k]
         for row in a:
             row[k], row[j] = row[j], row[k]
         cols[k], cols[j] = cols[j], cols[k]
-        inverses.append(_block_step(a, k, width))
+        inverses.append(block_step(a, k, width))
     rank = len(pivots)
     kernel = []
     for free in range(rank, n):
         x = [(int(j == free), 0, 0) for j in range(n)]
-        x = [_to_mpc(v) for v in _back_substitute(a, inverses, [(0, 0, 0)] * rank, x, width)]
+        x = [to_mpc(v) for v in back_substitute(a, inverses, [(0, 0, 0)] * rank, x, width)]
         norm = mp.sqrt(sum(abs(v) ** 2 for v in x))
         vec = [None] * n
         for c, v in zip(cols, x):

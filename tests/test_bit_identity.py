@@ -86,6 +86,24 @@ residuals, and the imaginary parts of the flat (1, -1) filling's shapes,
 core translation and real cusp shape.  No verdict, field, minimal
 polynomial, iteration count, `restarts_used` or branch offset moved.
 
+The screen digest was re-recorded when the isolation test's last mpmath
+evaluations at a block-form point moved to block form (see
+`cuspforge.blockform`): `holonomy.second_derivative_along` now forms each
+term's contribution from block forms and sums them exactly, rounding
+once, and `isolation.tau_derivatives` dots the tau sums' block-form
+gradients with dz and d2z exactly, rounding each dot product once; they
+were mpmath sums of rounded products.  The twelve trace digests and the
+fill digest kept every bit, though `log_gradient` now rounds a block-form
+entry for the filled polish.  With the new path switched off, the earlier
+screen digest came back bit for bit.  The second derivatives agree with
+a scalar oracle at three times the working precision wp = p + 30 to
+2^-(p+30.3) of their modulus at p = 128, 256 and 512.  In the screen JSON
+10 printed values moved, all of magnitude at most 4.4e-87: round-off of
+exactly vanishing `d_tau` and `d2_tau` components, on both cusps of
+whitehead, both cusps of 622 (`d_tau` only) and berge's c-knotted
+(`d2_tau` only).  No verdict, field, minimal polynomial, isolation
+order, pin or `tangent` entry moved.
+
 A change that moves a digest changes numbers: it has to say which and
 why, and record the new digests; running this file prints the current
 ones.  The screen digest also covers the report format and the version
@@ -120,7 +138,7 @@ TRACE_DIGESTS = {
     ("berge", 512, 1): "9bec59caaf89eb1315f24751c34b6242e5c04319582ab839a7da9c9abc9733de",
 }
 
-SCREEN_DIGEST = "46129191c49f87af61b45ee3e5aa9a3179c9f0f31edb646c70d8ae4da2256d3a"
+SCREEN_DIGEST = "089ee633e6d7d101d5716342cb42d7f2623b8dd1eb48fceb055324f259c64b4e"
 
 FILL_DIGEST = "f2c172434674f5cd4ed7083fedde7a4b612666a767fb896e5629e88e3fa6b7e2"
 

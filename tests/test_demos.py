@@ -1,8 +1,9 @@
 """The demos and the README's library sketch run, every public name
 resolves, the benchmark's self-check passes, no module imports a name it
-never uses, no function of the package takes a parameter it never reads,
-every private function of the package is used, and every private name
-that the package's strings or the README quote is defined.
+never uses, no module of the package imports another's private name, no
+function of the package takes a parameter it never reads, every private
+function of the package is used, and every private name that the
+package's strings or the README quote is defined.
 
 Each demo is a script against the public API; running it here means a
 deleted or renamed name that a demo still uses fails the suite.  The
@@ -91,6 +92,25 @@ def test_no_unused_imports():
     assert len(paths) > 20
     unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _private_imports(path: pathlib.Path) -> list[str]:
+    """The private names (`_name`, not dunder) that `path` imports from a
+    module of the package, as "line: module.name"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cuspforge")):
+            found += [f"{node.lineno}: {node.module}.{alias.name}" for alias in node.names
+                      if re.match(r"_[^_]", alias.name)]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a helper that two modules share is public in one of them
+    paths = sorted(ROOT.glob("src/cuspforge/*.py"))
+    assert len(paths) > 5
+    found = {p.name: names for p in paths if (names := _private_imports(p))}
+    assert found == {}
 
 
 def _unused_parameters(path: pathlib.Path) -> list[str]:

@@ -14,6 +14,7 @@ import sympy as sp
 from mpmath import mp
 
 import cuspforge as cf
+from cuspforge import blockform
 from cuspforge.holonomy import (
     DEGENERACY_GUARD,
     DegenerateShapeError,
@@ -439,16 +440,6 @@ def _naive_log_gradient(a, b, z):
             for zi, ai, bi in zip(z, a, b)]
 
 
-def _naive_second_derivative(terms, z, v):
-    total = mp.mpc(0)
-    for (a, b), c in terms.items():
-        gv = sum(g * vi for g, vi in zip(_naive_log_gradient(a, b, z), v))
-        curvature = sum(vi * vi * ((ai / zi ** 2 if ai else 0) + (bi / (1 - zi) ** 2 if bi else 0))
-                        for zi, ai, bi, vi in zip(z, a, b, v))
-        total += _naive_term(c, a, b, z) * (gv * gv - curvature)
-    return total
-
-
 def _bits(value):
     """The exact bits of a value: the _mpf_ tuples of an mpmath number, the
     repr of a Python complex (so signed zeros count), an int as itself."""
@@ -491,14 +482,15 @@ def _evaluator_sums(tri):
 
 def _evaluate(kind, s, z, v, naive=False) -> list:
     """The values of one evaluation task at z: a sum, its terms with their
-    log gradients, its second derivative along v, or an equation's value,
-    gradient and residual; by the naive products when `naive` is set."""
+    log gradients, its second derivative along v (at mpmath points), or an
+    equation's value, gradient and residual; by the naive products when
+    `naive` is set."""
     if kind == "equation":
         return [s.value(z), *s.gradient(z), s.residual(z)]
     if kind == "sum":
         return [(_naive_sum if naive else sum_value)(s.terms, z)]
     if kind == "second":
-        return [(_naive_second_derivative if naive else second_derivative_along)(s.terms, z, v)]
+        return [second_derivative_along(s.terms, z, v)]
     term, gradient = (_naive_term, _naive_log_gradient) if naive else (term_value, log_gradient)
     return [value for (a, b), c in s.terms.items()
             for value in (term(c, a, b, z), *gradient(a, b, z))]
@@ -511,7 +503,7 @@ def test_memoised_evaluator_is_bit_identical(bits, whitehead, link622, berge):
     # shuffled order, so the memo is filled by one kind of evaluation and
     # read by another; each value must equal, bit for bit, the same
     # evaluation on a fresh Point, and on Python complex also the naive
-    # product of powers
+    # product of powers; second derivatives are taken at mpmath points only
     rng = random.Random(29)
     with mp.workprec(bits or 53):
         for tri in (whitehead, link622, berge):
@@ -528,7 +520,8 @@ def test_memoised_evaluator_is_bit_identical(bits, whitehead, link622, berge):
                 assert Point(point) is point and list(point) == z
                 assert point.blocks is (bits is not None)
 
-                tasks = [(kind, s) for s in sums for kind in ("sum", "terms", "second")]
+                kinds = ("sum", "terms", "second") if bits else ("sum", "terms")
+                tasks = [(kind, s) for s in sums for kind in kinds]
                 tasks += [("equation", eq) for eq in eqs]
                 rng.shuffle(tasks)
                 for kind, s in tasks:
@@ -577,20 +570,28 @@ def test_block_products_are_as_accurate_as_mpmath_products(bits):
 
 
 def test_an_mpmath_point_takes_no_mpmath_arithmetic(monkeypatch, link622):
-    # term_value, sum_value and the equations' value, gradient and
-    # residual work in block form: no mpc or mpf operator runs
+    # term_value, sum_value, log_gradient, the second derivative along a
+    # random direction, the exact dot product of a gradient with it, and
+    # the equations' value, gradient and residual work in block form: no
+    # mpc or mpf operator runs
     rng = random.Random(37)
     with mp.workprec(PRECISION):
         z = _random_shapes(rng, link622.n_tet, PRECISION)
+        v = _random_shapes(rng, link622.n_tet, PRECISION)
         eqs = completeness_system(link622, 0)
         sums = _evaluator_sums(link622)
         counts = count_mpmath_arithmetic(monkeypatch)
 
         point = Point(z)
+        direction = [blockform.block(x) for x in v]
         for s in sums:
             sum_value(s.terms, point)
+            second_derivative_along(s.terms, point, v)
+            blockform.to_mpc(blockform.dot(point.gradient_forms(s.terms), direction,
+                                           blockform.block_width()))
             for (a, b), c in s.terms.items():
                 term_value(c, a, b, point)
+                log_gradient(a, b, point)
         for eq in eqs:
             eq.value(point), eq.gradient(point), eq.residual(point)
         assert counts == {}

@@ -17,7 +17,8 @@ from mpmath import mp
 
 import cuspforge as cf
 from cuspforge import isolation
-from cuspforge.holonomy import Point, ShapeAssignment, SignedMonomial, _to_mpc
+from cuspforge.blockform import to_mpc
+from cuspforge.holonomy import Point, ShapeAssignment, SignedMonomial
 from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
 from cuspforge.solver import (
     REGULAR_SHAPE,
@@ -30,6 +31,7 @@ from cuspforge.solver import (
     completeness_system,
     numerical_kernel,
     solve_complete,
+    solve_filled,
     system_jacobian,
     trace_completeness_curve,
 )
@@ -130,6 +132,51 @@ def test_derivative_continuation_consistency(whitehead, solved):
             precision_bits=PRECISION, start=solved["whitehead"])
         spread = abs(samples[1][1] - samples[0][1])
         assert d_unit * h / 2 < spread < d_unit * h * 2
+
+
+@pytest.mark.parametrize("cusp", [0, 1], ids=["c1", "c2"])
+def test_fills_of_the_other_cusp_follow_the_isolation_taylor_series(whitehead, solved, cusp):
+    # a (1, n) filling of the other cusp keeps this one complete, so it lies
+    # on the curve the isolation test differentiates along: with s the pinned
+    # coordinate's offset from the complete structure, tau = tau_0 +
+    # d_tau s + d2_tau s^2 / 2 + O(s^3).  Halving s (n = 20 -> 40) divides
+    # the error by about 8; a wrong d2_tau leaves an O(s^2) error, divided
+    # by about 4
+    complete = solved["whitehead"]
+    pair = cf.cusp_parameter(whitehead, whitehead.cusps[cusp])
+    info = tau_derivatives(whitehead, cusp, complete.shapes)
+    tau0 = cf.evaluate_cusp_parameter(pair, complete.shapes)
+    pin = info["pin"]
+    for sign in (1, -1):
+        errors = []
+        for n in (20, 40):
+            fillings = ["complete", "complete"]
+            fillings[1 - cusp] = (1, sign * n)
+            filled = solve_filled(whitehead, fillings, start=complete)
+            s = filled.shapes.z[pin] - complete.shapes.z[pin]
+            assert mp.mpf("0.02") < abs(s) < mp.mpf("0.1")
+            tau = cf.evaluate_cusp_parameter(pair, filled.shapes)
+            errors.append(abs(tau - (tau0 + info["d_tau"] * s + info["d2_tau"] * s ** 2 / 2)))
+        assert errors[0] >= 6 * errors[1], (sign, errors)
+
+
+def test_isolate_gives_each_cusp_one_outcome_at_every_precision():
+    # the `isolate` command's path (complete solve, one doubled structure,
+    # a verdict per cusp) at 128, 256 and 512 bits: every cusp of every
+    # fixture keeps its verdict, order and pin
+    outcomes = []
+    for bits in (128, 256, 512):
+        outcome = []
+        for name in ("whitehead", "622", "berge"):
+            tri = cf.load_fixture(name)
+            start = solve_complete(tri, bits)
+            doubled = doubled_structure(tri, start)
+            for cusp in range(len(tri.cusps)):
+                ev = isolation_verdict(tri, cusp, start=start, doubled=doubled)
+                outcome.append((name, ev.cusp, ev.verdict, ev.order, ev.pin_index))
+        outcomes.append(outcome)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert all(outcome[2] == "NotIsolated" for outcome in outcomes[0])
 
 
 def test_basis_covariance_of_verdict(whitehead, link622, solved):
@@ -322,7 +369,7 @@ def test_constant_rows_keep_their_residual_and_zero_gradient(tmp_path):
                 assert e.residual(z) == residual and e.value(z) == -residual
                 assert e.gradient(z) == [0]
                 if z.blocks:
-                    assert e.row(z) == [(0, 0, 0)] and _to_mpc(e.rhs(z)) == residual
+                    assert e.row(z) == [(0, 0, 0)] and to_mpc(e.rhs(z)) == residual
             assert _residual(rows, z) == 0 and _residual(rows + [minus_one], z) == 2
 
 

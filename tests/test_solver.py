@@ -23,16 +23,13 @@ import pytest
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.holonomy import (Point, ShapeAssignment, _aligned, _block_width, _cut, _inverse,
-                                _mul, _to_mpc, cusp_parameter, evaluate_cusp_parameter, mu,
-                                sum_value, term_value)
+from cuspforge import blockform
+from cuspforge.holonomy import (Point, ShapeAssignment, cusp_parameter, evaluate_cusp_parameter,
+                                mu, sum_value, term_value)
 from cuspforge.solver import (
     KernelDimensionError,
     PolynomialEquation,
     SolveError,
-    _block,
-    _block_factor,
-    _block_solve,
     _eliminate,
     _gluing_rows,
     _lu_factor,
@@ -503,12 +500,12 @@ def _augmented_block_solve(aug, swapped):
     """The elimination of the augmented block-form matrix [A | b], written
     out from the block primitives, with its pivots and its singular test
     decided on exact rationals, and the columns whose pivot row was swapped
-    in appended to `swapped`: the reference for `_block_factor` +
-    `_block_solve`."""
-    n, width = len(aug), _block_width()
+    in appended to `swapped`: the reference for `block_factor` +
+    `block_solve`."""
+    n, width = len(aug), blockform.block_width()
 
     def minus(x, y):
-        return _cut(*_aligned([x, (-y[0], -y[1], y[2])]), width)
+        return blockform.cut(*blockform.aligned([x, (-y[0], -y[1], y[2])]), width)
 
     tol = Fraction(2) ** (1 - mp.prec) * max(
         sum(_value((abs(row[j][0]) + abs(row[j][1]), row[j][2])) for row in aug)
@@ -524,17 +521,18 @@ def _augmented_block_solve(aug, swapped):
             swapped.append(col)
         aug[col], aug[piv] = aug[piv], aug[col]
         top = aug[col]
-        inverse = _inverse(top[col], width)
+        inverse = blockform.inverse(top[col], width)
         for row in aug[col + 1:]:
             if row[col][:2] != (0, 0):
-                f = _mul(row[col], inverse, width)
+                f = blockform.mul(row[col], inverse, width)
                 for c in range(col + 1, n + 1):
-                    row[c] = minus(row[c], _mul(f, top[c], width))
+                    row[c] = minus(row[c], blockform.mul(f, top[c], width))
     x = [None] * n
     for i in reversed(range(n)):
         terms = [aug[i][n]] + [(-re, -im, e) for re, im, e in
-                               (_mul(aug[i][j], x[j], width) for j in range(i + 1, n))]
-        x[i] = _mul(_cut(*_aligned(terms), width), _inverse(aug[i][i], width), width)
+                               (blockform.mul(aug[i][j], x[j], width) for j in range(i + 1, n))]
+        total = blockform.cut(*blockform.aligned(terms), width)
+        x[i] = blockform.mul(total, blockform.inverse(aug[i][i], width), width)
     return x
 
 
@@ -546,25 +544,26 @@ def test_one_block_factorisation_solves_as_the_augmented_block_elimination(bits)
     # singular matrix still raises, and pinned_factor, which works with 20
     # guard bits, rounds the guarded elimination's solution once to mpmath
     def augmented(a, b):
-        return [[_block(v) for v in row] + [_block(w)] for row, w in zip(a, b)]
+        return [[blockform.block(v) for v in row] + [blockform.block(w)] for row, w in zip(a, b)]
 
     with mp.workprec(bits):
         a = [[mp.mpc(v) / 3 for v in row] for row in _SWAPPING]
         a[3][1] = 0
         rhs = [[mp.mpc(v) / 7 for v in b] for b in _RIGHT_HAND_SIDES]
-        factor = _block_factor([[_block(v) for v in row] for row in a])
+        factor = blockform.block_factor([[blockform.block(v) for v in row] for row in a])
         for b in rhs:
             swapped = []
             reference = _augmented_block_solve(augmented(a, b), swapped)
             assert len(swapped) >= 2
-            assert _block_solve(factor, [_block(v) for v in b]) == reference
+            assert blockform.block_solve(factor, [blockform.block(v) for v in b]) == reference
             with mp.extraprec(20):
-                guarded = [_to_mpc(v)._mpc_ for v in _augmented_block_solve(augmented(a, b), [])]
+                guarded = [blockform.to_mpc(v)._mpc_
+                           for v in _augmented_block_solve(augmented(a, b), [])]
             x = pinned_factor([[mp.mpc(0)] + row for row in a], 0)(b)
             assert [v._mpc_ for v in x[1:]] == guarded and x[0] == 0
         singular = [list(row) for row in a[:3]] + [list(a[0])]
         with pytest.raises(ZeroDivisionError):
-            _block_factor([[_block(v) for v in row] for row in singular])
+            blockform.block_factor([[blockform.block(v) for v in row] for row in singular])
         with pytest.raises(ZeroDivisionError):
             _augmented_block_solve(augmented(singular, [1] * 4), [])
         with pytest.raises(SolveError, match="not a parameter"):
@@ -612,10 +611,9 @@ def test_residual_roots_only_the_largest_square(monkeypatch, solved, bits, fille
     # off) and far from it, the residual over the cleared rows, and the
     # filling rows of a filled cusp, is the largest row residual bit for
     # bit, from one square root
-    import cuspforge.holonomy as holonomy
     from cuspforge.solver import _residual
 
-    sqrt, roots = holonomy.mpf_sqrt, []
+    sqrt, roots = blockform.mpf_sqrt, []
 
     def counted(*args):
         roots.append(args)
@@ -638,7 +636,7 @@ def test_residual_roots_only_the_largest_square(monkeypatch, solved, bits, fille
             for z in points:
                 expected = max(e.residual(Point(z)) for e in rows)
                 with monkeypatch.context() as patch:
-                    patch.setattr(holonomy, "mpf_sqrt", counted)
+                    patch.setattr(blockform, "mpf_sqrt", counted)
                     roots.clear()
                     got = _residual(rows, z)
                 assert got._mpf_ == expected._mpf_, name
@@ -668,7 +666,8 @@ def test_jacobian_from_term_products_matches_the_derivative_sums(solved, bits):
                 exact_at = ShapeAssignment(tuple(z), bits or 128)
                 for e in rows:
                     row = e.row(point)
-                    views = [e.gradient(point), row if bits is None else [_to_mpc(v) for v in row]]
+                    views = [e.gradient(point),
+                             row if bits is None else [blockform.to_mpc(v) for v in row]]
                     for i in range(tri.n_tet):
                         d = e.cleared.derivative(i)
                         exact = d.evaluate(exact_at)
@@ -685,7 +684,7 @@ def test_a_corrector_step_forms_each_term_product_once(monkeypatch, solved):
     import cuspforge.holonomy as holonomy
     import cuspforge.solver as solver
 
-    product, to_mpc = holonomy.Point._product, holonomy._to_mpc
+    product, to_mpc = holonomy.Point._product, blockform.to_mpc
     products, rounded = [], []
 
     def counted_product(self, keys):
@@ -708,8 +707,8 @@ def test_a_corrector_step_forms_each_term_product_once(monkeypatch, solved):
                            for v in result.shapes.z])
                 with monkeypatch.context() as patch:
                     patch.setattr(holonomy.Point, "_product", counted_product)
-                    patch.setattr(holonomy, "_to_mpc", counted_to_mpc)
-                    patch.setattr(solver, "_to_mpc", counted_to_mpc)
+                    patch.setattr(holonomy, "to_mpc", counted_to_mpc)
+                    patch.setattr(solver, "to_mpc", counted_to_mpc)
                     products.clear()
                     rounded.clear()
                     solver._residual(rows, z)
@@ -1355,7 +1354,10 @@ def test_elimination_alone_decides_every_curve(monkeypatch, solved):
     # no SVD anywhere: from 20 bits up the elimination decides every
     # completeness curve of every fixture with rank n-1, and screen and
     # trace finish; nearer the cut (whitehead at 12 bits, 622 at 16) the
-    # rank decision is refused rather than guessed
+    # rank decision is refused rather than guessed.  The screen's outcomes
+    # hold across precisions: at 128, 256 and 512 bits every report has
+    # the same verdict, and every cusp the same field, minimal polynomial,
+    # isolation verdict, order and pin
     from cuspforge.screen import RIGID_NOT_ISOLATED, ScreenOptions, resolve_input, screen
 
     def refuse(*args, **kwargs):
@@ -1363,11 +1365,16 @@ def test_elimination_alone_decides_every_curve(monkeypatch, solved):
 
     monkeypatch.setattr(mp, "svd_c", refuse)
     names = ["whitehead", "622", "berge"]
+    outcomes = []
     for bits in (128, 256, 512):
         reports = screen([resolve_input(name) for name in names],
                          ScreenOptions(precision_bits=bits))
         assert [r.verdict for r in reports] == [RIGID_NOT_ISOLATED] * 3
         assert all(c.isolation.not_isolated for r in reports for c in r.cusps)
+        outcomes.append([(r.manifold, r.verdict, [
+            (c.name, c.field.to_jsonable(), c.minpoly.coefficients, c.isolation.verdict,
+             c.isolation.order, c.isolation.pin_index) for c in r.cusps]) for r in reports])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     for name in names:
         tri = cf.load_fixture(name)
         start = solve_complete(tri, 512, initial=solved[name].shapes)
