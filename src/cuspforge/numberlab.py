@@ -23,9 +23,19 @@ factors in full only what the first two leave:
    irreducible.  The degrees modulo p come from distinct-degree
    factorisation (Cohen, Alg. 3.4.3);
 3. the remaining cofactors are divided again once every row has passed
-   step 1, and only what is still unsettled goes to `sympy.factor_list`.
+   step 1.  Two that are still open meet in their integer gcd, which is
+   tested like a row: rows that are all m times a small cofactor give m
+   this way.  Only what is still unsettled goes to `sympy.factor_list`,
+   the one place sympy is imported at run time.
 
 Every row thus gives exactly the factors `sympy.factor_list` would give.
+Given the point x and the residual bound 2^t, as `algdep` gives them,
+each step first drops a cofactor g that no factor F with |F(x)| < 2^t can
+divide.  For g = F G the Landau-Mignotte bound (Mignotte, Math. Comp.
+1974) gives |G|_1 <= 2^deg g |g|_2, so such an F forces
+|g(x)| < 2^t 2^deg g |g|_2 max(1, |x|)^deg g.  |g(x)| is taken in floats,
+with an allowance of |g|_1 max(1, |x|)^deg g 2^-40 for their rounding, so
+a dropped cofactor beats the bound by more than any rounding can explain.
 
 The reduction is `lll`, the integral LLL of Cohen (A Course in
 Computational Algebraic Number Theory, Alg. 2.6.7) with delta = 3/4.  It
@@ -47,11 +57,11 @@ field, -3 for the Eisenstein one) and everything else.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import mpmath
-import sympy
 from mpmath import mp
 
 GAUSSIAN = "GaussianRational"            # Q(i)
@@ -85,15 +95,22 @@ class MinPoly:
             total = total * x + c
         return total
 
-    def as_expr(self):
-        X = sympy.Symbol("x")
-        return sum(c * X ** i for i, c in enumerate(self.coefficients))
-
     def to_jsonable(self) -> list[int]:
         return list(self.coefficients)
 
     def __str__(self) -> str:
-        return str(self.as_expr())
+        """The polynomial in x as sympy prints it: highest power first, except
+        that a positive constant goes before a single negative term."""
+        terms = [(i, c) for i, c in enumerate(self.coefficients) if c][::-1]
+        if len(terms) == 2 and terms[1][0] == 0 and terms[1][1] > 0 > terms[0][1]:
+            terms.reverse()
+        out = ""
+        for i, c in terms:
+            power = "x" if i == 1 else f"x**{i}"
+            body = str(abs(c)) if i == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+            sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+            out += sign + body
+        return out or "0"
 
 
 @dataclass(frozen=True)
@@ -318,7 +335,56 @@ def _cofactor(f: list[int], known: list[list[int]]) -> list[int]:
     return _primitive(f)
 
 
-def irreducible_factors(polys) -> list[list[int]]:
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """The remainder of lc(g)^k f by g over the integers, for the k that
+    keeps every step integral; [] when g divides f over the rationals."""
+    r = list(f)
+    while len(r) >= len(g):
+        c, k = r[-1], len(r) - len(g)
+        r = [g[-1] * a for a in r[:-1]]
+        for j, gj in enumerate(g[:-1]):
+            r[k + j] -= c * gj
+        _trim(r)
+    return r
+
+
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """The gcd over the integers of two integer polynomials with nonzero
+    leading coefficients, itself with positive leading coefficient: the gcd
+    of their contents times the last nonzero member of their primitive
+    pseudo-remainder sequence."""
+    content = math.gcd(math.gcd(*f), math.gcd(*g))
+    f, g = _primitive(f), _primitive(g)
+    while len(g) > 1:
+        f, g = g, _pseudo_remainder(f, g)
+        if not g:
+            return [content * c for c in f]
+        g = _primitive(g)
+    return [content]
+
+
+def _may_hold_small_factor(g: list[int], x: complex, log2_bound: int) -> bool:
+    """False only when no factor F of g has |F(x)| < 2^log2_bound, by the
+    Landau-Mignotte test of the module docstring.
+
+    Both sides are divided by |g|_1 max(1, |x|)^deg g, and for |x| > 1 the
+    value is the reversed polynomial's at 1/x, so Horner runs on floats of
+    modulus at most 1 and cannot overflow.  A point that is not finite
+    leaves every g in."""
+    if not cmath.isfinite(x):
+        return True
+    norm_1 = sum(map(abs, g))
+    norm_2 = math.isqrt(sum(c * c for c in g)) + 1
+    coefficients, y = (g, 1 / x) if abs(x) > 1 else (g[::-1], x)
+    value = 0j
+    for c in coefficients:
+        value = value * y + c / norm_1
+    bound = 2.0 ** (log2_bound + len(g) - 1) * (norm_2 / norm_1) + 2.0 ** -40
+    return not abs(value) > bound
+
+
+def irreducible_factors(polys, x: complex | None = None,
+                        log2_bound: int = 0) -> list[list[int]]:
     """The distinct irreducible factors of nonzero integer polynomials
     (constant term first), each primitive with positive leading coefficient:
     the factors `sympy.factor_list` gives for each polynomial, found in
@@ -329,25 +395,42 @@ def irreducible_factors(polys) -> list[list[int]]:
     2. A cofactor of degree 0 adds nothing.  One of degree 1, or one the
        degree test proves irreducible, is a new factor.
     3. Any other cofactor waits until every polynomial has had step 1, so
-       that factors found later can divide it; what is left is handed to
-       `sympy.factor_list`.
+       that factors found later can divide it.  Each one still open then
+       meets every earlier open one in `_gcd`, and the gcd goes through
+       steps 1 and 2 as a polynomial of its own.  What is left after a
+       last division is handed to `sympy.factor_list`.
+
+    Given the point x, only the factors F that may have
+    |F(x)| < 2^log2_bound are sought: every cofactor that
+    `_may_hold_small_factor` rules out is dropped before steps 2 and 3.
     """
-    known, deferred = [], []
-    for f in sorted(polys, key=len):
-        f = _cofactor(f, known)
-        if len(f) > 2 and not _irreducible(f):
-            deferred.append(f)
-        elif len(f) > 1:
-            known.append(f)
-    for f in deferred:
+    known = []
+
+    def left_open(f, *failed):
+        # f's cofactor when it is still to be factored; a cofactor among
+        # `failed` has failed the degree test already
         g = _cofactor(f, known)
-        # an f that nothing divided has failed the degree test already
-        if len(g) > 2 and (g == f or not _irreducible(g)):
+        if len(g) < 2 or x is not None and not _may_hold_small_factor(g, x, log2_bound):
+            return None
+        if len(g) == 2 or g not in failed and _irreducible(g):
+            known.append(g)
+            return None
+        return g
+
+    deferred = [g for f in sorted(polys, key=len) if (g := left_open(f)) is not None]
+    still_open = []
+    for f in deferred:
+        if (g := left_open(f, f)) is not None:
+            for h in still_open:
+                left_open(_gcd(g, h), g, h)
+            still_open.append(g)
+    for f in still_open:
+        if (g := left_open(f, f)) is not None:
+            import sympy
+
             poly = sympy.Poly(g[::-1], sympy.Symbol("X"))
             known += [_primitive([int(c) for c in reversed(h.all_coeffs())])
                       for h, _ in sympy.factor_list(poly)[1]]
-        elif len(g) > 1:
-            known.append(g)
     return known
 
 
@@ -356,8 +439,10 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
     passes the residual test.
 
     The candidates are the irreducible factors of the reduced rows, by
-    `irreducible_factors`: each row is divided by the factors found so far,
-    the mod-p degree test proves what is left irreducible where it can, and
+    `irreducible_factors` at the point x: each row is divided by the
+    factors found so far, a cofactor that the Landau-Mignotte bound rules
+    out is dropped, the mod-p degree test proves what is left irreducible
+    where it can, two open cofactors are split by their gcd, and
     `sympy.factor_list` factors only the rest.  A candidate F passes when
     |F(x)|, evaluated at 2p bits, is below 2^(-0.6 p); x is known to about
     p bits only, so the extra digits confirm nothing.  Ties break by
@@ -372,13 +457,15 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
     if max_degree < 1:
         raise AlgdepError("max_degree must be >= 1")
     n = max_degree
+    log2_threshold = int(-0.6 * precision_bits)
     with mp.workprec(2 * precision_bits):
         x = mp.mpc(x)
         reduced = lll(relation_lattice(x, n, precision_bits))
         # coefficient of x^i at index i
-        candidates = irreducible_factors(filter(None, (_trim(row[: n + 1]) for row in reduced)))
+        candidates = irreducible_factors(filter(None, (_trim(row[: n + 1]) for row in reduced)),
+                                         complex(x), log2_threshold)
 
-        threshold = mp.mpf(2) ** int(-0.6 * precision_bits)
+        threshold = mp.mpf(2) ** log2_threshold
         powers = [x ** i for i in range(n + 1)]
         best = None
         for fc in candidates:
@@ -396,12 +483,40 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
                        height=max(abs(c) for c in coeffs))
 
 
+# Trial division in `squarefree_part` stops here; a cofactor with no prime
+# below it is a prime, a square or handed to `sympy.factorint`.
+TRIAL_DIVISION_LIMIT = 1 << 12
+
+
 def squarefree_part(d: int) -> int:
-    """d = m^2 * s with s squarefree; returns s (sign preserved)."""
+    """d = m^2 * s with s squarefree; returns s (sign preserved).
+
+    Trial division by 2 and the odd numbers below TRIAL_DIVISION_LIMIT
+    keeps each prime's exponent parity, and stops early at the first
+    divisor whose square exceeds what is left.  What is left is then 1, a
+    prime (no smaller prime divides it, and it is below that divisor's
+    square), a perfect square, or else factored by `sympy.factorint`; so s
+    is exact for every d.
+    """
     if d == 0:
         return 0
-    s = 1 if d > 0 else -1
-    for prime, exp in sympy.factorint(abs(d)).items():
+    s, r = (1 if d > 0 else -1), abs(d)
+    p = 2
+    while p < TRIAL_DIVISION_LIMIT and p * p <= r:
+        odd = False
+        while r % p == 0:
+            r //= p
+            odd = not odd
+        if odd:
+            s *= p
+        p += 1 if p == 2 else 2
+    if p * p > r:                     # r is 1 or a prime
+        return s * r
+    if math.isqrt(r) ** 2 == r:
+        return s
+    import sympy
+
+    for prime, exp in sympy.factorint(r).items():
         if exp % 2:
             s *= prime
     return s

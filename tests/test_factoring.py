@@ -19,7 +19,12 @@ import cuspforge as cf
 from cuspforge.numberlab import (
     DEGREE_TEST_PRIMES,
     MinPoly,
+    _exact_quotient,
+    _gcd,
     _irreducible,
+    _may_hold_small_factor,
+    _primitive,
+    _trim,
     algdep,
     distinct_degrees,
     irreducible_factors,
@@ -242,10 +247,8 @@ def test_algdep_matches_the_factor_every_row_loop(algdep_values, bits):
             "whitehead(1,-5)": (12, 159446), "whitehead(1,5)": (12, 168436)}
 
 
-def test_fill_pass_calls_factor_list_at_most_13_times(algdep_values, monkeypatch):
-    # the degree test settles nearly every row: over one fill pass at 256
-    # bits sympy.factor_list runs at most 13 times (it ran on all 130 rows
-    # when every row was factored)
+def counted_factor_list(monkeypatch) -> list:
+    """The argument tuples of every `sympy.factor_list` call from now on."""
     calls = []
     factor_list = sympy.factor_list
 
@@ -254,8 +257,76 @@ def test_fill_pass_calls_factor_list_at_most_13_times(algdep_values, monkeypatch
         return factor_list(*args, **kwargs)
 
     monkeypatch.setattr(sympy, "factor_list", counting)
+    return calls
+
+
+def test_fill_pass_at_256_bits_never_calls_factor_list(algdep_values, monkeypatch):
+    # over one fill pass at 256 bits every row is settled without
+    # sympy.factor_list: division, the degree test, the prune and the gcd
+    # of two rows m c1, m c2 leave nothing open (it ran on all 130 rows
+    # when every row was factored, and on 3 before the gcd)
+    calls = counted_factor_list(monkeypatch)
     values = [v for label, v in algdep_values[256] if label.startswith("whitehead(")]
     assert len(values) == 10
     with mp.workprec(256 + 30):
         assert all(algdep(v, 12, 256) is not None for v in values)
-    assert len(calls) <= 13
+    assert calls == []
+
+
+def test_gcd_of_two_rows_sharing_a_factor_gives_it(monkeypatch):
+    # m c1 and m c2 with coprime linear cofactors both fail the degree test;
+    # their gcd is m, the degree test proves it, and factor_list never runs
+    calls = counted_factor_list(monkeypatch)
+    rng = random.Random(27)
+    for degree in range(2, 11):
+        m = _primitive(random_poly(rng, degree, 20))
+        c1, c2 = [-rng.randrange(1, 50), 1], [3 * rng.randrange(17) + 1, 3]
+        assert _irreducible(m)
+        assert _gcd(multiply(m, c1), multiply(m, c2)) == m
+        assert _gcd(multiply([6], m, c1), multiply([-4], m, c2, c2)) == multiply([2], m)
+        assert _gcd(multiply(m, c1), c2) == [1]
+        rows = [multiply(m, c1), multiply(m, c2)]
+        found = irreducible_factors(rows)
+        assert calls == []
+        assert {tuple(g) for g in found} == sympy_factors(rows[0]) | sympy_factors(rows[1])
+        calls.clear()
+
+
+@pytest.fixture(scope="module")
+def minimal_polynomials(algdep_values):
+    """{label: coefficients} of every value but pi/3 + i e/5, at 512 bits."""
+    with mp.workprec(512 + 30):
+        return {label: algdep(value, 12, 512).coefficients
+                for label, value in algdep_values[512] if not label.startswith("pi")}
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_prune_keeps_every_cofactor_holding_the_minimal_polynomial(algdep_values,
+                                                                    minimal_polynomials, bits):
+    # m is the 512-bit minimal polynomial, which passes the residual test at
+    # every precision here; the cofactors holding it are the reduced rows it
+    # divides and m times small polynomials.  The rows' cofactors after
+    # division by m are what the prune is for: it drops nearly all of them
+    true = minimal_polynomials
+    assert len(true) == 16
+    log2_bound = int(-0.6 * bits)
+    dropped = tried = 0
+    for label, value in algdep_values[bits]:
+        if label not in true:
+            continue
+        m = list(true[label])
+        with mp.workprec(2 * bits):
+            x = mp.mpc(value)
+            assert abs(sum(c * x ** i for i, c in enumerate(m))) < mp.mpf(2) ** log2_bound
+            rows = [_trim(row[:13]) for row in lll(relation_lattice(x, 12, bits))]
+        quotients = [q for row in rows if (q := _exact_quotient(row, m)) is not None]
+        holding = [multiply(m, q) for q in quotients]
+        holding += [multiply(m, c) for c in ([1], [0, 1], [1, 1], [-3, 2], [2, -1, 1],
+                                             [7, 0, 0, 1], [-1, 5, 0, 0, 0, 2])]
+        for g in holding:
+            assert _may_hold_small_factor(_primitive(g), complex(x), log2_bound), (label, g)
+        for q in quotients:
+            if len(q) > 1:
+                tried += 1
+                dropped += not _may_hold_small_factor(_primitive(q), complex(x), log2_bound)
+    assert dropped >= 0.9 * tried > 0

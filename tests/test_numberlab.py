@@ -11,6 +11,7 @@ lattices small enough for sympy's float rounding to be exact.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,6 +20,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from sympy.polys.matrices import DomainMatrix
 
@@ -30,6 +33,7 @@ from cuspforge.numberlab import (
     RATIONAL,
     REAL_QUADRATIC,
     UNRECOGNIZED,
+    TRIAL_DIVISION_LIMIT,
     AlgdepError,
     FieldClass,
     MinPoly,
@@ -75,8 +79,6 @@ def test_algdep_transcendental_returns_none():
 def quadratic_minpoly(a: Fraction, b: Fraction, d: int):
     """Defining quadratic of a + b sqrt(-d) by direct expansion:
     (x - a)^2 + b^2 d = 0, cleared to primitive integer form."""
-    import math
-
     # x^2 - 2a x + (a^2 + b^2 d)
     c2 = Fraction(1)
     c1 = -2 * a
@@ -147,6 +149,79 @@ def test_squarefree_part():
     assert squarefree_part(-48) == -3
     assert squarefree_part(0) == 0
     assert squarefree_part(18) == 2
+
+
+def sympy_squarefree_part(d: int) -> int:
+    s = 1 if d > 0 else -1
+    for prime, exp in sympy.factorint(abs(d)).items():
+        s *= prime ** (exp % 2)
+    return s
+
+
+def test_squarefree_part_matches_factorint_on_small_d():
+    assert all(squarefree_part(d) == sympy_squarefree_part(d)
+               for d in range(-3000, 3000) if d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-10 ** 12, 10 ** 12).filter(bool))
+def test_squarefree_part_matches_factorint(d):
+    assert squarefree_part(d) == sympy_squarefree_part(d)
+
+
+def test_squarefree_part_beyond_the_trial_limit():
+    # both cofactors have no prime below the limit and exceed its square:
+    # a perfect square settles the first, sympy.factorint the second
+    m61, m89 = 2 ** 61 - 1, 2 ** 89 - 1
+    assert min(sympy.factorint(m61 * m89)) > TRIAL_DIVISION_LIMIT
+    assert squarefree_part(-3 * m61 ** 2) == -3 == sympy_squarefree_part(-3 * m61 ** 2)
+    assert squarefree_part(-m61 * m89) == -m61 * m89 == sympy_squarefree_part(-m61 * m89)
+
+
+SMALL_COEFFICIENT = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(SMALL_COEFFICIENT, min_size=1, max_size=13),
+       st.integers(1, 10 ** 6) | st.just(1))
+def test_minpoly_str_matches_sympy(low, lead):
+    # primitive, with positive leading coefficient, as algdep returns them
+    coefficients = tuple(low[:-1]) + (lead,)
+    if len(coefficients) > 1:
+        g = math.gcd(*coefficients)
+        coefficients = tuple(c // g for c in coefficients)
+    X = sympy.Symbol("x")
+    expected = str(sum(c * X ** i for i, c in enumerate(coefficients)))
+    assert str(MinPoly(coefficients, mp.mpf(0), max(map(abs, coefficients)))) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(SMALL_COEFFICIENT, min_size=1, max_size=6))
+def test_minpoly_str_matches_sympy_for_any_signs(coefficients):
+    # including a negative leading term, zero, and sympy's rule that puts a
+    # positive constant before a single negative term (1 - x)
+    X = sympy.Symbol("x")
+    expected = str(sum(c * X ** i for i, c in enumerate(coefficients)))
+    assert str(MinPoly(tuple(coefficients), mp.mpf(0), 0)) == expected
+
+
+NO_SYMPY_SCRIPT = """
+import contextlib, io, sys
+import cuspforge.screen
+assert "sympy" not in sys.modules, "import"
+for bits in ("128", "256", "512"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cuspforge.screen.main(["screen", "whitehead", "622", "berge", "--format", "json",
+                                      "--precision-bits", bits])
+    assert code == 0, bits
+    assert "sympy" not in sys.modules, bits
+"""
+
+
+def test_import_and_screen_leave_sympy_unloaded():
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_modular_action_invariance():
