@@ -271,11 +271,3 @@ def block_solve(factor: tuple, b: list) -> list:
                 y[k] = minus(y[k], mul(f, y[col], width), width)
     return back_substitute(lu, inverses, y, [None] * n, width)
 
-
-def block_lu(factor: tuple) -> tuple:
-    """The (lu, perm, inverses, width) of `block_solve` from
-    `solver._lu_factor`'s Python complex factorisation (lu, perm), its
-    entries taken exactly, at the width of the working precision."""
-    lu, perm = factor
-    forms, width = [[block(v) for v in row] for row in lu], block_width()
-    return forms, perm, [inverse(row[i], width) for i, row in enumerate(forms)], width

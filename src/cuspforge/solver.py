@@ -18,8 +18,10 @@ Complete structures are found in two stages.
 
 Every Newton step of a solve is one `least_squares` solve: elimination
 with partial pivoting on the normal equations, with the upper triangle of
-the Hermitian matrix N = A^H A formed and the lower one its conjugate.  A
-Python complex system is eliminated with the complex operators.  An mpmath
+the Hermitian matrix N = A^H A formed and the lower one its conjugate.
+Every square system, N or a pinned one, is factored once by `_factor`, in
+the number type of its entries, and solved in that type.  A Python
+complex system is eliminated with the complex operators.  An mpmath
 system runs no mpmath operator: its entries are taken exactly into the
 integer block form of `blockform`, (re + i im) 2^e with Python-int
 mantissas, and every entry of N is the exact sum of exact products cut
@@ -46,10 +48,10 @@ and the residual that of M's product.
 
 The edge rows are redundant (their product is identically 1), but the
 whole system has full column rank at the geometric solution
-(Neumann-Zagier), so no rows are dropped and no rank cutoff is needed.  A polish that accepts its start
-without moving it factors the normal equations there once, and a
-singular factorisation refuses the start: a root of a rank-deficient
-system is no solve.
+(Neumann-Zagier), so no rows are dropped and no rank cutoff is needed.
+A polish that accepts its start without moving it factors the normal
+equations there once, and a singular factorisation refuses the start: a
+root of a rank-deficient system is no solve.
 
 A completeness curve (the edge rows and one meridian row: n + 1 rows of
 rank n - 1) is different.  `curve_pin` runs once per curve: complete-pivot
@@ -61,9 +63,8 @@ of every mpmath factorisation (`block_step`); a modulus within a relative
 row, so equal moduli (berge's regular tetrahedra) keep the same rows at
 every precision.  Every curve direction after that solves the kept rows
 without the pin column, a square system that `pinned_factor` factors by
-`_lu_factor`, the partial-pivoting elimination of `least_squares` (on
-block forms at mpmath); solves that share a Jacobian share its
-factorisation.
+`_factor`, the partial-pivoting elimination of `least_squares`; solves
+that share a Jacobian share its factorisation.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition of the slope (p, q) given to `solve_filled` (a
@@ -86,22 +87,22 @@ Log-form edge rows are not used here: the ramp of some fillings passes
 through shapes near 0 and 1, where the cleared equations stay regular
 and log rows stall.
 
-The same Newton loop, stepping by pinned solves, is the corrector of the
-predictor-corrector tracing of the curve along which one chosen cusp stays
-complete; it accepts a point by its residual over every row, dropped ones
-included.  The predictor follows the unit tangent dz/|dz|, in mpmath, and
-lands about 2^-21 off the curve, so each corrector starts, as the solves
-do, in machine precision (`_float_stage`).  One pinned step on the kept
-rows in Python complex, taken only if it lowers the float residual over
-every row and keeps every shape out of the guard band, reaches about
-2^-43.  The first working-precision step from there solves the block-form
-values with the complex factorisation of that point's Jacobian, taken
-exactly into block form: from 2^-43 a Jacobian good to 2^-53 reaches
-the 2^-86 of an exact one.  The later steps factor the mpmath Jacobian, so
-a point costs 3 working-precision factorisations at 256 bits (tangent
-included) and 4 at 512, all in block form and all of block-form Jacobians.  A float factorisation that
-fails, or a float step that does not help, leaves the mpmath step in its
-place.
+The same Newton loop, `_damped_newton` stepping by pinned solves, is the
+whole corrector of the predictor-corrector tracing of the curve along
+which one chosen cusp stays complete; it accepts a point by its
+working-precision residual over every row, dropped ones included.  The
+predictor follows the unit tangent dz/|dz|, in mpmath, and lands about
+2^-21 off the curve, so a Jacobian good to 2^-53 serves the first steps
+as well as an exact one: with the exact residual, each step gains about
+53 bits whichever arithmetic solves it (mixed-precision iterative
+refinement; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., ch. 12).  The first two steps of a point factor the kept rows'
+Jacobian at the point rounded to Python complex and solve the exact
+values rounded to complex, reaching about 2^-42 and then 2^-84; every
+later step factors the block-form Jacobian.  A point costs 3
+working-precision factorisations at 256 bits (tangent included) and 4
+at 512.  A complex factorisation that fails leaves the working-precision
+step in its place.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .blockform import (aligned, back_substitute, block, block_factor, block_lu, block_solve,
-                        block_step, block_width, dot, exceeds, first_largest, quotient_root,
-                        squared, to_mpc)
+from .blockform import (aligned, back_substitute, block, block_factor, block_solve, block_step,
+                        block_width, dot, exceeds, first_largest, quotient_root, squared,
+                        to_mpc)
 from .holonomy import (Point, ShapeAssignment, SignedMonomial, cusp_parameter,
                        evaluate_cusp_parameter, in_guard_band, log_gradient, mu, sum_gradient,
                        sum_value, term_value)
@@ -427,22 +428,45 @@ def _lu_solve(factor: tuple[list[list], list], b: list) -> list:
     return x
 
 
+def _factor(a: list[list]):
+    """solve(b), the x with A x = b, from one factorisation of the square
+    matrix A in the number type of its entries.  A Python complex A is
+    factored by `_lu_factor` and every solve runs `_lu_solve` in Python
+    complex: each entry of b is taken into complex first, a block form
+    rounded at the working precision (`to_mpc`) and then to complex.  Any
+    other A, block forms or mpmath complex, is taken exactly into block
+    form and factored by `block_factor` with 20 guard bits; every solve
+    runs `block_solve` on b taken exactly into block form, with the same
+    guard, and rounds each entry of x to mpmath once.  A singular A raises
+    ZeroDivisionError."""
+    if _machine(itertools.chain(*a)):
+        lu = _lu_factor(a)
+        return lambda b: _lu_solve(lu, [complex(to_mpc(v) if type(v) is tuple else v)
+                                        for v in b])
+    with mp.extraprec(20):
+        blocks = block_factor([[block(v) for v in row] for row in a])
+
+    def solve(b: list) -> list:
+        with mp.extraprec(20):
+            return [to_mpc(v) for v in block_solve(blocks, [block(v) for v in b])]
+    return solve
+
+
 def least_squares(rows: list[list], rhs: list) -> list:
     """Least-squares solution x of rows . x = rhs, in the scalar type of
     the system: mpmath at the working precision, or machine precision (the
     type of the first entry of rhs or rows that is not an int).
 
-    Both solve the normal equations N x = rows^H rhs by partial-pivoting
-    elimination, and a singular N raises ZeroDivisionError; the callers'
-    systems have full column rank.  In machine precision `_lu_factor` and
-    `_lu_solve` run on Python complex, with the upper triangle of N summed
-    and the lower one its conjugate, which is bit-identical to summing all
-    of N under round-to-nearest.  On mpmath, with 20 guard bits, every
-    entry is taken exactly into block form, each entry of the upper
-    triangle of N and of rows^H rhs is the exact sum of exact products cut
-    once to W = wp + wp // 16 bits (wp the guarded precision), the lower
-    triangle is its conjugate, `block_factor` and `block_solve` solve,
-    and each entry of x is rounded to mpmath once; no mpmath operator runs.
+    Both solve the normal equations N x = rows^H rhs with one `_factor`,
+    and a singular N raises ZeroDivisionError; the callers' systems have
+    full column rank.  In machine precision N and rows^H rhs are formed in
+    Python complex, with the upper triangle of N summed and the lower one
+    its conjugate, which is bit-identical to summing all of N under
+    round-to-nearest.  On mpmath, with 20 guard bits, every entry is taken
+    exactly into block form, each entry of the upper triangle of N and of
+    rows^H rhs is the exact sum of exact products cut once to
+    W = wp + wp // 16 bits (wp the guarded precision), and the lower
+    triangle is its conjugate; no mpmath operator runs.
     """
     n = len(rows[0])
     if _machine(itertools.chain(rhs, *rows)):
@@ -452,59 +476,44 @@ def least_squares(rows: list[list], rhs: list) -> list:
             normal.append([normal[j][i].conjugate() for j in range(i)]
                           + [sum(c[i] * r[j] for c, r in zip(conj, rows)) for j in range(i, n)])
         b = [sum(c[i] * v for c, v in zip(conj, rhs)) for i in range(n)]
-        return _lu_solve(_lu_factor(normal), b)
-    with mp.extraprec(20):
-        width = block_width()
-        columns = list(zip(*([block(v) for v in row] for row in rows)))
-        conj = [[(re, -im, e) for re, im, e in column] for column in columns]
-        target = [block(v) for v in rhs]
-        normal = []
-        for i in range(n):
-            normal.append([(re, -im, e) for re, im, e in (normal[j][i] for j in range(i))]
-                          + [dot(conj[i], columns[j], width) for j in range(i, n)])
-        b = [dot(conj[i], target, width) for i in range(n)]
-        return [to_mpc(v) for v in block_solve(block_factor(normal), b)]
+    else:
+        with mp.extraprec(20):
+            width = block_width()
+            columns = list(zip(*([block(v) for v in row] for row in rows)))
+            conj = [[(re, -im, e) for re, im, e in column] for column in columns]
+            target = [block(v) for v in rhs]
+            normal = []
+            for i in range(n):
+                normal.append([(re, -im, e) for re, im, e in (normal[j][i] for j in range(i))]
+                              + [dot(conj[i], columns[j], width) for j in range(i, n)])
+            b = [dot(conj[i], target, width) for i in range(n)]
+    return _factor(normal)(b)
 
 
 def pinned_factor(rows: list[list], pin: int):
     """The solver of the square pinned system of the n - 1 rows of an
     n-column Jacobian that `curve_pin` keeps: without the pin column the
-    system is square, and it is factored once, by `_lu_factor` on Python
-    complex rows and by `block_factor`, with 20 guard bits, on mpmath
-    rows.  Returns solve(rhs), the x with x[pin] = 0 and rows . x = rhs;
-    every solve reuses the one factorisation.  A machine-precision rhs on
-    complex rows is solved in Python complex (`_lu_solve`), and x and its
-    zero at the pin are complex.  Any other rhs is solved in block form
-    (`block_solve`) and each entry of x rounded to mpmath once: a complex
-    factorisation is then taken into block form exactly, once, with the
-    inverses of its pivots, as for the first corrector step of a traced
-    point.  Corrector steps, curve velocities and curve second derivatives
-    all solve this system.  A singular pinned system raises SolveError:
-    there the pinned coordinate does not parametrize the curve."""
+    system is square, and it is factored once (`_factor`), in the number
+    type of the rows.  Returns solve(rhs), the x with x[pin] = 0 and
+    rows . x = rhs, in that same type for any rhs: Python complex on
+    complex rows, the zero at the pin 0j, and mpmath otherwise, the zero
+    mp.mpc(0); every solve reuses the one factorisation.  Corrector steps,
+    curve velocities and curve second derivatives all solve this system.
+    A singular pinned system raises SolveError: there the pinned
+    coordinate does not parametrize the curve."""
     free = [i for i in range(len(rows[0])) if i != pin]
     if len(rows) != len(free):
         raise ValueError(f"{len(rows)} rows for {len(free)} unpinned columns")
-    machine = _machine(itertools.chain(*rows))
-    factor = blocks = None
-    with mp.extraprec(20):
-        try:
-            if machine:
-                factor = _lu_factor([[row[i] for i in free] for row in rows])
-            else:
-                blocks = block_factor([[block(row[i]) for i in free] for row in rows])
-        except ZeroDivisionError as exc:
-            raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
+    square = [[row[i] for i in free] for row in rows]
+    zero = 0j if _machine(itertools.chain(*square)) else mp.mpc(0)
+    try:
+        factored = _factor(square)
+    except ZeroDivisionError as exc:
+        raise SolveError(f"coordinate {pin} is not a parameter for the curve here") from exc
 
     def solve(rhs: list) -> list:
-        nonlocal blocks
-        if factor and _machine(rhs):
-            u = _lu_solve(factor, rhs)
-            u.insert(pin, 0j)
-            return u
-        with mp.extraprec(20):
-            blocks = blocks or block_lu(factor)
-            u = [to_mpc(v) for v in block_solve(blocks, [block(v) for v in rhs])]
-        u.insert(pin, mp.mpc(0))
+        u = factored(rhs)
+        u.insert(pin, zero)
         return u
     return solve
 
@@ -937,6 +946,13 @@ def numerical_kernel(rows: list[list], precision_bits: int):
     stays far above the smallest singular value), so only a clean decision
     is taken: every pivot at least 4 times the cut and the stopping entry
     at most a quarter of it.  Any other matrix raises KernelDimensionError.
+
+    Below p = 12 the margin 4 * cut reaches the largest entry (from p = 8
+    to 11 the cut is a quarter of it), so a clean decision passes only a
+    first pivot equal to the largest entry to the last bit.  A pivot that
+    only ties with it is refused: at 8 bits both cusps of berge (four
+    regular tetrahedra) are, their tied first pivot a few units in the
+    last place below the largest modulus.
     """
     big = max(abs(v) for row in rows for v in row)
     cut = big * mp.mpf(2) ** (-precision_bits // 4)
@@ -974,35 +990,6 @@ def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
     return pin_choice(kernel[0]), rank, kept
 
 
-def _float_stage(eqs, square, pin: int, z) -> tuple:
-    """The machine-precision stage of the curve corrector from the mpmath
-    prediction z: (z, solve).
-
-    One pinned Newton step on the kept rows `square` is evaluated, factored
-    and solved in Python complex.  It is taken only if it lowers the float
-    residual over every row of `eqs` and keeps every shape out of the guard
-    band; otherwise z is kept.  The step is the exact zero at the pin, so
-    the pinned coordinate keeps its bits.  solve is the `pinned_factor` of
-    the complex Jacobian of the kept rows at the returned point, for the
-    first mpmath step, or None when a float factorisation failed.
-    """
-    z_float = Point([complex(v) for v in z])
-    try:
-        solve = pinned_factor(system_jacobian(square, z_float), pin)
-        delta = solve([-e.value(z_float) for e in square])
-    except (ZeroDivisionError, SolveError):
-        return z, None
-    z_next = Point([v + d for v, d in zip(z_float, delta)])
-    if (any(in_guard_band(v, GUARD) for v in z_next)
-            or _residual(eqs, z_next) >= _residual(eqs, z_float)):
-        return z, solve
-    try:
-        solve = pinned_factor(system_jacobian(square, z_next), pin)
-    except (ZeroDivisionError, SolveError):
-        solve = None
-    return [v + d for v, d in zip(z, delta)], solve
-
-
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                              n_points: int = 20, step: float = 1e-3,
                              precision_bits: int = 256, *, start: SolveResult):
@@ -1013,15 +1000,14 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
     `curve_pin` runs once, at the start, to check that the locus is a
     curve and to choose the pinned coordinate and the kept rows.  Each
     predictor step follows the unit pinned velocity and lands about 2^-21
-    off the curve.  `_float_stage` takes it to about 2^-43 by one pinned
-    step in Python complex and hands over the factorisation of the complex
-    Jacobian of the kept rows there.  `_damped_newton` with pinned steps on
-    the kept rows then finishes at the working precision: its first step
-    solves mpmath values with that factorisation (factoring an mpmath
-    Jacobian when the float factorisation failed), every later step is all
-    mpmath, and a point is accepted by its mpmath residual over every row.
-    The tangent at the corrected point and its cusp parameter are evaluated
-    in mpmath from the memo its residual filled, which its sample keeps.
+    off the curve.  `_damped_newton` with pinned steps on the kept rows
+    corrects it, and accepts a point by its working-precision residual
+    over every row.  Its first two steps factor the Jacobian at the point
+    rounded to Python complex and solve the exact values rounded to
+    complex (about 2^-42, then 2^-84); every later step, and any step whose
+    complex factorisation fails, factors the block-form Jacobian.  The
+    tangent at the corrected point and its cusp parameter are evaluated in
+    mpmath from the memo its residual filled, which its sample keeps.
 
     Returns a list of (ShapeAssignment, cusp-parameter value) samples,
     the first being the complete structure itself.
@@ -1040,15 +1026,22 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
 
         def corrected(z_pred):
             """(z, iterations, residual) of the corrector from z_pred."""
-            z, solve = _float_stage(eqs, square, pin, z_pred)
-            # the float stage's factorisation serves the first step alone
-            first = iter([solve])
+            calls = itertools.count()
 
             def step(z):
-                solve = next(first, None) or pinned_factor([e.row(z) for e in square], pin)
-                return solve([e.rhs(z) for e in square])
+                rhs = [e.rhs(z) for e in square]
+                # from the 2^-21 prediction a Jacobian good to 2^-53 reaches
+                # about 2^-42 and then 2^-84, as an exact one would; the
+                # next step needs the exact one
+                if next(calls) < 2:
+                    machine = Point([complex(v) for v in z])
+                    try:
+                        return pinned_factor(system_jacobian(square, machine), pin)(rhs)
+                    except (SolveError, ZeroDivisionError):
+                        pass
+                return pinned_factor([e.row(z) for e in square], pin)(rhs)
 
-            return _damped_newton(z, lambda z: _residual(eqs, z), step, newton_tol, 40)
+            return _damped_newton(z_pred, lambda z: _residual(eqs, z), step, newton_tol, 40)
 
         shapes0 = ShapeAssignment(z, precision_bits)
         samples = [(shapes0, evaluate_cusp_parameter(pair, shapes0))]

@@ -24,12 +24,16 @@ entries and components of `d_tau` and `d2_tau`.  The fill digest, which
 no pinned solve reaches, did not move.
 
 All twelve trace digests were re-recorded again when the curve corrector
-began each point in machine precision: one pinned step in Python complex,
-then a first working-precision step on the complex Jacobian.  The corrector
-iterates moved in their low bits; each sample keeps the pinned coordinate
-of its prediction, and the samples agree with those of the all-mpmath
-corrector to 2^-p (`test_float_stage_matches_the_mpmath_corrector`).  The
-screen and fill digests, which trace no curve, did not move.
+began each point in machine precision, its first steps on the Jacobian
+at the point rounded to Python complex.  The corrector iterates moved in
+their low bits; each sample keeps the pinned coordinate of its
+prediction, and the samples agree with those of the all-mpmath corrector
+to 2^-p (`test_float_stage_matches_the_mpmath_corrector`).  The screen
+and fill digests, which trace no curve, did not move.  No digest moved
+when those steps joined the one Newton loop of the corrector: its first
+two steps of a point factor the complex Jacobian and solve the exact
+values rounded to complex, and no complex factorisation solves in block
+form.
 
 All fourteen digests were re-recorded when the evaluator began to take
 products, powers and sums at mpmath points in integer block form, rounded

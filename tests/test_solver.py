@@ -572,13 +572,16 @@ def test_one_block_factorisation_solves_as_the_augmented_block_elimination(bits)
 
 def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead, solved):
     # least squares and the pinned solves at mpmath work in block form, and
-    # so does the first corrector step, an mpmath right-hand side on complex
-    # rows: no mpc or mpf operator runs, singular systems included; nor
-    # does the complete-pivot elimination of a full-rank square, which has
-    # no kernel vector to normalise
+    # so does least squares on complex rows with a block-form rhs; the
+    # complex factorisation of the same pinned rows solves the mpmath rhs in
+    # Python complex: no mpc or mpf operator runs, singular systems
+    # included; nor does the complete-pivot elimination of a full-rank
+    # square, which has no kernel vector to normalise
     with mp.workprec(PRECISION + 30):
         rows, rhs = _polish_system("whitehead", solved)
         repeated = [row + row[:1] for row in rows]
+        complex_rows = [[complex(v) for v in row] for row in rows]
+        block_rhs = [blockform.block(v) for v in rhs]
         z = list(solved["whitehead"].shapes.z)
         jacobian = system_jacobian(completeness_system(whitehead, 0), z)
         pin, _, kept = curve_pin(jacobian, PRECISION)
@@ -590,18 +593,21 @@ def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead,
         counts = count_mpmath_arithmetic(monkeypatch)
 
         x = least_squares(rows, rhs)
+        y = least_squares(complex_rows, block_rhs)
         kernel, pivots, _, _ = _eliminate(full, cut)
         dz = pinned_factor(square, pin)(values)
-        mixed = pinned_factor(machine, pin)(values)
+        machine_dz = pinned_factor(machine, pin)(values)
         with pytest.raises(ZeroDivisionError):
             least_squares(repeated, rhs)
         with pytest.raises(SolveError, match="not a parameter"):
             pinned_factor(square[:-1] + square[:1], pin)
         assert counts == {}
         assert kernel == [] and len(pivots) == len(full)
-        assert all(type(v) is mp.mpc for v in (*x, *dz, *mixed))
-        # the complex factorisation solves to machine precision
-        assert max(abs(v - w) for v, w in zip(mixed, dz)) <= 1e-13 * max(map(abs, dz))
+        assert all(type(v) is mp.mpc for v in (*x, *y, *dz))
+        assert all(type(v) is complex for v in machine_dz)
+        # the complex rows agree with the mpmath ones to machine precision
+        assert max(abs(v - w) for v, w in zip(machine_dz, dz)) <= 1e-13 * max(map(abs, dz))
+        assert max(abs(v - w) for v, w in zip(y, x)) <= 1e-13 * max(map(abs, x))
 
 
 @pytest.mark.parametrize("bits", [128, 256 + 30, 512 + 30], ids=["128", "286", "542"])
@@ -1083,27 +1089,55 @@ def _is_machine(rows) -> bool:
 
 def test_pinned_factor_solves_in_the_scalar_type_of_its_rows(whitehead, solved):
     # on complex rows every entry of the solution is complex, the zero at
-    # the pin included, and it is the mpmath solve of the same rows to 1e-13
+    # the pin included, whether the rhs is complex, mpmath or in block
+    # form, and it is the mpmath solve of the same rows to 1e-13; on mpmath
+    # rows a complex rhs gives mpmath entries
     with mp.workprec(PRECISION + 30):
         rows = system_jacobian(completeness_system(whitehead, 0), list(solved["whitehead"].shapes.z))
         pin, _, kept = curve_pin(rows, PRECISION)
         square = [rows[i] for i in kept]
-        exact = pinned_factor(square, pin)([-row[pin] for row in square])
+        values = [-row[pin] for row in square]
+        exact = pinned_factor(square, pin)(values)
         machine = [[complex(v) for v in row] for row in square]
-        x = pinned_factor(machine, pin)([-row[pin] for row in machine])
-        assert [type(v) for v in x] == [complex] * len(rows[0])
-        assert x[pin] == 0 and type(exact[pin]) is type(exact[0])
-        assert max(abs(v - complex(w)) for v, w in zip(x, exact)) <= 1e-13 * max(map(abs, exact))
+        solve = pinned_factor(machine, pin)
+        for rhs in ([complex(v) for v in values], values, [blockform.block(v) for v in values]):
+            x = solve(rhs)
+            assert [type(v) for v in x] == [complex] * len(rows[0])
+            assert x[pin] == 0
+            error = max(abs(v - complex(w)) for v, w in zip(x, exact))
+            assert error <= 1e-13 * max(map(abs, exact))
+        # the block forms of the mpmath values round to the same complex rhs
+        assert x == solve([complex(v) for v in values])
+        y = pinned_factor(square, pin)([complex(v) for v in values])
+        assert [type(v) for v in (*exact, *y)] == [mp.mpc] * 2 * len(rows[0])
+        assert exact[pin] == y[pin] == 0
+
+
+def _refuse_complex_factorisations(monkeypatch, error):
+    """Make every pinned factorisation of complex rows raise `error`, as a
+    singular or non-finite complex Jacobian would; returns the list that
+    gets one entry per refusal."""
+    import cuspforge.solver as solver
+
+    factor, refused = solver.pinned_factor, []
+
+    def no_machine_factor(rows, pin):
+        if _is_machine(rows):
+            refused.append(pin)
+            raise error("complex factorisation refused")
+        return factor(rows, pin)
+
+    monkeypatch.setattr(solver, "pinned_factor", no_machine_factor)
+    return refused
 
 
 @pytest.mark.parametrize("bits", [256, 512])
 def test_float_stage_matches_the_mpmath_corrector(monkeypatch, trace_starts, default_traces, bits):
-    # oracle: with the machine-precision stage out, every corrector step is
-    # an mpmath pinned step; the samples of every fixture cusp agree with
-    # the default corrector's to 2^-p
-    import cuspforge.solver as solver
-
-    monkeypatch.setattr(solver, "_float_stage", lambda eqs, square, pin, z: (z, None))
+    # oracle: with every complex factorisation refused, every corrector
+    # step is a working-precision pinned step; the samples of every
+    # fixture cusp agree with the default corrector's, whose first two
+    # steps of a point factor in Python complex, to 2^-p
+    _refuse_complex_factorisations(monkeypatch, SolveError)
     _assert_samples_agree(_traces(trace_starts, bits), default_traces[bits], bits)
 
 
@@ -1111,11 +1145,11 @@ def test_float_stage_matches_the_mpmath_corrector(monkeypatch, trace_starts, def
 def test_mpmath_factorisations_per_traced_point(monkeypatch, trace_starts, bits, per_point):
     # each point of an 8-point trace factors one mpmath Jacobian for its
     # tangent and per_point - 1 for the corrector, after two in machine
-    # precision (the float step and the first corrector step); every
-    # sample keeps the pinned coordinate of its prediction bit for bit
+    # precision (the corrector's first two steps); every sample keeps the
+    # pinned coordinate of its prediction bit for bit
     import cuspforge.solver as solver
 
-    factor, stage, pin_of = solver.pinned_factor, solver._float_stage, solver.curve_pin
+    factor, newton, pin_of = solver.pinned_factor, solver._damped_newton, solver.curve_pin
     calls = {True: 0, False: 0}
     predictions, pins = [], []
 
@@ -1123,9 +1157,9 @@ def test_mpmath_factorisations_per_traced_point(monkeypatch, trace_starts, bits,
         calls[_is_machine(rows)] += 1
         return factor(rows, pin)
 
-    def recorded_stage(eqs, square, pin, z):
-        predictions.append(z[pin])
-        return stage(eqs, square, pin, z)
+    def recorded_newton(z, *args):
+        predictions.append(z[pins[-1]])
+        return newton(z, *args)
 
     def recorded_pin(rows, bits):
         found = pin_of(rows, bits)
@@ -1133,7 +1167,7 @@ def test_mpmath_factorisations_per_traced_point(monkeypatch, trace_starts, bits,
         return found
 
     monkeypatch.setattr(solver, "pinned_factor", counted)
-    monkeypatch.setattr(solver, "_float_stage", recorded_stage)
+    monkeypatch.setattr(solver, "_damped_newton", recorded_newton)
     monkeypatch.setattr(solver, "curve_pin", recorded_pin)
     for tri, start in trace_starts[bits]:
         for cusp in range(len(tri.cusps)):
@@ -1148,21 +1182,13 @@ def test_mpmath_factorisations_per_traced_point(monkeypatch, trace_starts, bits,
 
 @pytest.mark.parametrize("bits", [256, 512])
 def test_float_stage_is_an_acceleration_only(monkeypatch, trace_starts, default_traces, bits):
-    # every float factorisation fails: the stage keeps the prediction and
-    # the first corrector step falls back to mpmath, so the trace returns
-    # the same 9 samples to 2^-p, with no SolveError and one corrector run
-    # per point (no step halving)
+    # every complex factorisation fails: the corrector's first two steps
+    # fall back to working precision, so the trace returns the same 9
+    # samples to 2^-p, with no SolveError and one corrector run per point
+    # (no step halving)
     import cuspforge.solver as solver
 
-    factor = solver.pinned_factor
-    refused = []
-
-    def no_machine_factor(rows, pin):
-        if _is_machine(rows):
-            refused.append(pin)
-            raise ZeroDivisionError("float factorisation refused")
-        return factor(rows, pin)
-
+    refused = _refuse_complex_factorisations(monkeypatch, ZeroDivisionError)
     newton = solver._damped_newton
     runs = []
 
@@ -1170,14 +1196,41 @@ def test_float_stage_is_an_acceleration_only(monkeypatch, trace_starts, default_
         runs.append(1)
         return newton(*args)
 
-    monkeypatch.setattr(solver, "pinned_factor", no_machine_factor)
     monkeypatch.setattr(solver, "_damped_newton", counted)
     traces = _traces(trace_starts, bits)
     _assert_samples_agree(traces, default_traces[bits], bits)
     assert len(runs) == 8 * len(traces)
-    # the float step is tried at every point, and the first corrector step
-    # finds no complex Jacobian to factor
-    assert len(refused) == 8 * len(traces)
+    # both machine-precision steps are tried at every point
+    assert len(refused) == 2 * 8 * len(traces)
+
+
+def test_no_machine_precision_value_enters_block_form(monkeypatch, whitehead, solved):
+    # a screen at 128 bits, a filled solve and a 256-bit trace of each cusp
+    # never take a Python complex or float into block form: every
+    # working-precision solve factors working-precision entries, and a
+    # complex factorisation solves in Python complex
+    import cuspforge.holonomy as holonomy
+    import cuspforge.isolation as isolation
+    import cuspforge.solver as solver
+    from cuspforge.screen import RIGID_NOT_ISOLATED, ScreenOptions, resolve_input, screen
+
+    block = blockform.block
+
+    def no_machine_block(v):
+        if isinstance(v, (complex, float)):
+            raise AssertionError(f"machine-precision value {v!r} taken into block form")
+        return block(v)
+
+    for module in (blockform, holonomy, isolation, solver):
+        monkeypatch.setattr(module, "block", no_machine_block)
+    with mp.workprec(128 + 30):
+        reports = screen([resolve_input("whitehead")], ScreenOptions(precision_bits=128))
+    assert [r.verdict for r in reports] == [RIGID_NOT_ISOLATED]
+    assert solve_filled(whitehead, ["complete", (1, 2)], start=solved["whitehead"]).success
+    for cusp in range(len(whitehead.cusps)):
+        samples = trace_completeness_curve(whitehead, cusp, n_points=8, step=1e-3,
+                                           precision_bits=PRECISION, start=solved["whitehead"])
+        assert len(samples) == 9
 
 
 def _textbook_pinned_factor(rows, pin):
