@@ -30,16 +30,16 @@ gradient of a sum as each term times its log gradient, and
 `second_derivative_along` the closed-form second derivative of a sum
 along a vector, so no derivative sum is built.
 
-The evaluator works at a `Point`: the shapes with a memo that computes
-each power z_i^k and (1 - z_i)^k and each log-derivative entry once per
-point, and at an mpmath point each term's product.  A memoised value
-depends only on the shape, the exponent and the precision the Point is
-made at, never on which evaluation asked for it first, and every product
-keeps its factor order, so every value is bit-identical to one computed
-on a fresh Point.  The solver makes one Point per trial point and
-evaluates its residual, then the values and Jacobian of the step taken
-from it, then its tangent and, at a traced sample (which keeps its
-Point), the cusp parameter, all from that one memo; a plain sequence
+The evaluator works at a `Point`: the shapes, and at an mpmath point a
+memo that forms each power z_i^k and (1 - z_i)^k, each log-derivative
+entry and each term's product once per point.  A memoised value depends
+only on the shape, the exponent and the precision the Point is made at,
+never on which evaluation asked for it first, and every product keeps
+its factor order, so every value is bit-identical to one computed on a
+fresh Point.  The solver makes one Point per trial point; at an mpmath
+point it evaluates its residual, then the values and Jacobian of the
+step taken from it, then its tangent and, at a traced sample (which keeps
+its Point), the cusp parameter, all from that one memo.  A plain sequence
 passed to the evaluator becomes a Point for the length of that call.  No
 memo outlives its point.
 
@@ -73,9 +73,9 @@ a component much smaller than the modulus only to that bound.  The solver
 takes the block-form values and gradients of its cleared equations into
 its linear algebra unrounded (`solver.PolynomialEquation`), as `isolation`
 takes the gradients of the tau sums.  At a Point of Python complex, or of
-mixed mpmath and Python complex shapes, every operation is the scalar
-type's operator, on scalar memos of the powers and log-gradient entries;
-such a Point takes no second derivative.
+mixed mpmath and Python complex shapes, there is no memo: every power
+and log-gradient entry is computed where it is used, with the scalar
+type's operators, and such a Point takes no second derivative.
 """
 
 from __future__ import annotations
@@ -354,9 +354,10 @@ class ShapeAssignment:
 
 @functools.lru_cache(maxsize=4096)
 def _factor_keys(a: tuple, b: tuple) -> tuple:
-    """The memo keys of the factors of prod z_i^{a_i} (1 - z_i)^{b_i} at a
-    `Point`, in the order z_0, 1 - z_0, z_1, ...: (i, a_i) for z_i^{a_i}
-    and (-1 - i, b_i) for (1 - z_i)^{b_i}, zero exponents left out."""
+    """The factors of prod z_i^{a_i} (1 - z_i)^{b_i} as keys, in the order
+    z_0, 1 - z_0, z_1, ...: (i, a_i) for z_i^{a_i} and (-1 - i, b_i) for
+    (1 - z_i)^{b_i}, zero exponents left out.  They key the powers memoised
+    at an mpmath `Point`."""
     keys = []
     for i, (ai, bi) in enumerate(zip(a, b)):
         if ai:
@@ -374,7 +375,8 @@ def _gradient_keys(a: tuple, b: tuple) -> tuple:
 
 
 class Point(tuple):
-    """The shapes z of one point, with the evaluator's memo there.
+    """The shapes z of one point, with the evaluator's memo there when
+    every shape is an mpmath complex.
 
     `Point(z)` of a Point is that Point.  A Point is made at one working
     precision (or holds Python complex, which has none); the memo dies
@@ -383,9 +385,9 @@ class Point(tuple):
     width W = wp + wp // 16 of its products, wp being the precision at
     which it is made; `term_form` evaluates on those, forming each term's
     product once, and `gradient_forms` takes the gradient of a sum from
-    those products.  Any other Point (Python complex, or mixed) evaluates
-    with the scalar operators, from the memos of `power` and
-    `log_gradient_entry`.
+    those products.  Any other Point (Python complex, or mixed) holds
+    only `blocks`, False: the evaluator works on its shapes with the
+    scalar operators.
     """
 
     def __new__(cls, z):
@@ -401,9 +403,6 @@ class Point(tuple):
             point._forms.update(((-1 - i, 1), one_minus(f)) for i, f in enumerate(forms))
             point._products = {}              # (a, b) -> prod z_i^{a_i} (1 - z_i)^{b_i}
             point._log_derivative_forms = {}  # (i, a_i, b_i, k) -> a_i/z_i^k - b_i/(1 - z_i)^k
-        else:
-            point._powers = {}        # `_factor_keys` key -> z_i^k or (1 - z_i)^k
-            point._log_gradient = {}  # (i, a_i, b_i) -> a_i/z_i - b_i/(1 - z_i)
         return point
 
     def _power_form(self, key: tuple) -> tuple:
@@ -479,28 +478,11 @@ class Point(tuple):
                 parts[key[0]].append(mul(t, g, width))
         return [cut(*aligned(p), width) for p in parts]
 
-    def power(self, key: tuple):
-        """The power of `_factor_keys` key, memoised: z_i ** k for (i, k),
-        (1 - z_i) ** k for (-1 - i, k).  Python complex or mixed Points
-        only."""
-        try:
-            return self._powers[key]
-        except KeyError:
-            i, k = key
-            value = self._powers[key] = (self[i] if i >= 0 else 1 - self[-1 - i]) ** k
-            return value
 
-    def log_gradient_entry(self, i: int, a: int, b: int):
-        """a/z_i - b/(1 - z_i), memoised; a zero exponent costs no division,
-        and the entry is the int 0 when both are zero.  Python complex or
-        mixed Points only."""
-        try:
-            return self._log_gradient[i, a, b]
-        except KeyError:
-            zi = self[i]
-            value = self._log_gradient[i, a, b] = \
-                (a / zi if a else 0) - (b / (1 - zi) if b else 0)
-            return value
+def _scalar_log_entry(zi, a: int, b: int):
+    """a/zi - b/(1 - zi) in the scalar type of zi; a zero exponent costs no
+    division, and the entry is the int 0 when both are zero."""
+    return (a / zi if a else 0) - (b / (1 - zi) if b else 0)
 
 
 def term_value(c: int, a, b, z):
@@ -510,16 +492,16 @@ def term_value(c: int, a, b, z):
     On an mpmath `Point` the product is the Point's `term_form`, rounded
     once at the working precision; it is accurate normwise, to about
     2^-wp of its modulus (see the module docstring).  Otherwise it starts
-    from the integer c, so a term without factors is c itself, and takes
-    the factors in the order z_0, 1 - z_0, z_1, ..., each power from the
-    memo of the `Point` z.
+    from the integer c, so a term without factors is c itself, and
+    multiplies in the powers z_i ** a_i and (1 - z_i) ** b_i in the order
+    z_0, 1 - z_0, z_1, ..., zero exponents left out.
     """
     z = Point(z)
     if z.blocks:
         return to_mpc(z.term_form(c, a, b))
     value = c
-    for key in _factor_keys(a, b):
-        value *= z.power(key)
+    for i, k in _factor_keys(a, b):
+        value *= (z[i] if i >= 0 else 1 - z[-1 - i]) ** k
     return value
 
 
@@ -527,8 +509,7 @@ def sum_value(terms: dict[_Key, int], z):
     """Value of the terms {(a, b): c} of a MonomialSum, in the scalar type
     of z (see `term_value`).  On an mpmath `Point` the terms' block forms
     are added exactly and the sum is rounded once; otherwise the sum starts
-    from that type's zero.  All terms share the powers memoised at the
-    `Point` z."""
+    from that type's zero."""
     z = Point(z)
     if z.blocks:
         return to_mpc(aligned([z.term_form(c, a, b) for (a, b), c in terms.items()]))
@@ -544,8 +525,8 @@ def sum_gradient(terms: dict[_Key, int], z) -> list:
     over the terms T = c prod z^a (1 - z)^b, each term's derivative taken
     from its value and its log gradient.  On an mpmath `Point` each entry
     is that of `Point.gradient_forms`, rounded once; otherwise T is
-    `term_value`'s, the log-gradient entry is memoised at the `Point` z,
-    and every entry starts from that type's zero."""
+    `term_value`'s, the log-gradient entry is `log_gradient`'s formula in
+    the scalar operators, and every entry starts from that type's zero."""
     z = Point(z)
     if z.blocks:
         return [to_mpc(v) for v in z.gradient_forms(terms)]
@@ -553,21 +534,20 @@ def sum_gradient(terms: dict[_Key, int], z) -> list:
     for (a, b), c in terms.items():
         t = term_value(c, a, b, z)
         for i, ai, bi, _ in _gradient_keys(a, b):
-            gradient[i] += t * z.log_gradient_entry(i, ai, bi)
+            gradient[i] += t * _scalar_log_entry(z[i], ai, bi)
     return gradient
 
 
 def log_gradient(a, b, z) -> list:
-    """Gradient of log(z^a (1-z)^b): entries a_i/z_i - b_i/(1 - z_i), each
-    memoised at the `Point` z.  On an mpmath Point an entry is the block
-    form `Point._log_derivative_form` rounded once; otherwise it is plain
+    """Gradient of log(z^a (1-z)^b): entries a_i/z_i - b_i/(1 - z_i).  On
+    an mpmath `Point` an entry is the block form memoised there
+    (`Point._log_derivative_form`), rounded once; otherwise it is plain
     arithmetic in the scalar type of z, a zero exponent costing no
     division."""
     z = Point(z)
-    keys = zip(range(len(z)), a, b)
     if z.blocks:
-        return [to_mpc(z._log_derivative_form(*key, 1)) for key in keys]
-    return [z.log_gradient_entry(*key) for key in keys]
+        return [to_mpc(z._log_derivative_form(i, *ab, 1)) for i, ab in enumerate(zip(a, b))]
+    return [_scalar_log_entry(zi, ai, bi) for zi, ai, bi in zip(z, a, b)]
 
 
 def second_derivative_along(terms: dict[_Key, int], z, v) -> mpmath.mpc:

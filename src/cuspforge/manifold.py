@@ -364,7 +364,7 @@ def concat_curves(a: CuspCurve, b: CuspCurve) -> CuspCurve:
     )
 
 
-def invert_curve(curve: CuspCurve, n_tet: int | None = None) -> CuspCurve:
+def invert_curve(curve: CuspCurve, n_tet: int) -> CuspCurve:
     """The orientation-reversed curve, as corner-word data.
 
     Reversal inverts the holonomy: the dilation becomes its reciprocal and
@@ -374,11 +374,6 @@ def invert_curve(curve: CuspCurve, n_tet: int | None = None) -> CuspCurve:
     resulting words realize those monomials; they are algebraically, not
     pictorially, derived.
     """
-    if n_tet is None:
-        n_tet = 1 + max(
-            (c.tet for v in curve.vertices for c in v.word),
-            default=max((c.tet for c in curve.w0_word), default=0),
-        )
     m = len(curve.vertices)
     pre = SignedMonomial.from_word(n_tet, curve.pre_word())
     w0 = SignedMonomial.from_word(n_tet, curve.w0_word)

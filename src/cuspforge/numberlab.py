@@ -89,12 +89,6 @@ class MinPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x):
-        total = mp.mpc(0)
-        for c in reversed(self.coefficients):
-            total = total * x + c
-        return total
-
     def to_jsonable(self) -> list[int]:
         return list(self.coefficients)
 

@@ -30,21 +30,21 @@ precision plus 20 guard bits.  The elimination of `blockform` solves, and
 each entry of the solution is rounded to mpmath once; its error is stated
 there.
 
-Every trial point of a Newton loop is a `holonomy.Point`, and each step
-is evaluated from the memo of its point.  A cleared row of the monomial
-M = sign T+ / T- is sign T+ - T- = 0, and at an mpmath point the products
-of its two terms are formed once, in block form, for the point's residual;
-the step from an accepted point reuses them.  The row's value is
-sign T+ - T-, exactly, and each Jacobian entry the exact sum of the terms
-times their log-gradient entries, cut once to W bits
-(`holonomy.Point.gradient_forms`).  Both go into the elimination as block
-forms (`PolynomialEquation.row` and `rhs`), never rounded to mpmath;
-`system_jacobian` is the Jacobian rounded once, for the kernel check and
-for callers.  A row's residual is |M - 1| = |sign T+ - T-| / |T-|:
-`_residual` compares the rows' quotients of exact squares by
+Every trial point of a Newton loop is a `holonomy.Point`, and at an
+mpmath point each step is evaluated from the memo of its point.  A
+cleared row of the monomial M = sign T+ / T- is sign T+ - T- = 0, and at
+an mpmath point the products of its two terms are formed once, in block
+form, for the point's residual; the step from an accepted point reuses
+them.  The row's value is sign T+ - T-, exactly, and each Jacobian entry
+the exact sum of the terms times their log-gradient entries, cut once to
+W bits (`holonomy.Point.gradient_forms`).  Both go into the elimination
+as block forms (`PolynomialEquation.row` and `rhs`), never rounded to
+mpmath; `system_jacobian` is the Jacobian rounded once, for the kernel
+check and for callers.  A row's residual is |M - 1| = |sign T+ - T-| /
+|T-|: `_residual` compares the rows' quotients of exact squares by
 cross-multiplication and takes one square root, of the largest.  On
-Python complex the Jacobian is the same formula in the complex operators,
-and the residual that of M's product.
+Python complex the Jacobian is the same formula in the complex
+operators, and the residual that of M's product.
 
 The edge rows are redundant (their product is identically 1), but the
 whole system has full column rank at the geometric solution
@@ -228,7 +228,7 @@ class FillingEquation:
     scalar type of z: mpmath, or Python complex for the filling ramp.
     """
 
-    def __init__(self, p: int, q: int, mu_m: SignedMonomial, mu_l: SignedMonomial, label: str = ""):
+    def __init__(self, p: int, q: int, mu_m: SignedMonomial, mu_l: SignedMonomial, label: str):
         self.p, self.q = p, q
         self.mu_m, self.mu_l = mu_m, mu_l
         self.label = label
@@ -561,9 +561,9 @@ def _damped_newton(z, residual, step, tol, max_iter):
     """The Newton loop of every solve and of the curve corrector: take
     step(z), halved up to 12 times until it lowers residual(z) with every
     shape outside the guard band around 0 and 1; a step that cannot be
-    solved ends the loop.  Every trial point is a `Point`, so the step from
-    an accepted point reuses the powers its residual memoised.  Returns
-    (z, iterations, residual)."""
+    solved ends the loop.  Every trial point is a `Point`, so at mpmath
+    points the step from an accepted point reuses the products its
+    residual memoised.  Returns (z, iterations, residual)."""
     z = Point(z)
     best = residual(z)
     it = 0
@@ -657,7 +657,7 @@ def _log_values(rows, z: list) -> list:
     return values
 
 
-def _float_search(rows, z: list, max_iter=60):
+def _float_search(rows, z: list):
     """Gauss-Newton on the log system from one start, in machine precision.
     Returns the root, or None when the start does not reach FLOAT_TOL."""
     def residual(z):
@@ -667,7 +667,7 @@ def _float_search(rows, z: list, max_iter=60):
         grads = [log_gradient(a, b, z) for a, b, _, _ in rows]
         return least_squares(grads, [-v for v in _log_values(rows, z)])
 
-    z, _, res = _damped_newton(z, residual, step, FLOAT_TOL, max_iter)
+    z, _, res = _damped_newton(z, residual, step, FLOAT_TOL, 60)
     return z if res <= FLOAT_TOL else None
 
 

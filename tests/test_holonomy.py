@@ -440,6 +440,16 @@ def _naive_log_gradient(a, b, z):
             for zi, ai, bi in zip(z, a, b)]
 
 
+def _naive_gradient(terms, z):
+    gradient = [0 * z[0]] * len(z)
+    for (a, b), c in terms.items():
+        t = _naive_term(c, a, b, z)
+        for i, g in enumerate(_naive_log_gradient(a, b, z)):
+            if a[i] or b[i]:
+                gradient[i] += t * g
+    return gradient
+
+
 def _bits(value):
     """The exact bits of a value: the _mpf_ tuples of an mpmath number, the
     repr of a Python complex (so signed zeros count), an int as itself."""
@@ -485,6 +495,10 @@ def _evaluate(kind, s, z, v, naive=False) -> list:
     log gradients, its second derivative along v (at mpmath points), or an
     equation's value, gradient and residual; by the naive products when
     `naive` is set."""
+    if kind == "equation" and naive:
+        m = s.monomial
+        return [_naive_sum(s.cleared.terms, z), *_naive_gradient(s.cleared.terms, z),
+                abs(_naive_term(m.sign, m.a, m.b, z) - 1)]
     if kind == "equation":
         return [s.value(z), *s.gradient(z), s.residual(z)]
     if kind == "sum":
@@ -500,10 +514,11 @@ def _evaluate(kind, s, z, v, naive=False) -> list:
                          ids=["128", "256", "542", "complex"])
 def test_memoised_evaluator_is_bit_identical(bits, whitehead, link622, berge):
     # one Point per random point serves every sum and equation, in a
-    # shuffled order, so the memo is filled by one kind of evaluation and
-    # read by another; each value must equal, bit for bit, the same
-    # evaluation on a fresh Point, and on Python complex also the naive
-    # product of powers; second derivatives are taken at mpmath points only
+    # shuffled order, so an mpmath point's memo is filled by one kind of
+    # evaluation and read by another; each value must equal, bit for bit,
+    # the same evaluation on a fresh Point, and on Python complex, where a
+    # Point keeps no memo, also the naive formulas; second derivatives are
+    # taken at mpmath points only
     rng = random.Random(29)
     with mp.workprec(bits or 53):
         for tri in (whitehead, link622, berge):
@@ -528,9 +543,12 @@ def test_memoised_evaluator_is_bit_identical(bits, whitehead, link622, berge):
                     got = [_bits(g) for g in _evaluate(kind, s, point, v)]
                     fresh = _evaluate(kind, s, Point(z), v)
                     assert got == [_bits(r) for r in fresh], (kind, str(s))
-                    if bits is None and kind != "equation":
+                    if bits is None:
                         naive = _evaluate(kind, s, z, v, naive=True)
                         assert got == [_bits(r) for r in naive], (kind, str(s))
+                if bits is None:
+                    assert vars(point) == {"blocks": False}
+                    assert vars(Point([mp.mpc(z[0]), *z[1:]])) == {"blocks": False}
                 # a plain sequence gets a Point of its own, with the same bits
                 s = sums[0]
                 assert _bits(sum_value(s.terms, z)) == _bits(sum_value(s.terms, point))
