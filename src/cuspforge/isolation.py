@@ -9,18 +9,19 @@ many numerical samples, so the verdict is always NotIsolated(...) or
 Inconclusive, never "isolated".
 
 Derivatives come from the implicit function theorem on the pinned system:
-with one coordinate chosen as the curve parameter (largest tangent entry,
-ties to the lowest index), first derivatives solve M u' = -v and second
-derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision, where M
-is the square system of the n - 1 kept rows without the pin column
-(`solver.pinned_factor`), factored once for both.  The reported tangent is
-the normalised pinned velocity dz/|dz|, where dz is u' with 1 at the
-pinned coordinate.  One kernel check, `solver.curve_pin`, serves tracing
-and derivatives alike: it checks that the kernel is one-dimensional (else
-KernelDimensionError, also near the rank cut) and gives the pin, the kept
-rows and the rank.  It runs at precision p, on the whole Jacobian whose
-kept rows M is made of; the doubled-precision pass reuses the pin and the
-kept rows, evaluates only the kept equations and runs no kernel check.
+with one coordinate chosen as the curve parameter (largest kernel-vector
+entry, ties to the lowest index), first derivatives solve M u' = -v and
+second derivatives solve M u'' = -(u'^T Hess u'), in arbitrary precision,
+where M is the square system of the n - 1 kept rows without the pin
+column (`solver.pinned_factor`), factored once for both.  The reported
+tangent is the normalised pinned velocity dz/|dz|, where dz is u' with 1
+at the pinned coordinate.  One kernel check, `solver.curve_pin`, serves
+tracing and derivatives alike: it checks that the kernel is
+one-dimensional (else KernelDimensionError, also near the rank cut) and
+gives the pin and the kept rows, as many as the rank.  It runs at
+precision p, on the whole Jacobian whose kept rows M is made of; the
+doubled-precision pass reuses the pin and the kept rows, evaluates only
+the kept equations and runs no kernel check.
 The Jacobian rows are the gradients of the cleared equations, each term
 times its log gradient.  The second derivative of every equation and of
 both tau sums along u' is the closed form of
@@ -126,13 +127,12 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
     completeness curve, plus the underlying shape derivatives, with the
     curve parametrized by the pinned coordinate.
 
-    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, rank, kept,
-    tangent: dz and d2z are full-length vectors with dz[pin] = 1,
-    d2z[pin] = 0, and the tangent is dz/|dz|.  Without `curve`, `curve_pin`
-    checks the kernel of the whole Jacobian and gives the pin, the kept rows
-    and the rank, and the kept rows are taken from that Jacobian;
-    `curve=(pin, kept)` from an earlier pass skips the kernel check (the
-    rank is None) and evaluates only the kept equations.  dz and d2z share
+    Returns a dict with keys d_tau, d2_tau, dz, d2z, pin, kept, tangent:
+    dz and d2z are full-length vectors with dz[pin] = 1, d2z[pin] = 0, and
+    the tangent is dz/|dz|.  Without `curve`, `curve_pin` checks the kernel
+    of the whole Jacobian and gives the pin and the kept rows, which are
+    taken from that Jacobian; `curve=(pin, kept)` from an earlier pass skips
+    the kernel check and evaluates only the kept equations.  dz and d2z share
     one factorisation of the pinned square system.
     """
     system = completeness_system(tri, cusp)
@@ -141,10 +141,10 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
         z = Point(shapes.z)
         if curve is None:
             jacobian = system_jacobian(system, z)
-            pin, rank, kept = curve_pin(jacobian, shapes.precision_bits)
+            pin, kept = curve_pin(jacobian, shapes.precision_bits)
             rows = [jacobian[i] for i in kept]
         else:
-            (pin, kept), rank = curve, None
+            pin, kept = curve
             rows = system_jacobian([system[i] for i in kept], z)
         eqs = [system[i] for i in kept]
         # M, the kept rows without the pin column, is factored once
@@ -171,7 +171,6 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
         "dz": dz,
         "d2z": d2z,
         "pin": pin,
-        "rank": rank,
         "kept": kept,
         "tangent": tangent,
     }
@@ -255,7 +254,7 @@ def isolation_verdict(tri: IdealTriangulation, cusp: int, *, start: SolveResult,
                 "constancy is NOT certified by this outcome"
             )
     return IsolationEvidence(
-        cusp=cusp_name, jacobian_rank=info["rank"], tangent=tuple(info["tangent"]),
+        cusp=cusp_name, jacobian_rank=len(info["kept"]), tangent=tuple(info["tangent"]),
         d_tau=d_tau, d2_tau=d2_tau, continuation_spread=spread,
         verdict=verdict, order=order, pin_index=info["pin"], notes=tuple(notes),
     )

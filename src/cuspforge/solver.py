@@ -54,17 +54,22 @@ equations there once, and a singular factorisation refuses the start: a
 root of a rank-deficient system is no solve.
 
 A completeness curve (the edge rows and one meridian row: n + 1 rows of
-rank n - 1) is different.  `curve_pin` runs once per curve: complete-pivot
-elimination (`numerical_kernel`) checks that the kernel is one-dimensional
-and gives the rank, the pinned coordinate and n - 1 pivot rows, or raises
-KernelDimensionError near the rank cut.  It takes the block-form step
-of every mpmath factorisation (`block_step`); a modulus within a relative
-2^-40 of the largest ties with it, and ties go to the first entry row by
-row, so equal moduli (berge's regular tetrahedra) keep the same rows at
-every precision.  Every curve direction after that solves the kept rows
-without the pin column, a square system that `pinned_factor` factors by
-`_factor`, the partial-pivoting elimination of `least_squares`; solves
-that share a Jacobian share its factorisation.
+rank n - 1) is different.  `curve_pin` runs once per curve.  Its one
+decision, `numerical_kernel`, is complete-pivot elimination of the rows
+taken exactly into block form, by the block-form step of every mpmath
+factorisation (`block_step`); it checks that the kernel is
+one-dimensional, or raises KernelDimensionError near the rank cut, and
+gives the kernel vector in block form and the n - 1 pivot rows to keep.
+The pivots and the pinned coordinate, the largest entry of the kernel
+vector, follow one tie rule on exact squares: a modulus within a relative
+2^-40 of the largest ties with it, and ties go to the first entry, row by
+row, so equal moduli (berge's regular tetrahedra) keep the same rows and
+pin at every precision from 11 bits.  The decision runs no mpmath
+operator; only the message of a refused one rounds its magnitudes.  Every
+curve direction after that solves the kept rows without the pin column,
+a square system that `pinned_factor` factors by `_factor`, the
+partial-pivoting elimination of `least_squares`; solves that share a
+Jacobian share its factorisation.
 
 Dehn-filled structures replace a filled cusp's completeness rows by the
 log-holonomy condition of the slope (p, q) given to `solve_filled` (a
@@ -886,35 +891,56 @@ def system_jacobian(eqs, z: list):
     return [e.gradient(z) for e in eqs]
 
 
-def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
-    """Gaussian elimination with complete pivoting on a complex matrix by
-    `block_step` at the current precision, stopped once the largest
-    remaining entry is at most `cut`.  Pivots are chosen on exact squares:
-    a square within a relative 2^-39 of the largest (a modulus within about
-    2^-40) ties with it, and ties go to the first entry, row by row.
+def _first_tied(squares: list) -> int:
+    """The index of the first of the exact squares (m, e) that ties with the
+    largest: within a relative 2^-39 of it, a modulus within about 2^-40."""
+    s, e = squares[first_largest(squares)]
+    tie = (s << 39) - s, e - 39
+    return next(c for c, x in enumerate(squares) if not exceeds(tie, x))
 
-    Returns (kernel, pivots, rest, kept): one unit-norm kernel vector per
-    free column, back-substituted through the triangular factor; the pivot
-    magnitudes in elimination order; the largest remaining entry at the
-    stop (0 when no entry remains); and the pivot rows, in their original
-    order.  Only the kernel vectors' norms take mpmath arithmetic.
+
+def numerical_kernel(rows: list[list], precision_bits: int) -> tuple[list, tuple]:
+    """(x, kept) of a complex matrix with a one-dimensional kernel and rank
+    at least 1: the kernel vector in block form, 1 at its free column, and
+    the pivot rows in their original order.
+
+    The rows are taken exactly into block form and eliminated with complete
+    pivoting by `block_step` at the current precision.  Each pivot is the
+    first entry, row by row, that ties with the largest square
+    (`_first_tied`), so equal moduli (berge's regular tetrahedra) keep the
+    same rows at every precision from 11 bits.  The elimination stops once
+    the largest remaining entry is at most the cut, 2^(-p // 4) times the
+    largest entry of the matrix.  Complete pivoting reveals the rank in
+    practice but not in the worst case (on Kahan's matrix the last pivot
+    stays far above the smallest singular value), so only a clean decision
+    is taken: every pivot at least 4 times the cut and the stopping entry
+    at most a quarter of it, compared on exact squares.  Any other matrix,
+    a kernel of another dimension and rank 0 raise KernelDimensionError.
+
+    The cut is half the largest entry for p <= 4, where nothing is clean, a
+    quarter of it for p = 5 to 8, where 4 * cut is the largest entry, and an
+    eighth for p = 9 to 12.  So below 9 bits a clean decision passes only a
+    first pivot equal to the largest entry, and one that only ties with it
+    is refused: berge's c-knotted curve (four regular tetrahedra) at 5 to 8
+    bits.
     """
     width = block_width()
     a = [[block(v) for v in row] for row in rows]
     m, n = len(a), len(a[0])
-    stop = squared(block(mp.mpc(cut)))
+    squares = [squared(v) for row in a for v in row]
+    s, e = squares[first_largest(squares)]
+    cut = s, e + 2 * (-precision_bits // 4)
     order, cols = list(range(m)), list(range(n))
-    pivots, inverses, rest = [], [], mp.mpf(0)
+    pivots, inverses, rest = [], [], (0, 0)
     for k in range(min(m, n)):
         cells = [(i, j) for i in range(k, m) for j in range(k, n)]
         squares = [squared(a[i][j]) for i, j in cells]
-        s, e = largest = squares[first_largest(squares)]
-        if not exceeds(largest, stop):
-            rest = quotient_root(largest, (1, 0))
+        largest = squares[first_largest(squares)]
+        if not exceeds(largest, cut):
+            rest = largest
             break
-        tie = (s << 39) - s, e - 39
-        c = next(c for c, x in enumerate(squares) if not exceeds(tie, x))
-        pivots.append(quotient_root(squares[c], (1, 0)))
+        c = _first_tied(squares)
+        pivots.append(squares[c])
         i, j = cells[c]
         a[k], a[i] = a[i], a[k]
         order[k], order[i] = order[i], order[k]
@@ -923,71 +949,36 @@ def _eliminate(rows: list[list], cut) -> tuple[list, list, mpmath.mpf, tuple]:
         cols[k], cols[j] = cols[j], cols[k]
         inverses.append(block_step(a, k, width))
     rank = len(pivots)
-    kernel = []
-    for free in range(rank, n):
-        x = [(int(j == free), 0, 0) for j in range(n)]
-        x = [to_mpc(v) for v in back_substitute(a, inverses, [(0, 0, 0)] * rank, x, width)]
-        norm = mp.sqrt(sum(abs(v) ** 2 for v in x))
-        vec = [None] * n
-        for c, v in zip(cols, x):
-            vec[c] = v / norm
-        kernel.append(vec)
-    return kernel, pivots, rest, tuple(sorted(order[:rank]))
-
-
-def numerical_kernel(rows: list[list], precision_bits: int):
-    """(kernel, rank, kept) of a complex matrix at the current precision: a
-    unit-norm kernel basis, the number of pivots and the pivot rows.
-
-    Gaussian elimination with complete pivoting (`_eliminate`) stops when
-    the largest remaining entry is at most the cut, 2^(-p/4) times the
-    largest entry of the matrix.  Complete pivoting reveals the rank in
-    practice but not in the worst case (on Kahan's matrix the last pivot
-    stays far above the smallest singular value), so only a clean decision
-    is taken: every pivot at least 4 times the cut and the stopping entry
-    at most a quarter of it.  Any other matrix raises KernelDimensionError.
-
-    Below p = 12 the margin 4 * cut reaches the largest entry (from p = 8
-    to 11 the cut is a quarter of it), so a clean decision passes only a
-    first pivot equal to the largest entry to the last bit.  A pivot that
-    only ties with it is refused: at 8 bits both cusps of berge (four
-    regular tetrahedra) are, their tied first pivot a few units in the
-    last place below the largest modulus.
-    """
-    big = max(abs(v) for row in rows for v in row)
-    cut = big * mp.mpf(2) ** (-precision_bits // 4)
-    kernel, pivots, rest, kept = _eliminate(rows, cut)
-    if rest <= cut / 4 and all(p >= 4 * cut for p in pivots):
-        return kernel, len(pivots), kept
-    raise KernelDimensionError(
-        f"kernel dimension {len(kernel)} undecided at the rank cut; pivots "
-        + ", ".join(mp.nstr(p, 5) for p in pivots)
-        + f"; remaining entry {mp.nstr(rest, 5)}; cut {mp.nstr(cut, 5)}"
-    )
-
-
-def pin_choice(tangent) -> int:
-    """Index of the largest tangent entry, ties (within 2^-40) to the lowest."""
-    best = 0
-    for i in range(1, len(tangent)):
-        if abs(tangent[i]) > abs(tangent[best]) + mp.mpf(2) ** -40:
-            best = i
-    return best
-
-
-def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, int, tuple]:
-    """(pin, rank, kept) of the completeness curve whose Jacobian is
-    `rows`: the one `numerical_kernel` of a curve checks that its kernel is
-    one-dimensional and its rank n - 1 at least 1, `pin_choice` picks the
-    pinned coordinate from the kernel vector, and the n - 1 pivot rows are
-    kept for every pinned solve along the curve."""
-    kernel, rank, kept = numerical_kernel(rows, precision_bits)
-    if len(kernel) != 1:
+    margin = cut[0], cut[1] + 4
+    if exceeds((rest[0], rest[1] + 4), cut) or any(exceeds(margin, p) for p in pivots):
         raise KernelDimensionError(
-            f"kernel dimension {len(kernel)} at the complete structure (expected 1)")
+            f"kernel dimension {n - rank} undecided at the rank cut; pivots "
+            + ", ".join(mp.nstr(quotient_root(p, (1, 0)), 5) for p in pivots)
+            + f"; remaining entry {mp.nstr(quotient_root(rest, (1, 0)), 5)}"
+            + f"; cut {mp.nstr(quotient_root(cut, (1, 0)), 5)}"
+        )
+    if n - rank != 1:
+        raise KernelDimensionError(
+            f"kernel dimension {n - rank} at the complete structure (expected 1)")
     if not rank:
         raise KernelDimensionError("rank 0 at the complete structure: no rows to keep")
-    return pin_choice(kernel[0]), rank, kept
+    x = back_substitute(a, inverses, [(0, 0, 0)] * rank, [(0, 0, 0)] * rank + [(1, 0, 0)],
+                        width)
+    kernel = [None] * n
+    for c, v in zip(cols, x):
+        kernel[c] = v
+    return kernel, tuple(sorted(order[:rank]))
+
+
+def curve_pin(rows: list[list], precision_bits: int) -> tuple[int, tuple]:
+    """(pin, kept) of the completeness curve whose Jacobian is `rows`: the
+    one `numerical_kernel` of a curve checks that its kernel is
+    one-dimensional and its rank n - 1 at least 1, the pinned coordinate is
+    the first entry of its kernel vector that ties with the largest (the
+    pivots' rule), and the n - 1 pivot rows are kept for every pinned solve
+    along the curve."""
+    x, kept = numerical_kernel(rows, precision_bits)
+    return _first_tied([squared(v) for v in x]), kept
 
 
 def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
@@ -1021,7 +1012,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         eqs = completeness_system(tri, complete_cusp)
         pair = cusp_parameter(tri, tri.cusps[complete_cusp])
         z = Point(start.shapes.z)
-        pin, _, kept = curve_pin(system_jacobian(eqs, z), precision_bits)
+        pin, kept = curve_pin(system_jacobian(eqs, z), precision_bits)
         square = [eqs[i] for i in kept]
 
         def corrected(z_pred):

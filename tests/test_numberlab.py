@@ -171,11 +171,13 @@ def test_squarefree_part_matches_factorint(d):
 
 def test_squarefree_part_beyond_the_trial_limit():
     # both cofactors have no prime below the limit and exceed its square:
-    # a perfect square settles the first, sympy.factorint the second
-    m61, m89 = 2 ** 61 - 1, 2 ** 89 - 1
-    assert min(sympy.factorint(m61 * m89)) > TRIAL_DIVISION_LIMIT
+    # a perfect square settles the first, sympy.factorint the second, the
+    # product of two primes that it splits in about a millisecond
+    m61, m31, q = 2 ** 61 - 1, 2 ** 31 - 1, 10 ** 9 + 7
+    assert sympy.factorint(m31 * q) == {m31: 1, q: 1} and min(m31, q) > TRIAL_DIVISION_LIMIT
+    assert m31 * q > TRIAL_DIVISION_LIMIT ** 2
     assert squarefree_part(-3 * m61 ** 2) == -3 == sympy_squarefree_part(-3 * m61 ** 2)
-    assert squarefree_part(-m61 * m89) == -m61 * m89 == sympy_squarefree_part(-m61 * m89)
+    assert squarefree_part(-m31 * q) == -m31 * q == sympy_squarefree_part(-m31 * q)
 
 
 SMALL_COEFFICIENT = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 6, 10 ** 6))

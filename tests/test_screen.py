@@ -385,6 +385,20 @@ def test_cli_isolate_records_failures_without_traceback():
         "berge.c-knotted: isolation failed: kernel dimension 1 undecided at the rank cut; pivots ")
 
 
+@pytest.mark.parametrize("bits", [5, 6, 7, 8])
+def test_cli_isolate_refuses_a_tied_first_pivot(bits, capsys):
+    # from 5 to 8 bits the clean margin, 4 times the cut, is the largest
+    # entry, and berge's c-knotted curve has a first pivot that only ties
+    # with it: the kernel check refuses it at each of these precisions
+    import cuspforge.screen as screen_module
+
+    assert screen_module.main(["isolate", "berge", "--precision-bits", str(bits)]) == 0
+    knotted = capsys.readouterr().out.splitlines()[1]
+    assert knotted.startswith("berge.c-knotted: isolation failed: kernel dimension 1 undecided "
+                              "at the rank cut; pivots 1.0, 1.7321, 1.0; ")
+    assert knotted.endswith("; cut 0.25")
+
+
 @pytest.mark.parametrize("command", ["shape", "solve"])
 def test_cli_prints_no_values_from_a_failed_complete_solve(command, monkeypatch, capsys):
     # at 1 bit berge's solve misses its residual target; one line says so

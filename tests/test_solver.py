@@ -30,7 +30,6 @@ from cuspforge.solver import (
     KernelDimensionError,
     PolynomialEquation,
     SolveError,
-    _eliminate,
     _gluing_rows,
     _lu_factor,
     _lu_solve,
@@ -39,7 +38,6 @@ from cuspforge.solver import (
     curve_velocity,
     least_squares,
     numerical_kernel,
-    pin_choice,
     pinned_factor,
     solve_complete,
     solve_filled,
@@ -333,7 +331,7 @@ def test_least_squares_rank_deficient_raises(solved, scalar):
             least_squares(repeated, rhs)
         tri = cf.load_fixture("whitehead")
         jacobian = system_jacobian(completeness_system(tri, 0), list(solved["whitehead"].shapes.z))
-        pin, _, kept = curve_pin(jacobian, PRECISION)
+        pin, kept = curve_pin(jacobian, PRECISION)
         square = [[scalar(v) for v in jacobian[i]] for i in kept]
         rhs = [-row[pin] for row in square]
         pinned_factor(square, pin)(rhs)
@@ -570,13 +568,14 @@ def test_one_block_factorisation_solves_as_the_augmented_block_elimination(bits)
             pinned_factor([[mp.mpc(1)] + row for row in singular], 0)
 
 
-def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead, solved):
+def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead, solved,
+                                                         completeness_rows):
     # least squares and the pinned solves at mpmath work in block form, and
     # so does least squares on complex rows with a block-form rhs; the
     # complex factorisation of the same pinned rows solves the mpmath rhs in
     # Python complex: no mpc or mpf operator runs, singular systems
-    # included; nor does the complete-pivot elimination of a full-rank
-    # square, which has no kernel vector to normalise
+    # included; nor does the kernel decision, curve_pin on every fixture
+    # curve at 256 bits and the refusal of a full-rank square
     with mp.workprec(PRECISION + 30):
         rows, rhs = _polish_system("whitehead", solved)
         repeated = [row + row[:1] for row in rows]
@@ -584,17 +583,19 @@ def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead,
         block_rhs = [blockform.block(v) for v in rhs]
         z = list(solved["whitehead"].shapes.z)
         jacobian = system_jacobian(completeness_system(whitehead, 0), z)
-        pin, _, kept = curve_pin(jacobian, PRECISION)
+        pin, kept = curve_pin(jacobian, PRECISION)
         square = [jacobian[i] for i in kept]
         machine = [[complex(v) for v in row] for row in square]
         values = [-row[pin] for row in square]
         full = [[v for i, v in enumerate(row) if i != pin] for row in square]
-        cut = max(abs(v) for row in full for v in row) * mp.mpf(2) ** (-PRECISION // 4)
+        curves = [rows for _, rows in completeness_rows[PRECISION]]
         counts = count_mpmath_arithmetic(monkeypatch)
 
         x = least_squares(rows, rhs)
         y = least_squares(complex_rows, block_rhs)
-        kernel, pivots, _, _ = _eliminate(full, cut)
+        decisions = [curve_pin(rows, PRECISION) for rows in curves]
+        with pytest.raises(KernelDimensionError, match="kernel dimension 0 at the complete"):
+            numerical_kernel(full, PRECISION)
         dz = pinned_factor(square, pin)(values)
         machine_dz = pinned_factor(machine, pin)(values)
         with pytest.raises(ZeroDivisionError):
@@ -602,7 +603,7 @@ def test_block_linear_algebra_takes_no_mpmath_arithmetic(monkeypatch, whitehead,
         with pytest.raises(SolveError, match="not a parameter"):
             pinned_factor(square[:-1] + square[:1], pin)
         assert counts == {}
-        assert kernel == [] and len(pivots) == len(full)
+        assert len(decisions) == 6
         assert all(type(v) is mp.mpc for v in (*x, *y, *dz))
         assert all(type(v) is complex for v in machine_dz)
         # the complex rows agree with the mpmath ones to machine precision
@@ -707,7 +708,7 @@ def test_a_corrector_step_forms_each_term_product_once(monkeypatch, solved):
             tri = cf.load_fixture(name)
             complete = _gluing_rows(tri, [None] * len(tri.cusps))
             curve = completeness_system(tri, 0)
-            pin, _, kept = curve_pin(system_jacobian(curve, list(result.shapes.z)), PRECISION)
+            pin, kept = curve_pin(system_jacobian(curve, list(result.shapes.z)), PRECISION)
             for rows in (complete, [curve[i] for i in kept]):
                 z = Point([v + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mp.mpf(2) ** -20
                            for v in result.shapes.z])
@@ -845,7 +846,7 @@ def test_kernel_check_runs_once_per_curve(monkeypatch, berge, solved):
     (curve, low), (curve_2p, high) = passes
     assert curve is None and len(low["kept"]) == berge.n_tet - 1
     assert curve_2p == (low["pin"], low["kept"]) == (high["pin"], high["kept"])
-    assert high["rank"] is None
+    assert ev.jacobian_rank == len(low["kept"])
 
 
 def _least_squares_pinned_factor(rows, pin):
@@ -875,7 +876,7 @@ def _pinned_by_least_squares(monkeypatch):
     pin = solver.curve_pin
 
     def keep_every_row(rows, bits):
-        return (*pin(rows, bits)[:2], tuple(range(len(rows))))
+        return pin(rows, bits)[0], tuple(range(len(rows)))
 
     derivative_solves = []
 
@@ -942,7 +943,7 @@ def test_a_root_that_misses_a_dropped_row_is_rejected(monkeypatch, whitehead, so
     system = solver.completeness_system
     with mp.workprec(PRECISION + 30):
         rows = system_jacobian(system(whitehead, 0), list(start.shapes.z))
-        kept = curve_pin(rows, PRECISION)[2]
+        kept = curve_pin(rows, PRECISION)[1]
     dropped = [i for i in range(len(rows)) if i not in kept]
     assert len(dropped) == 2
 
@@ -1094,7 +1095,7 @@ def test_pinned_factor_solves_in_the_scalar_type_of_its_rows(whitehead, solved):
     # rows a complex rhs gives mpmath entries
     with mp.workprec(PRECISION + 30):
         rows = system_jacobian(completeness_system(whitehead, 0), list(solved["whitehead"].shapes.z))
-        pin, _, kept = curve_pin(rows, PRECISION)
+        pin, kept = curve_pin(rows, PRECISION)
         square = [rows[i] for i in kept]
         values = [-row[pin] for row in square]
         exact = pinned_factor(square, pin)(values)
@@ -1296,23 +1297,36 @@ def _phase_distance(v, w):
     return max(abs(u * a - b) for a, b in zip(v, w))
 
 
+def _largest_unit_entry(vector) -> int:
+    """The index of the largest modulus of a unit vector, ties (within an
+    absolute 2^-40) to the lowest: the oracle's pin rule."""
+    best = 0
+    for i in range(1, len(vector)):
+        if abs(vector[i]) > abs(vector[best]) + mp.mpf(2) ** -40:
+            best = i
+    return best
+
+
 @pytest.mark.parametrize("bits", [128, 256, 512])
 def test_numerical_kernel_matches_the_svd(bits, completeness_rows):
     # oracle: mpmath's SVD of each completeness Jacobian, cut as the
-    # kernel check cuts, gives the same rank, pin and unit kernel vector
+    # kernel check cuts, gives the same rank, the same pin by the largest
+    # entry of its unit kernel vector, and that vector up to a phase
     for label, rows in completeness_rows[bits]:
         with mp.workprec(bits + 30):
-            kernel, rank, _ = numerical_kernel(rows, bits)
+            x, kept = numerical_kernel(rows, bits)
             _, S, V = mp.svd_c(mp.matrix(rows))
             svals = [S[i] for i in range(S.rows)]
             cut = max(svals) * mp.mpf(2) ** (-bits // 4)
             svd_rank = sum(s > cut for s in svals)
             n = len(rows[0])
-            assert rank == svd_rank == n - 1, label
-            assert len(kernel) == 1, label
+            assert len(kept) == svd_rank == n - 1, label
             svd_vec = [mp.conj(V[n - 1, j]) for j in range(n)]
-            assert pin_choice(kernel[0]) == pin_choice(svd_vec), label
-            assert _phase_distance(kernel[0], svd_vec) < mp.mpf(2) ** (10 - bits), label
+            assert curve_pin(rows, bits)[0] == _largest_unit_entry(svd_vec), label
+            x = [blockform.to_mpc(v) for v in x]
+            norm = mp.sqrt(sum(abs(v) ** 2 for v in x))
+            unit = [v / norm for v in x]
+            assert _phase_distance(unit, svd_vec) < mp.mpf(2) ** (10 - bits), label
 
 
 @pytest.mark.parametrize("bits", [128, 256, 512])
@@ -1323,8 +1337,8 @@ def test_curve_pin_keeps_a_square_nonsingular_system(bits, completeness_rows):
     for label, rows in completeness_rows[bits]:
         with mp.workprec(bits + 30):
             n = len(rows[0])
-            pin, rank, kept = curve_pin(rows, bits)
-            assert rank == len(kept) == n - 1 and kept == tuple(sorted(kept)), label
+            pin, kept = curve_pin(rows, bits)
+            assert len(kept) == n - 1 and kept == tuple(sorted(kept)), label
             dz = curve_velocity([rows[i] for i in kept], pin)[0]
             big = max(abs(v) for row in rows for v in row)
             size = max(abs(v) for v in dz)
@@ -1332,28 +1346,51 @@ def test_curve_pin_keeps_a_square_nonsingular_system(bits, completeness_rows):
                 assert abs(sum(a * c for a, c in zip(row, dz))) <= mp.mpf(2) ** (20 - bits) * big * size, label
 
 
+def _rounded_curves(trace_starts, bits):
+    """(label, Jacobian rows) of every completeness curve at the 512-bit
+    complete structure rounded to `bits`, at bits + 30."""
+    for tri, start in trace_starts[512]:
+        for cusp in range(len(tri.cusps)):
+            z = [mp.mpc(v) for v in start.shapes.z]
+            yield f"{tri.name}.{cusp}", system_jacobian(completeness_system(tri, cusp), z)
+
+
 def test_curve_pin_decides_each_curve_alike_at_every_precision(trace_starts):
     # equal moduli (berge's four regular tetrahedra) tie, and ties go to
     # the first entry: the 512-bit complete structure, rounded to each
-    # precision from 24 bits up, takes one pin, rank and set of kept rows
-    # per curve
-    for tri, start in trace_starts[512]:
-        for cusp in range(len(tri.cusps)):
-            decisions = {}
-            for bits in (24, 32, 48, 64, 96, 128, 256, 512):
-                with mp.workprec(bits + 30):
-                    z = [mp.mpc(v) for v in start.shapes.z]
-                    rows = system_jacobian(completeness_system(tri, cusp), z)
-                    decisions[bits] = curve_pin(rows, bits)
-            assert len(set(decisions.values())) == 1, (tri.name, cusp, decisions)
+    # precision from 9 bits up, takes one pin per curve wherever the kernel
+    # check decides it, and from 24 bits up it decides every curve.  The
+    # kept rows are the 512-bit ones from 11 bits up; at 9 and 10 bits the
+    # rounding of the working precision, 39 and 40 bits, splits equal
+    # squares by more than the 2^-39 tie, and berge c keeps rows (0, 1, 4)
+    decisions = {}
+    for bits in (*range(9, 24), 24, 32, 48, 64, 96, 128, 256, 512):
+        with mp.workprec(bits + 30):
+            for label, rows in _rounded_curves(trace_starts, bits):
+                try:
+                    decisions.setdefault(label, {})[bits] = curve_pin(rows, bits)
+                except KernelDimensionError:
+                    assert bits < 24, (label, bits)
+    assert len(decisions) == 6
+    for label, decided in decisions.items():
+        assert {pin for pin, _ in decided.values()} == {decided[512][0]}, (label, decided)
+        assert {d for bits, d in decided.items() if bits >= 11} == {decided[512]}, label
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_curve_pin_decides_nothing_below_5_bits(trace_starts, bits):
+    # the cut is half the largest entry, so no pivot reaches 4 times it
+    with mp.workprec(bits + 30):
+        for label, rows in _rounded_curves(trace_starts, bits):
+            with pytest.raises(KernelDimensionError, match="undecided at the rank cut"):
+                curve_pin(rows, bits)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_kernel_of_random_rank_r_products(r):
     # a seeded 7x6 complex product of a 7xr and an rx6 factor has rank r;
-    # numerical_kernel and the elimination itself both find it, and every
-    # kernel vector is a unit vector that A maps to 2^-(p-20) max|A_ij|;
-    # curve_pin takes only the one-dimensional kernel of r = 5
+    # the kernel check decides r = 5, whose kernel vector A maps to
+    # 2^-(p-20) max|A_ij| |x|, and refuses the wider kernels of r = 3, 4
     rng = random.Random(r)
     with mp.workprec(PRECISION + 30):
         def factor(m, n):
@@ -1362,31 +1399,28 @@ def test_kernel_of_random_rank_r_products(r):
         left, right = factor(7, r), factor(r, 6)
         rows = [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(6)]
                 for row in left]
+        if r < 5:
+            for check in (numerical_kernel, curve_pin):
+                with pytest.raises(KernelDimensionError,
+                                   match=rf"kernel dimension {6 - r} at the complete structure "
+                                         r"\(expected 1\)"):
+                    check(rows, PRECISION)
+            return
+        x, kept = numerical_kernel(rows, PRECISION)
+        assert len(kept) == r and kept == tuple(sorted(kept))
+        assert curve_pin(rows, PRECISION)[1] == kept
+        x = [blockform.to_mpc(v) for v in x]
+        assert 1 in x
         big = max(abs(v) for row in rows for v in row)
-        cut = big * mp.mpf(2) ** (-PRECISION // 4)
-        kernel, rank, kept = numerical_kernel(rows, PRECISION)
-        eliminated, pivots, rest, pivot_rows = _eliminate(rows, cut)
-        assert rank == len(pivots) == len(kept) == r
-        assert kept == pivot_rows == tuple(sorted(kept))
-        assert rest <= cut
-        if r == 5:
-            assert curve_pin(rows, PRECISION)[1] == 5
-        else:
-            with pytest.raises(KernelDimensionError, match=f"kernel dimension {6 - r} at the"):
-                curve_pin(rows, PRECISION)
-        tol = mp.mpf(2) ** (20 - PRECISION)
-        for basis in (kernel, eliminated):
-            assert len(basis) == 6 - r
-            for v in basis:
-                assert abs(mp.sqrt(sum(abs(c) ** 2 for c in v)) - 1) < tol
-                image = mp.sqrt(sum(abs(sum(a * c for a, c in zip(row, v))) ** 2 for row in rows))
-                assert image <= tol * big
+        norm = mp.sqrt(sum(abs(c) ** 2 for c in x))
+        image = mp.sqrt(sum(abs(sum(a * c for a, c in zip(row, x))) ** 2 for row in rows))
+        assert image <= mp.mpf(2) ** (20 - PRECISION) * big * norm
 
 
 @pytest.mark.parametrize("last, dimension, rank", [
     (8, 1, 5), (2, None, None), (1, None, None), (mp.mpf(1) / 3, None, None), (0.125, 2, 4)])
 def test_numerical_kernel_takes_only_clean_decisions(last, dimension, rank):
-    # diag(1, 1, 1, 1, last * cut, 0) with the cut 2^-(p/4) of max|A| = 1:
+    # diag(1, 1, 1, 1, last * cut, 0) with the cut 2^(-p // 4) of max|A| = 1:
     # a pivot at least 4 cut or a stopping entry at most cut/4 is a clean
     # decision, anything between is refused with the numbers behind it
     with mp.workprec(PRECISION + 30):
@@ -1398,9 +1432,14 @@ def test_numerical_kernel_takes_only_clean_decisions(last, dimension, rank):
                 numerical_kernel(rows, PRECISION)
             assert "pivots 1.0, 1.0, 1.0, 1.0" in str(err.value)
             assert f"cut {mp.nstr(cut, 5)}" in str(err.value)
+        elif dimension == 1:
+            x, kept = numerical_kernel(rows, PRECISION)
+            assert len(kept) == rank and [blockform.to_mpc(v) for v in x] == [0] * 5 + [1]
         else:
-            kernel, found, _ = numerical_kernel(rows, PRECISION)
-            assert (len(kernel), found) == (dimension, rank)
+            # a clean decision, but on a kernel too wide for a curve
+            with pytest.raises(KernelDimensionError,
+                               match=f"kernel dimension {dimension} at the complete"):
+                numerical_kernel(rows, PRECISION)
 
 
 def test_elimination_alone_decides_every_curve(monkeypatch, solved):
@@ -1447,7 +1486,7 @@ def test_elimination_alone_decides_every_curve(monkeypatch, solved):
     for bits in (20, 32, 64, 128, 256, 512):
         for name in names:
             for tri, rows in jacobians(name, bits):
-                assert curve_pin(rows, bits)[1] == tri.n_tet - 1, (name, bits)
+                assert len(curve_pin(rows, bits)[1]) == tri.n_tet - 1, (name, bits)
     for name, bits in [("whitehead", 12), ("622", 16)]:
         for tri, rows in jacobians(name, bits):
             with pytest.raises(KernelDimensionError, match="undecided at the rank cut"):
