@@ -26,7 +26,7 @@ from mpmath import mp
 import cuspforge as cf
 from cuspforge.isolation import tau_derivatives
 from cuspforge.numberlab import algdep, classify_field
-from cuspforge.solver import SolveError, solve_complete, solve_filled
+from cuspforge.solver import SolveError, doubled_filling, solve_complete, solve_filled
 
 tri = cf.load_fixture("whitehead")
 pair = cf.cusp_parameter(tri, tri.cusps[0])
@@ -37,15 +37,19 @@ print(" n   geometric  cusp parameter               field")
 for n in range(-5, 6):
     if n == 0:
         continue
+    filling = ["complete", (1, n)]
     try:
-        result = solve_filled(tri, ["complete", (1, n)], start=complete)
+        result = solve_filled(tri, filling, start=complete)
+        # algdep confirms its relation at twice the precision
+        doubled = doubled_filling(tri, filling, result)
     except SolveError as exc:
         print(f"{n:+d}   (solver: {exc})")
         continue
     value = cf.evaluate_cusp_parameter(pair, result.shapes)
     x = result.shapes.z[1]
     residual = abs(value - (4 * x / (1 - x ** 2) - 2))
-    fc = classify_field(algdep(value, 12, 256))
+    with mp.workprec(512 + 30):
+        fc = classify_field(algdep(cf.evaluate_cusp_parameter(pair, doubled.shapes), 12, 256))
     flag = "yes" if result.geometric and not result.degenerate else "no "
     print(f"{n:+d}   {flag}        {mp.nstr(value, 12):28s} {fc}"
           f"   (curve-formula residual {mp.nstr(residual, 2)})")

@@ -1,13 +1,26 @@
 """Recognition of algebraic numbers and cusp-field classification.
 
 `algdep` recovers an integer minimal polynomial approximately satisfied by
-a high-precision complex value, by lattice reduction of the rows
-(e_i, round(2^(0.8 p) Re x^i), round(2^(0.8 p) Im x^i)), i = 0..n, at
-working precision p.  The candidates are the irreducible factors of the
-reduced rows, and one is accepted when its residual |P(x)| is below
-2^(-0.6 p); ties break by (degree, height, lexicographic coefficients).
-The residual is evaluated at 2p bits, but from the same p-bit x, so it
-only re-reads what the lattice saw: it is no independent confirmation.
+a complex value x known to 2p bits, for the working precision p, by
+lattice reduction of the rows
+(e_i, round(2^(0.8 p) Re x^i), round(2^(0.8 p) Im x^i)), i = 0..n.  The
+candidates are the irreducible factors of the reduced rows, and one is
+accepted when its residual |P(x)|, evaluated at 2p bits, is below
+2^(-1.5 p); ties break by (degree, height, lexicographic coefficients).
+The lattice sees 0.8p bits of x, so by the Gaussian heuristic a random
+short vector of degree d leaves a residual near 2^(-0.8 p (1 - 2/(d + 1))),
+which for d >= 8 is below 2^(-0.6 p) but far above 2^(-1.5 p); a true
+relation reaches about 2^(-2 p).  The digits of x past p are what confirm
+a relation.
+
+The reduction is one run, paused after each row: the basis at the pause
+after row r is the reduction of the degree-r lattice, and `algdep` stops
+at the first pause that confirms a factor, so the run goes no further than
+the minimal polynomial's degree.  A reduced row reaches the factoring only
+if its value at x, on the powers of x rounded to 2p bits, leaves room for
+a factor below 2^(-1.5 p) (the Landau-Mignotte test below); for the
+fixtures' cusp and fill values, no row below the minimal polynomial's
+degree does, so only rows holding it are factored.
 
 `irreducible_factors` finds the factors of the rows in three steps, and
 factors in full only what the first two leave:
@@ -36,9 +49,13 @@ divide.  For g = F G the Landau-Mignotte bound (Mignotte, Math. Comp.
 |g(x)| < 2^t 2^deg g |g|_2 max(1, |x|)^deg g.  |g(x)| is taken in floats,
 with an allowance of |g|_1 max(1, |x|)^deg g 2^-40 for their rounding, so
 a dropped cofactor beats the bound by more than any rounding can explain.
+`algdep` puts each reduced row g through the same test first, with g(x)
+read off the integer powers round(2^(2p) x^i), so that test resolves
+|g(x)| down to about 2^(-2p) |g|_1 and needs no mpmath.
 
-The reduction is `lll`, the integral LLL of Cohen (A Course in
-Computational Algebraic Number Theory, Alg. 2.6.7) with delta = 3/4.  It
+The reduction is `lll_pauses`, the integral LLL of Cohen (A Course in
+Computational Algebraic Number Theory, Alg. 2.6.7) with delta = 3/4, and
+`lll` is its run to the end.  It takes the rows one at a time and
 computes on Python integers only, with no floats and no rationals: the
 Gram-Schmidt data are kept exactly as the Gram determinants d_i and the
 coefficients lambda_ij = d_j mu_ij, and every division is exact.  Its
@@ -130,19 +147,18 @@ class FieldClass:
         return self.kind
 
 
-def lll(rows: list[list[int]]) -> list[list[int]]:
-    """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
-    independent integer rows, by Cohen's integral LLL.
+def lll_pauses(rows):
+    """Cohen's integral LLL (delta = 3/4) on linearly independent integer
+    rows, taken one at a time from the iterable `rows`: a pause, the basis
+    list itself, is yielded each time rows 0..r are reduced, for r = 0, 1,
+    ...  The run never looks at row r + 1 before that pause, so the basis
+    there is the LLL-reduced basis of rows 0..r alone.  The list goes on
+    changing when the run resumes.
 
     d[j + 1] is the Gram determinant of rows 0..j (d[0] = 1) and
-    lam[k][j] = d[j + 1] * mu_kj, so every quantity is an integer.  Rows
-    past kmax have not been reached yet; their Gram-Schmidt data are
-    computed when they are.
+    lam[k][j] = d[j + 1] * mu_kj, so every quantity is an integer.
     """
-    b = [list(r) for r in rows]
-    n = len(b)
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
+    b, d, lam = [], [1], []
 
     def gram_schmidt(k):
         for j in range(k + 1):
@@ -163,47 +179,56 @@ def lll(rows: list[list[int]]) -> list[list[int]]:
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
-    gram_schmidt(0)
-    k, kmax = 1, 0
-    while k < n:
-        if k > kmax:
-            kmax = k
-            gram_schmidt(k)
-        reduce(k, k - 1)
-        lk = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk ** 2:
-            # Lovasz condition fails: swap rows k-1 and k, update exactly
-            b[k - 1], b[k] = b[k], b[k - 1]
-            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
-            B = (d[k - 1] * d[k + 1] + lk ** 2) // d[k]
-            for i in range(k + 1, kmax + 1):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-                lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
-            d[k] = B
-            k = max(k - 1, 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
-            k += 1
+    for row in rows:
+        k = len(b)
+        b.append(list(row))
+        d.append(0)
+        lam.append([0] * k)
+        gram_schmidt(k)
+        while 0 < k < len(b):
+            reduce(k, k - 1)
+            lk = lam[k][k - 1]
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk ** 2:
+                # Lovasz condition fails: swap rows k-1 and k, update exactly
+                b[k - 1], b[k] = b[k], b[k - 1]
+                lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+                B = (d[k - 1] * d[k + 1] + lk ** 2) // d[k]
+                for i in range(k + 1, len(b)):
+                    t = lam[i][k]
+                    lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                    lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
+                d[k] = B
+                k = max(k - 1, 1)
+            else:
+                for l in range(k - 2, -1, -1):
+                    reduce(k, l)
+                k += 1
+        yield b
+
+
+def lll(rows) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
+    independent integer rows: the last pause of `lll_pauses`."""
+    b = []
+    for b in lll_pauses(rows):
+        pass
     return b
 
 
-def relation_lattice(x, max_degree: int, precision_bits: int) -> list[list[int]]:
-    """The rows (e_i, round(2^(0.8 p) Re x^i), round(2^(0.8 p) Im x^i)),
-    i = 0..max_degree, that `algdep` reduces; the identity block makes them
-    linearly independent."""
+def relation_lattice(x, max_degree: int, precision_bits: int):
+    """Yields the rows (e_i, round(2^(0.8 p) Re x^i), round(2^(0.8 p) Im x^i)),
+    i = 0..max_degree, that `algdep` reduces, each computed at 2p bits when
+    it is asked for; the identity block makes them linearly independent."""
     n = max_degree
-    with mp.workprec(2 * precision_bits):
-        scale = mp.mpf(2) ** int(0.8 * precision_bits)
-        rows = []
-        power = mp.mpc(1)
-        for i in range(n + 1):
-            rows.append([int(j == i) for j in range(n + 1)]
-                        + [int(mp.nint(scale * power.real)),
-                           int(mp.nint(scale * power.imag))])
-            power *= x
-    return rows
+    power = mp.mpc(1)
+    for i in range(n + 1):
+        with mp.workprec(2 * precision_bits):
+            if i:
+                power *= x
+            scaled = power * mp.mpf(2) ** int(0.8 * precision_bits)
+            row = ([int(j == i) for j in range(n + 1)]
+                   + [int(mp.nint(scaled.real)), int(mp.nint(scaled.imag))])
+        yield row
 
 
 # The primes of the degree test.  They are small because the Frobenius
@@ -428,53 +453,107 @@ def irreducible_factors(polys, x: complex | None = None,
     return known
 
 
-def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
-    """Integer minimal-polynomial candidate for x, or None if no candidate
-    passes the residual test.
+def _row_may_hold_small_factor(g: list[int], value: tuple[int, int], log2_scale: int,
+                               x: complex, log2_bound: int) -> bool:
+    """False only when the nonzero integer polynomial g (constant term
+    first) has no factor F with |F(x)| < 2^log2_bound.
 
-    The candidates are the irreducible factors of the reduced rows, by
-    `irreducible_factors` at the point x: each row is divided by the
-    factors found so far, a cofactor that the Landau-Mignotte bound rules
-    out is dropped, the mod-p degree test proves what is left irreducible
-    where it can, two open cofactors are split by their gcd, and
-    `sympy.factor_list` factors only the rest.  A candidate F passes when
-    |F(x)|, evaluated at 2p bits, is below 2^(-0.6 p); x is known to about
-    p bits only, so the extra digits confirm nothing.  Ties break by
-    (degree, height, coefficients).
+    `value` is sum g_i P_i for P_i = round(2^log2_scale x^i), the powers
+    computed at log2_scale bits, so it is 2^log2_scale g(x) to within
+    |g|_1 (1/sqrt(2) + 4 deg g max(1, |x|)^deg g): each P_i is off by its
+    rounding, 1/sqrt(2), and by less than 4 i |x|^i for the i rounded
+    products that made the power.  By the Landau-Mignotte bound of the
+    module docstring, such an F forces
+    |g(x)| < 2^log2_bound 2^deg g |g|_2 max(1, |x|)^deg g; that term is
+    doubled, a margin for F(x) as `algdep` evaluates it.  The bound is
+    taken in floats with a relative allowance of 2^-40 and compared as an
+    integer; a point or a bound that is not finite keeps g."""
+    if not cmath.isfinite(x):
+        return True
+    degree = len(g) - 1
+    try:
+        power = max(1.0, abs(x)) ** degree
+        error = sum(map(abs, g)) * (2 ** -0.5 + 4 * degree * power)
+        small = math.ldexp((math.isqrt(sum(c * c for c in g)) + 1) * power,
+                           log2_scale + log2_bound + degree + 1)
+        bound = int((error + small) * (1 + 2.0 ** -40)) + 1
+    except OverflowError:
+        return True
+    re, im = value
+    return re * re + im * im < bound * bound
+
+
+def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
+    """Integer minimal-polynomial candidate for x, known to 2p bits, or None
+    if no candidate is confirmed.
+
+    One integral LLL (`lll_pauses`) runs on the rows of `relation_lattice`,
+    built one at a time, and pauses each time rows 0..r are reduced, where
+    its basis is the reduction of the degree-r lattice.  At each pause the
+    rows not seen at an earlier one are tested.  A row's polynomial g is
+    skipped when its value at x, taken on the powers of x rounded to 2p
+    bits, rules out any factor F with |F(x)| < 2^(-1.5 p)
+    (`_row_may_hold_small_factor`); the rest go to `irreducible_factors`
+    at the point x.  A factor F is confirmed when |F(x)|, evaluated at 2p
+    bits, is below 2^(-1.5 p): a true relation reaches about 2^(-2p)
+    there, while a short vector that only fits the lattice's 0.8p bits of
+    x stays far above.  The first pause with a confirmed factor returns
+    the smallest one by (degree, height, coefficients), so the reduction
+    stops at the minimal polynomial's degree.
 
     Requires precision_bits >= 128 and max_degree >= 1, else raises
     AlgdepError.  The returned polynomial is primitive with positive
     leading coefficient and irreducible over the rationals.
     """
+    check_algdep_arguments(max_degree, precision_bits)
+    n, bits = max_degree, 2 * precision_bits
+    log2_bound = int(-1.5 * precision_bits)
+    with mp.workprec(bits):
+        x = mp.mpc(x)
+        threshold = mp.mpf(2) ** log2_bound
+        scale, power = mp.mpf(2) ** bits, mp.mpc(1)
+    point = complex(x)
+    fixed = []                       # round(2^(2p) x^i) for the rows so far
+    seen, refused = set(), set()
+    for basis in lll_pauses(relation_lattice(x, n, precision_bits)):
+        with mp.workprec(bits):
+            fixed.append((int(mp.nint(scale * power.real)), int(mp.nint(scale * power.imag))))
+            power *= x
+        fresh = []
+        for row in basis:
+            key = tuple(row)
+            if key in seen:
+                continue
+            seen.add(key)
+            g = _trim(row[: len(fixed)])
+            value = (sum(c * re for c, (re, _) in zip(g, fixed)),
+                     sum(c * im for c, (_, im) in zip(g, fixed)))
+            if _row_may_hold_small_factor(g, value, bits, point, log2_bound):
+                fresh.append(g)
+        best = None
+        with mp.workprec(bits):
+            for fc in irreducible_factors(fresh, point, log2_bound):
+                key = (len(fc) - 1, max(map(abs, fc)), tuple(fc))
+                if key in refused:
+                    continue
+                residual = abs(mp.polyval(fc[::-1], x))
+                if residual >= threshold:
+                    refused.add(key)
+                elif best is None or key < best[0]:
+                    best = (key, residual)
+        if best is not None:
+            (_, height, coeffs), residual = best
+            return MinPoly(coefficients=coeffs, residual=residual, height=height)
+    return None
+
+
+def check_algdep_arguments(max_degree: int, precision_bits: int) -> None:
+    """Raise AlgdepError unless precision_bits >= 128 and max_degree >= 1,
+    as `algdep` requires."""
     if precision_bits < 128:
         raise AlgdepError("algdep needs at least 128 bits of precision")
     if max_degree < 1:
         raise AlgdepError("max_degree must be >= 1")
-    n = max_degree
-    log2_threshold = int(-0.6 * precision_bits)
-    with mp.workprec(2 * precision_bits):
-        x = mp.mpc(x)
-        reduced = lll(relation_lattice(x, n, precision_bits))
-        # coefficient of x^i at index i
-        candidates = irreducible_factors(filter(None, (_trim(row[: n + 1]) for row in reduced)),
-                                         complex(x), log2_threshold)
-
-        threshold = mp.mpf(2) ** log2_threshold
-        powers = [x ** i for i in range(n + 1)]
-        best = None
-        for fc in candidates:
-            residual = abs(sum(c * powers[i] for i, c in enumerate(fc)))
-            if residual >= threshold:
-                continue
-            height = max(abs(c) for c in fc)
-            key = (len(fc) - 1, height, tuple(fc))
-            if best is None or key < best[0]:
-                best = (key, tuple(fc), residual)
-        if best is None:
-            return None
-        _, coeffs, residual = best
-        return MinPoly(coefficients=coeffs, residual=residual,
-                       height=max(abs(c) for c in coeffs))
 
 
 # Trial division in `squarefree_part` stops here; a cofactor with no prime

@@ -1,9 +1,11 @@
 """Batch screening workflow and command line.
 
 For each manifold file: solve the complete structure, evaluate each cusp's
-parameter there, recognize its field by integer-relation detection, apply
-the rigid-field test, and — only for rigid-compatible cusps — run the
-isolation test.  The per-manifold verdict summarizes the two obstructions:
+parameter there, recognize its field by integer-relation detection,
+confirmed on the parameter at the structure polished to twice the
+precision, apply the rigid-field test, and — only for rigid-compatible
+cusps — run the isolation test.  The per-manifold verdict summarizes the
+two obstructions:
 
     FailsRigidField          every cusp fails the rigid-field test
     RigidFieldButNotIsolated some rigid-compatible cusp is certified
@@ -42,9 +44,10 @@ from . import __version__, load_fixture
 from .holonomy import cusp_parameter, evaluate_cusp_parameter
 from .isolation import IsolationEvidence, doubled_structure, isolation_verdict
 from .manifold import IdealTriangulation, TriangulationError, read_triangulation
-from .numberlab import FieldClass, MinPoly, classify_field, algdep, rigid_compatible
-from .solver import (SolveError, SolveResult, printed_complex, printed_digits, solve_complete,
-                     solve_filled)
+from .numberlab import (AlgdepError, FieldClass, MinPoly, algdep, check_algdep_arguments,
+                        classify_field, rigid_compatible)
+from .solver import (SolveError, SolveResult, doubled_filling, printed_complex, printed_digits,
+                     solve_complete, solve_filled)
 
 NON_VERIFIED_TAG = "non-verified computation"
 
@@ -163,7 +166,13 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
     A non-geometric or degenerate solve keeps each cusp's shape, minimal
     polynomial and field, but no cusp is rigid-compatible, isolation does
     not run and the verdict is Undetermined; `solve.notes` gives the
-    reason."""
+    reason.
+
+    `algdep` takes each cusp parameter at twice the precision, from one 2p
+    polish of the solve per triangulation: `doubled_structure`, or
+    `doubled_filling` for a filled solve.  When that polish fails, or
+    `algdep` refuses the precision, every cusp records the error, with its
+    shape but no minimal polynomial."""
     report = ScreenReport(
         manifold=tri.name, source=source, verdict=UNDETERMINED,
         filling=filling, provenance=options.provenance(),
@@ -183,6 +192,14 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
         hyperbolic = _hyperbolic(report.solve)
         unfilled = [i for i, c in enumerate(tri.cusps)
                     if filling is None or filling[i] in (None, "complete")]
+        doubled = failure = None
+        if unfilled:
+            try:
+                check_algdep_arguments(options.max_degree, options.precision_bits)
+                doubled = (doubled_structure(tri, solved) if filling is None
+                           else doubled_filling(tri, filling, solved))
+            except (SolveError, AlgdepError) as exc:
+                failure = str(exc)
         for i in unfilled:
             cusp = tri.cusps[i]
             rec = CuspRecord(name=cusp.name)
@@ -191,10 +208,18 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
                 pair = cusp_parameter(tri, cusp)
                 value = evaluate_cusp_parameter(pair, solved.shapes)
                 rec.shape = printed_complex(value, printed_digits(options.precision_bits))
+                if failure is not None:
+                    rec.error = failure
+                    continue
+                with mp.workprec(2 * options.precision_bits + 30):
+                    value = evaluate_cusp_parameter(pair, doubled.shapes)
                 rec.minpoly = algdep(value, options.max_degree, options.precision_bits)
                 rec.field = classify_field(rec.minpoly)
                 rec.rigid = hyperbolic and rigid_compatible(rec.field)
                 if rec.rigid and run_isolation and filling is None:
+                    # the isolation test polishes its own 2p structure; the
+                    # benchmark counts those polishes as its re-solves
+                    # (ROADMAP item 2)
                     rec.isolation = isolation_verdict(tri, i, start=solved)
             except (SolveError, ZeroDivisionError, ValueError) as exc:
                 rec.error = str(exc)

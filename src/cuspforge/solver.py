@@ -88,6 +88,10 @@ bookkeeping is part of the equation, with step halving and an explicit
 "stalled" failure when continuity cannot be maintained.  The float point
 at 2 pi i, with its branches as the reference, is then polished once at
 p+30 bits; a polish that misses the residual target raises SolveError.
+`doubled_filling` polishes that result once more at 2p+30 bits, with the
+target 2 pi i taken at that precision and the branches the p polish
+ended on: the filled counterpart of a complete solve polished at 2p from
+`initial`.
 Log-form edge rows are not used here: the ramp of some fillings passes
 through shapes near 0 and 1, where the cleared equations stay regular
 and log rows stall.
@@ -113,6 +117,7 @@ step in its place.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -818,16 +823,7 @@ def solve_filled(tri: IdealTriangulation, fillings, *, start: SolveResult) -> So
         z_ramp = _filling_ramp(tri.name, rows, [complex(v) for v in start.shapes.z])
         for fe in fill_eqs:
             fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
-            fe.target = 2j * mp.pi
-        z, it, res = _newton(rows, [mp.mpc(v) for v in z_ramp], _newton_tol(precision_bits))
-        if res >= success_tol:
-            raise SolveError(
-                f"{tri.name!r}: polish of the filled structure "
-                f"{', '.join(f'{fe.label}=({fe.p},{fe.q})' for fe in fill_eqs)} "
-                f"stopped at residual {mp.nstr(res, 3)}"
-            )
-
-        res2 = _certify(rows, z, precision_bits)
+        z, it, res2 = _polish_filled(tri, rows, z_ramp, precision_bits)
         geometric = all(v.imag > flat_tol for v in z)
         offsets = tuple(fe.branch_offsets(z) for fe in fill_eqs)
         notes = list(start.notes)
@@ -860,6 +856,47 @@ def solve_filled(tri: IdealTriangulation, fillings, *, start: SolveResult) -> So
             branch_offsets=offsets, core_translations=tuple(cores),
             notes=tuple(notes),
         )
+
+
+def doubled_filling(tri: IdealTriangulation, fillings, filled: SolveResult) -> SolveResult:
+    """`filled`, as `solve_filled` returns it for these fillings, polished
+    once at twice its precision on its own rows: the filling targets 2 pi i
+    are taken at 2p, and the log branches stay as `filled` left them, with
+    no second ramp.  The result is `filled` with the 2p shapes, iterations
+    and residual.  Raises SolveError unless the polish succeeds."""
+    bits = 2 * filled.shapes.precision_bits
+    with mp.workprec(bits + 30):
+        rows = _gluing_rows(tri, _check_fillings(tri, fillings))
+        fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
+        z = list(filled.shapes.z)
+        for fe, turns in zip(fill_eqs, filled.branch_offsets):
+            principal, _, pi = fe._branches(z)
+            fe.reference = tuple(w + 2j * pi * k for w, k in zip(principal, turns))
+        z, it, res2 = _polish_filled(tri, rows, z, bits)
+        if res2 >= mp.mpf(2) ** (-bits // 2):
+            raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the filled structure "
+                             "did not succeed")
+        return dataclasses.replace(
+            filled, shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), bits),
+            residual=res2, iterations=it)
+
+
+def _polish_filled(tri: IdealTriangulation, rows, z: list, precision_bits: int) -> tuple:
+    """Newton on the filled rows from z to the targets 2 pi i, at the
+    working precision, each filling row's branch reference already set.
+    Returns (z, iterations, residual re-evaluated at 2 precision_bits);
+    raises SolveError when the polish misses the residual target."""
+    fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
+    for fe in fill_eqs:
+        fe.target = 2j * mp.pi
+    z, it, res = _newton(rows, [mp.mpc(v) for v in z], _newton_tol(precision_bits))
+    if res >= mp.mpf(2) ** (-precision_bits // 2):
+        raise SolveError(
+            f"{tri.name!r}: polish of the filled structure "
+            f"{', '.join(f'{fe.label}=({fe.p},{fe.q})' for fe in fill_eqs)} "
+            f"stopped at residual {mp.nstr(res, 3)}"
+        )
+    return z, it, _certify(rows, z, precision_bits)
 
 
 def _core_curve(p: int, q: int) -> tuple[int, int]:

@@ -22,10 +22,11 @@ from cuspforge.holonomy import (
     mu,
     tau,
 )
-from cuspforge.isolation import isolation_verdict, tau_derivatives
+from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
 from cuspforge.numberlab import EISENSTEIN, GAUSSIAN, algdep, classify_field
 from cuspforge.screen import ScreenOptions, screen_triangulation
-from cuspforge.solver import SolveError, completeness_system, solve_filled, system_jacobian
+from cuspforge.solver import (SolveError, completeness_system, doubled_filling, solve_filled,
+                              system_jacobian)
 from cuspforge.tracecalc import (
     cusp_parameter_from_traces,
     whitehead_curve_residual,
@@ -88,8 +89,12 @@ def test_criterion_3_622(link622, solved):
     assert abs(p) < mp.mpf("1e-40")
     target = (3 + mp.sqrt(-3)) / 6
     assert abs(z1 - target) < mp.mpf("1e-35") and abs(z1p - target) < mp.mpf("1e-35")
-    value = evaluate_cusp_parameter(cusp_parameter(link622, link622.cusps[0]), result.shapes)
+    pair = cusp_parameter(link622, link622.cusps[0])
+    value = evaluate_cusp_parameter(pair, result.shapes)
     assert abs(value - (1 + mp.sqrt(-3))) < mp.mpf("1e-35")
+    # algdep confirms at 2p, on the value at the 2p structure
+    with mp.workprec(2 * PRECISION + 30):
+        value = evaluate_cusp_parameter(pair, doubled_structure(link622, result).shapes)
     poly = algdep(value, 12, PRECISION)
     assert poly.coefficients == (4, -2, 1)
     fc = classify_field(poly)
@@ -160,8 +165,9 @@ def test_criterion_6_algdep_suite():
         if b == 0:
             b = Fraction(1, 3)
         d = rng.choice([1, 2, 3, 5, 6, 7, 11, 15])
-        x = mp.mpf(a.numerator) / a.denominator + (
-            mp.mpf(b.numerator) / b.denominator) * mp.sqrt(-d)
+        with mp.workprec(2 * 256):
+            x = mp.mpf(a.numerator) / a.denominator + (
+                mp.mpf(b.numerator) / b.denominator) * mp.sqrt(-d)
         got = algdep(x, 6, 256)
         c1 = -2 * a
         c0 = a * a + b * b * d
@@ -173,7 +179,8 @@ def test_criterion_6_algdep_suite():
             failures += 1
     assert failures == 0
     assert algdep(mp.mpc(-2, 2), 8, 256).coefficients == (8, 4, 1)
-    assert algdep(1 + mp.sqrt(-3), 8, 256).coefficients == (4, -2, 1)
+    with mp.workprec(2 * 256):
+        assert algdep(1 + mp.sqrt(-3), 8, 256).coefficients == (4, -2, 1)
     passed(6, "200/200 random quadratic irrationalities recovered exactly")
 
 
@@ -181,8 +188,10 @@ def test_criterion_7_filling_consistency(whitehead, solved):
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     outcomes = {}
     for n in [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]:
+        filling = ["complete", (1, n)]
         try:
-            result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
+            result = solve_filled(whitehead, filling, start=solved["whitehead"])
+            doubled = doubled_filling(whitehead, filling, result)
         except SolveError:
             outcomes[n] = ("failed", None)
             continue
@@ -190,6 +199,8 @@ def test_criterion_7_filling_consistency(whitehead, solved):
         x = result.shapes.z[1]
         assert abs(value - (4 * x / (1 - x ** 2) - 2)) < mp.mpf("1e-30"), \
             f"(1,{n}): filled cusp parameter disagrees with the curve formula"
+        with mp.workprec(2 * PRECISION + 30):
+            value = evaluate_cusp_parameter(pair, doubled.shapes)
         poly = algdep(value, 12, PRECISION)
         fc = classify_field(poly)
         geometric = result.geometric and not result.degenerate

@@ -56,7 +56,8 @@ def test_algdep_gaussian_example():
 
 
 def test_algdep_eisenstein_example():
-    poly = algdep(1 + mp.sqrt(-3), 8, PRECISION)
+    with mp.workprec(2 * PRECISION):
+        poly = algdep(1 + mp.sqrt(-3), 8, PRECISION)
     assert poly.coefficients == (4, -2, 1)
 
 
@@ -97,8 +98,9 @@ def test_round_trip_random_quadratics():
         if b == 0:
             continue
         d = rng.choice([1, 2, 3, 7, 11])
-        x = mp.mpf(a.numerator) / a.denominator + (
-            mp.mpf(b.numerator) / b.denominator) * mp.sqrt(-d)
+        with mp.workprec(2 * PRECISION):
+            x = mp.mpf(a.numerator) / a.denominator + (
+                mp.mpf(b.numerator) / b.denominator) * mp.sqrt(-d)
         poly = algdep(x, 6, PRECISION)
         assert poly is not None
         assert poly.coefficients == quadratic_minpoly(a, b, d)
@@ -213,16 +215,26 @@ import cuspforge.screen
 assert "sympy" not in sys.modules, "import"
 for bits in ("128", "256", "512"):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cuspforge.screen.main(["screen", "whitehead", "622", "berge", "--format", "json",
-                                      "--precision-bits", bits])
+        code = cuspforge.screen.main(sys.argv[1:] + ["--format", "json",
+                                                     "--precision-bits", bits])
     assert code == 0, bits
     assert "sympy" not in sys.modules, bits
 """
 
 
 def test_import_and_screen_leave_sympy_unloaded():
-    proc = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT], capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, "screen", "whitehead", "622",
+                           "berge"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fill_leaves_sympy_unloaded():
+    # every (1, n) fill value is settled by division, the degree test and the
+    # gcd at 128, 256 and 512 bits: the reduction stops at the minimal
+    # polynomial's degree, and no spurious degree-12 row is factored
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, "fill", "whitehead",
+                           "--cusp", "1", "--n-range=-5:5"],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -236,7 +248,8 @@ def test_modular_action_invariance():
         a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
         if a * d - b * c != 1:
             continue
-        moved = (a * tau + b) / (c * tau + d)
+        with mp.workprec(2 * PRECISION):
+            moved = (a * tau + b) / (c * tau + d)
         assert classify_field(algdep(moved, 8, PRECISION)).kind == GAUSSIAN
         count += 1
 
@@ -296,7 +309,7 @@ def test_lll_reduces_algdep_lattices(cusp_values, bits):
     # the relation lattice is (I | v), so a basis of the same lattice is
     # T (I | v) with T its first block, integral and of determinant +-1
     for value in cusp_values[bits]:
-        rows = relation_lattice(mp.mpc(value), 12, bits)
+        rows = list(relation_lattice(mp.mpc(value), 12, bits))
         reduced = lll(rows)
         assert_lll_reduced(reduced)
         T = [row[:len(rows)] for row in reduced]
@@ -326,20 +339,25 @@ from mpmath import mp
 from sympy.external.gmpy import GROUND_TYPES
 import cuspforge as cf
 from cuspforge.numberlab import algdep
-from cuspforge.solver import solve_complete, solve_filled
+from cuspforge.isolation import doubled_structure
+from cuspforge.solver import doubled_filling, solve_complete, solve_filled
 
 bits = 512
 with mp.workprec(bits + 30):
     found = {"ground_types": GROUND_TYPES}
     tri = cf.load_fixture("622")
-    complete = solve_complete(tri, bits)
-    found["622"] = [list(algdep(cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, c),
-                                                           complete.shapes), 12, bits)
-                         .coefficients) for c in tri.cusps]
+    doubled = doubled_structure(tri, solve_complete(tri, bits))
+    with mp.workprec(2 * bits + 30):
+        found["622"] = [list(algdep(cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, c),
+                                                               doubled.shapes), 12, bits)
+                             .coefficients) for c in tri.cusps]
     tri = cf.load_fixture("whitehead")
-    filled = solve_filled(tri, ["complete", (1, 5)], start=solve_complete(tri, bits))
-    found["whitehead(1,5)"] = list(algdep(cf.evaluate_cusp_parameter(
-        cf.cusp_parameter(tri, tri.cusps[0]), filled.shapes), 12, bits).coefficients)
+    filling = ["complete", (1, 5)]
+    filled = solve_filled(tri, filling, start=solve_complete(tri, bits))
+    doubled = doubled_filling(tri, filling, filled)
+    with mp.workprec(2 * bits + 30):
+        found["whitehead(1,5)"] = list(algdep(cf.evaluate_cusp_parameter(
+            cf.cusp_parameter(tri, tri.cusps[0]), doubled.shapes), 12, bits).coefficients)
 print(json.dumps(found))
 """
 

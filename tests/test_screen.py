@@ -157,6 +157,32 @@ def test_fill_sweep_solves_the_complete_structure_once(whitehead, monkeypatch):
     assert all(rep.solve["success"] for rep in reports)
 
 
+FILL_NS = [n for n in range(-5, 6) if n]
+
+
+def test_fill_precision_ladder(whitehead):
+    # every (1, n) fill at 128, 256 and 512 bits gives the 512-bit minimal
+    # polynomial or none; the misses are (1, 5) at 128 bits, whose degree-10
+    # relation needs more digits, and (1, +-5) at max-degree 8, whose fields
+    # have degree 9 and 10
+    found = {}
+    for bits in (128, 256, 512):
+        for max_degree in (12, 8):
+            options = ScreenOptions(precision_bits=bits, max_degree=max_degree, seed=0)
+            reports = fill_and_screen(whitehead, 1, FILL_NS, options)
+            assert all(rep.error is None and len(rep.cusps) == 1 for rep in reports)
+            found[bits, max_degree] = [rep.cusps[0].minpoly for rep in reports]
+    reference = [m.coefficients for m in found[512, 12]]
+    assert [len(m) - 1 for m in reference] == [9, 7, 5, 3, 1, 2, 4, 6, 8, 10]
+    misses = {}
+    for key, minpolys in found.items():
+        for n, m, want in zip(FILL_NS, minpolys, reference):
+            assert m is None or m.coefficients == want, (key, n)
+        misses[key] = [n for n, m in zip(FILL_NS, minpolys) if m is None]
+    assert misses == {(128, 12): [5], (256, 12): [], (512, 12): [],
+                      (128, 8): [-5, 5], (256, 8): [-5, 5], (512, 8): [-5, 5]}
+
+
 def _count_solves(monkeypatch, alter_doubled=None):
     """Record the precision of every complete solve made by the screen and
     the isolation modules; `alter_doubled(result)`, when given, replaces
@@ -188,15 +214,28 @@ def test_cli_isolate_solves_the_complete_structure_once(monkeypatch, capsys):
     assert sorted(calls) == [PRECISION, 2 * PRECISION]
 
 
-def test_field_and_fill_make_no_doubled_solve(monkeypatch, capsys):
-    # field and fill run no isolation: one complete solve at p each
+def test_field_and_fill_make_one_doubled_polish_each(monkeypatch, capsys):
+    # field and fill run no isolation; algdep confirms at 2p, so field polishes
+    # each complete structure once at 2p, and fill polishes each filled one
+    # at 2p on its own rows, with no complete solve at 2p
     import cuspforge.screen as screen_module
 
     calls = _count_solves(monkeypatch)
     assert screen_module.main(["field", "whitehead", "berge"]) == 0
     assert "rigid_compatible=True" in capsys.readouterr().out
-    fill_and_screen(cf.load_fixture("whitehead"), 1, [2], OPTIONS)
-    assert calls == [PRECISION] * 3
+    assert calls == [PRECISION, 2 * PRECISION] * 2
+    calls.clear()
+    filled = []
+    polish = screen_module.doubled_filling
+
+    def counted(tri, fillings, result):
+        filled.append(result.shapes.precision_bits)
+        return polish(tri, fillings, result)
+
+    monkeypatch.setattr(screen_module, "doubled_filling", counted)
+    fill_and_screen(cf.load_fixture("whitehead"), 1, [2, 3], OPTIONS)
+    assert calls == [PRECISION]
+    assert filled == [PRECISION] * 2
 
 
 @pytest.mark.parametrize("failure", [
@@ -205,9 +244,10 @@ def test_field_and_fill_make_no_doubled_solve(monkeypatch, capsys):
 ], ids=["failed", "another-root"])
 def test_a_failed_doubled_polish_is_recorded_on_each_cusp(monkeypatch, capsys, failure):
     # a 2p result that did not succeed, or that is not the polish of the
-    # start, is refused: each rigid cusp of a screen records the error, and
-    # isolate, which solves the 2p structure once for all cusps, prints it
-    # for each cusp without solving again
+    # start, is refused: each cusp of a screen records the error with no
+    # minimal polynomial, since algdep confirms at 2p, and isolate, which
+    # solves the 2p structure once for all cusps, prints it for each cusp
+    # without solving again
     import dataclasses
 
     import cuspforge.screen as screen_module
@@ -216,10 +256,12 @@ def test_a_failed_doubled_polish_is_recorded_on_each_cusp(monkeypatch, capsys, f
     message = (f"'whitehead': the {2 * PRECISION}-bit polish of the complete structure "
                "did not succeed")
     rep = screen([fixture_dir() / "whitehead.json"], OPTIONS)[0]
-    assert [c.rigid for c in rep.cusps] == [True, True]
+    assert [c.rigid for c in rep.cusps] == [False, False]
     assert [c.error for c in rep.cusps] == [message, message]
-    assert all(c.isolation is None and c.minpoly is not None for c in rep.cusps)
+    assert all(c.isolation is None and c.minpoly is None and c.shape is not None
+               for c in rep.cusps)
     assert rep.verdict == UNDETERMINED
+    assert calls == [PRECISION, 2 * PRECISION]
     calls.clear()
     assert screen_module.main(["isolate", "whitehead"]) == 0
     assert capsys.readouterr().out.splitlines() == [

@@ -36,6 +36,7 @@ from cuspforge.solver import (
     completeness_system,
     curve_pin,
     curve_velocity,
+    doubled_filling,
     least_squares,
     numerical_kernel,
     pinned_factor,
@@ -182,8 +183,11 @@ def test_whitehead_one_one_filling_field(whitehead, solved):
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     kinds = {}
     for n in (1, -1):
-        result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
-        value = evaluate_cusp_parameter(pair, result.shapes)
+        filling = ["complete", (1, n)]
+        result = solve_filled(whitehead, filling, start=solved["whitehead"])
+        doubled = doubled_filling(whitehead, filling, result)
+        with mp.workprec(2 * PRECISION + 30):
+            value = evaluate_cusp_parameter(pair, doubled.shapes)
         fc = classify_field(algdep(value, 8, PRECISION))
         kinds[n] = (result.geometric, fc.kind)
     geo = [n for n in (1, -1) if kinds[n][0]]
