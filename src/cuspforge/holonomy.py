@@ -39,7 +39,9 @@ its factor order, so every value is bit-identical to one computed on a
 fresh Point.  The solver makes one Point per trial point; at an mpmath
 point it evaluates its residual, then the values and Jacobian of the
 step taken from it, then its tangent and, at a traced sample (which keeps
-its Point), the cusp parameter, all from that one memo.  A plain sequence
+its Point), the cusp parameter, all from that one memo; a filling row's
+principal logs are memoised there too (`Point.principal_log`), so the
+residual and the step at a point log each dilation once.  A plain sequence
 passed to the evaluator becomes a Point for the length of that call.  No
 memo outlives its point.
 
@@ -404,6 +406,16 @@ class Point(tuple):
             point._products = {}              # (a, b) -> prod z_i^{a_i} (1 - z_i)^{b_i}
             point._log_derivative_forms = {}  # (i, a_i, b_i, k) -> a_i/z_i^k - b_i/(1 - z_i)^k
         return point
+
+    def principal_log(self, c: int, a: tuple, b: tuple) -> mpmath.mpc:
+        """mp.log of the term c prod z_i^{a_i} (1 - z_i)^{b_i} (`term_value`)
+        at the working precision, memoised by term and precision; only at a
+        Point of mpmath shapes."""
+        logs = self.__dict__.setdefault("_logs", {})  # (c, a, b, prec) -> log
+        key = c, a, b, mp.prec
+        if key not in logs:
+            logs[key] = mp.log(term_value(c, a, b, self))
+        return logs[key]
 
     def _power_form(self, key: tuple) -> tuple:
         """The memoised power of `_factor_keys` key (i, k), in block form:

@@ -53,14 +53,27 @@ a dropped cofactor beats the bound by more than any rounding can explain.
 read off the integer powers round(2^(2p) x^i), so that test resolves
 |g(x)| down to about 2^(-2p) |g|_1 and needs no mpmath.
 
-The reduction is `lll_pauses`, the integral LLL of Cohen (A Course in
-Computational Algebraic Number Theory, Alg. 2.6.7) with delta = 3/4, and
-`lll` is its run to the end.  It takes the rows one at a time and
-computes on Python integers only, with no floats and no rationals: the
-Gram-Schmidt data are kept exactly as the Gram determinants d_i and the
-coefficients lambda_ij = d_j mu_ij, and every division is exact.  Its
-rounding is floor(mu + 1/2), so it returns the basis that a rational LLL
-with the same rounding (sympy's, when its rounding is exact) returns.
+The reduction is `lll_pauses`, and `lll` is its run to the end.  It takes
+the rows one at a time and makes the decisions and row operations of
+Cohen's integral LLL (A Course in Computational Algebraic Number Theory,
+Alg. 2.6.7) with delta = 3/4: reduce row k by row k-1 by
+q = floor(mu + 1/2) when |mu| > 1/2, run the Lovasz test, then swap rows
+k-1 and k or reduce row k by rows k-2..0.  So it returns the basis that a
+rational LLL with the same rounding (sympy's, when its rounding is exact)
+returns.  As in L^2 (Nguyen and Stehle, SIAM J. Comput. 2009), the basis
+and its Gram matrix stay exact integers while the Gram-Schmidt
+coefficients mu and squared norms B are doubles, computed for row k from
+its exact Gram row by the Cholesky recurrence.  Each row has a
+power-of-two scale, none below 2^900, so that no scaled product
+overflows.  A decision needs mu_(k,k-1) and B_k, which reductions by rows
+below k-1 leave unchanged; they are read off a copy of row k size-reduced
+by every lower row, where the doubles are accurate (L^2's lazy size
+reduction, with the doubles recomputed from the exact Gram row after
+every pass that moves the copy).  A decision whose float margin is below
+2^-20 (an exact tie |mu| = 1/2, a Lovasz test met with equality, a lower
+|mu| near 1/2 when row k stays) is taken on exact integers: the Gram
+determinants and lambda_ij of Cohen's algorithm, from the Gram matrix.
+Row operations touch only the columns where some row is nonzero.
 
 Success is evidence, not proof: a recovered polynomial certifies nothing
 about the input, and a failure may only mean insufficient precision.
@@ -77,6 +90,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath
 from mpmath import mp
@@ -147,63 +161,216 @@ class FieldClass:
         return self.kind
 
 
-def lll_pauses(rows):
-    """Cohen's integral LLL (delta = 3/4) on linearly independent integer
-    rows, taken one at a time from the iterable `rows`: a pause, the basis
-    list itself, is yielded each time rows 0..r are reduced, for r = 0, 1,
-    ...  The run never looks at row r + 1 before that pause, so the basis
-    there is the LLL-reduced basis of rows 0..r alone.  The list goes on
-    changing when the run resumes.
+# A decision whose float margin is below THIN is taken on exact integers
+# (`_cohen_step`); on the test lattices, 128 to 1024 bits, the rows'
+# doubles agree with the exact Gram-Schmidt data to about 2^-50.
+THIN = 2.0 ** -20
+_HALF, _NEAR_HALF = .5 + THIN, .5 - THIN
 
-    d[j + 1] is the Gram determinant of rows 0..j (d[0] = 1) and
-    lam[k][j] = d[j + 1] * mu_kj, so every quantity is an integer.
-    """
-    b, d, lam = [], [1], []
 
-    def gram_schmidt(k):
-        for j in range(k + 1):
-            u = sum(x * y for x, y in zip(b[k], b[j]))
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
+def _scaled(x: int, e: int) -> float:
+    """The int x times 2^-e (e >= 0) as a float."""
+    return math.ldexp(x, -e) if x.bit_length() < 1000 else x / (1 << e)
+
+
+def _scale(norm: int) -> int:
+    """The scale s of a row of squared norm `norm`: 0 below 2^900, else the
+    s that brings norm 2^-2s near 2^900, so that no scaled product
+    overflows."""
+    n = norm.bit_length()
+    return n - 900 >> 1 if n > 900 else 0
+
+
+def _gram_schmidt(S, M, R, g, s):
+    """(m, r) of a vector v of scale s from its exact Gram row g against
+    basis rows 0..k-1 and itself, given those rows' scales S, coefficients
+    M and norms R: m[j] = mu_vj 2^(S[j] - s) and r = |v*|^2 2^-2s, by the
+    recurrence r_vj = <v, b_j> - sum_i mu_ji r_vi in scaled doubles."""
+    k = len(g) - 1
+    m, rs = [], []
+    for j in range(k):
+        e = s + S[j]
+        x = (_scaled(g[j], e) if e else g[j]) - math.fsum(map(mul, M[j], rs))
+        rs.append(x)
+        m.append(x / R[j])
+    return m, (_scaled(g[k], 2 * s) if s else g[k]) - math.fsum(map(mul, m, rs))
+
+
+def _reduced_copy(G, S, M, R, k):
+    """Row k size-reduced by rows k-1..0 on a copy of its Gram row, by the
+    lazy size reduction of L^2: from the top down, round every |mu| above
+    1/2 and update the lower ones in doubles, apply the multiples to the
+    exact Gram row and recompute the doubles from it, until no |mu|
+    exceeds 1/2 + THIN.
+
+    Returns (g, Q, s, m, r, thin): the copy is b_k - sum_j Q[j] b_j with
+    the exact Gram row g and the doubles (m, r) at scale s, and bit j of
+    thin is set when |mu_j| lies within THIN of 1/2."""
+    g, Q = G[k][:], [0] * k
+    while True:
+        s = _scale(g[k])
+        m, r = _gram_schmidt(S, M, R, g, s)
+        moved, thin = False, 0
+        for j in range(k - 1, -1, -1):
+            e = s - S[j]
+            try:
+                t = math.ldexp(m[j], e) if e else m[j]
+            except OverflowError:           # |mu| beyond a float: its top 53 bits
+                f, x = math.frexp(m[j])
+                X, y = int(math.ldexp(f, 53)) << x + e - 53, m[j]
             else:
-                d[k + 1] = u
+                if -_HALF <= t <= _HALF:
+                    if t > _NEAR_HALF or t < -_NEAR_HALF:
+                        thin |= 1 << j
+                    continue
+                X = round(t)
+                y = math.ldexp(X, -e) if e else X
+            for i, mu in enumerate(M[j]):
+                m[i] -= y * mu
+            gj = G[j]
+            g[k] += X * (X * gj[j] - 2 * g[j])
+            for i in range(k):
+                g[i] -= X * (gj[i] if i <= j else G[i][j])
+            Q[j] += X
+            moved = True
+        if not moved:
+            return g, Q, s, m, r, thin
 
-    def reduce(k, l):
+
+def _sub(b, G, k, l, q):
+    """Row k less q times row l (l < k), in the basis b and in its Gram
+    matrix G, kept as the rows G[i][:i + 1]."""
+    b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+    gk, gl = G[k], G[l]
+    gk[k] += q * (q * gl[l] - 2 * gk[l])
+    for j in range(k):
+        gk[j] -= q * (gl[j] if j <= l else G[j][l])
+    for g in G[k + 1:]:
+        g[k] -= q * g[l]
+
+
+def _swap(b, G, k, q):
+    """Row k less q times row k-1, then rows k-1 and k exchanged, in the
+    basis b and in its Gram matrix G (as `_sub` keeps it)."""
+    gp, gk = G[k - 1], G[k]
+    rows = G[k + 1:]
+    if q:
+        b[k] = [x - q * y for x, y in zip(b[k], b[k - 1])]
+        c = gk[k - 1] - q * gp[k - 1]
+        gk = [x - q * y for x, y in zip(gk[:k - 1], gp)] + [c, gk[k] - q * (gk[k - 1] + c)]
+        for g in rows:
+            g[k - 1], g[k] = g[k] - q * g[k - 1], g[k - 1]
+    else:
+        for g in rows:
+            g[k - 1], g[k] = g[k], g[k - 1]
+    b[k - 1], b[k] = b[k], b[k - 1]
+    G[k - 1], G[k] = gk[:k - 1] + gk[k:], gp[:k - 1] + [gk[k - 1], gp[k - 1]]
+
+
+def _cohen_step(b, G, k) -> bool:
+    """Cohen's step at row k on exact integers, for a decision whose float
+    margin is thin: the Gram determinants d_i and lam_ij = d_(j+1) mu_ij
+    of rows 0..k from G, the reduction by row k-1 and the Lovasz test, and
+    the reductions by rows k-2..0 when it passes.  Returns whether rows k-1
+    and k are to be swapped."""
+    d, lam = [1], []
+    for i in range(k + 1):
+        lam.append([])
+        for j in range(i + 1):
+            u = G[i][j]
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            (lam[i] if j < i else d).append(u)
+    lk = lam[k]
+
+    def reduce(l):
         # size reduction when |mu_kl| > 1/2, by q = floor(mu_kl + 1/2)
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
+        if 2 * abs(lk[l]) > d[l + 1]:
+            q = (2 * lk[l] + d[l + 1]) // (2 * d[l + 1])
+            _sub(b, G, k, l, q)
+            lk[l] -= q * d[l + 1]
             for i in range(l):
-                lam[k][i] -= q * lam[l][i]
+                lk[i] -= q * lam[l][i]
 
+    reduce(k - 1)
+    if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk[k - 1] ** 2:
+        return True
+    for l in range(k - 2, -1, -1):
+        reduce(l)
+    return False
+
+
+def lll_pauses(rows):
+    """LLL (delta = 3/4) on linearly independent integer rows, taken one at
+    a time from the iterable `rows`, with the decisions and row operations
+    of Cohen's integral LLL (module docstring): a pause, a new list of the
+    basis rows, is yielded each time rows 0..r are reduced, for r = 0, 1,
+    ...  The run never looks at row r + 1 before that pause, so the basis
+    there is the LLL-reduced basis of rows 0..r alone.
+
+    The basis b and its Gram matrix G are exact, on the columns where some
+    row is nonzero; rows 0..k-1 below the current row k carry their
+    Gram-Schmidt data in scaled doubles (S, M, R).  Row k is decided on a
+    size-reduced copy (`_reduced_copy`); after a swap the copy, now row k-1
+    reduced by the rows below it, carries over to the next step.
+    """
+    b, G, S, M, R, cols = [], [], [], [], [], []
     for row in rows:
-        k = len(b)
-        b.append(list(row))
-        d.append(0)
-        lam.append([0] * k)
-        gram_schmidt(k)
+        fresh = [c for c, x in enumerate(row) if x and c not in cols]
+        for v in b:
+            v += [0] * len(fresh)
+        cols += fresh
+        b.append([row[c] for c in cols])
+        G.append([sum(map(mul, b[-1], v)) for v in b])
+        k, copy = len(b) - 1, None
         while 0 < k < len(b):
-            reduce(k, k - 1)
-            lk = lam[k][k - 1]
-            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk ** 2:
-                # Lovasz condition fails: swap rows k-1 and k, update exactly
-                b[k - 1], b[k] = b[k], b[k - 1]
-                lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
-                B = (d[k - 1] * d[k + 1] + lk ** 2) // d[k]
-                for i in range(k + 1, len(b)):
-                    t = lam[i][k]
-                    lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-                    lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
-                d[k] = B
-                k = max(k - 1, 1)
+            while len(M) < k:
+                j = len(M)
+                S.append(_scale(G[j][j]))
+                m, r = _gram_schmidt(S, M, R, G[j], S[j])
+                M.append(m), R.append(r)
+            g, Q, s, m, r, thin = copy or _reduced_copy(G, S, M, R, k)
+            copy = None
+            # the Lovasz test B_k >= (3/4 - a^2) B_(k-1) at the smaller of
+            # the two rows' scales, a = mu_(k,k-1) after the reduction by
+            # row k-1
+            sk, rk = S[k - 1], R[k - 1]
+            if s == sk:
+                a = m[k - 1]
+                lhs, rhs = r, (.75 - a * a) * rk
             else:
-                for l in range(k - 2, -1, -1):
-                    reduce(k, l)
+                a, d = math.ldexp(m[k - 1], s - sk), 2 * (sk - s)
+                lhs, rhs = (r, math.ldexp((.75 - a * a) * rk, d)) if d < 0 else (
+                    math.ldexp(r, -d), (.75 - a * a) * rk)
+            if thin >> k - 1 or abs(lhs - rhs) < THIN * (lhs + rhs) or lhs >= rhs and thin:
+                swap = _cohen_step(b, G, k)
+                if swap:
+                    _swap(b, G, k, 0)
+            elif lhs >= rhs:
+                swap = False                # row k becomes its copy
+                for j, q in enumerate(Q):
+                    if q:
+                        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                        for h in G[k + 1:]:
+                            h[k] -= q * h[j]
+                G[k] = g
+                S.append(s), M.append(m), R.append(r)
+            else:
+                swap = True
+                _swap(b, G, k, Q[k - 1])
+                if k > 1:
+                    copy = (g[:k - 1] + g[k:], Q[:k - 1], s, m[:k - 1],
+                            r + m[k - 1] * m[k - 1] * rk, thin)
+            if swap:
+                del S[k - 1:], M[k - 1:], R[k - 1:]
+                k = k - 1 or 1
+            else:
                 k += 1
-        yield b
+        basis = [[0] * len(row) for _ in b]
+        for v, full in zip(b, basis):
+            for c, x in zip(cols, v):
+                full[c] = x
+        yield basis
 
 
 def lll(rows) -> list[list[int]]:

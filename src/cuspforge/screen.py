@@ -7,10 +7,14 @@ precision, apply the rigid-field test, and — only for rigid-compatible
 cusps — run the isolation test.  The per-manifold verdict summarizes the
 two obstructions:
 
-    FailsRigidField          every cusp fails the rigid-field test
+    FailsRigidField          every cusp has a recognized field, and each
+                             fails the rigid-field test
     RigidFieldButNotIsolated some rigid-compatible cusp is certified
                              non-isolated
     Undetermined             anything else
+
+An unrecognized field (an `algdep` miss) decides nothing: such a cusp
+neither fails nor passes the rigid-field test.
 
 Both verdicts bound the hidden-symmetry phenomenon for fillings; the tool
 reports obstructions only and never claims a manifold *has* hidden
@@ -44,8 +48,8 @@ from . import __version__, load_fixture
 from .holonomy import cusp_parameter, evaluate_cusp_parameter
 from .isolation import IsolationEvidence, doubled_structure, isolation_verdict
 from .manifold import IdealTriangulation, TriangulationError, read_triangulation
-from .numberlab import (AlgdepError, FieldClass, MinPoly, algdep, check_algdep_arguments,
-                        classify_field, rigid_compatible)
+from .numberlab import (UNRECOGNIZED, AlgdepError, FieldClass, MinPoly, algdep,
+                        check_algdep_arguments, classify_field, rigid_compatible)
 from .solver import (SolveError, SolveResult, doubled_filling, printed_complex, printed_digits,
                      solve_complete, solve_filled)
 
@@ -136,19 +140,26 @@ def _audit(report: ScreenReport) -> ScreenReport:
     records = [c for c in report.cusps if c.error is None]
     if report.verdict in (FAILS_RIGID, RIGID_NOT_ISOLATED) and not _hyperbolic(report.solve):
         raise AssertionError(f"{report.verdict} requires a geometric, non-degenerate solve")
-    if report.verdict == FAILS_RIGID and not (records and all(not c.rigid for c in records)):
-        raise AssertionError("FailsRigidField requires every screened cusp to fail the rigid test")
+    if report.verdict == FAILS_RIGID and not (records and all(map(_fails_rigid, records))):
+        raise AssertionError("FailsRigidField requires every screened cusp to fail the rigid "
+                             "test on a recognized field")
     if report.verdict == RIGID_NOT_ISOLATED and not any(
             c.rigid and c.isolation is not None and c.isolation.not_isolated for c in records):
         raise AssertionError("RigidFieldButNotIsolated requires certified non-isolation evidence")
     return report
 
 
+def _fails_rigid(rec: CuspRecord) -> bool:
+    """A recognized field that fails the rigid-field test; an unrecognized
+    one is undecided."""
+    return not rec.rigid and rec.field is not None and rec.field.kind != UNRECOGNIZED
+
+
 def _verdict(records: list[CuspRecord]) -> str:
     usable = [c for c in records if c.error is None]
     if not usable:
         return UNDETERMINED
-    if all(not c.rigid for c in usable):
+    if all(map(_fails_rigid, usable)):
         return FAILS_RIGID
     if any(c.rigid and c.isolation is not None and c.isolation.not_isolated for c in usable):
         return RIGID_NOT_ISOLATED

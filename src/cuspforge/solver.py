@@ -247,9 +247,12 @@ class FillingEquation:
 
     def _branches(self, z: list) -> tuple:
         """Principal logs of (mu_m, mu_l) at z, the whole turns that carry
-        each nearest its reference, and pi in the scalar type of z."""
+        each nearest its reference, and pi in the scalar type of z.  At an
+        mpmath `Point` the logs are the Point's memo (`Point.principal_log`)."""
         log, pi, nint = _scalar_ops(z)
-        principal = [log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l)]
+        z = Point(z)
+        principal = [z.principal_log(m.sign, m.a, m.b) if z.blocks
+                     else log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l)]
         turns = [nint((ref - w).imag / (2 * pi)) for ref, w in zip(self.reference, principal)]
         return principal, turns, pi
 

@@ -6,6 +6,10 @@ gives, and `distinct_degrees` exactly the degrees that
 what the loop that reduces the whole lattice and hands every reduced row
 to `sympy.factor_list` returns with the same 2p confirmation, wherever that
 loop confirms a relation: `reference_algdep` below is that loop.
+
+`lll_pauses` must give every pause of Cohen's integral LLL
+(`cohen_lll.cohen_lll_pauses`) bit for bit, and take only the decisions
+whose float margin is thin on exact integers (`numberlab._cohen_step`).
 """
 
 import random
@@ -36,6 +40,8 @@ from cuspforge.numberlab import (
 )
 from cuspforge.isolation import doubled_structure
 from cuspforge.solver import doubled_filling, solve_complete, solve_filled
+
+from cohen_lll import cohen_lll_pauses
 
 X = sympy.Symbol("X")
 FILL_NS = [n for n in range(-5, 6) if n]
@@ -294,6 +300,69 @@ def test_lll_pauses_are_the_reductions_of_the_smaller_lattices(algdep_values, bi
         assert pauses[-1] == lll(rows)
         for r in (4, 8):
             assert pauses[r] == lll(rows[: r + 1]), (label, r)
+
+
+def all_pauses(reduction, rows) -> list:
+    return [[list(row) for row in basis] for basis in reduction(iter(rows))]
+
+
+def tie_lattices(cases=200, seed=32):
+    """Seeded lattices (I | V) of dimension 2 to 13 with one to three
+    columns V of entries at most 5 in modulus: full of exact ties
+    |mu| = 1/2 and of Lovasz tests met with equality."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        n, bound, width = rng.randint(2, 13), rng.randint(1, 5), rng.randint(1, 3)
+        yield [[int(i == j) for j in range(n)] + [rng.randint(-bound, bound) for _ in range(width)]
+               for i in range(n)]
+
+
+def counted_exact_steps(monkeypatch) -> list:
+    """The row k of every decision `lll_pauses` takes on exact integers
+    from now on."""
+    calls = []
+    step = numberlab._cohen_step
+
+    def counting(b, G, k):
+        calls.append(k)
+        return step(b, G, k)
+
+    monkeypatch.setattr(numberlab, "_cohen_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_lll_pauses_are_cohens_bit_for_bit(algdep_values, bits):
+    # every pause of the 13-row lattice of every fixture cusp, every (1, n)
+    # fill value and pi/3 + i e/5
+    for label, value in algdep_values[bits]:
+        with mp.workprec(2 * bits):
+            rows = list(relation_lattice(mp.mpc(value), 12, bits))
+        assert all_pauses(lll_pauses, rows) == all_pauses(cohen_lll_pauses, rows), label
+
+
+def test_lll_pauses_are_cohens_bit_for_bit_at_ties():
+    for rows in tie_lattices():
+        assert all_pauses(lll_pauses, rows) == all_pauses(cohen_lll_pauses, rows), rows
+
+
+def test_exact_decisions_are_the_thin_ones(algdep_values, monkeypatch):
+    # the tie lattices take many decisions on exact integers; the ten
+    # 256-bit fill lattices take two, both on the flat (1, -1) filling's
+    # lattice: neither every decision exact nor none
+    calls = counted_exact_steps(monkeypatch)
+    for rows in tie_lattices():
+        lll(rows)
+    assert len(calls) == 1102
+    calls.clear()
+    fills = [(label, v) for label, v in algdep_values[256] if label.startswith("whitehead(")]
+    assert len(fills) == 10
+    exact = {}
+    for label, value in fills:
+        with mp.workprec(512):
+            lll(relation_lattice(mp.mpc(value), 12, 256))
+        exact[label], calls[:] = len(calls), []
+    assert exact == {label: 2 if label == "whitehead(1,-1)" else 0 for label, _ in fills}
 
 
 @pytest.mark.parametrize("bits", [128, 256, 512])

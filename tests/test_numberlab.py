@@ -44,6 +44,7 @@ from cuspforge.numberlab import (
     rigid_compatible,
     squarefree_part,
 )
+from cuspforge.isolation import doubled_structure
 from cuspforge.solver import solve_complete, solve_filled
 
 from conftest import PRECISION
@@ -70,6 +71,25 @@ def test_algdep_rational_example():
 def test_algdep_requires_minimum_precision():
     with pytest.raises(AlgdepError):
         algdep(mp.mpc(1, 1), 4, precision_bits=64)
+
+
+def test_algdep_beyond_the_range_of_a_double():
+    # row i holds round(2^204.8) 2^(600 i): Gram entries up to about 2^5200
+    with mp.workprec(2 * 256 + 30):
+        poly = algdep(mp.mpf(2) ** 600, 4, 256)
+    assert poly.coefficients == (-2 ** 600, 1)
+
+
+def test_algdep_at_1024_bits():
+    # whitehead c1 at the complete structure, taken at 2048 bits: lattice
+    # entries of 819 bits and Gram entries of about 1640
+    tri = cf.load_fixture("whitehead")
+    with mp.workprec(1024 + 30):
+        doubled = doubled_structure(tri, solve_complete(tri, 1024))
+        with mp.workprec(2048 + 30):
+            value = cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, tri.cusps[0]),
+                                               doubled.shapes)
+        assert algdep(value, 12, 1024).coefficients == (8, 4, 1)
 
 
 def test_algdep_transcendental_returns_none():

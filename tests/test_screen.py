@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cuspforge as cf
-from cuspforge.numberlab import EISENSTEIN, GAUSSIAN
+from cuspforge.numberlab import EISENSTEIN, GAUSSIAN, UNRECOGNIZED
 from cuspforge.screen import (
     FAILS_RIGID,
     NON_VERIFIED_TAG,
@@ -181,6 +181,16 @@ def test_fill_precision_ladder(whitehead):
         misses[key] = [n for n, m in zip(FILL_NS, minpolys) if m is None]
     assert misses == {(128, 12): [5], (256, 12): [], (512, 12): [],
                       (128, 8): [-5, 5], (256, 8): [-5, 5], (512, 8): [-5, 5]}
+
+
+def test_unrecognized_field_is_not_an_obstruction(whitehead):
+    # at 128 bits algdep misses the degree-10 field of the (1, 5) filling;
+    # the miss decides nothing, so the geometric filling is Undetermined
+    report, = fill_and_screen(whitehead, 1, [5], ScreenOptions(precision_bits=128, seed=0))
+    rec, = report.cusps
+    assert rec.error is None and rec.field.kind == UNRECOGNIZED and not rec.rigid
+    assert report.solve["geometric"] and not report.solve["degenerate"]
+    assert report.verdict == UNDETERMINED
 
 
 def _count_solves(monkeypatch, alter_doubled=None):

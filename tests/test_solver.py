@@ -1031,6 +1031,23 @@ def test_a_fill_sweep_builds_each_equation_once(monkeypatch, whitehead):
     assert all(type(e) is PolynomialEquation and e.monomial == m for m, e in memo.items())
 
 
+def test_filling_logs_are_memoised_on_the_point(monkeypatch, whitehead):
+    # a filling row's principal logs live on the mpmath Point: the residual
+    # and the step at a point, and branch_offsets and the core translations
+    # at the end, share them.  18 mp.log calls per fill op at 256 bits; 30
+    # when each evaluation took its own
+    from cuspforge.screen import fill_and_screen
+
+    calls = []
+    log = mp.log
+    monkeypatch.setattr(mp, "log", lambda x, *args: calls.append(x) or log(x, *args))
+    for n in (-5, 2, 3):
+        calls.clear()
+        report, = fill_and_screen(whitehead, 1, [n])
+        assert report.error is None and report.cusps[0].minpoly is not None
+        assert len(calls) == 18, n
+
+
 def test_a_trace_on_a_solved_triangulation_builds_nothing(monkeypatch, whitehead):
     tri = dataclasses.replace(whitehead, name="whitehead-trace")
     start = solve_complete(tri, PRECISION)
