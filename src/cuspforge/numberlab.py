@@ -316,6 +316,7 @@ def lll_pauses(rows):
     """
     b, G, S, M, R, cols = [], [], [], [], [], []
     for row in rows:
+        row = list(row)
         fresh = [c for c, x in enumerate(row) if x and c not in cols]
         for v in b:
             v += [0] * len(fresh)
