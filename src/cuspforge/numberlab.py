@@ -68,12 +68,16 @@ power-of-two scale, none below 2^900, so that no scaled product
 overflows.  A decision needs mu_(k,k-1) and B_k, which reductions by rows
 below k-1 leave unchanged; they are read off a copy of row k size-reduced
 by every lower row, where the doubles are accurate (L^2's lazy size
-reduction, with the doubles recomputed from the exact Gram row after
-every pass that moves the copy).  A decision whose float margin is below
-2^-20 (an exact tie |mu| = 1/2, a Lovasz test met with equality, a lower
-|mu| near 1/2 when row k stays) is taken on exact integers: the Gram
-determinants and lambda_ij of Cohen's algorithm, from the Gram matrix.
-Row operations touch only the columns where some row is nonzero.
+reduction).  A pass over a nearly reduced row, one whose multiples are
+all below 2^8 and whose squared norm is below 2^24 B_k, updates the
+doubles in place; after any other pass that moves the copy they are
+recomputed from its exact Gram row.  A decision whose float margin is
+below 2^-20 (an exact tie |mu| = 1/2, a Lovasz test met with equality, a
+lower |mu| near 1/2 when row k stays) is taken on exact integers: the
+Gram determinants and lambda_ij of Cohen's algorithm, from the Gram
+matrix.  Each basis row is packed into one integer, with slots wide
+enough for every entry at a pause, so a row operation is one
+multiply-add.
 
 Success is evidence, not proof: a recovered polynomial certifies nothing
 about the input, and a failure may only mean insufficient precision.
@@ -162,10 +166,14 @@ class FieldClass:
 
 
 # A decision whose float margin is below THIN is taken on exact integers
-# (`_cohen_step`); on the test lattices, 128 to 1024 bits, the rows'
-# doubles agree with the exact Gram-Schmidt data to about 2^-50.
+# (`_cohen_step`); on the test lattices, 128 to 1024 bits, the doubles it
+# reads agree with the exact Gram-Schmidt data to far better than THIN.
 THIN = 2.0 ** -20
 _HALF, _NEAR_HALF = .5 + THIN, .5 - THIN
+# One float pass of the size reduction stands, with no recomputation, when
+# every multiple it rounds is below LOOSE and the row's squared norm is
+# below LOOSE_NORM B_k: the doubles were then read off a nearly reduced row.
+LOOSE, LOOSE_NORM = 2.0 ** 8, 2.0 ** 24
 
 
 def _scaled(x: int, e: int) -> float:
@@ -196,51 +204,58 @@ def _gram_schmidt(S, M, R, g, s):
     return m, (_scaled(g[k], 2 * s) if s else g[k]) - math.fsum(map(mul, m, rs))
 
 
-def _reduced_copy(G, S, M, R, k):
-    """Row k size-reduced by rows k-1..0 on a copy of its Gram row, by the
-    lazy size reduction of L^2: from the top down, round every |mu| above
-    1/2 and update the lower ones in doubles, apply the multiples to the
-    exact Gram row and recompute the doubles from it, until no |mu|
-    exceeds 1/2 + THIN.
+def _reduced_copy(G, S, M, R, k, Q):
+    """Row k size-reduced by rows k-1..0 in doubles, by the lazy size
+    reduction of L^2: from the top down, round every |mu| above 1/2 and
+    update the lower ones.  The multiples add up in Q, so the copy is
+    b_k - sum Q[j] b_j; the basis is not touched.  A pass that is not
+    loose (see LOOSE) is applied to a copy of the exact Gram row and the
+    doubles are recomputed from it, until a pass moves nothing.
 
-    Returns (g, Q, s, m, r, thin): the copy is b_k - sum_j Q[j] b_j with
-    the exact Gram row g and the doubles (m, r) at scale s, and bit j of
-    thin is set when |mu_j| lies within THIN of 1/2."""
-    g, Q = G[k][:], [0] * k
+    Returns (s, m, r, thin): the copy's doubles at scale s, and bit j of
+    thin set when |mu_j| lies within THIN of 1/2."""
+    g = G[k]
     while True:
         s = _scale(g[k])
         m, r = _gram_schmidt(S, M, R, g, s)
-        moved, thin = False, 0
+        moves, thin, loose = [], 0, True
         for j in range(k - 1, -1, -1):
             e = s - S[j]
             try:
                 t = math.ldexp(m[j], e) if e else m[j]
             except OverflowError:           # |mu| beyond a float: its top 53 bits
                 f, x = math.frexp(m[j])
-                X, y = int(math.ldexp(f, 53)) << x + e - 53, m[j]
+                X, y, loose = int(math.ldexp(f, 53)) << x + e - 53, m[j], False
             else:
                 if -_HALF <= t <= _HALF:
                     if t > _NEAR_HALF or t < -_NEAR_HALF:
                         thin |= 1 << j
                     continue
+                loose = loose and -LOOSE < t < LOOSE
                 X = round(t)
                 y = math.ldexp(X, -e) if e else X
+                if abs(t - X) > _NEAR_HALF:
+                    thin |= 1 << j
+            m[j] -= y
             for i, mu in enumerate(M[j]):
                 m[i] -= y * mu
+            moves.append((j, X))
+            Q[j] += X
+        if not moves or loose and (_scaled(g[k], 2 * s) if s else g[k]) < LOOSE_NORM * r:
+            return s, m, r, thin
+        if g is G[k]:
+            g = g[:]
+        for j, X in moves:
             gj = G[j]
             g[k] += X * (X * gj[j] - 2 * g[j])
             for i in range(k):
                 g[i] -= X * (gj[i] if i <= j else G[i][j])
-            Q[j] += X
-            moved = True
-        if not moved:
-            return g, Q, s, m, r, thin
 
 
 def _sub(b, G, k, l, q):
-    """Row k less q times row l (l < k), in the basis b and in its Gram
-    matrix G, kept as the rows G[i][:i + 1]."""
-    b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+    """Row k less q times row l (l < k), in the packed basis b and in its
+    Gram matrix G, kept as the rows G[i][:i + 1]."""
+    b[k] -= q * b[l]
     gk, gl = G[k], G[l]
     gk[k] += q * (q * gl[l] - 2 * gk[l])
     for j in range(k):
@@ -251,11 +266,11 @@ def _sub(b, G, k, l, q):
 
 def _swap(b, G, k, q):
     """Row k less q times row k-1, then rows k-1 and k exchanged, in the
-    basis b and in its Gram matrix G (as `_sub` keeps it)."""
+    packed basis b and in its Gram matrix G (as `_sub` keeps it)."""
     gp, gk = G[k - 1], G[k]
     rows = G[k + 1:]
     if q:
-        b[k] = [x - q * y for x, y in zip(b[k], b[k - 1])]
+        b[k] -= q * b[k - 1]
         c = gk[k - 1] - q * gp[k - 1]
         gk = [x - q * y for x, y in zip(gk[:k - 1], gp)] + [c, gk[k] - q * (gk[k - 1] + c)]
         for g in rows:
@@ -300,6 +315,28 @@ def _cohen_step(b, G, k) -> bool:
     return False
 
 
+def _pack(v, w: int) -> int:
+    """The row v as the one integer sum v[c] 2^(w c), so that a row operation
+    is one multiply-add; `_unpack` reads it back while every entry is below
+    2^(w - 1) in modulus."""
+    p = 0
+    for x in reversed(v):
+        p = (p << w) + x
+    return p
+
+
+def _unpack(P, w: int, n: int) -> list[list[int]]:
+    """The rows of n entries packed by `_pack` in P, for w a multiple of 8."""
+    half, size = 1 << w - 1, w >> 3
+    offset = _pack([half] * n, w)
+    rows = []
+    for p in P:
+        data = (p + offset).to_bytes(size * n, "little")
+        rows.append([int.from_bytes(data[i:i + size], "little") - half
+                     for i in range(0, size * n, size)])
+    return rows
+
+
 def lll_pauses(rows):
     """LLL (delta = 3/4) on linearly independent integer rows, taken one at
     a time from the iterable `rows`, with the decisions and row operations
@@ -308,30 +345,37 @@ def lll_pauses(rows):
     ...  The run never looks at row r + 1 before that pause, so the basis
     there is the LLL-reduced basis of rows 0..r alone.
 
-    The basis b and its Gram matrix G are exact, on the columns where some
-    row is nonzero; rows 0..k-1 below the current row k carry their
-    Gram-Schmidt data in scaled doubles (S, M, R).  Row k is decided on a
-    size-reduced copy (`_reduced_copy`); after a swap the copy, now row k-1
-    reduced by the rows below it, carries over to the next step.
+    The basis rows are packed into integers (`_pack`) and its Gram matrix G
+    is exact; rows 0..k-1 below the current row k carry their Gram-Schmidt
+    data in scaled doubles (S, M, R).  Row k is decided on a size-reduced
+    copy (`_reduced_copy`); after a swap the copy, now row k-1 reduced by
+    the rows below it, carries over to the next step, and when row k stays
+    its multiples are applied to the basis.  At a pause the basis is
+    size-reduced and no |b_j*|^2 exceeds the largest squared norm N that G
+    has held, so every entry is below sqrt((1 + n/4) N) for n rows: the
+    slot width w is set from N and n.
     """
-    b, G, S, M, R, cols = [], [], [], [], [], []
+    P, b, G, S, M, R, w = [], [], [], [], [], [], 0
     for row in rows:
         row = list(row)
-        fresh = [c for c, x in enumerate(row) if x and c not in cols]
-        for v in b:
-            v += [0] * len(fresh)
-        cols += fresh
-        b.append([row[c] for c in cols])
-        G.append([sum(map(mul, b[-1], v)) for v in b])
-        k, copy = len(b) - 1, None
-        while 0 < k < len(b):
+        G.append([sum(map(mul, row, v)) for v in b] + [sum(map(mul, row, row))])
+        need = (max(g[-1] for g in G).bit_length() // 2 + len(G).bit_length() + 11) & ~7
+        if need > w:
+            w, P = need, [_pack(v, need) for v in b]
+        P.append(_pack(row, w))
+        k, copy = len(P) - 1, None
+        while 0 < k < len(P):
             while len(M) < k:
                 j = len(M)
                 S.append(_scale(G[j][j]))
                 m, r = _gram_schmidt(S, M, R, G[j], S[j])
                 M.append(m), R.append(r)
-            g, Q, s, m, r, thin = copy or _reduced_copy(G, S, M, R, k)
-            copy = None
+            if copy:
+                Q, s, m, r, thin = copy
+                copy = None
+            else:
+                Q = [0] * k
+                s, m, r, thin = _reduced_copy(G, S, M, R, k, Q)
             # the Lovasz test B_k >= (3/4 - a^2) B_(k-1) at the smaller of
             # the two rows' scales, a = mu_(k,k-1) after the reduction by
             # row k-1
@@ -344,34 +388,27 @@ def lll_pauses(rows):
                 lhs, rhs = (r, math.ldexp((.75 - a * a) * rk, d)) if d < 0 else (
                     math.ldexp(r, -d), (.75 - a * a) * rk)
             if thin >> k - 1 or abs(lhs - rhs) < THIN * (lhs + rhs) or lhs >= rhs and thin:
-                swap = _cohen_step(b, G, k)
+                swap = _cohen_step(P, G, k)
                 if swap:
-                    _swap(b, G, k, 0)
+                    _swap(P, G, k, 0)
             elif lhs >= rhs:
                 swap = False                # row k becomes its copy
-                for j, q in enumerate(Q):
-                    if q:
-                        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                        for h in G[k + 1:]:
-                            h[k] -= q * h[j]
-                G[k] = g
+                for j in range(k - 1, -1, -1):
+                    if Q[j]:
+                        _sub(P, G, k, j, Q[j])
                 S.append(s), M.append(m), R.append(r)
             else:
                 swap = True
-                _swap(b, G, k, Q[k - 1])
+                _swap(P, G, k, Q[k - 1])
                 if k > 1:
-                    copy = (g[:k - 1] + g[k:], Q[:k - 1], s, m[:k - 1],
-                            r + m[k - 1] * m[k - 1] * rk, thin)
+                    copy = Q[:k - 1], s, m[:k - 1], r + m[k - 1] * m[k - 1] * rk, thin
             if swap:
                 del S[k - 1:], M[k - 1:], R[k - 1:]
                 k = k - 1 or 1
             else:
                 k += 1
-        basis = [[0] * len(row) for _ in b]
-        for v, full in zip(b, basis):
-            for c, x in zip(cols, v):
-                full[c] = x
-        yield basis
+        b = _unpack(P, w, len(row))
+        yield [v[:] for v in b]
 
 
 def lll(rows) -> list[list[int]]:
