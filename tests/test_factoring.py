@@ -346,6 +346,17 @@ def test_lll_pauses_are_cohens_bit_for_bit_at_ties():
         assert all_pauses(lll_pauses, rows) == all_pauses(cohen_lll_pauses, rows), rows
 
 
+def test_lll_pauses_are_cohens_bit_for_bit_across_scales():
+    # squared norms 2^2400 apart from row to row: at the top row's scale a
+    # |mu| near 1/2 against a bottom row is below the normal doubles, so
+    # such a decision is taken on exact integers
+    for seed in range(3):
+        rng = random.Random(seed)
+        rows = [[int(i == j) for j in range(5)] + [rng.getrandbits(1200) << 600 * i for _ in range(3)]
+                for i in range(5)]
+        assert all_pauses(lll_pauses, rows) == all_pauses(cohen_lll_pauses, rows), seed
+
+
 def test_exact_decisions_are_the_thin_ones(algdep_values, monkeypatch):
     # the tie lattices take many decisions on exact integers; the ten
     # 256-bit fill lattices take two, both on the flat (1, -1) filling's
