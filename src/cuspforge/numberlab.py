@@ -63,8 +63,8 @@ rational LLL with the same rounding (sympy's, when its rounding is exact)
 returns.  As in L^2 (Nguyen and Stehle, SIAM J. Comput. 2009), the basis
 and its Gram matrix stay exact integers while the Gram-Schmidt
 coefficients mu and squared norms B are doubles, computed for row k from
-its exact Gram row by the Cholesky recurrence.  Each row has a
-power-of-two scale, none below 2^900, so that no scaled product
+its exact Gram row by the Cholesky recurrence.  Each row whose squared
+norm exceeds 2^900 has a power-of-two scale, so that no scaled product
 overflows.  A decision needs mu_(k,k-1) and B_k, which reductions by rows
 below k-1 leave unchanged; they are read off a copy of row k size-reduced
 by every lower row, where the doubles are accurate (L^2's lazy size
@@ -73,11 +73,12 @@ all below 2^8 and whose squared norm is below 2^12 B_k, updates the
 doubles in place; after any other pass that moves the copy they are
 recomputed from its exact Gram row.  A decision whose float margin is
 below 2^-20 (an exact tie |mu| = 1/2, a Lovasz test met with equality, a
-lower |mu| near 1/2 when row k stays) is taken on exact integers: the
-Gram determinants and lambda_ij of Cohen's algorithm, from the Gram
-matrix.  Each basis row is packed into one integer, with slots wide
-enough for every entry at a pause, so a row operation is one
-multiply-add.
+lower |mu| near 1/2 when row k stays, or a |mu| against a row whose scale
+is 2^1000 below row k's, which the doubles cannot resolve) is taken on
+exact integers: the Gram determinants and lambda_ij of Cohen's
+algorithm, from the Gram matrix.  Each basis row is packed into one
+integer, with slots wide enough for every entry at a pause, so a row
+operation is one multiply-add.
 
 Success is evidence, not proof: a recovered polynomial certifies nothing
 about the input, and a failure may only mean insufficient precision.
@@ -348,8 +349,9 @@ def lll_pauses(rows):
     there is the LLL-reduced basis of rows 0..r alone.
 
     The basis rows, on the columns where some row is nonzero, are packed
-    into integers (`_pack`) and its Gram matrix G is exact; rows 0..k-1 below the current row k carry their Gram-Schmidt
-    data in scaled doubles (S, M, R).  Row k is decided on a size-reduced
+    into integers (`_pack`) and its Gram matrix G is exact; rows 0..k-1
+    below the current row k carry their Gram-Schmidt data in scaled
+    doubles (S, M, R).  Row k is decided on a size-reduced
     copy (`_reduced_copy`); after a swap the copy, now row k-1 reduced by
     the rows below it, carries over to the next step, and when row k stays
     its multiples are applied to the basis.  At a pause the basis is
