@@ -423,7 +423,8 @@ def lll_pauses(rows):
 
 def lll(rows) -> list[list[int]]:
     """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
-    independent integer rows: the last pause of `lll_pauses`."""
+    independent integer rows: the last pause of `lll_pauses`, so the basis
+    that Cohen's integral LLL returns."""
     b = []
     for b in lll_pauses(rows):
         pass
