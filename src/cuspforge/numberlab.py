@@ -355,9 +355,9 @@ def lll_pauses(rows):
     copy (`_reduced_copy`); after a swap the copy, now row k-1 reduced by
     the rows below it, carries over to the next step, and when row k stays
     its multiples are applied to the basis.  At a pause the basis is
-    size-reduced and no |b_j*|^2 exceeds the largest squared norm N that G
-    has held, so every entry is below sqrt((1 + n/4) N) for n rows: the
-    slot width w is set from N and n.
+    size-reduced and no |b_j*|^2 exceeds the largest squared norm N in G
+    when the last row came, so every entry is below sqrt((1 + n/4) N) for
+    n rows: the slot width w is set from N and n.
     """
     P, b, G, S, M, R, cols, w = [], [], [], [], [], [], [], 0
     for row in rows:
