@@ -16,42 +16,27 @@ a relation.
 The reduction is one run, paused after each row: the basis at the pause
 after row r is the reduction of the degree-r lattice, and `algdep` stops
 at the first pause that confirms a factor, so the run goes no further than
-the minimal polynomial's degree.  A reduced row reaches the factoring only
-if its value at x, on the powers of x rounded to 2p bits, leaves room for
-a factor below 2^(-1.5 p) (the Landau-Mignotte test below); for the
-fixtures' cusp and fill values, no row below the minimal polynomial's
-degree does, so only rows holding it are factored.
-
-`irreducible_factors` finds the factors of the rows in three steps, and
-factors in full only what the first two leave:
-
-1. each row, lowest degree first, is divided exactly by the factors that
-   earlier rows gave, and made primitive;
-2. a cofactor of degree at most 1 is its own factor, and so is one that
-   Musser's degree test (J. ACM 22, 1975) proves irreducible: the degree
-   of a factor over the integers is a sum of the degrees of the factors
-   modulo every prime p in DEGREE_TEST_PRIMES that keeps the cofactor
-   squarefree and its degree, and when no such sum common to all those
-   primes lies strictly between 0 and the degree, the cofactor is
-   irreducible.  The degrees modulo p come from distinct-degree
-   factorisation (Cohen, Alg. 3.4.3);
-3. the remaining cofactors are divided again once every row has passed
-   step 1.  Two that are still open meet in their integer gcd, which is
-   tested like a row: rows that are all m times a small cofactor give m
-   this way.  Only what is still unsettled goes to `sympy.factor_list`,
-   the one place sympy is imported at run time.
-
-Every row thus gives exactly the factors `sympy.factor_list` would give.
-Given the point x and the residual bound 2^t, as `algdep` gives them,
-each step first drops a cofactor g that no factor F with |F(x)| < 2^t can
-divide.  For g = F G the Landau-Mignotte bound (Mignotte, Math. Comp.
+the minimal polynomial's degree.  A reduced row g reaches the factoring
+only if its value at x leaves room for a factor F with |F(x)| below
+2^(-1.5 p).  For g = F G the Landau-Mignotte bound (Mignotte, Math. Comp.
 1974) gives |G|_1 <= 2^deg g |g|_2, so such an F forces
-|g(x)| < 2^t 2^deg g |g|_2 max(1, |x|)^deg g.  |g(x)| is taken in floats,
-with an allowance of |g|_1 max(1, |x|)^deg g 2^-40 for their rounding, so
-a dropped cofactor beats the bound by more than any rounding can explain.
-`algdep` puts each reduced row g through the same test first, with g(x)
-read off the integer powers round(2^(2p) x^i), so that test resolves
-|g(x)| down to about 2^(-2p) |g|_1 and needs no mpmath.
+|g(x)| < 2^(-1.5 p) 2^deg g |g|_2 max(1, |x|)^deg g.  g(x) is read off the
+integer powers round(2^(2p) x^i), which resolve |g(x)| down to about
+2^(-2p) |g|_1, so the test needs no mpmath.  For the fixtures' cusp and
+fill values no row below the minimal polynomial's degree passes it, and
+every row that passes at that degree is the minimal polynomial up to sign.
+
+`irreducible_factors` factors the rows that pass.  The primitive part of a
+row is its own factor when it has degree 1 or when Musser's degree test
+(J. ACM 22, 1975) proves it irreducible: the degree of a factor over the
+integers is a sum of the degrees of the factors modulo every prime p in
+DEGREE_TEST_PRIMES that keeps the row squarefree and its degree, and when
+no such sum common to all those primes lies strictly between 0 and the
+degree, the row is irreducible.  The degrees modulo p come from
+distinct-degree factorisation (Cohen, Alg. 3.4.3).  A row the test does
+not settle goes to `sympy.factor_list`, the one place sympy is imported at
+run time, so every row gives exactly the factors `sympy.factor_list` would
+give.
 
 The reduction is `lll_pauses`, and `lll` is its run to the end.  It takes
 the rows one at a time and makes the decisions and row operations of
@@ -465,20 +450,6 @@ def _primitive(f: list[int]) -> list[int]:
     return [c // g for c in f]
 
 
-def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g over the integers, or None when g does not divide f."""
-    r = list(f)
-    q = [0] * (len(f) - len(g) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c, m = divmod(r[i + len(g) - 1], g[-1])
-        if m:
-            return None
-        q[i] = c
-        for j, gj in enumerate(g):
-            r[i + j] -= c * gj
-    return q if q and not any(r) else None
-
-
 def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b over GF(p); b[-1] is nonzero mod p."""
     a = list(a)
@@ -561,112 +532,28 @@ def _irreducible(f: list[int]) -> bool:
     return False
 
 
-def _cofactor(f: list[int], known: list[list[int]]) -> list[int]:
-    """The primitive part of f after exact division by every polynomial in
-    known, as often as each divides."""
-    for g in known:
-        while (q := _exact_quotient(f, g)) is not None:
-            f = q
-    return _primitive(f)
-
-
-def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
-    """The remainder of lc(g)^k f by g over the integers, for the k that
-    keeps every step integral; [] when g divides f over the rationals."""
-    r = list(f)
-    while len(r) >= len(g):
-        c, k = r[-1], len(r) - len(g)
-        r = [g[-1] * a for a in r[:-1]]
-        for j, gj in enumerate(g[:-1]):
-            r[k + j] -= c * gj
-        _trim(r)
-    return r
-
-
-def _gcd(f: list[int], g: list[int]) -> list[int]:
-    """The gcd over the integers of two integer polynomials with nonzero
-    leading coefficients, itself with positive leading coefficient: the gcd
-    of their contents times the last nonzero member of their primitive
-    pseudo-remainder sequence."""
-    content = math.gcd(math.gcd(*f), math.gcd(*g))
-    f, g = _primitive(f), _primitive(g)
-    while len(g) > 1:
-        f, g = g, _pseudo_remainder(f, g)
-        if not g:
-            return [content * c for c in f]
-        g = _primitive(g)
-    return [content]
-
-
-def _may_hold_small_factor(g: list[int], x: complex, log2_bound: int) -> bool:
-    """False only when no factor F of g has |F(x)| < 2^log2_bound, by the
-    Landau-Mignotte test of the module docstring.
-
-    Both sides are divided by |g|_1 max(1, |x|)^deg g, and for |x| > 1 the
-    value is the reversed polynomial's at 1/x, so Horner runs on floats of
-    modulus at most 1 and cannot overflow.  A point that is not finite
-    leaves every g in."""
-    if not cmath.isfinite(x):
-        return True
-    norm_1 = sum(map(abs, g))
-    norm_2 = math.isqrt(sum(c * c for c in g)) + 1
-    coefficients, y = (g, 1 / x) if abs(x) > 1 else (g[::-1], x)
-    value = 0j
-    for c in coefficients:
-        value = value * y + c / norm_1
-    bound = 2.0 ** (log2_bound + len(g) - 1) * (norm_2 / norm_1) + 2.0 ** -40
-    return not abs(value) > bound
-
-
-def irreducible_factors(polys, x: complex | None = None,
-                        log2_bound: int = 0) -> list[list[int]]:
+def irreducible_factors(polys) -> list[list[int]]:
     """The distinct irreducible factors of nonzero integer polynomials
     (constant term first), each primitive with positive leading coefficient:
-    the factors `sympy.factor_list` gives for each polynomial, found in
-    three steps.
-
-    1. Lowest degree first, each polynomial is divided exactly by every
-       factor found so far, as often as it divides, and made primitive.
-    2. A cofactor of degree 0 adds nothing.  One of degree 1, or one the
-       degree test proves irreducible, is a new factor.
-    3. Any other cofactor waits until every polynomial has had step 1, so
-       that factors found later can divide it.  Each one still open then
-       meets every earlier open one in `_gcd`, and the gcd goes through
-       steps 1 and 2 as a polynomial of its own.  What is left after a
-       last division is handed to `sympy.factor_list`.
-
-    Given the point x, only the factors F that may have
-    |F(x)| < 2^log2_bound are sought: every cofactor that
-    `_may_hold_small_factor` rules out is dropped before steps 2 and 3.
-    """
-    known = []
-
-    def left_open(f, *failed):
-        # f's cofactor when it is still to be factored; a cofactor among
-        # `failed` has failed the degree test already
-        g = _cofactor(f, known)
-        if len(g) < 2 or x is not None and not _may_hold_small_factor(g, x, log2_bound):
-            return None
-        if len(g) == 2 or g not in failed and _irreducible(g):
-            known.append(g)
-            return None
-        return g
-
-    deferred = [g for f in sorted(polys, key=len) if (g := left_open(f)) is not None]
-    still_open = []
-    for f in deferred:
-        if (g := left_open(f, f)) is not None:
-            for h in still_open:
-                left_open(_gcd(g, h), g, h)
-            still_open.append(g)
-    for f in still_open:
-        if (g := left_open(f, f)) is not None:
+    the factors `sympy.factor_list` gives for each polynomial.  A primitive
+    part of degree 1, or one the degree test (module docstring) proves
+    irreducible, is its own factor; any other is handed to
+    `sympy.factor_list`."""
+    factors = []
+    for f in polys:
+        g = _primitive(f)
+        if len(g) < 2:
+            continue
+        if len(g) == 2 or _irreducible(g):
+            found = [g]
+        else:
             import sympy
 
             poly = sympy.Poly(g[::-1], sympy.Symbol("X"))
-            known += [_primitive([int(c) for c in reversed(h.all_coeffs())])
-                      for h, _ in sympy.factor_list(poly)[1]]
-    return known
+            found = [_primitive([int(c) for c in reversed(h.all_coeffs())])
+                     for h, _ in sympy.factor_list(poly)[1]]
+        factors += [h for h in found if h not in factors]
+    return factors
 
 
 def _row_may_hold_small_factor(g: list[int], value: tuple[int, int], log2_scale: int,
@@ -709,13 +596,13 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
     rows not seen at an earlier one are tested.  A row's polynomial g is
     skipped when its value at x, taken on the powers of x rounded to 2p
     bits, rules out any factor F with |F(x)| < 2^(-1.5 p)
-    (`_row_may_hold_small_factor`); the rest go to `irreducible_factors`
-    at the point x.  A factor F is confirmed when |F(x)|, evaluated at 2p
-    bits, is below 2^(-1.5 p): a true relation reaches about 2^(-2p)
-    there, while a short vector that only fits the lattice's 0.8p bits of
-    x stays far above.  The first pause with a confirmed factor returns
-    the smallest one by (degree, height, coefficients), so the reduction
-    stops at the minimal polynomial's degree.
+    (`_row_may_hold_small_factor`); the rest go to `irreducible_factors`.
+    A factor F is confirmed when |F(x)|, evaluated at 2p bits, is below
+    2^(-1.5 p): a true relation reaches about 2^(-2p) there, while a short
+    vector that only fits the lattice's 0.8p bits of x stays far above.
+    The first pause with a confirmed factor returns the smallest one by
+    (degree, height, coefficients), so the reduction stops at the minimal
+    polynomial's degree.
 
     Requires precision_bits >= 128 and max_degree >= 1, else raises
     AlgdepError.  The returned polynomial is primitive with positive
@@ -748,7 +635,7 @@ def algdep(x, max_degree: int, precision_bits: int = 256) -> MinPoly | None:
                 fresh.append(g)
         best = None
         with mp.workprec(bits):
-            for fc in irreducible_factors(fresh, point, log2_bound):
+            for fc in irreducible_factors(fresh):
                 key = (len(fc) - 1, max(map(abs, fc)), tuple(fc))
                 if key in refused:
                     continue

@@ -25,12 +25,8 @@ from cuspforge import numberlab
 from cuspforge.numberlab import (
     DEGREE_TEST_PRIMES,
     MinPoly,
-    _exact_quotient,
-    _gcd,
     _irreducible,
-    _may_hold_small_factor,
     _primitive,
-    _trim,
     algdep,
     distinct_degrees,
     irreducible_factors,
@@ -151,9 +147,9 @@ def test_known_factors_in_either_order_give_sympy_factors():
             assert set(found) == expected
 
 
-def test_deferred_rows_are_divided_by_later_factors():
-    # f*g is reducible and comes first; f*h (h irreducible of degree 3)
-    # waits, and once f*g is factored it leaves h for the degree test
+def test_a_reducible_row_and_a_row_sharing_its_factor_give_sympy_factors():
+    # f*g goes to sympy.factor_list; f*h (h irreducible of degree 3) does
+    # too, and f comes out once
     rng = random.Random(6)
     f, g = random_poly(rng, 2, 8), random_poly(rng, 2, 8)
     h = [1, 1, 0, 1]                   # x^3 + x + 1, irreducible
@@ -381,14 +377,15 @@ def test_row_filter_passes_only_rows_holding_the_minimal_polynomial(
         algdep_values, minimal_polynomials, bits, monkeypatch):
     # at every pause below the minimal polynomial m's degree the row filter
     # skips each reduced row, so nothing is factored there; at the pause of
-    # m's degree every row it passes is a multiple of m.  A value whose
-    # relation is not found has every row of every pause skipped
+    # m's degree every row it passes is +-m itself, which the degree test
+    # settles.  A value whose relation is not found has every row of every
+    # pause skipped
     passed = []
     factors = numberlab.irreducible_factors
 
-    def recording(polys, *args):
+    def recording(polys):
         passed.append(list(polys))
-        return factors(passed[-1], *args)
+        return factors(passed[-1])
 
     monkeypatch.setattr(numberlab, "irreducible_factors", recording)
     for label, value in algdep_values[bits]:
@@ -404,7 +401,7 @@ def test_row_filter_passes_only_rows_holding_the_minimal_polynomial(
             continue
         assert len(passed) == len(m), label
         assert not any(passed[:-1]), label
-        assert passed[-1] and all(_exact_quotient(g, m) for g in passed[-1]), label
+        assert passed[-1] and all(_primitive(g) == m for g in passed[-1]), label
 
 
 def counted_factor_list(monkeypatch) -> list:
@@ -420,65 +417,22 @@ def counted_factor_list(monkeypatch) -> list:
     return calls
 
 
-def test_fill_pass_at_256_bits_never_calls_factor_list(algdep_values, monkeypatch):
-    # over one fill pass at 256 bits every row is settled without
-    # sympy.factor_list: division, the degree test, the prune and the gcd
-    # of two rows m c1, m c2 leave nothing open (it ran on all 130 rows
-    # when every row was factored, and on 3 before the gcd)
-    calls = counted_factor_list(monkeypatch)
-    values = [v for label, v in algdep_values[256] if label.startswith("whitehead(")]
-    assert len(values) == 10
-    with mp.workprec(256 + 30):
-        assert all(algdep(v, 12, 256) is not None for v in values)
-    assert calls == []
-
-
-def test_gcd_of_two_rows_sharing_a_factor_gives_it(monkeypatch):
-    # m c1 and m c2 with coprime linear cofactors both fail the degree test;
-    # their gcd is m, the degree test proves it, and factor_list never runs
-    calls = counted_factor_list(monkeypatch)
-    rng = random.Random(27)
-    for degree in range(2, 11):
-        m = _primitive(random_poly(rng, degree, 20))
-        c1, c2 = [-rng.randrange(1, 50), 1], [3 * rng.randrange(17) + 1, 3]
-        assert _irreducible(m)
-        assert _gcd(multiply(m, c1), multiply(m, c2)) == m
-        assert _gcd(multiply([6], m, c1), multiply([-4], m, c2, c2)) == multiply([2], m)
-        assert _gcd(multiply(m, c1), c2) == [1]
-        rows = [multiply(m, c1), multiply(m, c2)]
-        found = irreducible_factors(rows)
-        assert calls == []
-        assert {tuple(g) for g in found} == sympy_factors(rows[0]) | sympy_factors(rows[1])
-        calls.clear()
-
-
 @pytest.mark.parametrize("bits", [128, 256, 512])
-def test_prune_keeps_every_cofactor_holding_the_minimal_polynomial(algdep_values,
-                                                                    minimal_polynomials, bits):
-    # m is the 512-bit minimal polynomial, which passes the residual test at
-    # every precision here; the cofactors holding it are the reduced rows it
-    # divides and m times small polynomials.  The rows' cofactors after
-    # division by m are what the prune is for: it drops nearly all of them
-    true = minimal_polynomials
-    assert len(true) == 16
-    log2_bound = int(-1.5 * bits)
-    dropped = tried = 0
+def test_algdep_never_calls_factor_list(algdep_values, bits, monkeypatch):
+    # on every fixture cusp, every (1, n) fill value and pi/3 + i e/5, at
+    # max-degree 8 and 12, each row that reaches the factoring is settled by
+    # the degree test (sympy.factor_list ran on all 130 rows of a 256-bit
+    # fill pass when every row was factored).  Every value is recognized
+    # but pi/3 + i e/5, the (1, -5) and (1, 5) fills at max-degree 8 (their
+    # fields have degree 9 and 10) and the 128-bit (1, 5) fill
+    calls = counted_factor_list(monkeypatch)
+    missed = []
     for label, value in algdep_values[bits]:
-        if label not in true:
-            continue
-        m = list(true[label])
-        with mp.workprec(2 * bits):
-            x = mp.mpc(value)
-            assert abs(sum(c * x ** i for i, c in enumerate(m))) < mp.mpf(2) ** log2_bound
-            rows = [_trim(row[:13]) for row in lll(relation_lattice(x, 12, bits))]
-        quotients = [q for row in rows if (q := _exact_quotient(row, m)) is not None]
-        holding = [multiply(m, q) for q in quotients]
-        holding += [multiply(m, c) for c in ([1], [0, 1], [1, 1], [-3, 2], [2, -1, 1],
-                                             [7, 0, 0, 1], [-1, 5, 0, 0, 0, 2])]
-        for g in holding:
-            assert _may_hold_small_factor(_primitive(g), complex(x), log2_bound), (label, g)
-        for q in quotients:
-            if len(q) > 1:
-                tried += 1
-                dropped += not _may_hold_small_factor(_primitive(q), complex(x), log2_bound)
-    assert dropped >= 0.9 * tried > 0
+        for max_degree in (8, 12):
+            with mp.workprec(bits + 30):
+                if algdep(value, max_degree, bits) is None:
+                    missed.append((label, max_degree))
+    assert calls == []
+    assert missed == [("whitehead(1,-5)", 8), ("whitehead(1,5)", 8),
+                      *[("whitehead(1,5)", 12)] * (bits == 128),
+                      ("pi/3 + i e/5", 8), ("pi/3 + i e/5", 12)]
