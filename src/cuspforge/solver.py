@@ -826,7 +826,7 @@ def solve_filled(tri: IdealTriangulation, fillings, *, start: SolveResult) -> So
         z_ramp = _filling_ramp(tri.name, rows, [complex(v) for v in start.shapes.z])
         for fe in fill_eqs:
             fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
-        z, it, res2 = _polish_filled(tri, rows, z_ramp, precision_bits)
+        z, it, res2 = _polish_filled(tri, rows, [mp.mpc(v) for v in z_ramp], precision_bits)
         geometric = all(v.imag > flat_tol for v in z)
         offsets = tuple(fe.branch_offsets(z) for fe in fill_eqs)
         notes = list(start.notes)
@@ -871,7 +871,7 @@ def doubled_filling(tri: IdealTriangulation, fillings, filled: SolveResult) -> S
     with mp.workprec(bits + 30):
         rows = _gluing_rows(tri, _check_fillings(tri, fillings))
         fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
-        z = list(filled.shapes.z)
+        z = Point([mp.mpc(v) for v in filled.shapes.z])
         for fe, turns in zip(fill_eqs, filled.branch_offsets):
             principal, _, pi = fe._branches(z)
             fe.reference = tuple(w + 2j * pi * k for w, k in zip(principal, turns))
@@ -885,14 +885,15 @@ def doubled_filling(tri: IdealTriangulation, fillings, filled: SolveResult) -> S
 
 
 def _polish_filled(tri: IdealTriangulation, rows, z: list, precision_bits: int) -> tuple:
-    """Newton on the filled rows from z to the targets 2 pi i, at the
-    working precision, each filling row's branch reference already set.
+    """Newton on the filled rows from the mpmath shapes z (a `Point` keeps
+    its memo) to the targets 2 pi i, at the working precision, each filling
+    row's branch reference already set.
     Returns (z, iterations, residual re-evaluated at 2 precision_bits);
     raises SolveError when the polish misses the residual target."""
     fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
     for fe in fill_eqs:
         fe.target = 2j * mp.pi
-    z, it, res = _newton(rows, [mp.mpc(v) for v in z], _newton_tol(precision_bits))
+    z, it, res = _newton(rows, z, _newton_tol(precision_bits))
     if res >= mp.mpf(2) ** (-precision_bits // 2):
         raise SolveError(
             f"{tri.name!r}: polish of the filled structure "

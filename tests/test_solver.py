@@ -1034,8 +1034,10 @@ def test_a_fill_sweep_builds_each_equation_once(monkeypatch, whitehead):
 def test_filling_logs_are_memoised_on_the_point(monkeypatch, whitehead):
     # a filling row's principal logs live on the mpmath Point: the residual
     # and the step at a point, and branch_offsets and the core translations
-    # at the end, share them.  18 mp.log calls per fill op at 256 bits; 30
-    # when each evaluation took its own
+    # at the end, share them, and the 2p polish starts on the Point its
+    # branch references were taken at.  16 mp.log calls per fill op at 256
+    # bits; 18 when the polish started on a new Point, 30 when each
+    # evaluation took its own
     from cuspforge.screen import fill_and_screen
 
     calls = []
@@ -1045,7 +1047,7 @@ def test_filling_logs_are_memoised_on_the_point(monkeypatch, whitehead):
         calls.clear()
         report, = fill_and_screen(whitehead, 1, [n])
         assert report.error is None and report.cusps[0].minpoly is not None
-        assert len(calls) == 18, n
+        assert len(calls) == 16, n
 
 
 def test_a_trace_on_a_solved_triangulation_builds_nothing(monkeypatch, whitehead):
