@@ -337,10 +337,6 @@ class ShapeAssignment:
             z = tuple(mp.mpc(v) for v in values)
         return ShapeAssignment(z, precision_bits)
 
-    @property
-    def n(self) -> int:
-        return len(self.z)
-
     def is_degenerate(self) -> bool:
         return any(in_guard_band(z, DEGENERACY_GUARD) for z in self.z)
 
