@@ -11,7 +11,11 @@ exactly (`form`, `block`) and leaves rounded once, to nearest, at the
 working precision wp (`to_mpc`, `quotient_root`).
 
 Between the two, a result is cut to a width of `width` bits by one floor
-shift of both parts (`cut`).  The callers cut to W = wp + wp // 16 bits
+shift of both parts (`cut`).  Products cut themselves: `mul`, `minus` and
+`dot` shift their exact results inline, by the larger of the two parts'
+bit lengths, and `Point._product` and `Point.gradient_forms` of
+`holonomy` do the same for each product they form; `cut` serves the
+callers that cut a sum.  The callers cut to W = wp + wp // 16 bits
 (`block_width`).  The wp // 16 guard bits grow with the precision: without
 them a long product keeps fewer than wp correct bits, and a fixed guard of
 20 bits would more than double the accuracy of a solve at a few bits.
@@ -77,17 +81,24 @@ def block_width() -> int:
 
 def cut(re: int, im: int, e: int, width: int) -> tuple:
     """(re + i im) 2^e in block form, cut to `width` bits by one floor shift."""
-    s = max(re.bit_length(), im.bit_length()) - width
+    s, t = re.bit_length(), im.bit_length()
+    s = (s if s > t else t) - width
     if s > 0:
         return re >> s, im >> s, e + s
     return re, im, e
 
 
 def mul(x, y, width) -> tuple:
-    """x y in block form, cut to `width` bits (`cut`)."""
+    """x y in block form: the exact product, cut to `width` bits as `cut`
+    cuts it."""
     a, b, e = x
     c, d, f = y
-    return cut(a * c - b * d, a * d + b * c, e + f, width)
+    re, im = a * c - b * d, a * d + b * c
+    s, t = re.bit_length(), im.bit_length()
+    s = (s if s > t else t) - width
+    if s > 0:
+        return re >> s, im >> s, e + f + s
+    return re, im, e + f
 
 
 def inverse(x, width) -> tuple:
@@ -98,13 +109,20 @@ def inverse(x, width) -> tuple:
     return (a << s) // norm, (-b << s) // norm, -e - s
 
 
-def aligned(forms) -> tuple:
-    """The exact sum of block forms, as (re, im, e); (0, 0, 0) for none."""
-    e = min((f[2] for f in forms), default=0)
+def aligned(forms: list) -> tuple:
+    """The exact sum of a list of block forms, as (re, im, e) with the least
+    exponent e among them; (0, 0, 0) for an empty list."""
+    if not forms:
+        return 0, 0, 0
+    e = min([f[2] for f in forms])
     re = im = 0
     for a, b, f in forms:
-        re += a << (f - e)
-        im += b << (f - e)
+        if f == e:
+            re += a
+            im += b
+        else:
+            re += a << (f - e)
+            im += b << (f - e)
     return re, im, e
 
 
@@ -116,14 +134,24 @@ def minus(x: tuple, y: tuple, width: int) -> tuple:
         a, b, e = a << (e - f), b << (e - f), f
     elif f > e:
         c, d = c << (f - e), d << (f - e)
-    return cut(a - c, b - d, e, width)
+    re, im = a - c, b - d
+    s, t = re.bit_length(), im.bit_length()
+    s = (s if s > t else t) - width
+    if s > 0:
+        return re >> s, im >> s, e + s
+    return re, im, e
 
 
 def dot(x: list, y: list, width: int) -> tuple:
     """sum_k x_k y_k over block forms: the exact sum of the exact products,
     cut once to `width` bits; (0, 0, 0) when no product is nonzero."""
-    return cut(*aligned([(a * c - b * d, a * d + b * c, e + f)
-                         for (a, b, e), (c, d, f) in zip(x, y) if (a or b) and (c or d)]), width)
+    re, im, e = aligned([(a * c - b * d, a * d + b * c, e + f)
+                         for (a, b, e), (c, d, f) in zip(x, y) if (a or b) and (c or d)])
+    s, t = re.bit_length(), im.bit_length()
+    s = (s if s > t else t) - width
+    if s > 0:
+        return re >> s, im >> s, e + s
+    return re, im, e
 
 
 def squared(x: tuple) -> tuple:

@@ -431,14 +431,22 @@ class Point(tuple):
 
     def _product(self, keys: tuple) -> tuple:
         """The product of the powers of `_factor_keys` keys, in their order,
-        each product cut to W bits; 1 when there are no keys."""
+        each product cut to W bits as `mul` cuts it; 1 when there are no
+        keys."""
         if not keys:
             return 1, 0, 0
         forms, width = self._forms, self._width
-        value = forms.get(keys[0]) or self._power_form(keys[0])
+        a, b, e = forms.get(keys[0]) or self._power_form(keys[0])
         for key in keys[1:]:
-            value = mul(value, forms.get(key) or self._power_form(key), width)
-        return value
+            c, d, f = forms.get(key) or self._power_form(key)
+            a, b = a * c - b * d, a * d + b * c
+            s, t = a.bit_length(), b.bit_length()
+            s = (s if s > t else t) - width
+            if s > 0:
+                a, b, e = a >> s, b >> s, e + f + s
+            else:
+                e += f
+        return a, b, e
 
     def term_form(self, c: int, a: tuple, b: tuple) -> tuple:
         """c * prod z_i^{a_i} (1 - z_i)^{b_i} in block form, for exponent
@@ -480,11 +488,18 @@ class Point(tuple):
         width, memo = self._width, self._log_derivative_forms
         parts = [[] for _ in self]
         for (a, b), c in terms.items():
-            t = self.term_form(c, a, b)
+            p, q, e = self.term_form(c, a, b)
             for key in _gradient_keys(a, b):
-                g = memo.get(key) or self._log_derivative_form(*key)
-                parts[key[0]].append(mul(t, g, width))
-        return [cut(*aligned(p), width) for p in parts]
+                g, h, f = memo.get(key) or self._log_derivative_form(*key)
+                # the product t g, cut as `mul` cuts it
+                re, im = p * g - q * h, p * h + q * g
+                s, t = re.bit_length(), im.bit_length()
+                s = (s if s > t else t) - width
+                if s > 0:
+                    parts[key[0]].append((re >> s, im >> s, e + f + s))
+                else:
+                    parts[key[0]].append((re, im, e + f))
+        return [cut(*aligned(part), width) for part in parts]
 
 
 def _scalar_log_entry(zi, a: int, b: int):
