@@ -108,6 +108,12 @@ whitehead, both cusps of 622 (`d_tau` only) and berge's c-knotted
 (`d2_tau` only).  No verdict, field, minimal polynomial, isolation
 order, pin or `tangent` entry moved.
 
+No digest moved when block-form products began to cut themselves:
+`blockform.mul`, `minus` and `dot` shift their exact results inline, and
+`Point._product` and `Point.gradient_forms` multiply inline, on the same
+integers in the same order (`tests/test_blockform.py` checks them against
+the one-line kernels of `tests/blockform_oracle.py`).
+
 A change that moves a digest changes numbers: it has to say which and
 why, and record the new digests; running this file prints the current
 ones.  The screen digest also covers the report format and the version

@@ -268,6 +268,38 @@ def test_filled_polish_failure_raises(whitehead, monkeypatch, solved):
         solve_filled(whitehead, ["complete", (1, 3)], start=solved["whitehead"])
 
 
+# the Newton iterations of a p-bit polish, from a float root (complete) or
+# from the ramp's end (filled): each step about doubles the correct bits
+POLISH_ITERATIONS = {128: 2, 256: 3, 512: 4}
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_newton_iteration_counts_are_pinned(bits):
+    # the complete solves of every fixture, whitehead's cusp-1 (1, n)
+    # fillings and the fillings that reach tol with the least margin
+    # (622's (1, 5) on both cusps, berge's c0 (1, -2)) take
+    # POLISH_ITERATIONS, and each 2p polish of them takes one step
+    from cuspforge.isolation import doubled_structure
+
+    fills = [("whitehead", 1, n) for n in range(-5, 6) if n]
+    fills += [("622", 0, 5), ("622", 1, 5), ("berge", 0, -2)]
+    starts = {}
+    with mp.workprec(bits + 30):
+        for name in ("whitehead", "622", "berge"):
+            tri = cf.load_fixture(name)
+            start = solve_complete(tri, bits, seed=0)
+            starts[name] = tri, start
+            assert (start.iterations, start.restarts_used) == (POLISH_ITERATIONS[bits], 0), name
+            assert doubled_structure(tri, start).iterations == 1, name
+        for name, cusp, n in fills:
+            tri, start = starts[name]
+            filling = [None] * len(tri.cusps)
+            filling[cusp] = (1, n)
+            filled = solve_filled(tri, filling, start=start)
+            assert filled.iterations == POLISH_ITERATIONS[bits], (name, cusp, n)
+            assert doubled_filling(tri, filling, filled).iterations == 1, (name, cusp, n)
+
+
 def test_float_evaluator_matches_mpmath(whitehead, link622, berge, solved):
     # the filling ramp evaluates the same cleared equations on Python complex
     for tri in (whitehead, link622, berge):
