@@ -30,7 +30,8 @@ from cuspforge.solver import SolveError, doubled_filling, solve_complete, solve_
 
 tri = cf.load_fixture("whitehead")
 pair = cf.cusp_parameter(tri, tri.cusps[0])
-# every filling starts from the one complete structure, at its precision
+# each filling runs its own machine-precision start search and ramps from
+# that float root; only the Taylor check below needs the complete structure
 complete = solve_complete(tri, precision_bits=256, seed=0)
 
 print(" n   geometric  cusp parameter               field")
@@ -39,7 +40,7 @@ for n in range(-5, 6):
         continue
     filling = ["complete", (1, n)]
     try:
-        result = solve_filled(tri, filling, start=complete)
+        result = solve_filled(tri, filling, precision_bits=256)
         # algdep confirms its relation at twice the precision
         doubled = doubled_filling(tri, filling, result)
     except SolveError as exc:
@@ -55,7 +56,7 @@ for n in range(-5, 6):
           f"   (curve-formula residual {mp.nstr(residual, 2)})")
 
 print("\nmeridian filling (1, 0) re-closes the solid torus:")
-result = solve_filled(tri, ["complete", (1, 0)], start=complete)
+result = solve_filled(tri, ["complete", (1, 0)], precision_bits=256)
 print("  degenerate:", result.degenerate, "| notes:", "; ".join(result.notes))
 
 print("\nlarge fillings against the isolation derivatives of the first cusp:")
@@ -63,7 +64,7 @@ info = tau_derivatives(tri, 0, complete.shapes)
 tau0 = cf.evaluate_cusp_parameter(pair, complete.shapes)
 pin = info["pin"]
 for n in (20, 40, -20, -40):
-    result = solve_filled(tri, ["complete", (1, n)], start=complete)
+    result = solve_filled(tri, ["complete", (1, n)], precision_bits=256)
     s = result.shapes.z[pin] - complete.shapes.z[pin]
     taylor = tau0 + info["d_tau"] * s + info["d2_tau"] * s ** 2 / 2
     error = abs(cf.evaluate_cusp_parameter(pair, result.shapes) - taylor)

@@ -265,7 +265,8 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
                     options: ScreenOptions | None = None) -> list[ScreenReport]:
     """Screen the remaining cusps of each (1, n) filling of one cusp.
 
-    The complete structure is solved once and seeds every filled solve.
+    Each filling is solved on its own (`solve_filled`, which runs its own
+    machine-precision start search); no complete structure is polished.
     Solver failures for individual fillings become error reports; there is
     no isolation leg for a filled (one-cusped) result, so a filled report's
     verdict is FailsRigidField or Undetermined.
@@ -276,33 +277,21 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
     else:
         tri = read_triangulation(path_or_tri)
         source = str(path_or_tri)
-    complete = complete_error = None
-    try:
-        complete = solve_complete(tri, options.precision_bits, seed=options.seed)
-    except SolveError as exc:
-        complete_error = exc
     reports = []
     for n in n_values:
         filling = [None] * len(tri.cusps)
         filling[cusp] = (1, n)
         label = f"{tri.name}({tri.cusps[cusp].name}=1/{n})"
-        error = complete_error
-        if error is None:
-            try:
-                solved = solve_filled(tri, filling, start=complete)
-            except SolveError as exc:
-                error = exc
-        if error is not None:
+        listed = [list(f) if f else None for f in filling]
+        try:
+            solved = solve_filled(tri, filling, options.precision_bits, seed=options.seed)
+        except SolveError as exc:
             reports.append(ScreenReport(
-                manifold=label, source=source, verdict=UNDETERMINED,
-                filling=[list(f) if f else None for f in filling],
-                provenance=options.provenance(),
-                error=f"filled solve failed: {error}",
+                manifold=label, source=source, verdict=UNDETERMINED, filling=listed,
+                provenance=options.provenance(), error=f"filled solve failed: {exc}",
             ))
             continue
-        report = screen_triangulation(
-            tri, source, options, solved=solved,
-            filling=[list(f) if f else None for f in filling])
+        report = screen_triangulation(tri, source, options, solved=solved, filling=listed)
         report.manifold = label
         reports.append(report)
     return reports

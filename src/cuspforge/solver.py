@@ -77,21 +77,27 @@ triangulation carries no filling)
 
     p log mu(m) + q log mu(l) = 2 pi i.
 
-The target is reached by ramping the right-hand side from 0 at the
-complete structure the caller hands `solve_filled` (a `solve_complete`
-result, filled at its precision) to 2 pi i, in machine precision: each
-ramp step is Newton with `least_squares` steps on the same cleared
-equations and `FillingEquation` rows, evaluated on Python complex by the
-one evaluator of `holonomy`.  The log branches are carried by continuity;
-small fillings genuinely leave the principal branch, so branch
-bookkeeping is part of the equation, with step halving and an explicit
-"stalled" failure when continuity cannot be maintained.  The float point
-at 2 pi i, with its branches as the reference, is then polished once at
-p+30 bits; a polish that misses the residual target raises SolveError.
+`solve_filled` runs the start search of stage 1 over the same schedule
+and takes its first float root with every Im z > 0 (else its first root)
+as the complete structure: no complete structure is polished for a
+filling.  The target is reached by ramping the right-hand side from 0 at
+that root to 2 pi i, in machine precision: each ramp step is Newton with
+`least_squares` steps on the same cleared equations and `FillingEquation`
+rows, evaluated on Python complex by the one evaluator of `holonomy`.
+The log branches are carried by continuity; small fillings genuinely
+leave the principal branch, so branch bookkeeping is part of the
+equation, with step halving and an explicit "stalled" failure when
+continuity cannot be maintained.  The float point at 2 pi i, with its
+branches as the reference, is then polished once at p+30 bits; a polish
+that misses the residual target raises SolveError, and no other start is
+tried.  In that polish, a principal log whose imaginary part lies within
+2^-(p // 2) of -pi is read as +pi (`FillingEquation.tie`), so the branch
+offsets of a flat filling, whose dilations are real, do not follow
+round-off.
 `doubled_filling` polishes that result once more at 2p+30 bits, with the
 target 2 pi i taken at that precision and the branches the p polish
-ended on: the filled counterpart of a complete solve polished at 2p from
-`initial`.
+ended on, read by the same window: the filled counterpart of a complete
+solve polished at 2p from `initial`.
 Log-form edge rows are not used here: the ramp of some fillings passes
 through shapes near 0 and 1, where the cleared equations stay regular
 and log rows stall.
@@ -236,23 +242,37 @@ class FillingEquation:
     accepted point; principal logs are shifted by multiples of 2 pi i to
     stay nearest the reference.  Like the evaluator, it works in the
     scalar type of z: mpmath, or Python complex for the filling ramp.
+
+    `tie` is the window 2^-(p // 2) of a structure filled at p bits, or
+    None (`_gluing_rows` given no precision).  At an mpmath `Point` a principal log whose imaginary
+    part lies within it of -pi is read as +pi, so a dilation that is real
+    up to round-off (a flat filling's) gets the same branch offsets at
+    every precision, and the 2p polish reads them as the p solve did.  The
+    machine-precision ramp carries continued logs and never applies it.
     """
 
-    def __init__(self, p: int, q: int, mu_m: SignedMonomial, mu_l: SignedMonomial, label: str):
+    def __init__(self, p: int, q: int, mu_m: SignedMonomial, mu_l: SignedMonomial, label: str,
+                 tie):
         self.p, self.q = p, q
         self.mu_m, self.mu_l = mu_m, mu_l
         self.label = label
+        self.tie = tie
         self.target = mp.mpc(0)
         self.reference = (mp.mpc(0), mp.mpc(0))
 
     def _branches(self, z: list) -> tuple:
         """Principal logs of (mu_m, mu_l) at z, the whole turns that carry
         each nearest its reference, and pi in the scalar type of z.  At an
-        mpmath `Point` the logs are the Point's memo (`Point.principal_log`)."""
+        mpmath `Point` the logs are the Point's memo (`Point.principal_log`),
+        each read by the `tie` rule."""
         log, pi, nint = _scalar_ops(z)
         z = Point(z)
-        principal = [z.principal_log(m.sign, m.a, m.b) if z.blocks
-                     else log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l)]
+        if z.blocks:
+            principal = [z.principal_log(m.sign, m.a, m.b) for m in (self.mu_m, self.mu_l)]
+            if self.tie is not None:
+                principal = [w + 2j * pi if w.imag + pi < self.tie else w for w in principal]
+        else:
+            principal = [log(term_value(m.sign, m.a, m.b, z)) for m in (self.mu_m, self.mu_l)]
         turns = [nint((ref - w).imag / (2 * pi)) for ref, w in zip(self.reference, principal)]
         return principal, turns, pi
 
@@ -298,17 +318,19 @@ def _cleared_rows(tri: IdealTriangulation, peripheral) -> list:
     return rows
 
 
-def _gluing_rows(tri: IdealTriangulation, fillings) -> list:
+def _gluing_rows(tri: IdealTriangulation, fillings, precision_bits: int | None = None) -> list:
     """The rows of the complete or filled structure: the edge rows, mu(m)
     and mu(l) of each complete cusp, then one `FillingEquation` for each
-    filled cusp (fillings as `_check_fillings` returns them)."""
+    filled cusp (fillings as `_check_fillings` returns them), with the
+    `tie` of a structure filled at `precision_bits` when given."""
+    tie = None if precision_bits is None else mp.mpf(2) ** -(precision_bits // 2)
     peripheral, fill_rows = [], []
     for cusp, f in zip(tri.cusps, fillings):
         mu_m, mu_l = mu(tri, cusp.meridian), mu(tri, cusp.longitude)
         if f is None:
             peripheral += [mu_m, mu_l]
         else:
-            fill_rows.append(FillingEquation(*f, mu_m, mu_l, label=f"fill:{cusp.name}"))
+            fill_rows.append(FillingEquation(*f, mu_m, mu_l, label=f"fill:{cusp.name}", tie=tie))
     return _cleared_rows(tri, peripheral) + fill_rows
 
 
@@ -340,9 +362,9 @@ class SolveResult:
     polish.  Machine-precision steps (start search, filling ramp) are not
     counted.  `restarts_used` is the index of the accepted start in the
     schedule: `initial` first when given, then the regular shape, then the
-    seeded perturbations; 0 means the first start was accepted.  A filled
-    solve carries the `restarts_used` and `seed` of the complete structure
-    it was filled from.
+    seeded perturbations; 0 means the first start was accepted.  For a
+    filled solve, `seed` and `restarts_used` describe its own start
+    search: the float root its ramp started from.
     """
 
     shapes: ShapeAssignment
@@ -722,9 +744,10 @@ def _filling_ramp(name: str, rows, z: list) -> list:
 
 def _start_points(tri: IdealTriangulation, eqs, seed: int, restarts: int,
                   initial: ShapeAssignment | None):
-    """Start points for the polish, in schedule order: `initial` as given,
-    then the float root of the log form of the complete rows `eqs` from
-    each _initial_guesses start, or None where that search found no root."""
+    """Start points for the polish or the filling ramp, in schedule order:
+    `initial` as given, then the float root of the log form of the complete
+    rows `eqs` from each _initial_guesses start, or None where that search
+    found no root."""
     if initial is not None:
         yield list(initial.z)
     rows = _log_rows(tri, eqs)
@@ -801,35 +824,51 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
         )
 
 
-def solve_filled(tri: IdealTriangulation, fillings, *, start: SolveResult) -> SolveResult:
-    """Fill the complete structure `start`, as `solve_complete` returns it,
-    at its precision.  `fillings` has one entry per cusp: 'complete' or
-    None, or a coprime pair of ints (p, q).
+def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
+                 seed: int = 0, restarts: int = 32) -> SolveResult:
+    """Solve the structure with `fillings` at `precision_bits`.  `fillings`
+    has one entry per cusp: 'complete' or None, or a coprime pair of ints
+    (p, q).
 
-    With every cusp complete, `start` is the result.  Otherwise a
-    machine-precision continuation ramps each filling target from 0 to
-    2 pi i while carrying log branches, and the end point is polished once
-    at the working precision.
+    With every cusp complete, this is `solve_complete`.  Otherwise the
+    start search of `solve_complete` runs over the same schedule, in
+    machine precision, and its first float root with every Im z > 0 (else
+    its first root, noted as non-geometric) is the complete structure a
+    machine-precision continuation fills: it ramps each filling target from
+    0 to 2 pi i while carrying log branches, and the end point is polished
+    once at the working precision.  A start search with no root, a stalled
+    ramp or a failed polish raises SolveError; no other start is tried.
     """
     fillings = _check_fillings(tri, fillings)
-    if not start.success:
-        raise SolveError(f"{tri.name!r}: complete solve failed; cannot fill")
     if all(f is None for f in fillings):
-        return start
-    precision_bits = start.shapes.precision_bits
+        return solve_complete(tri, precision_bits, seed, restarts)
     with mp.workprec(precision_bits + 30):
-        rows = _gluing_rows(tri, fillings)
+        eqs = _gluing_rows(tri, [None] * len(tri.cusps))
+        found = None
+        for index, root in enumerate(_start_points(tri, eqs, seed, restarts, None)):
+            if root is None:
+                continue
+            if all(v.imag > 0 for v in root):
+                found = index, root
+                break
+            found = found or (index, root)
+        if found is None:
+            raise SolveError(f"{tri.name!r}: complete-structure start search did not converge "
+                             f"within {restarts} restarts")
+        restart_index, root = found
+        notes = ([] if all(v.imag > 0 for v in root)
+                 else ["complete solution is non-geometric (some Im z <= 0)"])
+        rows = _gluing_rows(tri, fillings, precision_bits)
         fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
         success_tol = mp.mpf(2) ** (-precision_bits // 2)
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
-        z_ramp = _filling_ramp(tri.name, rows, [complex(v) for v in start.shapes.z])
+        z_ramp = _filling_ramp(tri.name, rows, root)
         for fe in fill_eqs:
             fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
         z, it, res2 = _polish_filled(tri, rows, [mp.mpc(v) for v in z_ramp], precision_bits)
         geometric = all(v.imag > flat_tol for v in z)
         offsets = tuple(fe.branch_offsets(z) for fe in fill_eqs)
-        notes = list(start.notes)
         cores = []
         degenerate = False
         for fe in fill_eqs:
@@ -854,8 +893,8 @@ def solve_filled(tri: IdealTriangulation, fillings, *, start: SolveResult) -> So
             notes.append("filled solution is non-geometric (some Im z <= 0)")
         return SolveResult(
             shapes=shapes, residual=res2, geometric=geometric,
-            iterations=it, success=res2 < success_tol, seed=start.seed,
-            restarts_used=start.restarts_used, degenerate=degenerate,
+            iterations=it, success=res2 < success_tol, seed=seed,
+            restarts_used=restart_index, degenerate=degenerate,
             branch_offsets=offsets, core_translations=tuple(cores),
             notes=tuple(notes),
         )
@@ -869,7 +908,7 @@ def doubled_filling(tri: IdealTriangulation, fillings, filled: SolveResult) -> S
     and residual.  Raises SolveError unless the polish succeeds."""
     bits = 2 * filled.shapes.precision_bits
     with mp.workprec(bits + 30):
-        rows = _gluing_rows(tri, _check_fillings(tri, fillings))
+        rows = _gluing_rows(tri, _check_fillings(tri, fillings), filled.shapes.precision_bits)
         fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
         z = Point([mp.mpc(v) for v in filled.shapes.z])
         for fe, turns in zip(fill_eqs, filled.branch_offsets):

@@ -184,13 +184,13 @@ def test_criterion_6_algdep_suite():
     passed(6, "200/200 random quadratic irrationalities recovered exactly")
 
 
-def test_criterion_7_filling_consistency(whitehead, solved):
+def test_criterion_7_filling_consistency(whitehead):
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     outcomes = {}
     for n in [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]:
         filling = ["complete", (1, n)]
         try:
-            result = solve_filled(whitehead, filling, start=solved["whitehead"])
+            result = solve_filled(whitehead, filling, PRECISION)
             doubled = doubled_filling(whitehead, filling, result)
         except SolveError:
             outcomes[n] = ("failed", None)

@@ -226,7 +226,7 @@ def algdep_values():
                 if name == "whitehead":
                     for n in FILL_NS:
                         filling = [None, (1, n)]
-                        filled = solve_filled(tri, filling, start=complete)
+                        filled = solve_filled(tri, filling, bits)
                         doubled = doubled_filling(tri, filling, filled)
                         with mp.workprec(2 * bits + 30):
                             values.append((f"whitehead(1,{n})", cf.evaluate_cusp_parameter(

@@ -152,7 +152,7 @@ def test_fills_of_the_other_cusp_follow_the_isolation_taylor_series(whitehead, s
         for n in (20, 40):
             fillings = ["complete", "complete"]
             fillings[1 - cusp] = (1, sign * n)
-            filled = solve_filled(whitehead, fillings, start=complete)
+            filled = solve_filled(whitehead, fillings, PRECISION)
             s = filled.shapes.z[pin] - complete.shapes.z[pin]
             assert mp.mpf("0.02") < abs(s) < mp.mpf("0.1")
             tau = cf.evaluate_cusp_parameter(pair, filled.shapes)

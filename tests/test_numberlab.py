@@ -317,7 +317,7 @@ def cusp_values():
                 found += [cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, c), complete.shapes)
                           for c in tri.cusps]
             tri = cf.load_fixture("whitehead")
-            filled = solve_filled(tri, ["complete", (1, 5)], start=solve_complete(tri, bits))
+            filled = solve_filled(tri, ["complete", (1, 5)], bits)
             found.append(cf.evaluate_cusp_parameter(cf.cusp_parameter(tri, tri.cusps[0]),
                                                     filled.shapes))
         values[bits] = found
@@ -373,7 +373,7 @@ with mp.workprec(bits + 30):
                              .coefficients) for c in tri.cusps]
     tri = cf.load_fixture("whitehead")
     filling = ["complete", (1, 5)]
-    filled = solve_filled(tri, filling, start=solve_complete(tri, bits))
+    filled = solve_filled(tri, filling, bits)
     doubled = doubled_filling(tri, filling, filled)
     with mp.workprec(2 * bits + 30):
         found["whitehead(1,5)"] = list(algdep(cf.evaluate_cusp_parameter(

@@ -139,9 +139,9 @@ def test_fill_and_screen_whitehead(whitehead):
     assert flat.error or flat.solve["degenerate"] or not flat.solve["geometric"]
 
 
-def test_fill_sweep_solves_the_complete_structure_once(whitehead, monkeypatch):
-    # every filling starts from the sweep's one complete solve: the filled
-    # solver makes no solve of its own
+def test_fill_sweep_makes_no_complete_solve(whitehead, monkeypatch):
+    # every filling ramps from the float root of its own start search: no
+    # complete structure is polished, by the sweep or by the filled solver
     import cuspforge.screen as screen_module
     import cuspforge.solver as solver_module
 
@@ -153,8 +153,8 @@ def test_fill_sweep_solves_the_complete_structure_once(whitehead, monkeypatch):
 
         monkeypatch.setattr(module, "solve_complete", counted)
     reports = fill_and_screen(whitehead, 1, [2, -3], OPTIONS)
-    assert len(calls) == 1
-    assert all(rep.solve["success"] for rep in reports)
+    assert calls == []
+    assert len(reports) == 2 and all(rep.solve["success"] for rep in reports)
 
 
 FILL_NS = [n for n in range(-5, 6) if n]
@@ -227,7 +227,7 @@ def test_cli_isolate_solves_the_complete_structure_once(monkeypatch, capsys):
 def test_field_and_fill_make_one_doubled_polish_each(monkeypatch, capsys):
     # field and fill run no isolation; algdep confirms at 2p, so field polishes
     # each complete structure once at 2p, and fill polishes each filled one
-    # at 2p on its own rows, with no complete solve at 2p
+    # at 2p on its own rows, with no complete solve at any precision
     import cuspforge.screen as screen_module
 
     calls = _count_solves(monkeypatch)
@@ -244,7 +244,7 @@ def test_field_and_fill_make_one_doubled_polish_each(monkeypatch, capsys):
 
     monkeypatch.setattr(screen_module, "doubled_filling", counted)
     fill_and_screen(cf.load_fixture("whitehead"), 1, [2, 3], OPTIONS)
-    assert calls == [PRECISION]
+    assert calls == []
     assert filled == [PRECISION] * 2
 
 
@@ -296,18 +296,16 @@ def test_non_hyperbolic_solve_gets_no_rigid_verdict(whitehead):
 
 
 def test_fill_sweep_reports_a_failed_complete_solve(whitehead, monkeypatch):
-    import cuspforge.screen as screen_module
+    # a start search that finds no float root becomes each filling's report
+    import cuspforge.solver as solver_module
 
-    def fails(tri, *args, **kwargs):
-        raise screen_module.SolveError(f"{tri.name!r}: complete-structure Newton did not converge")
-
-    monkeypatch.setattr(screen_module, "solve_complete", fails)
+    monkeypatch.setattr(solver_module, "_float_search", lambda rows, z: None)
     reports = fill_and_screen(whitehead, 1, [2, -3], OPTIONS)
     assert [rep.manifold for rep in reports] == ["whitehead(c2=1/2)", "whitehead(c2=1/-3)"]
     for rep in reports:
         assert rep.verdict == UNDETERMINED and not rep.cusps
-        assert rep.error == ("filled solve failed: 'whitehead': "
-                             "complete-structure Newton did not converge")
+        assert rep.error == ("filled solve failed: 'whitehead': complete-structure start "
+                             "search did not converge within 32 restarts")
 
 
 # ---------------------------------------------------------------------------

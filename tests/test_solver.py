@@ -103,10 +103,12 @@ def test_residual_certificate(solved):
 
 
 def test_solve_filled_all_complete_is_bitwise_identical(whitehead, solved):
+    # with no cusp filled, solve_filled is solve_complete with the same arguments
     a = solved["whitehead"]
-    b = solve_filled(whitehead, ["complete", "complete"], start=a)
-    assert a.shapes.z == b.shapes.z
-    assert a.iterations == b.iterations and a.restarts_used == b.restarts_used
+    b = solve_filled(whitehead, ["complete", "complete"], PRECISION, seed=0)
+    assert a.shapes == b.shapes and a.residual == b.residual
+    assert (a.iterations, a.restarts_used, a.seed, a.geometric, a.success, a.notes) == (
+        b.iterations, b.restarts_used, b.seed, b.geometric, b.success, b.notes)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -141,40 +143,68 @@ def test_solve_imports_no_numpy_or_scipy():
 
 @pytest.mark.parametrize("filling", [(1.5, 2), (True, 2), (1, 2, 7), ("1", "2"), (2, 4)],
                          ids=["float", "bool", "three-entries", "strings", "not-coprime"])
-def test_solve_filled_rejects_malformed_filling(whitehead, solved, filling):
+def test_solve_filled_rejects_malformed_filling(whitehead, filling):
     # only 'complete', None or a coprime pair of ints fills a cusp: a float
     # or a bool is not truncated, and a third entry is not dropped
     with pytest.raises(ValueError, match="coprime pair of ints"):
-        solve_filled(whitehead, [None, filling], start=solved["whitehead"])
+        solve_filled(whitehead, [None, filling], PRECISION)
 
 
-def test_solve_filled_refuses_a_failed_start(whitehead, solved):
-    failed = dataclasses.replace(solved["whitehead"], success=False)
-    with pytest.raises(SolveError, match="complete solve failed"):
-        solve_filled(whitehead, [None, (1, 3)], start=failed)
+def test_solve_filled_refuses_a_failed_start(whitehead, monkeypatch):
+    # a start search that finds no float root raises; the tracer counts the
+    # whole schedule by "did not converge"
+    import cuspforge.solver as solver
+
+    monkeypatch.setattr(solver, "_float_search", lambda rows, z: None)
+    with pytest.raises(SolveError, match=r"start search did not converge within 32 restarts"):
+        solve_filled(whitehead, [None, (1, 3)], PRECISION)
 
 
-def test_whitehead_meridian_filling_degenerates(whitehead, solved):
+def test_solve_filled_ramps_from_the_first_geometric_root(whitehead, monkeypatch):
+    # the start search passes over a float root with some Im z <= 0 for the
+    # next one with every Im z > 0; with no such root it takes the first
+    # root and notes it
+    import cuspforge.solver as solver
+
+    search, calls = solver._float_search, []
+
+    def mirrored(rows, z, every=False):
+        calls.append(z)
+        root = search(rows, z)
+        return [v.conjugate() for v in root] if every or len(calls) == 1 else root
+
+    monkeypatch.setattr(solver, "_float_search", mirrored)
+    result = solve_filled(whitehead, [None, (1, 3)], PRECISION)
+    assert len(calls) == 2 and result.restarts_used == 1
+    assert result.geometric and not result.notes
+    calls.clear()
+    monkeypatch.setattr(solver, "_float_search", lambda rows, z: mirrored(rows, z, every=True))
+    result = solve_filled(whitehead, [None, (1, 3)], PRECISION, restarts=2)
+    assert len(calls) == 3 and result.restarts_used == 0 and not result.geometric
+    assert result.notes[0] == "complete solution is non-geometric (some Im z <= 0)"
+
+
+def test_whitehead_meridian_filling_degenerates(whitehead):
     # (1, 0) on the second cusp trivially re-closes the solid torus; the
     # solver must not present this as a geometric hyperbolic structure
     try:
-        result = solve_filled(whitehead, ["complete", (1, 0)], start=solved["whitehead"])
+        result = solve_filled(whitehead, ["complete", (1, 0)], PRECISION)
     except SolveError:
         return
     assert result.degenerate or not result.geometric
 
 
-def test_whitehead_longitude_filling_flagged(whitehead, solved):
+def test_whitehead_longitude_filling_flagged(whitehead):
     # (0, 1) is an exceptional slope: expect an explicit failure or a
     # degenerate/non-geometric report, never a silent geometric result
     try:
-        result = solve_filled(whitehead, ["complete", (0, 1)], start=solved["whitehead"])
+        result = solve_filled(whitehead, ["complete", (0, 1)], PRECISION)
     except SolveError:
         return
     assert result.degenerate or not result.geometric
 
 
-def test_whitehead_one_one_filling_field(whitehead, solved):
+def test_whitehead_one_one_filling_field(whitehead):
     # among the (1, +-1) fillings exactly one is hyperbolic with an
     # Eisenstein-quadratic cusp parameter; the other collapses to a flat
     # real solution on the trefoil slope
@@ -184,7 +214,7 @@ def test_whitehead_one_one_filling_field(whitehead, solved):
     kinds = {}
     for n in (1, -1):
         filling = ["complete", (1, n)]
-        result = solve_filled(whitehead, filling, start=solved["whitehead"])
+        result = solve_filled(whitehead, filling, PRECISION)
         doubled = doubled_filling(whitehead, filling, result)
         with mp.workprec(2 * PRECISION + 30):
             value = evaluate_cusp_parameter(pair, doubled.shapes)
@@ -197,12 +227,12 @@ def test_whitehead_one_one_filling_field(whitehead, solved):
     assert not kinds[other][0]
 
 
-def test_whitehead_filling_matches_curve_formula(whitehead, solved):
+def test_whitehead_filling_matches_curve_formula(whitehead):
     # filled solutions keep the first cusp complete, so they lie on the
     # curve where tau_c1 = 4x/(1-x^2) - 2 with x the second shape
     pair = cusp_parameter(whitehead, whitehead.cusps[0])
     for n in (2, -3):
-        result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
+        result = solve_filled(whitehead, ["complete", (1, n)], PRECISION)
         assert result.success and result.geometric
         x = result.shapes.z[1]
         tau = evaluate_cusp_parameter(pair, result.shapes)
@@ -229,12 +259,12 @@ WHITEHEAD_FILLINGS = {
 
 
 @pytest.mark.parametrize("n", sorted(WHITEHEAD_FILLINGS))
-def test_whitehead_filling_table(whitehead, n, solved):
+def test_whitehead_filling_table(whitehead, n):
     # the machine-precision ramp plus one polish lands on the same branch
     # and the same structure; for n != 0 the working-precision ramp took
     # 33-41 steps
     offsets, degenerate, z1 = WHITEHEAD_FILLINGS[n]
-    result = solve_filled(whitehead, ["complete", (1, n)], start=solved["whitehead"])
+    result = solve_filled(whitehead, ["complete", (1, n)], PRECISION)
     assert result.success
     assert result.branch_offsets == (offsets,)
     assert result.degenerate == degenerate
@@ -243,16 +273,16 @@ def test_whitehead_filling_table(whitehead, n, solved):
     assert result.iterations <= 8
 
 
-def test_berge_longitude_filling_passes_through_flat_shapes(berge, solved):
+def test_berge_longitude_filling_passes_through_flat_shapes(berge):
     # the ramp of berge cusp 0 (0, 1) runs through shapes near 0 and 1
     # around t = 0.5; the cleared equations carry it through, where edge
     # rows in log form stall
-    result = solve_filled(berge, [(0, 1), "complete"], start=solved["berge"])
+    result = solve_filled(berge, [(0, 1), "complete"], PRECISION)
     assert result.success
     assert result.degenerate and not result.geometric
 
 
-def test_filled_polish_failure_raises(whitehead, monkeypatch, solved):
+def test_filled_polish_failure_raises(whitehead, monkeypatch):
     # a polish that misses the residual target is an error naming the
     # filling, never a result with success=False
     import cuspforge.solver as solver
@@ -265,7 +295,7 @@ def test_filled_polish_failure_raises(whitehead, monkeypatch, solved):
 
     monkeypatch.setattr(solver, "_newton", no_filled_polish)
     with pytest.raises(SolveError, match=r"fill:c2=\(1,3\)"):
-        solve_filled(whitehead, ["complete", (1, 3)], start=solved["whitehead"])
+        solve_filled(whitehead, ["complete", (1, 3)], PRECISION)
 
 
 # the Newton iterations of a p-bit polish, from a float root (complete) or
@@ -295,9 +325,82 @@ def test_newton_iteration_counts_are_pinned(bits):
             tri, start = starts[name]
             filling = [None] * len(tri.cusps)
             filling[cusp] = (1, n)
-            filled = solve_filled(tri, filling, start=start)
+            filled = solve_filled(tri, filling, bits)
             assert filled.iterations == POLISH_ITERATIONS[bits], (name, cusp, n)
             assert doubled_filling(tri, filling, filled).iterations == 1, (name, cusp, n)
+
+
+def _ramp_from_the_polished_structure(tri, filling, bits) -> dict:
+    """The oracle of a filled solve: the ramp from the polished complete
+    structure rounded to Python complex, then one polish at `bits`, with
+    the filled solver's geometric and degenerate flags."""
+    from cuspforge.solver import (FillingEquation, _check_fillings, _core_curve, _filling_ramp,
+                                  _polish_filled)
+
+    complete = solve_complete(tri, bits, seed=0)
+    with mp.workprec(bits + 30):
+        rows = _gluing_rows(tri, _check_fillings(tri, filling), bits)
+        fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
+        z_ramp = _filling_ramp(tri.name, rows, [complex(v) for v in complete.shapes.z])
+        for fe in fill_eqs:
+            fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
+        z, iterations, _ = _polish_filled(tri, rows, [mp.mpc(v) for v in z_ramp], bits)
+        flat = mp.mpf(2) ** (-bits // 8)
+        cores = []
+        for fe in fill_eqs:
+            (r, s), (u, v) = _core_curve(fe.p, fe.q), fe.logs(z)
+            cores.append(r * u + s * v)
+        degenerate = (any(abs(c.real) < flat for c in cores)
+                      or ShapeAssignment(tuple(z), bits).is_degenerate()
+                      or all(abs(v.imag) < flat for v in z))
+        return {"z": list(z), "iterations": iterations, "degenerate": degenerate,
+                "branch_offsets": tuple(fe.branch_offsets(z) for fe in fill_eqs),
+                "geometric": all(v.imag > flat for v in z)}
+
+
+ORACLE_FILLS = ([("whitehead", cusp, n) for cusp in (0, 1) for n in range(-5, 6)]
+                + [("622", cusp, n) for cusp in (0, 1) for n in (1, -1, 5)]
+                + [("berge", 0, -2)])
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_filling_from_the_float_root_matches_the_polished_start(bits):
+    # solve_filled ramps from its start search's float root; the structure
+    # it lands on is the one a ramp from the polished complete structure
+    # reaches, to 2^-(p-10), with the same polish, branches and flags
+    tol = mp.mpf(2) ** -(bits - 10)
+    for name, cusp, n in ORACLE_FILLS:
+        tri = cf.load_fixture(name)
+        filling = [None] * len(tri.cusps)
+        filling[cusp] = (1, n)
+        oracle = _ramp_from_the_polished_structure(tri, filling, bits)
+        filled = solve_filled(tri, filling, bits)
+        case = name, cusp, n
+        assert filled.success, case
+        assert all(abs(a - b) < tol for a, b in zip(filled.shapes.z, oracle["z"])), case
+        assert (filled.iterations, filled.branch_offsets, filled.geometric, filled.degenerate) \
+            == (oracle["iterations"], oracle["branch_offsets"], oracle["geometric"],
+                oracle["degenerate"]), case
+
+
+# fillings whose dilations are real, so each principal log lies on -pi or
+# +pi by the sign of round-off: their offsets under the tie rule, the same
+# at every precision (before it, each came out as another pair at 128, 256
+# or 512 bits)
+TIED_OFFSETS = {("622", 0, -1): (-1, -2), ("622", 1, -1): (-1, -2),
+                ("berge", 0, -2): (0, -1), ("berge", 0, 1): (0, 0)}
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_tied_branch_offsets_do_not_follow_round_off(bits):
+    for (name, cusp, n), offsets in TIED_OFFSETS.items():
+        tri = cf.load_fixture(name)
+        filling = [None] * len(tri.cusps)
+        filling[cusp] = (1, n)
+        filled = solve_filled(tri, filling, bits)
+        assert filled.branch_offsets == (offsets,), (name, cusp, n)
+        # the 2p polish reads its references by the same window
+        assert doubled_filling(tri, filling, filled).branch_offsets == (offsets,)
 
 
 def test_float_evaluator_matches_mpmath(whitehead, link622, berge, solved):
@@ -1282,7 +1385,7 @@ def test_no_machine_precision_value_enters_block_form(monkeypatch, whitehead, so
     with mp.workprec(128 + 30):
         reports = screen([resolve_input("whitehead")], ScreenOptions(precision_bits=128))
     assert [r.verdict for r in reports] == [RIGID_NOT_ISOLATED]
-    assert solve_filled(whitehead, ["complete", (1, 2)], start=solved["whitehead"]).success
+    assert solve_filled(whitehead, ["complete", (1, 2)], PRECISION).success
     for cusp in range(len(whitehead.cusps)):
         samples = trace_completeness_curve(whitehead, cusp, n_points=8, step=1e-3,
                                            precision_bits=PRECISION, start=solved["whitehead"])
