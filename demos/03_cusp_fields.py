@@ -11,9 +11,8 @@ structure polished to 2p bits.
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.isolation import doubled_structure
 from cuspforge.numberlab import algdep, classify_field, rigid_compatible
-from cuspforge.solver import solve_complete
+from cuspforge.solver import doubled_structure, solve_complete
 
 for name in ("whitehead", "622", "berge"):
     tri = cf.load_fixture(name)

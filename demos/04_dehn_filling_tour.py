@@ -26,7 +26,7 @@ from mpmath import mp
 import cuspforge as cf
 from cuspforge.isolation import tau_derivatives
 from cuspforge.numberlab import algdep, classify_field
-from cuspforge.solver import SolveError, doubled_filling, solve_complete, solve_filled
+from cuspforge.solver import SolveError, doubled_structure, solve_complete, solve_filled
 
 tri = cf.load_fixture("whitehead")
 pair = cf.cusp_parameter(tri, tri.cusps[0])
@@ -42,7 +42,7 @@ for n in range(-5, 6):
     try:
         result = solve_filled(tri, filling, precision_bits=256)
         # algdep confirms its relation at twice the precision
-        doubled = doubled_filling(tri, filling, result)
+        doubled = doubled_structure(tri, result)
     except SolveError as exc:
         print(f"{n:+d}   (solver: {exc})")
         continue

@@ -14,8 +14,8 @@ second derivative of the pinned implicit system.
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
-from cuspforge.solver import solve_complete, trace_completeness_curve
+from cuspforge.isolation import isolation_verdict, tau_derivatives
+from cuspforge.solver import doubled_structure, solve_complete, trace_completeness_curve
 
 for name in ("whitehead", "622", "berge"):
     tri = cf.load_fixture(name)

@@ -38,12 +38,11 @@ mpmath.  The passes at p and at 2p evaluate the same equations, built
 once per triangulation; each builds the tau pair.
 
 `isolation_verdict` tests the complete structure it is handed, `start`,
-and works at its precision p.  The 2p structure depends on the manifold
-alone: `doubled_structure` polishes `start` at 2p bits, with its seed and
-no start search, and refuses any result that is not a successful polish of
-that structure.  A caller that tests several cusps may solve it once and
-pass it to each `isolation_verdict`, as the `isolate` command does; without
-it, each verdict polishes its own.
+and works at its precision p.  Its 2p structure is
+`solver.doubled_structure` of `start` (see the `solver` module).  A caller
+that tests several cusps may polish it once and pass it to each
+`isolation_verdict`, as the `isolate` command does; without it, each
+verdict polishes its own.
 
 A derivative or spread counts as nonzero above tol = 10^(-TOL_DIGITS p/256)
 (20 digits at 256 bits).  The continuation fallback traces
@@ -66,9 +65,9 @@ from .solver import (
     completeness_system,
     curve_pin,
     curve_velocity,
+    doubled_structure,
     pinned_factor,
     printed_complex,
-    solve_complete,
     system_jacobian,
     trace_completeness_curve,
 )
@@ -174,20 +173,6 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
         "kept": kept,
         "tangent": tangent,
     }
-
-
-def doubled_structure(tri: IdealTriangulation, start: SolveResult) -> SolveResult:
-    """The complete structure at twice the precision of `start`, which
-    certifies evidence found at that of `start`: `start` polished at 2p
-    bits with its seed and no start search.  Raises SolveError unless the
-    polish succeeds from `start` itself, so that the 2p evidence is about
-    the same root.  One call serves every cusp of the manifold."""
-    bits = 2 * start.shapes.precision_bits
-    doubled = solve_complete(tri, bits, seed=start.seed, restarts=0, initial=start.shapes)
-    if not (doubled.success and doubled.restarts_used == 0):
-        raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the complete structure "
-                         "did not succeed")
-    return doubled
 
 
 def isolation_verdict(tri: IdealTriangulation, cusp: int, *, start: SolveResult,

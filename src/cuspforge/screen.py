@@ -46,11 +46,11 @@ from mpmath import mp
 
 from . import __version__, load_fixture
 from .holonomy import cusp_parameter, evaluate_cusp_parameter
-from .isolation import IsolationEvidence, doubled_structure, isolation_verdict
+from .isolation import IsolationEvidence, isolation_verdict
 from .manifold import IdealTriangulation, TriangulationError, read_triangulation
 from .numberlab import (UNRECOGNIZED, AlgdepError, FieldClass, MinPoly, algdep,
                         check_algdep_arguments, classify_field, rigid_compatible)
-from .solver import (SolveError, SolveResult, doubled_filling, printed_complex, printed_digits,
+from .solver import (SolveError, SolveResult, doubled_structure, printed_complex, printed_digits,
                      solve_complete, solve_filled)
 
 NON_VERIFIED_TAG = "non-verified computation"
@@ -169,29 +169,31 @@ def _verdict(records: list[CuspRecord]) -> str:
 def screen_triangulation(tri: IdealTriangulation, source: str,
                          options: ScreenOptions,
                          run_isolation: bool = True,
-                         solved: SolveResult | None = None,
-                         filling: list | None = None) -> ScreenReport:
-    """Screen one (possibly filled) triangulation; never raises on solver
-    or recognition failure, recording errors in the report instead.
+                         solved: SolveResult | None = None) -> ScreenReport:
+    """Screen one triangulation, complete or filled as `solved` records
+    (complete when it is solved here); never raises on solver or
+    recognition failure, recording errors in the report instead.
 
     A non-geometric or degenerate solve keeps each cusp's shape, minimal
     polynomial and field, but no cusp is rigid-compatible, isolation does
     not run and the verdict is Undetermined; `solve.notes` gives the
     reason.
 
-    `algdep` takes each cusp parameter at twice the precision, from one 2p
-    polish of the solve per triangulation: `doubled_structure`, or
-    `doubled_filling` for a filled solve.  When that polish fails, or
-    `algdep` refuses the precision, every cusp records the error, with its
-    shape but no minimal polynomial."""
+    `algdep` takes each unfilled cusp's parameter at twice the precision,
+    from one 2p polish of the solve per triangulation, `doubled_structure`
+    (see the `solver` module).  When that polish fails, or `algdep`
+    refuses the precision, every cusp records the error, with its shape but
+    no minimal polynomial."""
     report = ScreenReport(
         manifold=tri.name, source=source, verdict=UNDETERMINED,
-        filling=filling, provenance=options.provenance(),
+        provenance=options.provenance(),
     )
     with mp.workprec(options.precision_bits + 30):
         try:
             if solved is None:
                 solved = solve_complete(tri, options.precision_bits, seed=options.seed)
+            if solved.fillings:
+                report.filling = [f and list(f) for f in solved.fillings]
             report.solve = solved.to_jsonable()
             if not solved.success:
                 report.error = UNCONVERGED
@@ -201,14 +203,13 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
             return _audit(report)
 
         hyperbolic = _hyperbolic(report.solve)
-        unfilled = [i for i, c in enumerate(tri.cusps)
-                    if filling is None or filling[i] in (None, "complete")]
+        unfilled = [i for i in range(len(tri.cusps))
+                    if not solved.fillings or solved.fillings[i] is None]
         doubled = failure = None
         if unfilled:
             try:
                 check_algdep_arguments(options.max_degree, options.precision_bits)
-                doubled = (doubled_structure(tri, solved) if filling is None
-                           else doubled_filling(tri, filling, solved))
+                doubled = doubled_structure(tri, solved)
             except (SolveError, AlgdepError) as exc:
                 failure = str(exc)
         for i in unfilled:
@@ -222,12 +223,11 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
                 if failure is not None:
                     rec.error = failure
                     continue
-                with mp.workprec(2 * options.precision_bits + 30):
-                    value = evaluate_cusp_parameter(pair, doubled.shapes)
+                value = evaluate_cusp_parameter(pair, doubled.shapes)
                 rec.minpoly = algdep(value, options.max_degree, options.precision_bits)
                 rec.field = classify_field(rec.minpoly)
                 rec.rigid = hyperbolic and rigid_compatible(rec.field)
-                if rec.rigid and run_isolation and filling is None:
+                if rec.rigid and run_isolation and not solved.fillings:
                     # the isolation test polishes its own 2p structure; the
                     # benchmark counts those polishes as its re-solves
                     # (ROADMAP item 2)
@@ -282,16 +282,16 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
         filling = [None] * len(tri.cusps)
         filling[cusp] = (1, n)
         label = f"{tri.name}({tri.cusps[cusp].name}=1/{n})"
-        listed = [list(f) if f else None for f in filling]
         try:
             solved = solve_filled(tri, filling, options.precision_bits, seed=options.seed)
         except SolveError as exc:
             reports.append(ScreenReport(
-                manifold=label, source=source, verdict=UNDETERMINED, filling=listed,
+                manifold=label, source=source, verdict=UNDETERMINED,
+                filling=[f and list(f) for f in filling],
                 provenance=options.provenance(), error=f"filled solve failed: {exc}",
             ))
             continue
-        report = screen_triangulation(tri, source, options, solved=solved, filling=listed)
+        report = screen_triangulation(tri, source, options, solved=solved)
         report.manifold = label
         reports.append(report)
     return reports

@@ -94,13 +94,16 @@ tried.  In that polish, a principal log whose imaginary part lies within
 2^-(p // 2) of -pi is read as +pi (`FillingEquation.tie`), so the branch
 offsets of a flat filling, whose dilations are real, do not follow
 round-off.
-`doubled_filling` polishes that result once more at 2p+30 bits, with the
-target 2 pi i taken at that precision and the branches the p polish
-ended on, read by the same window: the filled counterpart of a complete
-solve polished at 2p from `initial`.
 Log-form edge rows are not used here: the ramp of some fillings passes
 through shapes near 0 and 1, where the cleared equations stay regular
 and log rows stall.
+
+`doubled_structure` polishes a solve once at 2p+30 bits, with no start
+search, so evidence found at p bits is confirmed on the same root: a
+complete solve by `solve_complete` from its shapes as `initial`, with its
+seed and no restarts; a filled one, which records its fillings, on its own
+rows, with the target 2 pi i taken at 2p and the branches the p polish
+ended on, read by the same window.  A polish that fails is refused.
 
 The same Newton loop, `_damped_newton` stepping by pinned solves, is the
 whole corrector of the predictor-corrector tracing of the curve along
@@ -364,7 +367,9 @@ class SolveResult:
     schedule: `initial` first when given, then the regular shape, then the
     seeded perturbations; 0 means the first start was accepted.  For a
     filled solve, `seed` and `restarts_used` describe its own start
-    search: the float root its ramp started from.
+    search: the float root its ramp started from.  `fillings` (not
+    serialized) is () for a complete solve, else one entry per cusp as
+    `_check_fillings` returns them.
     """
 
     shapes: ShapeAssignment
@@ -378,6 +383,7 @@ class SolveResult:
     branch_offsets: tuple = ()
     core_translations: tuple = ()
     notes: tuple[str, ...] = ()
+    fillings: tuple = ()
 
     def to_jsonable(self) -> dict:
         digits = printed_digits(self.shapes.precision_bits)
@@ -742,17 +748,27 @@ def _filling_ramp(name: str, rows, z: list) -> list:
     return z
 
 
-def _start_points(tri: IdealTriangulation, eqs, seed: int, restarts: int,
-                  initial: ShapeAssignment | None):
-    """Start points for the polish or the filling ramp, in schedule order:
-    `initial` as given, then the float root of the log form of the complete
-    rows `eqs` from each _initial_guesses start, or None where that search
-    found no root."""
-    if initial is not None:
-        yield list(initial.z)
+def _starts(tri: IdealTriangulation, eqs, seed: int, restarts: int,
+            initial: ShapeAssignment | None = None):
+    """(index, z) of the starts of a solve, in the order it takes them.  The
+    schedule is `initial` as given, then the float root of the log form of
+    the complete rows `eqs` from each _initial_guesses start, a search with
+    no root passed over.  Every start with all Im z > 0 comes in schedule
+    order, then the first other one, after the whole schedule.  Each search
+    runs only when the next start is asked for."""
     rows = _log_rows(tri, eqs)
-    for guess in _initial_guesses(tri.n_tet, seed, restarts):
-        yield _float_search(rows, [complex(v) for v in guess])
+    roots = (_float_search(rows, [complex(v) for v in guess])
+             for guess in _initial_guesses(tri.n_tet, seed, restarts))
+    other = None
+    for index, z in enumerate(itertools.chain([] if initial is None else [initial.z], roots)):
+        if z is None:
+            continue
+        if all(v.imag > 0 for v in z):
+            yield index, z
+        else:
+            other = other or (index, z)
+    if other is not None:
+        yield other
 
 
 def _certify(rows, z, precision_bits):
@@ -792,21 +808,17 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
                 return None
             return z, it, all(v.imag > flat_tol for v in z), restart_index
 
-        best = deferred = None
-        for restart_index, z0 in enumerate(_start_points(tri, eqs, seed, restarts, initial)):
-            if z0 is None:
-                continue
-            if not all(v.imag > 0 for v in z0):
-                # polished only if no geometric root turns up
-                deferred = deferred or (z0, restart_index)
-                continue
+        best = None
+        for restart_index, z0 in _starts(tri, eqs, seed, restarts, initial):
+            if best is not None and not all(v.imag > 0 for v in z0):
+                # the last start, non-geometric: polished only when no other
+                # start gave a result
+                break
             found = polish(z0, restart_index)
             if found is not None and (best is None or found[2]):
                 best = found
                 if found[2]:
                     break
-        if best is None and deferred is not None:
-            best = polish(*deferred)
         if best is None:
             raise SolveError(
                 f"{tri.name!r}: complete-structure Newton did not converge "
@@ -844,14 +856,7 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
         return solve_complete(tri, precision_bits, seed, restarts)
     with mp.workprec(precision_bits + 30):
         eqs = _gluing_rows(tri, [None] * len(tri.cusps))
-        found = None
-        for index, root in enumerate(_start_points(tri, eqs, seed, restarts, None)):
-            if root is None:
-                continue
-            if all(v.imag > 0 for v in root):
-                found = index, root
-                break
-            found = found or (index, root)
+        found = next(_starts(tri, eqs, seed, restarts), None)
         if found is None:
             raise SolveError(f"{tri.name!r}: complete-structure start search did not converge "
                              f"within {restarts} restarts")
@@ -896,22 +901,28 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
             iterations=it, success=res2 < success_tol, seed=seed,
             restarts_used=restart_index, degenerate=degenerate,
             branch_offsets=offsets, core_translations=tuple(cores),
-            notes=tuple(notes),
+            notes=tuple(notes), fillings=tuple(fillings),
         )
 
 
-def doubled_filling(tri: IdealTriangulation, fillings, filled: SolveResult) -> SolveResult:
-    """`filled`, as `solve_filled` returns it for these fillings, polished
-    once at twice its precision on its own rows: the filling targets 2 pi i
-    are taken at 2p, and the log branches stay as `filled` left them, with
-    no second ramp.  The result is `filled` with the 2p shapes, iterations
-    and residual.  Raises SolveError unless the polish succeeds."""
-    bits = 2 * filled.shapes.precision_bits
+def doubled_structure(tri: IdealTriangulation, solved: SolveResult) -> SolveResult:
+    """`solved` polished once at twice its precision, complete or filled
+    as it records (see the module docstring).  A filled one keeps every
+    field of `solved` but the shapes, iterations and residual.  Raises
+    SolveError unless the polish succeeds from `solved` itself, so that
+    the 2p evidence is about the same root.  One call serves every cusp."""
+    bits = 2 * solved.shapes.precision_bits
+    if not solved.fillings:
+        doubled = solve_complete(tri, bits, seed=solved.seed, restarts=0, initial=solved.shapes)
+        if not (doubled.success and doubled.restarts_used == 0):
+            raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the complete structure "
+                             "did not succeed")
+        return doubled
     with mp.workprec(bits + 30):
-        rows = _gluing_rows(tri, _check_fillings(tri, fillings), filled.shapes.precision_bits)
+        rows = _gluing_rows(tri, solved.fillings, solved.shapes.precision_bits)
         fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
-        z = Point([mp.mpc(v) for v in filled.shapes.z])
-        for fe, turns in zip(fill_eqs, filled.branch_offsets):
+        z = Point([mp.mpc(v) for v in solved.shapes.z])
+        for fe, turns in zip(fill_eqs, solved.branch_offsets):
             principal, _, pi = fe._branches(z)
             fe.reference = tuple(w + 2j * pi * k for w, k in zip(principal, turns))
         z, it, res2 = _polish_filled(tri, rows, z, bits)
@@ -919,7 +930,7 @@ def doubled_filling(tri: IdealTriangulation, fillings, filled: SolveResult) -> S
             raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the filled structure "
                              "did not succeed")
         return dataclasses.replace(
-            filled, shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), bits),
+            solved, shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), bits),
             residual=res2, iterations=it)
 
 

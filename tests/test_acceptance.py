@@ -22,10 +22,10 @@ from cuspforge.holonomy import (
     mu,
     tau,
 )
-from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
+from cuspforge.isolation import isolation_verdict, tau_derivatives
 from cuspforge.numberlab import EISENSTEIN, GAUSSIAN, algdep, classify_field
 from cuspforge.screen import ScreenOptions, screen_triangulation
-from cuspforge.solver import (SolveError, completeness_system, doubled_filling, solve_filled,
+from cuspforge.solver import (SolveError, completeness_system, doubled_structure, solve_filled,
                               system_jacobian)
 from cuspforge.tracecalc import (
     cusp_parameter_from_traces,
@@ -191,7 +191,7 @@ def test_criterion_7_filling_consistency(whitehead):
         filling = ["complete", (1, n)]
         try:
             result = solve_filled(whitehead, filling, PRECISION)
-            doubled = doubled_filling(whitehead, filling, result)
+            doubled = doubled_structure(whitehead, result)
         except SolveError:
             outcomes[n] = ("failed", None)
             continue

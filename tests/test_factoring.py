@@ -34,8 +34,7 @@ from cuspforge.numberlab import (
     lll_pauses,
     relation_lattice,
 )
-from cuspforge.isolation import doubled_structure
-from cuspforge.solver import doubled_filling, solve_complete, solve_filled
+from cuspforge.solver import doubled_structure, solve_complete, solve_filled
 
 from cohen_lll import cohen_lll_pauses
 
@@ -227,7 +226,7 @@ def algdep_values():
                     for n in FILL_NS:
                         filling = [None, (1, n)]
                         filled = solve_filled(tri, filling, bits)
-                        doubled = doubled_filling(tri, filling, filled)
+                        doubled = doubled_structure(tri, filled)
                         with mp.workprec(2 * bits + 30):
                             values.append((f"whitehead(1,{n})", cf.evaluate_cusp_parameter(
                                 cf.cusp_parameter(tri, tri.cusps[0]), doubled.shapes)))

@@ -16,10 +16,10 @@ import pytest
 from mpmath import mp
 
 import cuspforge as cf
-from cuspforge import isolation
+from cuspforge import solver
 from cuspforge.blockform import to_mpc
 from cuspforge.holonomy import Point, ShapeAssignment, SignedMonomial
-from cuspforge.isolation import doubled_structure, isolation_verdict, tau_derivatives
+from cuspforge.isolation import isolation_verdict, tau_derivatives
 from cuspforge.solver import (
     REGULAR_SHAPE,
     KernelDimensionError,
@@ -29,6 +29,7 @@ from cuspforge.solver import (
     _gluing_rows,
     _residual,
     completeness_system,
+    doubled_structure,
     numerical_kernel,
     solve_complete,
     solve_filled,
@@ -220,7 +221,7 @@ def test_isolation_takes_its_precision_from_start(berge, monkeypatch):
         polished.append(precision_bits)
         return solve_complete(tri, precision_bits, *args, **kwargs)
 
-    monkeypatch.setattr(isolation, "solve_complete", counted)
+    monkeypatch.setattr(solver, "solve_complete", counted)
     with mp.workprec(128 + 30):
         orders = [isolation_verdict(berge, cusp, start=start).order for cusp in range(2)]
     assert [c.name for c in berge.cusps] == ["c", "c-knotted"]

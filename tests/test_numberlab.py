@@ -44,8 +44,7 @@ from cuspforge.numberlab import (
     rigid_compatible,
     squarefree_part,
 )
-from cuspforge.isolation import doubled_structure
-from cuspforge.solver import solve_complete, solve_filled
+from cuspforge.solver import doubled_structure, solve_complete, solve_filled
 
 from conftest import PRECISION
 
@@ -249,9 +248,10 @@ def test_import_and_screen_leave_sympy_unloaded():
 
 
 def test_fill_leaves_sympy_unloaded():
-    # every (1, n) fill value is settled by division, the degree test and the
-    # gcd at 128, 256 and 512 bits: the reduction stops at the minimal
-    # polynomial's degree, and no spurious degree-12 row is factored
+    # at 128, 256 and 512 bits every (1, n) fill value is settled by the row
+    # filter and the degree test: the reduction stops at the minimal
+    # polynomial's degree, and each row that passes there is the minimal
+    # polynomial, irreducible by its degree 1 or by the degree test
     proc = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, "fill", "whitehead",
                            "--cusp", "1", "--n-range=-5:5"],
                           capture_output=True, text=True, timeout=300)
@@ -359,8 +359,7 @@ from mpmath import mp
 from sympy.external.gmpy import GROUND_TYPES
 import cuspforge as cf
 from cuspforge.numberlab import algdep
-from cuspforge.isolation import doubled_structure
-from cuspforge.solver import doubled_filling, solve_complete, solve_filled
+from cuspforge.solver import doubled_structure, solve_complete, solve_filled
 
 bits = 512
 with mp.workprec(bits + 30):
@@ -374,7 +373,7 @@ with mp.workprec(bits + 30):
     tri = cf.load_fixture("whitehead")
     filling = ["complete", (1, 5)]
     filled = solve_filled(tri, filling, bits)
-    doubled = doubled_filling(tri, filling, filled)
+    doubled = doubled_structure(tri, filled)
     with mp.workprec(2 * bits + 30):
         found["whitehead(1,5)"] = list(algdep(cf.evaluate_cusp_parameter(
             cf.cusp_parameter(tri, tri.cusps[0]), doubled.shapes), 12, bits).coefficients)

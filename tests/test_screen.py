@@ -195,13 +195,13 @@ def test_unrecognized_field_is_not_an_obstruction(whitehead):
 
 def _count_solves(monkeypatch, alter_doubled=None):
     """Record the precision of every complete solve made by the screen and
-    the isolation modules; `alter_doubled(result)`, when given, replaces
+    the solver modules; `alter_doubled(result)`, when given, replaces
     each result solved at 2 * PRECISION."""
-    import cuspforge.isolation as isolation_module
     import cuspforge.screen as screen_module
+    import cuspforge.solver as solver_module
 
     calls = []
-    for module in (screen_module, isolation_module):
+    for module in (screen_module, solver_module):
         def counted(tri, precision_bits, *args, _solve=module.solve_complete, **kwargs):
             calls.append(precision_bits)
             result = _solve(tri, precision_bits, *args, **kwargs)
@@ -236,13 +236,13 @@ def test_field_and_fill_make_one_doubled_polish_each(monkeypatch, capsys):
     assert calls == [PRECISION, 2 * PRECISION] * 2
     calls.clear()
     filled = []
-    polish = screen_module.doubled_filling
+    polish = screen_module.doubled_structure
 
-    def counted(tri, fillings, result):
+    def counted(tri, result):
         filled.append(result.shapes.precision_bits)
-        return polish(tri, fillings, result)
+        return polish(tri, result)
 
-    monkeypatch.setattr(screen_module, "doubled_filling", counted)
+    monkeypatch.setattr(screen_module, "doubled_structure", counted)
     fill_and_screen(cf.load_fixture("whitehead"), 1, [2, 3], OPTIONS)
     assert calls == []
     assert filled == [PRECISION] * 2

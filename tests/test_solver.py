@@ -30,13 +30,14 @@ from cuspforge.solver import (
     KernelDimensionError,
     PolynomialEquation,
     SolveError,
+    _float_search,
     _gluing_rows,
     _lu_factor,
     _lu_solve,
     completeness_system,
     curve_pin,
     curve_velocity,
-    doubled_filling,
+    doubled_structure,
     least_squares,
     numerical_kernel,
     pinned_factor,
@@ -160,28 +161,63 @@ def test_solve_filled_refuses_a_failed_start(whitehead, monkeypatch):
         solve_filled(whitehead, [None, (1, 3)], PRECISION)
 
 
+def _mirror_float_roots(monkeypatch, every: bool) -> list:
+    """Patch the start search to conjugate its first float root, or every
+    one; returns the list of the starts it is then asked to search."""
+    import cuspforge.solver as solver
+
+    calls = []
+
+    def mirrored(rows, z):
+        calls.append(z)
+        root = _float_search(rows, z)
+        return [v.conjugate() for v in root] if every or len(calls) == 1 else root
+
+    monkeypatch.setattr(solver, "_float_search", mirrored)
+    return calls
+
+
 def test_solve_filled_ramps_from_the_first_geometric_root(whitehead, monkeypatch):
     # the start search passes over a float root with some Im z <= 0 for the
     # next one with every Im z > 0; with no such root it takes the first
     # root and notes it
-    import cuspforge.solver as solver
-
-    search, calls = solver._float_search, []
-
-    def mirrored(rows, z, every=False):
-        calls.append(z)
-        root = search(rows, z)
-        return [v.conjugate() for v in root] if every or len(calls) == 1 else root
-
-    monkeypatch.setattr(solver, "_float_search", mirrored)
+    calls = _mirror_float_roots(monkeypatch, every=False)
     result = solve_filled(whitehead, [None, (1, 3)], PRECISION)
     assert len(calls) == 2 and result.restarts_used == 1
     assert result.geometric and not result.notes
-    calls.clear()
-    monkeypatch.setattr(solver, "_float_search", lambda rows, z: mirrored(rows, z, every=True))
+    calls = _mirror_float_roots(monkeypatch, every=True)
     result = solve_filled(whitehead, [None, (1, 3)], PRECISION, restarts=2)
     assert len(calls) == 3 and result.restarts_used == 0 and not result.geometric
     assert result.notes[0] == "complete solution is non-geometric (some Im z <= 0)"
+
+
+def test_solve_complete_polishes_a_non_geometric_root_last(whitehead, monkeypatch):
+    # the complete solve takes its starts in the order of the filled one:
+    # a float root with some Im z <= 0 waits for the next start, and is
+    # polished only after the whole schedule finds no other
+    calls = _mirror_float_roots(monkeypatch, every=False)
+    result = solve_complete(whitehead, PRECISION)
+    assert len(calls) == 2 and result.restarts_used == 1
+    assert result.geometric and not result.notes
+    calls = _mirror_float_roots(monkeypatch, every=True)
+    result = solve_complete(whitehead, PRECISION, restarts=2)
+    assert len(calls) == 3 and result.restarts_used == 0 and not result.geometric
+    assert result.notes == ("complete solution is non-geometric (some Im z <= 0)",)
+
+
+def test_the_doubled_polish_of_a_complete_solve_runs_no_start_search(whitehead, solved,
+                                                                     monkeypatch):
+    # the 2p polish starts from the p-bit shapes, and the start search is
+    # asked for no further start once that polish is accepted
+    import cuspforge.solver as solver
+
+    def refused(rows, z):
+        raise AssertionError("start search run")
+
+    monkeypatch.setattr(solver, "_float_search", refused)
+    doubled = doubled_structure(whitehead, solved["whitehead"])
+    assert doubled.success and doubled.restarts_used == 0
+    assert doubled.shapes.precision_bits == 2 * PRECISION
 
 
 def test_whitehead_meridian_filling_degenerates(whitehead):
@@ -215,7 +251,7 @@ def test_whitehead_one_one_filling_field(whitehead):
     for n in (1, -1):
         filling = ["complete", (1, n)]
         result = solve_filled(whitehead, filling, PRECISION)
-        doubled = doubled_filling(whitehead, filling, result)
+        doubled = doubled_structure(whitehead, result)
         with mp.workprec(2 * PRECISION + 30):
             value = evaluate_cusp_parameter(pair, doubled.shapes)
         fc = classify_field(algdep(value, 8, PRECISION))
@@ -309,8 +345,6 @@ def test_newton_iteration_counts_are_pinned(bits):
     # fillings and the fillings that reach tol with the least margin
     # (622's (1, 5) on both cusps, berge's c0 (1, -2)) take
     # POLISH_ITERATIONS, and each 2p polish of them takes one step
-    from cuspforge.isolation import doubled_structure
-
     fills = [("whitehead", 1, n) for n in range(-5, 6) if n]
     fills += [("622", 0, 5), ("622", 1, 5), ("berge", 0, -2)]
     starts = {}
@@ -327,7 +361,7 @@ def test_newton_iteration_counts_are_pinned(bits):
             filling[cusp] = (1, n)
             filled = solve_filled(tri, filling, bits)
             assert filled.iterations == POLISH_ITERATIONS[bits], (name, cusp, n)
-            assert doubled_filling(tri, filling, filled).iterations == 1, (name, cusp, n)
+            assert doubled_structure(tri, filled).iterations == 1, (name, cusp, n)
 
 
 def _ramp_from_the_polished_structure(tri, filling, bits) -> dict:
@@ -400,7 +434,7 @@ def test_tied_branch_offsets_do_not_follow_round_off(bits):
         filled = solve_filled(tri, filling, bits)
         assert filled.branch_offsets == (offsets,), (name, cusp, n)
         # the 2p polish reads its references by the same window
-        assert doubled_filling(tri, filling, filled).branch_offsets == (offsets,)
+        assert doubled_structure(tri, filled).branch_offsets == (offsets,)
 
 
 def test_float_evaluator_matches_mpmath(whitehead, link622, berge, solved):
