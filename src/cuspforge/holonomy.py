@@ -346,9 +346,6 @@ class ShapeAssignment:
                 "shape assignment has a coordinate within %.1e of {0, 1}" % DEGENERACY_GUARD
             )
 
-    def is_geometric(self) -> bool:
-        return all(z.imag > 0 for z in self.z)
-
 
 @functools.lru_cache(maxsize=4096)
 def _factor_keys(a: tuple, b: tuple) -> tuple:

@@ -14,7 +14,10 @@ Complete structures are found in two stages.
    with {mu = 1} for both peripheral curves of every cusp.  A point given
    as `initial` (a lower-precision solution) is polished directly, before
    any search.  `_cleared_rows` builds the rows of every system once per
-   triangulation; stage 1 reads its log rows off them.
+   triangulation; stage 1 reads its log rows off them.  `_polish` is the
+   one working-precision polish of every solve, complete, filled or
+   doubled: it refuses a residual that misses 2^-(p // 2) and re-evaluates
+   the residual at 2p bits.  A refused start passes to the next one.
 
 Every Newton step of a solve is one `least_squares` solve: elimination
 with partial pivoting on the normal equations, with the upper triangle of
@@ -87,13 +90,13 @@ rows, evaluated on Python complex by the one evaluator of `holonomy`.
 The log branches are carried by continuity; small fillings genuinely
 leave the principal branch, so branch bookkeeping is part of the
 equation, with step halving and an explicit "stalled" failure when
-continuity cannot be maintained.  The float point at 2 pi i, with its
-branches as the reference, is then polished once at p+30 bits; a polish
-that misses the residual target raises SolveError, and no other start is
-tried.  In that polish, a principal log whose imaginary part lies within
-2^-(p // 2) of -pi is read as +pi (`FillingEquation.tie`), so the branch
-offsets of a flat filling, whose dilations are real, do not follow
-round-off.
+continuity cannot be maintained.  The ramp hands over the float point at
+2 pi i and its branches, taken into mpmath, as each filling row's
+reference; `_polish` polishes that point once, and a polish that misses
+the residual target raises SolveError: no other start is tried.  In that
+polish, a principal log whose imaginary part lies within 2^-(p // 2) of
+-pi is read as +pi (`FillingEquation.tie`), so the branch offsets of a
+flat filling, whose dilations are real, do not follow round-off.
 Log-form edge rows are not used here: the ramp of some fillings passes
 through shapes near 0 and 1, where the cleared equations stay regular
 and log rows stall.
@@ -101,9 +104,10 @@ and log rows stall.
 `doubled_structure` polishes a solve once at 2p+30 bits, with no start
 search, so evidence found at p bits is confirmed on the same root: a
 complete solve by `solve_complete` from its shapes as `initial`, with its
-seed and no restarts; a filled one, which records its fillings, on its own
-rows, with the target 2 pi i taken at 2p and the branches the p polish
-ended on, read by the same window.  A polish that fails is refused.
+seed and no restarts; a filled one, which records its fillings, by
+`_polish` on its own rows, with the target 2 pi i taken at 2p and the
+branches the p polish ended on, read by the same window.  A polish that
+fails is refused.
 
 The same Newton loop, `_damped_newton` stepping by pinned solves, is the
 whole corrector of the predictor-corrector tracing of the curve along
@@ -720,7 +724,8 @@ def _filling_ramp(name: str, rows, z: list) -> list:
     FLOAT_TOL.  dt starts at 1/8, doubles after an accepted step
     up to 1/4 and halves after a rejected one; a step is rejected when
     Newton misses FLOAT_TOL or a log moves by 2.5 rad or more, which
-    keeps the branch continuous.  Below dt = 2^-14 the ramp stalls.
+    keeps the branch continuous.  Below dt = 2^-14 the ramp stalls.  Each
+    filling row keeps its branches at the end, in mpmath, as its reference.
     """
     fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
     for fe in fill_eqs:
@@ -745,6 +750,8 @@ def _filling_ramp(name: str, rows, z: list) -> list:
                     f"{name!r}: filling continuation stalled at t={mp.nstr(mp.mpf(t), 6)} "
                     "(out of continuation range or degenerating filling)"
                 )
+    for fe in fill_eqs:
+        fe.reference = tuple(mp.mpc(w) for w in fe.reference)
     return z
 
 
@@ -771,10 +778,23 @@ def _starts(tri: IdealTriangulation, eqs, seed: int, restarts: int,
         yield other
 
 
-def _certify(rows, z, precision_bits):
-    """Re-evaluate the multiplicative residual at doubled precision."""
+def _polish(tri: IdealTriangulation, rows, z: list, precision_bits: int) -> tuple:
+    """`_newton` on `rows` from the mpmath shapes z (a `Point` keeps its
+    memo), each filling row's target set to 2 pi i at the working precision
+    and its branch reference as the caller left it.  Returns (z, iterations,
+    residual re-evaluated at 2 precision_bits); raises SolveError when the
+    residual misses 2^-(precision_bits // 2)."""
+    fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
+    for fe in fill_eqs:
+        fe.target = 2j * mp.pi
+    z, it, res = _newton(rows, z, _newton_tol(precision_bits))
+    if res >= mp.mpf(2) ** (-precision_bits // 2):
+        slopes = ", ".join(f"{fe.label}=({fe.p},{fe.q})" for fe in fill_eqs)
+        structure = f"filled structure {slopes}" if fill_eqs else "complete structure"
+        raise SolveError(f"{tri.name!r}: polish of the {structure} "
+                         f"stopped at residual {mp.nstr(res, 3)}")
     with mp.workprec(2 * precision_bits):
-        return _residual(rows, [mp.mpc(v) for v in z])
+        return z, it, _residual(rows, [mp.mpc(v) for v in z])
 
 
 def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
@@ -794,30 +814,26 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
         singular = 0
-
-        def polish(z0, restart_index):
-            nonlocal singular
-            z0 = Point([mp.mpc(v) for v in z0])
-            z, it, res = _newton(eqs, z0, _newton_tol(precision_bits))
-            if res >= success_tol:
-                return None
-            if z is z0 and not _regular(eqs, z):
-                # a start that no step moved is a root only if the system
-                # has full column rank there
-                singular += 1
-                return None
-            return z, it, all(v.imag > flat_tol for v in z), restart_index
-
         best = None
-        for restart_index, z0 in _starts(tri, eqs, seed, restarts, initial):
+        for index, z0 in _starts(tri, eqs, seed, restarts, initial):
             if best is not None and not all(v.imag > 0 for v in z0):
                 # the last start, non-geometric: polished only when no other
                 # start gave a result
                 break
-            found = polish(z0, restart_index)
-            if found is not None and (best is None or found[2]):
-                best = found
-                if found[2]:
+            z0 = Point([mp.mpc(v) for v in z0])
+            try:
+                z, it, res2 = _polish(tri, eqs, z0, precision_bits)
+            except SolveError:
+                continue
+            if z is z0 and not _regular(eqs, z):
+                # a start that no step moved is a root only if the system
+                # has full column rank there
+                singular += 1
+                continue
+            geometric = all(v.imag > flat_tol for v in z)
+            if best is None or geometric:
+                best = (z, it, res2, geometric, index)
+                if geometric:
                     break
         if best is None:
             raise SolveError(
@@ -825,9 +841,8 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
                 f"within {restarts} restarts"
                 + (f"; {singular} starts were refused as rank-deficient roots" if singular else "")
             )
-        z, iterations, geometric, restart_index = best
+        z, iterations, res2, geometric, restart_index = best
         notes = () if geometric else ("complete solution is non-geometric (some Im z <= 0)",)
-        res2 = _certify(eqs, z, precision_bits)
         return SolveResult(
             shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), precision_bits),
             residual=res2, geometric=geometric, iterations=iterations,
@@ -869,9 +884,7 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
         flat_tol = mp.mpf(2) ** (-precision_bits // 8)
 
         z_ramp = _filling_ramp(tri.name, rows, root)
-        for fe in fill_eqs:
-            fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
-        z, it, res2 = _polish_filled(tri, rows, [mp.mpc(v) for v in z_ramp], precision_bits)
+        z, it, res2 = _polish(tri, rows, [mp.mpc(v) for v in z_ramp], precision_bits)
         geometric = all(v.imag > flat_tol for v in z)
         offsets = tuple(fe.branch_offsets(z) for fe in fill_eqs)
         cores = []
@@ -925,32 +938,13 @@ def doubled_structure(tri: IdealTriangulation, solved: SolveResult) -> SolveResu
         for fe, turns in zip(fill_eqs, solved.branch_offsets):
             principal, _, pi = fe._branches(z)
             fe.reference = tuple(w + 2j * pi * k for w, k in zip(principal, turns))
-        z, it, res2 = _polish_filled(tri, rows, z, bits)
+        z, it, res2 = _polish(tri, rows, z, bits)
         if res2 >= mp.mpf(2) ** (-bits // 2):
             raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the filled structure "
                              "did not succeed")
         return dataclasses.replace(
             solved, shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), bits),
             residual=res2, iterations=it)
-
-
-def _polish_filled(tri: IdealTriangulation, rows, z: list, precision_bits: int) -> tuple:
-    """Newton on the filled rows from the mpmath shapes z (a `Point` keeps
-    its memo) to the targets 2 pi i, at the working precision, each filling
-    row's branch reference already set.
-    Returns (z, iterations, residual re-evaluated at 2 precision_bits);
-    raises SolveError when the polish misses the residual target."""
-    fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
-    for fe in fill_eqs:
-        fe.target = 2j * mp.pi
-    z, it, res = _newton(rows, z, _newton_tol(precision_bits))
-    if res >= mp.mpf(2) ** (-precision_bits // 2):
-        raise SolveError(
-            f"{tri.name!r}: polish of the filled structure "
-            f"{', '.join(f'{fe.label}=({fe.p},{fe.q})' for fe in fill_eqs)} "
-            f"stopped at residual {mp.nstr(res, 3)}"
-        )
-    return z, it, _certify(rows, z, precision_bits)
 
 
 def _core_curve(p: int, q: int) -> tuple[int, int]:
@@ -1143,7 +1137,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
                     raise SolveError("corrector diverged even at the minimum step")
             z = z_corr
             shapes = ShapeAssignment(z, precision_bits)
-            if shapes.is_degenerate() or not shapes.is_geometric():
+            if shapes.is_degenerate() or not all(v.imag > 0 for v in z):
                 raise SolveError("continuation left the geometric region")
             samples.append((shapes, evaluate_cusp_parameter(pair, shapes)))
         return samples

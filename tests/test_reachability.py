@@ -54,7 +54,6 @@ KEPT = {
     "holonomy.SignedMonomial.inverse": ALGEBRA + "; `invert_curve`",
     "holonomy.ShapeAssignment.from_values": "demo 01 and the rational shape sampler of "
                                             "tests/conftest.py",
-    "holonomy.ShapeAssignment.is_geometric": TRACE,
     "manifold.CuspCurve.pre_word": CURVES,
     "manifold.concat_curves": CURVES,
     "manifold.invert_curve": CURVES,

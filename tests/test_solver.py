@@ -369,16 +369,14 @@ def _ramp_from_the_polished_structure(tri, filling, bits) -> dict:
     structure rounded to Python complex, then one polish at `bits`, with
     the filled solver's geometric and degenerate flags."""
     from cuspforge.solver import (FillingEquation, _check_fillings, _core_curve, _filling_ramp,
-                                  _polish_filled)
+                                  _polish)
 
     complete = solve_complete(tri, bits, seed=0)
     with mp.workprec(bits + 30):
         rows = _gluing_rows(tri, _check_fillings(tri, filling), bits)
         fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
         z_ramp = _filling_ramp(tri.name, rows, [complex(v) for v in complete.shapes.z])
-        for fe in fill_eqs:
-            fe.reference = tuple(mp.mpc(w) for w in fe.logs(z_ramp))
-        z, iterations, _ = _polish_filled(tri, rows, [mp.mpc(v) for v in z_ramp], bits)
+        z, iterations, _ = _polish(tri, rows, [mp.mpc(v) for v in z_ramp], bits)
         flat = mp.mpf(2) ** (-bits // 8)
         cores = []
         for fe in fill_eqs:
@@ -435,6 +433,22 @@ def test_tied_branch_offsets_do_not_follow_round_off(bits):
         assert filled.branch_offsets == (offsets,), (name, cusp, n)
         # the 2p polish reads its references by the same window
         assert doubled_structure(tri, filled).branch_offsets == (offsets,)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_the_doubled_filled_polish_reads_branch_offsets(bits):
+    # the 2p polish takes its references from `branch_offsets`: the p
+    # solve's offsets give a one-step polish, and (0, 0) in their place
+    # gives a target it cannot reach
+    for name, cusp, n in [("622", 0, -1), ("622", 1, -1), ("berge", 0, -2)]:
+        tri = cf.load_fixture(name)
+        filling = [None] * len(tri.cusps)
+        filling[cusp] = (1, n)
+        filled = solve_filled(tri, filling, bits)
+        assert filled.branch_offsets == (TIED_OFFSETS[name, cusp, n],)
+        assert doubled_structure(tri, filled).iterations == 1, (name, cusp, n)
+        with pytest.raises(SolveError):
+            doubled_structure(tri, dataclasses.replace(filled, branch_offsets=((0, 0),)))
 
 
 def test_float_evaluator_matches_mpmath(whitehead, link622, berge, solved):
