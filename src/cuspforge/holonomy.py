@@ -42,8 +42,9 @@ step taken from it, then its tangent and, at a traced sample (which keeps
 its Point), the cusp parameter, all from that one memo; a filling row's
 principal logs are memoised there too (`Point.principal_log`), so the
 residual and the step at a point log each dilation once.  A plain sequence
-passed to the evaluator becomes a Point for the length of that call.  No
-memo outlives its point.
+passed to the evaluator becomes a Point for the length of that call; a
+`ShapeAssignment` keeps one per precision (`ShapeAssignment.point`) for
+every cusp's evaluations at it.  No memo outlives its point.
 
 At a Point whose shapes are all mpmath numbers, every evaluation, second
 derivatives included, runs in the integer block form of `blockform`, and
@@ -346,6 +347,14 @@ class ShapeAssignment:
                 "shape assignment has a coordinate within %.1e of {0, 1}" % DEGENERACY_GUARD
             )
 
+    def point(self) -> "Point":
+        """The `Point` of the shapes at the working precision, made once per
+        precision and kept with the assignment; `z` itself if a Point."""
+        if type(self.z) is Point:
+            return self.z
+        points = self.__dict__.setdefault("_points", {})  # precision -> Point
+        return points.get(mp.prec) or points.setdefault(mp.prec, Point(self.z))
+
 
 @functools.lru_cache(maxsize=4096)
 def _factor_keys(a: tuple, b: tuple) -> tuple:
@@ -643,7 +652,7 @@ def evaluate_cusp_parameter(
     """Numerical value tau(l)/tau(m); raises if the denominator vanishes."""
     shapes.require_non_degenerate()
     with mp.workprec(shapes.precision_bits):
-        z = Point(shapes.z)
+        z = shapes.point()
         num = sum_value(pair[0].terms, z)
         den = sum_value(pair[1].terms, z)
         if abs(den) < mp.mpf(2) ** (-shapes.precision_bits // 2):

@@ -34,8 +34,9 @@ u'' are exact (`blockform.dot`) and each is rounded once.  The Jacobian,
 the tangent, the second derivatives and the tau sums at a point all
 evaluate from the one memo of its `holonomy.Point`, and none of them
 takes an mpmath operator; only the quotient rule for tau(l)/tau(m) is
-mpmath.  The passes at p and at 2p evaluate the same equations, built
-once per triangulation; each builds the tau pair.
+mpmath.  Every pass reads the equations and tau pairs built once per
+triangulation (`solver.invariants`), at the one Point per precision of
+its structure (`ShapeAssignment.point`), which both cusps share.
 
 `isolation_verdict` tests the complete structure it is handed, `start`,
 and works at its precision p.  Its 2p structure is
@@ -57,7 +58,7 @@ import mpmath
 from mpmath import mp
 
 from .blockform import block, block_width, dot, to_mpc
-from .holonomy import Point, ShapeAssignment, cusp_parameter, second_derivative_along, sum_value
+from .holonomy import ShapeAssignment, second_derivative_along, sum_value
 from .manifold import IdealTriangulation
 from .solver import (
     SolveError,
@@ -66,6 +67,7 @@ from .solver import (
     curve_pin,
     curve_velocity,
     doubled_structure,
+    invariants,
     pinned_factor,
     printed_complex,
     system_jacobian,
@@ -135,9 +137,9 @@ def tau_derivatives(tri: IdealTriangulation, cusp: int, shapes: ShapeAssignment,
     one factorisation of the pinned square system.
     """
     system = completeness_system(tri, cusp)
-    num, den = cusp_parameter(tri, tri.cusps[cusp])
+    num, den = invariants(tri).tau_pairs[cusp]
     with mp.workprec(shapes.precision_bits + 30):
-        z = Point(shapes.z)
+        z = shapes.point()
         if curve is None:
             jacobian = system_jacobian(system, z)
             pin, kept = curve_pin(jacobian, shapes.precision_bits)

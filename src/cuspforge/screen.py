@@ -45,13 +45,13 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from . import __version__, load_fixture
-from .holonomy import cusp_parameter, evaluate_cusp_parameter
+from .holonomy import evaluate_cusp_parameter
 from .isolation import IsolationEvidence, isolation_verdict
 from .manifold import IdealTriangulation, TriangulationError, read_triangulation
 from .numberlab import (UNRECOGNIZED, AlgdepError, FieldClass, MinPoly, algdep,
                         check_algdep_arguments, classify_field, rigid_compatible)
-from .solver import (SolveError, SolveResult, doubled_structure, printed_complex, printed_digits,
-                     solve_complete, solve_filled)
+from .solver import (SolveError, SolveResult, doubled_structure, invariants, printed_complex,
+                     printed_digits, solve_complete, solve_filled)
 
 NON_VERIFIED_TAG = "non-verified computation"
 
@@ -213,11 +213,10 @@ def screen_triangulation(tri: IdealTriangulation, source: str,
             except (SolveError, AlgdepError) as exc:
                 failure = str(exc)
         for i in unfilled:
-            cusp = tri.cusps[i]
-            rec = CuspRecord(name=cusp.name)
+            rec = CuspRecord(name=tri.cusps[i].name)
             report.cusps.append(rec)
             try:
-                pair = cusp_parameter(tri, cusp)
+                pair = invariants(tri).tau_pairs[i]
                 value = evaluate_cusp_parameter(pair, solved.shapes)
                 rec.shape = printed_complex(value, printed_digits(options.precision_bits))
                 if failure is not None:
@@ -265,8 +264,8 @@ def fill_and_screen(path_or_tri, cusp: int, n_values,
                     options: ScreenOptions | None = None) -> list[ScreenReport]:
     """Screen the remaining cusps of each (1, n) filling of one cusp.
 
-    Each filling is solved on its own (`solve_filled`, which runs its own
-    machine-precision start search); no complete structure is polished.
+    Each filling is solved on its own (`solve_filled`, which ramps from the
+    triangulation's one start search); no complete structure is polished.
     Solver failures for individual fillings become error reports; there is
     no isolation leg for a filled (one-cusped) result, so a filled report's
     verdict is FailsRigidField or Undetermined.
@@ -489,8 +488,8 @@ def _dispatch(args, options: ScreenOptions) -> int:
             result = _converged_solve(tri, options)
             if result is None:
                 continue
-            for cusp in tri.cusps:
-                value = evaluate_cusp_parameter(cusp_parameter(tri, cusp), result.shapes)
+            for cusp, pair in zip(tri.cusps, invariants(tri).tau_pairs):
+                value = evaluate_cusp_parameter(pair, result.shapes)
                 print(f"{tri.name}.{cusp.name}: {mp.nstr(value, digits)}")
         return 0
 

@@ -13,11 +13,16 @@ Complete structures are found in two stages.
    Newton on the cleared-denominator polynomial system {edge equations = 1}
    with {mu = 1} for both peripheral curves of every cusp.  A point given
    as `initial` (a lower-precision solution) is polished directly, before
-   any search.  `_cleared_rows` builds the rows of every system once per
-   triangulation; stage 1 reads its log rows off them.  `_polish` is the
-   one working-precision polish of every solve, complete, filled or
-   doubled: it refuses a residual that misses 2^-(p // 2) and re-evaluates
-   the residual at 2p bits.  A refused start passes to the next one.
+   any search.  `_polish` is the one working-precision polish of every
+   solve, complete, filled or doubled: it refuses a residual that misses
+   2^-(p // 2) and re-evaluates the residual at 2p bits.  A refused start
+   passes to the next one.
+
+What every call reads of a triangulation is built once, into its record
+(`invariants`, keyed by identity, since a triangulation hashes field by
+field, and dropped with it): the edge monomials, mu(m), mu(l) and tau pair
+of each cusp, each cleared row, the log rows of stage 1 (read off the
+complete rows) and `solve_filled`'s first start.
 
 Every Newton step of a solve is one `least_squares` solve: elimination
 with partial pivoting on the normal equations, with the upper triangle of
@@ -107,7 +112,7 @@ complete solve by `solve_complete` from its shapes as `initial`, with its
 seed and no restarts; a filled one, which records its fillings, by
 `_polish` on its own rows, with the target 2 pi i taken at 2p and the
 branches the p polish ended on, read by the same window.  A polish that
-fails is refused.
+fails, or moves a shape by 2^-(p // 2) or more, is refused.
 
 The same Newton loop, `_damped_newton` stepping by pinned solves, is the
 whole corrector of the predictor-corrector tracing of the curve along
@@ -308,17 +313,35 @@ class FillingEquation:
         return tuple(int(k) for k in self._branches(z)[1])
 
 
-# triangulation -> {monomial: PolynomialEquation}, dropped with the triangulation
-_EQUATIONS = weakref.WeakKeyDictionary()
+class Invariants:
+    """What solves, screens and isolation tests read of one triangulation,
+    built once (see the module docstring); `starts` maps (seed, restarts,
+    working precision) to `solve_filled`'s first start, or None."""
+
+    def __init__(self, tri: IdealTriangulation):
+        weakref.finalize(tri, _INVARIANTS.pop, id(tri), None)
+        self.edges = tri.edge_equations()
+        self.peripheral = [(mu(tri, c.meridian), mu(tri, c.longitude)) for c in tri.cusps]
+        self.tau_pairs = [cusp_parameter(tri, c) for c in tri.cusps]
+        self.equations, self.log_rows, self.starts = {}, None, {}
+
+
+# id(tri) -> the Invariants of each live triangulation
+_INVARIANTS = {}
+
+
+def invariants(tri: IdealTriangulation) -> Invariants:
+    """The `Invariants` of `tri`, made at the first call."""
+    return _INVARIANTS.get(id(tri)) or _INVARIANTS.setdefault(id(tri), Invariants(tri))
 
 
 def _cleared_rows(tri: IdealTriangulation, peripheral) -> list:
     """The cleared rows of a system, in a new list: one `PolynomialEquation`
-    per edge monomial, then one per monomial of `peripheral`.  Each is built
-    once per triangulation and monomial, and lives as long as `tri`."""
-    memo = _EQUATIONS.setdefault(tri, {})
-    rows = []
-    for m in (*tri.edge_equations(), *peripheral):
+    per edge monomial, then one per monomial of `peripheral`, each built
+    once per triangulation and monomial (`invariants`)."""
+    record = invariants(tri)
+    memo, rows = record.equations, []
+    for m in (*record.edges, *peripheral):
         if m not in memo:
             memo[m] = PolynomialEquation(m)
         rows.append(memo[m])
@@ -332,8 +355,7 @@ def _gluing_rows(tri: IdealTriangulation, fillings, precision_bits: int | None =
     `tie` of a structure filled at `precision_bits` when given."""
     tie = None if precision_bits is None else mp.mpf(2) ** -(precision_bits // 2)
     peripheral, fill_rows = [], []
-    for cusp, f in zip(tri.cusps, fillings):
-        mu_m, mu_l = mu(tri, cusp.meridian), mu(tri, cusp.longitude)
+    for cusp, f, (mu_m, mu_l) in zip(tri.cusps, fillings, invariants(tri).peripheral):
         if f is None:
             peripheral += [mu_m, mu_l]
         else:
@@ -669,9 +691,9 @@ def _initial_guesses(n, seed, restarts):
         ]
 
 
-def _log_rows(tri: IdealTriangulation, eqs) -> list[tuple]:
+def _log_rows(tri: IdealTriangulation) -> list[tuple]:
     """The complete-structure gluing system in log form, read off its
-    cleared rows `eqs` (edges first, then the cusp rows).
+    cleared rows (edges first, then the cusp rows).
 
     One (a, b, shift, principal) per row, whose value at z is
     sum a_i Log z_i + b_i Log(1 - z_i) + shift, reduced to the principal
@@ -680,7 +702,7 @@ def _log_rows(tri: IdealTriangulation, eqs) -> list[tuple]:
     Cusp rows are the principal Log of both peripheral dilations.
     """
     rows = []
-    for i, eq in enumerate(eqs):
+    for i, eq in enumerate(_gluing_rows(tri, [None] * len(tri.cusps))):
         m = eq.monomial
         if i < len(tri.edges):
             e2 = sum(corner.kind == "E2" for corner in tri.edges[i].corners)
@@ -755,16 +777,17 @@ def _filling_ramp(name: str, rows, z: list) -> list:
     return z
 
 
-def _starts(tri: IdealTriangulation, eqs, seed: int, restarts: int,
+def _starts(tri: IdealTriangulation, seed: int, restarts: int,
             initial: ShapeAssignment | None = None):
     """(index, z) of the starts of a solve, in the order it takes them.  The
     schedule is `initial` as given, then the float root of the log form of
-    the complete rows `eqs` from each _initial_guesses start, a search with
-    no root passed over.  Every start with all Im z > 0 comes in schedule
+    the complete rows from each _initial_guesses start, a search with no
+    root passed over.  Every start with all Im z > 0 comes in schedule
     order, then the first other one, after the whole schedule.  Each search
     runs only when the next start is asked for."""
-    rows = _log_rows(tri, eqs)
-    roots = (_float_search(rows, [complex(v) for v in guess])
+    record = invariants(tri)
+    record.log_rows = record.log_rows or _log_rows(tri)
+    roots = (_float_search(record.log_rows, [complex(v) for v in guess])
              for guess in _initial_guesses(tri.n_tet, seed, restarts))
     other = None
     for index, z in enumerate(itertools.chain([] if initial is None else [initial.z], roots)):
@@ -815,7 +838,7 @@ def solve_complete(tri: IdealTriangulation, precision_bits: int = 256,
 
         singular = 0
         best = None
-        for index, z0 in _starts(tri, eqs, seed, restarts, initial):
+        for index, z0 in _starts(tri, seed, restarts, initial):
             if best is not None and not all(v.imag > 0 for v in z0):
                 # the last start, non-geometric: polished only when no other
                 # start gave a result
@@ -858,20 +881,22 @@ def solve_filled(tri: IdealTriangulation, fillings, precision_bits: int = 256,
     (p, q).
 
     With every cusp complete, this is `solve_complete`.  Otherwise the
-    start search of `solve_complete` runs over the same schedule, in
-    machine precision, and its first float root with every Im z > 0 (else
-    its first root, noted as non-geometric) is the complete structure a
-    machine-precision continuation fills: it ramps each filling target from
-    0 to 2 pi i while carrying log branches, and the end point is polished
-    once at the working precision.  A start search with no root, a stalled
-    ramp or a failed polish raises SolveError; no other start is tried.
+    start search of `solve_complete`, run once per seed, restarts and
+    precision (`invariants`), gives the complete structure: its first float
+    root with every Im z > 0, else its first root, noted as non-geometric.
+    A machine-precision continuation ramps each filling target from 0 to
+    2 pi i, carrying log branches, and the end point is polished once at
+    the working precision.  A start search with no root, a stalled ramp or
+    a failed polish raises SolveError; no other start is tried.
     """
     fillings = _check_fillings(tri, fillings)
     if all(f is None for f in fillings):
         return solve_complete(tri, precision_bits, seed, restarts)
     with mp.workprec(precision_bits + 30):
-        eqs = _gluing_rows(tri, [None] * len(tri.cusps))
-        found = next(_starts(tri, eqs, seed, restarts), None)
+        starts, key = invariants(tri).starts, (seed, restarts, mp.prec)
+        if key not in starts:
+            starts[key] = next(_starts(tri, seed, restarts), None)
+        found = starts[key]
         if found is None:
             raise SolveError(f"{tri.name!r}: complete-structure start search did not converge "
                              f"within {restarts} restarts")
@@ -922,29 +947,34 @@ def doubled_structure(tri: IdealTriangulation, solved: SolveResult) -> SolveResu
     """`solved` polished once at twice its precision, complete or filled
     as it records (see the module docstring).  A filled one keeps every
     field of `solved` but the shapes, iterations and residual.  Raises
-    SolveError unless the polish succeeds from `solved` itself, so that
-    the 2p evidence is about the same root.  One call serves every cusp."""
-    bits = 2 * solved.shapes.precision_bits
-    if not solved.fillings:
-        doubled = solve_complete(tri, bits, seed=solved.seed, restarts=0, initial=solved.shapes)
-        if not (doubled.success and doubled.restarts_used == 0):
-            raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the complete structure "
-                             "did not succeed")
-        return doubled
+    SolveError unless the polish succeeds from `solved` itself and moves no
+    shape by 2^-(p // 2) or more, so that the 2p evidence is about the same
+    root.  One call serves every cusp."""
+    p = solved.shapes.precision_bits
+    bits, structure = 2 * p, "filled" if solved.fillings else "complete"
     with mp.workprec(bits + 30):
-        rows = _gluing_rows(tri, solved.fillings, solved.shapes.precision_bits)
-        fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
-        z = Point([mp.mpc(v) for v in solved.shapes.z])
-        for fe, turns in zip(fill_eqs, solved.branch_offsets):
-            principal, _, pi = fe._branches(z)
-            fe.reference = tuple(w + 2j * pi * k for w, k in zip(principal, turns))
-        z, it, res2 = _polish(tri, rows, z, bits)
-        if res2 >= mp.mpf(2) ** (-bits // 2):
-            raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the filled structure "
-                             "did not succeed")
-        return dataclasses.replace(
-            solved, shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), bits),
-            residual=res2, iterations=it)
+        if not solved.fillings:
+            doubled = solve_complete(tri, bits, seed=solved.seed, restarts=0, initial=solved.shapes)
+            polished = doubled.success and doubled.restarts_used == 0
+        else:
+            rows = _gluing_rows(tri, solved.fillings, p)
+            fill_eqs = [e for e in rows if isinstance(e, FillingEquation)]
+            z = Point([mp.mpc(v) for v in solved.shapes.z])
+            for fe, turns in zip(fill_eqs, solved.branch_offsets):
+                principal, _, pi = fe._branches(z)
+                fe.reference = tuple(w + 2j * pi * k for w, k in zip(principal, turns))
+            z, it, res2 = _polish(tri, rows, z, bits)
+            polished = res2 < mp.mpf(2) ** (-bits // 2)
+            doubled = dataclasses.replace(
+                solved, shapes=ShapeAssignment(tuple(mp.mpc(v) for v in z), bits),
+                residual=res2, iterations=it)
+        moved = max(abs(a - b) for a, b in zip(doubled.shapes.z, solved.shapes.z))
+        if not polished or moved >= mp.mpf(2) ** -(p // 2):
+            why = (f"moved a shape by {mp.nstr(moved, 3)} from the {p}-bit one" if polished
+                   else "did not succeed")
+            raise SolveError(f"{tri.name!r}: the {bits}-bit polish of the {structure} "
+                             f"structure {why}")
+    return doubled
 
 
 def _core_curve(p: int, q: int) -> tuple[int, int]:
@@ -966,7 +996,7 @@ def _core_curve(p: int, q: int) -> tuple[int, int]:
 def completeness_system(tri: IdealTriangulation, cusp_index: int):
     """Cleared equations cutting the locus where one cusp stays complete:
     every edge equation plus mu(meridian) = 1 for the chosen cusp."""
-    return _cleared_rows(tri, [mu(tri, tri.cusps[cusp_index].meridian)])
+    return _cleared_rows(tri, [invariants(tri).peripheral[cusp_index][0]])
 
 
 def system_jacobian(eqs, z: list):
@@ -1095,7 +1125,7 @@ def trace_completeness_curve(tri: IdealTriangulation, complete_cusp: int,
         raise SolveError("complete solve failed; cannot trace")
     with mp.workprec(precision_bits + 30):
         eqs = completeness_system(tri, complete_cusp)
-        pair = cusp_parameter(tri, tri.cusps[complete_cusp])
+        pair = invariants(tri).tau_pairs[complete_cusp]
         z = Point(start.shapes.z)
         pin, kept = curve_pin(system_jacobian(eqs, z), precision_bits)
         square = [eqs[i] for i in kept]

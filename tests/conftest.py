@@ -7,12 +7,14 @@ degeneracy guard, from a fixed seed.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 import cuspforge as cf
+import cuspforge.solver as solver
 from cuspforge.solver import solve_complete
 
 PRECISION = 256
@@ -45,6 +47,18 @@ def solved(whitehead, link622, berge):
         for tri in (whitehead, link622, berge):
             out[tri.name] = solve_complete(tri, PRECISION, seed=0)
     return out
+
+
+def clear_memos():
+    """Empty every memo that cuspforge keeps across calls: the lru caches of
+    its modules and the per-triangulation records of `solver.invariants`
+    (the equations, tau pairs and start searches of every triangulation)."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspforge"):
+            for value in vars(module).values():
+                if getattr(value, "__module__", None) == name and hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    solver._INVARIANTS.clear()
 
 
 def rational_point_sampler(n, seed=0, height=100, guard=1e-6):

@@ -387,3 +387,41 @@ def test_a_rank_deficient_root_is_not_a_complete_solve(tmp_path):
         assert "Traceback" not in proc.stderr
         assert "rank-deficient roots" in proc.stdout
         assert "FailsRigidField" not in proc.stdout
+
+
+def _exact(value):
+    """The bits of a tau_derivatives entry: mpmath numbers as their raw
+    tuples, lists entry by entry."""
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return getattr(value, "_mpc_", value)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", ["622", "berge"])
+def test_both_cusps_share_one_point_bit_for_bit(name, bits, monkeypatch):
+    # tau_derivatives of both cusps and both cusp parameters evaluate on the
+    # one Point that the structure keeps per precision (p + 30 bits for the
+    # derivatives, p for the parameter), and give the bits of the same
+    # computation on a fresh Point each
+    tri = cf.load_fixture(name)
+    start = solve_complete(tri, bits)
+    pairs = solver.invariants(tri).tau_pairs
+
+    def fresh():
+        return ShapeAssignment(start.shapes.z, bits)
+
+    expected = [tau_derivatives(tri, cusp, fresh()) for cusp in range(2)]
+    values = [cf.evaluate_cusp_parameter(pair, fresh()) for pair in pairs]
+    handed = []
+    point = ShapeAssignment.point
+    monkeypatch.setattr(ShapeAssignment, "point",
+                        lambda shapes: handed.append(point(shapes)) or handed[-1])
+    shared = [tau_derivatives(tri, cusp, start.shapes) for cusp in range(2)]
+    assert [{k: _exact(v) for k, v in info.items()} for info in shared] == \
+        [{k: _exact(v) for k, v in info.items()} for info in expected]
+    assert [_exact(cf.evaluate_cusp_parameter(pair, start.shapes)) for pair in pairs] == \
+        _exact(values)
+    kept = start.shapes.__dict__["_points"]
+    assert sorted(kept) == [bits, bits + 30]
+    assert [id(p) for p in handed] == [id(kept[bits + 30])] * 2 + [id(kept[bits])] * 2

@@ -19,7 +19,9 @@ import sys
 import pytest
 
 import cuspforge
-from cuspforge import screen, solver
+from cuspforge import screen
+
+from conftest import clear_memos
 
 SOURCES = pathlib.Path(cuspforge.__file__).parent
 
@@ -126,16 +128,10 @@ def runs(tmp: pathlib.Path) -> list:
 
 def entered_code(tmp: pathlib.Path) -> set:
     """(file, first line) of every code object that `runs` start, each
-    exit code checked.  The package's memos are cleared first, so that
-    what earlier tests cached runs again: the lru caches, and the
-    equations kept per triangulation, which a new parse of a fixture
-    finds since triangulations compare by value."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cuspforge"):
-            for value in vars(module).values():
-                if getattr(value, "__module__", None) == name and hasattr(value, "cache_clear"):
-                    value.cache_clear()
-    solver._EQUATIONS.clear()
+    exit code checked.  The package's memos are cleared first
+    (`conftest.clear_memos`), so that what earlier tests cached runs
+    again."""
+    clear_memos()
     entered = set()
 
     def tracer(frame, event, arg):

@@ -1,5 +1,6 @@
 """Screening reports, verdict rules, determinism, and the CLI surface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -296,11 +297,14 @@ def test_non_hyperbolic_solve_gets_no_rigid_verdict(whitehead):
 
 
 def test_fill_sweep_reports_a_failed_complete_solve(whitehead, monkeypatch):
-    # a start search that finds no float root becomes each filling's report
+    # a start search that finds no float root becomes each filling's report.
+    # It runs on a copy of whitehead: the session fixture's record
+    # (`solver.invariants`) may keep a start an earlier test searched for,
+    # and the copy keeps the failed one
     import cuspforge.solver as solver_module
 
     monkeypatch.setattr(solver_module, "_float_search", lambda rows, z: None)
-    reports = fill_and_screen(whitehead, 1, [2, -3], OPTIONS)
+    reports = fill_and_screen(dataclasses.replace(whitehead), 1, [2, -3], OPTIONS)
     assert [rep.manifold for rep in reports] == ["whitehead(c2=1/2)", "whitehead(c2=1/-3)"]
     for rep in reports:
         assert rep.verdict == UNDETERMINED and not rep.cusps

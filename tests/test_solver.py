@@ -47,7 +47,8 @@ from cuspforge.solver import (
     trace_completeness_curve,
 )
 
-from conftest import PRECISION, count_mpmath_arithmetic, rational_point_sampler, take
+from conftest import (PRECISION, clear_memos, count_mpmath_arithmetic, rational_point_sampler,
+                      take)
 
 TIGHT = mp.mpf("1e-40")
 
@@ -153,12 +154,13 @@ def test_solve_filled_rejects_malformed_filling(whitehead, filling):
 
 def test_solve_filled_refuses_a_failed_start(whitehead, monkeypatch):
     # a start search that finds no float root raises; the tracer counts the
-    # whole schedule by "did not converge"
+    # whole schedule by "did not converge".  A copy of whitehead has no
+    # start search kept yet (`solver.invariants`), and keeps this one
     import cuspforge.solver as solver
 
     monkeypatch.setattr(solver, "_float_search", lambda rows, z: None)
     with pytest.raises(SolveError, match=r"start search did not converge within 32 restarts"):
-        solve_filled(whitehead, [None, (1, 3)], PRECISION)
+        solve_filled(dataclasses.replace(whitehead), [None, (1, 3)], PRECISION)
 
 
 def _mirror_float_roots(monkeypatch, every: bool) -> list:
@@ -181,12 +183,13 @@ def test_solve_filled_ramps_from_the_first_geometric_root(whitehead, monkeypatch
     # the start search passes over a float root with some Im z <= 0 for the
     # next one with every Im z > 0; with no such root it takes the first
     # root and notes it
+    # (on copies of whitehead, which keep the patched searches' starts)
     calls = _mirror_float_roots(monkeypatch, every=False)
-    result = solve_filled(whitehead, [None, (1, 3)], PRECISION)
+    result = solve_filled(dataclasses.replace(whitehead), [None, (1, 3)], PRECISION)
     assert len(calls) == 2 and result.restarts_used == 1
     assert result.geometric and not result.notes
     calls = _mirror_float_roots(monkeypatch, every=True)
-    result = solve_filled(whitehead, [None, (1, 3)], PRECISION, restarts=2)
+    result = solve_filled(dataclasses.replace(whitehead), [None, (1, 3)], PRECISION, restarts=2)
     assert len(calls) == 3 and result.restarts_used == 0 and not result.geometric
     assert result.notes[0] == "complete solution is non-geometric (some Im z <= 0)"
 
@@ -1165,16 +1168,17 @@ def _count_equations(monkeypatch):
     return built
 
 
-def _memo_names():
-    """The names of the triangulations the equation memo holds."""
+def _recorded():
+    """The keys, ids of live triangulations, of the records that
+    `solver.invariants` holds."""
     import cuspforge.solver as solver
 
     gc.collect()
-    return {tri.name for tri in solver._EQUATIONS}
+    return set(solver._INVARIANTS)
 
 
 def test_a_screen_builds_each_equation_once(monkeypatch, tmp_path):
-    # the memo is keyed by value: renamed copies hold no entries yet, and a
+    # the records are keyed by identity: each parse has its own, and a
     # batch screen keeps none of the manifolds it has finished
     from cuspforge.screen import RIGID_NOT_ISOLATED, resolve_input, screen
 
@@ -1190,11 +1194,12 @@ def test_a_screen_builds_each_equation_once(monkeypatch, tmp_path):
                 *(mu(tri, curve) for c in tri.cusps for curve in (c.meridian, c.longitude))}
 
     distinct = sum(len(monomials(cf.read_triangulation(path))) for path in paths)
+    before = _recorded()
     built = _count_equations(monkeypatch)
     reports = screen(paths)
     assert [r.verdict for r in reports] == [RIGID_NOT_ISOLATED] * 3
     assert len(built) == distinct == 25
-    assert not {f"{name}-memo" for name in ("whitehead", "622", "berge")} & _memo_names()
+    assert _recorded() <= before
 
 
 def test_a_fill_sweep_builds_each_equation_once(monkeypatch, whitehead):
@@ -1209,9 +1214,49 @@ def test_a_fill_sweep_builds_each_equation_once(monkeypatch, whitehead):
     # peripheral ones
     assert len(built) == 7
     # filling rows carry per-solve state and are never memoised
-    memo = solver._EQUATIONS[tri]
+    memo = solver.invariants(tri).equations
     assert len(memo) == 7
     assert all(type(e) is PolynomialEquation and e.monomial == m for m, e in memo.items())
+
+
+def test_a_fill_sweep_runs_one_start_search(monkeypatch, whitehead):
+    # every (1, n) of a sweep ramps from the one start search kept in its
+    # triangulation's record: the first sweep runs one schedule (whitehead's
+    # first start gives a geometric root), a second sweep on the same object
+    # none, and a renamed copy its own.  With the memos cleared first, the
+    # two records are the only ones, and each goes with its triangulation
+    import cuspforge.solver as solver
+    from cuspforge.screen import fill_and_screen
+
+    search, calls = solver._float_search, []
+    monkeypatch.setattr(solver, "_float_search",
+                        lambda rows, z: calls.append(z) or search(rows, z))
+    n_values = [n for n in range(-5, 6) if n]
+    tri = dataclasses.replace(whitehead, name="whitehead-search")
+    clear_memos()
+    first = fill_and_screen(tri, 1, n_values)
+    assert len(calls) == 1 and all(r.solve["restarts_used"] == 0 for r in first)
+    second = fill_and_screen(tri, 1, n_values)
+    assert len(calls) == 1 and [r.to_json() for r in second] == [r.to_json() for r in first]
+    copy = dataclasses.replace(tri, name="whitehead-search-copy")
+    fill_and_screen(copy, 1, [2])
+    assert len(calls) == 2
+    assert _recorded() == {id(tri), id(copy)}
+    del tri, copy
+    assert _recorded() == set()
+
+
+def test_the_doubled_polish_refuses_a_moved_root(whitehead):
+    # a meridian turn that is not the p solve's own sends the 2p polish of
+    # whitehead c2 (1, 2) to another root, at a residual that passes:
+    # refused by the move of its shapes, not by the residual
+    filled = solve_filled(whitehead, [None, (1, 2)], PRECISION)
+    (m, l), = filled.branch_offsets
+    turned = dataclasses.replace(filled, branch_offsets=((m + 1, l),))
+    with pytest.raises(SolveError, match=r"^'whitehead': the 512-bit polish of the filled "
+                                         r"structure moved a shape by \S+ from the 256-bit one$"):
+        doubled_structure(whitehead, turned)
+    assert doubled_structure(whitehead, filled).shapes.precision_bits == 2 * PRECISION
 
 
 def test_filling_logs_are_memoised_on_the_point(monkeypatch, whitehead):
@@ -1248,11 +1293,11 @@ def test_a_trace_on_a_solved_triangulation_builds_nothing(monkeypatch, whitehead
 def test_the_equations_go_with_their_triangulation(whitehead):
     tri = dataclasses.replace(whitehead, name="whitehead-dropped")
     completeness_system(tri, 0)
-    assert "whitehead-dropped" in _memo_names()
-    key = weakref.ref(tri)
+    assert id(tri) in _recorded()
+    key, ref = id(tri), weakref.ref(tri)
     del tri
-    assert "whitehead-dropped" not in _memo_names()
-    assert key() is None
+    assert key not in _recorded()
+    assert ref() is None
 
 
 @pytest.fixture(scope="module")
